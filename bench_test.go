@@ -61,10 +61,13 @@ func BenchmarkTable4AdverseScenarios(b *testing.B) {
 }
 
 // BenchmarkSec8BurstCampaign runs the full 12-class, 100-repetition burst
-// campaign at several worker counts. The rendered output is bit-identical
-// across the sub-benchmarks; only the wall clock changes (on multi-core
-// hosts — with GOMAXPROCS=1 the pool degenerates to the serial path plus
-// channel overhead).
+// campaign at several worker counts, on the default lane-packed path: gangs
+// of 16 repetitions share each protocol step and each bus delivery. The
+// rendered output is bit-identical across the sub-benchmarks and to the
+// per-run path of traced campaigns; only the wall clock changes (on
+// multi-core hosts — with GOMAXPROCS=1 the pool degenerates to the serial
+// path plus channel overhead). Tracked in BENCH_campaign.json, discussed in
+// docs/PERFORMANCE.md.
 func BenchmarkSec8BurstCampaign(b *testing.B) {
 	for _, workers := range []int{1, 4, 0} {
 		name := fmt.Sprintf("workers=%d", workers)
@@ -75,27 +78,6 @@ func BenchmarkSec8BurstCampaign(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				err := experiments.Run("sec8-bursts", experiments.Params{
 					Seed: 1, Runs: 100, Workers: workers, Out: io.Discard,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkSec8BurstCampaignBatched is the same 12-class, 100-repetition
-// campaign on the lane-packed batched path (Params.Batched): gangs of 16
-// repetitions share each protocol step and each bus delivery. The rendered
-// output is bit-identical to BenchmarkSec8BurstCampaign; the ns/op ratio
-// between the two at workers=1 is the tentpole's speedup figure (tracked in
-// BENCH_campaign.json, discussed in docs/PERFORMANCE.md).
-func BenchmarkSec8BurstCampaignBatched(b *testing.B) {
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				err := experiments.Run("sec8-bursts", experiments.Params{
-					Seed: 1, Runs: 100, Workers: workers, Out: io.Discard, Batched: true,
 				})
 				if err != nil {
 					b.Fatal(err)

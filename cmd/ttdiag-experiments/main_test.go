@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"os"
+	"strings"
 	"testing"
 
 	"ttdiag/internal/metrics"
@@ -112,6 +113,67 @@ func TestTraceFlag(t *testing.T) {
 	}
 	if notes != 2 {
 		t.Fatalf("got %d run-boundary notes, want 2 (trace must force serial execution)", notes)
+	}
+}
+
+// TestSec8BurstsDefaultIsLanePacked pins the default campaign path end to
+// end: an untraced sec8-bursts run advances its 12 classes × 20 repetitions
+// as lane-packed gangs (16 + 4 lanes per class), which only the lane-packed
+// path accounts in the batch/* instruments.
+func TestSec8BurstsDefaultIsLanePacked(t *testing.T) {
+	path := t.TempDir() + "/metrics.json"
+	if err := run([]string{"-run", "sec8-bursts", "-runs", "20", "-metrics", path}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep metrics.Report
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	snap := rep.Experiments["sec8-bursts"]
+	if got := snap.Counters["batch/lanes"]; got != 240 {
+		t.Fatalf("batch/lanes = %d, want 240", got)
+	}
+	if got := snap.Counters["batch/gangs"]; got != 24 {
+		t.Fatalf("batch/gangs = %d, want 24", got)
+	}
+}
+
+// TestSec8BurstsTraceRunsPerRepetition: the same command with -trace takes
+// the per-run path, so the stream carries one boundary note per repetition.
+func TestSec8BurstsTraceRunsPerRepetition(t *testing.T) {
+	dir := t.TempDir()
+	path := dir + "/trace.jsonl"
+	if err := run([]string{"-run", "sec8-bursts", "-runs", "20", "-metrics", dir + "/metrics.json", "-trace", path}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	events, err := trace.ReadJSONL(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	notes := 0
+	for _, e := range events {
+		if e.Kind == trace.KindNote {
+			notes++
+		}
+	}
+	if notes != 240 {
+		t.Fatalf("got %d run-boundary notes, want 240", notes)
+	}
+}
+
+// TestBatchedFlagRemoved: lane packing is the default, not an option.
+func TestBatchedFlagRemoved(t *testing.T) {
+	if err := run([]string{"-run", "fig2", "-batched"}); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Fatalf("-batched: got %v, want an unknown-flag error", err)
 	}
 }
 

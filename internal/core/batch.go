@@ -157,9 +157,18 @@ type BatchProtocol struct {
 	pr *batchPR
 
 	// metrics holds the optional per-lane telemetry attachments
-	// (SetLaneMetrics); any is their non-nil disjunction.
-	metrics    []*StepMetrics
-	anyMetrics bool
+	// (SetLaneMetrics); anyMetrics is their non-nil disjunction. groups folds
+	// the attachments into sets of lanes attached to the same StepMetrics,
+	// and seriesLanes marks (bit r) the lanes that also record penalty
+	// trajectories; both are rebuilt lazily once an attachment changed
+	// (regroup). votes is the vote classification StepBatch hands
+	// emitMetrics, filled only while metrics are attached.
+	metrics     []*StepMetrics
+	anyMetrics  bool
+	regroup     bool
+	groups      []laneGroup
+	seriesLanes uint64
+	votes       laneVotes
 
 	// snapAccuse/snapAge are the diagnostic-mode accusation state every lane
 	// shares (no accusations ever), kept materialised for SnapshotLane.
@@ -189,6 +198,7 @@ func NewBatchProtocol(cfg Config, lanes int) (*BatchProtocol, error) {
 		op:         make([]uint64, cfg.N+1),
 		know:       make([]uint64, cfg.N+1),
 		metrics:    make([]*StepMetrics, BatchLanes(cfg.N)),
+		groups:     make([]laneGroup, 0, BatchLanes(cfg.N)),
 		snapAccuse: make([]int, cfg.N+1),
 		snapAge:    make([]int, cfg.N+1),
 	}
@@ -328,7 +338,11 @@ func (p *BatchProtocol) StepBatch(in BatchRoundInput) (BatchRoundOutput, error) 
 			p.know[j] = row.Known & seg
 		}
 
-		consOp, consKnown := voteAllLanes(p.op, p.know, n, p.laneRep)
+		var votes *laneVotes
+		if p.anyMetrics {
+			votes = &p.votes
+		}
+		consOp, consKnown := voteAllLanes(p.op, p.know, n, p.laneRep, votes)
 
 		diagRound = in.Round - p.cfg.Lag()
 		// ⊥ fallback (Alg. 1 line 14): columns outside consKnown resolve to
@@ -387,14 +401,24 @@ func (p *BatchProtocol) StepBatch(in BatchRoundInput) (BatchRoundOutput, error) 
 	return out, nil
 }
 
+// laneVotes classifies one warm round's gang vote column by column, as
+// lane-packed masks: any marks the columns with at least one opinion (⊥ is
+// its complement), faulty the strict faulty majorities, tied the exact
+// non-zero ties (which H-maj resolves to Healthy).
+type laneVotes struct {
+	any, faulty, tied uint64
+}
+
 // voteAllLanes is the gang vote kernel: one carry-save pass over every
 // lane's every column, identical to Matrix.voteAllPlanes except the
 // self-column mask is replicated into every lane by laneRep. op/know are the
 // 1-based gang matrix planes, already restricted to the live lanes (absent
 // rows carry zero know segments). Per-column counts stay ≤ N-1 ≤ 63, so the
-// six counter planes cover every lane at once. Lane-exact equivalence with
-// the per-run kernel is pinned by FuzzVoteAllBatch.
-func voteAllLanes(op, know []uint64, n int, laneRep uint64) (consOp, consKnown uint64) {
+// six counter planes cover every lane at once. A non-nil votes additionally
+// receives the column classification the telemetry needs, read off the same
+// counter planes. Lane-exact equivalence with the per-run kernel is pinned
+// by FuzzVoteAllBatch.
+func voteAllLanes(op, know []uint64, n int, laneRep uint64, votes *laneVotes) (consOp, consKnown uint64) {
 	var healthy, faulty [countPlanes]uint64
 	var any uint64
 	for i := 1; i <= n; i++ {
@@ -410,14 +434,33 @@ func voteAllLanes(op, know []uint64, n int, laneRep uint64) (consOp, consKnown u
 	for k := 0; k < countPlanes; k++ {
 		borrow = (^healthy[k] & (faulty[k] | borrow)) | (faulty[k] & borrow)
 	}
+	if votes != nil {
+		// The borrow is the strict faulty majority (columns without any
+		// opinion never borrow); a tie is bitwise equality of the two
+		// counter stacks in a column that has opinions.
+		var differ uint64
+		for k := 0; k < countPlanes; k++ {
+			differ |= healthy[k] ^ faulty[k]
+		}
+		votes.any, votes.faulty, votes.tied = any, borrow, any&^differ
+	}
 	return any &^ borrow, any
+}
+
+// laneGroup is a set of lanes attached to the same StepMetrics, so
+// emitMetrics folds the whole set with one popcount per counter.
+type laneGroup struct {
+	m   *StepMetrics
+	rep uint64 // bit r·N for every member lane r (a lane replicator)
 }
 
 // SetLaneMetrics attaches (or, with nil, detaches) per-lane telemetry; lane
 // r's instruments receive exactly what the per-run protocol of that lane
-// would emit. The attachment survives Reset.
+// would emit. Lanes may share one StepMetrics, which is the cheap way to
+// instrument a gang. The attachment survives Reset.
 func (p *BatchProtocol) SetLaneMetrics(lane int, m *StepMetrics) {
 	p.metrics[lane] = m
+	p.regroup = true
 	p.anyMetrics = false
 	for _, lm := range p.metrics {
 		if lm != nil {
@@ -427,73 +470,85 @@ func (p *BatchProtocol) SetLaneMetrics(lane int, m *StepMetrics) {
 	}
 }
 
-// emitMetrics mirrors emitStepMetrics per attached lane, reading the lane's
-// segments of the gang matrix and counters.
-func (p *BatchProtocol) emitMetrics(out *BatchRoundOutput, warm bool, diagRound int) {
-	n := p.n
-	for lane := 0; lane < p.lanes; lane++ {
-		m := p.metrics[lane]
+// regroupMetrics rebuilds the lane groups and the trajectory lanes from the
+// per-lane attachments. It runs once per attachment change, not per round.
+func (p *BatchProtocol) regroupMetrics() {
+	p.groups = p.groups[:0]
+	p.seriesLanes = 0
+	for lane, m := range p.metrics {
 		if m == nil {
 			continue
 		}
-		m.Steps.Inc()
-		m.Isolations.Add(int64(bits.OnesCount64(laneExtract(out.IsolatedMask, lane, n))))
-		m.Reintegrations.Add(int64(bits.OnesCount64(laneExtract(out.ReintegratedMask, lane, n))))
+		if m.PenaltySeries != nil {
+			p.seriesLanes |= 1 << uint(lane)
+		}
+		bit := uint64(1) << uint(lane*p.n)
+		g := 0
+		for g < len(p.groups) && p.groups[g].m != m {
+			g++
+		}
+		if g == len(p.groups) {
+			p.groups = append(p.groups, laneGroup{m: m})
+		}
+		p.groups[g].rep |= bit
+	}
+	p.regroup = false
+}
+
+// emitMetrics records one gang execution into the attached lanes'
+// instruments, with the totals each lane's per-run protocol would emit
+// (emitStepMetrics). It works on lane-packed masks: the vote outcomes come
+// from the kernel's classification, disagreements are one masked popcount
+// per matrix row, and every quantity folds into a group's counters with one
+// popcount, so the cost does not grow with the lane count.
+func (p *BatchProtocol) emitMetrics(out *BatchRoundOutput, warm bool, diagRound int) {
+	if p.regroup {
+		p.regroupMetrics()
+	}
+	n := p.n
+	// Only nodes under attention or isolated can hold a non-zero penalty:
+	// a Faulty verdict on an active node either isolates it or puts it under
+	// attention, and attention is dropped only when the penalty is reset.
+	var penalized uint64
+	if warm {
+		penalized = p.pr.attention | p.allB&^p.pr.activeMask
+	}
+	for g := range p.groups {
+		rep := p.groups[g].rep & p.laneRep
+		if rep == 0 {
+			continue
+		}
+		seg := rep * p.laneAll
+		m := p.groups[g].m
+		m.Steps.Add(int64(bits.OnesCount64(rep)))
+		m.Isolations.Add(int64(bits.OnesCount64(out.IsolatedMask & seg)))
+		m.Reintegrations.Add(int64(bits.OnesCount64(out.ReintegratedMask & seg)))
 		if !warm {
 			continue
 		}
-		shift := uint(lane * n)
-		consOp := laneExtract(out.ConsOp, lane, n)
-		consKnown := laneExtract(out.ConsKnown, lane, n)
-		for j := 1; j <= n; j++ {
-			bit := uint64(1) << uint(shift+uint(j-1))
-			faulty, healthy := 0, 0
-			for i := 1; i <= n; i++ {
-				if i == j || p.know[i]&bit == 0 {
-					continue
-				}
-				if p.op[i]&bit != 0 {
-					healthy++
-				} else {
-					faulty++
-				}
-			}
-			switch {
-			case faulty+healthy == 0:
-				m.VotesBottom.Inc()
-			case faulty > healthy:
-				m.VotesFaulty.Inc()
-			default:
-				m.VotesHealthy.Inc()
-				if faulty == healthy && faulty > 0 {
-					m.VotesTied.Inc()
-				}
-			}
-		}
+		v := &p.votes
+		m.VotesBottom.Add(int64(bits.OnesCount64(seg &^ v.any)))
+		m.VotesFaulty.Add(int64(bits.OnesCount64(seg & v.faulty)))
+		m.VotesHealthy.Add(int64(bits.OnesCount64(seg & v.any &^ v.faulty)))
+		m.VotesTied.Add(int64(bits.OnesCount64(seg & v.tied)))
 		var disagreements int
 		for i := 1; i <= n; i++ {
-			rowKnow := laneExtract(p.know[i], lane, n)
-			if rowKnow == 0 {
-				continue
-			}
-			rowOp := laneExtract(p.op[i], lane, n)
-			conflict := rowKnow & consKnown & (rowOp ^ consOp) &^ (uint64(1) << uint(i-1))
-			disagreements += bits.OnesCount64(conflict)
+			conflict := p.know[i] & out.ConsKnown & (p.op[i] ^ out.ConsOp) &^ (p.laneRep << uint(i-1))
+			disagreements += bits.OnesCount64(conflict & seg)
 		}
 		m.Disagreements.Add(int64(disagreements))
+		m.PenaltyMax.Observe(p.pr.maxPenalty(penalized & seg))
+	}
+	if !warm {
+		return
+	}
+	round := int64(diagRound)
+	for rem := p.seriesLanes & (uint64(1)<<uint(p.lanes) - 1); rem != 0; rem &= rem - 1 {
+		lane := bits.TrailingZeros64(rem)
+		m := p.metrics[lane]
 		base := lane * (n + 1)
-		var maxPen int64
-		for j := 1; j <= n; j++ {
-			if v := p.pr.penalties[base+j]; v > maxPen {
-				maxPen = v
-			}
-		}
-		m.PenaltyMax.Observe(maxPen)
-		if m.PenaltySeries != nil {
-			round := int64(diagRound)
-			for j := 1; j <= n && j < len(m.PenaltySeries); j++ {
-				m.PenaltySeries[j].Append(round, p.pr.penalties[base+j])
-			}
+		for j := 1; j <= n && j < len(m.PenaltySeries); j++ {
+			m.PenaltySeries[j].Append(round, p.pr.penalties[base+j])
 		}
 	}
 }
@@ -607,6 +662,19 @@ func (b *batchPR) reset(lanes int) {
 		}
 		b.activeMask |= PlaneMask(b.n) << uint(r*b.n)
 	}
+}
+
+// maxPenalty returns the largest penalty counter at the lane-packed
+// positions in mask, 0 for an empty mask.
+func (b *batchPR) maxPenalty(mask uint64) int64 {
+	var max int64
+	for rem := mask; rem != 0; rem &= rem - 1 {
+		pos := bits.TrailingZeros64(rem)
+		if v := b.penalties[(pos/b.n)*(b.n+1)+pos%b.n+1]; v > max {
+			max = v
+		}
+	}
+	return max
 }
 
 // updateMasked applies one round's lane-packed faulty columns (Alg. 2 across

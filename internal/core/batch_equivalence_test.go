@@ -242,6 +242,127 @@ func TestBatchStepEquivalence(t *testing.T) {
 	}
 }
 
+// TestBatchSharedMetricsEquivalence pins the campaign-shaped telemetry
+// attachment: every lane of the gang shares one StepMetrics, and lane 0
+// carries a copy of it that also records the penalty trajectories. The
+// gang's registry must hold exactly the merge of G per-run StepPacked
+// protocols' registries — counters summed, gauges maximised, lane 0's series
+// point for point — at full and ragged widths, on inputs with frequent
+// silence (⊥ columns) and random opinions (exact ties). The last lane is
+// detached halfway, the way a lane that reached its horizon is.
+func TestBatchSharedMetricsEquivalence(t *testing.T) {
+	const rounds = 64
+	for _, n := range []int{4, 8} {
+		max := BatchLanes(n)
+		for _, lanes := range []int{max, max/2 + 1} {
+			t.Run(fmt.Sprintf("n%d_g%d", n, lanes), func(t *testing.T) {
+				cfg := Config{
+					N: n, ID: 2, L: 2, SendCurrRound: false, Mode: ModeDiagnostic,
+					PR: PRConfig{PenaltyThreshold: 3, RewardThreshold: 2, ReintegrationThreshold: 4},
+				}
+				gang, err := NewBatchProtocol(cfg, lanes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gangReg := metrics.New()
+				shared := NewStepMetrics(gangReg)
+				lane0 := *shared
+				lane0.PenaltySeries = make([]*metrics.Series, n+1)
+				for j := 1; j <= n; j++ {
+					lane0.PenaltySeries[j] = gangReg.Series(fmt.Sprintf("penalty/node%d", j), 2*rounds)
+				}
+				refs := make([]*Protocol, lanes)
+				refRegs := make([]*metrics.Registry, lanes)
+				for r := range refs {
+					if refs[r], err = newProtocol(cfg, true); err != nil {
+						t.Fatal(err)
+					}
+					refRegs[r] = metrics.New()
+					sm := NewStepMetrics(refRegs[r])
+					if r == 0 {
+						sm.PenaltySeries = make([]*metrics.Series, n+1)
+						for j := 1; j <= n; j++ {
+							sm.PenaltySeries[j] = refRegs[r].Series(fmt.Sprintf("penalty/node%d", j), 2*rounds)
+						}
+					}
+					refs[r].SetMetrics(sm)
+					gang.SetLaneMetrics(r, shared)
+				}
+				gang.SetLaneMetrics(0, &lane0)
+
+				streams := make([]*rng.Stream, lanes)
+				for r := range streams {
+					streams[r] = rng.NewStream(int64(7100 + 10*n + r))
+				}
+				laneIns := make([]PackedRoundInput, lanes)
+				for step := 0; step < rounds; step++ {
+					if step == rounds/2 {
+						gang.SetLaneMetrics(lanes-1, nil)
+						refs[lanes-1].SetMetrics(nil)
+					}
+					// Alternate quiet rounds with rounds where most senders
+					// are silent, so whole columns go without opinions.
+					silent := 0.1
+					if step%4 == 3 {
+						silent = 0.7
+					}
+					var collisionFaulty uint64
+					for r := range laneIns {
+						faultyVerdict := (step+r)%3 == 0
+						if faultyVerdict {
+							collisionFaulty |= 1 << uint(r)
+						}
+						in := randomPackedInput(streams[r], n, step, func(int) Opinion {
+							if faultyVerdict {
+								return Faulty
+							}
+							return Healthy
+						})
+						for j := 1; j <= n; j++ {
+							if streams[r].Bool(silent) {
+								in.Present &^= 1 << uint(j-1)
+								in.Validity.Set(j, Faulty)
+								in.Rows[j] = BitSyndrome{}
+							}
+						}
+						laneIns[r] = in
+					}
+					if _, err := gang.StepBatch(packGangInput(n, step, laneIns, collisionFaulty)); err != nil {
+						t.Fatalf("round %d: StepBatch: %v", step, err)
+					}
+					for r := range refs {
+						if _, err := refs[r].StepPacked(laneIns[r]); err != nil {
+							t.Fatalf("round %d lane %d: StepPacked: %v", step, r, err)
+						}
+					}
+				}
+				var want metrics.Snapshot
+				for r := range refRegs {
+					if want, err = metrics.Merge(want, refRegs[r].Snapshot()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, name := range []string{"vote/bottom", "vote/tied", "vote/faulty", "matrix/disagreements", "pr/isolations", "pr/reintegrations"} {
+					if want.Counters[name] == 0 {
+						t.Fatalf("inputs never exercised %s: %v", name, want.Counters)
+					}
+				}
+				gotJSON, err := json.Marshal(gangReg.Snapshot())
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantJSON, err := json.Marshal(want)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(gotJSON, wantJSON) {
+					t.Fatalf("shared-instrument snapshot diverged:\nbatch %s\nref   %s", gotJSON, wantJSON)
+				}
+			})
+		}
+	}
+}
+
 // TestBatchProtocolReset pins that Reset rewinds the gang to a freshly
 // constructed state at any (including ragged) width: a reset gang must
 // reproduce a fresh gang's outputs bit for bit.
@@ -352,7 +473,11 @@ func FuzzVoteAllBatch(f *testing.F) {
 			op[j] = o & k & allB
 			know[j] = k & allB
 		}
-		consOp, consKnown := voteAllLanes(op, know, n, laneRep)
+		var votes laneVotes
+		consOp, consKnown := voteAllLanes(op, know, n, laneRep, &votes)
+		if noVotesOp, noVotesKnown := voteAllLanes(op, know, n, laneRep, nil); noVotesOp != consOp || noVotesKnown != consKnown {
+			t.Fatalf("n=%d lanes=%d: the classification changed the verdict", n, lanes)
+		}
 		if consOp&^consKnown != 0 || consKnown&^allB != 0 {
 			t.Fatalf("n=%d lanes=%d: malformed gang verdict op=%#x known=%#x", n, lanes, consOp, consKnown)
 		}
@@ -377,6 +502,19 @@ func FuzzVoteAllBatch(f *testing.F) {
 			got := BitSyndrome{Op: laneExtract(consOp, lane, n), Known: laneExtract(consKnown, lane, n)}
 			if got != want {
 				t.Fatalf("n=%d lanes=%d lane %d: gang vote %+v, per-run %+v", n, lanes, lane, got, want)
+			}
+			for j := 1; j <= n; j++ {
+				faulty, healthy := ref.Tally(j)
+				bit := uint64(1) << uint(lane*n+j-1)
+				if gotAny, wantAny := votes.any&bit != 0, faulty+healthy > 0; gotAny != wantAny {
+					t.Fatalf("n=%d lanes=%d lane %d column %d: any %v, tally %d/%d", n, lanes, lane, j, gotAny, faulty, healthy)
+				}
+				if gotFaulty, wantFaulty := votes.faulty&bit != 0, faulty > healthy; gotFaulty != wantFaulty {
+					t.Fatalf("n=%d lanes=%d lane %d column %d: faulty %v, tally %d/%d", n, lanes, lane, j, gotFaulty, faulty, healthy)
+				}
+				if gotTied, wantTied := votes.tied&bit != 0, faulty == healthy && faulty > 0; gotTied != wantTied {
+					t.Fatalf("n=%d lanes=%d lane %d column %d: tied %v, tally %d/%d", n, lanes, lane, j, gotTied, faulty, healthy)
+				}
 			}
 		}
 	})

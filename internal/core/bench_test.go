@@ -150,34 +150,55 @@ func BenchmarkStepMetrics(b *testing.B) {
 // BENCH_core.json.
 func BenchmarkStepBatch(b *testing.B) {
 	for _, n := range benchSizes {
-		lanes := BatchLanes(n)
-		b.Run(fmt.Sprintf("n%d_g%d", n, lanes), func(b *testing.B) {
-			p, err := NewBatchProtocol(Config{
-				N: n, ID: 1, L: 0, SendCurrRound: true,
-				PR: PRConfig{PenaltyThreshold: 1 << 50, RewardThreshold: 1 << 50},
-			}, lanes)
-			if err != nil {
-				b.Fatal(err)
-			}
-			allB := p.allB
-			rows := make([]BitSyndrome, n+1)
-			for j := 1; j <= n; j++ {
-				rows[j] = BitSyndrome{Op: allB, Known: allB}
-			}
-			validity := BitSyndrome{Op: allB, Known: allB}
-			for i := 0; i < 16; i++ {
-				if _, err := p.StepBatch(BatchRoundInput{Round: i, Rows: rows, Present: allB, Validity: validity}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := p.StepBatch(BatchRoundInput{Round: 16 + i, Rows: rows, Present: allB, Validity: validity}); err != nil {
-					b.Fatal(err)
-				}
-			}
+		b.Run(fmt.Sprintf("n%d_g%d", n, BatchLanes(n)), func(b *testing.B) {
+			benchStepBatch(b, n, nil)
 		})
+	}
+}
+
+// BenchmarkStepBatchMetrics is BenchmarkStepBatch with telemetry attached
+// the way campaigns attach it: one StepMetrics shared by every lane, so the
+// difference to BenchmarkStepBatch/n4_g16 is the gang's emitMetrics. Tracked
+// in BENCH_metrics.json.
+func BenchmarkStepBatchMetrics(b *testing.B) {
+	b.Run("n4_g16", func(b *testing.B) {
+		benchStepBatch(b, 4, NewStepMetrics(metrics.New()))
+	})
+}
+
+// benchStepBatch times steady-state StepBatch calls of a full-width gang of
+// node 1 on all-healthy inputs, with m (when non-nil) on every lane.
+func benchStepBatch(b *testing.B, n int, m *StepMetrics) {
+	lanes := BatchLanes(n)
+	p, err := NewBatchProtocol(Config{
+		N: n, ID: 1, L: 0, SendCurrRound: true,
+		PR: PRConfig{PenaltyThreshold: 1 << 50, RewardThreshold: 1 << 50},
+	}, lanes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if m != nil {
+		for r := 0; r < lanes; r++ {
+			p.SetLaneMetrics(r, m)
+		}
+	}
+	allB := p.allB
+	rows := make([]BitSyndrome, n+1)
+	for j := 1; j <= n; j++ {
+		rows[j] = BitSyndrome{Op: allB, Known: allB}
+	}
+	validity := BitSyndrome{Op: allB, Known: allB}
+	for i := 0; i < 16; i++ {
+		if _, err := p.StepBatch(BatchRoundInput{Round: i, Rows: rows, Present: allB, Validity: validity}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.StepBatch(BatchRoundInput{Round: 16 + i, Rows: rows, Present: allB, Validity: validity}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

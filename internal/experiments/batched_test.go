@@ -48,26 +48,38 @@ func stripBatchInstruments(s metrics.Snapshot) metrics.Snapshot {
 	return s
 }
 
-// TestBatchedCampaignEquivalence pins the tentpole's end-to-end contract:
-// for every batchable Sec. 8 campaign, the rendered artifact is
-// byte-identical and the metrics report identical (modulo the batch-only
-// occupancy instruments) between the per-run and the lane-packed path —
-// at a run count with a full and a ragged gang (20 = 16 + 4) and at a
-// run count below one gang (5).
+// perRun returns p with a trace recorder attached, which moves the Sec. 8
+// campaigns and the wide scale-resilience cases onto their per-run path: the
+// reference the default lane-packed path is tested against.
+func perRun(p Params) Params {
+	p.Trace = &trace.Recorder{}
+	return p
+}
+
+// TestBatchedCampaignEquivalence pins the lane-packed campaign path against
+// its per-run reference: for every batchable Sec. 8 campaign, the rendered
+// artifact is byte-identical and the metrics report identical (modulo the
+// batch-only occupancy instruments) between a default run and a traced one
+// — at a run count with a full and a ragged gang (20 = 16 + 4) and at a run
+// count below one gang (5).
 func TestBatchedCampaignEquivalence(t *testing.T) {
 	for _, id := range batchedIDs {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
 			for _, runs := range []int{5, 20} {
-				perRun, perRunSnap := runCampaign(t, id, Params{Seed: 7, Runs: runs, Workers: 1})
-				batched, batchedSnap := runCampaign(t, id, Params{Seed: 7, Runs: runs, Workers: 1, Batched: true})
-				if perRun != batched {
-					t.Fatalf("runs=%d: rendered output differs:\n--- per-run ---\n%s\n--- batched ---\n%s", runs, perRun, batched)
+				p := Params{Seed: 7, Runs: runs, Workers: 1}
+				reference, referenceSnap := runCampaign(t, id, perRun(p))
+				batched, batchedSnap := runCampaign(t, id, p)
+				if reference != batched {
+					t.Fatalf("runs=%d: rendered output differs:\n--- per-run ---\n%s\n--- batched ---\n%s", runs, reference, batched)
 				}
-				if got := stripBatchInstruments(batchedSnap); !reflect.DeepEqual(got, perRunSnap) {
+				if _, ok := referenceSnap.Counters["batch/lanes"]; ok {
+					t.Fatalf("runs=%d: the traced campaign ran lane-packed", runs)
+				}
+				if got := stripBatchInstruments(batchedSnap); !reflect.DeepEqual(got, referenceSnap) {
 					gj, _ := json.Marshal(got)
-					wj, _ := json.Marshal(perRunSnap)
+					wj, _ := json.Marshal(referenceSnap)
 					t.Fatalf("runs=%d: metrics diverge beyond batch/* instruments:\n--- batched ---\n%s\n--- per-run ---\n%s", runs, gj, wj)
 				}
 				// The occupancy instruments must actually be there on the
@@ -97,8 +109,8 @@ func TestBatchedWorkerCountInvariance(t *testing.T) {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			serialOut, serialSnap := runCampaign(t, id, Params{Seed: 7, Runs: 40, Workers: 1, Batched: true})
-			parallelOut, parallelSnap := runCampaign(t, id, Params{Seed: 7, Runs: 40, Workers: 8, Batched: true})
+			serialOut, serialSnap := runCampaign(t, id, Params{Seed: 7, Runs: 40, Workers: 1})
+			parallelOut, parallelSnap := runCampaign(t, id, Params{Seed: 7, Runs: 40, Workers: 8})
 			if serialOut != parallelOut {
 				t.Fatalf("rendered output differs between workers=1 and workers=8:\n--- serial ---\n%s\n--- 8 workers ---\n%s", serialOut, parallelOut)
 			}
@@ -109,58 +121,18 @@ func TestBatchedWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestBatchedTraceFallsBackToPerRun: a trace sink forces the per-run path
-// even with Batched set (tracing is inherently per-repetition), so the
-// stream still carries one boundary note per run.
-func TestBatchedTraceFallsBackToPerRun(t *testing.T) {
-	var rec trace.Recorder
-	if err := Run("sec8-pr", Params{Seed: 7, Runs: 3, Workers: 1, Batched: true, Trace: &rec}); err != nil {
-		t.Fatal(err)
-	}
-	if notes := rec.Filter(trace.KindNote); len(notes) != 3 {
-		t.Fatalf("got %d run-boundary notes, want 3", len(notes))
-	}
-}
-
-// TestBatchedTraceEquivalence is the batched-path causal-event gate, run
-// under -race -cpu=1,4 by scripts/check.sh and CI: the event stream a
-// Batched campaign emits (through its per-run fallback) must be identical,
-// event for event, to the stream of the plain per-run campaign — same
-// accusations, same penalty trajectories, same isolations, in the same
-// order.
-func TestBatchedTraceEquivalence(t *testing.T) {
-	for _, id := range batchedIDs {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			t.Parallel()
-			var perRun, batched trace.Recorder
-			if err := Run(id, Params{Seed: 7, Runs: 5, Workers: 1, Trace: &perRun}); err != nil {
-				t.Fatal(err)
-			}
-			if err := Run(id, Params{Seed: 7, Runs: 5, Workers: 1, Batched: true, Trace: &batched}); err != nil {
-				t.Fatal(err)
-			}
-			if len(perRun.Events()) == 0 {
-				t.Fatal("per-run campaign emitted no trace events")
-			}
-			if i := trace.FirstDivergence(perRun.Events(), batched.Events()); i >= 0 {
-				t.Fatalf("trace streams diverge at event %d", i)
-			}
-		})
-	}
-}
-
 // TestScaleResilienceBatchedEquivalence pins the wide scale-resilience rows
 // (N = 32 and N = 64, see scale_wide.go): the rendered sweep is
-// byte-identical whether the a = 0 wide cases run per-run or through their
-// lane-packed batched twin (N = 32 gangs two repetitions per word; N = 64
-// has a single lane and stays per-run on both sides).
+// byte-identical whether the a = 0 wide cases run lane-packed (the default;
+// N = 32 gangs two repetitions per word, N = 64 has a single lane and stays
+// per-run) or per-run under a trace sink.
 func TestScaleResilienceBatchedEquivalence(t *testing.T) {
 	for _, runs := range []int{3, 5} {
-		perRun, _ := runCampaign(t, "scale-resilience", Params{Seed: 7, Runs: runs, Workers: 1})
-		batched, _ := runCampaign(t, "scale-resilience", Params{Seed: 7, Runs: runs, Workers: 1, Batched: true})
-		if perRun != batched {
-			t.Fatalf("runs=%d: rendered output differs:\n--- per-run ---\n%s\n--- batched ---\n%s", runs, perRun, batched)
+		p := Params{Seed: 7, Runs: runs, Workers: 1}
+		reference, _ := runCampaign(t, "scale-resilience", perRun(p))
+		batched, _ := runCampaign(t, "scale-resilience", p)
+		if reference != batched {
+			t.Fatalf("runs=%d: rendered output differs:\n--- per-run ---\n%s\n--- batched ---\n%s", runs, reference, batched)
 		}
 	}
 }

@@ -33,10 +33,13 @@ type Params struct {
 	// bit-identical at any Workers setting; see internal/metrics.
 	Metrics *metrics.Report
 	// Trace, when non-nil, receives the simulation trace of every campaign
-	// repetition plus one KindNote boundary event per run. Event order is
-	// deterministic only with Workers == 1 (the CLI's -trace flag forces
-	// that); with more workers the sink must be safe for concurrent use and
-	// the interleaving reflects scheduling.
+	// repetition plus one KindNote boundary event per run. A sink moves the
+	// Sec. 8 campaigns from the lane-packed gangs to the slower per-run path
+	// (same rendered output), whose metrics report lacks the batch/*
+	// occupancy instruments. Event order is deterministic only with
+	// Workers == 1 (the CLI's -trace flag forces that); with more workers the
+	// sink must be safe for concurrent use and the interleaving reflects
+	// scheduling.
 	Trace trace.Sink
 	// Progress, when non-nil, observes every completed repetition
 	// (campaign.Options.OnRunDone): wall-clock-side progress reporting that
@@ -55,22 +58,14 @@ type Params struct {
 	// multiply it.
 	SplitEffort int
 	SplitLevels int
-	// Batched selects the lane-packed batched execution path for the
-	// campaigns that support it (sec8-bursts, sec8-pr, sec8-malicious):
-	// gangs of ⌊64/N⌋ repetitions advance together through one
-	// sim.BatchDiagCluster, one protocol step per node per round for the
-	// whole gang. The rendered rows and per-run observables are
-	// bit-identical to the per-run path (pinned by tests); the metrics
-	// report additionally carries the batch/* occupancy instruments.
-	// Ignored when a Trace sink is attached (tracing is inherently
-	// per-run) and by campaigns with receiver-selective disturbances
-	// (sec8-clique).
-	Batched bool
 }
 
-// batched reports whether the lane-packed campaign path is usable under
-// these parameters.
-func (p Params) batched() bool { return p.Batched && p.Trace == nil }
+// batched reports whether the lane-packed campaign path runs: always, unless
+// a trace sink is attached. Tracing is per repetition, so a traced campaign
+// takes the per-run path, which is also the test oracle of the lane-packed
+// one. Campaigns with receiver-selective disturbances (sec8-clique, the
+// a > 0 scale-resilience cases) always run per repetition.
+func (p Params) batched() bool { return p.Trace == nil }
 
 func (p Params) withDefaults() Params {
 	if p.Runs <= 0 {

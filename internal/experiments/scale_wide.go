@@ -66,10 +66,11 @@ func wideObedient(n, s int) []int {
 
 // resilienceRunsWide executes the Monte-Carlo campaign of one wide case. The
 // schedule is drawn once from the case-named stream; per-run variation comes
-// from the malicious payload streams. With Params.Batched set and gangs of
-// at least two lanes available (and no receiver-selective SOS faults, which
-// the lane-packed bus cannot express), the repetitions advance through a
-// sim.BatchDiagCluster instead — same draws, same audits, same verdicts.
+// from the malicious payload streams. Unless a trace sink is attached, and
+// when gangs of at least two lanes fit and no receiver-selective SOS faults
+// (which the lane-packed bus cannot express) are injected, the repetitions
+// advance through a sim.BatchDiagCluster instead: same draws, same audits,
+// same verdicts.
 func resilienceRunsWide(n, a, s, b int, p Params, src *rng.Source) (int, error) {
 	scope := fmt.Sprintf("scale/N%d-a%d-s%d-b%d", n, a, s, b)
 	sched := src.Stream(scope + "/schedule")

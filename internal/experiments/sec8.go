@@ -244,6 +244,10 @@ func foldRow(class string, verdicts []runVerdict) CampaignRow {
 // slot, two slots and two whole TDMA rounds, starting at each of the four
 // sending slots. Every repetition shifts the injection round, and every run
 // is audited for Theorem 1's correctness, completeness and consistency.
+//
+// Untraced, this campaign and PRCampaign and MaliciousCampaign run as
+// lane-packed gangs (sec8_batch.go); their per-run bodies below serve traced
+// campaigns and are the reference the gangs are tested against.
 func BurstCampaign(p Params) ([]CampaignRow, error) {
 	p = p.withDefaults()
 	if p.batched() {

@@ -1,11 +1,11 @@
-// Lane-packed batched execution of the Sec. 8 campaigns: gangs of
-// ⌊64/N⌋ = 16 repetitions advance together through one
-// sim.BatchDiagCluster (Params.Batched). Each campaign function here is the
+// Lane-packed batched execution of the Sec. 8 campaigns, the path every
+// untraced campaign takes: gangs of ⌊64/N⌋ = 16 repetitions advance together
+// through one sim.BatchDiagCluster. Each campaign function here is the
 // batched twin of its per-run counterpart in sec8.go and must stay
 // draw-identical to it: same named rng streams per absolute run index, same
-// disturbances, same horizons, same audits — the per-run path remains the
-// executable reference and TestBatchedCampaignEquivalence pins the rendered
-// rows and metrics byte-exact against it.
+// disturbances, same horizons, same audits. The per-run path serves traced
+// campaigns and is the executable reference: TestBatchedCampaignEquivalence
+// pins the rendered rows and metrics byte-exact against it.
 package experiments
 
 import (

@@ -2,8 +2,9 @@
 # bench.sh runs the campaign engine and protocol hot-path benchmarks and
 # records every sample in BENCH_campaign.json, plus the packed voting-kernel
 # microbenchmarks in BENCH_core.json, the telemetry-layer benchmarks
-# (instrument costs, Step with metrics on/off and Step with the causal
-# flight recorder on/off) in BENCH_metrics.json,
+# (instrument costs, Step with metrics on/off, the gang StepBatch with
+# shared instruments and Step with the causal flight recorder on/off) in
+# BENCH_metrics.json,
 # the hierarchical fleet campaign (sharded vs scalar monolithic at equal
 # node-rounds) in BENCH_fleet.json and the rare-event splitting estimation
 # (checkpoint-restore hot loop) in BENCH_splitting.json, so the bench
@@ -48,16 +49,18 @@ fold_json < "$raw" > BENCH_campaign.json
 echo "wrote BENCH_campaign.json"
 
 go test -run '^$' \
-    -bench 'BenchmarkVoteAll|BenchmarkVoteAllScalar|BenchmarkMatrixSetRow|BenchmarkStepBatch|BenchmarkScalarStep|BenchmarkCheckpointRestore' \
+    -bench 'BenchmarkVoteAll|BenchmarkVoteAllScalar|BenchmarkMatrixSetRow|BenchmarkStepBatch$|BenchmarkScalarStep|BenchmarkCheckpointRestore' \
     -benchmem -count="$COUNT" ./internal/core/ | tee "$raw"
 fold_json < "$raw" > BENCH_core.json
 echo "wrote BENCH_core.json"
 
 # Both packages feed one stream so fold_json emits a single JSON list.
 # BenchmarkStepTrace pairs with BenchmarkStepMetrics: Step with a causal
-# flight recorder attached vs the nil-sink baseline.
+# flight recorder attached vs the nil-sink baseline. BenchmarkStepBatchMetrics
+# is the gang step with shared instruments, to set against
+# BenchmarkStepBatch/n4_g16 in BENCH_core.json.
 go test -run '^$' \
-    -bench 'BenchmarkStepMetrics|BenchmarkMetrics|BenchmarkStepTrace' \
+    -bench 'BenchmarkStepMetrics|BenchmarkStepBatchMetrics|BenchmarkMetrics|BenchmarkStepTrace' \
     -benchmem -count="$COUNT" ./internal/core/ ./internal/metrics/ | tee "$raw"
 fold_json < "$raw" > BENCH_metrics.json
 echo "wrote BENCH_metrics.json"

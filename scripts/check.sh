@@ -54,6 +54,9 @@ step "gofmt" check_gofmt
 step "go vet" go vet ./...
 step "go build" go build ./...
 step "go test" go test ./...
+# The benchmark is its own module, which the root ./... skips. Its smoke test
+# checks the committed stdout digests of every workload's setup launch.
+step "go test (benchmark smoke test)" go -C cmd/ttdiag-bench test ./...
 step "go test -race (concurrent packages)" \
     go test -race ./internal/cluster/... ./internal/sim/... ./internal/campaign/... ./internal/fleet/... ./internal/splitting/... ./internal/trace/...
 step "go test -race -cpu=1,4 (campaign determinism)" \
@@ -64,7 +67,7 @@ step "go test -race -cpu=1,4 (cluster reuse equivalence)" \
 step "go test -race -cpu=1,4 (packed/scalar step equivalence)" \
     go test -race -cpu=1,4 ./internal/core/ -run 'TestPackedScalarStepEquivalence|TestPackedScalarTraceEquivalence'
 step "go test -race -cpu=1,4 (batched campaign determinism)" \
-    go test -race -cpu=1,4 ./internal/experiments/ -run 'TestBatchedWorkerCountInvariance|TestBatchedCampaignEquivalence|TestScaleResilienceBatchedEquivalence|TestBatchedTraceEquivalence'
+    go test -race -cpu=1,4 ./internal/experiments/ -run 'TestBatchedWorkerCountInvariance|TestBatchedCampaignEquivalence|TestScaleResilienceBatchedEquivalence'
 step "go test -race -cpu=1,4 (fleet determinism)" check_fleet_determinism
 step "go test -race -cpu=1,4 (checkpoint + splitting determinism)" check_checkpoint_determinism
 step "go test (allocation ceilings)" \
