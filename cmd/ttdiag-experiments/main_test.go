@@ -142,6 +142,32 @@ func TestSec8BurstsDefaultIsLanePacked(t *testing.T) {
 	}
 }
 
+// TestFleetShardsAreLanePacked pins the fleet's shard phase end to end: one
+// repetition of the default sweep runs its 4 + 16 + 16 + 64 shards as lanes
+// of 4 + 4 + 16 + 64 gangs (the 16-node shards of the 256-node fleet pack
+// four to a word, 64-node shards one).
+func TestFleetShardsAreLanePacked(t *testing.T) {
+	path := t.TempDir() + "/metrics.json"
+	if err := run([]string{"-run", "fleet-resilience", "-runs", "1", "-metrics", path}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep metrics.Report
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	snap := rep.Experiments["fleet-resilience"]
+	if got := snap.Counters["batch/lanes"]; got != 100 {
+		t.Fatalf("batch/lanes = %d, want 100", got)
+	}
+	if got := snap.Counters["batch/gangs"]; got != 88 {
+		t.Fatalf("batch/gangs = %d, want 88", got)
+	}
+}
+
 // TestSec8BurstsTraceRunsPerRepetition: the same command with -trace takes
 // the per-run path, so the stream carries one boundary note per repetition.
 func TestSec8BurstsTraceRunsPerRepetition(t *testing.T) {

@@ -137,8 +137,15 @@ func (b BitSyndrome) UnpackInto(dst Syndrome) {
 		return
 	}
 	dst[0] = Erased
-	for j := 1; j <= dst.N(); j++ {
-		dst[j] = b.Get(j)
+	// Branch-free per entry: Erased (2) where the Known bit is clear, else
+	// the Op bit (Healthy 1 / Faulty 0). Entries past MaxPackedN shift in
+	// zero Known bits and read Erased, like Get.
+	known, op := b.Known, b.Op
+	for j := 1; j < len(dst); j++ {
+		k, o := Opinion(known&1), Opinion(op&1)
+		dst[j] = Erased - k*(Erased-o)
+		known >>= 1
+		op >>= 1
 	}
 }
 

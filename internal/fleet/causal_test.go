@@ -19,9 +19,8 @@ func crashShardHooks() Hooks {
 			if sr.Shard != 0 {
 				return nil, nil
 			}
-			bus := sr.Cluster.Eng.Bus()
-			bus.AddDisturbance(fault.Crash(3, 4))
-			bus.AddDisturbance(fault.Crash(4, 4))
+			sr.Cluster.AddLaneDisturbance(sr.Lane, fault.Crash(3, 4))
+			sr.Cluster.AddLaneDisturbance(sr.Lane, fault.Crash(4, 4))
 			return nil, nil
 		},
 		GatewayDrop: func(round, gateway int) bool {

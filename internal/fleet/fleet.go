@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"fmt"
+	"math/bits"
+	"sync"
 
 	"ttdiag/internal/campaign"
 	"ttdiag/internal/core"
@@ -15,11 +17,13 @@ import (
 // Config.shardRoundLen scales it with the shard size to keep slots constant.
 const defaultShardRoundLen = sim.DefaultRoundLen
 
-// ShardRun is the view a Hooks callback gets of one shard's repetition: the
-// reusable cluster (already reset), its collector (already hooked on every
-// node), the recycled per-worker stream pool, and the shard's place in the
-// fleet. Everything is borrowed for the duration of the callback chain — the
-// cluster is reused by other shards of the same size once the run completes.
+// ShardRun is the view a Hooks callback gets of one shard's repetition.
+// Shards of equal size run lane-packed: each is one lane of a shared
+// sim.BatchDiagCluster (already reset, the shard's horizon set), so a hook
+// addresses its shard through Lane — Cluster.AddLaneDisturbance to inject
+// (the disturbance must be receiver-uniform), Cluster.LaneCollector and
+// Cluster.LaneTruth to audit. Everything is borrowed for the duration of the
+// callback chain: the cluster runs other shards once the gang completes.
 type ShardRun struct {
 	// Shard is the 0-based shard index.
 	Shard int
@@ -28,12 +32,12 @@ type ShardRun struct {
 	// First is the 0-based global index of the shard's first node (shard s
 	// covers global nodes First..First+Size-1).
 	First int
-	// Cluster is the shard's reusable diagnostic cluster.
-	Cluster *sim.DiagCluster
-	// Collector records every node's outputs for auditing.
-	Collector *sim.Collector
+	// Cluster is the lane-packed cluster the shard runs in, and Lane the
+	// shard's lane in it.
+	Cluster *sim.BatchDiagCluster
+	Lane    int
 	// Pool derives named rng streams; name them by shard (and run) so draws
-	// are identical at any worker count and shard order.
+	// are identical at any worker count, shard order and lane placement.
 	Pool *rng.Pool
 }
 
@@ -86,19 +90,19 @@ type Result struct {
 	Gateway *GatewayResult
 }
 
-// Campaign is a reusable hierarchical fleet: per-worker shard clusters, the
-// serial gateway net, and the per-shard metrics registries, built once and
-// driven once per repetition by Run.
+// Campaign is a reusable hierarchical fleet: per-worker lane-packed shard
+// clusters, the serial gateway net, and the per-shard metrics registries,
+// built once and driven once per repetition by Run.
 type Campaign struct {
 	cfg   Config
 	sizes []int
 	first []int
 	gw    *GatewayNet
 
-	// order is the shard dispatch permutation (test seam: determinism tests
-	// run shards in reverse order and assert identical results); nil is
-	// identity.
-	order []int
+	// gangs lists the shards that run together, lane by lane, in one
+	// BatchDiagCluster: equal-sized shards in dispatch order, at most
+	// core.BatchLanes(size) per gang. Gangs are the pool's jobs.
+	gangs [][]int
 
 	// Per-shard registries plus one gateway registry, acquired serially at
 	// construction so the WorkerSet merge is invariant to worker count and
@@ -111,6 +115,8 @@ type Campaign struct {
 	gwDrops  *metrics.Counter
 	gwIsol   *metrics.Counter
 	runsCt   *metrics.Counter
+	lanesCt  *metrics.Counter
+	gangsCt  *metrics.Counter
 
 	// summaries[i][r] is shard i's round-r summary scratch, reused across
 	// repetitions (each shard writes only its own row during the parallel
@@ -121,6 +127,12 @@ type Campaign struct {
 	// health is the per-shard previous summary health, scratch for the
 	// causal shard-health transition events (Config.Sink).
 	health []core.Opinion
+
+	// idle keeps the shard workers of earlier repetitions for reuse (their
+	// lane-packed clusters are the expensive part to build), busy those
+	// handed to the current Run's pool; mu guards both.
+	mu         sync.Mutex
+	idle, busy []*shardWorker
 }
 
 // New builds a fleet campaign.
@@ -158,8 +170,11 @@ func New(cfg Config) (*Campaign, error) {
 	c.gwDrops = c.gwReg.Counter("fleet/gateway/frames_dropped")
 	c.gwIsol = c.gwReg.Counter("fleet/gateway/isolations")
 	c.runsCt = c.gwReg.Counter("fleet/runs")
+	c.lanesCt = c.gwReg.Counter("batch/lanes")
+	c.gangsCt = c.gwReg.Counter("batch/gangs")
 	c.gwReg.Gauge("fleet/nodes").Observe(int64(cfg.Nodes))
 	c.gwReg.Gauge("fleet/shards").Observe(int64(cfg.Shards))
+	c.planGangs(nil)
 	if cfg.Shards >= 2 {
 		gw, err := NewGatewayNet(cfg.Shards, cfg.GatewayPR)
 		if err != nil {
@@ -181,25 +196,67 @@ func (c *Campaign) Sizes() []int { return c.sizes }
 // latency histograms.
 func (c *Campaign) GatewayRegistry() *metrics.Registry { return c.gwReg }
 
-// shardWorker is one pool worker's reusable state: a stream pool plus one
-// cached cluster per shard size it has executed (an even partition has at
-// most two distinct sizes).
-type shardWorker struct {
-	c     *Campaign
-	pool  *rng.Pool
-	slots map[int]*shardSlot
-}
-
-type shardSlot struct {
-	cl  *sim.DiagCluster
-	col *sim.Collector
-}
-
-func (w *shardWorker) slot(size int) (*shardSlot, error) {
-	if s, ok := w.slots[size]; ok {
-		return s, nil
+// planGangs groups the shards into lane-packed gangs: shards of equal size,
+// taken in dispatch order (perm, or identity when nil), fill consecutive
+// lanes until the ⌊64/size⌋-lane word is full. An even partition has at most
+// two sizes, so at most two gangs are ragged.
+func (c *Campaign) planGangs(perm []int) {
+	c.gangs = nil
+	open := make(map[int]int) // size -> index of its gang being filled
+	for job := 0; job < c.cfg.Shards; job++ {
+		shard := job
+		if perm != nil {
+			shard = perm[job]
+		}
+		size := c.sizes[shard]
+		g, ok := open[size]
+		if !ok || len(c.gangs[g]) == core.BatchLanes(size) {
+			g = len(c.gangs)
+			open[size] = g
+			c.gangs = append(c.gangs, nil)
+		}
+		c.gangs[g] = append(c.gangs[g], shard)
 	}
-	cl, err := sim.NewReusableDiagnosticCluster(sim.ClusterConfig{
+}
+
+// shardWorker is one pool worker's reusable state: a stream pool plus one
+// lane-packed cluster per shard size it has executed (an even partition has
+// at most two distinct sizes), and the gang it is running.
+type shardWorker struct {
+	c        *Campaign
+	src      *rng.Source
+	pool     *rng.Pool
+	clusters map[int]*sim.BatchDiagCluster
+	gang     []int
+	audits   []func() string
+}
+
+// worker hands the next pool worker of a Run its state, recycling an idle
+// worker of an earlier Run when there is one (its stream pool too when the
+// source is the same).
+func (c *Campaign) worker(src *rng.Source) *shardWorker {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var w *shardWorker
+	if n := len(c.idle); n > 0 {
+		w, c.idle = c.idle[n-1], c.idle[:n-1]
+	} else {
+		w = &shardWorker{c: c, clusters: make(map[int]*sim.BatchDiagCluster)}
+	}
+	if w.src != src {
+		w.src, w.pool = src, src.NewPool()
+	}
+	c.busy = append(c.busy, w)
+	return w
+}
+
+// cluster returns the worker's lane-packed cluster for shards of the given
+// size, building it on first use.
+func (w *shardWorker) cluster(size int) (*sim.BatchDiagCluster, error) {
+	if cl, ok := w.clusters[size]; ok {
+		return cl, nil
+	}
+	cl, err := sim.NewBatchDiagCluster(sim.ClusterConfig{
 		N:        size,
 		RoundLen: w.c.cfg.shardRoundLen(size),
 		PR:       w.c.cfg.ShardPR,
@@ -207,81 +264,88 @@ func (w *shardWorker) slot(size int) (*shardSlot, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &shardSlot{cl: cl, col: sim.NewCollector()}
-	w.slots[size] = s
-	return s, nil
+	cl.OnOutput = w.publish
+	w.clusters[size] = cl
+	return cl, nil
 }
 
-// runShard executes one shard's repetition: reset, hook, prepare, run,
-// observe, audit. It writes the shard's summary timeline into the campaign's
-// index-addressed scratch — safe concurrently because every shard owns its
-// row.
-func (w *shardWorker) runShard(shard int, hooks Hooks) (ShardResult, error) {
+// publish records the ShardSummary every shard's gateway (node 1 of its
+// lane) publishes each round: how many nodes the shard's penalty/reward
+// state has isolated and how many entries of the latest consistent health
+// vector are faulty.
+func (w *shardWorker) publish(id int, out core.BatchRoundOutput) {
+	if id != 1 || out.Round < 0 || out.Round >= w.c.cfg.Rounds {
+		return
+	}
+	for lane, shard := range w.gang {
+		size := w.c.sizes[shard]
+		s := core.ShardSummary{Size: size, Isolated: size - bits.OnesCount64(out.LaneActiveMask(lane, size))}
+		if out.Warm {
+			s.Faulty = out.LaneConsHV(lane, size).CountFaulty(size)
+		}
+		w.c.summaries[shard][out.Round] = s
+	}
+}
+
+// runGang executes one repetition of a gang of equal-sized shards, one per
+// lane: reset, attach telemetry, prepare, run, observe, audit. It writes
+// each shard's summary timeline and result into campaign-owned,
+// index-addressed storage — safe concurrently because every shard belongs
+// to exactly one gang.
+func (w *shardWorker) runGang(gang []int, hooks Hooks, res []ShardResult) error {
 	c := w.c
-	size := c.sizes[shard]
-	slot, err := w.slot(size)
+	size := c.sizes[gang[0]]
+	cl, err := w.cluster(size)
 	if err != nil {
-		return ShardResult{}, err
+		return err
 	}
 	w.pool.Recycle()
-	slot.cl.Reset()
-	eng, runners := slot.cl.Eng, slot.cl.Runners
-	if sm := c.shardSM[shard]; sm != nil {
-		for id := 1; id <= size; id++ {
-			runners[id].Protocol().SetMetrics(sm)
+	if err := cl.ResetBatch(len(gang)); err != nil {
+		return err
+	}
+	w.gang = gang
+	w.audits = w.audits[:0]
+	for lane, shard := range gang {
+		cl.SetLaneHorizon(lane, c.cfg.Rounds)
+		if sm := c.shardSM[shard]; sm != nil {
+			for id := 1; id <= size; id++ {
+				cl.Proto(id).SetLaneMetrics(lane, sm)
+			}
 		}
-	}
-	slot.col.Reset()
-	for id := 1; id <= size; id++ {
-		slot.col.HookDiag(id, runners[id])
-	}
-	// The gateway (node 1) publishes a fresh ShardSummary every round,
-	// captured by chaining onto its collector hook: how many nodes the
-	// shard's penalty/reward state has isolated and how many entries of the
-	// latest consistent health vector are faulty.
-	sums := c.summaries[shard]
-	all := core.PlaneMask(size)
-	collect := runners[1].OnOutput
-	runners[1].OnOutput = func(out core.RoundOutput) {
-		collect(out)
-		if out.Round < 0 || out.Round >= len(sums) {
-			return
+		var audit func() string
+		if hooks.Prepare != nil {
+			audit, err = hooks.Prepare(ShardRun{
+				Shard: shard, Size: size, First: c.first[shard],
+				Cluster: cl, Lane: lane, Pool: w.pool,
+			})
+			if err != nil {
+				return err
+			}
 		}
-		s := core.ShardSummary{Size: size, Isolated: size - droppedCount(out.ActiveMask&all)}
-		if out.ConsHV != nil {
-			s.Faulty = out.ConsHVBits.CountFaulty(size)
+		w.audits = append(w.audits, audit)
+	}
+	if err := cl.Run(); err != nil {
+		return err
+	}
+	for lane, shard := range gang {
+		if sys := c.shardSys[shard]; sys != nil {
+			truth := cl.LaneTruth(lane)
+			sys.ObserveTruth(truth)
+			sys.ObserveIsolationLatency(truth, cl.LaneCollector(lane))
 		}
-		sums[out.Round] = s
-	}
-	res := ShardResult{Size: size, First: c.first[shard]}
-	var audit func() string
-	if hooks.Prepare != nil {
-		audit, err = hooks.Prepare(ShardRun{
-			Shard: shard, Size: size, First: c.first[shard],
-			Cluster: slot.cl, Collector: slot.col, Pool: w.pool,
-		})
-		if err != nil {
-			return ShardResult{}, err
+		sums := c.summaries[shard]
+		r := ShardResult{Size: size, First: c.first[shard], Summaries: sums, Final: sums[c.cfg.Rounds-1]}
+		if audit := w.audits[lane]; audit != nil {
+			r.Verdict = audit()
 		}
+		res[shard] = r
 	}
-	if err := eng.RunRounds(c.cfg.Rounds); err != nil {
-		return ShardResult{}, err
-	}
-	if sys := c.shardSys[shard]; sys != nil {
-		sys.ObserveTruth(eng)
-		sys.ObserveIsolationLatency(eng, slot.col)
-	}
-	if audit != nil {
-		res.Verdict = audit()
-	}
-	res.Summaries = sums
-	res.Final = sums[c.cfg.Rounds-1]
-	return res, nil
+	return nil
 }
 
-// Run executes one fleet repetition: all shards in parallel on the campaign
-// pool, then the gateway round schedule serially over the recorded summary
-// timelines. The two-phase split is exactly equivalent to interleaving
+// Run executes one fleet repetition: all shards, gang by gang, in parallel
+// on the campaign pool, then the gateway round schedule serially over the
+// recorded summary timelines. The two-phase split is exactly equivalent to interleaving
 // because the protocol is an add-on: fleet-level diagnosis never feeds back
 // into intra-shard traffic.
 //
@@ -290,26 +354,17 @@ func (w *shardWorker) runShard(shard int, hooks Hooks) (ShardResult, error) {
 // the next Run overwrites — copy what must outlive it.
 func (c *Campaign) Run(src *rng.Source, hooks Hooks) (*Result, error) {
 	c.runsCt.Add(1)
-	order := c.order
-	shardOf := func(job int) int {
-		if order == nil {
-			return job
-		}
-		return order[job]
-	}
-	outs, err := campaign.RunPooledWith(campaign.Options{Workers: c.cfg.Workers}, c.cfg.Shards,
-		func() (*shardWorker, error) {
-			return &shardWorker{c: c, pool: src.NewPool(), slots: make(map[int]*shardSlot)}, nil
-		},
-		func(w *shardWorker, job int) (ShardResult, error) {
-			return w.runShard(shardOf(job), hooks)
+	c.lanesCt.Add(int64(c.cfg.Shards))
+	c.gangsCt.Add(int64(len(c.gangs)))
+	res := &Result{Shards: make([]ShardResult, c.cfg.Shards)}
+	_, err := campaign.RunPooledWith(campaign.Options{Workers: c.cfg.Workers}, len(c.gangs),
+		func() (*shardWorker, error) { return c.worker(src), nil },
+		func(w *shardWorker, job int) (struct{}, error) {
+			return struct{}{}, w.runGang(c.gangs[job], hooks, res.Shards)
 		})
+	c.idle, c.busy = append(c.idle, c.busy...), c.busy[:0]
 	if err != nil {
 		return nil, err
-	}
-	res := &Result{Shards: make([]ShardResult, c.cfg.Shards)}
-	for job, sr := range outs {
-		res.Shards[shardOf(job)] = sr
 	}
 	if c.cfg.Sink != nil {
 		// Causal emission happens serially over the recorded summary
@@ -354,14 +409,15 @@ func (c *Campaign) Run(src *rng.Source, hooks Hooks) (*Result, error) {
 		c.gwRounds.Add(1)
 		c.gwDrops.Add(int64(droppedCount(drop)))
 		for g := 1; g <= s; g++ {
-			out := outs[g]
-			if out.ConsHV != nil && out.DiagnosedRound >= 0 {
+			out := &outs[g]
+			if out.Warm && out.DiagnosedRound >= 0 {
 				if gr.HVs[out.DiagnosedRound] == nil {
 					gr.HVs[out.DiagnosedRound] = make([]core.BitSyndrome, s+1)
 				}
-				gr.HVs[out.DiagnosedRound][g] = out.ConsHVBits
+				gr.HVs[out.DiagnosedRound][g] = out.LaneConsHV(0, s)
 			}
-			for _, t := range out.Isolated {
+			for iso := out.LaneIsolated(0, s); iso != 0; iso &= iso - 1 {
+				t := bits.TrailingZeros64(iso) + 1
 				c.gwIsol.Add(1)
 				if gr.IsolationRound[t] < 0 {
 					gr.IsolationRound[t] = k
@@ -374,7 +430,7 @@ func (c *Campaign) Run(src *rng.Source, hooks Hooks) (*Result, error) {
 							Kind:      trace.KindIsolation,
 							Node:      g,
 							Subject:   t,
-							Penalty:   c.gw.protos[g].PenaltyReward().Penalty(t),
+							Penalty:   c.gw.protos[g].LanePenalty(0, t),
 							Threshold: c.cfg.GatewayPR.PenaltyThreshold,
 							Detail:    "gateway level",
 						})
@@ -384,7 +440,7 @@ func (c *Campaign) Run(src *rng.Source, hooks Hooks) (*Result, error) {
 		}
 	}
 	for g := 1; g <= s; g++ {
-		gr.FinalActive[g] = c.gw.protos[g].PenaltyReward().ActiveMask()
+		gr.FinalActive[g] = c.gw.ActiveMask(g)
 		gr.Received[g] = c.gw.Received(g)
 	}
 	res.Gateway = gr
@@ -430,11 +486,12 @@ func healthName(h core.Opinion) string {
 	}
 }
 
-// setOrder installs a shard dispatch permutation (test seam). perm must be a
-// permutation of 0..Shards-1; nil restores identity dispatch.
+// setOrder installs a shard dispatch permutation (test seam), which also
+// moves shards to other gangs and lanes. perm must be a permutation of
+// 0..Shards-1; nil restores identity dispatch.
 func (c *Campaign) setOrder(perm []int) error {
 	if perm == nil {
-		c.order = nil
+		c.planGangs(nil)
 		return nil
 	}
 	if len(perm) != c.cfg.Shards {
@@ -447,6 +504,6 @@ func (c *Campaign) setOrder(perm []int) error {
 		}
 		seen[p] = true
 	}
-	c.order = append([]int(nil), perm...)
+	c.planGangs(perm)
 	return nil
 }

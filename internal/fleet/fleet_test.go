@@ -72,16 +72,16 @@ func burstHooks(prefix string, victim int) Hooks {
 			stream := sr.Pool.Stream(fmt.Sprintf("%s/shard-%d", prefix, sr.Shard))
 			inject := 6 + stream.Intn(3)
 			node := 2 + stream.Intn(sr.Size-1)
-			eng := sr.Cluster.Eng
-			eng.Bus().AddDisturbance(fault.NewTrain(
-				fault.SlotBurst(eng.Schedule(), inject, node, 1)))
+			cl := sr.Cluster
+			cl.AddLaneDisturbance(sr.Lane, fault.NewTrain(
+				fault.SlotBurst(cl.Schedule(), inject, node, 1)))
 			obedient := make([]int, sr.Size)
 			for i := range obedient {
 				obedient[i] = i + 1
 			}
-			col := sr.Collector
+			truth, col := cl.LaneTruth(sr.Lane), cl.LaneCollector(sr.Lane)
 			return func() string {
-				if err := sim.AuditTheorem1(eng, col, obedient, 4, inject+6); err != nil {
+				if err := sim.AuditTheorem1(truth, col, obedient, 4, inject+6); err != nil {
 					return err.Error()
 				}
 				return ""
@@ -262,12 +262,11 @@ func TestFleetSummaryTimeline(t *testing.T) {
 		if sr.Shard != victim {
 			return nil, nil
 		}
-		eng := sr.Cluster.Eng
 		var bursts []fault.Burst
 		for r := 6; r < c.Config().Rounds; r++ {
-			bursts = append(bursts, fault.SlotBurst(eng.Schedule(), r, 3, 1))
+			bursts = append(bursts, fault.SlotBurst(sr.Cluster.Schedule(), r, 3, 1))
 		}
-		eng.Bus().AddDisturbance(fault.NewTrain(bursts...))
+		sr.Cluster.AddLaneDisturbance(sr.Lane, fault.NewTrain(bursts...))
 		return nil, nil
 	}}
 	res, err := c.Run(rng.NewSource(9), hooks)

@@ -12,12 +12,13 @@ import (
 // 3, so 8 is comfortable.
 const gwCollRing = 8
 
-// GatewayNet is the inter-cluster diagnosis level: one core.Protocol per
-// shard gateway, all running the packed hot path with shards as "nodes", plus
-// a lock-step emulation of the gateway TDMA round. Every gateway's job runs
-// at l = 0 (before the round's first gateway slot) and writes its frame for
-// the same round (SendCurrRound everywhere, so AllSendCurrRound shrinks the
-// fleet-level detection latency to two gateway rounds).
+// GatewayNet is the inter-cluster diagnosis level: one protocol per shard
+// gateway with shards as "nodes" — a one-lane core.BatchProtocol, the same
+// kernel the shards run — plus a lock-step emulation of the gateway TDMA
+// round. Every gateway's job runs at l = 0 (before the round's first gateway
+// slot) and writes its frame for the same round (SendCurrRound everywhere,
+// so AllSendCurrRound shrinks the fleet-level detection latency to two
+// gateway rounds).
 //
 // A gateway frame is the fleet-level dissemination payload: the S-bit
 // syndrome over the shards (byte-identical to the intra-cluster wire format)
@@ -34,11 +35,9 @@ type GatewayNet struct {
 	// rewarded.
 	observe bool
 
-	protos []*core.Protocol // 1-based
-	outs   []core.RoundOutput
-	// collFns caches one collision-detector closure per gateway so the
-	// steady-state round performs no closure allocation.
-	collFns []core.CollisionFn
+	protos []*core.BatchProtocol // 1-based, one lane each
+	outs   []core.BatchRoundOutput
+	lag    int // the gateways' diagnosis lag (2: AllSendCurrRound)
 
 	// rows/present are the shared interface state: the frames delivered by
 	// the previous gateway round. recv holds the summary each frame carried.
@@ -67,27 +66,26 @@ func NewGatewayNet(s int, pr core.PRConfig) (*GatewayNet, error) {
 		synLen:  core.EncodedLen(s),
 		all:     core.PlaneMask(s),
 		observe: pr.ReintegrationThreshold > 0,
-		protos:  make([]*core.Protocol, s+1),
-		outs:    make([]core.RoundOutput, s+1),
-		collFns: make([]core.CollisionFn, s+1),
+		protos:  make([]*core.BatchProtocol, s+1),
+		outs:    make([]core.BatchRoundOutput, s+1),
 		rows:    make([]core.BitSyndrome, s+1),
 		recv:    make([]core.ShardSummary, s+1),
 		staged:  make([][]byte, s+1),
 		ign:     make([]uint64, s+1),
 	}
 	for g := 1; g <= s; g++ {
-		p, err := core.NewProtocol(core.Config{
+		cfg := core.Config{
 			N: s, ID: g, L: 0,
 			SendCurrRound: true, AllSendCurrRound: true,
 			Mode: core.ModeDiagnostic, PR: pr,
-		})
+		}
+		p, err := core.NewBatchProtocol(cfg, 1)
 		if err != nil {
 			return nil, err
 		}
 		gw.protos[g] = p
+		gw.lag = cfg.Lag()
 		gw.staged[g] = make([]byte, gw.synLen+core.SummaryWireLen)
-		g := g
-		gw.collFns[g] = func(r int) core.Opinion { return gw.collision(g, r) }
 	}
 	gw.bootstrap()
 	return gw, nil
@@ -101,6 +99,7 @@ func (gw *GatewayNet) bootstrap() {
 		gw.rows[g] = hw
 		gw.recv[g] = core.ShardSummary{}
 		gw.ign[g] = 0
+		gw.outs[g] = core.BatchRoundOutput{DiagnosedRound: -1, ActiveMask: gw.all}
 	}
 	gw.present = gw.all
 	gw.collided = [gwCollRing]uint64{}
@@ -110,8 +109,13 @@ func (gw *GatewayNet) bootstrap() {
 // Shards returns the width of the gateway level.
 func (gw *GatewayNet) Shards() int { return gw.s }
 
-// Protocol exposes gateway g's fleet-level protocol instance (1-based).
-func (gw *GatewayNet) Protocol(g int) *core.Protocol { return gw.protos[g] }
+// Protocol exposes gateway g's fleet-level protocol instance (1-based; one
+// lane, so lane 0 is the gateway).
+func (gw *GatewayNet) Protocol(g int) *core.BatchProtocol { return gw.protos[g] }
+
+// ActiveMask returns gateway g's activity vector over the shards after the
+// last round (bit t-1 = shard t; all active before the first round).
+func (gw *GatewayNet) ActiveMask(g int) uint64 { return gw.outs[g].ActiveMask }
 
 // Received returns the last ShardSummary decoded from gateway g's frame
 // (1-based); the zero value before its first delivery.
@@ -121,20 +125,19 @@ func (gw *GatewayNet) Received(g int) core.ShardSummary { return gw.recv[g] }
 // keeping every allocation.
 func (gw *GatewayNet) Reset() {
 	for g := 1; g <= gw.s; g++ {
-		gw.protos[g].Reset()
+		gw.protos[g].Reset(1)
 	}
 	gw.bootstrap()
 }
 
-// collision answers gateway g's collision-detector query from the ring.
-func (gw *GatewayNet) collision(g, round int) core.Opinion {
+// collision answers gateway g's collision-detector query from the ring: 1
+// when its own frame of the given round was lost, the one-lane
+// CollisionFaulty input.
+func (gw *GatewayNet) collision(g, round int) uint64 {
 	if round < 0 || round >= gw.round || round < gw.round-gwCollRing {
-		return core.Healthy
+		return 0
 	}
-	if gw.collided[round%gwCollRing]&(1<<uint(g-1)) != 0 {
-		return core.Faulty
-	}
-	return core.Healthy
+	return gw.collided[round%gwCollRing] >> uint(g-1) & 1
 }
 
 // RunRound executes one gateway TDMA round: every gateway's diagnostic job
@@ -145,12 +148,10 @@ func (gw *GatewayNet) collision(g, round int) core.Opinion {
 // nobody and the sender's collision detector fires). The returned slice is
 // net-owned scratch indexed 1-based by gateway, valid until the next call.
 //
-// In steady state the only allocations are the per-gateway retained round
-// blocks inside StepPacked (one per protocol step), pinned by
-// TestGatewayRoundAllocs.
+// The steady state allocates nothing, pinned by TestGatewayRoundAllocs.
 //
 //ttdiag:noretain
-func (gw *GatewayNet) RunRound(summaries []core.ShardSummary, drop uint64) ([]core.RoundOutput, error) {
+func (gw *GatewayNet) RunRound(summaries []core.ShardSummary, drop uint64) ([]core.BatchRoundOutput, error) {
 	if len(summaries) != gw.s {
 		return nil, fmt.Errorf("fleet: got %d shard summaries, want %d", len(summaries), gw.s)
 	}
@@ -159,12 +160,12 @@ func (gw *GatewayNet) RunRound(summaries []core.ShardSummary, drop uint64) ([]co
 	// slots. Isolation is applied per receiver through its ignore mask.
 	for g := 1; g <= gw.s; g++ {
 		vis := gw.present &^ gw.ign[g]
-		out, err := gw.protos[g].StepPacked(core.PackedRoundInput{
-			Round:     round,
-			Rows:      gw.rows,
-			Present:   vis,
-			Validity:  core.BitSyndrome{Op: vis, Known: gw.all},
-			Collision: gw.collFns[g],
+		out, err := gw.protos[g].StepBatch(core.BatchRoundInput{
+			Round:           round,
+			Rows:            gw.rows,
+			Present:         vis,
+			Validity:        core.BitSyndrome{Op: vis, Known: gw.all},
+			CollisionFaulty: gw.collision(g, round-gw.lag),
 		})
 		if err != nil {
 			return nil, err
@@ -183,7 +184,7 @@ func (gw *GatewayNet) RunRound(summaries []core.ShardSummary, drop uint64) ([]co
 			continue
 		}
 		frame := gw.staged[g]
-		copy(frame[:gw.synLen], gw.outs[g].Send)
+		gw.outs[g].LaneSend(0, gw.s).EncodeInto(frame[:gw.synLen])
 		if err := summaries[g-1].EncodeInto(frame[gw.synLen:]); err != nil {
 			return nil, fmt.Errorf("fleet: gateway %d summary: %w", g, err)
 		}

@@ -5,12 +5,14 @@
 // second diagnosis level runs the same Alg. 1 pipeline over the shards
 // themselves — per-shard gateways exchange bit-packed cluster-health summary
 // syndromes over a gateway TDMA round and accumulate penalties/rewards one
-// level up, reusing core.Protocol with shards as "nodes" (the FTI-TMR
-// interconnected-cluster model). Shards execute in parallel on the
+// level up, with shards as "nodes" (the FTI-TMR interconnected-cluster
+// model). Both levels run on the lane-packed kernel: equal-sized shards are
+// the lanes of one sim.BatchDiagCluster, and every gateway is a one-lane
+// core.BatchProtocol. Gangs of shards execute in parallel on the
 // internal/campaign pool with per-shard named rng streams; results are
 // index-addressed and per-shard metrics registries merge through the
 // commutative WorkerSet machinery, so every report is byte-identical at any
-// worker count and shard execution order.
+// worker count, shard execution order and lane placement.
 package fleet
 
 import (

@@ -43,6 +43,9 @@ type BatchDiagCluster struct {
 
 	protos []*core.BatchProtocol // 1-based; entry 0 is nil
 	lag    []int                 // 1-based; per-node diagnosis lag
+	// jobs lists the node ids in the order their diagnostic jobs run within
+	// a round: by job position l_i, ties by id, as Engine.RunRound does.
+	jobs []int
 
 	// observe mirrors the per-run activity policy: with a reintegration
 	// threshold the runners keep listening to isolated nodes, without one
@@ -96,6 +99,12 @@ type BatchDiagCluster struct {
 	// recycled across gangs instead of one allocation per recorded vector.
 	hvArena core.Syndrome
 	hvOff   int
+
+	// OnOutput, when set, observes every diagnostic job's gang output
+	// (node id, all lanes), after the lane collectors recorded it. It is
+	// the lane-packed counterpart of DiagRunner.OnOutput and survives
+	// ResetBatch.
+	OnOutput func(id int, out core.BatchRoundOutput)
 }
 
 // NewBatchDiagCluster builds a lane-packed diagnostic cluster with capacity
@@ -154,6 +163,13 @@ func NewBatchDiagCluster(cfg ClusterConfig) (*BatchDiagCluster, error) {
 		}
 		c.protos[id] = p
 		c.lag[id] = nc.Lag()
+	}
+	for pos := 0; pos <= norm.N; pos++ {
+		for id := 1; id <= norm.N; id++ {
+			if norm.Ls[id-1] == pos {
+				c.jobs = append(c.jobs, id)
+			}
+		}
 	}
 	for r := 0; r < maxLanes; r++ {
 		c.cols[r] = NewCollector()
@@ -221,11 +237,13 @@ func (c *BatchDiagCluster) ResetBatch(lanes int) error {
 
 // allocHV carves the next (N+1)-entry health vector out of the arena,
 // growing it by a fresh slab when exhausted (earlier slabs stay alive
-// through the collector references that still point into them).
+// through the collector references that still point into them). Each fresh
+// slab doubles the last, so after a few gangs one slab holds a whole gang
+// and the steady state allocates nothing.
 func (c *BatchDiagCluster) allocHV() core.Syndrome {
 	w := c.n + 1
 	if c.hvOff+w > len(c.hvArena) {
-		size := 1024 * w
+		size := max(1024*w, 2*len(c.hvArena))
 		c.hvArena = make(core.Syndrome, size)
 		c.hvOff = 0
 	}
@@ -337,12 +355,11 @@ func (c *BatchDiagCluster) Run() error {
 // Engine.RunRound's slot walk: diagnostic jobs at their positions, then the
 // slot transmission, N times.
 func (c *BatchDiagCluster) runRound(k int) error {
+	next := 0
 	for pos := 0; pos <= c.n; pos++ {
-		for id := 1; id <= c.n; id++ {
-			if c.cfg.Ls[id-1] == pos {
-				if err := c.runJob(k, id); err != nil {
-					return err
-				}
+		for ; next < len(c.jobs) && c.cfg.Ls[c.jobs[next]-1] == pos; next++ {
+			if err := c.runJob(k, c.jobs[next]); err != nil {
+				return err
 			}
 		}
 		if pos == c.n {
@@ -398,6 +415,9 @@ func (c *BatchDiagCluster) runJob(k, id int) error {
 			j := bits.TrailingZeros64(re) + 1
 			col.Reintegrations = append(col.Reintegrations, Isolation{Observer: id, Node: j, Round: out.Round})
 		}
+	}
+	if c.OnOutput != nil {
+		c.OnOutput(id, out)
 	}
 	return nil
 }

@@ -39,7 +39,7 @@ check_metrics_determinism() {
 
 check_fleet_determinism() {
     go test -race -cpu=1,4 ./internal/fleet/ \
-        -run 'TestFleetWorkerCountInvariance|TestFleetShardOrderInvariance|TestFleetMonolithicEquivalence|TestFleetCausalWorkerInvariance'
+        -run 'TestFleetWorkerCountInvariance|TestFleetShardOrderInvariance|TestFleetLanePackedMatchesPerRun|TestGatewayMatchesPerRunProtocol|TestFleetCausalWorkerInvariance'
     go test -race -cpu=1,4 ./internal/experiments/ -run TestFleetCampaignWorkerCountInvariance
 }
 
