@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"os"
+	"strings"
 	"testing"
 
 	"ttdiag/internal/metrics"
@@ -39,6 +40,17 @@ func TestBadInputs(t *testing.T) {
 	for _, args := range cases {
 		if err := run(args); err == nil {
 			t.Fatalf("run(%v): expected error", args)
+		}
+	}
+}
+
+// TestWideSystemPointsToFleet: a flat cluster beyond core.MaxPackedN is
+// refused, and the error names the package that runs such systems.
+func TestWideSystemPointsToFleet(t *testing.T) {
+	for _, variant := range []string{"diag", "membership", "lowlat", "ttpc"} {
+		err := run([]string{"-n", "65", "-variant", variant, "-quiet"})
+		if err == nil || !strings.Contains(err.Error(), "internal/fleet") {
+			t.Fatalf("-n 65 -variant %s: got %v, want an error pointing to internal/fleet", variant, err)
 		}
 	}
 }

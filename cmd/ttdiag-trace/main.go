@@ -9,16 +9,15 @@
 //	ttdiag-trace explain  -in f.jsonl [-run i] -node n [-round r]
 //	ttdiag-trace diff     -a x.jsonl -b y.jsonl
 //	ttdiag-trace bisect   [-n nodes] [-rounds k] [-p P] [-r R] [-reint T]
-//	                      [-every node:k:from:to] [-inject round:slot:slots] [-scalar]
+//	                      [-every node:k:from:to] -inject round:slot:slots
 //
 // filter prints matching events; timeline prints each node's isolation
 // spans; explain prints the causal chain (accusations, penalty trajectory,
 // isolation) that ended in a node's isolation; diff reports the first event
 // where two traces diverge. bisect re-executes a scenario on two sides — the
-// base cluster vs one with an extra injected burst (-inject) and/or a
-// forced-scalar representation (-scalar) — and binary-searches the first
-// divergent round via run checkpointing, printing both sides' causal events
-// at that round.
+// base cluster vs one with an extra injected burst (-inject) — and
+// binary-searches the first divergent round via run checkpointing, printing
+// both sides' causal events at that round.
 package main
 
 import (
@@ -266,22 +265,24 @@ func runBisect(args []string, out io.Writer) error {
 	reint := fs.Int64("reint", 4, "reintegration threshold")
 	every := fs.String("every", "3:1:4:9", "shared fault on both sides: node:k:from:to (empty = none)")
 	inject := fs.String("inject", "", "extra burst on side B only: round:slot:slots")
-	scalar := fs.Bool("scalar", false, "run side B on the scalar representation")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *inject == "" && !*scalar {
-		return fmt.Errorf("bisect: nothing distinguishes the sides — pass -inject and/or -scalar")
+	if *inject == "" {
+		return fmt.Errorf("bisect: nothing distinguishes the sides — pass -inject")
 	}
-	build := func(name string, forceScalar bool) (bisect.Side, error) {
+	var round, slot, slots int
+	if _, err := fmt.Sscanf(*inject, "%d:%d:%d", &round, &slot, &slots); err != nil {
+		return fmt.Errorf("bisect: -inject wants round:slot:slots, got %q", *inject)
+	}
+	build := func(name string) (bisect.Side, error) {
 		rec := &trace.Recorder{}
 		cl, err := sim.NewReusableDiagnosticCluster(sim.ClusterConfig{
 			N: *n,
 			PR: core.PRConfig{
 				PenaltyThreshold: *p, RewardThreshold: *r, ReintegrationThreshold: *reint,
 			},
-			Sink:        rec,
-			ForceScalar: forceScalar,
+			Sink: rec,
 		})
 		if err != nil {
 			return bisect.Side{}, err
@@ -296,22 +297,16 @@ func runBisect(args []string, out io.Writer) error {
 		}
 		return bisect.Side{Name: name, Cluster: cl, Rec: rec}, nil
 	}
-	a, err := build("A", false)
+	a, err := build("A")
 	if err != nil {
 		return err
 	}
-	b, err := build("B", *scalar)
+	b, err := build("B")
 	if err != nil {
 		return err
 	}
-	if *inject != "" {
-		var round, slot, slots int
-		if _, err := fmt.Sscanf(*inject, "%d:%d:%d", &round, &slot, &slots); err != nil {
-			return fmt.Errorf("bisect: -inject wants round:slot:slots, got %q", *inject)
-		}
-		b.Cluster.Eng.Bus().AddDisturbance(fault.NewTrain(
-			fault.SlotBurst(b.Cluster.Eng.Schedule(), round, slot, slots)))
-	}
+	b.Cluster.Eng.Bus().AddDisturbance(fault.NewTrain(
+		fault.SlotBurst(b.Cluster.Eng.Schedule(), round, slot, slots)))
 	rep, err := bisect.FirstDivergence(a, b, *rounds)
 	if err != nil {
 		return err

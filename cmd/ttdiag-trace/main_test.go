@@ -235,13 +235,21 @@ func TestBisectCLI(t *testing.T) {
 	}
 }
 
-func TestBisectCLIScalarEquivalence(t *testing.T) {
+// TestBisectCLIScalarFlagRemoved: the protocol has a single representation,
+// so -scalar is an unknown flag, while -inject keeps working — here with a
+// burst past the horizon, which leaves the sides agreeing.
+func TestBisectCLIScalarFlagRemoved(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"bisect", "-rounds", "32", "-scalar"}, &out); err != nil {
+	err := run([]string{"bisect", "-rounds", "32", "-scalar"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -scalar") {
+		t.Fatalf("bisect -scalar: got %v, want an unknown-flag error", err)
+	}
+	out.Reset()
+	if err := run([]string{"bisect", "-rounds", "32", "-inject", "40:1:1"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "no divergence within 32 rounds") {
-		t.Fatalf("packed vs scalar bisect output: %q", out.String())
+		t.Fatalf("bisect with a burst past the horizon: %q", out.String())
 	}
 }
 

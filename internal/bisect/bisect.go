@@ -1,7 +1,7 @@
 // Package bisect localizes the first divergent round between two
-// re-executable cluster variants — packed vs forced-scalar builds, or two
-// runs whose fault processes differ in a single round — in O(log R)
-// re-executed segments instead of a full side-by-side replay. It rides on
+// re-executable cluster variants — typically two runs whose fault processes
+// differ in a single round — in O(log R) re-executed segments instead of a
+// full side-by-side replay. It rides on
 // sim.ClusterCheckpoint: the search keeps one checkpoint per side at the last
 // round whose states still agreed, restores both sides there, runs to the
 // probe midpoint, and compares full-cluster fingerprints (every node's

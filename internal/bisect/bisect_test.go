@@ -9,13 +9,12 @@ import (
 	"ttdiag/internal/trace"
 )
 
-func bisectCluster(t *testing.T, rec *trace.Recorder, forceScalar bool) *sim.DiagCluster {
+func bisectCluster(t *testing.T, rec *trace.Recorder) *sim.DiagCluster {
 	t.Helper()
 	cl, err := sim.NewReusableDiagnosticCluster(sim.ClusterConfig{
-		N:           4,
-		PR:          core.PRConfig{PenaltyThreshold: 2, RewardThreshold: 3, ReintegrationThreshold: 4},
-		Sink:        rec,
-		ForceScalar: forceScalar,
+		N:    4,
+		PR:   core.PRConfig{PenaltyThreshold: 2, RewardThreshold: 3, ReintegrationThreshold: 4},
+		Sink: rec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -34,8 +33,8 @@ func bisectCluster(t *testing.T, rec *trace.Recorder, forceScalar bool) *sim.Dia
 func TestBisectLocalizesInjectedDivergence(t *testing.T) {
 	const horizon, inject = 64, 29
 	var recA, recB trace.Recorder
-	a := Side{Name: "base", Cluster: bisectCluster(t, &recA, false), Rec: &recA}
-	b := Side{Name: "burst", Cluster: bisectCluster(t, &recB, false), Rec: &recB}
+	a := Side{Name: "base", Cluster: bisectCluster(t, &recA), Rec: &recA}
+	b := Side{Name: "burst", Cluster: bisectCluster(t, &recB), Rec: &recB}
 	b.Cluster.Eng.Bus().AddDisturbance(
 		fault.NewTrain(fault.SlotBurst(b.Cluster.Eng.Schedule(), inject, 1, 1)))
 
@@ -61,29 +60,10 @@ func TestBisectLocalizesInjectedDivergence(t *testing.T) {
 	}
 }
 
-// TestBisectPackedScalarAgree: the packed and forced-scalar representations
-// of the same disturbed scenario must be reported divergence-free after a
-// single full-horizon probe — the bisector doubles as an equivalence check.
-func TestBisectPackedScalarAgree(t *testing.T) {
-	var recA, recB trace.Recorder
-	a := Side{Name: "packed", Cluster: bisectCluster(t, &recA, false), Rec: &recA}
-	b := Side{Name: "scalar", Cluster: bisectCluster(t, &recB, true), Rec: &recB}
-	rep, err := FirstDivergence(a, b, 48)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Diverged || rep.Round != -1 {
-		t.Fatalf("packed vs scalar reported divergent at round %d", rep.Round)
-	}
-	if rep.Probes != 1 {
-		t.Fatalf("agreement needs exactly the full-horizon probe, took %d", rep.Probes)
-	}
-}
-
 // TestBisectRejectsMismatchedSides covers the argument contract: an empty
 // horizon and sides of different shape are errors, not searches.
 func TestBisectRejectsMismatchedSides(t *testing.T) {
-	a := Side{Name: "a", Cluster: bisectCluster(t, nil, false)}
+	a := Side{Name: "a", Cluster: bisectCluster(t, nil)}
 	if _, err := FirstDivergence(a, a, 0); err == nil {
 		t.Fatal("horizon 0 accepted")
 	}

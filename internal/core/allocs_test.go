@@ -18,12 +18,12 @@ import (
 // the allocation measurements below. withMetrics attaches the full
 // StepMetrics instrument set (counters, gauge — the fixed-cost telemetry
 // every campaign run carries when metrics are on).
-func stepAllocProtocol(t *testing.T, n int, packed, withMetrics bool) func() {
+func stepAllocProtocol(t *testing.T, n int, withMetrics bool) func() {
 	t.Helper()
-	p, err := newProtocol(Config{
+	p, err := NewProtocol(Config{
 		N: n, ID: 1, L: 0, SendCurrRound: true,
 		PR: PRConfig{PenaltyThreshold: 1 << 50, RewardThreshold: 1 << 50},
-	}, packed)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,10 +47,9 @@ func stepAllocProtocol(t *testing.T, n int, packed, withMetrics bool) func() {
 }
 
 // TestProtocolStepAllocs pins the steady-state allocation budget of one
-// protocol execution. On the packed path the entire retained round output —
-// matrix planes, consistent health vector and dissemination syndrome — is one
-// fixed-size block, so the budget is a single allocation per Step; the scalar
-// reference pays one more for the matrix row-header.
+// protocol execution. The entire retained round output — matrix planes,
+// consistent health vector and dissemination syndrome — is one fixed-size
+// block, so the budget is a single allocation per Step.
 func TestProtocolStepAllocs(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("invariant checking boxes Checkf arguments and inflates the allocation count")
@@ -58,22 +57,19 @@ func TestProtocolStepAllocs(t *testing.T) {
 	cases := []struct {
 		name        string
 		n           int
-		packed      bool
 		withMetrics bool
 		ceiling     float64
 	}{
-		{"packed_n4", 4, true, false, 1},
-		{"packed_n64", 64, true, false, 1},
-		{"scalar_n4", 4, false, false, 2},
+		{"packed_n4", 4, false, 1},
+		{"packed_n64", 64, false, 1},
 		// Telemetry attached: the instruments are preallocated int64 cells
 		// updated in place, so the ceilings do not move.
-		{"packed_n4_metrics", 4, true, true, 1},
-		{"packed_n64_metrics", 64, true, true, 1},
-		{"scalar_n4_metrics", 4, false, true, 2},
+		{"packed_n4_metrics", 4, true, 1},
+		{"packed_n64_metrics", 64, true, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			step := stepAllocProtocol(t, tc.n, tc.packed, tc.withMetrics)
+			step := stepAllocProtocol(t, tc.n, tc.withMetrics)
 			// Warm past the diagnosis lag so every measured Step emits a
 			// full round output.
 			for i := 0; i < 16; i++ {
@@ -210,7 +206,7 @@ func TestVoteAllAllocs(t *testing.T) {
 }
 
 // TestCopyFromAllocs pins the zero-copy checkpoint path at exactly zero
-// steady-state allocations, on both representations and on the gang path —
+// steady-state allocations, per run and on the gang path —
 // the property that lets splitting clones checkpoint at every level
 // crossing without touching the allocator.
 func TestCopyFromAllocs(t *testing.T) {
@@ -221,34 +217,32 @@ func TestCopyFromAllocs(t *testing.T) {
 		N: 4, ID: 2, L: 0, SendCurrRound: true, Mode: ModeMembership,
 		PR: PRConfig{PenaltyThreshold: 3, RewardThreshold: 4, ReintegrationThreshold: 6},
 	}
-	for _, packed := range []bool{true, false} {
-		t.Run(fmt.Sprintf("packed=%v", packed), func(t *testing.T) {
-			src, err := newProtocol(cfg, packed)
-			if err != nil {
+	t.Run("protocol", func(t *testing.T) {
+		src, err := NewProtocol(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst, err := NewProtocol(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tape := copyFromTape(13, 4, 16)
+		for _, in := range tape { // park src mid-run, warm state
+			if _, err := src.Step(in); err != nil {
 				t.Fatal(err)
 			}
-			dst, err := newProtocol(cfg, packed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tape := copyFromTape(13, 4, 16)
-			for _, in := range tape { // park src mid-run, warm state
-				if _, err := src.Step(in); err != nil {
-					t.Fatal(err)
-				}
-			}
+		}
+		if err := dst.CopyFrom(src); err != nil {
+			t.Fatal(err)
+		}
+		if avg := testing.AllocsPerRun(200, func() {
 			if err := dst.CopyFrom(src); err != nil {
 				t.Fatal(err)
 			}
-			if avg := testing.AllocsPerRun(200, func() {
-				if err := dst.CopyFrom(src); err != nil {
-					t.Fatal(err)
-				}
-			}); avg > 0 {
-				t.Fatalf("Protocol.CopyFrom allocates %.2f objects/op in steady state, want 0", avg)
-			}
-		})
-	}
+		}); avg > 0 {
+			t.Fatalf("Protocol.CopyFrom allocates %.2f objects/op in steady state, want 0", avg)
+		}
+	})
 	t.Run("batch", func(t *testing.T) {
 		bcfg := Config{
 			N: 4, ID: 2, L: 2, SendCurrRound: false,

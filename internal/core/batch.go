@@ -113,7 +113,7 @@ func (o *BatchRoundOutput) LaneReintegrated(lane, n int) uint64 {
 	return laneExtract(o.ReintegratedMask, lane, n)
 }
 
-// batchAlignBuf is alignBufP for a gang: one lane-packed presence mask and
+// batchAlignBuf is alignBuf for a gang: one lane-packed presence mask and
 // lane-packed row/validity planes shared by all lanes.
 type batchAlignBuf struct {
 	rows []BitSyndrome
@@ -259,7 +259,7 @@ func (p *BatchProtocol) Reset(lanes int) {
 	p.pr.reset(lanes)
 }
 
-// ownRowB is ownRowP for the gang: the lane-packed syndromes this node
+// ownRowB is ownRow for the gang: the lane-packed syndromes this node
 // physically transmitted in the previous round.
 func (p *BatchProtocol) ownRowB() BitSyndrome {
 	if p.cfg.SendCurrRound {

@@ -142,7 +142,7 @@ func TestBatchStepEquivalence(t *testing.T) {
 				refRegs := make([]*metrics.Registry, lanes)
 				laneRegs := make([]*metrics.Registry, lanes)
 				for r := range refs {
-					if refs[r], err = newProtocol(tc.cfg, true); err != nil {
+					if refs[r], err = NewProtocol(tc.cfg); err != nil {
 						t.Fatalf("ref lane %d: %v", r, err)
 					}
 					refRegs[r] = metrics.New()
@@ -274,7 +274,7 @@ func TestBatchSharedMetricsEquivalence(t *testing.T) {
 				refs := make([]*Protocol, lanes)
 				refRegs := make([]*metrics.Registry, lanes)
 				for r := range refs {
-					if refs[r], err = newProtocol(cfg, true); err != nil {
+					if refs[r], err = NewProtocol(cfg); err != nil {
 						t.Fatal(err)
 					}
 					refRegs[r] = metrics.New()

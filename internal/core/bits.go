@@ -1,15 +1,28 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 )
 
-// MaxPackedN is the widest system the bit-packed diagnostic core supports:
-// one machine word holds one opinion per node. Beyond it every type in this
-// package transparently falls back to the scalar reference representation
-// ([]Opinion syndromes, row-major matrices), which has no width limit.
+// MaxPackedN is the widest flat system the diagnostic core supports: one
+// machine word holds one opinion per node. Wider systems are refused with
+// ErrBeyondPackedBound; internal/fleet shards them into clusters of at most
+// MaxPackedN nodes.
 const MaxPackedN = 64
+
+// ErrBeyondPackedBound is the error every flat-system constructor returns
+// when asked for more than MaxPackedN nodes.
+var ErrBeyondPackedBound = errors.New("core: flat systems are limited to MaxPackedN = 64 nodes; shard wider systems with internal/fleet")
+
+// checkFlatN refuses system sizes beyond MaxPackedN.
+func checkFlatN(n int) error {
+	if n > MaxPackedN {
+		return ErrBeyondPackedBound
+	}
+	return nil
+}
 
 // PlaneMask returns the word mask covering nodes 1..n (bit j-1 = node j) —
 // the valid-bit region of every plane in an n-node system. n must be at most
@@ -96,12 +109,11 @@ func (b BitSyndrome) CountFaulty(n int) int {
 	return bits.OnesCount64(b.Known & ^b.Op & all)
 }
 
-// PackSyndrome converts a scalar syndrome into its packed form. It fails for
-// syndromes wider than MaxPackedN nodes — such systems must stay on the
-// scalar representation.
+// PackSyndrome converts a byte-per-entry syndrome into its packed form. It
+// fails for syndromes wider than MaxPackedN nodes.
 func PackSyndrome(s Syndrome) (BitSyndrome, error) {
-	if s.N() > MaxPackedN {
-		return BitSyndrome{}, fmt.Errorf("core: cannot pack a %d-node syndrome: the packed representation supports N <= %d (use the scalar types beyond that)", s.N(), MaxPackedN)
+	if err := checkFlatN(s.N()); err != nil {
+		return BitSyndrome{}, err
 	}
 	return packSyndrome(s), nil
 }

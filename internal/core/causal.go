@@ -21,9 +21,9 @@ const trajectoryLen = 8
 //
 // Every emitted value derives from simulated quantities, never wall-clock
 // time, and the emission order within a round is fixed (accusations, penalty
-// changes in ascending node order, isolations, reintegrations), so the
-// packed and scalar paths produce byte-identical event streams (pinned by
-// TestPackedScalarTraceEquivalence).
+// changes in ascending node order, isolations, reintegrations). The
+// accusation evidence class is checked against the byte-per-entry reference
+// by TestProtocolMatchesReference.
 type StepTrace struct {
 	sink trace.Sink
 
@@ -198,29 +198,6 @@ func (p *Protocol) emitStepTrace(out *RoundOutput, warm bool) {
 func intsContain(s []int, v int) bool {
 	for _, x := range s {
 		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-// disagreesDefinite reports whether row holds a definite opinion (not ε)
-// opposite the consistent health vector on some unguarded column — the
-// scalar twin of the packed path's know-plane conflict term, with exactly
-// the skips of disagrees. It classifies an accusation's evidence: definite
-// opposition is EvidenceVerdict, ε-only conflict is EvidenceMatrix.
-func (p *Protocol) disagreesDefinite(row, consHV Syndrome, j int) bool {
-	for m := 1; m <= consHV.N(); m++ {
-		if m == j {
-			continue
-		}
-		if p.accusedAge[m] >= 1 && p.accusedAge[m] <= accusationSkew {
-			continue
-		}
-		if m == p.cfg.ID && consHV[m] == Faulty {
-			continue
-		}
-		if row[m] != Erased && row[m] != consHV[m] {
 			return true
 		}
 	}

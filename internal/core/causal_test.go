@@ -6,59 +6,8 @@ import (
 	"testing"
 
 	"ttdiag/internal/invariant"
-	"ttdiag/internal/rng"
 	"ttdiag/internal/trace"
 )
-
-// TestPackedScalarTraceEquivalence runs the bit-plane and scalar-reference
-// implementations side by side on identical random inputs with a flight
-// recorder attached to each, and requires the two causal event streams to be
-// identical event for event — same kinds, same order, same evidence
-// classification, same counter values. This pins that accusation evidence
-// and penalty/isolation emission are representation-independent.
-func TestPackedScalarTraceEquivalence(t *testing.T) {
-	const rounds = 48
-	for _, tc := range stepEquivCases() {
-		t.Run(tc.name, func(t *testing.T) {
-			packed, err := newProtocol(tc.cfg, true)
-			if err != nil {
-				t.Fatalf("packed: %v", err)
-			}
-			scalar, err := newProtocol(tc.cfg, false)
-			if err != nil {
-				t.Fatalf("scalar: %v", err)
-			}
-			var pRec, sRec trace.Recorder
-			packed.SetTrace(NewStepTrace(&pRec))
-			scalar.SetTrace(NewStepTrace(&sRec))
-			st := rng.NewStream(int64(1000 + tc.cfg.N + int(tc.cfg.Mode)*7))
-			for r := 0; r < rounds; r++ {
-				round := tc.cfg.StartRound + r
-				in := randomStepInput(st, tc.cfg.N, round)
-				if _, err := packed.Step(in); err != nil {
-					t.Fatalf("round %d: packed: %v", round, err)
-				}
-				if _, err := scalar.Step(in); err != nil {
-					t.Fatalf("round %d: scalar: %v", round, err)
-				}
-			}
-			pEvents, sEvents := pRec.Events(), sRec.Events()
-			if i := trace.FirstDivergence(pEvents, sEvents); i >= 0 {
-				var pe, se trace.Event
-				if i < len(pEvents) {
-					pe = pEvents[i]
-				}
-				if i < len(sEvents) {
-					se = sEvents[i]
-				}
-				t.Fatalf("trace streams diverge at event %d:\npacked %+v\nscalar %+v", i, pe, se)
-			}
-			if len(pEvents) == 0 && tc.cfg.Mode == ModeMembership {
-				t.Fatalf("membership case emitted no causal events — the test is vacuous")
-			}
-		})
-	}
-}
 
 // causalScenario drives one observer through a scripted fault: node 3 is
 // voted faulty for faultRounds consecutive warm rounds, then healthy again.
@@ -288,7 +237,7 @@ func TestStepTraceAllocs(t *testing.T) {
 				step()
 			}
 			base := testing.AllocsPerRun(200, step)
-			// The warm scalar/packed Step ceilings are pinned by allocs_test.go;
+			// The warm Step ceilings are pinned by allocs_test.go;
 			// here we only require the trace attachment to add nothing.
 			p.SetTrace(nil)
 			detached := testing.AllocsPerRun(200, step)

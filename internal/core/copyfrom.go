@@ -12,10 +12,9 @@ import "fmt"
 // (pinned by a differential test), but a flat state copy with zero
 // steady-state allocations instead of a JSON round-trip.
 //
-// Both protocols must have been built for the same N and the same
-// representation (packed or scalar); within that shape the configurations
-// may differ — dst adopts src's. Telemetry attachments (SetMetrics) are
-// per-instance and deliberately not copied.
+// Both protocols must have been built for the same N; within that shape the
+// configurations may differ — dst adopts src's. Telemetry attachments
+// (SetMetrics) are per-instance and deliberately not copied.
 func (p *Protocol) CopyFrom(src *Protocol) error {
 	if p == src {
 		return nil
@@ -23,36 +22,15 @@ func (p *Protocol) CopyFrom(src *Protocol) error {
 	if p.cfg.N != src.cfg.N {
 		return fmt.Errorf("core: CopyFrom across system sizes (dst N=%d, src N=%d)", p.cfg.N, src.cfg.N)
 	}
-	if p.packed != src.packed {
-		return fmt.Errorf("core: CopyFrom across representations (dst packed=%v, src packed=%v)", p.packed, src.packed)
-	}
-	n := src.cfg.N
 	p.cfg = src.cfg
 	p.steps = src.steps
 
 	// Only the buffer the next Step will read carries live state; the other
-	// one is fully rewritten (set/ls/al for every entry, dm gated by set)
-	// before it is ever read again, so copying it would be dead work.
-	if p.packed {
-		dst, from := &p.pbufs[p.steps&1], &src.pbufs[src.steps&1]
-		copy(dst.rows, from.rows)
-		dst.set, dst.ls, dst.al = from.set, from.ls, from.al
-		p.lastSentP = src.lastSentP
-		p.prevSentP = src.prevSentP
-	} else {
-		dst, from := &p.bufs[p.steps&1], &src.bufs[src.steps&1]
-		for j := 1; j <= n; j++ {
-			dst.set[j] = from.set[j]
-			if from.set[j] {
-				copy(dst.dm[j], from.dm[j])
-			}
-		}
-		copy(dst.ls, from.ls)
-		copy(dst.al, from.al)
-	}
-	// lastSent/prevSent alias per-round output blocks that are immutable by
-	// contract (Reset installs fresh syndromes for exactly this reason), so
-	// sharing the headers is safe and costs nothing.
+	// one is fully rewritten (set/ls/al, rows gated by set) before it is
+	// ever read again, so copying it would be dead work.
+	dst, from := &p.bufs[p.steps&1], &src.bufs[src.steps&1]
+	copy(dst.rows, from.rows)
+	dst.set, dst.ls, dst.al = from.set, from.ls, from.al
 	p.lastSent = src.lastSent
 	p.prevSent = src.prevSent
 
@@ -85,7 +63,6 @@ func (pr *PenaltyReward) copyFrom(src *PenaltyReward) {
 	copy(pr.rewards, src.rewards)
 	copy(pr.active, src.active)
 	copy(pr.observe, src.observe)
-	pr.masked = src.masked
 	pr.activeMask = src.activeMask
 	pr.attention = src.attention
 }

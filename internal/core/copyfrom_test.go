@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"ttdiag/internal/rng"
@@ -41,9 +40,9 @@ func copyFromTape(seed int64, n, rounds int) []RoundInput {
 // TestCopyFromMatchesJSONRestore is the differential pin for the zero-copy
 // checkpoint path: at every step of a disturbed membership-mode run, a clone
 // produced by CopyFrom must serialise byte-identically to the original's
-// Snapshot — and to the Snapshot of a twin restored from that JSON — on both
-// the packed and the scalar representation. The clone is also built from a
-// different same-shape configuration, pinning that CopyFrom adopts src's.
+// Snapshot — and to the Snapshot of a twin restored from that JSON. The
+// clone is also built from a different same-shape configuration, pinning
+// that CopyFrom adopts src's.
 func TestCopyFromMatchesJSONRestore(t *testing.T) {
 	const n, rounds = 4, 24
 	cfg := Config{
@@ -55,48 +54,44 @@ func TestCopyFromMatchesJSONRestore(t *testing.T) {
 		N: n, ID: 3, L: 3, SendCurrRound: false,
 		PR: PRConfig{PenaltyThreshold: 1, RewardThreshold: 1},
 	}
-	for _, packed := range []bool{true, false} {
-		t.Run(fmt.Sprintf("packed=%v", packed), func(t *testing.T) {
-			original, err := newProtocol(cfg, packed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			clone, err := newProtocol(cloneCfg, packed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tape := copyFromTape(77, n, rounds)
-			for k := 0; k < rounds; k++ {
-				if _, err := original.Step(tape[k]); err != nil {
-					t.Fatalf("round %d: %v", k, err)
-				}
-				want, err := original.Snapshot()
-				if err != nil {
-					t.Fatalf("round %d: snapshot: %v", k, err)
-				}
-				if err := clone.CopyFrom(original); err != nil {
-					t.Fatalf("round %d: CopyFrom: %v", k, err)
-				}
-				got, err := clone.Snapshot()
-				if err != nil {
-					t.Fatalf("round %d: clone snapshot: %v", k, err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("round %d: clone snapshot diverged\n clone: %s\n  orig: %s", k, got, want)
-				}
-				jsonTwin, err := RestoreProtocol(want)
-				if err != nil {
-					t.Fatalf("round %d: restore: %v", k, err)
-				}
-				twinSnap, err := jsonTwin.Snapshot()
-				if err != nil {
-					t.Fatalf("round %d: twin snapshot: %v", k, err)
-				}
-				if !bytes.Equal(twinSnap, want) {
-					t.Fatalf("round %d: JSON twin snapshot diverged\n  twin: %s\n  orig: %s", k, twinSnap, want)
-				}
-			}
-		})
+	original, err := NewProtocol(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone, err := NewProtocol(cloneCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tape := copyFromTape(77, n, rounds)
+	for k := 0; k < rounds; k++ {
+		if _, err := original.Step(tape[k]); err != nil {
+			t.Fatalf("round %d: %v", k, err)
+		}
+		want, err := original.Snapshot()
+		if err != nil {
+			t.Fatalf("round %d: snapshot: %v", k, err)
+		}
+		if err := clone.CopyFrom(original); err != nil {
+			t.Fatalf("round %d: CopyFrom: %v", k, err)
+		}
+		got, err := clone.Snapshot()
+		if err != nil {
+			t.Fatalf("round %d: clone snapshot: %v", k, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("round %d: clone snapshot diverged\n clone: %s\n  orig: %s", k, got, want)
+		}
+		jsonTwin, err := RestoreProtocol(want)
+		if err != nil {
+			t.Fatalf("round %d: restore: %v", k, err)
+		}
+		twinSnap, err := jsonTwin.Snapshot()
+		if err != nil {
+			t.Fatalf("round %d: twin snapshot: %v", k, err)
+		}
+		if !bytes.Equal(twinSnap, want) {
+			t.Fatalf("round %d: JSON twin snapshot diverged\n  twin: %s\n  orig: %s", k, twinSnap, want)
+		}
 	}
 }
 
@@ -185,24 +180,21 @@ func TestCopyFromContinuation(t *testing.T) {
 }
 
 func TestCopyFromRejectsShapeMismatch(t *testing.T) {
-	mk := func(n int, packed bool) *Protocol {
+	mk := func(n int) *Protocol {
 		cfg := Config{
 			N: n, ID: 1, L: 0, SendCurrRound: true,
 			PR: PRConfig{PenaltyThreshold: 1, RewardThreshold: 1},
 		}
-		p, err := newProtocol(cfg, packed)
+		p, err := NewProtocol(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return p
 	}
-	if err := mk(4, true).CopyFrom(mk(5, true)); err == nil {
+	if err := mk(4).CopyFrom(mk(5)); err == nil {
 		t.Fatal("copy across system sizes must fail")
 	}
-	if err := mk(4, true).CopyFrom(mk(4, false)); err == nil {
-		t.Fatal("copy across representations must fail")
-	}
-	p := mk(4, true)
+	p := mk(4)
 	if err := p.CopyFrom(p); err != nil {
 		t.Fatalf("self-copy must be a no-op, got %v", err)
 	}

@@ -2,7 +2,12 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"testing"
+
+	"ttdiag/internal/rng"
+	"ttdiag/internal/trace"
 )
 
 // FuzzDecodeSyndrome checks that decoding never panics and that every
@@ -77,23 +82,40 @@ func FuzzHMaj(f *testing.F) {
 	})
 }
 
-// FuzzProtocolStep drives a protocol instance with arbitrary (but
-// well-formed) inputs derived from fuzz data: it must never panic and must
-// preserve its internal invariants (health vectors always fully decided
-// after warm-up).
+// FuzzProtocolStep drives the protocol and the byte-per-entry reference in
+// lock-step with arbitrary (but well-formed) inputs derived from fuzz data.
+// The fuzz input also picks the mode, the system size (2..MaxPackedN), the
+// node and its schedule position. Neither side may panic, the kernel must
+// never reject a well-formed input, its health vectors must be fully decided
+// after warm-up, and every output must match the reference's.
 func FuzzProtocolStep(f *testing.F) {
-	f.Add([]byte{0x00, 0xff, 0x13, 0x37}, uint8(0))
-	f.Add([]byte{0xde, 0xad, 0xbe, 0xef, 0x01, 0x02}, uint8(3))
-	f.Fuzz(func(t *testing.T, data []byte, lRaw uint8) {
-		const n = 4
+	f.Add([]byte{0x00, 0xff, 0x13, 0x37}, uint8(0), uint8(0), uint8(2), uint8(1))
+	f.Add([]byte{0xde, 0xad, 0xbe, 0xef, 0x01, 0x02}, uint8(3), uint8(1), uint8(2), uint8(1))
+	f.Add([]byte{0x81, 0x42, 0x24, 0x18, 0xff, 0x00, 0x7e}, uint8(5), uint8(1), uint8(5), uint8(2))
+	f.Add([]byte{0x11, 0x22, 0x33, 0x44, 0x55}, uint8(30), uint8(2), uint8(62), uint8(40))
+	f.Fuzz(func(t *testing.T, data []byte, lRaw, modeRaw, nRaw, idRaw uint8) {
+		n := 2 + int(nRaw)%(MaxPackedN-1)
+		id := 1 + int(idRaw)%n
 		l := int(lRaw) % n
-		p, err := NewProtocol(Config{
-			N: n, ID: 2, L: l, SendCurrRound: l < 2,
-			PR: PRConfig{PenaltyThreshold: 3, RewardThreshold: 2},
-		})
+		cfg := Config{
+			N: n, ID: id, L: l, SendCurrRound: l < id,
+			PR: PRConfig{PenaltyThreshold: 3, RewardThreshold: 2, ReintegrationThreshold: 3},
+		}
+		switch modeRaw % 3 {
+		case 0:
+			cfg.Mode = ModeDiagnostic
+		case 1:
+			cfg.Mode = ModeMembership
+		default:
+			cfg.Mode, cfg.Dynamic, cfg.SendCurrRound = ModeDiagnostic, true, true
+		}
+		p, err := NewProtocol(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		var rec trace.Recorder
+		p.SetTrace(NewStepTrace(&rec))
+		ref := newRefProtocol(t, cfg)
 		pos := 0
 		next := func() byte {
 			if len(data) == 0 {
@@ -108,6 +130,9 @@ func FuzzProtocolStep(f *testing.F) {
 				Round:    round,
 				DMs:      make([]Syndrome, n+1),
 				Validity: NewSyndrome(n, Healthy),
+				Collision: func(r int) Opinion {
+					return Opinion(r & 1)
+				},
 			}
 			for j := 1; j <= n; j++ {
 				b := next()
@@ -117,17 +142,18 @@ func FuzzProtocolStep(f *testing.F) {
 				}
 				s := NewSyndrome(n, Healthy)
 				for m := 1; m <= n; m++ {
-					if b&(1<<uint(m)) != 0 {
+					if b&(1<<uint((m+j)%7)) != 0 {
 						s[m] = Faulty
 					}
 				}
 				in.DMs[j] = s
 			}
+			rec.Reset()
 			out, err := p.Step(in)
 			if err != nil {
 				t.Fatalf("round %d: %v", round, err)
 			}
-			if round >= 3 && out.ConsHV == nil {
+			if round >= cfg.Lag() && out.ConsHV == nil {
 				t.Fatalf("round %d: no health vector after warm-up", round)
 			}
 			if out.ConsHV != nil {
@@ -136,6 +162,126 @@ func FuzzProtocolStep(f *testing.F) {
 						t.Fatalf("round %d: undecided entry %d", round, j)
 					}
 				}
+			}
+			accusations := append([]trace.Event{}, rec.Filter(trace.KindAccusation)...)
+			diffAgainstReference(t, fmt.Sprintf("round %d", round), out, accusations, ref.Step(in))
+		}
+	})
+}
+
+// wideSnapshot is the snapshot of a freshly built n-node protocol in the
+// byte-per-entry wire form, for sizes NewProtocol refuses to build.
+func wideSnapshot(t testing.TB, n int) []byte {
+	t.Helper()
+	snap := protocolSnapshot{
+		Config: Config{N: n, ID: 1, L: 0, SendCurrRound: true, Mode: ModeDiagnostic,
+			PR: PRConfig{PenaltyThreshold: 1, RewardThreshold: 1}},
+		PrevDM:     make(map[int]Syndrome),
+		PrevLS:     NewSyndrome(n, Healthy),
+		PrevAlLS:   NewSyndrome(n, Healthy),
+		LastSent:   NewSyndrome(n, Healthy),
+		PrevSent:   NewSyndrome(n, Healthy),
+		Accuse:     make([]int, n+1),
+		AccusedAge: make([]int, n+1),
+		PR: prSnapshot{
+			Penalties: make([]int64, n+1),
+			Rewards:   make([]int64, n+1),
+			Active:    make([]bool, n+1),
+			Observe:   make([]int64, n+1),
+		},
+	}
+	for j := 1; j <= n; j++ {
+		snap.PrevDM[j] = NewSyndrome(n, Healthy)
+		snap.AccusedAge[j] = accusationSkew + 1
+		snap.PR.Active[j] = true
+	}
+	data, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// FuzzRestoreProtocol feeds arbitrary bytes to RestoreProtocol. It must never
+// panic, must refuse systems beyond MaxPackedN, and every snapshot it accepts
+// must restore losslessly — the restored protocol re-snapshots to exactly the
+// bytes the snapshot's own fields marshal to — and run 8 Steps without error.
+// The corpus is seeded with real snapshots (fresh, mid-run membership,
+// dynamic), one carrying a prevDM key outside 1..N, one holding a value that
+// is no opinion, and one of a 65-node system.
+func FuzzRestoreProtocol(f *testing.F) {
+	for _, tc := range stepEquivCases()[3:6] { // the N = 4 cases
+		p, err := NewProtocol(tc.cfg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		st := rng.NewStream(int64(tc.cfg.N))
+		for r := 0; r < 9; r++ {
+			data, err := p.Snapshot()
+			if err != nil {
+				f.Fatal(err)
+			}
+			if r%4 == 0 {
+				f.Add(data)
+			}
+			if _, err := p.Step(randomStepInput(st, tc.cfg.N, tc.cfg.StartRound+r)); err != nil {
+				f.Fatal(err)
+			}
+		}
+	}
+	var stray protocolSnapshot
+	p, err := NewProtocol(stepEquivCases()[4].cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	data, err := p.Snapshot()
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &stray); err != nil {
+		f.Fatal(err)
+	}
+	stray.PrevDM[99] = NewSyndrome(4, Faulty)
+	if data, err = json.Marshal(stray); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	delete(stray.PrevDM, 99)
+	stray.PrevLS[2] = 7 // no such opinion
+	if data, err = json.Marshal(stray); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	f.Add(wideSnapshot(f, MaxPackedN+1))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := RestoreProtocol(data)
+		var snap protocolSnapshot
+		if json.Unmarshal(data, &snap) == nil && snap.Config.N > MaxPackedN && err == nil {
+			t.Fatalf("restored a %d-node protocol", snap.Config.N)
+		}
+		if err != nil {
+			return
+		}
+		want, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := p.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("restore is lossy:\n  snapshot %s\nre-snapshot %s", want, got)
+		}
+		cfg := p.Config()
+		in := RoundInput{DMs: make([]Syndrome, cfg.N+1), Validity: NewSyndrome(cfg.N, Healthy)}
+		for j := 1; j <= cfg.N; j++ {
+			in.DMs[j] = NewSyndrome(cfg.N, Healthy)
+		}
+		for k := 0; k < 8; k++ {
+			in.Round = cfg.StartRound + snap.Steps + k
+			if _, err := p.Step(in); err != nil {
+				t.Fatalf("step %d after restore: %v", k, err)
 			}
 		}
 	})

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"testing"
 
 	"ttdiag/internal/metrics"
@@ -39,38 +38,30 @@ func metricsScenario(t *testing.T, p *Protocol) {
 	}
 }
 
-func newMetricsProtocol(t *testing.T, packed bool) *Protocol {
+func newMetricsProtocol(t *testing.T) *Protocol {
 	t.Helper()
-	p, err := newProtocol(Config{
+	p, err := NewProtocol(Config{
 		N: 4, ID: 1, L: 0, SendCurrRound: true,
 		PR: PRConfig{PenaltyThreshold: 3, RewardThreshold: 2, ReintegrationThreshold: 4},
-	}, packed)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return p
 }
 
-// TestStepMetricsPackedScalarParity runs the same scenario on the packed
-// hot path and the scalar reference; the emitted telemetry must be
-// byte-identical, like every other observable output of the two paths.
-func TestStepMetricsPackedScalarParity(t *testing.T) {
-	snap := func(packed bool) metrics.Snapshot {
-		reg := metrics.New()
-		p := newMetricsProtocol(t, packed)
-		sm := NewStepMetrics(reg)
-		sm.PenaltySeries = []*metrics.Series{nil, reg.Series("penalty/node-1", 64), nil, reg.Series("penalty/node-3", 64)}
-		p.SetMetrics(sm)
-		metricsScenario(t, p)
-		return reg.Snapshot()
-	}
-	a, b := snap(true), snap(false)
-	ja, _ := json.Marshal(a)
-	jb, _ := json.Marshal(b)
-	if string(ja) != string(jb) {
-		t.Fatalf("packed vs scalar metrics differ:\npacked: %s\nscalar: %s", ja, jb)
-	}
-	// Sanity: the scenario must actually exercise the instruments.
+// TestStepMetricsScenario runs the fault scenario with every instrument
+// attached and requires each of them to record it: steps, both vote
+// outcomes, disagreements, both threshold crossings, the penalty watermark
+// and the trajectory series.
+func TestStepMetricsScenario(t *testing.T) {
+	reg := metrics.New()
+	p := newMetricsProtocol(t)
+	sm := NewStepMetrics(reg)
+	sm.PenaltySeries = []*metrics.Series{nil, reg.Series("penalty/node-1", 64), nil, reg.Series("penalty/node-3", 64)}
+	p.SetMetrics(sm)
+	metricsScenario(t, p)
+	a := reg.Snapshot()
 	if a.Counters["protocol/steps"] != 24 {
 		t.Fatalf("steps = %d, want 24", a.Counters["protocol/steps"])
 	}
@@ -106,7 +97,7 @@ func TestStepMetricsPackedScalarParity(t *testing.T) {
 // ties, no disagreement.
 func TestStepMetricsVoteClassification(t *testing.T) {
 	reg := metrics.New()
-	p := newMetricsProtocol(t, true)
+	p := newMetricsProtocol(t)
 	p.SetMetrics(NewStepMetrics(reg))
 	n := p.Config().N
 	healthy := NewSyndrome(n, Healthy)
@@ -138,7 +129,7 @@ func TestStepMetricsVoteClassification(t *testing.T) {
 // accumulates across repetitions without re-wiring.
 func TestStepMetricsSurviveReset(t *testing.T) {
 	reg := metrics.New()
-	p := newMetricsProtocol(t, true)
+	p := newMetricsProtocol(t)
 	p.SetMetrics(NewStepMetrics(reg))
 	metricsScenario(t, p)
 	after1 := reg.Snapshot().Counters["protocol/steps"]
@@ -158,8 +149,10 @@ func TestStepMetricsSurviveReset(t *testing.T) {
 	}
 }
 
-// TestTallyMatchesVote checks Vote == tallyVerdict(Tally) on packed and
-// scalar matrices over a sweep of deterministic pseudo-random fills.
+// TestTallyMatchesVote checks Vote == tallyVerdict(Tally) on matrices filled
+// through SetBitRow and through SetRow over a sweep of deterministic
+// pseudo-random fills, and Tally and DisagreementCount against counts taken
+// over the byte-per-entry rows.
 func TestTallyMatchesVote(t *testing.T) {
 	for _, n := range []int{3, 4, 7} {
 		for fill := 0; fill < 32; fill++ {
@@ -167,7 +160,8 @@ func TestTallyMatchesVote(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			scalar := NewMatrix(n)
+			viaRow := mustMatrix(t, n)
+			rows := make([]Syndrome, n+1)
 			state := uint64(fill)*2654435761 + 12345
 			next := func() uint64 { state = state*6364136223846793005 + 1442695040888963407; return state }
 			for i := 1; i <= n; i++ {
@@ -189,11 +183,12 @@ func TestTallyMatchesVote(t *testing.T) {
 				if err := packed.SetBitRow(i, bitRow); err != nil {
 					t.Fatal(err)
 				}
-				if err := scalar.SetRow(i, row); err != nil {
+				if err := viaRow.SetRow(i, row); err != nil {
 					t.Fatal(err)
 				}
+				rows[i] = row
 			}
-			for _, m := range []*Matrix{packed, scalar} {
+			for _, m := range []*Matrix{packed, viaRow} {
 				for j := 1; j <= n; j++ {
 					f, h := m.Tally(j)
 					wantV, wantOK := tallyVerdict(f, h)
@@ -203,22 +198,36 @@ func TestTallyMatchesVote(t *testing.T) {
 					}
 				}
 			}
-			// And the two representations must tally identically.
-			for j := 1; j <= n; j++ {
-				pf, ph := packed.Tally(j)
-				sf, sh := scalar.Tally(j)
-				if pf != sf || ph != sh {
-					t.Fatalf("n=%d fill=%d col=%d: packed tally (%d,%d) != scalar (%d,%d)", n, fill, j, pf, ph, sf, sh)
-				}
-			}
+			// Tally and DisagreementCount against the byte-per-entry rows.
 			cons := NewSyndrome(n, Erased)
 			for j := 1; j <= n; j++ {
 				if v, ok := packed.Vote(j); ok {
 					cons[j] = v
 				}
 			}
-			if pd, sd := packed.DisagreementCount(cons), scalar.DisagreementCount(cons); pd != sd {
-				t.Fatalf("n=%d fill=%d: packed disagreement %d != scalar %d", n, fill, pd, sd)
+			disagreements := 0
+			for j := 1; j <= n; j++ {
+				var wf, wh int
+				for i := 1; i <= n; i++ {
+					if i == j || rows[i] == nil {
+						continue
+					}
+					switch rows[i][j] {
+					case Faulty:
+						wf++
+					case Healthy:
+						wh++
+					}
+					if rows[i][j] != Erased && cons[j] != Erased && rows[i][j] != cons[j] {
+						disagreements++
+					}
+				}
+				if f, h := packed.Tally(j); f != wf || h != wh {
+					t.Fatalf("n=%d fill=%d col=%d: Tally (%d,%d), rows count (%d,%d)", n, fill, j, f, h, wf, wh)
+				}
+			}
+			if got := packed.DisagreementCount(cons); got != disagreements {
+				t.Fatalf("n=%d fill=%d: DisagreementCount %d, rows count %d", n, fill, got, disagreements)
 			}
 		}
 	}

@@ -1,69 +1,53 @@
 package core
 
 import (
-	"strings"
+	"errors"
 	"testing"
 
 	"ttdiag/internal/rng"
 )
 
 func TestNewPackedMatrixBound(t *testing.T) {
-	if _, err := NewPackedMatrix(MaxPackedN + 1); err == nil {
-		t.Fatalf("NewPackedMatrix accepted %d nodes", MaxPackedN+1)
-	} else if !strings.Contains(err.Error(), "scalar") {
-		t.Fatalf("bound error should point at the scalar fallback, got: %v", err)
+	if _, err := NewPackedMatrix(MaxPackedN + 1); !errors.Is(err, ErrBeyondPackedBound) {
+		t.Fatalf("NewPackedMatrix(%d) = %v, want the flat-bound error", MaxPackedN+1, err)
 	}
-	m, err := NewPackedMatrix(MaxPackedN)
-	if err != nil {
+	if _, err := NewPackedMatrix(MaxPackedN); err != nil {
 		t.Fatalf("NewPackedMatrix(%d): %v", MaxPackedN, err)
-	}
-	if !m.Packed() {
-		t.Fatalf("NewPackedMatrix returned a scalar matrix")
-	}
-	if got := NewMatrix(MaxPackedN); !got.Packed() {
-		t.Fatalf("NewMatrix(%d) should select the packed representation", MaxPackedN)
-	}
-	// Beyond the bound NewMatrix transparently serves the scalar reference.
-	wide := NewMatrix(MaxPackedN + 1)
-	if wide.Packed() {
-		t.Fatalf("NewMatrix(%d) should fall back to scalar", MaxPackedN+1)
-	}
-	if err := wide.SetRow(1, NewSyndrome(MaxPackedN+1, Healthy)); err != nil {
-		t.Fatalf("scalar SetRow: %v", err)
-	}
-	if v, ok := wide.Vote(2); !ok || v != Healthy {
-		t.Fatalf("scalar Vote = %v/%v, want Healthy/true", v, ok)
-	}
-	if err := wide.SetBitRow(1, BitSyndrome{}); err == nil {
-		t.Fatalf("SetBitRow must fail on a scalar matrix")
-	}
-	if _, err := wide.VoteAll(); err == nil {
-		t.Fatalf("VoteAll must fail beyond MaxPackedN")
 	}
 }
 
-// fillRandomMatrix installs the same random content — ε rows, ties, erased
-// entries, asymmetric malicious opinions — into every given matrix.
-func fillRandomMatrix(t *testing.T, st *rng.Stream, n int, ms ...*Matrix) {
+// fillRandomMatrix installs random content — ε rows, ties, erased entries,
+// asymmetric malicious opinions — into m and returns the installed rows.
+func fillRandomMatrix(t *testing.T, st *rng.Stream, n int, m *Matrix) []Syndrome {
 	t.Helper()
+	rows := make([]Syndrome, n+1)
 	for j := 1; j <= n; j++ {
-		var row Syndrome
 		if !st.Bool(0.2) { // 20% ε rows
-			row = randomSyndrome(st, n, 0.25)
+			rows[j] = randomSyndrome(st, n, 0.25)
 		}
-		for _, m := range ms {
-			if err := m.SetRow(j, row); err != nil {
-				t.Fatalf("SetRow(%d): %v", j, err)
-			}
+		if err := m.SetRow(j, rows[j]); err != nil {
+			t.Fatalf("SetRow(%d): %v", j, err)
 		}
 	}
+	return rows
+}
+
+// refVoteAll is the byte-per-entry reference of VoteAll: refVote per column.
+func refVoteAll(rows []Syndrome) BitSyndrome {
+	var out BitSyndrome
+	votes := make([]Opinion, 0, len(rows))
+	for j := 1; j < len(rows); j++ {
+		if v, ok := refVote(rows, j, votes); ok {
+			out.Set(j, v)
+		}
+	}
+	return out
 }
 
 // TestVoteAllMatchesScalarReference is the seeded-corpus differential test of
 // the word-parallel kernel: at every N in 1..MaxPackedN, random matrices must
-// vote bit-identically to the scalar per-column reference, both through the
-// packed matrix's own per-column Vote and through a scalar-representation
-// twin of the same content.
+// vote bit-identically to the byte-per-entry per-column reference, both
+// through VoteAll and through the matrix's own per-column Vote.
 func TestVoteAllMatchesScalarReference(t *testing.T) {
 	st := rng.NewStream(21)
 	for n := 1; n <= MaxPackedN; n++ {
@@ -72,35 +56,21 @@ func TestVoteAllMatchesScalarReference(t *testing.T) {
 			trials = 15
 		}
 		for trial := 0; trial < trials; trial++ {
-			packed, err := NewPackedMatrix(n)
+			m, err := NewPackedMatrix(n)
 			if err != nil {
 				t.Fatalf("NewPackedMatrix(%d): %v", n, err)
 			}
-			scalar := newScalarMatrix(n)
-			fillRandomMatrix(t, st, n, packed, scalar)
-
-			got, err := packed.VoteAll()
+			rows := fillRandomMatrix(t, st, n, m)
+			got, err := m.VoteAll()
 			if err != nil {
 				t.Fatalf("n=%d: VoteAll: %v", n, err)
 			}
-			if want := scalar.voteAllScalar(); got != want {
-				t.Fatalf("n=%d trial %d: VoteAll = %+v, want %+v\n%s", n, trial, got, want, packed)
+			if want := refVoteAll(rows); got != want {
+				t.Fatalf("n=%d trial %d: VoteAll = %+v, want %+v\n%s", n, trial, got, want, m)
 			}
-			// Per-column agreement on both representations.
 			for j := 1; j <= n; j++ {
-				pv, pok := packed.Vote(j)
-				sv, sok := scalar.Vote(j)
-				if pok != sok || (pok && pv != sv) {
-					t.Fatalf("n=%d col %d: packed Vote %v/%v, scalar %v/%v", n, j, pv, pok, sv, sok)
-				}
-				if got.Get(j) == Erased && pok {
-					t.Fatalf("n=%d col %d: VoteAll ⊥ but Vote decided", n, j)
-				}
-				if !pok {
-					continue
-				}
-				if v := got.Get(j); v != pv {
-					t.Fatalf("n=%d col %d: VoteAll %v, Vote %v", n, j, v, pv)
+				if v, ok := m.Vote(j); got.Get(j) != map[bool]Opinion{true: v, false: Erased}[ok] {
+					t.Fatalf("n=%d col %d: VoteAll %v, Vote %v/%v", n, j, got.Get(j), v, ok)
 				}
 			}
 		}
@@ -152,7 +122,8 @@ func TestVoteAllWorstCase(t *testing.T) {
 }
 
 // FuzzVoteAll is the go-fuzz harness of the differential test: arbitrary row
-// bytes (two planes per row) against the scalar reference at an arbitrary N.
+// bytes (two planes per row) against the byte-per-entry reference at an
+// arbitrary N.
 // The checked-in corpus below doubles as a regular seeded test in CI.
 func FuzzVoteAll(f *testing.F) {
 	f.Add(uint8(4), []byte{0xff, 0x0f, 0x03, 0x0c, 0x00, 0x00, 0x05, 0x0a})
@@ -165,7 +136,7 @@ func FuzzVoteAll(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scalar := newScalarMatrix(n)
+		rows := make([]Syndrome, n+1)
 		// Consume 16 bytes per row (op word, known word); rows beyond the
 		// data stay ε.
 		for j := 1; j <= n && len(data) >= 16; j++ {
@@ -179,15 +150,13 @@ func FuzzVoteAll(f *testing.F) {
 			if err := packed.SetBitRow(j, row); err != nil {
 				t.Fatal(err)
 			}
-			if err := scalar.SetRow(j, row.Unpack(n)); err != nil {
-				t.Fatal(err)
-			}
+			rows[j] = row.Unpack(n)
 		}
 		got, err := packed.VoteAll()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := scalar.voteAllScalar(); got != want {
+		if want := refVoteAll(rows); got != want {
 			t.Fatalf("n=%d: VoteAll = %+v, want %+v\n%s", n, got, want, packed)
 		}
 	})

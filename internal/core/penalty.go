@@ -69,8 +69,6 @@ type PenaltyReward struct {
 	// observe counts consecutive fault-free rounds of isolated nodes for
 	// the optional reintegration extension.
 	observe []int64
-	// masked enables the word-mask bookkeeping below (n <= MaxPackedN).
-	masked bool
 	// activeMask mirrors active[] as a bit mask (bit j-1 = node j).
 	activeMask uint64
 	// attention marks the nodes for which a Healthy verdict is not a no-op:
@@ -82,10 +80,14 @@ type PenaltyReward struct {
 }
 
 // NewPenaltyReward builds the algorithm state for an n-node system; all
-// counters start at zero and every node starts active.
+// counters start at zero and every node starts active. n is bounded by
+// MaxPackedN like every flat system.
 func NewPenaltyReward(n int, cfg PRConfig) (*PenaltyReward, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("core: penalty/reward needs n >= 1, got %d", n)
+	}
+	if err := checkFlatN(n); err != nil {
+		return nil, err
 	}
 	if err := cfg.Validate(n); err != nil {
 		return nil, err
@@ -98,13 +100,7 @@ func NewPenaltyReward(n int, cfg PRConfig) (*PenaltyReward, error) {
 		active:    make([]bool, n+1),
 		observe:   make([]int64, n+1),
 	}
-	for j := 1; j <= n; j++ {
-		pr.active[j] = true
-	}
-	pr.masked = n <= MaxPackedN
-	if pr.masked {
-		pr.activeMask = PlaneMask(n)
-	}
+	pr.Reset()
 	return pr, nil
 }
 
@@ -117,9 +113,7 @@ func (pr *PenaltyReward) Reset() {
 		pr.observe[j] = 0
 		pr.active[j] = true
 	}
-	if pr.masked {
-		pr.activeMask = PlaneMask(pr.n)
-	}
+	pr.activeMask = PlaneMask(pr.n)
 	pr.attention = 0
 }
 
@@ -196,9 +190,6 @@ func (pr *PenaltyReward) updateMasked(faultyMask uint64) (isolated, reintegrated
 // syncMask refreshes node i's bits in activeMask and attention after a
 // counter update.
 func (pr *PenaltyReward) syncMask(i int) {
-	if !pr.masked {
-		return
-	}
 	bit := uint64(1) << uint(i-1)
 	if pr.active[i] {
 		pr.activeMask |= bit
@@ -218,9 +209,6 @@ func (pr *PenaltyReward) syncMask(i int) {
 // (used after a snapshot restore replaces them).
 func (pr *PenaltyReward) rebuildMasks() {
 	pr.activeMask, pr.attention = 0, 0
-	if !pr.masked {
-		return
-	}
 	for i := 1; i <= pr.n; i++ {
 		pr.syncMask(i)
 	}
@@ -272,7 +260,7 @@ func (pr *PenaltyReward) Active() []bool {
 }
 
 // ActiveMask returns the activity vector as a bit mask (bit j-1 = node j
-// active) for systems within the packed bound; zero beyond it.
+// active).
 func (pr *PenaltyReward) ActiveMask() uint64 {
 	return pr.activeMask
 }

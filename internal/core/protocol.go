@@ -92,6 +92,9 @@ func (c Config) Validate() error {
 	if c.N < 2 {
 		return fmt.Errorf("core: need at least 2 nodes, got %d", c.N)
 	}
+	if err := checkFlatN(c.N); err != nil {
+		return err
+	}
 	if c.ID < 1 || c.ID > c.N {
 		return fmt.Errorf("core: node id %d out of range 1..%d", c.ID, c.N)
 	}
@@ -135,14 +138,13 @@ type RoundInput struct {
 	Collision CollisionFn
 }
 
-// PackedRoundInput is the plane-form round input for systems within the
-// packed bound (N <= MaxPackedN): what RoundInput carries as slices arrives
-// as bit masks and two-word syndromes, so the hot path never touches
-// per-entry byte vectors. Rows[j] is read only when Present bit j-1 is set
-// (the clear bit is the ε case), and Validity carries the validity bits
-// (Healthy = Op bit set; all entries Known in a well-formed input). Rows are
-// copied by value — the caller keeps ownership of the slice and may reuse it
-// immediately after the call.
+// PackedRoundInput is the plane-form round input: what RoundInput carries as
+// slices arrives as bit masks and two-word syndromes, so the hot path never
+// touches per-entry byte vectors. Rows[j] is read only when Present bit j-1
+// is set (the clear bit is the ε case), and Validity carries the validity
+// bits (Healthy = Op bit set; all entries Known in a well-formed input). Rows
+// are copied by value — the caller keeps ownership of the slice and may
+// reuse it immediately after the call.
 type PackedRoundInput struct {
 	// Round is the absolute round number; it must advance by exactly one
 	// per step.
@@ -174,9 +176,8 @@ type RoundOutput struct {
 	// ConsHV is the consistent health vector for DiagnosedRound, or nil
 	// while the protocol pipeline is still warming up.
 	ConsHV Syndrome
-	// ConsHVBits is the packed form of ConsHV for systems within the packed
-	// bound (every entry Known once ConsHV is non-nil); the zero value
-	// during warm-up and for N > MaxPackedN.
+	// ConsHVBits is the packed form of ConsHV (every entry Known once ConsHV
+	// is non-nil); the zero value during warm-up.
 	ConsHVBits BitSyndrome
 	// DiagnosedRound is the absolute round ConsHV refers to (Round-2 or
 	// Round-3 per Lemma 1); -1 when ConsHV is nil.
@@ -192,9 +193,8 @@ type RoundOutput struct {
 	// Active is the activity vector after the update (1-based). Like Send it
 	// is ring-buffered: valid for the next three Steps, then overwritten.
 	Active []bool
-	// ActiveMask is the packed activity vector (bit j-1 = node j active) for
-	// systems within the packed bound; zero beyond it. Unlike Active it is a
-	// value, so it is retain-safe.
+	// ActiveMask is the packed activity vector (bit j-1 = node j active).
+	// Unlike Active it is a value, so it is retain-safe.
 	ActiveMask uint64
 	// Accused lists the minority accusations raised in this round
 	// (membership mode only).
@@ -203,58 +203,22 @@ type RoundOutput struct {
 
 // alignBuf holds one round's buffered controller observations for read and
 // send alignment (Alg. 1 lines 16-17): the raw interface state and the
-// aligned local syndrome derived from it. The protocol keeps two of these
-// and alternates between them — the buffer written in round k is the one
-// read in round k+1 — so the steady-state hot path performs no allocation
-// for the clones the original algorithm keeps.
+// aligned local syndrome derived from it. rows[j] is this buffer's copy of
+// interface variable j, meaningful only when set bit j-1 holds (a clear bit
+// is the ε case); ls is the validity vector observed in the buffered round
+// and al the aligned local syndrome computed in it (used by send alignment,
+// Alg. 1 line 9). The protocol keeps two of these and alternates between
+// them — the buffer written in round k is the one read in round k+1 — so the
+// steady-state hot path performs no allocation for the clones the original
+// algorithm keeps.
 type alignBuf struct {
-	// dm[j] is this buffer's copy of interface variable j; it is meaningful
-	// only when set[j] holds (set[j] == false is the ε case, a nil DM).
-	dm  []Syndrome
-	set []bool
-	// ls is the validity vector observed in the buffered round.
-	ls Syndrome
-	// al is the aligned local syndrome computed in the buffered round (used
-	// by send alignment, Alg. 1 line 9).
-	al Syndrome
-}
-
-func newAlignBuf(n int) alignBuf {
-	b := alignBuf{
-		dm:  make([]Syndrome, n+1),
-		set: make([]bool, n+1),
-		ls:  NewSyndrome(n, Healthy),
-		al:  NewSyndrome(n, Healthy),
-	}
-	for j := 1; j <= n; j++ {
-		b.dm[j] = NewSyndrome(n, Healthy)
-		b.set[j] = true
-	}
-	return b
-}
-
-// alignBufP is the packed form of alignBuf: per-variable two-word syndromes
-// plus one presence mask instead of byte vectors and a bool slice. rows[j]
-// is meaningful only when set bit j-1 holds.
-type alignBufP struct {
 	rows []BitSyndrome
 	set  uint64
 	ls   BitSyndrome
 	al   BitSyndrome
 }
 
-func newAlignBufP(n int) alignBufP {
-	b := alignBufP{rows: make([]BitSyndrome, n+1)}
-	hw := bitSyndromeAllHealthy(n)
-	for j := 1; j <= n; j++ {
-		b.rows[j] = hw
-	}
-	b.set = PlaneMask(n)
-	b.ls, b.al = hw, hw
-	return b
-}
-
-func (b *alignBufP) reset(n int) {
+func (b *alignBuf) reset(n int) {
 	hw := bitSyndromeAllHealthy(n)
 	for j := 1; j <= n; j++ {
 		b.rows[j] = hw
@@ -263,8 +227,8 @@ func (b *alignBufP) reset(n int) {
 	b.ls, b.al = hw, hw
 }
 
-// The packedBlock tiers are the per-round retained blocks of the packed hot
-// path: the diagnostic matrix header, its two row planes, and the scalar
+// The packedBlock tiers are the per-round retained blocks of the hot path:
+// the diagnostic matrix header, its two row planes, and the byte-per-entry
 // consHV/outSyn views of RoundOutput all live in one allocation. Tiering at
 // powers of two keeps the footprint close to the system size (the paper's
 // experiments run at N <= 16) while still costing exactly one allocation per
@@ -333,12 +297,11 @@ func newPackedRoundBlock(n int) (m *Matrix, consHV, outSyn Syndrome) {
 // Protocol is the per-node diagnostic job state machine (Alg. 1). Create one
 // per node with NewProtocol and call Step exactly once per TDMA round.
 //
-// Systems within the packed bound (N <= MaxPackedN) run the bit-plane hot
-// path: alignment state, matrix rows, voting and the activity update all
-// operate on machine words, and StepPacked accepts the round input in packed
-// form directly. Step remains fully supported (it packs its scalar input and
-// delegates), wider systems transparently use the scalar reference path, and
-// both paths produce identical outputs and snapshot bytes.
+// The state is bit-plane throughout: alignment state, matrix rows, voting
+// and the activity update all operate on machine words, which bounds a flat
+// system at MaxPackedN nodes (internal/fleet shards wider ones). StepPacked
+// accepts the round input in packed form directly; Step packs its
+// byte-per-entry input and delegates.
 //
 // Buffer ownership: Step copies its inputs into protocol-owned scratch
 // (callers may reuse RoundInput slices immediately). The analysis results in
@@ -362,31 +325,17 @@ type Protocol struct {
 	// off discipline and lifetime as metrics.
 	trace *StepTrace
 
-	// packed selects the bit-plane hot path; set at construction for
-	// N <= MaxPackedN (tests force it off to exercise the scalar reference).
-	packed bool
-
-	// bufs double-buffers the read/send-alignment state of the scalar path:
-	// round k reads bufs[k%2] (written in round k-1) and writes
-	// bufs[(k+1)%2]. pbufs is the packed equivalent; only the representation
-	// in use is allocated.
-	bufs  [2]alignBuf
-	pbufs [2]alignBufP
-	// alDM is the scalar scratch aligned-DM view of the current round. Its
-	// entries alias the previous round's buffer or the caller's input and
-	// never escape: the diagnostic matrix copies every row it is given.
-	alDM []Syndrome
-	// inRows is the packed path's scratch for Step's scalar-to-packed input
-	// conversion (StepPacked callers provide their own rows).
+	// bufs double-buffers the read/send-alignment state: round k reads
+	// bufs[k%2] (written in round k-1) and writes bufs[(k+1)%2].
+	bufs [2]alignBuf
+	// inRows is the scratch for Step's input conversion (StepPacked callers
+	// provide their own rows).
 	inRows []BitSyndrome
 	// lastSent / prevSent are the dissemination payloads of the previous
 	// two rounds; the one physically transmitted in round k-1 is this
-	// node's own row of the diagnostic matrix. The packed path keeps the
-	// plane forms alongside (the scalar forms stay current for snapshots).
-	lastSent  Syndrome
-	prevSent  Syndrome
-	lastSentP BitSyndrome
-	prevSentP BitSyndrome
+	// node's own row of the diagnostic matrix.
+	lastSent BitSyndrome
+	prevSent BitSyndrome
 	// sendBufs and activeBufs are the rings backing RoundOutput.Send and
 	// RoundOutput.Active: round k writes slot k%4, so an output's buffers
 	// survive the next three Steps before being reused.
@@ -394,13 +343,13 @@ type Protocol struct {
 	activeBufs [4][]bool
 	// accuse holds the remaining dissemination writes each pending minority
 	// accusation is carried for (membership mode); accuseMask mirrors its
-	// non-zero entries as a bit mask on the packed path.
+	// non-zero entries as a bit mask.
 	accuse     []int
 	accuseMask uint64
 	// accusedAge[j] counts the rounds since an accusation against j was last
 	// raised (saturating); it drives the accusationSkew guard. agingMask
-	// mirrors the non-saturated entries (age <= accusationSkew) on the
-	// packed path so the per-round aging touches only live counters.
+	// mirrors the non-saturated entries (age <= accusationSkew) so the
+	// per-round aging touches only live counters.
 	accusedAge []int
 	agingMask  uint64
 	// invPrevActive is the previous round's activity vector, kept only by
@@ -408,23 +357,9 @@ type Protocol struct {
 	invPrevActive []bool
 }
 
-// NewProtocol builds the diagnostic job for one node. Systems with
-// N <= MaxPackedN automatically run the bit-packed hot path.
+// NewProtocol builds the diagnostic job for one node. It refuses systems
+// wider than MaxPackedN; shard those with internal/fleet.
 func NewProtocol(cfg Config) (*Protocol, error) {
-	return newProtocol(cfg, cfg.N <= MaxPackedN)
-}
-
-// NewScalarProtocol is NewProtocol pinned to the scalar reference
-// representation regardless of N. Differential tooling — forced-scalar
-// clusters, the divergence bisector — uses it to run the reference path on
-// packed-eligible sizes; production callers should prefer NewProtocol.
-func NewScalarProtocol(cfg Config) (*Protocol, error) {
-	return newProtocol(cfg, false)
-}
-
-// newProtocol is NewProtocol with an explicit representation choice; tests
-// force packed off to run the scalar reference on packed-eligible sizes.
-func newProtocol(cfg Config, packed bool) (*Protocol, error) {
 	if cfg.Mode == 0 {
 		cfg.Mode = ModeDiagnostic
 	}
@@ -438,28 +373,18 @@ func newProtocol(cfg Config, packed bool) (*Protocol, error) {
 	p := &Protocol{
 		cfg:        cfg,
 		pr:         pr,
-		packed:     packed,
-		lastSent:   NewSyndrome(cfg.N, Healthy),
-		prevSent:   NewSyndrome(cfg.N, Healthy),
+		inRows:     make([]BitSyndrome, cfg.N+1),
 		accuse:     make([]int, cfg.N+1),
 		accusedAge: make([]int, cfg.N+1),
 	}
-	if packed {
-		p.pbufs = [2]alignBufP{newAlignBufP(cfg.N), newAlignBufP(cfg.N)}
-		p.inRows = make([]BitSyndrome, cfg.N+1)
-		p.lastSentP = bitSyndromeAllHealthy(cfg.N)
-		p.prevSentP = bitSyndromeAllHealthy(cfg.N)
-	} else {
-		p.bufs = [2]alignBuf{newAlignBuf(cfg.N), newAlignBuf(cfg.N)}
-		p.alDM = make([]Syndrome, cfg.N+1)
+	for b := range p.bufs {
+		p.bufs[b].rows = make([]BitSyndrome, cfg.N+1)
 	}
 	for i := range p.sendBufs {
 		p.sendBufs[i] = make([]byte, EncodedLen(cfg.N))
 		p.activeBufs[i] = make([]bool, cfg.N+1)
 	}
-	for j := range p.accusedAge {
-		p.accusedAge[j] = accusationSkew + 1
-	}
+	p.Reset()
 	return p, nil
 }
 
@@ -471,28 +396,10 @@ func newProtocol(cfg Config, packed bool) (*Protocol, error) {
 // Active follow the usual ring-buffer window.
 func (p *Protocol) Reset() {
 	n := p.cfg.N
-	if p.packed {
-		p.pbufs[0].reset(n)
-		p.pbufs[1].reset(n)
-		p.lastSentP = bitSyndromeAllHealthy(n)
-		p.prevSentP = bitSyndromeAllHealthy(n)
-	} else {
-		for b := range p.bufs {
-			buf := &p.bufs[b]
-			for j := 1; j <= n; j++ {
-				buf.set[j] = true
-				for m := 1; m <= n; m++ {
-					buf.dm[j][m] = Healthy
-				}
-				buf.ls[j] = Healthy
-				buf.al[j] = Healthy
-			}
-		}
-	}
-	// lastSent/prevSent alias retain-safe per-round blocks of the previous
-	// run; fresh syndromes keep those blocks immutable.
-	p.lastSent = NewSyndrome(n, Healthy)
-	p.prevSent = NewSyndrome(n, Healthy)
+	p.bufs[0].reset(n)
+	p.bufs[1].reset(n)
+	p.lastSent = bitSyndromeAllHealthy(n)
+	p.prevSent = p.lastSent
 	for j := range p.accuse {
 		p.accuse[j] = 0
 		p.accusedAge[j] = accusationSkew + 1
@@ -531,18 +438,14 @@ func (p *Protocol) ResetConfig(cfg Config) error {
 // Config returns the protocol's configuration.
 func (p *Protocol) Config() Config { return p.cfg }
 
-// Packed reports whether the protocol runs the bit-packed hot path (always
-// the case for N <= MaxPackedN instances built with NewProtocol).
-func (p *Protocol) Packed() bool { return p.packed }
-
 // PenaltyReward exposes the node's Alg. 2 state for inspection.
 func (p *Protocol) PenaltyReward() *PenaltyReward { return p.pr }
 
-// Step executes the diagnostic job for one round. Within the packed bound it
-// converts the input to plane form and runs the packed path (callers that
-// already hold packed observations use StepPacked and skip the conversion);
-// entries of DMs/Validity outside {Faulty, Healthy, Erased} are normalised
-// to ε there, which Eqn. 1's tally treats identically.
+// Step executes the diagnostic job for one round. It converts the input to
+// plane form and runs StepPacked's path (callers that already hold packed
+// observations use StepPacked and skip the conversion); entries of
+// DMs/Validity outside {Faulty, Healthy, Erased} are normalised to ε, which
+// Eqn. 1's tally treats identically.
 //
 // The input's slices stay caller-owned: Step copies what it needs, so a
 // caller may reuse its DMs/Validity buffers immediately after the call.
@@ -564,9 +467,6 @@ func (p *Protocol) Step(in RoundInput) (RoundOutput, error) {
 			return RoundOutput{}, fmt.Errorf("core: matrix row %d has %d entries, want %d", j, in.DMs[j].N(), n)
 		}
 	}
-	if !p.packed {
-		return p.stepScalar(in)
-	}
 	var present uint64
 	for j := 1; j <= n; j++ {
 		if in.DMs[j] != nil {
@@ -584,15 +484,11 @@ func (p *Protocol) Step(in RoundInput) (RoundOutput, error) {
 }
 
 // StepPacked executes the diagnostic job for one round on packed
-// observations, the zero-conversion entry of the hot path. It fails on
-// instances running the scalar representation (N > MaxPackedN). Rows stays
+// observations, the zero-conversion entry of the hot path. Rows stays
 // caller-owned (entries are copied by value) and may be reused immediately.
 //
 //ttdiag:noretain params
 func (p *Protocol) StepPacked(in PackedRoundInput) (RoundOutput, error) {
-	if !p.packed {
-		return RoundOutput{}, fmt.Errorf("core: node %d: StepPacked needs the packed representation (N = %d > %d); use Step", p.cfg.ID, p.cfg.N, MaxPackedN)
-	}
 	if want := p.cfg.StartRound + p.steps; in.Round != want {
 		return RoundOutput{}, fmt.Errorf("core: node %d: Step round %d, want %d", p.cfg.ID, in.Round, want)
 	}
@@ -602,10 +498,10 @@ func (p *Protocol) StepPacked(in PackedRoundInput) (RoundOutput, error) {
 	return p.stepPacked(in)
 }
 
-// stepPacked is the bit-plane diagnostic job: every phase of Alg. 1 operates
-// on word masks, and the only allocation is the round's retained output
-// block. It is step-for-step equivalent to stepScalar (pinned by the
-// differential tests in packed_equivalence_test.go).
+// stepPacked is the diagnostic job: every phase of Alg. 1 operates on word
+// masks, and the only allocation is the round's retained output block. It is
+// checked round by round against the byte-per-entry reference of
+// reference_test.go.
 //
 //ttdiag:noretain params
 func (p *Protocol) stepPacked(in PackedRoundInput) (RoundOutput, error) {
@@ -615,8 +511,8 @@ func (p *Protocol) stepPacked(in PackedRoundInput) (RoundOutput, error) {
 	validity := in.Validity.normalized(all)
 
 	// rd was written in the previous round; wr becomes next round's rd.
-	rd := &p.pbufs[p.steps&1]
-	wr := &p.pbufs[(p.steps+1)&1]
+	rd := &p.bufs[p.steps&1]
+	wr := &p.bufs[(p.steps+1)&1]
 
 	// The round's entire indefinitely-retainable output — matrix planes,
 	// consistent health vector and outgoing syndrome — lives in one fixed-
@@ -659,7 +555,7 @@ func (p *Protocol) stepPacked(in PackedRoundInput) (RoundOutput, error) {
 				// This node's own row is its locally buffered copy of the
 				// syndrome it physically transmitted in round k-1 — available
 				// even when the transmission itself failed (Lemma 3).
-				row = p.ownRowP()
+				row = p.ownRow()
 			case j <= l:
 				row = rd.rows[j]
 			default:
@@ -675,8 +571,7 @@ func (p *Protocol) stepPacked(in PackedRoundInput) (RoundOutput, error) {
 		// H-maj returned ⊥ on the columns outside consBits.Known: at least
 		// N-1 nodes could not send their syndromes. Only self-diagnosis can
 		// be left undecided, and it falls back to the local collision
-		// detector (Alg. 1 line 14), queried in ascending column order like
-		// the scalar path.
+		// detector (Alg. 1 line 14), queried in ascending column order.
 		for rem := all &^ consBits.Known; rem != 0; rem &= rem - 1 {
 			bit := rem & -rem
 			if p.collisionVerdict(in.Collision, diagRound) == Healthy {
@@ -695,7 +590,7 @@ func (p *Protocol) stepPacked(in PackedRoundInput) (RoundOutput, error) {
 			// recent minority accusation are skipped, as is the node's own
 			// entry once it sees itself convicted (it is the accused party
 			// and must not counter-accuse rows carrying the other clique's
-			// verdict) — see accusationSkew and disagrees.
+			// verdict) — see accusationSkew.
 			skip := p.guardMask()
 			if consBits.Op&self == 0 {
 				skip |= self
@@ -776,8 +671,8 @@ func (p *Protocol) stepPacked(in PackedRoundInput) (RoundOutput, error) {
 	// Buffering for the next round (Alg. 1 lines 16-17): copy this round's
 	// raw observations into the buffer the next step will read (two-word
 	// value copies for the present rows). wr.al already holds the aligned
-	// local syndrome, and outSyn/outBits live in this round's private block
-	// or are values, so retaining them as lastSent costs nothing.
+	// local syndrome, and outBits is a value, so retaining it as lastSent
+	// costs nothing.
 	wr.set = present
 	for rem := present; rem != 0; rem &= rem - 1 {
 		j := bits.TrailingZeros64(rem) + 1
@@ -785,206 +680,7 @@ func (p *Protocol) stepPacked(in PackedRoundInput) (RoundOutput, error) {
 	}
 	wr.ls = validity
 	p.prevSent = p.lastSent
-	p.lastSent = outSyn
-	p.prevSentP = p.lastSentP
-	p.lastSentP = outBits
-	if p.metrics != nil {
-		p.emitStepMetrics(&out, matrix, warm)
-	}
-	if p.trace != nil {
-		p.emitStepTrace(&out, warm)
-	}
-	p.ageAccusations()
-	p.steps++
-	if invariant.Enabled {
-		p.checkStepInvariants(out)
-	}
-	return out, nil
-}
-
-// stepScalar is the byte-per-entry diagnostic job: the reference
-// implementation for systems beyond the packed bound and for the
-// differential tests (inputs are pre-validated by Step).
-//
-//ttdiag:noretain params
-func (p *Protocol) stepScalar(in RoundInput) (RoundOutput, error) {
-	n := p.cfg.N
-
-	// rd was written in the previous round; wr becomes next round's rd.
-	rd := &p.bufs[p.steps&1]
-	wr := &p.bufs[(p.steps+1)&1]
-
-	// The round's entire indefinitely-retainable output — matrix cells,
-	// consistent health vector and outgoing syndrome — lives in one block,
-	// so the steady-state warm path costs a fixed two allocations per Step
-	// regardless of N (the block and the Matrix header; Send and Active come
-	// from the protocol's buffer rings).
-	w := n + 1
-	block := make(Syndrome, w*w+2*w)
-	cells := block[0 : w*w : w*w]
-	consHV := block[w*w : w*w+w : w*w+w]
-	outSyn := block[w*w+w : w*w+2*w : w*w+2*w]
-	consHV[0], outSyn[0] = Erased, Erased
-
-	// Phases 1 and 3 — local detection and aggregation (read alignment,
-	// Alg. 1 lines 1-6): entries 1..l_i come from the previous read, the
-	// rest from the current one, so every aligned value refers to a message
-	// sent in round k-1. Under dynamic scheduling the read point is pinned
-	// to round start (l = 0): the inputs come from the middleware's
-	// round-start snapshot, so everything is read from curr. The aligned
-	// syndromes stay scratch (alDM aliases rd and the caller's input; the
-	// matrix copies every row), and the aligned local syndrome is computed
-	// directly into wr.al, where next round's send alignment expects it.
-	l := p.cfg.L
-	if p.cfg.Dynamic {
-		l = 0
-	}
-	alDM := p.alDM
-	alLS := wr.al
-	for j := 1; j <= n; j++ {
-		if j <= l {
-			alDM[j] = nil
-			if rd.set[j] {
-				alDM[j] = rd.dm[j]
-			}
-			alLS[j] = rd.ls[j]
-		} else {
-			alDM[j] = in.DMs[j]
-			alLS[j] = in.Validity[j]
-		}
-	}
-
-	out := RoundOutput{Round: in.Round, DiagnosedRound: -1}
-
-	// Phase 4 — analysis (Alg. 1 lines 11-14). In membership mode this runs
-	// before dissemination so that minority accusations can be added to the
-	// outgoing syndrome; in diagnostic mode the ordering is unobservable.
-	warm := p.steps >= p.cfg.Lag()
-	var matrix *Matrix
-	if warm {
-		matrix = newMatrixIn(n, cells)
-		for j := 1; j <= n; j++ {
-			row := alDM[j]
-			if j == p.cfg.ID {
-				// This node's own row is its locally buffered copy of the
-				// syndrome it physically transmitted in round k-1 — available
-				// even when the transmission itself failed (Lemma 3).
-				row = p.ownRow()
-			}
-			if err := matrix.SetRow(j, row); err != nil {
-				return RoundOutput{}, err
-			}
-		}
-		diagRound := in.Round - p.cfg.Lag()
-		for j := 1; j <= n; j++ {
-			if v, ok := matrix.Vote(j); ok {
-				consHV[j] = v
-				continue
-			}
-			// H-maj returned ⊥: at least N-1 nodes could not send their
-			// syndromes. Only self-diagnosis can be left undecided, and it
-			// falls back to the local collision detector (Alg. 1 line 14).
-			consHV[j] = p.collisionVerdict(in.Collision, diagRound)
-		}
-		out.ConsHV = consHV
-		if n <= MaxPackedN {
-			out.ConsHVBits = packSyndrome(consHV)
-		}
-		out.DiagnosedRound = diagRound
-		out.Matrix = matrix
-
-		if p.cfg.Mode == ModeMembership {
-			for j := 1; j <= n; j++ {
-				row := matrix.Row(j)
-				if row == nil || j == p.cfg.ID {
-					continue
-				}
-				if p.disagrees(row, consHV, j) {
-					p.accuse[j] = accusationTTL
-					if j <= MaxPackedN {
-						p.accuseMask |= 1 << uint(j-1)
-					}
-					out.Accused = append(out.Accused, j)
-					if p.trace != nil {
-						p.trace.noteEvidence(j, p.disagreesDefinite(row, consHV, j))
-					}
-				}
-			}
-			// Age updates happen after the whole check loop so that every
-			// row is judged against the same guard state.
-			for _, j := range out.Accused {
-				p.accusedAge[j] = 0
-				if j <= MaxPackedN {
-					p.agingMask |= 1 << uint(j-1)
-				}
-			}
-			// A node that finds itself convicted has (from its own point of
-			// view) been minority-accused: guard its own entry so it does
-			// not counter-accuse rows that still carry the older verdict.
-			if consHV[p.cfg.ID] == Faulty {
-				p.accusedAge[p.cfg.ID] = 0
-				if p.cfg.ID <= MaxPackedN {
-					p.agingMask |= 1 << uint(p.cfg.ID-1)
-				}
-			}
-		}
-	}
-
-	// Phase 2 — dissemination (send alignment, Alg. 1 lines 7-10): choose
-	// the syndrome whose transmission round keeps all disseminated
-	// syndromes referring to the same diagnosed round.
-	switch {
-	case p.cfg.AllSendCurrRound:
-		copy(outSyn, alLS)
-	case p.cfg.SendCurrRound:
-		copy(outSyn, rd.al)
-	default:
-		copy(outSyn, alLS)
-	}
-	if p.cfg.Mode == ModeMembership {
-		for j := 1; j <= n; j++ {
-			if p.accuse[j] > 0 {
-				outSyn[j] = Faulty
-				p.accuse[j]--
-				if p.accuse[j] == 0 && j <= MaxPackedN {
-					p.accuseMask &^= 1 << uint(j-1)
-				}
-			}
-		}
-	}
-	send := p.sendBufs[p.steps&3]
-	outSyn.EncodeInto(send)
-	out.Send = send
-	out.SendSyndrome = outSyn
-
-	// Phase 5 — update counters (Alg. 1 line 15, Alg. 2).
-	if out.ConsHV != nil {
-		iso, reint, err := p.pr.Update(out.ConsHV)
-		if err != nil {
-			return RoundOutput{}, err
-		}
-		out.Isolated = iso
-		out.Reintegrated = reint
-	}
-	active := p.activeBufs[p.steps&3]
-	copy(active, p.pr.active)
-	out.Active = active
-	out.ActiveMask = p.pr.activeMask
-
-	// Buffering for the next round (Alg. 1 lines 16-17): copy this round's
-	// raw observations into the buffer the next Step will read. wr.al
-	// already holds the aligned local syndrome (written during alignment),
-	// and outSyn lives in this round's private block, so retaining it as
-	// lastSent costs nothing and is never mutated by later rounds.
-	for j := 1; j <= n; j++ {
-		wr.set[j] = in.DMs[j] != nil
-		if wr.set[j] {
-			copy(wr.dm[j], in.DMs[j])
-		}
-	}
-	copy(wr.ls, in.Validity)
-	p.prevSent = p.lastSent
-	p.lastSent = outSyn
+	p.lastSent = outBits
 	if p.metrics != nil {
 		p.emitStepMetrics(&out, matrix, warm)
 	}
@@ -1003,19 +699,11 @@ func (p *Protocol) stepScalar(in RoundInput) (RoundOutput, error) {
 // window (the steady state of every node) carry no mask bit and cost
 // nothing.
 func (p *Protocol) ageAccusations() {
-	if p.agingMask != 0 || p.packed {
-		for rem := p.agingMask; rem != 0; rem &= rem - 1 {
-			j := bits.TrailingZeros64(rem) + 1
-			p.accusedAge[j]++
-			if p.accusedAge[j] > accusationSkew {
-				p.agingMask &^= 1 << uint(j-1)
-			}
-		}
-		return
-	}
-	for j := 1; j <= p.cfg.N; j++ {
-		if p.accusedAge[j] <= accusationSkew {
-			p.accusedAge[j]++
+	for rem := p.agingMask; rem != 0; rem &= rem - 1 {
+		j := bits.TrailingZeros64(rem) + 1
+		p.accusedAge[j]++
+		if p.accusedAge[j] > accusationSkew {
+			p.agingMask &^= 1 << uint(j-1)
 		}
 	}
 }
@@ -1037,7 +725,7 @@ func (p *Protocol) guardMask() uint64 {
 // counter slices (used after a snapshot restore replaces them).
 func (p *Protocol) rebuildAccusationMasks() {
 	p.accuseMask, p.agingMask = 0, 0
-	for j := 1; j <= p.cfg.N && j <= MaxPackedN; j++ {
+	for j := 1; j <= p.cfg.N; j++ {
 		bit := uint64(1) << uint(j-1)
 		if p.accuse[j] > 0 {
 			p.accuseMask |= bit
@@ -1052,19 +740,11 @@ func (p *Protocol) rebuildAccusationMasks() {
 // previous round: the last written payload when the node's job runs before
 // its sending slot, and the one before that otherwise (the write of round
 // k-1 is only transmitted in round k).
-func (p *Protocol) ownRow() Syndrome {
+func (p *Protocol) ownRow() BitSyndrome {
 	if p.cfg.SendCurrRound {
 		return p.lastSent
 	}
 	return p.prevSent
-}
-
-// ownRowP is ownRow on the packed path.
-func (p *Protocol) ownRowP() BitSyndrome {
-	if p.cfg.SendCurrRound {
-		return p.lastSentP
-	}
-	return p.prevSentP
 }
 
 func (p *Protocol) collisionVerdict(fn CollisionFn, round int) Opinion {
@@ -1077,30 +757,4 @@ func (p *Protocol) collisionVerdict(fn CollisionFn, round int) Opinion {
 	default:
 		return Healthy
 	}
-}
-
-// disagrees reports whether row (node j's local syndrome) conflicts with the
-// consistent health vector on any node other than j itself (the diagonal is
-// the unreliable self-opinion and is ignored). Entries whose health-vector
-// value may still be driven by a recent minority accusation are skipped —
-// see accusationSkew.
-func (p *Protocol) disagrees(row, consHV Syndrome, j int) bool {
-	for m := 1; m <= consHV.N(); m++ {
-		if m == j {
-			continue
-		}
-		if p.accusedAge[m] >= 1 && p.accusedAge[m] <= accusationSkew {
-			continue
-		}
-		// The protocol's own entry is guarded as soon as the node sees
-		// itself convicted (it is the accused party and must not
-		// counter-accuse rows carrying the other clique's verdict).
-		if m == p.cfg.ID && consHV[m] == Faulty {
-			continue
-		}
-		if row[m] != consHV[m] {
-			return true
-		}
-	}
-	return false
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"math/bits"
 )
 
 // The snapshot DTOs capture every field of the protocol state machine, so a
@@ -32,15 +33,24 @@ type prSnapshot struct {
 }
 
 // Snapshot serialises the protocol's full state (configuration, alignment
-// buffers, accusation state and penalty/reward counters) to JSON. The wire
-// format is unchanged from the pre-double-buffering layout: only the buffer
-// the next Step will read (the previous round's observations) is captured.
+// buffers, accusation state and penalty/reward counters) to JSON. Only the
+// buffer the next Step will read (the previous round's observations) is
+// captured; syndromes are written byte-per-entry.
 func (p *Protocol) Snapshot() ([]byte, error) {
+	n := p.cfg.N
+	rd := &p.bufs[p.steps&1]
+	var syn [4]Syndrome
+	for i, b := range [4]BitSyndrome{rd.ls, rd.al, p.lastSent, p.prevSent} {
+		syn[i] = b.Unpack(n)
+	}
 	snap := protocolSnapshot{
 		Config:     p.cfg,
 		Steps:      p.steps,
-		LastSent:   p.lastSent,
-		PrevSent:   p.prevSent,
+		PrevDM:     make(map[int]Syndrome),
+		PrevLS:     syn[0],
+		PrevAlLS:   syn[1],
+		LastSent:   syn[2],
+		PrevSent:   syn[3],
 		Accuse:     p.accuse,
 		AccusedAge: p.accusedAge,
 		PR: prSnapshot{
@@ -50,27 +60,9 @@ func (p *Protocol) Snapshot() ([]byte, error) {
 			Observe:   p.pr.observe,
 		},
 	}
-	snap.PrevDM = make(map[int]Syndrome)
-	n := p.cfg.N
-	if p.packed {
-		// The packed alignment state materialises to the exact scalar form:
-		// the JSON bytes are identical to a scalar-path snapshot.
-		rd := &p.pbufs[p.steps&1]
-		snap.PrevLS = rd.ls.Unpack(n)
-		snap.PrevAlLS = rd.al.Unpack(n)
-		for j := 1; j <= n; j++ {
-			if rd.set&(1<<uint(j-1)) != 0 {
-				snap.PrevDM[j] = rd.rows[j].Unpack(n)
-			}
-		}
-	} else {
-		rd := &p.bufs[p.steps&1]
-		snap.PrevLS = rd.ls
-		snap.PrevAlLS = rd.al
-		for j := 1; j <= n; j++ {
-			if rd.set[j] {
-				snap.PrevDM[j] = rd.dm[j]
-			}
+	for j := 1; j <= n; j++ {
+		if rd.set&(1<<uint(j-1)) != 0 {
+			snap.PrevDM[j] = rd.rows[j].Unpack(n)
 		}
 	}
 	return json.Marshal(snap)
@@ -78,6 +70,10 @@ func (p *Protocol) Snapshot() ([]byte, error) {
 
 // RestoreProtocol rebuilds a protocol instance from a Snapshot. The restored
 // instance continues at the next round after the snapshot was taken.
+// Restoring is lossless: a snapshot that would not re-serialise to the same
+// state — a syndrome entry outside {Faulty, Healthy, Erased}, a prevDM key
+// outside 1..N, a missing mode — is rejected rather than silently
+// normalised.
 func RestoreProtocol(data []byte) (*Protocol, error) {
 	// The round cursor is decoded through a pointer shadow so a checkpoint
 	// that lost its "steps" field is rejected instead of silently resuming
@@ -100,27 +96,36 @@ func RestoreProtocol(data []byte) (*Protocol, error) {
 	}
 	snap := wire.protocolSnapshot
 	snap.Steps = *wire.Steps
+	if snap.Config.Mode == 0 {
+		return nil, fmt.Errorf("core: restore: checkpoint config has no mode")
+	}
 	p, err := NewProtocol(snap.Config)
 	if err != nil {
 		return nil, fmt.Errorf("core: restore: %w", err)
 	}
 	n := snap.Config.N
-	check := func(name string, s Syndrome) error {
+	pack := func(name string, s Syndrome) (BitSyndrome, error) {
 		if s.N() != n {
-			return fmt.Errorf("core: restore: %s covers %d nodes, want %d", name, s.N(), n)
+			return BitSyndrome{}, fmt.Errorf("core: restore: %s covers %d nodes, want %d", name, s.N(), n)
 		}
-		return nil
+		for j, v := range s {
+			if v > Erased || j == 0 && v != Erased {
+				return BitSyndrome{}, fmt.Errorf("core: restore: %s holds a value outside {Faulty, Healthy, ε}", name)
+			}
+		}
+		return packSyndrome(s), nil
 	}
 	// Iterated as an ordered slice, not a map: which syndrome's error is
 	// reported must not depend on map-iteration order (no-map-range-state).
-	for _, it := range []struct {
+	var packed [4]BitSyndrome
+	for i, it := range []struct {
 		name string
 		s    Syndrome
 	}{
 		{"prevLS", snap.PrevLS}, {"prevAlLS", snap.PrevAlLS},
 		{"lastSent", snap.LastSent}, {"prevSent", snap.PrevSent},
 	} {
-		if err := check(it.name, it.s); err != nil {
+		if packed[i], err = pack(it.name, it.s); err != nil {
 			return nil, err
 		}
 	}
@@ -132,44 +137,25 @@ func RestoreProtocol(data []byte) (*Protocol, error) {
 		return nil, fmt.Errorf("core: restore: penalty/reward state has wrong size")
 	}
 	p.steps = snap.Steps
-	p.lastSent = snap.LastSent
-	p.prevSent = snap.PrevSent
-	p.accuse = snap.Accuse
-	p.accusedAge = snap.AccusedAge
 	// Fill the buffer the next Step will read; the other buffer is dead
 	// state (it is fully rewritten before it is ever read again).
-	if p.packed {
-		rd := &p.pbufs[p.steps&1]
-		rd.ls = packSyndrome(snap.PrevLS)
-		rd.al = packSyndrome(snap.PrevAlLS)
-		rd.set = 0
-		for j := 1; j <= n; j++ {
-			if dm, ok := snap.PrevDM[j]; ok {
-				if err := check("prevDM", dm); err != nil {
-					return nil, err
-				}
-				rd.rows[j] = packSyndrome(dm)
-				rd.set |= 1 << uint(j-1)
+	rd := &p.bufs[p.steps&1]
+	rd.ls, rd.al = packed[0], packed[1]
+	p.lastSent, p.prevSent = packed[2], packed[3]
+	rd.set = 0
+	for j := 1; j <= n; j++ {
+		if dm, ok := snap.PrevDM[j]; ok {
+			if rd.rows[j], err = pack("prevDM", dm); err != nil {
+				return nil, err
 			}
-		}
-		p.lastSentP = packSyndrome(snap.LastSent)
-		p.prevSentP = packSyndrome(snap.PrevSent)
-	} else {
-		rd := &p.bufs[p.steps&1]
-		copy(rd.ls, snap.PrevLS)
-		copy(rd.al, snap.PrevAlLS)
-		for j := 1; j <= n; j++ {
-			if dm, ok := snap.PrevDM[j]; ok {
-				if err := check("prevDM", dm); err != nil {
-					return nil, err
-				}
-				copy(rd.dm[j], dm)
-				rd.set[j] = true
-			} else {
-				rd.set[j] = false
-			}
+			rd.set |= 1 << uint(j-1)
 		}
 	}
+	if bits.OnesCount64(rd.set) != len(snap.PrevDM) {
+		return nil, fmt.Errorf("core: restore: prevDM has keys outside 1..%d", n)
+	}
+	p.accuse = snap.Accuse
+	p.accusedAge = snap.AccusedAge
 	p.rebuildAccusationMasks()
 	p.pr.penalties = snap.PR.Penalties
 	p.pr.rewards = snap.PR.Rewards

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // ShardSummary is the cluster-health summary a shard's gateway disseminates
 // at the inter-cluster level of a hierarchical fleet: how large the shard is,
@@ -88,14 +91,23 @@ func (s ShardSummary) Encode() ([]byte, error) {
 	return buf, nil
 }
 
+// errSummaryPadding rejects a summary frame with any of bits 21-23 set.
+var errSummaryPadding = errors.New("core: shard summary payload has non-zero padding bits")
+
 // DecodeShardSummary parses the wire form written by EncodeInto, validating
-// the field bounds (a corrupted summary is locally detectable, like an
-// undecodable syndrome payload).
+// the field bounds and the zero padding (a corrupted summary is locally
+// detectable, like an undecodable syndrome payload). Every accepted payload
+// re-encodes to the same bytes.
 func DecodeShardSummary(data []byte) (ShardSummary, error) {
 	if len(data) != SummaryWireLen {
 		return ShardSummary{}, fmt.Errorf("core: shard summary payload is %d bytes, want %d", len(data), SummaryWireLen)
 	}
 	w := uint32(data[0]) | uint32(data[1])<<8 | uint32(data[2])<<16
+	if w>>(3*summaryFieldBits) != 0 {
+		// EncodeInto never sets the padding bits 21-23; accepting them would
+		// let two different frames decode to one summary.
+		return ShardSummary{}, errSummaryPadding
+	}
 	const fieldMask = 1<<summaryFieldBits - 1
 	s := ShardSummary{
 		Size:     int(w & fieldMask),

@@ -93,3 +93,37 @@ func TestShardSummaryHealth(t *testing.T) {
 		t.Error("Degraded: clean shard flagged")
 	}
 }
+
+// TestShardSummaryDecodeExhaustive decodes every one of the 2^24 possible
+// payloads: none may panic, and every accepted payload must re-encode to the
+// bytes it came from, so a gateway cannot smuggle data through a frame that
+// decodes like an honest one.
+func TestShardSummaryDecodeExhaustive(t *testing.T) {
+	var in, out [SummaryWireLen]byte
+	accepted := 0
+	for w := 0; w < 1<<(8*SummaryWireLen); w++ {
+		in[0], in[1], in[2] = byte(w), byte(w>>8), byte(w>>16)
+		s, err := DecodeShardSummary(in[:])
+		if err != nil {
+			continue
+		}
+		accepted++
+		if err := s.EncodeInto(out[:]); err != nil {
+			t.Fatalf("payload % x decoded to %+v, which does not re-encode: %v", in, s, err)
+		}
+		if out != in {
+			t.Fatalf("payload % x decoded to %+v, which re-encodes as % x", in, s, out)
+		}
+	}
+	// Every valid (size, isolated, faulty) triple has exactly one frame.
+	want := 0
+	for size := 1; size <= MaxPackedN; size++ {
+		want += (size + 1) * (size + 1)
+	}
+	if accepted != want {
+		t.Fatalf("%d payloads accepted, want one per valid summary (%d)", accepted, want)
+	}
+	if _, err := DecodeShardSummary([]byte{4, 0, 0xE0}); err == nil {
+		t.Fatal("payload with padding bits set accepted")
+	}
+}

@@ -6,8 +6,8 @@ import (
 	"strings"
 )
 
-// tallyVerdict is the single decision point of Eqn. 1, shared by HMaj,
-// Matrix.Vote and the scalar reference the packed kernel is verified against:
+// tallyVerdict is the single decision point of Eqn. 1, shared by HMaj and
+// Matrix.Vote:
 // given the number of Faulty and Healthy votes among the non-ε opinions it
 // returns ⊥ (ok == false) when there were none, Faulty on a strict Faulty
 // majority, and Healthy otherwise (ties included — Eqn. 1's "else 1" branch,
@@ -48,57 +48,35 @@ func HMaj(votes []Opinion) (Opinion, bool) {
 }
 
 // Matrix is a diagnostic matrix for one diagnosed round: row j is the
-// aligned local syndrome received from node j (nil for an ε row — node j's
-// syndrome was not received), and column i is the set of opinions about
-// node i.
+// aligned local syndrome received from node j (ε when node j's syndrome was
+// not received), and column i is the set of opinions about node i.
 //
-// The matrix has two storage representations behind one API:
-//
-//   - Packed (N <= MaxPackedN, the default): each row is two uint64 planes
-//     (opinion bits + presence/ε bits), SetBitRow installs a row with two
-//     word stores, and VoteAll runs the word-parallel bit-sliced voting
-//     kernel over all columns at once. Scalar accessors (Row, String)
-//     materialise a byte-level view lazily on first use.
-//   - Scalar (N > MaxPackedN, and the reference implementation the packed
-//     kernel is verified against): a single flat backing array into which
-//     SetRow copies each syndrome.
-//
-// Either way the matrix owns its storage — SetRow/SetBitRow copy the given
-// row — so a Matrix retained from a RoundOutput stays valid even though the
-// protocol reuses its alignment buffers round over round. In the scalar
-// layout, row 0 of the backing array is never exposed (rows are 1-based) and
-// stores the per-row presence flags: cells[j] == Healthy iff row j is set.
+// Each row is two uint64 planes (opinion bits + presence/ε bits): SetBitRow
+// installs a row with two word stores, and VoteAll runs the word-parallel
+// bit-sliced voting kernel over all columns at once. The byte-per-entry
+// accessors (Row, String) materialise a byte-level view lazily on first use.
+// The matrix owns its storage — SetRow/SetBitRow copy the given row — so a
+// Matrix retained from a RoundOutput stays valid even though the protocol
+// reuses its alignment buffers round over round.
 type Matrix struct {
 	n int
-	// cells is the scalar storage ((n+1)*(n+1), row-major; row j at
-	// [j*(n+1), (j+1)*(n+1))). On a packed matrix it doubles as the lazily
-	// materialised byte-level cache and is invalidated by every row write.
-	cells Syndrome
-	// op/know are the packed row planes (1-based; nil on scalar matrices —
-	// op != nil is the representation discriminator), rowSet the presence
-	// mask (bit j-1 set iff row j is non-ε).
+	// op/know are the row planes (1-based), rowSet the presence mask (bit
+	// j-1 set iff row j is non-ε).
 	op     []uint64
 	know   []uint64
 	rowSet uint64
+	// cells is the lazily materialised byte-level view ((n+1)*(n+1),
+	// row-major; row j at [j*(n+1), (j+1)*(n+1))); every row write
+	// invalidates it.
+	cells Syndrome
 }
 
-// NewMatrix returns an empty diagnostic matrix for n nodes (all rows ε),
-// packed when n fits the bit-plane representation and scalar beyond it.
-func NewMatrix(n int) *Matrix {
-	if n <= MaxPackedN {
-		m, _ := NewPackedMatrix(n)
-		return m
-	}
-	return newScalarMatrix(n)
-}
-
-// NewPackedMatrix returns an empty plane-backed diagnostic matrix. It fails
+// NewPackedMatrix returns an empty diagnostic matrix (all rows ε). It fails
 // when n exceeds MaxPackedN — one machine word must hold one opinion per
-// node; wider systems use the scalar representation, which NewMatrix selects
-// automatically.
+// node.
 func NewPackedMatrix(n int) (*Matrix, error) {
-	if n > MaxPackedN {
-		return nil, fmt.Errorf("core: packed matrix supports N <= %d, got %d (NewMatrix falls back to the scalar representation)", MaxPackedN, n)
+	if err := checkFlatN(n); err != nil {
+		return nil, err
 	}
 	planes := make([]uint64, 2*(n+1))
 	m := &Matrix{n: n}
@@ -114,70 +92,35 @@ func initPackedMatrix(m *Matrix, planes []uint64) {
 	m.know = planes[w : 2*w : 2*w]
 }
 
-// newScalarMatrix returns an empty matrix in the byte-per-entry reference
-// representation, with no bound on n.
-func newScalarMatrix(n int) *Matrix {
-	return newMatrixIn(n, make(Syndrome, (n+1)*(n+1)))
-}
-
-// newMatrixIn wraps a zeroed caller-provided backing array of length
-// (n+1)*(n+1) as an empty scalar matrix: the zero Opinion is Faulty, which
-// reads as "row absent" in the presence row, so no initialisation pass is
-// needed.
-func newMatrixIn(n int, cells Syndrome) *Matrix {
-	return &Matrix{n: n, cells: cells}
-}
-
 // N returns the system size.
 func (m *Matrix) N() int { return m.n }
 
-// Packed reports whether the matrix uses the bit-plane representation.
-func (m *Matrix) Packed() bool { return m.op != nil }
-
 // SetRow installs the local syndrome received from node j; a nil syndrome
 // marks the row as ε. The syndrome is copied, so the caller may reuse its
-// buffer afterwards. On a packed matrix, entries outside {Faulty, Healthy,
-// Erased} are normalised to ε (voting-equivalent: Eqn. 1 excludes them from
-// the tally either way).
+// buffer afterwards. Entries outside {Faulty, Healthy, Erased} are
+// normalised to ε (voting-equivalent: Eqn. 1 excludes them from the tally
+// either way).
 //
 //ttdiag:noretain params
 func (m *Matrix) SetRow(j int, s Syndrome) error {
 	if j < 1 || j > m.n {
 		return fmt.Errorf("core: matrix row %d out of range 1..%d", j, m.n)
 	}
-	if m.op != nil {
-		if s == nil {
-			m.op[j], m.know[j] = 0, 0
-			m.rowSet &^= 1 << uint(j-1)
-			m.cells = nil
-			return nil
-		}
-		if s.N() != m.n {
-			return fmt.Errorf("core: matrix row %d has %d entries, want %d", j, s.N(), m.n)
-		}
-		return m.SetBitRow(j, packSyndrome(s))
-	}
 	if s == nil {
-		m.cells[j] = Faulty
+		m.op[j], m.know[j] = 0, 0
+		m.rowSet &^= 1 << uint(j-1)
+		m.cells = nil
 		return nil
 	}
 	if s.N() != m.n {
 		return fmt.Errorf("core: matrix row %d has %d entries, want %d", j, s.N(), m.n)
 	}
-	row := m.rowSlice(j)
-	copy(row, s)
-	row[0] = Erased
-	m.cells[j] = Healthy
-	return nil
+	return m.SetBitRow(j, packSyndrome(s))
 }
 
 // SetBitRow installs a packed local syndrome as row j — the hot-path form of
-// SetRow: two word stores instead of an (N+1)-entry copy. It fails on scalar
-// matrices (N > MaxPackedN).
+// SetRow: two word stores instead of an (N+1)-entry copy.
 func (m *Matrix) SetBitRow(j int, row BitSyndrome) error {
-	if m.op == nil {
-		return fmt.Errorf("core: SetBitRow on a scalar matrix (N = %d > %d)", m.n, MaxPackedN)
-	}
 	if j < 1 || j > m.n {
 		return fmt.Errorf("core: matrix row %d out of range 1..%d", j, m.n)
 	}
@@ -189,18 +132,17 @@ func (m *Matrix) SetBitRow(j int, row BitSyndrome) error {
 	return nil
 }
 
-// rowSlice returns the full-capacity-clamped scalar storage of row j.
+// rowSlice returns the full-capacity-clamped byte view of row j.
 func (m *Matrix) rowSlice(j int) Syndrome {
 	w := m.n + 1
 	return m.cells[j*w : (j+1)*w : (j+1)*w]
 }
 
-// materialise builds the byte-level cache of a packed matrix so the scalar
-// accessors can serve views of it. Row views returned before the last row
-// write stay valid (the cache is replaced, not reused), matching the
-// retain-safety of the scalar representation.
+// materialise builds the byte-level view so Row can serve slices of it. Row
+// views returned before the last row write stay valid (the view is
+// replaced, not reused).
 func (m *Matrix) materialise() {
-	if m.op == nil || m.cells != nil {
+	if m.cells != nil {
 		return
 	}
 	w := m.n + 1
@@ -209,7 +151,6 @@ func (m *Matrix) materialise() {
 		if m.rowSet&(1<<uint(j-1)) == 0 {
 			continue
 		}
-		cells[j] = Healthy
 		row := cells[j*w : (j+1)*w]
 		row[0] = Erased
 		b := BitSyndrome{Op: m.op[j], Known: m.know[j]}
@@ -226,51 +167,29 @@ func (m *Matrix) Row(j int) Syndrome {
 	if j < 1 || j > m.n {
 		return nil
 	}
-	if m.op != nil {
-		if m.rowSet&(1<<uint(j-1)) == 0 {
-			return nil
-		}
-		m.materialise()
-	} else if m.cells[j] != Healthy {
+	if m.rowSet&(1<<uint(j-1)) == 0 {
 		return nil
 	}
+	m.materialise()
 	return m.rowSlice(j)
 }
 
-// BitRow returns row j as packed planes; ok is false for ε rows. On scalar
-// matrices within the packed bound the row is packed on the fly; beyond
-// MaxPackedN ok is always false.
+// BitRow returns row j as packed planes; ok is false for ε rows.
 func (m *Matrix) BitRow(j int) (BitSyndrome, bool) {
-	if j < 1 || j > m.n || m.n > MaxPackedN {
+	if j < 1 || j > m.n || m.rowSet&(1<<uint(j-1)) == 0 {
 		return BitSyndrome{}, false
 	}
-	if m.op != nil {
-		if m.rowSet&(1<<uint(j-1)) == 0 {
-			return BitSyndrome{}, false
-		}
-		return BitSyndrome{Op: m.op[j], Known: m.know[j]}, true
-	}
-	row := m.Row(j)
-	if row == nil {
-		return BitSyndrome{}, false
-	}
-	return packSyndrome(row), true
+	return BitSyndrome{Op: m.op[j], Known: m.know[j]}, true
 }
 
 // Opinion returns accuser's opinion about accused, Erased when the accuser's
 // row is ε.
 func (m *Matrix) Opinion(accuser, accused int) Opinion {
-	if m.op != nil {
-		if accuser < 1 || accuser > m.n || m.rowSet&(1<<uint(accuser-1)) == 0 {
-			return Erased
-		}
-		return BitSyndrome{Op: m.op[accuser], Known: m.know[accuser]}.Get(accused)
-	}
-	row := m.Row(accuser)
-	if row == nil {
+	row, ok := m.BitRow(accuser)
+	if !ok {
 		return Erased
 	}
-	return row[accused]
+	return row.Get(accused)
 }
 
 // Column collects the opinions about node j from every row except row j
@@ -301,30 +220,16 @@ func (m *Matrix) Vote(j int) (Opinion, bool) {
 // Healthy otherwise including ties), so telemetry that classifies vote
 // outcomes can use the same counts the verdict was derived from.
 func (m *Matrix) Tally(j int) (faulty, healthy int) {
-	if m.op != nil {
-		bit := uint64(1) << uint(j-1)
-		for rows := m.rowSet &^ bit; rows != 0; rows &= rows - 1 {
-			i := bits.TrailingZeros64(rows) + 1
-			if m.know[i]&bit == 0 {
-				continue
-			}
-			if m.op[i]&bit != 0 {
-				healthy++
-			} else {
-				faulty++
-			}
-		}
-		return faulty, healthy
-	}
-	for i := 1; i <= m.n; i++ {
-		if i == j {
+	bit := uint64(1) << uint(j-1)
+	for rows := m.rowSet &^ bit; rows != 0; rows &= rows - 1 {
+		i := bits.TrailingZeros64(rows) + 1
+		if m.know[i]&bit == 0 {
 			continue
 		}
-		switch m.Opinion(i, j) {
-		case Faulty:
-			faulty++
-		case Healthy:
+		if m.op[i]&bit != 0 {
 			healthy++
+		} else {
+			faulty++
 		}
 	}
 	return faulty, healthy
@@ -332,56 +237,27 @@ func (m *Matrix) Tally(j int) (faulty, healthy int) {
 
 // DisagreementCount counts the definite (non-ε) off-self-column opinions
 // that differ from the agreed health vector — the per-round "syndrome
-// disagreement" telemetry of the diagnostic matrix. On a packed matrix this
-// is pure mask arithmetic and allocates nothing.
+// disagreement" telemetry of the diagnostic matrix: pure mask arithmetic,
+// no allocation.
 func (m *Matrix) DisagreementCount(consHV Syndrome) int {
 	total := 0
-	if m.op != nil {
-		all := PlaneMask(m.n)
-		cons := packSyndrome(consHV)
-		for rows := m.rowSet; rows != 0; rows &= rows - 1 {
-			i := bits.TrailingZeros64(rows) + 1
-			conflict := m.know[i] & cons.Known & (m.op[i] ^ cons.Op) & all &^ (uint64(1) << uint(i-1))
-			total += bits.OnesCount64(conflict)
-		}
-		return total
-	}
-	for i := 1; i <= m.n; i++ {
-		row := m.Row(i)
-		if row == nil {
-			continue
-		}
-		for j := 1; j <= m.n; j++ {
-			if j == i || j >= len(consHV) {
-				continue
-			}
-			v := row[j]
-			if v != Faulty && v != Healthy {
-				continue
-			}
-			c := consHV[j]
-			if (c == Faulty || c == Healthy) && v != c {
-				total++
-			}
-		}
+	all := PlaneMask(m.n)
+	cons := packSyndrome(consHV)
+	for rows := m.rowSet; rows != 0; rows &= rows - 1 {
+		i := bits.TrailingZeros64(rows) + 1
+		conflict := m.know[i] & cons.Known & (m.op[i] ^ cons.Op) & all &^ (uint64(1) << uint(i-1))
+		total += bits.OnesCount64(conflict)
 	}
 	return total
 }
 
 // VoteAll runs H-maj over every column at once and returns the result as a
 // packed health vector: Known bit j-1 clear means column j voted ⊥, Op bit
-// j-1 carries the Healthy/Faulty verdict otherwise. On a packed matrix this
-// is the bit-sliced kernel (O(N·log N) word operations); on a scalar matrix
-// within the packed bound it falls back to the per-column reference loop, and
-// beyond MaxPackedN it fails (a 64-bit result cannot cover the columns).
+// j-1 carries the Healthy/Faulty verdict otherwise. It is the bit-sliced
+// kernel (O(N·log N) word operations) and never fails: the error result is
+// always nil.
 func (m *Matrix) VoteAll() (BitSyndrome, error) {
-	if m.op != nil {
-		return m.voteAllPlanes(), nil
-	}
-	if m.n > MaxPackedN {
-		return BitSyndrome{}, fmt.Errorf("core: VoteAll result is one machine word, N = %d > %d; vote per column instead", m.n, MaxPackedN)
-	}
-	return m.voteAllScalar(), nil
+	return m.voteAllPlanes(), nil
 }
 
 // countPlanes is the number of bit-sliced counter planes: per-column vote
@@ -425,18 +301,6 @@ func (m *Matrix) voteAllPlanes() BitSyndrome {
 		borrow = (^healthy[k] & (faulty[k] | borrow)) | (faulty[k] & borrow)
 	}
 	return BitSyndrome{Op: any &^ borrow, Known: any}
-}
-
-// voteAllScalar is the reference implementation of VoteAll: the per-column
-// loop the packed kernel is differentially tested against.
-func (m *Matrix) voteAllScalar() BitSyndrome {
-	var out BitSyndrome
-	for j := 1; j <= m.n; j++ {
-		if v, ok := m.Vote(j); ok {
-			out.Set(j, v)
-		}
-	}
-	return out
 }
 
 // String renders the matrix in the layout of Table 1, including the voted

@@ -83,7 +83,7 @@ func TestHMajHybridFaultBound(t *testing.T) {
 }
 
 func TestMatrixRowValidation(t *testing.T) {
-	m := NewMatrix(4)
+	m := mustMatrix(t, 4)
 	if err := m.SetRow(0, nil); err == nil {
 		t.Error("row 0 accepted")
 	}
@@ -106,7 +106,7 @@ func TestMatrixRowValidation(t *testing.T) {
 // dissemination round. Rows 3 and 4 are ε; rows 1 and 2 accuse 3 and 4.
 // The voted consistent health vector is 1 1 0 0.
 func TestMatrixTable1(t *testing.T) {
-	m := NewMatrix(4)
+	m := mustMatrix(t, 4)
 	row1 := NewSyndrome(4, Healthy)
 	row1[3], row1[4] = Faulty, Faulty
 	row2 := row1.Clone()
@@ -133,7 +133,7 @@ func TestMatrixTable1(t *testing.T) {
 }
 
 func TestMatrixColumnExcludesSelfOpinion(t *testing.T) {
-	m := NewMatrix(3)
+	m := mustMatrix(t, 3)
 	// Node 2's row claims node 2 is healthy; rows 1 and 3 say faulty.
 	r1 := NewSyndrome(3, Healthy)
 	r1[2] = Faulty
@@ -155,14 +155,14 @@ func TestMatrixColumnExcludesSelfOpinion(t *testing.T) {
 }
 
 func TestMatrixOpinionErasedRow(t *testing.T) {
-	m := NewMatrix(4)
+	m := mustMatrix(t, 4)
 	if got := m.Opinion(1, 2); got != Erased {
 		t.Fatalf("Opinion on ε row = %v", got)
 	}
 }
 
 func TestMatrixString(t *testing.T) {
-	m := NewMatrix(2)
+	m := mustMatrix(t, 2)
 	r1 := NewSyndrome(2, Healthy)
 	if err := m.SetRow(1, r1); err != nil {
 		t.Fatal(err)
@@ -232,7 +232,17 @@ func TestToleratesBenignOnly(t *testing.T) {
 }
 
 func TestMatrixN(t *testing.T) {
-	if got := NewMatrix(6).N(); got != 6 {
+	if got := mustMatrix(t, 6).N(); got != 6 {
 		t.Fatalf("N() = %d", got)
 	}
+}
+
+// mustMatrix is NewPackedMatrix for sizes known to be in range.
+func mustMatrix(t testing.TB, n int) *Matrix {
+	t.Helper()
+	m, err := NewPackedMatrix(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }

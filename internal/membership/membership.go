@@ -11,7 +11,6 @@ package membership
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"ttdiag/internal/core"
 )
@@ -61,36 +60,19 @@ type Service struct {
 	proto   *core.Protocol
 	view    View
 	history []View
-	out     []bool // out[j]: node j has been excluded from the membership
-	// outMask mirrors out as a bit mask when the underlying protocol runs
-	// the packed representation, so the per-round exclusion check is two
-	// word operations instead of an N-entry scan.
+	// outMask marks the nodes excluded from the membership (bit j-1 = node
+	// j), so the per-round exclusion check is two word operations.
 	outMask uint64
 }
 
 // New builds the membership service for one node. The configuration's Mode
 // is forced to core.ModeMembership.
 func New(cfg core.Config) (*Service, error) {
-	return newService(cfg, false)
-}
-
-// NewScalar is New pinned to the scalar reference protocol representation
-// regardless of N (see core.NewScalarProtocol); differential tooling uses it
-// to run the reference path on packed-eligible sizes.
-func NewScalar(cfg core.Config) (*Service, error) {
-	return newService(cfg, true)
-}
-
-func newService(cfg core.Config, forceScalar bool) (*Service, error) {
 	if cfg.Mode != 0 && cfg.Mode != core.ModeMembership {
 		return nil, fmt.Errorf("membership: config mode must be ModeMembership, got %d", cfg.Mode)
 	}
 	cfg.Mode = core.ModeMembership
-	build := core.NewProtocol
-	if forceScalar {
-		build = core.NewScalarProtocol
-	}
-	proto, err := build(cfg)
+	proto, err := core.NewProtocol(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -101,7 +83,6 @@ func newService(cfg core.Config, forceScalar bool) (*Service, error) {
 	return &Service{
 		proto: proto,
 		view:  View{ID: 0, Members: members, FormedAtRound: -1},
-		out:   make([]bool, cfg.N+1),
 	}, nil
 }
 
@@ -122,9 +103,6 @@ func (s *Service) Reset() {
 	}
 	s.view = View{ID: 0, Members: members, FormedAtRound: -1}
 	s.history = s.history[:0]
-	for j := range s.out {
-		s.out[j] = false
-	}
 	s.outMask = 0
 }
 
@@ -155,8 +133,7 @@ func (s *Service) Step(in core.RoundInput) (Output, error) {
 }
 
 // StepPacked executes one round on packed observations (the zero-conversion
-// entry of the hot path, available when the underlying protocol runs the
-// packed representation — see core.Protocol.StepPacked). The input's slices
+// entry of the hot path — see core.Protocol.StepPacked). The input's slices
 // stay caller-owned.
 //
 //ttdiag:noretain params
@@ -171,36 +148,16 @@ func (s *Service) StepPacked(in core.PackedRoundInput) (Output, error) {
 // finish folds one diagnostic round into the view bookkeeping.
 func (s *Service) finish(diag core.RoundOutput) Output {
 	out := Output{Diag: diag}
-	changed := false
-	if diag.ConsHV != nil {
-		if s.proto.Packed() {
-			// Newly convicted members in two word ops: known-Faulty entries
-			// not yet excluded.
-			fresh := (diag.ConsHVBits.Known &^ diag.ConsHVBits.Op) &^ s.outMask
-			if fresh != 0 {
-				changed = true
-				s.outMask |= fresh
-				for rem := fresh; rem != 0; rem &= rem - 1 {
-					s.out[bits.TrailingZeros64(rem)+1] = true
-				}
-			}
-		} else {
-			for j := 1; j <= s.proto.Config().N; j++ {
-				if diag.ConsHV[j] == core.Faulty && !s.out[j] {
-					s.out[j] = true
-					changed = true
-				}
-			}
-		}
-	}
+	// Newly convicted members in two word ops: known-Faulty entries not yet
+	// excluded (zero during warm-up).
+	fresh := (diag.ConsHVBits.Known &^ diag.ConsHVBits.Op) &^ s.outMask
+	changed := fresh != 0
 	if changed {
+		s.outMask |= fresh
 		var members []int
-		for j := 1; j <= s.proto.Config().N; j++ {
-			if !s.out[j] {
-				members = append(members, j)
-			}
+		for rem := core.PlaneMask(s.proto.Config().N) &^ s.outMask; rem != 0; rem &= rem - 1 {
+			members = append(members, bits.TrailingZeros64(rem)+1)
 		}
-		sort.Ints(members)
 		s.history = append(s.history, s.view)
 		s.view = View{ID: s.view.ID + 1, Members: members, FormedAtRound: diag.Round}
 	}

@@ -8,18 +8,6 @@ import (
 	"ttdiag/internal/trace"
 )
 
-// causalClusterConfig is a low-threshold cluster whose node 3, faulted every
-// round of a burst window, ramps to isolation and — once the window passes —
-// back to reintegration.
-func causalClusterConfig(sink trace.Sink, forceScalar bool) ClusterConfig {
-	return ClusterConfig{
-		N:           4,
-		PR:          core.PRConfig{PenaltyThreshold: 2, RewardThreshold: 3, ReintegrationThreshold: 4},
-		Sink:        sink,
-		ForceScalar: forceScalar,
-	}
-}
-
 // TestClusterCausalEvents drives a fault burst through a full cluster and
 // checks node 1's flight-recorder stream end to end: the penalty ramp with
 // threshold state, the isolation with its trajectory, the reintegration —
@@ -27,7 +15,13 @@ func causalClusterConfig(sink trace.Sink, forceScalar bool) ClusterConfig {
 // stream alone.
 func TestClusterCausalEvents(t *testing.T) {
 	var rec trace.Recorder
-	cl, err := NewReusableDiagnosticCluster(causalClusterConfig(&rec, false))
+	// Low thresholds: node 3, faulted every round of a burst window, ramps
+	// to isolation and — once the window passes — back to reintegration.
+	cl, err := NewReusableDiagnosticCluster(ClusterConfig{
+		N:    4,
+		PR:   core.PRConfig{PenaltyThreshold: 2, RewardThreshold: 3, ReintegrationThreshold: 4},
+		Sink: &rec,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,85 +73,6 @@ func TestClusterCausalEvents(t *testing.T) {
 	for _, e := range chain[:len(chain)-1] {
 		if e.Subject != 3 {
 			t.Fatalf("chain event about node %d, want 3: %+v", e.Subject, e)
-		}
-	}
-}
-
-// TestForceScalarClusterTraceEquivalence runs the same disturbed scenario on
-// a packed and a forced-scalar cluster and requires the two causal streams
-// to be identical event for event — the cluster-level extension of the
-// core-level packed/scalar trace equivalence.
-func TestForceScalarClusterTraceEquivalence(t *testing.T) {
-	run := func(forceScalar bool) []trace.Event {
-		var rec trace.Recorder
-		cl, err := NewReusableDiagnosticCluster(causalClusterConfig(&rec, forceScalar))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := cl.Runners[1].Protocol().Packed(); got == forceScalar {
-			t.Fatalf("ForceScalar=%v built a packed=%v protocol", forceScalar, got)
-		}
-		cl.Reset()
-		cl.Eng.Bus().AddDisturbance(fault.EveryKthRound(3, 1, 4, 9))
-		if err := cl.Eng.RunRounds(30); err != nil {
-			t.Fatal(err)
-		}
-		return rec.Events()
-	}
-	packed, scalar := run(false), run(true)
-	if len(packed) == 0 {
-		t.Fatalf("scenario emitted no events — the equivalence is vacuous")
-	}
-	if i := trace.FirstDivergence(packed, scalar); i >= 0 {
-		var pe, se trace.Event
-		if i < len(packed) {
-			pe = packed[i]
-		}
-		if i < len(scalar) {
-			se = scalar[i]
-		}
-		t.Fatalf("streams diverge at event %d:\npacked %+v\nscalar %+v", i, pe, se)
-	}
-}
-
-// TestCheckpointHonorsForceScalar: the checkpoint's twin protocols must
-// adopt the cluster's representation, or every Capture would fail the
-// CopyFrom representation check.
-func TestCheckpointHonorsForceScalar(t *testing.T) {
-	cl, err := NewReusableDiagnosticCluster(causalClusterConfig(nil, true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl.Reset()
-	cl.Eng.Bus().AddDisturbance(fault.EveryKthRound(3, 1, 4, 9))
-	ck, err := NewClusterCheckpoint(cl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Eng.RunRounds(6); err != nil {
-		t.Fatal(err)
-	}
-	if err := ck.Capture(cl); err != nil {
-		t.Fatal(err)
-	}
-	record := func() []string {
-		var sends []string
-		for r := 0; r < 6; r++ {
-			if err := cl.Eng.RunRound(); err != nil {
-				t.Fatal(err)
-			}
-			sends = append(sends, string(cl.Runners[1].Last().Send))
-		}
-		return sends
-	}
-	first := record()
-	if err := ck.Restore(cl); err != nil {
-		t.Fatal(err)
-	}
-	second := record()
-	for i := range first {
-		if first[i] != second[i] {
-			t.Fatalf("restored run diverges at replayed round %d", i)
 		}
 	}
 }

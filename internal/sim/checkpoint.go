@@ -49,15 +49,8 @@ func NewClusterCheckpoint(c *DiagCluster) (*ClusterCheckpoint, error) {
 		protos: make([]*core.Protocol, n+1),
 		ctrls:  make([]*tdma.Controller, n+1),
 	}
-	// Twin protocols must match the cluster's representation — CopyFrom
-	// rejects packed/scalar mismatches — so a forced-scalar cluster gets
-	// forced-scalar twins.
-	build := core.NewProtocol
-	if c.cfg.ForceScalar {
-		build = core.NewScalarProtocol
-	}
 	for id := 1; id <= n; id++ {
-		p, err := build(c.cfg.nodeConfig(id))
+		p, err := core.NewProtocol(c.cfg.nodeConfig(id))
 		if err != nil {
 			return nil, fmt.Errorf("sim: checkpoint node %d: %w", id, err)
 		}

@@ -42,11 +42,6 @@ type ClusterConfig struct {
 	// changes. One observer suffices: Theorem 1 consistency makes every
 	// obedient node's causal transitions identical.
 	Sink trace.Sink
-	// ForceScalar pins every protocol to the scalar reference representation
-	// regardless of N. Differential tooling (the divergence bisector) runs a
-	// forced-scalar cluster against a packed one to localise representation
-	// divergences; production clusters leave it false.
-	ForceScalar bool
 }
 
 func (c ClusterConfig) withDefaults() (ClusterConfig, error) {
@@ -55,6 +50,9 @@ func (c ClusterConfig) withDefaults() (ClusterConfig, error) {
 	}
 	if c.N < 2 {
 		return c, fmt.Errorf("sim: cluster needs at least 2 nodes, got %d", c.N)
+	}
+	if c.N > core.MaxPackedN {
+		return c, core.ErrBeyondPackedBound
 	}
 	if c.RoundLen == 0 {
 		c.RoundLen = DefaultRoundLen
@@ -141,12 +139,8 @@ func NewDiagnosticCluster(cfg ClusterConfig) (*Engine, []*DiagRunner, error) {
 	}
 	eng := NewEngine(sched, cfg.Sink)
 	runners := make([]*DiagRunner, cfg.N+1)
-	newRunner := NewDiagRunner
-	if cfg.ForceScalar {
-		newRunner = NewScalarDiagRunner
-	}
 	for id := 1; id <= cfg.N; id++ {
-		r, err := newRunner(cfg.nodeConfig(id))
+		r, err := NewDiagRunner(cfg.nodeConfig(id))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -213,8 +207,7 @@ func (c *DiagCluster) Config() ClusterConfig { return c.cfg }
 // Reset rewinds the cluster to its freshly built state for the next
 // repetition: engine ground truth and disturbances are discarded, every
 // protocol restarts its warm-up, observers are detached and the bootstrap
-// payloads are re-staged. No allocations are needed beyond the protocol's
-// per-reset syndrome pair.
+// payloads are re-staged. No allocations are needed.
 func (c *DiagCluster) Reset() {
 	c.Eng.ResetForRun()
 	for id := 1; id <= c.cfg.N; id++ {
@@ -308,12 +301,8 @@ func NewMembershipCluster(cfg ClusterConfig) (*Engine, []*MembershipRunner, erro
 	}
 	eng := NewEngine(sched, cfg.Sink)
 	runners := make([]*MembershipRunner, cfg.N+1)
-	newRunner := NewMembershipRunner
-	if cfg.ForceScalar {
-		newRunner = NewScalarMembershipRunner
-	}
 	for id := 1; id <= cfg.N; id++ {
-		r, err := newRunner(cfg.nodeConfig(id))
+		r, err := NewMembershipRunner(cfg.nodeConfig(id))
 		if err != nil {
 			return nil, nil, err
 		}

@@ -5,8 +5,8 @@
 # (instrument costs, Step with metrics on/off, the gang StepBatch with
 # shared instruments and Step with the causal flight recorder on/off) in
 # BENCH_metrics.json,
-# the hierarchical fleet campaign (sharded vs scalar monolithic at equal
-# node-rounds) in BENCH_fleet.json and the rare-event splitting estimation
+# the hierarchical fleet campaign in BENCH_fleet.json and the rare-event
+# splitting estimation
 # (checkpoint-restore hot loop) in BENCH_splitting.json, so the bench
 # trajectory of the repository can be tracked across commits. Usage:
 #
@@ -49,7 +49,7 @@ fold_json < "$raw" > BENCH_campaign.json
 echo "wrote BENCH_campaign.json"
 
 go test -run '^$' \
-    -bench 'BenchmarkVoteAll|BenchmarkVoteAllScalar|BenchmarkMatrixSetRow|BenchmarkStepBatch$|BenchmarkScalarStep|BenchmarkCheckpointRestore' \
+    -bench 'BenchmarkVoteAll|BenchmarkVoteAllScalar|BenchmarkMatrixSetRow|BenchmarkStepBatch$|BenchmarkCheckpointRestore' \
     -benchmem -count="$COUNT" ./internal/core/ | tee "$raw"
 fold_json < "$raw" > BENCH_core.json
 echo "wrote BENCH_core.json"
@@ -67,14 +67,9 @@ echo "wrote BENCH_metrics.json"
 
 # The sharded fleets run at the default benchtime, so the first repetition,
 # which builds the recycled shard workers, does not dominate the average.
-# The scalar monolithic baseline runs seconds per iteration; two iterations
-# per sample keep the suite tractable.
 go test -run '^$' \
-    -bench 'BenchmarkFleetCampaign/sharded' \
+    -bench 'BenchmarkFleetCampaign' \
     -benchmem -count="$COUNT" ./internal/fleet/ | tee "$raw"
-go test -run '^$' \
-    -bench 'BenchmarkFleetCampaign/scalar' -benchtime 2x \
-    -benchmem -count="$COUNT" ./internal/fleet/ | tee -a "$raw"
 fold_json < "$raw" > BENCH_fleet.json
 echo "wrote BENCH_fleet.json"
 

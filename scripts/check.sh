@@ -3,9 +3,10 @@
 # build, tests, the race detector on the concurrent packages, the
 # ttdiag_invariants-enabled test run, the static-analysis suite
 # (cmd/ttdiag-lint) and the escape-analysis allocation gate. CI runs exactly
-# these steps; run it locally before sending a PR. Each step reports its
-# wall-clock duration, and a summary table prints at the end. See
-# docs/STATIC_ANALYSIS.md.
+# these steps; run it locally before sending a PR. Every step that selects
+# tests with -run goes through scripts/gotest.sh, which fails when a pattern
+# matches nothing. Each step reports its wall-clock duration, and a summary
+# table prints at the end. See docs/STATIC_ANALYSIS.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,21 +34,21 @@ check_gofmt() {
 }
 
 check_metrics_determinism() {
-    go test -race -cpu=1,4 ./internal/experiments/ -run TestMetricsWorkerCountInvariance
-    go test -race -cpu=1,4 ./internal/cluster/ -run TestClusterMetricsMatchLockStep
+    scripts/gotest.sh -race -cpu=1,4 ./internal/experiments/ -run TestMetricsWorkerCountInvariance
+    scripts/gotest.sh -race -cpu=1,4 ./internal/cluster/ -run TestClusterMetricsMatchLockStep
 }
 
 check_fleet_determinism() {
     go test -race -cpu=1,4 ./internal/fleet/ \
         -run 'TestFleetWorkerCountInvariance|TestFleetShardOrderInvariance|TestFleetLanePackedMatchesPerRun|TestGatewayMatchesPerRunProtocol|TestFleetCausalWorkerInvariance'
-    go test -race -cpu=1,4 ./internal/experiments/ -run TestFleetCampaignWorkerCountInvariance
+    scripts/gotest.sh -race -cpu=1,4 ./internal/experiments/ -run TestFleetCampaignWorkerCountInvariance
 }
 
 check_checkpoint_determinism() {
-    go test -race -cpu=1,4 ./internal/core/ -run 'TestCopyFromMatchesJSONRestore|TestCopyFromContinuation'
-    go test -race -cpu=1,4 ./internal/sim/ -run 'TestClusterCheckpointRewind|TestClusterCheckpointCrossCluster'
-    go test -race -cpu=1,4 ./internal/splitting/ -run 'TestRunWorkerCountInvariance|TestRunMatchesDirectMonteCarlo'
-    go test -race -cpu=1,4 ./internal/experiments/ -run TestRareEventCampaignWorkerCountInvariance
+    scripts/gotest.sh -race -cpu=1,4 ./internal/core/ -run 'TestCopyFromMatchesJSONRestore|TestCopyFromContinuation'
+    scripts/gotest.sh -race -cpu=1,4 ./internal/sim/ -run 'TestClusterCheckpointRewind|TestClusterCheckpointCrossCluster'
+    scripts/gotest.sh -race -cpu=1,4 ./internal/splitting/ -run 'TestRunWorkerCountInvariance|TestRunMatchesDirectMonteCarlo'
+    scripts/gotest.sh -race -cpu=1,4 ./internal/experiments/ -run TestRareEventCampaignWorkerCountInvariance
 }
 
 step "gofmt" check_gofmt
@@ -60,22 +61,26 @@ step "go test (benchmark smoke test)" go -C cmd/ttdiag-bench test ./...
 step "go test -race (concurrent packages)" \
     go test -race ./internal/cluster/... ./internal/sim/... ./internal/campaign/... ./internal/fleet/... ./internal/splitting/... ./internal/trace/...
 step "go test -race -cpu=1,4 (campaign determinism)" \
-    go test -race -cpu=1,4 ./internal/experiments/ -run TestCampaignWorkerCountInvariance
+    scripts/gotest.sh -race -cpu=1,4 ./internal/experiments/ -run TestCampaignWorkerCountInvariance
 step "go test -race -cpu=1,4 (metrics determinism)" check_metrics_determinism
 step "go test -race -cpu=1,4 (cluster reuse equivalence)" \
-    go test -race -cpu=1,4 ./internal/sim/ -run TestClusterReuseEquivalence
-step "go test -race -cpu=1,4 (packed/scalar step equivalence)" \
-    go test -race -cpu=1,4 ./internal/core/ -run 'TestPackedScalarStepEquivalence|TestPackedScalarTraceEquivalence'
+    scripts/gotest.sh -race -cpu=1,4 ./internal/sim/ -run TestClusterReuseEquivalence
+step "go test -race -cpu=1,4 (protocol vs reference)" \
+    scripts/gotest.sh -race -cpu=1,4 ./internal/core/ -run TestProtocolMatchesReference
 step "go test -race -cpu=1,4 (batched campaign determinism)" \
-    go test -race -cpu=1,4 ./internal/experiments/ -run 'TestBatchedWorkerCountInvariance|TestBatchedCampaignEquivalence|TestScaleResilienceBatchedEquivalence'
+    scripts/gotest.sh -race -cpu=1,4 ./internal/experiments/ -run 'TestBatchedWorkerCountInvariance|TestBatchedCampaignEquivalence|TestScaleResilienceBatchedEquivalence'
 step "go test -race -cpu=1,4 (fleet determinism)" check_fleet_determinism
 step "go test -race -cpu=1,4 (checkpoint + splitting determinism)" check_checkpoint_determinism
 step "go test (allocation ceilings)" \
-    go test ./internal/core/ ./internal/tdma/ ./internal/sim/ ./internal/fleet/ -run 'Allocs'
+    scripts/gotest.sh ./internal/core/ ./internal/tdma/ ./internal/sim/ ./internal/fleet/ -run 'Allocs'
 step "go test -fuzz (packed voting kernel, seed corpus + short fuzz)" \
-    go test ./internal/core/ -run FuzzVoteAll -fuzz 'FuzzVoteAll$' -fuzztime 15s
+    scripts/gotest.sh ./internal/core/ -run FuzzVoteAll -fuzz 'FuzzVoteAll$' -fuzztime 15s
 step "go test -fuzz (lane-packed voting kernel, seed corpus + short fuzz)" \
-    go test ./internal/core/ -run FuzzVoteAllBatch -fuzz 'FuzzVoteAllBatch$' -fuzztime 15s
+    scripts/gotest.sh ./internal/core/ -run FuzzVoteAllBatch -fuzz 'FuzzVoteAllBatch$' -fuzztime 15s
+step "go test -fuzz (snapshot restore, seed corpus + short fuzz)" \
+    scripts/gotest.sh ./internal/core/ -run FuzzRestoreProtocol -fuzz 'FuzzRestoreProtocol$' -fuzztime 15s
+step "go test (exhaustive shard-summary decode)" \
+    scripts/gotest.sh ./internal/core/ -run TestShardSummaryDecodeExhaustive
 step "go test -tags ttdiag_invariants" \
     go test -tags ttdiag_invariants ./internal/core/... ./internal/invariant/... ./internal/cluster/... ./internal/sim/...
 step "ttdiag-lint (+ escape gate)" \

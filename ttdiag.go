@@ -78,7 +78,7 @@ type (
 	// RoundInput feeds one round of controller observations to a Protocol.
 	RoundInput = core.RoundInput
 	// PackedRoundInput feeds one round of already bit-packed observations to
-	// a packed-representation Protocol (N <= MaxPackedN).
+	// a Protocol.
 	PackedRoundInput = core.PackedRoundInput
 	// RoundOutput is the result of one diagnostic-job execution.
 	RoundOutput = core.RoundOutput
@@ -98,9 +98,9 @@ const (
 	ModeDiagnostic = core.ModeDiagnostic
 	ModeMembership = core.ModeMembership
 
-	// MaxPackedN is the widest system the bit-packed representation covers;
-	// beyond it the protocol transparently falls back to the scalar
-	// reference implementation.
+	// MaxPackedN is the widest flat system: one 64-bit word holds one
+	// opinion per node. Wider systems are refused; internal/fleet shards
+	// them into clusters of at most MaxPackedN nodes.
 	MaxPackedN = core.MaxPackedN
 )
 
@@ -121,8 +121,8 @@ func DecodeSyndrome(data []byte, n int) (Syndrome, error) { return core.DecodeSy
 // NewSyndrome returns a syndrome for n nodes filled with the given opinion.
 func NewSyndrome(n int, fill Opinion) Syndrome { return core.NewSyndrome(n, fill) }
 
-// PackSyndrome packs a scalar syndrome into its two-plane bit representation
-// (len(s)-1 <= MaxPackedN nodes).
+// PackSyndrome packs a byte-per-entry syndrome into its two-plane bit
+// representation (len(s)-1 <= MaxPackedN nodes).
 func PackSyndrome(s Syndrome) (BitSyndrome, error) { return core.PackSyndrome(s) }
 
 // PlaneMask returns the presence mask covering nodes 1..n, i.e. the low n
