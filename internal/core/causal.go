@@ -23,7 +23,7 @@ const trajectoryLen = 8
 // time, and the emission order within a round is fixed (accusations, penalty
 // changes in ascending node order, isolations, reintegrations). The
 // accusation evidence class is checked against the byte-per-entry reference
-// by TestProtocolMatchesReference.
+// by TestPackedScalarTraceEquivalence.
 type StepTrace struct {
 	sink trace.Sink
 

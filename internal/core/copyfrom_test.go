@@ -54,45 +54,49 @@ func TestCopyFromMatchesJSONRestore(t *testing.T) {
 		N: n, ID: 3, L: 3, SendCurrRound: false,
 		PR: PRConfig{PenaltyThreshold: 1, RewardThreshold: 1},
 	}
-	original, err := NewProtocol(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clone, err := NewProtocol(cloneCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tape := copyFromTape(77, n, rounds)
-	for k := 0; k < rounds; k++ {
-		if _, err := original.Step(tape[k]); err != nil {
-			t.Fatalf("round %d: %v", k, err)
-		}
-		want, err := original.Snapshot()
+	// The subtest name is kept from when a byte-per-entry representation ran
+	// beside the bit-plane one; the bit-plane Protocol is the only one now.
+	t.Run("packed=true", func(t *testing.T) {
+		original, err := NewProtocol(cfg)
 		if err != nil {
-			t.Fatalf("round %d: snapshot: %v", k, err)
+			t.Fatal(err)
 		}
-		if err := clone.CopyFrom(original); err != nil {
-			t.Fatalf("round %d: CopyFrom: %v", k, err)
-		}
-		got, err := clone.Snapshot()
+		clone, err := NewProtocol(cloneCfg)
 		if err != nil {
-			t.Fatalf("round %d: clone snapshot: %v", k, err)
+			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("round %d: clone snapshot diverged\n clone: %s\n  orig: %s", k, got, want)
+		tape := copyFromTape(77, n, rounds)
+		for k := 0; k < rounds; k++ {
+			if _, err := original.Step(tape[k]); err != nil {
+				t.Fatalf("round %d: %v", k, err)
+			}
+			want, err := original.Snapshot()
+			if err != nil {
+				t.Fatalf("round %d: snapshot: %v", k, err)
+			}
+			if err := clone.CopyFrom(original); err != nil {
+				t.Fatalf("round %d: CopyFrom: %v", k, err)
+			}
+			got, err := clone.Snapshot()
+			if err != nil {
+				t.Fatalf("round %d: clone snapshot: %v", k, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("round %d: clone snapshot diverged\n clone: %s\n  orig: %s", k, got, want)
+			}
+			jsonTwin, err := RestoreProtocol(want)
+			if err != nil {
+				t.Fatalf("round %d: restore: %v", k, err)
+			}
+			twinSnap, err := jsonTwin.Snapshot()
+			if err != nil {
+				t.Fatalf("round %d: twin snapshot: %v", k, err)
+			}
+			if !bytes.Equal(twinSnap, want) {
+				t.Fatalf("round %d: JSON twin snapshot diverged\n  twin: %s\n  orig: %s", k, twinSnap, want)
+			}
 		}
-		jsonTwin, err := RestoreProtocol(want)
-		if err != nil {
-			t.Fatalf("round %d: restore: %v", k, err)
-		}
-		twinSnap, err := jsonTwin.Snapshot()
-		if err != nil {
-			t.Fatalf("round %d: twin snapshot: %v", k, err)
-		}
-		if !bytes.Equal(twinSnap, want) {
-			t.Fatalf("round %d: JSON twin snapshot diverged\n  twin: %s\n  orig: %s", k, twinSnap, want)
-		}
-	}
+	})
 }
 
 // TestCopyFromContinuation checks behavioural equivalence after the copy: a

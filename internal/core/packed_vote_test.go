@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"ttdiag/internal/rng"
@@ -13,6 +14,42 @@ func TestNewPackedMatrixBound(t *testing.T) {
 	}
 	if _, err := NewPackedMatrix(MaxPackedN); err != nil {
 		t.Fatalf("NewPackedMatrix(%d): %v", MaxPackedN, err)
+	}
+}
+
+// TestPackedStepRejectsWideSystems pins where core enforces the flat bound.
+// A system wider than MaxPackedN never reaches StepPacked: Config.Validate
+// and PackSyndrome refuse it with the error that points to internal/fleet
+// (sim.TestScalarFallbackBeyondPackedBound covers the constructors). At
+// N = MaxPackedN the protocol builds and steps, and StepPacked refuses rows
+// wider than its system.
+func TestPackedStepRejectsWideSystems(t *testing.T) {
+	if !strings.Contains(ErrBeyondPackedBound.Error(), "internal/fleet") {
+		t.Fatalf("flat-bound error %q does not point to internal/fleet", ErrBeyondPackedBound)
+	}
+	edge := Config{N: MaxPackedN, ID: 1, L: 0, SendCurrRound: true,
+		PR: PRConfig{PenaltyThreshold: 1, RewardThreshold: 1}}
+	wide := edge
+	wide.N = MaxPackedN + 1
+	if err := wide.Validate(); !errors.Is(err, ErrBeyondPackedBound) {
+		t.Fatalf("Validate(N=%d) = %v, want the flat-bound error", wide.N, err)
+	}
+	if _, err := PackSyndrome(NewSyndrome(wide.N, Healthy)); !errors.Is(err, ErrBeyondPackedBound) {
+		t.Fatalf("PackSyndrome(N=%d) = %v, want the flat-bound error", wide.N, err)
+	}
+	p, err := NewProtocol(edge)
+	if err != nil {
+		t.Fatalf("NewProtocol(N=%d): %v", edge.N, err)
+	}
+	if _, err := p.StepPacked(PackedRoundInput{Round: 0, Rows: make([]BitSyndrome, wide.N+1)}); err == nil {
+		t.Fatalf("StepPacked accepted %d rows on a %d-node protocol", wide.N+1, edge.N)
+	}
+	out, err := p.StepPacked(PackedRoundInput{Round: 0, Rows: make([]BitSyndrome, edge.N+1)})
+	if err != nil {
+		t.Fatalf("StepPacked(N=%d): %v", edge.N, err)
+	}
+	if out.Round != 0 {
+		t.Fatalf("StepPacked(N=%d) reported round %d, want 0", edge.N, out.Round)
 	}
 }
 

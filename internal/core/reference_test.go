@@ -420,59 +420,84 @@ func intsEqual(a, b []int) bool {
 	return true
 }
 
-// TestProtocolMatchesReference runs the bit-plane Protocol and the
-// byte-per-entry reference side by side on identical random inputs — ε rows,
-// erased entries, asymmetric malicious opinions, accusation cascades,
-// isolations and reintegrations — and requires every RoundOutput field, the
-// diagnostic matrix rows and the evidence class of every accusation to agree
-// on every round. A protocol restored from a mid-run snapshot must continue
-// to match.
-func TestProtocolMatchesReference(t *testing.T) {
-	const rounds = 48
+// TestPackedScalarStepEquivalence runs the bit-plane Protocol and the
+// byte-per-entry (scalar) reference side by side on identical random inputs —
+// ε rows, erased entries, asymmetric malicious opinions, accusation
+// cascades, isolations and reintegrations — and requires every RoundOutput
+// field and the diagnostic matrix rows to agree on every round. A protocol
+// restored from a mid-run snapshot must continue to match.
+func TestPackedScalarStepEquivalence(t *testing.T) {
 	for _, tc := range stepEquivCases() {
-		t.Run(tc.name, func(t *testing.T) {
-			kernel, err := NewProtocol(tc.cfg)
+		t.Run(tc.name, func(t *testing.T) { runAgainstReference(t, tc.cfg, false) })
+	}
+}
+
+// TestPackedScalarTraceEquivalence attaches a flight recorder to the
+// bit-plane Protocol and requires, beside the round outputs, that every
+// accusation event names the reference's suspect in the reference's order
+// and carries its evidence class: a definite HMaj verdict or a matrix
+// disagreement that only ε entries support.
+func TestPackedScalarTraceEquivalence(t *testing.T) {
+	for _, tc := range stepEquivCases() {
+		t.Run(tc.name, func(t *testing.T) { runAgainstReference(t, tc.cfg, true) })
+	}
+}
+
+// runAgainstReference steps the kernel and refProtocol in lock-step for 48
+// rounds. With traced set it compares the kernel's accusation events with
+// the reference's suspects; otherwise it also checks a twin restored from a
+// mid-run snapshot.
+func runAgainstReference(t *testing.T, cfg Config, traced bool) {
+	t.Helper()
+	const rounds = 48
+	kernel, err := NewProtocol(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec trace.Recorder
+	if traced {
+		kernel.SetTrace(NewStepTrace(&rec))
+	}
+	ref := newRefProtocol(t, cfg)
+	st := rng.NewStream(int64(1000 + cfg.N + int(cfg.Mode)*7))
+	var restored *Protocol
+	accused := 0
+	for r := 0; r < rounds; r++ {
+		round := cfg.StartRound + r
+		in := randomStepInput(st, cfg.N, round)
+		rec.Reset()
+		got, err := kernel.Step(in)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		want := ref.Step(in)
+		var accusations []trace.Event
+		if traced {
+			accusations = append([]trace.Event{}, rec.Filter(trace.KindAccusation)...)
+		}
+		diffAgainstReference(t, fmt.Sprintf("round %d", round), got, accusations, want)
+		accused += len(want.Accused)
+		if traced {
+			continue
+		}
+		if restored != nil {
+			rOut, err := restored.Step(in)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("round %d: restored: %v", round, err)
 			}
-			var rec trace.Recorder
-			kernel.SetTrace(NewStepTrace(&rec))
-			ref := newRefProtocol(t, tc.cfg)
-			st := rng.NewStream(int64(1000 + tc.cfg.N + int(tc.cfg.Mode)*7))
-			var restored *Protocol
-			accused := 0
-			for r := 0; r < rounds; r++ {
-				round := tc.cfg.StartRound + r
-				in := randomStepInput(st, tc.cfg.N, round)
-				rec.Reset()
-				got, err := kernel.Step(in)
-				if err != nil {
-					t.Fatalf("round %d: %v", round, err)
-				}
-				want := ref.Step(in)
-				accusations := append([]trace.Event{}, rec.Filter(trace.KindAccusation)...)
-				diffAgainstReference(t, fmt.Sprintf("round %d", round), got, accusations, want)
-				accused += len(want.Accused)
-				if restored != nil {
-					rOut, err := restored.Step(in)
-					if err != nil {
-						t.Fatalf("round %d: restored: %v", round, err)
-					}
-					diffAgainstReference(t, fmt.Sprintf("round %d (restored)", round), rOut, nil, want)
-				}
-				if r == rounds/2 {
-					snap, err := kernel.Snapshot()
-					if err != nil {
-						t.Fatalf("round %d: snapshot: %v", round, err)
-					}
-					if restored, err = RestoreProtocol(snap); err != nil {
-						t.Fatalf("round %d: restore: %v", round, err)
-					}
-				}
+			diffAgainstReference(t, fmt.Sprintf("round %d (restored)", round), rOut, nil, want)
+		}
+		if r == rounds/2 {
+			snap, err := kernel.Snapshot()
+			if err != nil {
+				t.Fatalf("round %d: snapshot: %v", round, err)
 			}
-			if tc.cfg.Mode == ModeMembership && accused == 0 {
-				t.Fatalf("membership case raised no accusations — the evidence check is vacuous")
+			if restored, err = RestoreProtocol(snap); err != nil {
+				t.Fatalf("round %d: restore: %v", round, err)
 			}
-		})
+		}
+	}
+	if traced && cfg.Mode == ModeMembership && accused == 0 {
+		t.Fatalf("membership case raised no accusations — the evidence check is vacuous")
 	}
 }

@@ -8,10 +8,10 @@ import (
 	"ttdiag/internal/membership"
 )
 
-// TestFlatSystemsBeyondPackedBoundRefused pins the flat-system bound: every
-// constructor of an unsharded system refuses N = MaxPackedN+1 with the one
-// error that points to internal/fleet.
-func TestFlatSystemsBeyondPackedBoundRefused(t *testing.T) {
+// TestScalarFallbackBeyondPackedBound pins what replaced the byte-per-entry
+// fallback beyond the packed bound: every constructor of an unsharded system
+// refuses N = MaxPackedN+1 with the one error that points to internal/fleet.
+func TestScalarFallbackBeyondPackedBound(t *testing.T) {
 	n := core.MaxPackedN + 1
 	cfg := core.Config{N: n, ID: 1, L: 0, SendCurrRound: true,
 		PR: core.PRConfig{PenaltyThreshold: 1, RewardThreshold: 1}}

@@ -66,7 +66,7 @@ step "go test -race -cpu=1,4 (metrics determinism)" check_metrics_determinism
 step "go test -race -cpu=1,4 (cluster reuse equivalence)" \
     scripts/gotest.sh -race -cpu=1,4 ./internal/sim/ -run TestClusterReuseEquivalence
 step "go test -race -cpu=1,4 (protocol vs reference)" \
-    scripts/gotest.sh -race -cpu=1,4 ./internal/core/ -run TestProtocolMatchesReference
+    scripts/gotest.sh -race -cpu=1,4 ./internal/core/ -run 'TestPackedScalarStepEquivalence|TestPackedScalarTraceEquivalence'
 step "go test -race -cpu=1,4 (batched campaign determinism)" \
     scripts/gotest.sh -race -cpu=1,4 ./internal/experiments/ -run 'TestBatchedWorkerCountInvariance|TestBatchedCampaignEquivalence|TestScaleResilienceBatchedEquivalence'
 step "go test -race -cpu=1,4 (fleet determinism)" check_fleet_determinism
