@@ -123,9 +123,9 @@ func TestBatchedWorkerCountInvariance(t *testing.T) {
 
 // TestScaleResilienceBatchedEquivalence pins the wide scale-resilience rows
 // (N = 32 and N = 64, see scale_wide.go): the rendered sweep is
-// byte-identical whether the a = 0 wide cases run lane-packed (the default;
-// N = 32 gangs two repetitions per word, N = 64 has a single lane and stays
-// per-run) or per-run under a trace sink.
+// byte-identical whether every wide case, the asymmetric a = 1 ones
+// included, runs lane-packed (the default; N = 32 gangs two repetitions per
+// word, N = 64 runs one-lane gangs) or per-run under a trace sink.
 func TestScaleResilienceBatchedEquivalence(t *testing.T) {
 	for _, runs := range []int{3, 5} {
 		p := Params{Seed: 7, Runs: runs, Workers: 1}

@@ -181,49 +181,18 @@ func resilienceRuns(n, a, s, b, runs, workers int, src *rng.Source) (int, error)
 			if err := cl.ResetLs(ls); err != nil {
 				return false, err
 			}
-			eng, runners := cl.Eng, cl.Runners
+			eng := cl.Eng
 			w.col.Reset()
-			col := w.col
 			for id := 1; id <= n; id++ {
-				col.HookDiag(id, runners[id])
+				w.col.HookDiag(id, cl.Runners[id])
 			}
-			// Assign fault roles to distinct nodes: 1..s malicious, then b
-			// benign (corrupted slots in one round), then a asymmetric. Each
-			// malicious node gets its own payload stream: the engine consumes
-			// them lazily during the run, so they must not share draws with
-			// anything else.
-			var obedient []int
-			node := 1
-			for i := 0; i < s; i++ {
-				eng.Bus().AddDisturbance(fault.NewMaliciousSyndrome(
-					tdma.NodeID(node), w.rng.Stream(fmt.Sprintf("%s/mal-%d", scope, node))))
-				node++
+			for _, d := range resilienceDisturbances(eng.Schedule(), w.rng, scope, n, a, s, b) {
+				eng.Bus().AddDisturbance(d)
 			}
-			const faultRound = 8
-			var bursts []fault.Burst
-			for i := 0; i < b; i++ {
-				bursts = append(bursts, fault.SlotBurst(eng.Schedule(), faultRound, node, 1))
-				node++
-			}
-			if len(bursts) > 0 {
-				eng.Bus().AddDisturbance(fault.NewTrain(bursts...))
-			}
-			for i := 0; i < a; i++ {
-				eng.Bus().AddDisturbance(fault.SOS{
-					Sender: tdma.NodeID(node), Victims: []tdma.NodeID{tdma.NodeID((node % n) + 1)},
-					FromRound: faultRound, ToRound: faultRound + 1,
-				})
-				node++
-			}
-			for id := 1; id <= n; id++ {
-				if id > s {
-					obedient = append(obedient, id)
-				}
-			}
-			if err := eng.RunRounds(faultRound + 10); err != nil {
+			if err := eng.RunRounds(resilienceFaultRound + 10); err != nil {
 				return false, err
 			}
-			return sim.AuditTheorem1(eng, col, obedient, 4, faultRound+6) != nil, nil
+			return sim.AuditTheorem1(eng, w.col, resilienceObedient(n, s), 4, resilienceFaultRound+6) != nil, nil
 		})
 	if err != nil {
 		return 0, err

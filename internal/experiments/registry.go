@@ -34,7 +34,8 @@ type Params struct {
 	Metrics *metrics.Report
 	// Trace, when non-nil, receives the simulation trace of every campaign
 	// repetition plus one KindNote boundary event per run. A sink moves the
-	// Sec. 8 campaigns from the lane-packed gangs to the slower per-run path
+	// Sec. 8 campaigns and the wide scale-resilience cases from the
+	// lane-packed gangs to the slower per-run path
 	// (same rendered output), whose metrics report lacks the batch/*
 	// occupancy instruments. Event order is deterministic only with
 	// Workers == 1 (the CLI's -trace flag forces that); with more workers the
@@ -63,8 +64,9 @@ type Params struct {
 // batched reports whether the lane-packed campaign path runs: always, unless
 // a trace sink is attached. Tracing is per repetition, so a traced campaign
 // takes the per-run path, which is also the test oracle of the lane-packed
-// one. Campaigns with receiver-selective disturbances (sec8-clique, the
-// a > 0 scale-resilience cases) always run per repetition.
+// one. The lane-packed bus carries receiver-selective faults (tdma.Blinder),
+// so every wide scale-resilience case runs batched, including a > 0;
+// sec8-clique runs per repetition because it uses membership mode.
 func (p Params) batched() bool { return p.Trace == nil }
 
 func (p Params) withDefaults() Params {

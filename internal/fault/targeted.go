@@ -81,7 +81,10 @@ type ReceiverBlind struct {
 	FromRound, ToRound int
 }
 
-var _ tdma.Disturbance = ReceiverBlind{}
+var (
+	_ tdma.Disturbance = ReceiverBlind{}
+	_ tdma.Blinder     = ReceiverBlind{}
+)
 
 func (rb ReceiverBlind) matches(tx *tdma.Transmission, rcv tdma.NodeID) bool {
 	if rcv != rb.Receiver || tx.Sender == rb.Receiver {
@@ -109,6 +112,15 @@ func (rb ReceiverBlind) Deliver(tx *tdma.Transmission, rcv tdma.NodeID, d tdma.D
 	return d
 }
 
+// Blinded implements tdma.Blinder: the one blind receiver, while the fault
+// covers tx.
+func (rb ReceiverBlind) Blinded(tx *tdma.Transmission) uint64 {
+	if rb.matches(tx, rb.Receiver) {
+		return tdma.ReceiverBit(rb.Receiver)
+	}
+	return 0
+}
+
 // SenderCollision implements tdma.Disturbance: the sender's side of the bus
 // is intact, so its collision detector stays quiet — precisely what makes
 // the fault asymmetric.
@@ -130,14 +142,18 @@ type SOS struct {
 	FromRound, ToRound int
 }
 
-var _ tdma.Disturbance = SOS{}
+var (
+	_ tdma.Disturbance = SOS{}
+	_ tdma.Blinder     = SOS{}
+)
+
+func (s SOS) active(tx *tdma.Transmission) bool {
+	return tx.Sender == s.Sender && tx.Round >= s.FromRound && (s.ToRound <= 0 || tx.Round < s.ToRound)
+}
 
 // Deliver implements tdma.Disturbance.
 func (s SOS) Deliver(tx *tdma.Transmission, rcv tdma.NodeID, d tdma.Delivery) tdma.Delivery {
-	if tx.Sender != s.Sender {
-		return d
-	}
-	if tx.Round < s.FromRound || (s.ToRound > 0 && tx.Round >= s.ToRound) {
+	if !s.active(tx) {
 		return d
 	}
 	for _, v := range s.Victims {
@@ -146,6 +162,18 @@ func (s SOS) Deliver(tx *tdma.Transmission, rcv tdma.NodeID, d tdma.Delivery) td
 		}
 	}
 	return d
+}
+
+// Blinded implements tdma.Blinder: the victims, while the fault covers tx.
+func (s SOS) Blinded(tx *tdma.Transmission) uint64 {
+	if !s.active(tx) {
+		return 0
+	}
+	var m uint64
+	for _, v := range s.Victims {
+		m |= tdma.ReceiverBit(v)
+	}
+	return m
 }
 
 // SenderCollision implements tdma.Disturbance: an SOS sender reads its own

@@ -234,3 +234,65 @@ func TestAdversarialSyndromeLie(t *testing.T) {
 		t.Fatal("round after window corrupted")
 	}
 }
+
+// TestBlinderContract checks the tdma.Blinder contract of the
+// receiver-selective faults over every (round, sender, receiver) at N = 4
+// and N = 64: Deliver makes a valid delivery invalid exactly at the
+// receivers Blinded reports (bit rcv−1) and hands every other receiver the
+// delivery unchanged. Bits past N (a victim id beyond the system) name no
+// receiver; the bus masks them off. The lane-packed bus relies on it to replace the
+// per-receiver Deliver calls with the mask.
+func TestBlinderContract(t *testing.T) {
+	for _, n := range []int{4, 64} {
+		last := tdma.NodeID(n)
+		type blinder interface {
+			tdma.Disturbance
+			tdma.Blinder
+		}
+		cases := []struct {
+			name string
+			d    blinder
+		}{
+			{"sos", SOS{Sender: 2, Victims: []tdma.NodeID{1, 3}, FromRound: 2, ToRound: 5}},
+			{"sos_self_victim", SOS{Sender: 3, Victims: []tdma.NodeID{3, last, 1}, FromRound: 4, ToRound: 5}},
+			{"sos_forever", SOS{Sender: last, Victims: []tdma.NodeID{2}, FromRound: 3}},
+			{"sos_out_of_range_victim", SOS{Sender: 1, Victims: []tdma.NodeID{0, last + 1, 2}, FromRound: 1, ToRound: 3}},
+			{"sos_no_victims", SOS{Sender: 1}},
+			{"blind_all_senders", ReceiverBlind{Receiver: 2, FromRound: 3, ToRound: 6}},
+			{"blind_some_senders", ReceiverBlind{Receiver: last, Senders: []tdma.NodeID{1, 3, 2}, FromRound: 1}},
+			{"blind_self_listed", ReceiverBlind{Receiver: 1, Senders: []tdma.NodeID{1, last}, ToRound: 4}},
+		}
+		sched, err := tdma.NewSchedule(n, time.Duration(n)*625*time.Microsecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := []byte{0x5A}
+		for _, c := range cases {
+			name, d := c.name, c.d
+			blinded := 0
+			for round := 0; round < 8; round++ {
+				for sender := tdma.NodeID(1); sender <= last; sender++ {
+					tx := txAt(sched, sender, round, payload)
+					mask := d.Blinded(tx)
+					if mask != 0 {
+						blinded++
+					}
+					for rcv := tdma.NodeID(1); rcv <= last; rcv++ {
+						in := tdma.Delivery{Valid: true, Payload: payload}
+						got := d.Deliver(tx, rcv, in)
+						blind := mask&tdma.ReceiverBit(rcv) != 0
+						switch {
+						case blind && (got.Valid || got.Payload != nil):
+							t.Fatalf("N=%d %s round %d sender %d rcv %d: blinded receiver got %+v", n, name, round, sender, rcv, got)
+						case !blind && (!got.Valid || !bytes.Equal(got.Payload, payload) || &got.Payload[0] != &payload[0]):
+							t.Fatalf("N=%d %s round %d sender %d rcv %d: unblinded receiver got %+v", n, name, round, sender, rcv, got)
+						}
+					}
+				}
+			}
+			if want := name != "sos_no_victims"; (blinded > 0) != want {
+				t.Fatalf("N=%d %s: %d blinded transmissions, want some: %v", n, name, blinded, want)
+			}
+		}
+	}
+}

@@ -21,9 +21,10 @@ const defaultShardRoundLen = sim.DefaultRoundLen
 // Shards of equal size run lane-packed: each is one lane of a shared
 // sim.BatchDiagCluster (already reset, the shard's horizon set), so a hook
 // addresses its shard through Lane — Cluster.AddLaneDisturbance to inject
-// (the disturbance must be receiver-uniform), Cluster.LaneCollector and
-// Cluster.LaneTruth to audit. Everything is borrowed for the duration of the
-// callback chain: the cluster runs other shards once the gang completes.
+// (the disturbance must be receiver-uniform or a tdma.Blinder),
+// Cluster.LaneCollector and Cluster.LaneTruth to audit. Everything is
+// borrowed for the duration of the callback chain: the cluster runs other
+// shards once the gang completes.
 type ShardRun struct {
 	// Shard is the 0-based shard index.
 	Shard int

@@ -28,11 +28,12 @@ const collRing = 16
 // lane-packed: every node's protocol advances all lanes with one StepBatch
 // per round, and the bus delivery is evaluated once per lane and slot.
 //
-// The shared-plane layout is only sound when every attached disturbance is
+// The shared-plane layout needs every attached disturbance to be either
 // receiver-uniform — it degrades the delivery identically for every
-// receiver (fault.Train and fault.MaliciousSyndrome are; a
-// receiver-selective disturbance like fault.ReceiverBlind is not, and such
-// campaigns must stay on the per-run Engine). See AddLaneDisturbance.
+// receiver (fault.Train, fault.MaliciousSyndrome) — or a tdma.Blinder that
+// invalidates it at a known receiver subset (fault.SOS,
+// fault.ReceiverBlind), which the per-observer blind masks carry. See
+// AddLaneDisturbance.
 type BatchDiagCluster struct {
 	cfg   ClusterConfig // normalized, diagnostic mode; Ls cluster-owned
 	sched *tdma.Schedule
@@ -56,9 +57,9 @@ type BatchDiagCluster struct {
 	laneRep uint64 // bit r·N set for every live lane
 	allB    uint64 // laneRep · laneAll: every live lane's node bits
 
-	// Shared receiver state. Because disturbances are receiver-uniform,
-	// all receivers observe the same delivery: rows[j] holds sender j's
-	// last decoded wire word lane-packed, presentB the lanes·senders whose
+	// Shared receiver state. Every receiver that a disturbance does not
+	// blind observes the same delivery: rows[j] holds sender j's last
+	// decoded wire word lane-packed, presentB the lanes·senders whose
 	// stored payload is valid and decodable.
 	rows     []core.BitSyndrome // 1-based by interface variable
 	presentB uint64
@@ -70,6 +71,13 @@ type BatchDiagCluster struct {
 	// loopback invalidation), both lane-packed at the sender's column.
 	ign      []uint64 // 1-based by observer
 	ownClear []uint64 // 1-based by sender
+
+	// blind[i] marks the lanes·senders whose last transmission a
+	// tdma.Blinder made locally detectable at observer i, lane-packed at
+	// the sender's column. Only gangs with a blinder in some lane's chain
+	// (blindLanes, bit r = lane r) refresh it; otherwise it stays zero.
+	blind      []uint64 // 1-based by observer
+	blindLanes uint64
 
 	// staged[s] is node s's outbox: the lane-packed wire word its next
 	// slot-s transmission carries (Op∧Known of the last StepBatch send).
@@ -132,6 +140,9 @@ func NewBatchDiagCluster(cfg ClusterConfig) (*BatchDiagCluster, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The three per-observer mask families share one backing array.
+	w := norm.N + 1
+	masks := make([]uint64, 3*w)
 	c := &BatchDiagCluster{
 		cfg:       norm,
 		sched:     sched,
@@ -142,8 +153,9 @@ func NewBatchDiagCluster(cfg ClusterConfig) (*BatchDiagCluster, error) {
 		observe:   norm.PR.ReintegrationThreshold > 0,
 		laneAll:   core.PlaneMask(norm.N),
 		rows:      make([]core.BitSyndrome, norm.N+1),
-		ign:       make([]uint64, norm.N+1),
-		ownClear:  make([]uint64, norm.N+1),
+		ign:       masks[:w:w],
+		ownClear:  masks[w : 2*w : 2*w],
+		blind:     masks[2*w:],
 		staged:    make([]uint64, norm.N+1),
 		collRound: make([]int, (norm.N+1)*collRing),
 		collMask:  make([]uint64, (norm.N+1)*collRing),
@@ -214,12 +226,14 @@ func (c *BatchDiagCluster) ResetBatch(lanes int) error {
 		c.protos[id].Reset(lanes)
 		c.ign[id] = 0
 		c.ownClear[id] = 0
+		c.blind[id] = 0
 		// The bootstrap outbox is the all-healthy syndrome in every lane,
 		// mirroring bootstrapOutboxes on the per-run path.
 		c.staged[id] = c.allB
 		c.rows[id] = core.BitSyndrome{Op: 0, Known: c.allB}
 	}
 	c.presentB = 0
+	c.blindLanes = 0
 	for i := range c.collSeen {
 		c.collSeen[i] = false
 	}
@@ -254,13 +268,18 @@ func (c *BatchDiagCluster) allocHV() core.Syndrome {
 
 // AddLaneDisturbance appends a disturbance to one lane's bus filter chain.
 //
-// The disturbance must be receiver-uniform: Deliver must not depend on the
-// rcv argument, because the batched bus evaluates it once per (lane, slot)
-// with a representative receiver and shares the result across all
-// receivers. fault.Train (and any burst train) and fault.MaliciousSyndrome
-// qualify; fault.ReceiverBlind does not.
+// The batched bus evaluates each disturbance once per (lane, slot), so it
+// must be either receiver-uniform — Deliver does not depend on the rcv
+// argument (fault.Train and any burst train, fault.MaliciousSyndrome) — or
+// a tdma.Blinder (fault.SOS, fault.ReceiverBlind), whose receiver mask is
+// used instead of Deliver. A composite chain (tdma.Disturbances,
+// fault.RedundantChannels) counts as one opaque disturbance and must be
+// receiver-uniform as a whole.
 func (c *BatchDiagCluster) AddLaneDisturbance(lane int, d tdma.Disturbance) {
 	c.dist[lane] = append(c.dist[lane], d)
+	if _, ok := d.(tdma.Blinder); ok {
+		c.blindLanes |= 1 << uint(lane)
+	}
 }
 
 // SetLaneHorizon pins one lane's repetition length in rounds: the lane's
@@ -372,7 +391,7 @@ func (c *BatchDiagCluster) runRound(k int) error {
 
 // runJob executes node id's diagnostic job for every lane at once.
 func (c *BatchDiagCluster) runJob(k, id int) error {
-	present := c.presentB &^ (c.ign[id] | c.ownClear[id])
+	present := c.presentB &^ (c.ign[id] | c.ownClear[id] | c.blind[id])
 	var collF uint64
 	if d := k - c.lag[id]; d >= 0 {
 		i := id*collRing + d%collRing
@@ -423,9 +442,10 @@ func (c *BatchDiagCluster) runJob(k, id int) error {
 }
 
 // transmitSlot broadcasts node s's staged outbox in every lane: encode the
-// lane's wire word, run the lane's disturbance chain once (receiver-uniform,
-// representative receiver 1), fold the delivery into the shared planes and
-// the sender's collision ring, and record the lane's ground truth.
+// lane's wire word, run the lane's disturbance chain once (uniform
+// disturbances at representative receiver 1, blinders as receiver masks),
+// fold the delivery into the shared planes, the blind masks and the
+// sender's collision ring, and record the lane's ground truth.
 func (c *BatchDiagCluster) transmitSlot(k, s int) {
 	start, end := c.sched.SlotWindow(k, s)
 	n := c.n
@@ -438,11 +458,27 @@ func (c *BatchDiagCluster) transmitSlot(k, s int) {
 		Start: start, End: end, Payload: c.payload,
 	}
 	clean := tdma.Delivery{Valid: true, Payload: c.payload}
+	col := uint(s - 1)
+	if c.blindLanes != 0 {
+		colBits := c.laneRep << col
+		for i := 1; i <= n; i++ {
+			c.blind[i] &^= colBits
+		}
+	}
 	var wireWord, validLanes, collLanes uint64
 	for r := 0; r < c.lanes; r++ {
 		laneW := core.LaneView(c.staged[s], r, n)
 		core.BitSyndrome{Op: laneW, Known: c.laneAll}.EncodeInto(c.payload)
-		d := c.dist[r].Deliver(&c.tx, 1, clean)
+		var d tdma.Delivery
+		var blinded uint64
+		if c.blindLanes&(1<<uint(r)) == 0 {
+			d = c.dist[r].Deliver(&c.tx, 1, clean)
+		} else {
+			d, blinded = c.deliverSelective(r, clean)
+			for m := blinded; m != 0; m &= m - 1 {
+				c.blind[bits.TrailingZeros64(m)+1] |= 1 << (uint(r*n) + col)
+			}
+		}
 		untouched := false
 		if d.Valid && len(d.Payload) == encLen {
 			if untouched = payloadEqual(d.Payload, c.payload); untouched {
@@ -461,18 +497,23 @@ func (c *BatchDiagCluster) transmitSlot(k, s int) {
 		}
 		if k < c.horizon[r] {
 			// Ground-truth classification over the non-sender receivers,
-			// all of which observe this same delivery: invalid is locally
-			// detectable (benign), altered payload bytes are malicious.
+			// as TxReport.Classify does: detectable at some but not all of
+			// them is asymmetric, at all of them benign; otherwise they
+			// all observe the same delivery, and altered payload bytes
+			// are malicious.
+			others := c.laneAll &^ (1 << col)
 			class := tdma.OutcomeCorrect
-			if !d.Valid {
+			switch blindOthers := blinded & others; {
+			case !d.Valid || blindOthers == others:
 				class = tdma.OutcomeBenign
-			} else if !untouched {
+			case blindOthers != 0:
+				class = tdma.OutcomeAsymmetric
+			case !untouched:
 				class = tdma.OutcomeMalicious
 			}
 			c.truth[r][k*(n+1)+s] = class
 		}
 	}
-	col := uint(s - 1)
 	c.presentB = (c.presentB &^ (c.laneRep << col)) | expandColumn(validLanes, col, n)
 	c.rows[s] = core.BitSyndrome{Op: wireWord, Known: c.allB}
 	// Sender-side collision feedback: the controller cannot read its own
@@ -484,6 +525,27 @@ func (c *BatchDiagCluster) transmitSlot(k, s int) {
 	c.collRound[i] = k
 	c.collMask[i] = collLanes
 	c.collSeen[i] = true
+}
+
+// deliverSelective runs lane r's chain when it holds a tdma.Blinder: each
+// blinder contributes its receiver mask, and every other disturbance is
+// evaluated once on the delivery the receivers not yet blinded share. Once
+// the masks cover all N receivers the rest of the chain sees an invalid
+// delivery, as it does on the per-run bus, where no receiver then reaches
+// it with a valid one — so a later fault.MaliciousSyndrome draws exactly
+// when it would there.
+func (c *BatchDiagCluster) deliverSelective(r int, d tdma.Delivery) (tdma.Delivery, uint64) {
+	var blinded uint64
+	for _, dist := range c.dist[r] {
+		if b, ok := dist.(tdma.Blinder); ok {
+			if blinded |= b.Blinded(&c.tx) & c.laneAll; blinded == c.laneAll {
+				d = tdma.Delivery{}
+			}
+			continue
+		}
+		d = dist.Deliver(&c.tx, 1, d)
+	}
+	return d, blinded
 }
 
 // captureFinal snapshots one lane's per-observer penalty counters at its

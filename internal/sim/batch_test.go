@@ -26,8 +26,11 @@ type batchScenario struct {
 // batchScenarios covers the observable regimes of the batched cluster:
 // pure detection (no isolation), isolation without reintegration (the
 // monotone ignore path plus collision feedback), reintegration (the
-// observe path), a design-time AllSendCurrRound schedule, and malicious
-// senders driving the rng-backed disturbance caching.
+// observe path), a design-time AllSendCurrRound schedule, malicious
+// senders driving the rng-backed disturbance caching, and the
+// receiver-selective faults the blind masks carry (tdma.Blinder): SOS
+// senders, blind receivers, a blinder that hides a malicious sender from
+// every receiver, and the N = 64 mix of the widest scale-resilience case.
 func batchScenarios() []batchScenario {
 	prototype := []int{2, 0, 3, 1}
 	burstAttach := func(run int, sched *tdma.Schedule, add func(tdma.Disturbance)) int {
@@ -94,7 +97,88 @@ func batchScenarios() []batchScenario {
 				return 20 + run%4
 			},
 		},
+		{
+			// Several victims, the sender's own loopback among them in
+			// most runs, repeated until the sender is isolated; a
+			// malicious node overlaps the episode in every other run.
+			name: "sos",
+			cfg: ClusterConfig{
+				Ls: prototype,
+				PR: core.PRConfig{PenaltyThreshold: 3, RewardThreshold: 5},
+			},
+			attach: func(run int, _ *tdma.Schedule, add func(tdma.Disturbance)) int {
+				sender := tdma.NodeID(1 + run%4)
+				victims := [][]tdma.NodeID{
+					{sender, sender%4 + 1},
+					{sender, sender%4 + 1, (sender+1)%4 + 1},
+					{sender%4 + 1, (sender+1)%4 + 1},
+					{1, 2, 3, 4},
+				}[run%4]
+				start := 5 + run%3
+				for r := start; r < start+10; r += 2 {
+					add(fault.SOS{Sender: sender, Victims: victims, FromRound: r, ToRound: r + 1})
+				}
+				if run%2 == 1 {
+					add(fault.NewMaliciousSyndrome(sender%4+1, rng.NewStream(int64(5000+run))))
+				}
+				return start + 16
+			},
+		},
+		{
+			name: "receiver_blind",
+			cfg: ClusterConfig{
+				Ls: prototype,
+				PR: core.PRConfig{PenaltyThreshold: 2, RewardThreshold: 4, ReintegrationThreshold: 3},
+			},
+			attach: func(run int, _ *tdma.Schedule, add func(tdma.Disturbance)) int {
+				rcv := tdma.NodeID(1 + run%4)
+				senders := [][]tdma.NodeID{nil, {rcv%4 + 1}, {rcv%4 + 1, (rcv+1)%4 + 1}}[run%3]
+				start := 4 + run%5
+				add(fault.ReceiverBlind{Receiver: rcv, Senders: senders, FromRound: start, ToRound: start + 1 + run%3})
+				add(fault.ReceiverBlind{Receiver: rcv%4 + 1, Senders: []tdma.NodeID{rcv}, FromRound: start + 6, ToRound: start + 8})
+				return start + 18
+			},
+		},
+		{
+			// An SOS ahead of a malicious sender in the chain blinds every
+			// receiver in even rounds, so the malicious payload must be
+			// drawn in odd rounds only, as the per-run bus draws it.
+			name: "blind_before_malicious",
+			cfg:  ClusterConfig{Ls: prototype},
+			attach: func(run int, _ *tdma.Schedule, add func(tdma.Disturbance)) int {
+				mal := tdma.NodeID(1 + run%4)
+				for r := 4; r < 16; r += 2 {
+					add(fault.SOS{Sender: mal, Victims: []tdma.NodeID{1, 2, 3, 4}, FromRound: r, ToRound: r + 1})
+				}
+				add(fault.SOS{Sender: mal, Victims: []tdma.NodeID{mal%4 + 1}, FromRound: 5, ToRound: 6})
+				add(fault.NewMaliciousSyndrome(mal, rng.NewStream(int64(6000+run))))
+				return 18 + run%4
+			},
+		},
+		{
+			// The a = 1, s = 30 mix of the widest scale-resilience case:
+			// 30 malicious sources, one SOS sender with one victim.
+			name: "n64_sos_malicious",
+			cfg:  ClusterConfig{N: 64, RoundLen: DefaultRoundLen * 16, Ls: wideLs(64)},
+			attach: func(run int, _ *tdma.Schedule, add func(tdma.Disturbance)) int {
+				for node := 1; node <= 30; node++ {
+					add(fault.NewMaliciousSyndrome(tdma.NodeID(node), rng.NewStream(int64(7000+64*run+node))))
+				}
+				add(fault.SOS{Sender: 31, Victims: []tdma.NodeID{32}, FromRound: 8, ToRound: 9})
+				return 18
+			},
+		},
 	}
+}
+
+// wideLs draws a fixed job layout for an n-node scenario.
+func wideLs(n int) []int {
+	st := rng.NewStream(int64(n))
+	ls := make([]int, n)
+	for i := range ls {
+		ls[i] = st.Intn(n)
+	}
+	return ls
 }
 
 // runBatchReference executes one repetition on the per-run lock-step engine
@@ -153,7 +237,7 @@ func TestBatchClusterEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			n := bc.Config().N
-			for _, width := range []int{bc.MaxLanes(), bc.MaxLanes()/2 + 1, 1} {
+			for _, width := range gangWidths(bc.MaxLanes()) {
 				width := width
 				t.Run(fmt.Sprintf("g%d", width), func(t *testing.T) {
 					if err := bc.ResetBatch(width); err != nil {
@@ -206,6 +290,18 @@ func TestBatchClusterEquivalence(t *testing.T) {
 			}
 		})
 	}
+}
+
+// gangWidths returns the full, ragged and single-lane gang widths of a
+// capacity, without repeats (a one-lane capacity has only one).
+func gangWidths(capacity int) []int {
+	var ws []int
+	for _, w := range []int{capacity, capacity/2 + 1, 1} {
+		if len(ws) == 0 || ws[len(ws)-1] != w {
+			ws = append(ws, w)
+		}
+	}
+	return ws
 }
 
 // TestBatchClusterReset pins gang reuse: a cluster reset between gangs is

@@ -50,6 +50,27 @@ type Disturbance interface {
 	SenderCollision(tx *Transmission, collided bool) bool
 }
 
+// Blinder is an optional interface of receiver-selective disturbances, the
+// asymmetric class of Sec. 4: the disturbance makes tx locally detectable
+// at some receivers and leaves every other delivery untouched. Blinded
+// returns those receivers as a mask, bit rcv−1 for receiver rcv (1..64),
+// and must agree with Deliver: Deliver(tx, rcv, d) is invalid exactly when
+// bit rcv−1 is set and returns d unchanged otherwise. A bus that evaluates
+// a chain once per transmission rather than once per receiver (the
+// lane-packed sim.BatchDiagCluster) uses the mask as per-receiver validity.
+type Blinder interface {
+	Blinded(tx *Transmission) uint64
+}
+
+// ReceiverBit returns the Blinder mask bit of receiver rcv: bit rcv−1 for
+// receivers 1..64, zero for any other id.
+func ReceiverBit(rcv NodeID) uint64 {
+	if rcv < 1 || rcv > 64 {
+		return 0
+	}
+	return 1 << uint(rcv-1)
+}
+
 // Disturbances composes several disturbances, applied in order.
 type Disturbances []Disturbance
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# bench.sh runs the campaign engine and protocol hot-path benchmarks and
-# records every sample in BENCH_campaign.json, plus the packed voting-kernel
+# bench.sh runs the campaign engine and protocol hot-path benchmarks (plus
+# the wide scale-resilience repetition, per-run vs lane-packed) and records
+# every sample in BENCH_campaign.json, plus the packed voting-kernel
 # microbenchmarks in BENCH_core.json, the telemetry-layer benchmarks
 # (instrument costs, Step with metrics on/off, the gang StepBatch with
 # shared instruments and Step with the causal flight recorder on/off) in
@@ -42,9 +43,11 @@ END { print "\n]" }
 '
 }
 
+# BenchmarkWideResilienceRun pairs the per-run engine with one-lane gangs on
+# the N = 64 asymmetric scale-resilience case.
 go test -run '^$' \
-    -bench 'BenchmarkSec8BurstCampaign|BenchmarkProtocolStep|BenchmarkEngineRound' \
-    -benchmem -count="$COUNT" . | tee "$raw"
+    -bench 'BenchmarkSec8BurstCampaign|BenchmarkProtocolStep|BenchmarkEngineRound|BenchmarkWideResilienceRun' \
+    -benchmem -count="$COUNT" . ./internal/experiments/ | tee "$raw"
 fold_json < "$raw" > BENCH_campaign.json
 echo "wrote BENCH_campaign.json"
 

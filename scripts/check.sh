@@ -79,6 +79,8 @@ step "go test -fuzz (lane-packed voting kernel, seed corpus + short fuzz)" \
     scripts/gotest.sh ./internal/core/ -run FuzzVoteAllBatch -fuzz 'FuzzVoteAllBatch$' -fuzztime 15s
 step "go test -fuzz (snapshot restore, seed corpus + short fuzz)" \
     scripts/gotest.sh ./internal/core/ -run FuzzRestoreProtocol -fuzz 'FuzzRestoreProtocol$' -fuzztime 15s
+step "go test -fuzz (trace JSONL decoder, seed corpus + short fuzz)" \
+    scripts/gotest.sh ./internal/trace/ -run FuzzReadJSONL -fuzz 'FuzzReadJSONL$' -fuzztime 15s
 step "go test (exhaustive shard-summary decode)" \
     scripts/gotest.sh ./internal/core/ -run TestShardSummaryDecodeExhaustive
 step "go test -tags ttdiag_invariants" \
