@@ -161,7 +161,8 @@ func BenchmarkPenaltyRewardUpdate(b *testing.B) {
 }
 
 // BenchmarkProtocolStep measures one diagnostic-job execution (Alg. 1, all
-// five phases) for growing cluster sizes.
+// five phases) for growing cluster sizes, on the packed entry the simulation
+// runners call (StepPacked); the byte-input Step adds the conversion.
 func BenchmarkProtocolStep(b *testing.B) {
 	for _, n := range []int{4, 8, 16, 32} {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
@@ -172,15 +173,17 @@ func BenchmarkProtocolStep(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			dms := make([]core.Syndrome, n+1)
+			all := core.PlaneMask(n)
+			healthy := core.BitSyndrome{Op: all, Known: all}
+			rows := make([]core.BitSyndrome, n+1)
 			for j := 1; j <= n; j++ {
-				dms[j] = core.NewSyndrome(n, core.Healthy)
+				rows[j] = healthy
 			}
-			validity := core.NewSyndrome(n, core.Healthy)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := p.Step(core.RoundInput{Round: i, DMs: dms, Validity: validity}); err != nil {
+				in := core.PackedRoundInput{Round: i, Rows: rows, Present: all, Validity: healthy}
+				if _, err := p.StepPacked(in); err != nil {
 					b.Fatal(err)
 				}
 			}

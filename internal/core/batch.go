@@ -4,22 +4,20 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/bits"
+
+	"ttdiag/internal/invariant"
 )
 
-// This file is the cross-run lane-packing layer: where the packed Protocol
-// bit-slices the columns of ONE cluster into a 64-bit plane word, the batch
-// types below bit-slice G = ⌊64/N⌋ independent repetitions of the SAME
-// cluster shape into one word. Lane r occupies bits [r·N, (r+1)·N) of every
-// plane, so one carry-save vote pass, one penalty/reward sweep and one
-// alignment merge advance G Monte-Carlo runs at once. Per-run control flow
-// (self-column, read/send alignment, isolation state) is hoisted from
-// branches into lane-replicated masks; a run's fault outcome is a mask AND,
-// never an `if`.
-//
-// The batch path covers the diagnostic mode only (membership accusations are
-// per-run list-shaped state and stay on Protocol). Lane-exact equivalence
-// with the per-run packed path — outputs, snapshot bytes, metric values — is
-// pinned by batch_equivalence_test.go.
+// This file is the Alg. 1 kernel. It bit-slices the columns of one cluster
+// into a 64-bit plane word and, beyond that, G = ⌊64/N⌋ independent
+// repetitions of the SAME cluster shape into one word: lane r occupies bits
+// [r·N, (r+1)·N) of every plane, so one carry-save vote pass, one
+// penalty/reward sweep and one alignment merge advance G Monte-Carlo runs at
+// once. Per-run control flow (self-column, read/send alignment, isolation
+// state, membership accusations) is hoisted from branches into
+// lane-replicated masks; a run's fault outcome is a mask AND, never an `if`.
+// The per-run Protocol is the one-lane view of this kernel; the
+// byte-per-entry reference of reference_test.go is its test oracle.
 
 // BatchLanes returns how many independent runs of an n-node system fit one
 // plane word: G = ⌊MaxPackedN/n⌋ (16 lanes at N=4, 8 at N=8, …), 0 outside
@@ -86,6 +84,11 @@ type BatchRoundOutput struct {
 	// IsolatedMask/ReintegratedMask mark the nodes that crossed an isolation
 	// threshold this round, lane-packed.
 	IsolatedMask, ReintegratedMask uint64
+	// AccusedMask marks the minority accusations raised this round
+	// (membership mode), lane-packed. DefiniteMask is its subset whose row
+	// holds a definite opinion opposite the verdict on an unguarded column;
+	// the others rest on ε entries alone (the trace evidence class).
+	AccusedMask, DefiniteMask uint64
 }
 
 // LaneConsHV returns lane `lane`'s consistent health vector.
@@ -113,8 +116,13 @@ func (o *BatchRoundOutput) LaneReintegrated(lane, n int) uint64 {
 	return laneExtract(o.ReintegratedMask, lane, n)
 }
 
-// batchAlignBuf is alignBuf for a gang: one lane-packed presence mask and
-// lane-packed row/validity planes shared by all lanes.
+// batchAlignBuf holds one round's buffered controller observations for read
+// and send alignment (Alg. 1 lines 16-17), lane-packed: rows[j] is the copy
+// of interface variable j, meaningful in the lanes whose set bit for j holds
+// (a clear bit is the ε case); ls is the validity vector observed in the
+// buffered round and al the aligned local syndrome computed in it (send
+// alignment, Alg. 1 line 9). The kernel keeps two and alternates between
+// them — the buffer written in round k is the one read in round k+1.
 type batchAlignBuf struct {
 	rows []BitSyndrome
 	set  uint64
@@ -131,7 +139,9 @@ type BatchProtocol struct {
 	cfg   Config
 	n     int
 	lanes int
-	steps int
+	// capLanes is the lane capacity the counters were allocated for.
+	capLanes int
+	steps    int
 
 	// Lane-replicated masks, rebuilt by Reset: laneRep has bit r·N set for
 	// every live lane (the multiplicative lane replicator), allB covers every
@@ -147,14 +157,23 @@ type BatchProtocol struct {
 	lastSentB BitSyndrome
 	prevSentB BitSyndrome
 
-	// op/know are the gang diagnostic-matrix scratch (1-based rows). Unlike
-	// the per-run path the matrix is not part of the output contract, so the
-	// planes are protocol-owned and reused every round — StepBatch allocates
-	// nothing in steady state.
-	op   []uint64
-	know []uint64
+	// op/know are the gang's diagnostic-matrix scratch (1-based rows),
+	// reused every round — StepBatch allocates nothing in steady state.
+	// rowSet is the lane-packed row presence of the last warm round.
+	op     []uint64
+	know   []uint64
+	rowSet uint64
 
-	pr *batchPR
+	// accuse[k] marks the pending minority accusations (membership mode)
+	// that ride k+1 more dissemination writes, lane-packed. age[k] marks the
+	// entries whose last accusation was raised k rounds ago, k up to
+	// accusationSkew — a shift register, entries aged past the window carry
+	// no bit; aging is the union of age[]. Diagnostic-mode runs never set them.
+	accuse [accusationTTL]uint64
+	age    [accusationSkew + 1]uint64
+	aging  uint64
+
+	pr *PenaltyReward
 
 	// metrics holds the optional per-lane telemetry attachments
 	// (SetLaneMetrics); anyMetrics is their non-nil disjunction. groups folds
@@ -170,15 +189,17 @@ type BatchProtocol struct {
 	seriesLanes uint64
 	votes       laneVotes
 
-	// snapAccuse/snapAge are the diagnostic-mode accusation state every lane
-	// shares (no accusations ever), kept materialised for SnapshotLane.
-	snapAccuse []int
-	snapAge    []int
+	// invPrevActive is the previous round's activity mask, kept only by
+	// ttdiag_invariants builds for the monotonicity check (invHavePrev
+	// false after Reset and CopyFrom).
+	invPrevActive uint64
+	invHavePrev   bool
 }
 
 // NewBatchProtocol builds the gang diagnostic job: `lanes` independent runs
-// of the node described by cfg. It requires the diagnostic mode (membership
-// accusation state is per-run shaped) and N·lanes ≤ MaxPackedN.
+// of the node described by cfg, in either mode. It requires
+// N·lanes ≤ MaxPackedN, and the counters are sized for exactly `lanes` runs —
+// the capacity Reset and CopyFrom may fill.
 func NewBatchProtocol(cfg Config, lanes int) (*BatchProtocol, error) {
 	if cfg.Mode == 0 {
 		cfg.Mode = ModeDiagnostic
@@ -186,31 +207,28 @@ func NewBatchProtocol(cfg Config, lanes int) (*BatchProtocol, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Mode != ModeDiagnostic {
-		return nil, fmt.Errorf("core: node %d: the batch path covers the diagnostic mode only", cfg.ID)
-	}
 	if max := BatchLanes(cfg.N); lanes < 1 || lanes > max {
 		return nil, fmt.Errorf("core: node %d: %d lanes of an N=%d system do not fit one word (1..%d)", cfg.ID, lanes, cfg.N, max)
 	}
-	p := &BatchProtocol{
-		cfg:        cfg,
-		n:          cfg.N,
-		op:         make([]uint64, cfg.N+1),
-		know:       make([]uint64, cfg.N+1),
-		metrics:    make([]*StepMetrics, BatchLanes(cfg.N)),
-		groups:     make([]laneGroup, 0, BatchLanes(cfg.N)),
-		snapAccuse: make([]int, cfg.N+1),
-		snapAge:    make([]int, cfg.N+1),
-	}
-	for j := range p.snapAge {
-		p.snapAge[j] = accusationSkew + 1
-	}
-	p.pbufs[0].rows = make([]BitSyndrome, cfg.N+1)
-	p.pbufs[1].rows = make([]BitSyndrome, cfg.N+1)
-	var err error
-	if p.pr, err = newBatchPR(cfg.N, BatchLanes(cfg.N), cfg.PR); err != nil {
+	pr, err := newPenaltyReward(cfg.N, lanes, cfg.PR)
+	if err != nil {
 		return nil, err
 	}
+	// Per-run protocols are built by the thousand (checkpoint twins), so
+	// the matrix planes share one allocation and the two alignment
+	// buffers another; the telemetry slices appear on first attachment.
+	w := cfg.N + 1
+	planes := make([]uint64, 2*w)
+	rows := make([]BitSyndrome, 2*w)
+	p := &BatchProtocol{
+		cfg:      cfg,
+		n:        cfg.N,
+		capLanes: lanes,
+		op:       planes[:w:w],
+		know:     planes[w:],
+		pr:       pr,
+	}
+	p.pbufs[0].rows, p.pbufs[1].rows = rows[:w:w], rows[w:]
 	p.Reset(lanes)
 	return p, nil
 }
@@ -223,10 +241,11 @@ func (p *BatchProtocol) Lanes() int { return p.lanes }
 
 // Reset rewinds every lane to the freshly constructed state and sets the
 // gang width for the next repetition group (ragged final gangs pass a
-// smaller width). It keeps all allocated buffers.
+// smaller width, up to the construction-time capacity). It keeps all
+// allocated buffers.
 func (p *BatchProtocol) Reset(lanes int) {
-	if max := BatchLanes(p.n); lanes < 1 || lanes > max {
-		panic(fmt.Sprintf("core: node %d: Reset to %d lanes, want 1..%d", p.cfg.ID, lanes, max))
+	if lanes < 1 || lanes > p.capLanes {
+		panic(fmt.Sprintf("core: node %d: Reset to %d lanes, want 1..%d", p.cfg.ID, lanes, p.capLanes))
 	}
 	n := p.n
 	p.lanes = lanes
@@ -255,12 +274,18 @@ func (p *BatchProtocol) Reset(lanes int) {
 		buf.ls, buf.al = hw, hw
 	}
 	p.lastSentB, p.prevSentB = hw, hw
+	p.accuse = [accusationTTL]uint64{}
+	p.age = [accusationSkew + 1]uint64{}
+	p.aging = 0
+	p.invHavePrev = false
 	p.steps = 0
 	p.pr.reset(lanes)
 }
 
-// ownRowB is ownRow for the gang: the lane-packed syndromes this node
-// physically transmitted in the previous round.
+// ownRowB returns the lane-packed syndromes this node physically transmitted
+// in the previous round: the last written payload when the node's job runs
+// before its sending slot, and the one before that otherwise (the write of
+// round k-1 is only transmitted in round k).
 func (p *BatchProtocol) ownRowB() BitSyndrome {
 	if p.cfg.SendCurrRound {
 		return p.lastSentB
@@ -268,22 +293,33 @@ func (p *BatchProtocol) ownRowB() BitSyndrome {
 	return p.prevSentB
 }
 
-// StepBatch executes the diagnostic job of every lane for one round. It is
-// the gang form of StepPacked: each phase of Alg. 1 runs once on lane-packed
-// words and advances all lanes together. Rows stays caller-owned (entries
-// are copied by value) and may be reused immediately. The steady state
-// allocates nothing — the output is all values and the matrix scratch is
-// protocol-owned.
+// StepBatch executes the diagnostic job of every lane for one round: each
+// phase of Alg. 1 runs once on lane-packed words and advances all lanes
+// together. Rows stays caller-owned (entries are copied by value) and may be
+// reused immediately. The steady state allocates nothing — the output is all
+// values and the matrix scratch is protocol-owned.
 //
 //ttdiag:noretain params
 func (p *BatchProtocol) StepBatch(in BatchRoundInput) (BatchRoundOutput, error) {
-	n := p.n
 	if want := p.cfg.StartRound + p.steps; in.Round != want {
 		return BatchRoundOutput{}, fmt.Errorf("core: node %d: StepBatch round %d, want %d", p.cfg.ID, in.Round, want)
 	}
-	if len(in.Rows) != n+1 {
-		return BatchRoundOutput{}, fmt.Errorf("core: node %d: Rows has %d entries, want %d", p.cfg.ID, len(in.Rows), n+1)
+	if len(in.Rows) != p.n+1 {
+		return BatchRoundOutput{}, fmt.Errorf("core: node %d: Rows has %d entries, want %d", p.cfg.ID, len(in.Rows), p.n+1)
 	}
+	var out BatchRoundOutput
+	p.step(&in, &out, p.op, p.know)
+	return out, nil
+}
+
+// step is StepBatch on a validated input, writing its result into out and
+// installing a warm round's diagnostic matrix into the planes op/know
+// (1-based rows): the gang's reused scratch, or the per-run view's retained
+// Matrix block, which is thus filled without a copy.
+//
+//ttdiag:noretain params
+func (p *BatchProtocol) step(in *BatchRoundInput, out *BatchRoundOutput, op, know []uint64) {
+	n := p.n
 	all := p.allB
 	present := in.Present & all
 	validity := in.Validity.normalized(all)
@@ -292,10 +328,12 @@ func (p *BatchProtocol) StepBatch(in BatchRoundInput) (BatchRoundOutput, error) 
 	rd := &p.pbufs[p.steps&1]
 	wr := &p.pbufs[(p.steps+1)&1]
 
-	// Phases 1 and 3 — read alignment (Alg. 1 lines 1-6): entries 1..l_i
-	// come from the previous read, the rest from the current one. All lanes
-	// share l_i (same Config), so the split is the same two mask merges as
-	// the per-run path, just over lane-replicated masks.
+	// Phases 1 and 3 — local detection and aggregation (read alignment,
+	// Alg. 1 lines 1-6): entries 1..l_i come from the previous read, the
+	// rest from the current one, so every aligned value refers to a message
+	// sent in round k-1. Under dynamic scheduling the read point is pinned
+	// to round start (l = 0). All lanes share l_i, so the split is two mask
+	// merges over lane-replicated masks.
 	low := p.lowB
 	hi := all &^ low
 	alSet := (rd.set & low) | (present & hi)
@@ -305,14 +343,18 @@ func (p *BatchProtocol) StepBatch(in BatchRoundInput) (BatchRoundOutput, error) 
 	}
 	wr.al = alLS
 
-	out := BatchRoundOutput{Round: in.Round, DiagnosedRound: -1}
+	*out = BatchRoundOutput{Round: in.Round, DiagnosedRound: -1}
 
-	// Phase 4 — analysis (Alg. 1 lines 11-14), diagnostic mode only.
-	warm := p.steps >= p.cfg.Lag()
+	// Phase 4 — analysis (Alg. 1 lines 11-14). In membership mode this runs
+	// before dissemination so that minority accusations can be added to the
+	// outgoing syndrome; in diagnostic mode the ordering is unobservable.
+	lag := p.cfg.Lag()
+	warm := p.steps >= lag
 	var diagRound int
 	if warm {
 		self := p.selfB
 		rowSet := (alSet &^ self) | self
+		p.rowSet = rowSet
 		l := p.cfg.L
 		if p.cfg.Dynamic {
 			l = 0
@@ -321,35 +363,40 @@ func (p *BatchProtocol) StepBatch(in BatchRoundInput) (BatchRoundOutput, error) 
 		// rowSet bit for j is set; compressing those bits onto the lane
 		// replicator and multiplying by the segment mask expands per-lane row
 		// presence into a plane mask (fault outcome as mask AND, not branch).
+		// Entries 1..l_i come from the previous read, the rest from the
+		// current one, and each lane's own row is its locally buffered copy
+		// of the syndrome it physically transmitted in round k-1 — available
+		// even when the transmission itself failed (Lemma 3).
+		op, know = op[:n+1], know[:n+1]
+		rows, held := in.Rows[:n+1], rd.rows[:n+1]
+		laneRep, laneAll := p.laneRep, p.laneAll
+		id, own := p.cfg.ID, p.ownRowB()
 		for j := 1; j <= n; j++ {
-			var row BitSyndrome
-			switch {
-			case j == p.cfg.ID:
-				// Each lane's own row is its locally buffered copy of the
-				// syndrome it physically transmitted in round k-1 (Lemma 3).
-				row = p.ownRowB()
-			case j <= l:
-				row = rd.rows[j]
-			default:
-				row = in.Rows[j].normalized(all)
+			row := rows[j]
+			if j <= l {
+				row = held[j]
 			}
-			seg := ((rowSet >> uint(j-1)) & p.laneRep) * p.laneAll
-			p.op[j] = row.Op & row.Known & seg
-			p.know[j] = row.Known & seg
+			if j == id {
+				row = own
+			}
+			seg := ((rowSet >> uint(j-1)) & laneRep) * laneAll
+			op[j] = row.Op & row.Known & seg
+			know[j] = row.Known & seg
 		}
 
 		var votes *laneVotes
 		if p.anyMetrics {
 			votes = &p.votes
 		}
-		consOp, consKnown := voteAllLanes(p.op, p.know, n, p.laneRep, votes)
+		consOp, consKnown := voteAllLanes(op, know, n, p.laneRep, votes)
 
-		diagRound = in.Round - p.cfg.Lag()
-		// ⊥ fallback (Alg. 1 line 14): columns outside consKnown resolve to
-		// the lane's local collision verdict. The verdict is per lane and
-		// round, not per column, so the per-run ascending-column query loop
-		// collapses to one lane-mask expansion (cold: ⊥ needs ≥ N-1 silent
-		// senders in that lane).
+		diagRound = in.Round - lag
+		// ⊥ fallback (Alg. 1 line 14): H-maj returned ⊥ on the columns
+		// outside consKnown — at least N-1 nodes could not send their
+		// syndromes, so only self-diagnosis can be left undecided. Those
+		// columns resolve to the lane's local collision verdict, one per
+		// lane and round, expanded into a lane mask (cold: ⊥ needs ≥ N-1
+		// silent senders in that lane).
 		if unk := all &^ consKnown; unk != 0 {
 			lanesMask := uint64(1)<<uint(p.lanes) - 1
 			var faultyLanes uint64
@@ -363,9 +410,14 @@ func (p *BatchProtocol) StepBatch(in BatchRoundInput) (BatchRoundOutput, error) 
 		out.ConsOp, out.ConsKnown = consOp, consKnown
 		out.DiagnosedRound = diagRound
 		out.Warm = true
+		if p.cfg.Mode == ModeMembership {
+			out.AccusedMask, out.DefiniteMask = p.accuseMinorities(consOp, op, know)
+		}
 	}
 
-	// Phase 2 — dissemination (send alignment, Alg. 1 lines 7-10).
+	// Phase 2 — dissemination (send alignment, Alg. 1 lines 7-10): choose
+	// the syndrome whose transmission round keeps all disseminated
+	// syndromes referring to the same diagnosed round.
 	var outBits BitSyndrome
 	switch {
 	case p.cfg.AllSendCurrRound:
@@ -374,6 +426,20 @@ func (p *BatchProtocol) StepBatch(in BatchRoundInput) (BatchRoundOutput, error) 
 		outBits = rd.al
 	default:
 		outBits = alLS
+	}
+	if p.cfg.Mode == ModeMembership {
+		// Pending accusations force the accused entries to Faulty, then
+		// every one of them rides one write fewer.
+		var pending uint64
+		for _, m := range p.accuse {
+			pending |= m
+		}
+		if pending != 0 {
+			outBits.Op &^= pending
+			outBits.Known |= pending
+			copy(p.accuse[:], p.accuse[1:])
+			p.accuse[accusationTTL-1] = 0
+		}
 	}
 	out.SendOp, out.SendKnown = outBits.Op, outBits.Known
 
@@ -384,21 +450,82 @@ func (p *BatchProtocol) StepBatch(in BatchRoundInput) (BatchRoundOutput, error) 
 	}
 	out.ActiveMask = p.pr.activeMask
 
-	// Buffering for the next round (Alg. 1 lines 16-17). Absent lane
-	// segments of a row may retain garbage — every read masks them out via
-	// the presence bits, exactly like the per-run set mask.
+	// Buffering for the next round (Alg. 1 lines 16-17). Rows are kept
+	// raw: absent lane segments, ε entries and bits beyond a lane's nodes
+	// may hold garbage, and every read masks them out (presence bits,
+	// Op ∧ Known, the lane segment).
 	wr.set = present
-	for j := 1; j <= n; j++ {
-		wr.rows[j] = in.Rows[j].normalized(all)
-	}
+	copy(wr.rows, in.Rows)
 	wr.ls = validity
 	p.prevSentB = p.lastSentB
 	p.lastSentB = outBits
 	if p.anyMetrics {
-		p.emitMetrics(&out, warm, diagRound)
+		p.emitMetrics(out, warm, diagRound, op, know)
+	}
+	if p.aging != 0 {
+		// Advance the skew-guard ages; the oldest generation leaves the
+		// window. Entries saturated past it (the steady state of every
+		// node) carry no bit and cost nothing.
+		p.aging &^= p.age[accusationSkew]
+		copy(p.age[1:], p.age[:accusationSkew])
+		p.age[0] = 0
+	}
+	if invariant.Enabled {
+		p.checkStepInvariants(out)
 	}
 	p.steps++
-	return out, nil
+}
+
+// accuseMinorities is the membership analysis of Sec. 7 over the warm gang
+// matrix: every lane's rows that conflict with that lane's consistent health
+// vector receive a minority accusation. A row conflicts wherever it is known
+// with the opposite opinion, or ε where the vector holds a verdict (the
+// vector is all-Known here). Entries whose verdict may still be driven by a
+// recent accusation are skipped (the accusationSkew guard), as is each
+// lane's own entry once that lane sees itself convicted — it is the accused
+// party and must not counter-accuse rows carrying the other clique's
+// verdict. It returns the accusations raised and their definite-evidence
+// subset, and records them in the TTL and age registers.
+func (p *BatchProtocol) accuseMinorities(consOp uint64, op, know []uint64) (accused, definite uint64) {
+	n := p.n
+	all := p.allB
+	convicted := p.selfB &^ consOp
+	skip := p.aging&^p.age[0] | convicted
+	// laneAny folds each lane's segment to its lowest bit: the low n-1 bits
+	// of a segment plus all-ones carry into the segment's top bit iff any of
+	// them is set, and the sum stays below 2^n, so lanes never interact.
+	top := p.laneRep << uint(n-1)
+	lowBits := all &^ top
+	laneAny := func(x uint64) uint64 {
+		return ((((x & lowBits) + lowBits) | x) & top) >> uint(n-1)
+	}
+	for j := 1; j <= n; j++ {
+		rows := (p.rowSet >> uint(j-1)) & p.laneRep
+		if j == p.cfg.ID || rows == 0 {
+			continue
+		}
+		keep := all &^ (skip | p.laneRep<<uint(j-1))
+		wrong := know[j] & (op[j] ^ consOp) & keep
+		acc := laneAny(wrong|all&^know[j]&keep) & rows
+		accused |= acc << uint(j-1)
+		definite |= laneAny(wrong) & acc << uint(j-1)
+	}
+	// The registers change only after every row was judged, so all rows see
+	// the same guard state.
+	if accused != 0 {
+		for k := range p.accuse {
+			p.accuse[k] &^= accused
+		}
+		p.accuse[accusationTTL-1] |= accused
+	}
+	if fresh := accused | convicted; fresh != 0 {
+		for k := range p.age {
+			p.age[k] &^= fresh
+		}
+		p.age[0] |= fresh
+		p.aging |= fresh
+	}
+	return accused, definite
 }
 
 // laneVotes classifies one warm round's gang vote column by column, as
@@ -416,11 +543,12 @@ type laneVotes struct {
 // rows carry zero know segments). Per-column counts stay ≤ N-1 ≤ 63, so the
 // six counter planes cover every lane at once. A non-nil votes additionally
 // receives the column classification the telemetry needs, read off the same
-// counter planes. Lane-exact equivalence with the per-run kernel is pinned
-// by FuzzVoteAllBatch.
+// counter planes. Lane-exact equivalence with Matrix.VoteAll is pinned by
+// FuzzVoteAllBatch.
 func voteAllLanes(op, know []uint64, n int, laneRep uint64, votes *laneVotes) (consOp, consKnown uint64) {
 	var healthy, faulty [countPlanes]uint64
 	var any uint64
+	op, know = op[:n+1], know[:n+1]
 	for i := 1; i <= n; i++ {
 		valid := know[i] &^ (laneRep << uint(i-1))
 		if valid == 0 {
@@ -459,6 +587,9 @@ type laneGroup struct {
 // would emit. Lanes may share one StepMetrics, which is the cheap way to
 // instrument a gang. The attachment survives Reset.
 func (p *BatchProtocol) SetLaneMetrics(lane int, m *StepMetrics) {
+	if p.metrics == nil {
+		p.metrics = make([]*StepMetrics, p.capLanes)
+	}
 	p.metrics[lane] = m
 	p.regroup = true
 	p.anyMetrics = false
@@ -496,12 +627,12 @@ func (p *BatchProtocol) regroupMetrics() {
 }
 
 // emitMetrics records one gang execution into the attached lanes'
-// instruments, with the totals each lane's per-run protocol would emit
-// (emitStepMetrics). It works on lane-packed masks: the vote outcomes come
+// instruments, with the totals each lane's run would emit on its own. It
+// works on lane-packed masks: the vote outcomes come
 // from the kernel's classification, disagreements are one masked popcount
 // per matrix row, and every quantity folds into a group's counters with one
 // popcount, so the cost does not grow with the lane count.
-func (p *BatchProtocol) emitMetrics(out *BatchRoundOutput, warm bool, diagRound int) {
+func (p *BatchProtocol) emitMetrics(out *BatchRoundOutput, warm bool, diagRound int, op, know []uint64) {
 	if p.regroup {
 		p.regroupMetrics()
 	}
@@ -521,6 +652,7 @@ func (p *BatchProtocol) emitMetrics(out *BatchRoundOutput, warm bool, diagRound 
 		seg := rep * p.laneAll
 		m := p.groups[g].m
 		m.Steps.Add(int64(bits.OnesCount64(rep)))
+		m.Accusations.Add(int64(bits.OnesCount64(out.AccusedMask & seg)))
 		m.Isolations.Add(int64(bits.OnesCount64(out.IsolatedMask & seg)))
 		m.Reintegrations.Add(int64(bits.OnesCount64(out.ReintegratedMask & seg)))
 		if !warm {
@@ -533,7 +665,7 @@ func (p *BatchProtocol) emitMetrics(out *BatchRoundOutput, warm bool, diagRound 
 		m.VotesTied.Add(int64(bits.OnesCount64(seg & v.tied)))
 		var disagreements int
 		for i := 1; i <= n; i++ {
-			conflict := p.know[i] & out.ConsKnown & (p.op[i] ^ out.ConsOp) &^ (p.laneRep << uint(i-1))
+			conflict := know[i] & out.ConsKnown & (op[i] ^ out.ConsOp) &^ (p.laneRep << uint(i-1))
 			disagreements += bits.OnesCount64(conflict & seg)
 		}
 		m.Disagreements.Add(int64(disagreements))
@@ -570,8 +702,9 @@ func (p *BatchProtocol) LaneActive(lane, j int) bool {
 }
 
 // SnapshotLane serialises lane `lane`'s full protocol state to JSON,
-// byte-identical to Protocol.Snapshot of the per-run instance that ran the
-// same inputs (pinned by the differential tests).
+// byte-identical to Protocol.Snapshot of a per-run instance that ran the
+// same inputs: the accusation registers are materialised as the per-node
+// counters the snapshot format carries.
 func (p *BatchProtocol) SnapshotLane(lane int) ([]byte, error) {
 	if lane < 0 || lane >= p.lanes {
 		return nil, fmt.Errorf("core: node %d: snapshot of lane %d, want 0..%d", p.cfg.ID, lane, p.lanes-1)
@@ -583,14 +716,29 @@ func (p *BatchProtocol) SnapshotLane(lane int) ([]byte, error) {
 		Steps:      p.steps,
 		LastSent:   p.laneSyndrome(p.lastSentB, lane),
 		PrevSent:   p.laneSyndrome(p.prevSentB, lane),
-		Accuse:     p.snapAccuse,
-		AccusedAge: p.snapAge,
+		Accuse:     make([]int, n+1),
+		AccusedAge: make([]int, n+1),
 		PR: prSnapshot{
 			Penalties: p.pr.penalties[base : base+n+1 : base+n+1],
 			Rewards:   p.pr.rewards[base : base+n+1 : base+n+1],
 			Active:    p.pr.active[base : base+n+1 : base+n+1],
 			Observe:   p.pr.observe[base : base+n+1 : base+n+1],
 		},
+	}
+	snap.AccusedAge[0] = accusationSkew + 1
+	for j := 1; j <= n; j++ {
+		bit := uint64(1) << uint(lane*n+j-1)
+		for k, m := range p.accuse {
+			if m&bit != 0 {
+				snap.Accuse[j] = k + 1
+			}
+		}
+		snap.AccusedAge[j] = accusationSkew + 1
+		for k, m := range p.age {
+			if m&bit != 0 {
+				snap.AccusedAge[j] = k
+			}
+		}
 	}
 	rd := &p.pbufs[p.steps&1]
 	snap.PrevLS = p.laneSyndrome(rd.ls, lane)
@@ -611,145 +759,4 @@ func (p *BatchProtocol) laneSyndrome(b BitSyndrome, lane int) Syndrome {
 		Op:    laneExtract(b.Op, lane, n),
 		Known: laneExtract(b.Known, lane, n),
 	}.Unpack(n)
-}
-
-// batchPR is the gang form of PenaltyReward: the counters of every lane live
-// in flat slices indexed lane·(N+1)+j — each lane's block has the exact
-// layout of the per-run counter slices, so SnapshotLane can expose them
-// without copying — and the activity/attention masks are lane-packed.
-type batchPR struct {
-	cfg       PRConfig
-	n         int
-	lanes     int
-	penalties []int64
-	rewards   []int64
-	observe   []int64
-	active    []bool
-	// activeMask mirrors active[] lane-packed (bit r·N + j-1); attention
-	// marks the nodes for which a Healthy verdict is not a no-op, exactly as
-	// on the per-run path but across all lanes at once.
-	activeMask uint64
-	attention  uint64
-}
-
-func newBatchPR(n, maxLanes int, cfg PRConfig) (*batchPR, error) {
-	if err := cfg.Validate(n); err != nil {
-		return nil, err
-	}
-	w := maxLanes * (n + 1)
-	return &batchPR{
-		cfg:       cfg,
-		n:         n,
-		penalties: make([]int64, w),
-		rewards:   make([]int64, w),
-		observe:   make([]int64, w),
-		active:    make([]bool, w),
-	}, nil
-}
-
-func (b *batchPR) reset(lanes int) {
-	b.lanes = lanes
-	b.activeMask = 0
-	b.attention = 0
-	for r := 0; r < lanes; r++ {
-		base := r * (b.n + 1)
-		b.active[base] = false
-		for j := 1; j <= b.n; j++ {
-			b.penalties[base+j] = 0
-			b.rewards[base+j] = 0
-			b.observe[base+j] = 0
-			b.active[base+j] = true
-		}
-		b.activeMask |= PlaneMask(b.n) << uint(r*b.n)
-	}
-}
-
-// maxPenalty returns the largest penalty counter at the lane-packed
-// positions in mask, 0 for an empty mask.
-func (b *batchPR) maxPenalty(mask uint64) int64 {
-	var max int64
-	for rem := mask; rem != 0; rem &= rem - 1 {
-		pos := bits.TrailingZeros64(rem)
-		if v := b.penalties[(pos/b.n)*(b.n+1)+pos%b.n+1]; v > max {
-			max = v
-		}
-	}
-	return max
-}
-
-// updateMasked applies one round's lane-packed faulty columns (Alg. 2 across
-// the gang): only bits in faultyMask ∪ attention are visited — ascending bit
-// order is lane-major, and within each lane matches the per-run ascending
-// node order, so every lane's counter trajectory is identical to its per-run
-// instance.
-func (b *batchPR) updateMasked(faultyMask uint64) (isolated, reintegrated uint64) {
-	for rem := faultyMask | b.attention; rem != 0; rem &= rem - 1 {
-		pos := bits.TrailingZeros64(rem)
-		health := Healthy
-		if faultyMask&(rem&-rem) != 0 {
-			health = Faulty
-		}
-		iso, reint := b.updateNode(pos, health)
-		if iso {
-			isolated |= 1 << uint(pos)
-		}
-		if reint {
-			reintegrated |= 1 << uint(pos)
-		}
-	}
-	return isolated, reintegrated
-}
-
-// updateNode applies one verdict to the node at lane-packed bit position pos,
-// mirroring PenaltyReward.updateNode + syncMask.
-func (b *batchPR) updateNode(pos int, health Opinion) (isolated, reintegrated bool) {
-	j := pos%b.n + 1
-	i := (pos/b.n)*(b.n+1) + j
-	bit := uint64(1) << uint(pos)
-	if !b.active[i] {
-		// Extension: observation of isolated nodes.
-		if b.cfg.ReintegrationThreshold > 0 {
-			if health == Faulty {
-				b.observe[i] = 0
-				return false, false
-			}
-			b.observe[i]++
-			if b.observe[i] >= b.cfg.ReintegrationThreshold {
-				b.active[i] = true
-				b.penalties[i] = 0
-				b.rewards[i] = 0
-				b.observe[i] = 0
-				b.activeMask |= bit
-				b.attention &^= bit
-				return false, true
-			}
-		}
-		return false, false
-	}
-	if health == Faulty {
-		b.penalties[i] += b.cfg.criticality(j)
-		b.rewards[i] = 0
-		if b.penalties[i] > b.cfg.PenaltyThreshold {
-			b.active[i] = false
-			b.observe[i] = 0
-			b.activeMask &^= bit
-			if b.cfg.ReintegrationThreshold > 0 {
-				b.attention |= bit
-			} else {
-				b.attention &^= bit
-			}
-			return true, false
-		}
-		b.attention |= bit
-		return false, false
-	}
-	if b.penalties[i] > 0 {
-		b.rewards[i]++
-		if b.rewards[i] >= b.cfg.RewardThreshold {
-			b.penalties[i] = 0
-			b.rewards[i] = 0
-			b.attention &^= bit
-		}
-	}
-	return false, false
 }

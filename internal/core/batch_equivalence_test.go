@@ -8,10 +8,11 @@ import (
 
 	"ttdiag/internal/metrics"
 	"ttdiag/internal/rng"
+	"ttdiag/internal/trace"
 )
 
 // batchEquivCase is one gang configuration of the lane-packed differential
-// test (diagnostic mode only — the batch path's domain).
+// test.
 type batchEquivCase struct {
 	name string
 	cfg  Config
@@ -50,6 +51,68 @@ func batchEquivCases() []batchEquivCase {
 		)
 	}
 	return cases
+}
+
+// batchMembershipCases are the membership-mode (Sec. 7) gang
+// configurations: one job position before the node's slot under
+// AllSendCurrRound and one after it, so both send alignments carry the
+// accusations.
+func batchMembershipCases() []batchEquivCase {
+	var cases []batchEquivCase
+	for _, n := range []int{2, 4, 7, 8, 16, 33, 64} {
+		id := 1 + n/2
+		cases = append(cases,
+			batchEquivCase{
+				name: fmt.Sprintf("membership_n%d", n),
+				cfg: Config{
+					N: n, ID: id, L: id - 1, SendCurrRound: true, AllSendCurrRound: true,
+					Mode: ModeMembership, StartRound: 5,
+					PR: PRConfig{PenaltyThreshold: 1, RewardThreshold: 2, ReintegrationThreshold: 4},
+				},
+			},
+			batchEquivCase{
+				name: fmt.Sprintf("membership_late_n%d", n),
+				cfg: Config{
+					N: n, ID: n / 2, L: n / 2, SendCurrRound: false,
+					Mode: ModeMembership,
+					PR:   PRConfig{PenaltyThreshold: 3, RewardThreshold: 3},
+				},
+			},
+		)
+	}
+	return cases
+}
+
+// membershipPackedInput draws one per-run round input for the membership
+// cases: mostly agreeing healthy rows, occasional silence, one malicious
+// sender whose row holds random opinions (it disagrees with the health
+// vector and draws accusations), and rounds in which every other row
+// convicts node id, so that node sees itself convicted.
+func membershipPackedInput(st *rng.Stream, n, id, round int, collision CollisionFn) PackedRoundInput {
+	in := PackedRoundInput{
+		Round:     round,
+		Rows:      make([]BitSyndrome, n+1),
+		Validity:  bitSyndromeAllHealthy(n),
+		Collision: collision,
+	}
+	malicious := id%n + 1
+	convict := st.Bool(0.08)
+	for j := 1; j <= n; j++ {
+		switch {
+		case st.Bool(0.1): // ε: nothing received
+			in.Validity.Set(j, Faulty)
+			continue
+		case j == malicious && st.Bool(0.5):
+			in.Rows[j] = packSyndrome(randomSyndrome(st, n, 0.4))
+		default:
+			in.Rows[j] = bitSyndromeAllHealthy(n)
+			if convict && j != id {
+				in.Rows[j].Set(id, Faulty)
+			}
+		}
+		in.Present |= 1 << uint(j-1)
+	}
+	return in
 }
 
 // batchGangWidths picks the gang widths to exercise for an n-node system:
@@ -128,116 +191,165 @@ func intsToMask(xs []int) uint64 {
 // lanes — at every exercised gang width (single lane, ragged, full word),
 // and requires lane-exact agreement on every output field, every per-lane
 // metric value, and byte-identical per-lane snapshot JSON on every round.
+// The membership cases add a malicious row and self-convictions, so the
+// accusation TTL and skew-guard registers differ across lanes; their
+// accusations and evidence classes must match each lane's per-run twin.
 func TestBatchStepEquivalence(t *testing.T) {
-	const rounds = 48
 	for _, tc := range batchEquivCases() {
 		for _, lanes := range batchGangWidths(tc.cfg.N) {
 			t.Run(fmt.Sprintf("%s_g%d", tc.name, lanes), func(t *testing.T) {
-				n := tc.cfg.N
-				gang, err := NewBatchProtocol(tc.cfg, lanes)
-				if err != nil {
-					t.Fatalf("batch: %v", err)
-				}
-				refs := make([]*Protocol, lanes)
-				refRegs := make([]*metrics.Registry, lanes)
-				laneRegs := make([]*metrics.Registry, lanes)
-				for r := range refs {
-					if refs[r], err = NewProtocol(tc.cfg); err != nil {
-						t.Fatalf("ref lane %d: %v", r, err)
-					}
-					refRegs[r] = metrics.New()
-					laneRegs[r] = metrics.New()
-					refs[r].SetMetrics(NewStepMetrics(refRegs[r]))
-					gang.SetLaneMetrics(r, NewStepMetrics(laneRegs[r]))
-				}
-				streams := make([]*rng.Stream, lanes)
-				for r := range streams {
-					streams[r] = rng.NewStream(int64(9000 + 100*tc.cfg.N + 10*lanes + r))
-				}
-				laneIns := make([]PackedRoundInput, lanes)
-				sendBuf := make([]byte, EncodedLen(n))
-				refSendBuf := make([]byte, EncodedLen(n))
-				for step := 0; step < rounds; step++ {
-					round := tc.cfg.StartRound + step
-					var collisionFaulty uint64
-					for r := range laneIns {
-						lane := r
-						verdictFaulty := (round+lane)%5 == 0
-						if verdictFaulty {
-							collisionFaulty |= 1 << uint(lane)
-						}
-						laneIns[r] = randomPackedInput(streams[r], n, round, func(int) Opinion {
-							if verdictFaulty {
-								return Faulty
-							}
-							return Healthy
-						})
-					}
-					gOut, gErr := gang.StepBatch(packGangInput(n, round, laneIns, collisionFaulty))
-					if gErr != nil {
-						t.Fatalf("round %d: StepBatch: %v", round, gErr)
-					}
-					for r := range refs {
-						tag := fmt.Sprintf("round %d lane %d", round, r)
-						out, err := refs[r].StepPacked(laneIns[r])
-						if err != nil {
-							t.Fatalf("%s: StepPacked: %v", tag, err)
-						}
-						if gOut.Round != out.Round || gOut.DiagnosedRound != out.DiagnosedRound {
-							t.Fatalf("%s: round fields diverged: batch %d/%d, ref %d/%d",
-								tag, gOut.Round, gOut.DiagnosedRound, out.Round, out.DiagnosedRound)
-						}
-						if gOut.Warm != (out.ConsHV != nil) {
-							t.Fatalf("%s: warm %v, ref ConsHV nil=%v", tag, gOut.Warm, out.ConsHV == nil)
-						}
-						if hv := gOut.LaneConsHV(r, n); hv != out.ConsHVBits {
-							t.Fatalf("%s: ConsHV diverged: batch %+v, ref %+v", tag, hv, out.ConsHVBits)
-						}
-						laneSend := gOut.LaneSend(r, n)
-						if want := packSyndrome(out.SendSyndrome); laneSend != want {
-							t.Fatalf("%s: SendSyndrome diverged: batch %+v, ref %+v", tag, laneSend, want)
-						}
-						laneSend.EncodeInto(sendBuf)
-						copy(refSendBuf, out.Send)
-						if !bytes.Equal(sendBuf, refSendBuf) {
-							t.Fatalf("%s: wire bytes diverged: batch %x, ref %x", tag, sendBuf, refSendBuf)
-						}
-						if got, want := gOut.LaneActiveMask(r, n), out.ActiveMask; got != want {
-							t.Fatalf("%s: ActiveMask diverged: batch %#x, ref %#x", tag, got, want)
-						}
-						if got, want := gOut.LaneIsolated(r, n), intsToMask(out.Isolated); got != want {
-							t.Fatalf("%s: Isolated diverged: batch %#x, ref %#x", tag, got, want)
-						}
-						if got, want := gOut.LaneReintegrated(r, n), intsToMask(out.Reintegrated); got != want {
-							t.Fatalf("%s: Reintegrated diverged: batch %#x, ref %#x", tag, got, want)
-						}
-						gSnap, err := gang.SnapshotLane(r)
-						if err != nil {
-							t.Fatalf("%s: SnapshotLane: %v", tag, err)
-						}
-						refSnap, err := refs[r].Snapshot()
-						if err != nil {
-							t.Fatalf("%s: ref snapshot: %v", tag, err)
-						}
-						if !bytes.Equal(gSnap, refSnap) {
-							t.Fatalf("%s: snapshot JSON diverged:\nbatch %s\nref   %s", tag, gSnap, refSnap)
-						}
-					}
-				}
-				for r := range refs {
-					got, err := json.Marshal(laneRegs[r].Snapshot())
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, err := json.Marshal(refRegs[r].Snapshot())
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(got, want) {
-						t.Fatalf("lane %d: metric snapshots diverged:\nbatch %s\nref   %s", r, got, want)
-					}
-				}
+				runBatchEquivalence(t, tc.cfg, lanes, func(st *rng.Stream, round int, collision CollisionFn) PackedRoundInput {
+					return randomPackedInput(st, tc.cfg.N, round, collision)
+				})
 			})
+		}
+	}
+	for _, tc := range batchMembershipCases() {
+		for _, lanes := range batchGangWidths(tc.cfg.N) {
+			t.Run(fmt.Sprintf("%s_g%d", tc.name, lanes), func(t *testing.T) {
+				runBatchEquivalence(t, tc.cfg, lanes, func(st *rng.Stream, round int, collision CollisionFn) PackedRoundInput {
+					return membershipPackedInput(st, tc.cfg.N, tc.cfg.ID, round, collision)
+				})
+			})
+		}
+	}
+}
+
+// runBatchEquivalence is the body of TestBatchStepEquivalence for one gang
+// configuration and width; draw produces one lane's round input.
+func runBatchEquivalence(t *testing.T, cfg Config, lanes int, draw func(st *rng.Stream, round int, collision CollisionFn) PackedRoundInput) {
+	const rounds = 48
+	n := cfg.N
+	membership := cfg.Mode == ModeMembership
+	gang, err := NewBatchProtocol(cfg, lanes)
+	if err != nil {
+		t.Fatalf("batch: %v", err)
+	}
+	refs := make([]*Protocol, lanes)
+	refRegs := make([]*metrics.Registry, lanes)
+	laneRegs := make([]*metrics.Registry, lanes)
+	recs := make([]trace.Recorder, lanes)
+	for r := range refs {
+		if refs[r], err = NewProtocol(cfg); err != nil {
+			t.Fatalf("ref lane %d: %v", r, err)
+		}
+		refRegs[r] = metrics.New()
+		laneRegs[r] = metrics.New()
+		refs[r].SetMetrics(NewStepMetrics(refRegs[r]))
+		gang.SetLaneMetrics(r, NewStepMetrics(laneRegs[r]))
+		if membership {
+			refs[r].SetTrace(NewStepTrace(&recs[r]))
+		}
+	}
+	streams := make([]*rng.Stream, lanes)
+	for r := range streams {
+		streams[r] = rng.NewStream(int64(9000 + 100*n + 10*lanes + r))
+	}
+	laneIns := make([]PackedRoundInput, lanes)
+	sendBuf := make([]byte, EncodedLen(n))
+	refSendBuf := make([]byte, EncodedLen(n))
+	accusations, convictions := 0, 0
+	for step := 0; step < rounds; step++ {
+		round := cfg.StartRound + step
+		var collisionFaulty uint64
+		for r := range laneIns {
+			lane := r
+			verdictFaulty := (round+lane)%5 == 0
+			if verdictFaulty {
+				collisionFaulty |= 1 << uint(lane)
+			}
+			laneIns[r] = draw(streams[r], round, func(int) Opinion {
+				if verdictFaulty {
+					return Faulty
+				}
+				return Healthy
+			})
+		}
+		gOut, gErr := gang.StepBatch(packGangInput(n, round, laneIns, collisionFaulty))
+		if gErr != nil {
+			t.Fatalf("round %d: StepBatch: %v", round, gErr)
+		}
+		for r := range refs {
+			tag := fmt.Sprintf("round %d lane %d", round, r)
+			recs[r].Reset()
+			out, err := refs[r].StepPacked(laneIns[r])
+			if err != nil {
+				t.Fatalf("%s: StepPacked: %v", tag, err)
+			}
+			if gOut.Round != out.Round || gOut.DiagnosedRound != out.DiagnosedRound {
+				t.Fatalf("%s: round fields diverged: batch %d/%d, ref %d/%d",
+					tag, gOut.Round, gOut.DiagnosedRound, out.Round, out.DiagnosedRound)
+			}
+			if gOut.Warm != (out.ConsHV != nil) {
+				t.Fatalf("%s: warm %v, ref ConsHV nil=%v", tag, gOut.Warm, out.ConsHV == nil)
+			}
+			if hv := gOut.LaneConsHV(r, n); hv != out.ConsHVBits {
+				t.Fatalf("%s: ConsHV diverged: batch %+v, ref %+v", tag, hv, out.ConsHVBits)
+			}
+			laneSend := gOut.LaneSend(r, n)
+			if want := packSyndrome(out.SendSyndrome); laneSend != want {
+				t.Fatalf("%s: SendSyndrome diverged: batch %+v, ref %+v", tag, laneSend, want)
+			}
+			laneSend.EncodeInto(sendBuf)
+			copy(refSendBuf, out.Send)
+			if !bytes.Equal(sendBuf, refSendBuf) {
+				t.Fatalf("%s: wire bytes diverged: batch %x, ref %x", tag, sendBuf, refSendBuf)
+			}
+			if got, want := gOut.LaneActiveMask(r, n), out.ActiveMask; got != want {
+				t.Fatalf("%s: ActiveMask diverged: batch %#x, ref %#x", tag, got, want)
+			}
+			if got, want := gOut.LaneIsolated(r, n), intsToMask(out.Isolated); got != want {
+				t.Fatalf("%s: Isolated diverged: batch %#x, ref %#x", tag, got, want)
+			}
+			if got, want := gOut.LaneReintegrated(r, n), intsToMask(out.Reintegrated); got != want {
+				t.Fatalf("%s: Reintegrated diverged: batch %#x, ref %#x", tag, got, want)
+			}
+			if got, want := laneExtract(gOut.AccusedMask, r, n), intsToMask(out.Accused); got != want {
+				t.Fatalf("%s: Accused diverged: batch %#x, ref %#x", tag, got, want)
+			}
+			var wantDefinite uint64
+			for _, e := range recs[r].Filter(trace.KindAccusation) {
+				if e.Evidence == trace.EvidenceVerdict {
+					wantDefinite |= 1 << uint(e.Subject-1)
+				}
+			}
+			if got := laneExtract(gOut.DefiniteMask, r, n); got != wantDefinite {
+				t.Fatalf("%s: definite evidence diverged: batch %#x, ref %#x", tag, got, wantDefinite)
+			}
+			accusations += len(out.Accused)
+			if out.ConsHV != nil && out.ConsHV[cfg.ID] == Faulty {
+				convictions++
+			}
+			gSnap, err := gang.SnapshotLane(r)
+			if err != nil {
+				t.Fatalf("%s: SnapshotLane: %v", tag, err)
+			}
+			refSnap, err := refs[r].Snapshot()
+			if err != nil {
+				t.Fatalf("%s: ref snapshot: %v", tag, err)
+			}
+			if !bytes.Equal(gSnap, refSnap) {
+				t.Fatalf("%s: snapshot JSON diverged:\nbatch %s\nref   %s", tag, gSnap, refSnap)
+			}
+		}
+	}
+	// In a two-node system a row can only be accused on the observer's own
+	// column, which every self-conviction guards for accusationSkew rounds,
+	// so accusations may legitimately stay absent there.
+	if membership && (accusations == 0 && n > 2 || convictions == 0) {
+		t.Fatalf("membership inputs raised %d accusations and %d self-convictions; both must occur", accusations, convictions)
+	}
+	for r := range refs {
+		got, err := json.Marshal(laneRegs[r].Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(refRegs[r].Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("lane %d: metric snapshots diverged:\nbatch %s\nref   %s", r, got, want)
 		}
 	}
 }
@@ -406,8 +518,8 @@ func TestBatchProtocolReset(t *testing.T) {
 	}
 }
 
-// TestBatchProtocolBounds pins the constructor's domain: diagnostic mode
-// only, 1..⌊64/N⌋ lanes, packed-eligible widths.
+// TestBatchProtocolBounds pins the constructor's domain: either mode,
+// 1..⌊64/N⌋ lanes, packed-eligible widths.
 func TestBatchProtocolBounds(t *testing.T) {
 	diag := Config{N: 4, ID: 1, L: 0, SendCurrRound: true,
 		PR: PRConfig{PenaltyThreshold: 1, RewardThreshold: 1}}
@@ -419,9 +531,24 @@ func TestBatchProtocolBounds(t *testing.T) {
 	}
 	mem := diag
 	mem.Mode = ModeMembership
-	if _, err := NewBatchProtocol(mem, 1); err == nil {
-		t.Fatal("membership mode must be rejected")
+	if _, err := NewBatchProtocol(mem, 16); err != nil {
+		t.Fatalf("membership mode must be accepted: %v", err)
 	}
+	// Reset may shrink a gang but not grow it past the lane capacity the
+	// counters were allocated for.
+	narrow, err := NewBatchProtocol(diag, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	narrow.Reset(1)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Reset beyond the lane capacity must panic")
+			}
+		}()
+		narrow.Reset(3)
+	}()
 	wide := Config{N: MaxPackedN + 1, ID: 1, L: 0, SendCurrRound: true,
 		PR: PRConfig{PenaltyThreshold: 1, RewardThreshold: 1}}
 	if _, err := NewBatchProtocol(wide, 1); err == nil {

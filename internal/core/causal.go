@@ -30,12 +30,6 @@ type StepTrace struct {
 	// prevPen mirrors the penalty counters as of the last emission so only
 	// actual changes become KindPenalty events (1-based).
 	prevPen []int64
-	// evid is per-step scratch written inside the accusation loops: evid[j]
-	// is set when node j's row holds a definite opinion opposite the H-maj
-	// verdict (as opposed to mere ε gaps where the vector holds a verdict).
-	// The skew-guard state mutates between accusation and emission, so the
-	// classification cannot be recomputed at emit time.
-	evid []bool
 	// trajRound/trajPen are flat per-node rings of the last trajectoryLen
 	// (round, penalty) counter changes; trajN counts total changes per node.
 	trajRound []int
@@ -63,7 +57,7 @@ func NewStepTrace(sink trace.Sink) *StepTrace {
 func (p *Protocol) SetTrace(t *StepTrace) {
 	p.trace = t
 	if t != nil {
-		t.bind(p.cfg.N, p.pr)
+		t.bind(p.b.n, p.b.pr)
 	}
 }
 
@@ -75,7 +69,6 @@ func (p *Protocol) Trace() *StepTrace { return p.trace }
 func (t *StepTrace) bind(n int, pr *PenaltyReward) {
 	if len(t.prevPen) != n+1 {
 		t.prevPen = make([]int64, n+1)
-		t.evid = make([]bool, n+1)
 		t.trajRound = make([]int, (n+1)*trajectoryLen)
 		t.trajPen = make([]int64, (n+1)*trajectoryLen)
 		t.trajN = make([]int, n+1)
@@ -92,10 +85,6 @@ func (t *StepTrace) resync(pr *PenaltyReward) {
 		t.trajN[j] = 0
 	}
 }
-
-// noteEvidence records the accusation evidence classification for subject j
-// of the current step; consumed (and cleared) by emitStepTrace.
-func (t *StepTrace) noteEvidence(j int, definite bool) { t.evid[j] = definite }
 
 // trajectory renders node j's recent penalty trajectory ("r16:1 r18:3
 // r20:4", oldest first) for an isolation event's Detail.
@@ -118,21 +107,23 @@ func (t *StepTrace) trajectory(j int) string {
 }
 
 // emitStepTrace records one execution's causal events; called only when
-// p.trace != nil, after the round's counters are updated (next to
-// emitStepMetrics on both step paths). Cold executions emit nothing: there
-// is no health vector, so no counter can have moved.
-func (p *Protocol) emitStepTrace(out *RoundOutput, warm bool) {
-	if !warm {
+// p.trace != nil, after the round's counters are updated. definite marks
+// the accusations backed by a definite opinion opposite the H-maj verdict
+// (as opposed to mere ε gaps where the vector holds a verdict). Cold
+// executions emit nothing: there is no health vector, so no counter can
+// have moved.
+func (p *Protocol) emitStepTrace(out *RoundOutput, definite uint64) {
+	if out.ConsHV == nil {
 		return
 	}
 	t := p.trace
-	id := p.cfg.ID
-	thr := p.pr.cfg.PenaltyThreshold
+	pr := p.b.pr
+	id := p.b.cfg.ID
+	thr := pr.cfg.PenaltyThreshold
 	for _, j := range out.Accused {
 		ev := trace.EvidenceMatrix
-		if t.evid[j] {
+		if definite&(1<<uint(j-1)) != 0 {
 			ev = trace.EvidenceVerdict
-			t.evid[j] = false
 		}
 		t.sink.Record(trace.Event{
 			Round:    out.Round,
@@ -142,12 +133,9 @@ func (p *Protocol) emitStepTrace(out *RoundOutput, warm bool) {
 			Evidence: ev,
 		})
 	}
-	if out.ConsHV == nil {
-		return
-	}
-	n := p.cfg.N
+	n := p.b.n
 	for j := 1; j <= n; j++ {
-		pen := p.pr.penalties[j]
+		pen := pr.penalties[j]
 		if pen == t.prevPen[j] {
 			continue
 		}
@@ -179,7 +167,7 @@ func (p *Protocol) emitStepTrace(out *RoundOutput, warm bool) {
 			Kind:      trace.KindIsolation,
 			Node:      id,
 			Subject:   j,
-			Penalty:   p.pr.penalties[j],
+			Penalty:   pr.penalties[j],
 			Threshold: thr,
 			Detail:    t.trajectory(j),
 		})

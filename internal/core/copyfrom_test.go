@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math/bits"
 	"testing"
 
 	"ttdiag/internal/rng"
@@ -206,70 +207,93 @@ func TestCopyFromRejectsShapeMismatch(t *testing.T) {
 
 // TestBatchCopyFromContinuation is the gang-path equivalent: a batch clone
 // checkpointed mid-run must agree with the original on every subsequent
-// output value and serialise every lane byte-identically.
+// output value and serialise every lane byte-identically — in diagnostic
+// mode, and in membership mode with accusations pending in the TTL and age
+// registers at the checkpoint.
 func TestBatchCopyFromContinuation(t *testing.T) {
 	const n, lanes, rounds, checkpointAt = 4, 3, 32, 12
-	cfg := Config{
-		N: n, ID: 2, L: 2, SendCurrRound: false, Mode: ModeDiagnostic,
-		PR: PRConfig{PenaltyThreshold: 2, RewardThreshold: 3},
-	}
-	gang, err := NewBatchProtocol(cfg, lanes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clone, err := NewBatchProtocol(cfg, lanes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streams := make([]*rng.Stream, lanes)
-	for r := range streams {
-		streams[r] = rng.NewStream(int64(4200 + r))
-	}
-	laneIns := make([]PackedRoundInput, lanes)
-	mkInput := func(round int) BatchRoundInput {
-		var collisionFaulty uint64
-		for r := range laneIns {
-			if (round+r)%5 == 0 {
-				collisionFaulty |= 1 << uint(r)
-			}
-			laneIns[r] = randomPackedInput(streams[r], n, round, nil)
-		}
-		return packGangInput(n, round, laneIns, collisionFaulty)
-	}
-	for k := 0; k < rounds; k++ {
-		in := mkInput(k)
-		outO, err := gang.StepBatch(in)
-		if err != nil {
-			t.Fatalf("round %d: %v", k, err)
-		}
-		if k == checkpointAt {
-			if err := clone.CopyFrom(gang); err != nil {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"diag", Config{
+			N: n, ID: 2, L: 2, SendCurrRound: false, Mode: ModeDiagnostic,
+			PR: PRConfig{PenaltyThreshold: 2, RewardThreshold: 3},
+		}},
+		{"membership", Config{
+			N: n, ID: 2, L: 0, SendCurrRound: true, Mode: ModeMembership,
+			PR: PRConfig{PenaltyThreshold: 3, RewardThreshold: 4, ReintegrationThreshold: 6},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gang, err := NewBatchProtocol(tc.cfg, lanes)
+			if err != nil {
 				t.Fatal(err)
 			}
-			continue
-		}
-		if k > checkpointAt {
-			outC, err := clone.StepBatch(in)
+			clone, err := NewBatchProtocol(tc.cfg, lanes)
 			if err != nil {
-				t.Fatalf("round %d: clone: %v", k, err)
+				t.Fatal(err)
 			}
-			if outC != outO {
-				t.Fatalf("round %d: gang outputs diverged\nclone: %+v\n orig: %+v", k, outC, outO)
+			streams := make([]*rng.Stream, lanes)
+			for r := range streams {
+				streams[r] = rng.NewStream(int64(4200 + r))
 			}
-			for lane := 0; lane < lanes; lane++ {
-				got, err := clone.SnapshotLane(lane)
+			laneIns := make([]PackedRoundInput, lanes)
+			mkInput := func(round int) BatchRoundInput {
+				var collisionFaulty uint64
+				for r := range laneIns {
+					if (round+r)%5 == 0 {
+						collisionFaulty |= 1 << uint(r)
+					}
+					if tc.cfg.Mode == ModeMembership {
+						laneIns[r] = membershipPackedInput(streams[r], n, tc.cfg.ID, round, nil)
+					} else {
+						laneIns[r] = randomPackedInput(streams[r], n, round, nil)
+					}
+				}
+				return packGangInput(n, round, laneIns, collisionFaulty)
+			}
+			accused := 0
+			for k := 0; k < rounds; k++ {
+				in := mkInput(k)
+				outO, err := gang.StepBatch(in)
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("round %d: %v", k, err)
 				}
-				want, err := gang.SnapshotLane(lane)
-				if err != nil {
-					t.Fatal(err)
+				if k == checkpointAt {
+					if err := clone.CopyFrom(gang); err != nil {
+						t.Fatal(err)
+					}
+					continue
 				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("round %d lane %d: snapshots diverged", k, lane)
+				if k > checkpointAt {
+					outC, err := clone.StepBatch(in)
+					if err != nil {
+						t.Fatalf("round %d: clone: %v", k, err)
+					}
+					if outC != outO {
+						t.Fatalf("round %d: gang outputs diverged\nclone: %+v\n orig: %+v", k, outC, outO)
+					}
+					accused += bits.OnesCount64(outO.AccusedMask)
+					for lane := 0; lane < lanes; lane++ {
+						got, err := clone.SnapshotLane(lane)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := gang.SnapshotLane(lane)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(got, want) {
+							t.Fatalf("round %d lane %d: snapshots diverged", k, lane)
+						}
+					}
 				}
 			}
-		}
+			if tc.cfg.Mode == ModeMembership && accused == 0 {
+				t.Fatal("membership run raised no accusations after the checkpoint")
+			}
+		})
 	}
 }
 
@@ -287,6 +311,18 @@ func TestBatchCopyFromRejectsSizeMismatch(t *testing.T) {
 	}
 	if err := mk(4).CopyFrom(mk(5)); err == nil {
 		t.Fatal("batch copy across system sizes must fail")
+	}
+	// Counters are sized for the construction-time lane count: a narrower
+	// instance cannot take a wider gang, a wider one takes a narrower gang.
+	narrow, err := NewBatchProtocol(mk(4).Config(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := narrow.CopyFrom(mk(4)); err == nil {
+		t.Fatal("batch copy of 2 lanes into a 1-lane capacity must fail")
+	}
+	if err := mk(4).CopyFrom(narrow); err != nil {
+		t.Fatalf("batch copy of 1 lane into a 2-lane capacity: %v", err)
 	}
 	p := mk(4)
 	if err := p.CopyFrom(p); err != nil {

@@ -208,7 +208,8 @@ func wideSnapshot(t testing.TB, n int) []byte {
 // bytes the snapshot's own fields marshal to — and run 8 Steps without error.
 // The corpus is seeded with real snapshots (fresh, mid-run membership,
 // dynamic), one carrying a prevDM key outside 1..N, one holding a value that
-// is no opinion, and one of a 65-node system.
+// is no opinion, two whose accusation counter or age lies outside the range
+// the kernel's registers hold, and one of a 65-node system.
 func FuzzRestoreProtocol(f *testing.F) {
 	for _, tc := range stepEquivCases()[3:6] { // the N = 4 cases
 		p, err := NewProtocol(tc.cfg)
@@ -248,6 +249,18 @@ func FuzzRestoreProtocol(f *testing.F) {
 	f.Add(data)
 	delete(stray.PrevDM, 99)
 	stray.PrevLS[2] = 7 // no such opinion
+	if data, err = json.Marshal(stray); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	stray.PrevLS[2] = Healthy
+	stray.Accuse[3] = accusationTTL + 1
+	if data, err = json.Marshal(stray); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	stray.Accuse[3] = 0
+	stray.AccusedAge[1] = accusationSkew + 2
 	if data, err = json.Marshal(stray); err != nil {
 		f.Fatal(err)
 	}

@@ -24,8 +24,8 @@ func stepOnce(t *testing.T, p *Protocol, round int) {
 }
 
 // TestCorruptedPenaltyCounterPanics corrupts Alg. 2 state behind the
-// protocol's back and requires the invariant layer to catch it at the next
-// round boundary.
+// protocol's back and requires the kernel's invariant layer to catch it at
+// the next round boundary.
 func TestCorruptedPenaltyCounterPanics(t *testing.T) {
 	p, err := NewProtocol(Config{
 		N: 4, ID: 1, L: 0, SendCurrRound: true,
@@ -34,7 +34,7 @@ func TestCorruptedPenaltyCounterPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.pr.penalties[2] = -1
+	p.b.pr.penalties[2] = -1
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -59,11 +59,18 @@ func TestCorruptedActivityBitPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	stepOnce(t, p, 0) // seed invPrevActive
-	p.pr.active[3] = false
-	p.pr.penalties[3] = 3 // below threshold: isolation is unjustified
+	// Drop node 3 from both the activity vector and its mask, so the
+	// corruption is self-consistent and only monotonicity can catch it.
+	p.b.pr.active[3] = false
+	p.b.pr.activeMask &^= 1 << 2
+	p.b.pr.penalties[3] = 3 // below threshold: isolation is unjustified
 	defer func() {
-		if recover() == nil {
+		r := recover()
+		if r == nil {
 			t.Fatal("unjustified isolation was not caught")
+		}
+		if msg, ok := r.(string); !ok || !strings.Contains(msg, "isolated without a faulty verdict") {
+			t.Fatalf("unexpected panic: %v", r)
 		}
 	}()
 	stepOnce(t, p, 1)
@@ -82,4 +89,41 @@ func TestHealthyRunStaysQuiet(t *testing.T) {
 	for k := 0; k < 12; k++ {
 		stepOnce(t, p, k)
 	}
+}
+
+// TestGangLaneInvariantsPanic corrupts one lane of a full-width gang and
+// requires the kernel's lane-aware check to name that lane: campaign lanes,
+// fleet shards and gateways run the same invariants as a per-run protocol.
+func TestGangLaneInvariantsPanic(t *testing.T) {
+	p, err := NewBatchProtocol(Config{
+		N: 4, ID: 1, L: 0, SendCurrRound: true,
+		PR: PRConfig{PenaltyThreshold: 4, RewardThreshold: 8},
+	}, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]BitSyndrome, 5)
+	for j := range rows {
+		rows[j] = BitSyndrome{Op: p.allB, Known: p.allB}
+	}
+	step := func(round int) {
+		in := BatchRoundInput{Round: round, Rows: rows, Present: p.allB, Validity: rows[1]}
+		if _, err := p.StepBatch(in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := 0; k < 6; k++ {
+		step(k)
+	}
+	p.pr.rewards[9*5+2] = 8 // lane 9, node 2: reward counter reached R
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("out-of-range reward counter in lane 9 was not caught")
+		}
+		if msg, ok := r.(string); !ok || !strings.Contains(msg, "lane 9") || !strings.Contains(msg, "reward counter") {
+			t.Fatalf("unexpected panic: %v", r)
+		}
+	}()
+	step(6)
 }

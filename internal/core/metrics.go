@@ -2,11 +2,11 @@ package core
 
 import "ttdiag/internal/metrics"
 
-// StepMetrics bundles the per-node protocol instruments one Protocol emits
-// into on every Step/StepPacked. All fields are optional: a nil instrument
-// is skipped (metrics.Counter et al. are nil-safe no-ops), and a Protocol
-// with no StepMetrics attached pays a single nil check — zero extra
-// allocations — per Step.
+// StepMetrics bundles the per-node protocol instruments one Protocol (or
+// one lane of a BatchProtocol) emits into on every step. All fields are
+// optional: a nil instrument is skipped (metrics.Counter et al. are nil-safe
+// no-ops), and a protocol with no StepMetrics attached pays a single branch
+// — zero extra allocations — per step.
 //
 // Every emitted value derives from simulated quantities (rounds, counts,
 // penalty counters), never from wall-clock time, so attached metrics keep
@@ -69,53 +69,12 @@ func NewStepMetrics(reg *metrics.Registry) *StepMetrics {
 // The instruments are updated from whichever goroutine calls Step, so in
 // concurrent runtimes each protocol needs instruments from its own
 // registry, merged after the run (see internal/metrics).
-func (p *Protocol) SetMetrics(m *StepMetrics) { p.metrics = m }
+func (p *Protocol) SetMetrics(m *StepMetrics) { p.b.SetLaneMetrics(0, m) }
 
 // Metrics returns the attached telemetry, nil when none.
-func (p *Protocol) Metrics() *StepMetrics { return p.metrics }
-
-// emitStepMetrics records one execution's observations; called only when
-// p.metrics != nil, after the round's counters are updated. Cold (not yet
-// warm) executions emit the step count only — there is no matrix or health
-// vector to classify.
-func (p *Protocol) emitStepMetrics(out *RoundOutput, matrix *Matrix, warm bool) {
-	m := p.metrics
-	m.Steps.Inc()
-	m.Accusations.Add(int64(len(out.Accused)))
-	m.Isolations.Add(int64(len(out.Isolated)))
-	m.Reintegrations.Add(int64(len(out.Reintegrated)))
-	if !warm || matrix == nil {
-		return
+func (p *Protocol) Metrics() *StepMetrics {
+	if p.b.metrics == nil {
+		return nil
 	}
-	n := p.cfg.N
-	for j := 1; j <= n; j++ {
-		faulty, healthy := matrix.Tally(j)
-		switch {
-		case faulty+healthy == 0:
-			m.VotesBottom.Inc()
-		case faulty > healthy:
-			m.VotesFaulty.Inc()
-		default:
-			m.VotesHealthy.Inc()
-			if faulty == healthy && faulty > 0 {
-				m.VotesTied.Inc()
-			}
-		}
-	}
-	if out.ConsHV != nil {
-		m.Disagreements.Add(int64(matrix.DisagreementCount(out.ConsHV)))
-	}
-	var maxPen int64
-	for j := 1; j <= n; j++ {
-		if v := p.pr.penalties[j]; v > maxPen {
-			maxPen = v
-		}
-	}
-	m.PenaltyMax.Observe(maxPen)
-	if m.PenaltySeries != nil {
-		round := int64(out.DiagnosedRound)
-		for j := 1; j <= n && j < len(m.PenaltySeries); j++ {
-			m.PenaltySeries[j].Append(round, p.pr.penalties[j])
-		}
-	}
+	return p.b.metrics[0]
 }

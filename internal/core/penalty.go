@@ -55,21 +55,31 @@ func (c PRConfig) criticality(j int) int64 {
 	return 1
 }
 
-// PenaltyReward is the per-node instance of Alg. 2: it accumulates the
-// consistent health vectors into penalty and reward counters and decides
-// isolation. Because every obedient node feeds it the same (consistently
-// agreed) health vectors, all obedient nodes take identical isolation
-// decisions in the same round.
+// PenaltyReward is Alg. 2: it accumulates the consistent health vectors into
+// penalty and reward counters and decides isolation. Because every obedient
+// node feeds it the same (consistently agreed) health vectors, all obedient
+// nodes take identical isolation decisions in the same round.
+//
+// One instance carries the counters of one or more lanes (independent runs of
+// the same node, see BatchProtocol). Lane r's counter of node j lives at
+// index r·(n+1)+j of the flat slices, so lane 0 has exactly the per-node
+// 1-based layout; the activity and attention masks are lane-packed (bit
+// r·n + j-1). The exported accessors and updates address lane 0, which is
+// the whole state of a stand-alone instance (NewPenaltyReward) and of a
+// Protocol's.
 type PenaltyReward struct {
-	cfg       PRConfig
-	n         int
+	cfg PRConfig
+	n   int
+	// lanes is the number of live lanes; the slices are sized for the
+	// instance's lane capacity.
+	lanes     int
 	penalties []int64
 	rewards   []int64
 	active    []bool
 	// observe counts consecutive fault-free rounds of isolated nodes for
 	// the optional reintegration extension.
 	observe []int64
-	// activeMask mirrors active[] as a bit mask (bit j-1 = node j).
+	// activeMask mirrors active[] as a lane-packed bit mask.
 	activeMask uint64
 	// attention marks the nodes for which a Healthy verdict is not a no-op:
 	// active nodes paying off a penalty (rewards must advance) and isolated
@@ -89,32 +99,49 @@ func NewPenaltyReward(n int, cfg PRConfig) (*PenaltyReward, error) {
 	if err := checkFlatN(n); err != nil {
 		return nil, err
 	}
+	return newPenaltyReward(n, 1, cfg)
+}
+
+// newPenaltyReward builds the counters of `lanes` runs of an n-node system
+// (n·lanes <= MaxPackedN), all live.
+func newPenaltyReward(n, lanes int, cfg PRConfig) (*PenaltyReward, error) {
 	if err := cfg.Validate(n); err != nil {
 		return nil, err
 	}
+	w := lanes * (n + 1)
+	counters := make([]int64, 3*w)
 	pr := &PenaltyReward{
 		cfg:       cfg,
 		n:         n,
-		penalties: make([]int64, n+1),
-		rewards:   make([]int64, n+1),
-		active:    make([]bool, n+1),
-		observe:   make([]int64, n+1),
+		penalties: counters[:w:w],
+		rewards:   counters[w : 2*w : 2*w],
+		observe:   counters[2*w:],
+		active:    make([]bool, w),
 	}
-	pr.Reset()
+	pr.reset(lanes)
 	return pr, nil
 }
 
 // Reset zeroes all counters and returns every node to active, restoring the
 // freshly constructed state while keeping the allocated counter slices.
-func (pr *PenaltyReward) Reset() {
-	for j := 1; j <= pr.n; j++ {
-		pr.penalties[j] = 0
-		pr.rewards[j] = 0
-		pr.observe[j] = 0
-		pr.active[j] = true
-	}
-	pr.activeMask = PlaneMask(pr.n)
+func (pr *PenaltyReward) Reset() { pr.reset(pr.lanes) }
+
+// reset is Reset with a new live lane count (at most the capacity).
+func (pr *PenaltyReward) reset(lanes int) {
+	pr.lanes = lanes
+	pr.activeMask = 0
 	pr.attention = 0
+	for r := 0; r < lanes; r++ {
+		base := r * (pr.n + 1)
+		pr.active[base] = false
+		for j := 1; j <= pr.n; j++ {
+			pr.penalties[base+j] = 0
+			pr.rewards[base+j] = 0
+			pr.observe[base+j] = 0
+			pr.active[base+j] = true
+		}
+		pr.activeMask |= PlaneMask(pr.n) << uint(r*pr.n)
+	}
 }
 
 // ResetConfig swaps in a new tuning configuration and resets all counters.
@@ -157,65 +184,48 @@ func (pr *PenaltyReward) UpdateNode(i int, health Opinion) (isolated, reintegrat
 	if i < 1 || i > pr.n {
 		return false, false
 	}
-	isolated, reintegrated = pr.updateNode(i, health)
-	pr.syncMask(i)
-	return isolated, reintegrated
+	return pr.updateNode(i-1, 0, health)
 }
 
-// updateMasked is Update on a packed health vector: faultyMask marks the
-// columns the consistent health vector holds Faulty (every other column is
+// updateMasked is Update on lane-packed health vectors: faultyMask marks the
+// columns the consistent health vectors hold Faulty (every other column is
 // Healthy — the fallback of Alg. 1 line 14 leaves no ⊥ entries). Only the
 // faulty columns and the attention set are visited; for every other node the
 // verdict is Healthy and the update is a no-op by construction (active with
 // a zero penalty, or isolated without the reintegration extension).
-func (pr *PenaltyReward) updateMasked(faultyMask uint64) (isolated, reintegrated []int) {
+// Ascending bit order is lane-major and, within a lane, ascending node order.
+func (pr *PenaltyReward) updateMasked(faultyMask uint64) (isolated, reintegrated uint64) {
+	// The visited positions ascend, so the lane follows them without a
+	// division per node.
+	lane, laneEnd := 0, pr.n
 	for rem := faultyMask | pr.attention; rem != 0; rem &= rem - 1 {
-		i := bits.TrailingZeros64(rem) + 1
+		pos := bits.TrailingZeros64(rem)
+		for pos >= laneEnd {
+			lane++
+			laneEnd += pr.n
+		}
 		health := Healthy
 		if faultyMask&(rem&-rem) != 0 {
 			health = Faulty
 		}
-		iso, reint := pr.updateNode(i, health)
-		pr.syncMask(i)
+		iso, reint := pr.updateNode(pos, lane, health)
 		if iso {
-			isolated = append(isolated, i)
+			isolated |= 1 << uint(pos)
 		}
 		if reint {
-			reintegrated = append(reintegrated, i)
+			reintegrated |= 1 << uint(pos)
 		}
 	}
 	return isolated, reintegrated
 }
 
-// syncMask refreshes node i's bits in activeMask and attention after a
-// counter update.
-func (pr *PenaltyReward) syncMask(i int) {
-	bit := uint64(1) << uint(i-1)
-	if pr.active[i] {
-		pr.activeMask |= bit
-	} else {
-		pr.activeMask &^= bit
-	}
-	needs := !pr.active[i] && pr.cfg.ReintegrationThreshold > 0 ||
-		pr.active[i] && pr.penalties[i] > 0
-	if needs {
-		pr.attention |= bit
-	} else {
-		pr.attention &^= bit
-	}
-}
-
-// rebuildMasks recomputes activeMask and attention from the counter slices
-// (used after a snapshot restore replaces them).
-func (pr *PenaltyReward) rebuildMasks() {
-	pr.activeMask, pr.attention = 0, 0
-	for i := 1; i <= pr.n; i++ {
-		pr.syncMask(i)
-	}
-}
-
-// updateNode is UpdateNode without the mask bookkeeping.
-func (pr *PenaltyReward) updateNode(i int, health Opinion) (isolated, reintegrated bool) {
+// updateNode applies one verdict to the node at lane-packed bit position
+// pos, which lies in lane `lane`, and keeps activeMask and attention in step
+// with the counters.
+func (pr *PenaltyReward) updateNode(pos, lane int, health Opinion) (isolated, reintegrated bool) {
+	i := pos + lane + 1 // lane·(n+1) + j
+	j := pos - lane*pr.n + 1
+	bit := uint64(1) << uint(pos)
 	if !pr.active[i] {
 		// Extension: observation of isolated nodes.
 		if pr.cfg.ReintegrationThreshold > 0 {
@@ -229,19 +239,28 @@ func (pr *PenaltyReward) updateNode(i int, health Opinion) (isolated, reintegrat
 				pr.penalties[i] = 0
 				pr.rewards[i] = 0
 				pr.observe[i] = 0
+				pr.activeMask |= bit
+				pr.attention &^= bit
 				return false, true
 			}
 		}
 		return false, false
 	}
 	if health == Faulty {
-		pr.penalties[i] += pr.cfg.criticality(i)
+		pr.penalties[i] += pr.cfg.criticality(j)
 		pr.rewards[i] = 0
 		if pr.penalties[i] > pr.cfg.PenaltyThreshold {
 			pr.active[i] = false
 			pr.observe[i] = 0
+			pr.activeMask &^= bit
+			if pr.cfg.ReintegrationThreshold > 0 {
+				pr.attention |= bit
+			} else {
+				pr.attention &^= bit
+			}
 			return true, false
 		}
+		pr.attention |= bit
 		return false, false
 	}
 	if pr.penalties[i] > 0 {
@@ -249,20 +268,55 @@ func (pr *PenaltyReward) updateNode(i int, health Opinion) (isolated, reintegrat
 		if pr.rewards[i] >= pr.cfg.RewardThreshold {
 			pr.penalties[i] = 0
 			pr.rewards[i] = 0
+			pr.attention &^= bit
 		}
 	}
 	return false, false
 }
 
+// rebuildMasks recomputes activeMask and attention from the counter slices
+// (used after a snapshot restore replaces them).
+func (pr *PenaltyReward) rebuildMasks() {
+	pr.activeMask, pr.attention = 0, 0
+	for pos := 0; pos < pr.lanes*pr.n; pos++ {
+		i := (pos/pr.n)*(pr.n+1) + pos%pr.n + 1
+		bit := uint64(1) << uint(pos)
+		if pr.active[i] {
+			pr.activeMask |= bit
+		}
+		if !pr.active[i] && pr.cfg.ReintegrationThreshold > 0 || pr.active[i] && pr.penalties[i] > 0 {
+			pr.attention |= bit
+		}
+	}
+}
+
+// maxPenalty returns the largest penalty counter at the lane-packed
+// positions in mask, 0 for an empty mask.
+func (pr *PenaltyReward) maxPenalty(mask uint64) int64 {
+	var max int64
+	lane, laneEnd := 0, pr.n
+	for rem := mask; rem != 0; rem &= rem - 1 {
+		pos := bits.TrailingZeros64(rem)
+		for pos >= laneEnd {
+			lane++
+			laneEnd += pr.n
+		}
+		if v := pr.penalties[pos+lane+1]; v > max {
+			max = v
+		}
+	}
+	return max
+}
+
 // Active returns a copy of the activity vector (1-based).
 func (pr *PenaltyReward) Active() []bool {
-	return append([]bool(nil), pr.active...)
+	return append([]bool(nil), pr.active[:pr.n+1]...)
 }
 
 // ActiveMask returns the activity vector as a bit mask (bit j-1 = node j
 // active).
 func (pr *PenaltyReward) ActiveMask() uint64 {
-	return pr.activeMask
+	return pr.activeMask & PlaneMask(pr.n)
 }
 
 // IsActive reports whether node j is currently active (not isolated).

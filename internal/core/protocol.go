@@ -201,32 +201,6 @@ type RoundOutput struct {
 	Accused []int
 }
 
-// alignBuf holds one round's buffered controller observations for read and
-// send alignment (Alg. 1 lines 16-17): the raw interface state and the
-// aligned local syndrome derived from it. rows[j] is this buffer's copy of
-// interface variable j, meaningful only when set bit j-1 holds (a clear bit
-// is the ε case); ls is the validity vector observed in the buffered round
-// and al the aligned local syndrome computed in it (used by send alignment,
-// Alg. 1 line 9). The protocol keeps two of these and alternates between
-// them — the buffer written in round k is the one read in round k+1 — so the
-// steady-state hot path performs no allocation for the clones the original
-// algorithm keeps.
-type alignBuf struct {
-	rows []BitSyndrome
-	set  uint64
-	ls   BitSyndrome
-	al   BitSyndrome
-}
-
-func (b *alignBuf) reset(n int) {
-	hw := bitSyndromeAllHealthy(n)
-	for j := 1; j <= n; j++ {
-		b.rows[j] = hw
-	}
-	b.set = PlaneMask(n)
-	b.ls, b.al = hw, hw
-}
-
 // The packedBlock tiers are the per-round retained blocks of the hot path:
 // the diagnostic matrix header, its two row planes, and the byte-per-entry
 // consHV/outSyn views of RoundOutput all live in one allocation. Tiering at
@@ -297,11 +271,15 @@ func newPackedRoundBlock(n int) (m *Matrix, consHV, outSyn Syndrome) {
 // Protocol is the per-node diagnostic job state machine (Alg. 1). Create one
 // per node with NewProtocol and call Step exactly once per TDMA round.
 //
-// The state is bit-plane throughout: alignment state, matrix rows, voting
-// and the activity update all operate on machine words, which bounds a flat
+// Protocol is the one-lane view of the kernel: a BatchProtocol with a single
+// lane runs every phase (alignment, voting, accusations, Alg. 2, telemetry),
+// and Protocol only converts the input and builds RoundOutput from the
+// kernel's masks. The state is bit-plane throughout, which bounds a flat
 // system at MaxPackedN nodes (internal/fleet shards wider ones). StepPacked
 // accepts the round input in packed form directly; Step packs its
-// byte-per-entry input and delegates.
+// byte-per-entry input and delegates. The collision detector is queried at
+// most once per warm round, for the diagnosed round, and its verdict
+// resolves every ⊥ column.
 //
 // Buffer ownership: Step copies its inputs into protocol-owned scratch
 // (callers may reuse RoundInput slices immediately). The analysis results in
@@ -312,80 +290,41 @@ func newPackedRoundBlock(n int) (m *Matrix, consHV, outSyn Syndrome) {
 // overwritten, so callers that keep them longer must copy (every in-tree
 // consumer either copies immediately or reads only the latest output).
 type Protocol struct {
-	cfg   Config
-	pr    *PenaltyReward
-	steps int
+	// b is the one-lane kernel; it also owns the telemetry attachment
+	// (SetMetrics), whose nil-is-off discipline costs one branch per Step.
+	b *BatchProtocol
 
-	// metrics is the optional telemetry attachment (SetMetrics); nil — the
-	// default — costs one branch per Step. It survives Reset/ResetConfig so
-	// reusable campaign clusters keep accumulating across repetitions.
-	metrics *StepMetrics
-
-	// trace is the optional causal flight recorder (SetTrace); same nil-is-
-	// off discipline and lifetime as metrics.
+	// trace is the optional causal flight recorder (SetTrace); nil is off.
+	// It survives Reset/ResetConfig so reusable campaign clusters keep
+	// emitting across repetitions.
 	trace *StepTrace
 
-	// bufs double-buffers the read/send-alignment state: round k reads
-	// bufs[k%2] (written in round k-1) and writes bufs[(k+1)%2].
-	bufs [2]alignBuf
 	// inRows is the scratch for Step's input conversion (StepPacked callers
 	// provide their own rows).
 	inRows []BitSyndrome
-	// lastSent / prevSent are the dissemination payloads of the previous
-	// two rounds; the one physically transmitted in round k-1 is this
-	// node's own row of the diagnostic matrix.
-	lastSent BitSyndrome
-	prevSent BitSyndrome
-	// sendBufs and activeBufs are the rings backing RoundOutput.Send and
-	// RoundOutput.Active: round k writes slot k%4, so an output's buffers
+	// sendRing and activeRing back RoundOutput.Send and RoundOutput.Active:
+	// four slots each, round k writes slot k%4, so an output's buffers
 	// survive the next three Steps before being reused.
-	sendBufs   [4][]byte
-	activeBufs [4][]bool
-	// accuse holds the remaining dissemination writes each pending minority
-	// accusation is carried for (membership mode); accuseMask mirrors its
-	// non-zero entries as a bit mask.
-	accuse     []int
-	accuseMask uint64
-	// accusedAge[j] counts the rounds since an accusation against j was last
-	// raised (saturating); it drives the accusationSkew guard. agingMask
-	// mirrors the non-saturated entries (age <= accusationSkew) so the
-	// per-round aging touches only live counters.
-	accusedAge []int
-	agingMask  uint64
-	// invPrevActive is the previous round's activity vector, kept only by
-	// ttdiag_invariants builds for the monotonicity check.
-	invPrevActive []bool
+	sendRing   []byte
+	activeRing []bool
 }
+
+// outputRing is the number of slots of the Send and Active rings.
+const outputRing = 4
 
 // NewProtocol builds the diagnostic job for one node. It refuses systems
 // wider than MaxPackedN; shard those with internal/fleet.
 func NewProtocol(cfg Config) (*Protocol, error) {
-	if cfg.Mode == 0 {
-		cfg.Mode = ModeDiagnostic
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	pr, err := NewPenaltyReward(cfg.N, cfg.PR)
+	b, err := NewBatchProtocol(cfg, 1)
 	if err != nil {
 		return nil, err
 	}
-	p := &Protocol{
-		cfg:        cfg,
-		pr:         pr,
+	return &Protocol{
+		b:          b,
 		inRows:     make([]BitSyndrome, cfg.N+1),
-		accuse:     make([]int, cfg.N+1),
-		accusedAge: make([]int, cfg.N+1),
-	}
-	for b := range p.bufs {
-		p.bufs[b].rows = make([]BitSyndrome, cfg.N+1)
-	}
-	for i := range p.sendBufs {
-		p.sendBufs[i] = make([]byte, EncodedLen(cfg.N))
-		p.activeBufs[i] = make([]bool, cfg.N+1)
-	}
-	p.Reset()
-	return p, nil
+		sendRing:   make([]byte, outputRing*EncodedLen(cfg.N)),
+		activeRing: make([]bool, outputRing*(cfg.N+1)),
+	}, nil
 }
 
 // Reset returns the protocol to its freshly constructed state (round
@@ -395,21 +334,9 @@ func NewProtocol(cfg Config) (*Protocol, error) {
 // retention guarantees: ConsHV/Matrix/SendSyndrome stay valid, Send and
 // Active follow the usual ring-buffer window.
 func (p *Protocol) Reset() {
-	n := p.cfg.N
-	p.bufs[0].reset(n)
-	p.bufs[1].reset(n)
-	p.lastSent = bitSyndromeAllHealthy(n)
-	p.prevSent = p.lastSent
-	for j := range p.accuse {
-		p.accuse[j] = 0
-		p.accusedAge[j] = accusationSkew + 1
-	}
-	p.accuseMask, p.agingMask = 0, 0
-	p.invPrevActive = nil
-	p.steps = 0
-	p.pr.Reset()
+	p.b.Reset(1)
 	if p.trace != nil {
-		p.trace.resync(p.pr)
+		p.trace.resync(p.b.pr)
 	}
 }
 
@@ -424,22 +351,22 @@ func (p *Protocol) ResetConfig(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	if cfg.N != p.cfg.N {
-		return fmt.Errorf("core: node %d: ResetConfig cannot change N from %d to %d", p.cfg.ID, p.cfg.N, cfg.N)
+	if cfg.N != p.b.n {
+		return fmt.Errorf("core: node %d: ResetConfig cannot change N from %d to %d", p.b.cfg.ID, p.b.n, cfg.N)
 	}
-	if err := p.pr.ResetConfig(cfg.PR); err != nil {
+	if err := p.b.pr.ResetConfig(cfg.PR); err != nil {
 		return err
 	}
-	p.cfg = cfg
+	p.b.cfg = cfg
 	p.Reset()
 	return nil
 }
 
 // Config returns the protocol's configuration.
-func (p *Protocol) Config() Config { return p.cfg }
+func (p *Protocol) Config() Config { return p.b.cfg }
 
 // PenaltyReward exposes the node's Alg. 2 state for inspection.
-func (p *Protocol) PenaltyReward() *PenaltyReward { return p.pr }
+func (p *Protocol) PenaltyReward() *PenaltyReward { return p.b.pr }
 
 // Step executes the diagnostic job for one round. It converts the input to
 // plane form and runs StepPacked's path (callers that already hold packed
@@ -452,15 +379,16 @@ func (p *Protocol) PenaltyReward() *PenaltyReward { return p.pr }
 //
 //ttdiag:noretain params
 func (p *Protocol) Step(in RoundInput) (RoundOutput, error) {
-	n := p.cfg.N
-	if want := p.cfg.StartRound + p.steps; in.Round != want {
-		return RoundOutput{}, fmt.Errorf("core: node %d: Step round %d, want %d", p.cfg.ID, in.Round, want)
+	cfg := &p.b.cfg
+	n := cfg.N
+	if want := cfg.StartRound + p.b.steps; in.Round != want {
+		return RoundOutput{}, fmt.Errorf("core: node %d: Step round %d, want %d", cfg.ID, in.Round, want)
 	}
 	if in.Validity.N() != n {
-		return RoundOutput{}, fmt.Errorf("core: node %d: validity vector covers %d nodes, want %d", p.cfg.ID, in.Validity.N(), n)
+		return RoundOutput{}, fmt.Errorf("core: node %d: validity vector covers %d nodes, want %d", cfg.ID, in.Validity.N(), n)
 	}
 	if len(in.DMs) != n+1 {
-		return RoundOutput{}, fmt.Errorf("core: node %d: DMs has %d entries, want %d", p.cfg.ID, len(in.DMs), n+1)
+		return RoundOutput{}, fmt.Errorf("core: node %d: DMs has %d entries, want %d", cfg.ID, len(in.DMs), n+1)
 	}
 	for j := 1; j <= n; j++ {
 		if in.DMs[j] != nil && in.DMs[j].N() != n {
@@ -474,13 +402,13 @@ func (p *Protocol) Step(in RoundInput) (RoundOutput, error) {
 			p.inRows[j] = packSyndrome(in.DMs[j])
 		}
 	}
-	return p.stepPacked(PackedRoundInput{
+	return p.step(PackedRoundInput{
 		Round:     in.Round,
 		Rows:      p.inRows,
 		Present:   present,
 		Validity:  packSyndrome(in.Validity),
 		Collision: in.Collision,
-	})
+	}), nil
 }
 
 // StepPacked executes the diagnostic job for one round on packed
@@ -489,272 +417,77 @@ func (p *Protocol) Step(in RoundInput) (RoundOutput, error) {
 //
 //ttdiag:noretain params
 func (p *Protocol) StepPacked(in PackedRoundInput) (RoundOutput, error) {
-	if want := p.cfg.StartRound + p.steps; in.Round != want {
-		return RoundOutput{}, fmt.Errorf("core: node %d: Step round %d, want %d", p.cfg.ID, in.Round, want)
+	cfg := &p.b.cfg
+	if want := cfg.StartRound + p.b.steps; in.Round != want {
+		return RoundOutput{}, fmt.Errorf("core: node %d: Step round %d, want %d", cfg.ID, in.Round, want)
 	}
-	if len(in.Rows) != p.cfg.N+1 {
-		return RoundOutput{}, fmt.Errorf("core: node %d: Rows has %d entries, want %d", p.cfg.ID, len(in.Rows), p.cfg.N+1)
+	if len(in.Rows) != cfg.N+1 {
+		return RoundOutput{}, fmt.Errorf("core: node %d: Rows has %d entries, want %d", cfg.ID, len(in.Rows), cfg.N+1)
 	}
-	return p.stepPacked(in)
+	return p.step(in), nil
 }
 
-// stepPacked is the diagnostic job: every phase of Alg. 1 operates on word
-// masks, and the only allocation is the round's retained output block. It is
-// checked round by round against the byte-per-entry reference of
-// reference_test.go.
+// step runs one validated round on the kernel and builds the RoundOutput
+// views of its lane: the only allocation is the round's retained output
+// block.
 //
 //ttdiag:noretain params
-func (p *Protocol) stepPacked(in PackedRoundInput) (RoundOutput, error) {
-	n := p.cfg.N
-	all := PlaneMask(n)
-	present := in.Present & all
-	validity := in.Validity.normalized(all)
-
-	// rd was written in the previous round; wr becomes next round's rd.
-	rd := &p.bufs[p.steps&1]
-	wr := &p.bufs[(p.steps+1)&1]
-
+func (p *Protocol) step(in PackedRoundInput) RoundOutput {
+	b := p.b
+	n := b.n
+	slot := b.steps % outputRing
+	var collision uint64
+	if lag := b.cfg.Lag(); b.steps >= lag && in.Collision != nil && in.Collision(in.Round-lag) == Faulty {
+		collision = 1
+	}
 	// The round's entire indefinitely-retainable output — matrix planes,
 	// consistent health vector and outgoing syndrome — lives in one fixed-
 	// size block, so the steady-state warm path costs exactly one allocation
-	// per Step (Send and Active come from the protocol's buffer rings).
+	// per Step (Send and Active come from the protocol's buffer rings). The
+	// kernel installs the round's matrix straight into the block's planes.
 	matrix, consHV, outSyn := newPackedRoundBlock(n)
-
-	// Phases 1 and 3 — local detection and aggregation (read alignment,
-	// Alg. 1 lines 1-6): entries 1..l_i come from the previous read, the
-	// rest from the current one, so every aligned value refers to a message
-	// sent in round k-1. Under dynamic scheduling the read point is pinned
-	// to round start (l = 0). On planes the split is two mask merges.
-	l := p.cfg.L
-	if p.cfg.Dynamic {
-		l = 0
-	}
-	low := PlaneMask(l)
-	hi := all &^ low
-	alSet := (rd.set & low) | (present & hi)
-	alLS := BitSyndrome{
-		Op:    (rd.ls.Op & low) | (validity.Op & hi),
-		Known: (rd.ls.Known & low) | (validity.Known & hi),
-	}
-	wr.al = alLS
-
-	out := RoundOutput{Round: in.Round, DiagnosedRound: -1}
-
-	// Phase 4 — analysis (Alg. 1 lines 11-14). In membership mode this runs
-	// before dissemination so that minority accusations can be added to the
-	// outgoing syndrome; in diagnostic mode the ordering is unobservable.
-	warm := p.steps >= p.cfg.Lag()
-	if warm {
-		self := uint64(1) << uint(p.cfg.ID-1)
-		rowSet := (alSet &^ self) | self
-		for rem := rowSet; rem != 0; rem &= rem - 1 {
-			j := bits.TrailingZeros64(rem) + 1
-			var row BitSyndrome
-			switch {
-			case j == p.cfg.ID:
-				// This node's own row is its locally buffered copy of the
-				// syndrome it physically transmitted in round k-1 — available
-				// even when the transmission itself failed (Lemma 3).
-				row = p.ownRow()
-			case j <= l:
-				row = rd.rows[j]
-			default:
-				row = in.Rows[j].normalized(all)
-			}
-			matrix.op[j] = row.Op
-			matrix.know[j] = row.Known
-		}
-		matrix.rowSet = rowSet
-
-		consBits := matrix.voteAllPlanes()
-		diagRound := in.Round - p.cfg.Lag()
-		// H-maj returned ⊥ on the columns outside consBits.Known: at least
-		// N-1 nodes could not send their syndromes. Only self-diagnosis can
-		// be left undecided, and it falls back to the local collision
-		// detector (Alg. 1 line 14), queried in ascending column order.
-		for rem := all &^ consBits.Known; rem != 0; rem &= rem - 1 {
-			bit := rem & -rem
-			if p.collisionVerdict(in.Collision, diagRound) == Healthy {
-				consBits.Op |= bit
-			}
-			consBits.Known |= bit
-		}
-		consBits.UnpackInto(consHV)
+	var bo BatchRoundOutput
+	b.step(&BatchRoundInput{
+		Round:           in.Round,
+		Rows:            in.Rows,
+		Present:         in.Present,
+		Validity:        in.Validity,
+		CollisionFaulty: collision,
+	}, &bo, matrix.op, matrix.know)
+	out := RoundOutput{Round: bo.Round, DiagnosedRound: bo.DiagnosedRound, ActiveMask: bo.ActiveMask}
+	if bo.Warm {
+		matrix.rowSet = b.rowSet
+		out.ConsHVBits = BitSyndrome{Op: bo.ConsOp, Known: bo.ConsKnown}
+		out.ConsHVBits.UnpackInto(consHV)
 		out.ConsHV = consHV
-		out.ConsHVBits = consBits
-		out.DiagnosedRound = diagRound
 		out.Matrix = matrix
-
-		if p.cfg.Mode == ModeMembership {
-			// Entries whose health-vector value may still be driven by a
-			// recent minority accusation are skipped, as is the node's own
-			// entry once it sees itself convicted (it is the accused party
-			// and must not counter-accuse rows carrying the other clique's
-			// verdict) — see accusationSkew.
-			skip := p.guardMask()
-			if consBits.Op&self == 0 {
-				skip |= self
-			}
-			for rem := rowSet &^ self; rem != 0; rem &= rem - 1 {
-				j := bits.TrailingZeros64(rem) + 1
-				jb := uint64(1) << uint(j-1)
-				// A row conflicts with the health vector wherever it is
-				// known with the opposite opinion, or ε where the vector
-				// holds a verdict (consBits is all-Known here).
-				conflict := (matrix.know[j] & (matrix.op[j] ^ consBits.Op)) | (all &^ matrix.know[j])
-				if conflict&^(jb|skip) != 0 {
-					p.accuse[j] = accusationTTL
-					p.accuseMask |= jb
-					out.Accused = append(out.Accused, j)
-					if p.trace != nil {
-						// Evidence class: a definite opinion opposite the
-						// verdict on an unguarded column, vs ε-only conflict.
-						definite := (matrix.know[j]&(matrix.op[j]^consBits.Op))&^(jb|skip) != 0
-						p.trace.noteEvidence(j, definite)
-					}
-				}
-			}
-			// Age updates happen after the whole check loop so that every
-			// row is judged against the same guard state.
-			for _, j := range out.Accused {
-				p.accusedAge[j] = 0
-				p.agingMask |= 1 << uint(j-1)
-			}
-			if consBits.Op&self == 0 {
-				p.accusedAge[p.cfg.ID] = 0
-				p.agingMask |= self
-			}
-		}
+		out.Isolated = maskNodes(bo.IsolatedMask)
+		out.Reintegrated = maskNodes(bo.ReintegratedMask)
+		out.Accused = maskNodes(bo.AccusedMask)
 	}
-
-	// Phase 2 — dissemination (send alignment, Alg. 1 lines 7-10): choose
-	// the syndrome whose transmission round keeps all disseminated
-	// syndromes referring to the same diagnosed round.
-	var outBits BitSyndrome
-	switch {
-	case p.cfg.AllSendCurrRound:
-		outBits = alLS
-	case p.cfg.SendCurrRound:
-		outBits = rd.al
-	default:
-		outBits = alLS
-	}
-	if p.cfg.Mode == ModeMembership && p.accuseMask != 0 {
-		// Pending accusations force the accused entries to Faulty.
-		outBits.Op &^= p.accuseMask
-		outBits.Known |= p.accuseMask
-		for rem := p.accuseMask; rem != 0; rem &= rem - 1 {
-			j := bits.TrailingZeros64(rem) + 1
-			p.accuse[j]--
-			if p.accuse[j] == 0 {
-				p.accuseMask &^= 1 << uint(j-1)
-			}
-		}
-	}
-	outBits.UnpackInto(outSyn)
-	send := p.sendBufs[p.steps&3]
-	outBits.EncodeInto(send)
-	out.Send = send
+	send := BitSyndrome{Op: bo.SendOp, Known: bo.SendKnown}
+	send.UnpackInto(outSyn)
 	out.SendSyndrome = outSyn
-
-	// Phase 5 — update counters (Alg. 1 line 15, Alg. 2): one masked update
-	// that visits only the columns voted faulty plus the nodes with live
-	// counters.
-	if out.ConsHV != nil {
-		out.Isolated, out.Reintegrated = p.pr.updateMasked(out.ConsHVBits.Known &^ out.ConsHVBits.Op)
-	}
-	active := p.activeBufs[p.steps&3]
-	copy(active, p.pr.active)
-	out.Active = active
-	out.ActiveMask = p.pr.activeMask
-
-	// Buffering for the next round (Alg. 1 lines 16-17): copy this round's
-	// raw observations into the buffer the next step will read (two-word
-	// value copies for the present rows). wr.al already holds the aligned
-	// local syndrome, and outBits is a value, so retaining it as lastSent
-	// costs nothing.
-	wr.set = present
-	for rem := present; rem != 0; rem &= rem - 1 {
-		j := bits.TrailingZeros64(rem) + 1
-		wr.rows[j] = in.Rows[j].normalized(all)
-	}
-	wr.ls = validity
-	p.prevSent = p.lastSent
-	p.lastSent = outBits
-	if p.metrics != nil {
-		p.emitStepMetrics(&out, matrix, warm)
-	}
+	sw, aw := len(p.sendRing)/outputRing, n+1
+	out.Send = p.sendRing[slot*sw : (slot+1)*sw : (slot+1)*sw]
+	send.EncodeInto(out.Send)
+	out.Active = p.activeRing[slot*aw : (slot+1)*aw : (slot+1)*aw]
+	copy(out.Active, b.pr.active)
 	if p.trace != nil {
-		p.emitStepTrace(&out, warm)
+		p.emitStepTrace(&out, bo.DefiniteMask)
 	}
-	p.ageAccusations()
-	p.steps++
 	if invariant.Enabled {
 		p.checkStepInvariants(out)
 	}
-	return out, nil
+	return out
 }
 
-// ageAccusations advances the skew-guard ages; counters saturated past the
-// window (the steady state of every node) carry no mask bit and cost
-// nothing.
-func (p *Protocol) ageAccusations() {
-	for rem := p.agingMask; rem != 0; rem &= rem - 1 {
-		j := bits.TrailingZeros64(rem) + 1
-		p.accusedAge[j]++
-		if p.accusedAge[j] > accusationSkew {
-			p.agingMask &^= 1 << uint(j-1)
-		}
+// maskNodes lists the nodes of a one-lane mask in ascending order, nil when
+// the mask is empty.
+func maskNodes(m uint64) []int {
+	var nodes []int
+	for rem := m; rem != 0; rem &= rem - 1 {
+		nodes = append(nodes, bits.TrailingZeros64(rem)+1)
 	}
-}
-
-// guardMask returns the accusationSkew guard as a column mask: bit j-1 set
-// iff accusedAge[j] lies in [1, accusationSkew].
-func (p *Protocol) guardMask() uint64 {
-	var m uint64
-	for rem := p.agingMask; rem != 0; rem &= rem - 1 {
-		j := bits.TrailingZeros64(rem) + 1
-		if a := p.accusedAge[j]; a >= 1 && a <= accusationSkew {
-			m |= 1 << uint(j-1)
-		}
-	}
-	return m
-}
-
-// rebuildAccusationMasks recomputes accuseMask and agingMask from the
-// counter slices (used after a snapshot restore replaces them).
-func (p *Protocol) rebuildAccusationMasks() {
-	p.accuseMask, p.agingMask = 0, 0
-	for j := 1; j <= p.cfg.N; j++ {
-		bit := uint64(1) << uint(j-1)
-		if p.accuse[j] > 0 {
-			p.accuseMask |= bit
-		}
-		if p.accusedAge[j] <= accusationSkew {
-			p.agingMask |= bit
-		}
-	}
-}
-
-// ownRow returns the syndrome this node physically transmitted in the
-// previous round: the last written payload when the node's job runs before
-// its sending slot, and the one before that otherwise (the write of round
-// k-1 is only transmitted in round k).
-func (p *Protocol) ownRow() BitSyndrome {
-	if p.cfg.SendCurrRound {
-		return p.lastSent
-	}
-	return p.prevSent
-}
-
-func (p *Protocol) collisionVerdict(fn CollisionFn, round int) Opinion {
-	if fn == nil {
-		return Healthy
-	}
-	switch fn(round) {
-	case Faulty:
-		return Faulty
-	default:
-		return Healthy
-	}
+	return nodes
 }

@@ -36,44 +36,16 @@ type prSnapshot struct {
 // buffers, accusation state and penalty/reward counters) to JSON. Only the
 // buffer the next Step will read (the previous round's observations) is
 // captured; syndromes are written byte-per-entry.
-func (p *Protocol) Snapshot() ([]byte, error) {
-	n := p.cfg.N
-	rd := &p.bufs[p.steps&1]
-	var syn [4]Syndrome
-	for i, b := range [4]BitSyndrome{rd.ls, rd.al, p.lastSent, p.prevSent} {
-		syn[i] = b.Unpack(n)
-	}
-	snap := protocolSnapshot{
-		Config:     p.cfg,
-		Steps:      p.steps,
-		PrevDM:     make(map[int]Syndrome),
-		PrevLS:     syn[0],
-		PrevAlLS:   syn[1],
-		LastSent:   syn[2],
-		PrevSent:   syn[3],
-		Accuse:     p.accuse,
-		AccusedAge: p.accusedAge,
-		PR: prSnapshot{
-			Penalties: p.pr.penalties,
-			Rewards:   p.pr.rewards,
-			Active:    p.pr.active,
-			Observe:   p.pr.observe,
-		},
-	}
-	for j := 1; j <= n; j++ {
-		if rd.set&(1<<uint(j-1)) != 0 {
-			snap.PrevDM[j] = rd.rows[j].Unpack(n)
-		}
-	}
-	return json.Marshal(snap)
-}
+func (p *Protocol) Snapshot() ([]byte, error) { return p.b.SnapshotLane(0) }
 
 // RestoreProtocol rebuilds a protocol instance from a Snapshot. The restored
 // instance continues at the next round after the snapshot was taken.
 // Restoring is lossless: a snapshot that would not re-serialise to the same
 // state — a syndrome entry outside {Faulty, Healthy, Erased}, a prevDM key
-// outside 1..N, a missing mode — is rejected rather than silently
-// normalised.
+// outside 1..N, a missing mode, an accusation counter outside
+// [0, accusationTTL] or an accusation age outside [0, accusationSkew+1]
+// (neither fits the kernel's registers, and no run produces them) — is
+// rejected rather than silently normalised.
 func RestoreProtocol(data []byte) (*Protocol, error) {
 	// The round cursor is decoded through a pointer shadow so a checkpoint
 	// that lost its "steps" field is rejected instead of silently resuming
@@ -136,12 +108,13 @@ func RestoreProtocol(data []byte) (*Protocol, error) {
 		len(snap.PR.Active) != n+1 || len(snap.PR.Observe) != n+1 {
 		return nil, fmt.Errorf("core: restore: penalty/reward state has wrong size")
 	}
-	p.steps = snap.Steps
+	b := p.b
+	b.steps = snap.Steps
 	// Fill the buffer the next Step will read; the other buffer is dead
 	// state (it is fully rewritten before it is ever read again).
-	rd := &p.bufs[p.steps&1]
+	rd := &b.pbufs[b.steps&1]
 	rd.ls, rd.al = packed[0], packed[1]
-	p.lastSent, p.prevSent = packed[2], packed[3]
+	b.lastSentB, b.prevSentB = packed[2], packed[3]
 	rd.set = 0
 	for j := 1; j <= n; j++ {
 		if dm, ok := snap.PrevDM[j]; ok {
@@ -154,13 +127,29 @@ func RestoreProtocol(data []byte) (*Protocol, error) {
 	if bits.OnesCount64(rd.set) != len(snap.PrevDM) {
 		return nil, fmt.Errorf("core: restore: prevDM has keys outside 1..%d", n)
 	}
-	p.accuse = snap.Accuse
-	p.accusedAge = snap.AccusedAge
-	p.rebuildAccusationMasks()
-	p.pr.penalties = snap.PR.Penalties
-	p.pr.rewards = snap.PR.Rewards
-	p.pr.active = snap.PR.Active
-	p.pr.observe = snap.PR.Observe
-	p.pr.rebuildMasks()
+	// Entry 0 is unused and always holds the fresh values; every other
+	// counter lands in the register generation it names.
+	if snap.Accuse[0] != 0 || snap.AccusedAge[0] != accusationSkew+1 {
+		return nil, fmt.Errorf("core: restore: accusation state entry 0 is not the unused default")
+	}
+	for j := 1; j <= n; j++ {
+		bit := uint64(1) << uint(j-1)
+		if a := snap.Accuse[j]; a < 0 || a > accusationTTL {
+			return nil, fmt.Errorf("core: restore: accusation counter of node %d is %d, outside [0, %d]", j, a, accusationTTL)
+		} else if a > 0 {
+			b.accuse[a-1] |= bit
+		}
+		if g := snap.AccusedAge[j]; g < 0 || g > accusationSkew+1 {
+			return nil, fmt.Errorf("core: restore: accusation age of node %d is %d, outside [0, %d]", j, g, accusationSkew+1)
+		} else if g <= accusationSkew {
+			b.age[g] |= bit
+			b.aging |= bit
+		}
+	}
+	copy(b.pr.penalties, snap.PR.Penalties)
+	copy(b.pr.rewards, snap.PR.Rewards)
+	copy(b.pr.active, snap.PR.Active)
+	copy(b.pr.observe, snap.PR.Observe)
+	b.pr.rebuildMasks()
 	return p, nil
 }

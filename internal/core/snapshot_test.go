@@ -120,7 +120,10 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 	// Syndromes marshal as base64 byte strings: "AgEBAQE=" is [ε,1,1,1,1],
 	// "AgEB" decodes to only three entries. A checkpoint whose round cursor
 	// is missing or negative must be rejected too — resuming from round zero
-	// would silently replay rounds the cluster already executed.
+	// would silently replay rounds the cluster already executed. Accusation
+	// counters beyond accusationTTL = 2 and ages beyond accusationSkew+1 = 5
+	// (or negative) fit no kernel register and no run produces them; entry 0
+	// is unused and must keep its fresh value.
 	for _, tt := range []struct{ from, to string }{
 		{`"prevLS":"AgEBAQE="`, `"prevLS":"AgEB"`},
 		{`"accuse":[0,0,0,0,0]`, `"accuse":[0]`},
@@ -128,6 +131,12 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 		{`"steps":0,`, ``},
 		{`"steps":0,`, `"steps":-3,`},
 		{`"steps":0,`, `"steps":null,`},
+		{`"accuse":[0,0,0,0,0]`, `"accuse":[0,0,3,0,0]`},
+		{`"accuse":[0,0,0,0,0]`, `"accuse":[0,-1,0,0,0]`},
+		{`"accuse":[0,0,0,0,0]`, `"accuse":[1,0,0,0,0]`},
+		{`"accusedAge":[5,5,5,5,5]`, `"accusedAge":[5,5,5,6,5]`},
+		{`"accusedAge":[5,5,5,5,5]`, `"accusedAge":[5,-1,5,5,5]`},
+		{`"accusedAge":[5,5,5,5,5]`, `"accusedAge":[0,5,5,5,5]`},
 	} {
 		corrupted := strings.Replace(string(data), tt.from, tt.to, 1)
 		if corrupted == string(data) {

@@ -77,6 +77,8 @@ step "go test -fuzz (packed voting kernel, seed corpus + short fuzz)" \
     scripts/gotest.sh ./internal/core/ -run FuzzVoteAll -fuzz 'FuzzVoteAll$' -fuzztime 15s
 step "go test -fuzz (lane-packed voting kernel, seed corpus + short fuzz)" \
     scripts/gotest.sh ./internal/core/ -run FuzzVoteAllBatch -fuzz 'FuzzVoteAllBatch$' -fuzztime 15s
+step "go test -fuzz (Alg. 1 kernel vs reference, seed corpus + short fuzz)" \
+    scripts/gotest.sh ./internal/core/ -run FuzzProtocolStep -fuzz 'FuzzProtocolStep$' -fuzztime 15s
 step "go test -fuzz (snapshot restore, seed corpus + short fuzz)" \
     scripts/gotest.sh ./internal/core/ -run FuzzRestoreProtocol -fuzz 'FuzzRestoreProtocol$' -fuzztime 15s
 step "go test -fuzz (trace JSONL decoder, seed corpus + short fuzz)" \
@@ -84,7 +86,7 @@ step "go test -fuzz (trace JSONL decoder, seed corpus + short fuzz)" \
 step "go test (exhaustive shard-summary decode)" \
     scripts/gotest.sh ./internal/core/ -run TestShardSummaryDecodeExhaustive
 step "go test -tags ttdiag_invariants" \
-    go test -tags ttdiag_invariants ./internal/core/... ./internal/invariant/... ./internal/cluster/... ./internal/sim/...
+    go test -tags ttdiag_invariants ./internal/core/... ./internal/invariant/... ./internal/cluster/... ./internal/sim/... ./internal/fleet/... ./internal/splitting/...
 step "ttdiag-lint (+ escape gate)" \
     go run ./cmd/ttdiag-lint -escapes ./...
 
