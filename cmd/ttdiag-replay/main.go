@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math/bits"
 	"os"
 	"strconv"
 	"strings"
@@ -81,15 +82,19 @@ func run(args []string) error {
 		log.LastRound(), *n, *observer)
 	printed := 0
 	for _, d := range diags {
-		interesting := d.ConsHV.CountFaulty() > 0 || len(d.Isolated) > 0
+		interesting := d.ConsHV.CountFaulty(*n) > 0 || d.Isolated != 0
 		if *faultyOnly && !interesting {
 			continue
 		}
 		extra := ""
-		if len(d.Isolated) > 0 {
-			extra = fmt.Sprintf("   ISOLATED %v", d.Isolated)
+		if d.Isolated != 0 {
+			var nodes []int
+			for m := d.Isolated; m != 0; m &= m - 1 {
+				nodes = append(nodes, bits.TrailingZeros64(m)+1)
+			}
+			extra = fmt.Sprintf("   ISOLATED %v", nodes)
 		}
-		fmt.Printf("round %-5d cons_hv(round %d) = %s%s\n", d.Round, d.DiagnosedRound, d.ConsHV, extra)
+		fmt.Printf("round %-5d cons_hv(round %d) = %s%s\n", d.Round, d.DiagnosedRound, d.ConsHV.String(*n), extra)
 		printed++
 	}
 	if printed == 0 {

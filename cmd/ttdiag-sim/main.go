@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math/bits"
 	"os"
 	"strings"
 	"time"
@@ -240,20 +241,29 @@ func (t *simTelemetry) write(o options, eng *sim.Engine, col *sim.Collector, vie
 }
 
 func printHV(o options, observer int, out core.RoundOutput, sched *tdma.Schedule) {
-	if o.quiet || out.ConsHV == nil || observer != 1 {
+	if o.quiet || out.ConsHV.Known == 0 || observer != 1 {
 		return
 	}
 	at := sched.RoundStart(out.Round)
 	extra := ""
-	if len(out.Isolated) > 0 {
-		extra = fmt.Sprintf("  ISOLATED %v", out.Isolated)
+	if out.Isolated != 0 {
+		extra = fmt.Sprintf("  ISOLATED %v", nodeList(out.Isolated))
 	}
-	if len(out.Reintegrated) > 0 {
-		extra += fmt.Sprintf("  REINTEGRATED %v", out.Reintegrated)
+	if out.Reintegrated != 0 {
+		extra += fmt.Sprintf("  REINTEGRATED %v", nodeList(out.Reintegrated))
 	}
-	if out.ConsHV.CountFaulty() > 0 || extra != "" {
-		fmt.Printf("%10v round %-4d cons_hv(round %d) = %s%s\n", at, out.Round, out.DiagnosedRound, out.ConsHV, extra)
+	if out.ConsHV.CountFaulty(o.n) > 0 || extra != "" {
+		fmt.Printf("%10v round %-4d cons_hv(round %d) = %s%s\n", at, out.Round, out.DiagnosedRound, out.ConsHV.String(o.n), extra)
 	}
+}
+
+// nodeList lists the nodes of a mask (bit j-1 = node j) in ascending order.
+func nodeList(m uint64) []int {
+	var nodes []int
+	for ; m != 0; m &= m - 1 {
+		nodes = append(nodes, bits.TrailingZeros64(m)+1)
+	}
+	return nodes
 }
 
 func simulateDiag(o options, cfg sim.ClusterConfig) error {
@@ -317,14 +327,7 @@ func simulateDiag(o options, cfg sim.ClusterConfig) error {
 	}
 	fmt.Printf("\nsimulated %d rounds (%v of bus time), %d isolation decision(s)\n",
 		o.rounds, time.Duration(o.rounds)*eng.Schedule().RoundLen(), len(col.Isolations))
-	active := runners[1].Last().Active
-	var alive []int
-	for id := 1; id <= o.n; id++ {
-		if active[id] {
-			alive = append(alive, id)
-		}
-	}
-	fmt.Printf("active nodes: %v\n", alive)
+	fmt.Printf("active nodes: %v\n", nodeList(runners[1].Last().Active))
 	if o.gantt {
 		events := rec.Events()
 		// Node 1's isolations/reintegrations already arrive through its causal

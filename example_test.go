@@ -16,7 +16,7 @@ func Example() {
 	eng.Bus().AddDisturbance(ttdiag.SlotBurstTrain(eng.Schedule(), 6, 3, 1))
 	runners[1].OnOutput = func(out ttdiag.RoundOutput) {
 		if out.DiagnosedRound == 6 {
-			fmt.Printf("agreed health of round 6: %s\n", out.ConsHV)
+			fmt.Printf("agreed health of round 6: %s\n", out.ConsHV.String(4))
 		}
 	}
 	if err := eng.RunRounds(12); err != nil {

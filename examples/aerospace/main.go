@@ -12,6 +12,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"math/bits"
 	"time"
 
 	"ttdiag"
@@ -48,11 +49,11 @@ func run() error {
 
 	runners[1].OnOutput = func(out ttdiag.RoundOutput) {
 		at := eng.Schedule().RoundStart(out.Round)
-		for _, iso := range out.Isolated {
-			fmt.Printf("t=%8v: node %d isolated (paper Table 4: ~0.205 s for the first)\n", at, iso)
+		for m := out.Isolated; m != 0; m &= m - 1 {
+			fmt.Printf("t=%8v: node %d isolated (paper Table 4: ~0.205 s for the first)\n", at, bits.TrailingZeros64(m)+1)
 		}
-		for _, re := range out.Reintegrated {
-			fmt.Printf("t=%8v: node %d reintegrated after a clean observation window\n", at, re)
+		for m := out.Reintegrated; m != 0; m &= m - 1 {
+			fmt.Printf("t=%8v: node %d reintegrated after a clean observation window\n", at, bits.TrailingZeros64(m)+1)
 		}
 	}
 

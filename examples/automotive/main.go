@@ -16,6 +16,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"math/bits"
 	"time"
 
 	"ttdiag"
@@ -54,7 +55,8 @@ func run() error {
 
 	classOf := map[int]string{1: "SC", 2: "SR", 3: "NSR", 4: "NSR"}
 	runners[1].OnOutput = func(out ttdiag.RoundOutput) {
-		for _, iso := range out.Isolated {
+		for m := out.Isolated; m != 0; m &= m - 1 {
+			iso := bits.TrailingZeros64(m) + 1
 			at := eng.Schedule().RoundStart(out.Round)
 			fmt.Printf("t=%8v: node %d (%s) isolated by the p/r algorithm\n", at, iso, classOf[iso])
 		}

@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"fmt"
 	"log"
+	"math/bits"
 
 	"ttdiag"
 )
@@ -56,10 +57,15 @@ func run() error {
 		return err
 	}
 	for _, d := range diags {
-		if len(d.Isolated) > 0 {
-			fmt.Printf("deployed tuning (P=5): round %d isolated %v (health %s)\n",
-				d.Round, d.Isolated, d.ConsHV)
+		if d.Isolated == 0 {
+			continue
 		}
+		var nodes []int
+		for m := d.Isolated; m != 0; m &= m - 1 {
+			nodes = append(nodes, bits.TrailingZeros64(m)+1)
+		}
+		fmt.Printf("deployed tuning (P=5): round %d isolated %v (health %s)\n",
+			d.Round, nodes, d.ConsHV.String(4))
 	}
 
 	// --- Counterfactual: would P=50 have ridden the transient out? ---
@@ -70,7 +76,7 @@ func run() error {
 	}
 	isolations := 0
 	for _, d := range diags {
-		isolations += len(d.Isolated)
+		isolations += bits.OnesCount64(d.Isolated)
 	}
 	fmt.Printf("counterfactual tuning (P=50): %d isolations — the transient would have been filtered\n", isolations)
 	return nil

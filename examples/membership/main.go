@@ -15,6 +15,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"math/bits"
 
 	"ttdiag"
 )
@@ -39,9 +40,9 @@ func run() error {
 	for id := 1; id <= 4; id++ {
 		id := id
 		runners[id].OnOutput = func(out ttdiag.MembershipOutput) {
-			for _, acc := range out.Diag.Accused {
+			for m := out.Diag.Accused; m != 0; m &= m - 1 {
 				fmt.Printf("round %2d: node %d raises a minority accusation against node %d\n",
-					out.Diag.Round, id, acc)
+					out.Diag.Round, id, bits.TrailingZeros64(m)+1)
 			}
 			if out.ViewChanged {
 				fmt.Printf("round %2d: node %d installs view %d: members %v\n",

@@ -27,10 +27,11 @@ type steering struct {
 	failovers int
 }
 
-// observe reacts to the diagnostic protocol's activity vector.
-func (s *steering) observe(round int, active []bool) {
+// observe reacts to the diagnostic protocol's activity vector (bit j-1 =
+// node j active).
+func (s *steering) observe(round int, active uint64) {
 	want := primary
-	if !active[primary] {
+	if active&(1<<(primary-1)) == 0 {
 		want = backup
 	}
 	if want != s.source {
@@ -82,7 +83,7 @@ func run() error {
 		if id == primary {
 			continue
 		}
-		if runners[id].Last().Active[primary] {
+		if runners[id].Last().Active&(1<<(primary-1)) != 0 {
 			return fmt.Errorf("node %d still considers the primary active", id)
 		}
 	}

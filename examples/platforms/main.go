@@ -52,7 +52,7 @@ func runProfile(prof ttdiag.Platform) error {
 	}
 	faulty := 0
 	for d := 4; d < rounds-4; d++ {
-		faulty += col.ConsHV[d][1].CountFaulty()
+		faulty += col.ConsHV[d][1].CountFaulty(prof.N)
 	}
 	fmt.Printf("%-12s N=%-3d round=%-6v dm=%d byte(s): %d rounds, %d faulty slots diagnosed, audit clean\n",
 		prof.Name, prof.N, prof.RoundLen, (prof.N+7)/8, rounds, faulty)
@@ -78,7 +78,7 @@ func runDynamic() error {
 		return err
 	}
 	for id := 1; id <= 4; id++ {
-		if !runners[id].Last().ConsHV.Equal(runners[1].Last().ConsHV) {
+		if runners[id].Last().ConsHV != runners[1].Last().ConsHV {
 			return fmt.Errorf("dynamic cluster disagreed")
 		}
 	}

@@ -33,15 +33,15 @@ func run() error {
 
 	// Observe node 1's agreed health vectors as they are produced.
 	runners[1].OnOutput = func(out ttdiag.RoundOutput) {
-		if out.ConsHV == nil {
+		if out.ConsHV.Known == 0 {
 			return // protocol pipeline still warming up
 		}
 		marker := ""
-		if out.ConsHV.CountFaulty() > 0 {
+		if out.ConsHV.CountFaulty(4) > 0 {
 			marker = "   <- node 3's fault, diagnosed consistently"
 		}
 		fmt.Printf("round %2d: agreed health of round %2d = %s%s\n",
-			out.Round, out.DiagnosedRound, out.ConsHV, marker)
+			out.Round, out.DiagnosedRound, out.ConsHV.String(4), marker)
 	}
 
 	if err := eng.RunRounds(12); err != nil {

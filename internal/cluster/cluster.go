@@ -445,7 +445,7 @@ func (c *Cluster) checkRoundAgreement(round int) {
 	refID := 0
 	for id := 1; id <= c.cfg.N; id++ {
 		out := c.last[id]
-		if out.ConsHV == nil || out.Round != round {
+		if out.ConsHV.Known == 0 || out.Round != round {
 			continue
 		}
 		if refID == 0 {
@@ -455,9 +455,10 @@ func (c *Cluster) checkRoundAgreement(round int) {
 		invariant.Checkf(out.DiagnosedRound == ref.DiagnosedRound,
 			"cluster: round %d: nodes %d and %d diagnose different rounds (%d vs %d)",
 			round, refID, id, ref.DiagnosedRound, out.DiagnosedRound)
-		invariant.Checkf(out.ConsHV.Equal(ref.ConsHV),
-			"cluster: round %d: health vectors diverge across goroutines: node %d says %s, node %d says %s",
-			round, refID, ref.ConsHV, id, out.ConsHV)
+		if out.ConsHV != ref.ConsHV {
+			invariant.Checkf(false, "cluster: round %d: health vectors diverge across goroutines: node %d says %s, node %d says %s",
+				round, refID, ref.ConsHV.String(c.cfg.N), id, out.ConsHV.String(c.cfg.N))
+		}
 	}
 }
 

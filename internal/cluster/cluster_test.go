@@ -44,23 +44,14 @@ func TestEquivalenceWithLockStepEngine(t *testing.T) {
 			eng.Bus().AddDisturbance(d)
 		}
 		const rounds = 24
-		type snap struct {
-			hv     string
-			active string
-		}
-		ref := make([][]snap, rounds)
+		ref := make([][]core.RoundOutput, rounds)
 		for k := 0; k < rounds; k++ {
 			if err := eng.RunRound(); err != nil {
 				t.Fatal(err)
 			}
-			ref[k] = make([]snap, 5)
+			ref[k] = make([]core.RoundOutput, 5)
 			for id := 1; id <= 4; id++ {
-				out := runners[id].Last()
-				s := snap{active: boolsKey(out.Active)}
-				if out.ConsHV != nil {
-					s.hv = out.ConsHV.String()
-				}
-				ref[k][id] = s
+				ref[k][id] = runners[id].Last()
 			}
 		}
 
@@ -78,34 +69,13 @@ func TestEquivalenceWithLockStepEngine(t *testing.T) {
 				t.Fatal(err)
 			}
 			for id := 1; id <= 4; id++ {
-				out := cl.Last(id)
-				gotHV := ""
-				if out.ConsHV != nil {
-					gotHV = out.ConsHV.String()
-				}
-				if gotHV != ref[k][id].hv {
-					t.Fatalf("cfg %d round %d node %d: cons_hv %q != lock-step %q",
-						ci, k, id, gotHV, ref[k][id].hv)
-				}
-				if got := boolsKey(out.Active); got != ref[k][id].active {
-					t.Fatalf("cfg %d round %d node %d: active %q != lock-step %q",
-						ci, k, id, got, ref[k][id].active)
+				if out := cl.Last(id); out != ref[k][id] {
+					t.Fatalf("cfg %d round %d node %d: output %+v != lock-step %+v",
+						ci, k, id, out, ref[k][id])
 				}
 			}
 		}
 	}
-}
-
-func boolsKey(bs []bool) string {
-	out := make([]byte, 0, len(bs))
-	for _, b := range bs {
-		if b {
-			out = append(out, '1')
-		} else {
-			out = append(out, '0')
-		}
-	}
-	return string(out)
 }
 
 func TestClusterIsolatesCrashedNode(t *testing.T) {
@@ -123,13 +93,8 @@ func TestClusterIsolatesCrashedNode(t *testing.T) {
 	}
 	for id := 1; id <= 4; id++ {
 		out := cl.Last(id)
-		if out.Active[3] {
-			t.Fatalf("node %d still considers the crashed node active", id)
-		}
-		for _, healthy := range []int{1, 2, 4} {
-			if !out.Active[healthy] {
-				t.Fatalf("node %d isolated healthy node %d", id, healthy)
-			}
+		if out.Active != 0b1011 {
+			t.Fatalf("node %d activity vector %04b, want node 3 isolated and 1, 2, 4 active", id, out.Active)
 		}
 	}
 }
@@ -182,10 +147,10 @@ func TestLastOutOfRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if out := cl.Last(0); out.Round != 0 || out.ConsHV != nil {
+	if out := cl.Last(0); out.Round != 0 || out.ConsHV.Known != 0 {
 		t.Fatalf("Last(0) = %+v", out)
 	}
-	if out := cl.Last(99); out.ConsHV != nil {
+	if out := cl.Last(99); out.ConsHV.Known != 0 {
 		t.Fatalf("Last(99) = %+v", out)
 	}
 }
@@ -291,7 +256,7 @@ func TestConcurrentHeterogeneousSlots(t *testing.T) {
 	}
 	for id := 1; id <= 4; id++ {
 		out := cl.Last(id)
-		if out.ConsHV == nil || !out.ConsHV.Equal(cl.Last(1).ConsHV) {
+		if out.ConsHV.Known == 0 || out.ConsHV != cl.Last(1).ConsHV {
 			t.Fatalf("node %d disagreed on the heterogeneous schedule", id)
 		}
 	}

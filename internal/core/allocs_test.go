@@ -15,10 +15,11 @@ import (
 )
 
 // stepAllocProtocol builds a steady-state protocol plus a step closure for
-// the allocation measurements below. withMetrics attaches the full
+// the allocation measurements below, stepping through StepPacked when packed
+// is set and through Step otherwise. withMetrics attaches the full
 // StepMetrics instrument set (counters, gauge — the fixed-cost telemetry
 // every campaign run carries when metrics are on).
-func stepAllocProtocol(t *testing.T, n int, withMetrics bool) func() {
+func stepAllocProtocol(t *testing.T, n int, withMetrics, packed bool) func() {
 	t.Helper()
 	p, err := NewProtocol(Config{
 		N: n, ID: 1, L: 0, SendCurrRound: true,
@@ -36,10 +37,20 @@ func stepAllocProtocol(t *testing.T, n int, withMetrics bool) func() {
 	}
 	validity := NewSyndrome(n, Healthy)
 	collision := func(int) Opinion { return Healthy }
+	all := PlaneMask(n)
+	rows := make([]BitSyndrome, n+1)
+	for j := 1; j <= n; j++ {
+		rows[j] = BitSyndrome{Op: all, Known: all}
+	}
 	round := 0
 	return func() {
-		in := RoundInput{Round: round, DMs: dms, Validity: validity, Collision: collision}
-		if _, err := p.Step(in); err != nil {
+		var err error
+		if packed {
+			_, err = p.StepPacked(PackedRoundInput{Round: round, Rows: rows, Present: all, Validity: rows[1], Collision: collision})
+		} else {
+			_, err = p.Step(RoundInput{Round: round, DMs: dms, Validity: validity, Collision: collision})
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 		round++
@@ -47,9 +58,9 @@ func stepAllocProtocol(t *testing.T, n int, withMetrics bool) func() {
 }
 
 // TestProtocolStepAllocs pins the steady-state allocation budget of one
-// protocol execution. The entire retained round output — matrix planes,
-// consistent health vector and dissemination syndrome — is one fixed-size
-// block, so the budget is a single allocation per Step.
+// protocol execution through Step and through StepPacked. RoundOutput is a
+// value and the kernel votes on protocol-owned scratch, so a Step allocates
+// nothing.
 func TestProtocolStepAllocs(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("invariant checking boxes Checkf arguments and inflates the allocation count")
@@ -60,23 +71,25 @@ func TestProtocolStepAllocs(t *testing.T) {
 		withMetrics bool
 		ceiling     float64
 	}{
-		{"packed_n4", 4, false, 1},
-		{"packed_n64", 64, false, 1},
+		{"packed_n4", 4, false, 0},
+		{"packed_n64", 64, false, 0},
 		// Telemetry attached: the instruments are preallocated int64 cells
 		// updated in place, so the ceilings do not move.
-		{"packed_n4_metrics", 4, true, 1},
-		{"packed_n64_metrics", 64, true, 1},
+		{"packed_n4_metrics", 4, true, 0},
+		{"packed_n64_metrics", 64, true, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			step := stepAllocProtocol(t, tc.n, tc.withMetrics)
-			// Warm past the diagnosis lag so every measured Step emits a
-			// full round output.
-			for i := 0; i < 16; i++ {
-				step()
-			}
-			if avg := testing.AllocsPerRun(200, step); avg > tc.ceiling {
-				t.Fatalf("Step allocates %.2f objects/round in steady state, ceiling %.0f", avg, tc.ceiling)
+			for _, packed := range []bool{false, true} {
+				step := stepAllocProtocol(t, tc.n, tc.withMetrics, packed)
+				// Warm past the diagnosis lag so every measured Step emits
+				// a full round output.
+				for i := 0; i < 16; i++ {
+					step()
+				}
+				if avg := testing.AllocsPerRun(200, step); avg > tc.ceiling {
+					t.Fatalf("Step (packed input %v) allocates %.2f objects/round in steady state, ceiling %.0f", packed, avg, tc.ceiling)
+				}
 			}
 		})
 	}

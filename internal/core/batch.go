@@ -308,18 +308,18 @@ func (p *BatchProtocol) StepBatch(in BatchRoundInput) (BatchRoundOutput, error) 
 		return BatchRoundOutput{}, fmt.Errorf("core: node %d: Rows has %d entries, want %d", p.cfg.ID, len(in.Rows), p.n+1)
 	}
 	var out BatchRoundOutput
-	p.step(&in, &out, p.op, p.know)
+	p.step(&in, &out)
 	return out, nil
 }
 
 // step is StepBatch on a validated input, writing its result into out and
-// installing a warm round's diagnostic matrix into the planes op/know
-// (1-based rows): the gang's reused scratch, or the per-run view's retained
-// Matrix block, which is thus filled without a copy.
+// installing a warm round's diagnostic matrix into the protocol-owned
+// scratch planes op/know (1-based rows).
 //
 //ttdiag:noretain params
-func (p *BatchProtocol) step(in *BatchRoundInput, out *BatchRoundOutput, op, know []uint64) {
+func (p *BatchProtocol) step(in *BatchRoundInput, out *BatchRoundOutput) {
 	n := p.n
+	op, know := p.op, p.know
 	all := p.allB
 	present := in.Present & all
 	validity := in.Validity.normalized(all)

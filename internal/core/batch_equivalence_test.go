@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/bits"
 	"testing"
 
 	"ttdiag/internal/metrics"
@@ -280,31 +281,31 @@ func runBatchEquivalence(t *testing.T, cfg Config, lanes int, draw func(st *rng.
 				t.Fatalf("%s: round fields diverged: batch %d/%d, ref %d/%d",
 					tag, gOut.Round, gOut.DiagnosedRound, out.Round, out.DiagnosedRound)
 			}
-			if gOut.Warm != (out.ConsHV != nil) {
-				t.Fatalf("%s: warm %v, ref ConsHV nil=%v", tag, gOut.Warm, out.ConsHV == nil)
+			if gOut.Warm != (out.ConsHV.Known != 0) {
+				t.Fatalf("%s: warm %v, ref ConsHV %+v", tag, gOut.Warm, out.ConsHV)
 			}
-			if hv := gOut.LaneConsHV(r, n); hv != out.ConsHVBits {
-				t.Fatalf("%s: ConsHV diverged: batch %+v, ref %+v", tag, hv, out.ConsHVBits)
+			if hv := gOut.LaneConsHV(r, n); hv != out.ConsHV {
+				t.Fatalf("%s: ConsHV diverged: batch %+v, ref %+v", tag, hv, out.ConsHV)
 			}
 			laneSend := gOut.LaneSend(r, n)
-			if want := packSyndrome(out.SendSyndrome); laneSend != want {
-				t.Fatalf("%s: SendSyndrome diverged: batch %+v, ref %+v", tag, laneSend, want)
+			if laneSend != out.Send {
+				t.Fatalf("%s: Send diverged: batch %+v, ref %+v", tag, laneSend, out.Send)
 			}
 			laneSend.EncodeInto(sendBuf)
-			copy(refSendBuf, out.Send)
+			out.Send.EncodeInto(refSendBuf)
 			if !bytes.Equal(sendBuf, refSendBuf) {
 				t.Fatalf("%s: wire bytes diverged: batch %x, ref %x", tag, sendBuf, refSendBuf)
 			}
-			if got, want := gOut.LaneActiveMask(r, n), out.ActiveMask; got != want {
-				t.Fatalf("%s: ActiveMask diverged: batch %#x, ref %#x", tag, got, want)
+			if got, want := gOut.LaneActiveMask(r, n), out.Active; got != want {
+				t.Fatalf("%s: Active diverged: batch %#x, ref %#x", tag, got, want)
 			}
-			if got, want := gOut.LaneIsolated(r, n), intsToMask(out.Isolated); got != want {
+			if got, want := gOut.LaneIsolated(r, n), out.Isolated; got != want {
 				t.Fatalf("%s: Isolated diverged: batch %#x, ref %#x", tag, got, want)
 			}
-			if got, want := gOut.LaneReintegrated(r, n), intsToMask(out.Reintegrated); got != want {
+			if got, want := gOut.LaneReintegrated(r, n), out.Reintegrated; got != want {
 				t.Fatalf("%s: Reintegrated diverged: batch %#x, ref %#x", tag, got, want)
 			}
-			if got, want := laneExtract(gOut.AccusedMask, r, n), intsToMask(out.Accused); got != want {
+			if got, want := laneExtract(gOut.AccusedMask, r, n), out.Accused; got != want {
 				t.Fatalf("%s: Accused diverged: batch %#x, ref %#x", tag, got, want)
 			}
 			var wantDefinite uint64
@@ -316,8 +317,8 @@ func runBatchEquivalence(t *testing.T, cfg Config, lanes int, draw func(st *rng.
 			if got := laneExtract(gOut.DefiniteMask, r, n); got != wantDefinite {
 				t.Fatalf("%s: definite evidence diverged: batch %#x, ref %#x", tag, got, wantDefinite)
 			}
-			accusations += len(out.Accused)
-			if out.ConsHV != nil && out.ConsHV[cfg.ID] == Faulty {
+			accusations += bits.OnesCount64(out.Accused)
+			if out.ConsHV.Get(cfg.ID) == Faulty {
 				convictions++
 			}
 			gSnap, err := gang.SnapshotLane(r)

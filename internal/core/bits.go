@@ -135,30 +135,15 @@ func packSyndrome(s Syndrome) BitSyndrome {
 }
 
 // Unpack materialises the packed syndrome as a fresh scalar Syndrome for n
-// nodes (entry 0 Erased, per the Syndrome convention).
+// nodes (entry 0 Erased, per the Syndrome convention; entries past
+// MaxPackedN read Erased, like Get).
 func (b BitSyndrome) Unpack(n int) Syndrome {
 	s := make(Syndrome, n+1)
-	b.UnpackInto(s)
+	s[0] = Erased
+	for j := 1; j <= n; j++ {
+		s[j] = b.Get(j)
+	}
 	return s
-}
-
-// UnpackInto materialises the packed syndrome into dst (sized for dst.N()
-// nodes), the allocation-free form of Unpack.
-func (b BitSyndrome) UnpackInto(dst Syndrome) {
-	if len(dst) == 0 {
-		return
-	}
-	dst[0] = Erased
-	// Branch-free per entry: Erased (2) where the Known bit is clear, else
-	// the Op bit (Healthy 1 / Faulty 0). Entries past MaxPackedN shift in
-	// zero Known bits and read Erased, like Get.
-	known, op := b.Known, b.Op
-	for j := 1; j < len(dst); j++ {
-		k, o := Opinion(known&1), Opinion(op&1)
-		dst[j] = Erased - k*(Erased-o)
-		known >>= 1
-		op >>= 1
-	}
 }
 
 // BitSyndromeFromWire unpacks a wire-format diagnostic message (the same

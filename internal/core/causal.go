@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"strconv"
 	"strings"
 
@@ -113,16 +114,17 @@ func (t *StepTrace) trajectory(j int) string {
 // executions emit nothing: there is no health vector, so no counter can
 // have moved.
 func (p *Protocol) emitStepTrace(out *RoundOutput, definite uint64) {
-	if out.ConsHV == nil {
+	if out.ConsHV.Known == 0 {
 		return
 	}
 	t := p.trace
 	pr := p.b.pr
 	id := p.b.cfg.ID
 	thr := pr.cfg.PenaltyThreshold
-	for _, j := range out.Accused {
+	for rem := out.Accused; rem != 0; rem &= rem - 1 {
+		j := bits.TrailingZeros64(rem) + 1
 		ev := trace.EvidenceMatrix
-		if definite&(1<<uint(j-1)) != 0 {
+		if definite&rem&-rem != 0 {
 			ev = trace.EvidenceVerdict
 		}
 		t.sink.Record(trace.Event{
@@ -144,7 +146,7 @@ func (p *Protocol) emitStepTrace(out *RoundOutput, definite uint64) {
 		t.trajRound[slot] = out.Round
 		t.trajPen[slot] = pen
 		t.trajN[j]++
-		if pen == 0 && intsContain(out.Reintegrated, j) {
+		if pen == 0 && out.Reintegrated&(1<<uint(j-1)) != 0 {
 			// The zeroing is part of the reintegration, reported below.
 			continue
 		}
@@ -161,7 +163,8 @@ func (p *Protocol) emitStepTrace(out *RoundOutput, definite uint64) {
 		}
 		t.sink.Record(e)
 	}
-	for _, j := range out.Isolated {
+	for rem := out.Isolated; rem != 0; rem &= rem - 1 {
+		j := bits.TrailingZeros64(rem) + 1
 		t.sink.Record(trace.Event{
 			Round:     out.Round,
 			Kind:      trace.KindIsolation,
@@ -172,7 +175,8 @@ func (p *Protocol) emitStepTrace(out *RoundOutput, definite uint64) {
 			Detail:    t.trajectory(j),
 		})
 	}
-	for _, j := range out.Reintegrated {
+	for rem := out.Reintegrated; rem != 0; rem &= rem - 1 {
+		j := bits.TrailingZeros64(rem) + 1
 		t.sink.Record(trace.Event{
 			Round:     out.Round,
 			Kind:      trace.KindReintegration,
@@ -181,13 +185,4 @@ func (p *Protocol) emitStepTrace(out *RoundOutput, definite uint64) {
 			Threshold: thr,
 		})
 	}
-}
-
-func intsContain(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

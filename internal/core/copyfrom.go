@@ -22,6 +22,7 @@ func (p *Protocol) CopyFrom(src *Protocol) error {
 	if err := p.b.CopyFrom(src.b); err != nil {
 		return err
 	}
+	p.warm = false
 	// An attached flight recorder re-baselines on the copied counters so the
 	// wholesale state swap does not masquerade as penalty changes.
 	if p.trace != nil {

@@ -38,7 +38,7 @@ func TestMembershipModeAccusationLifecycle(t *testing.T) {
 		lastConvictionAt := -1
 		for k := 0; k < 30; k++ {
 			outs := w.runRound()
-			if outs[1].ConsHV == nil {
+			if outs[1].ConsHV.Known == 0 {
 				continue
 			}
 			ref := checkAgreement(t, w, outs)
@@ -67,7 +67,7 @@ func TestMembershipModeAccusationLifecycle(t *testing.T) {
 				si, lastConvictionAt, victimConvictedAt)
 		}
 		for id := 1; id <= 4; id++ {
-			if got := w.outputs[id].SendSyndrome.String(); got != "1111" {
+			if got := w.outputs[id].Send.String(4); got != "1111" {
 				t.Fatalf("schedule %d: node %d still disseminates %s after the episode", si, id, got)
 			}
 		}
@@ -81,11 +81,11 @@ func TestMembershipModeCleanRunRaisesNoAccusations(t *testing.T) {
 	for k := 0; k < 20; k++ {
 		outs := w.runRound()
 		for id := 1; id <= 4; id++ {
-			if len(outs[id].Accused) != 0 {
-				t.Fatalf("round %d: node %d accused %v on a clean bus", k, id, outs[id].Accused)
+			if outs[id].Accused != 0 {
+				t.Fatalf("round %d: node %d accused %#x on a clean bus", k, id, outs[id].Accused)
 			}
-			if outs[id].ConsHV != nil && outs[id].ConsHV.CountFaulty() != 0 {
-				t.Fatalf("round %d: clean-run conviction %v", k, outs[id].ConsHV)
+			if outs[id].ConsHV.CountFaulty(4) != 0 {
+				t.Fatalf("round %d: clean-run conviction %s", k, outs[id].ConsHV.String(4))
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 
 	"ttdiag/internal/invariant"
 )
@@ -162,110 +161,35 @@ type PackedRoundInput struct {
 	Collision CollisionFn
 }
 
-// RoundOutput is the result of one diagnostic-job execution.
+// RoundOutput is the result of one diagnostic-job execution. It is a plain
+// value — packed syndromes and node masks (bit j-1 = node j) — so an output
+// can be retained, copied and compared with == indefinitely; no later Step
+// touches it.
 type RoundOutput struct {
 	// Round echoes the executed round.
 	Round int
-	// Send is the encoded local syndrome to write into the node's interface
-	// variable (the dissemination payload, N bits). It is backed by a ring
-	// buffer: valid for the next three Steps, then overwritten — copy it to
-	// keep it longer (SendSyndrome is the retain-safe decoded form).
-	Send []byte
-	// SendSyndrome is the decoded form of Send.
-	SendSyndrome Syndrome
-	// ConsHV is the consistent health vector for DiagnosedRound, or nil
-	// while the protocol pipeline is still warming up.
-	ConsHV Syndrome
-	// ConsHVBits is the packed form of ConsHV (every entry Known once ConsHV
-	// is non-nil); the zero value during warm-up.
-	ConsHVBits BitSyndrome
+	// Send is the local syndrome to write into the node's interface
+	// variable (the dissemination payload); EncodeInto renders its N-bit
+	// wire form.
+	Send BitSyndrome
+	// ConsHV is the consistent health vector for DiagnosedRound, every entry
+	// Known. Its zero value (Known == 0) marks the warm-up rounds in which
+	// the protocol pipeline produces no vector.
+	ConsHV BitSyndrome
 	// DiagnosedRound is the absolute round ConsHV refers to (Round-2 or
-	// Round-3 per Lemma 1); -1 when ConsHV is nil.
+	// Round-3 per Lemma 1); -1 during warm-up.
 	DiagnosedRound int
-	// Matrix is the diagnostic matrix the analysis voted over (nil during
-	// warm-up). Row ID is the node's own buffered aligned syndrome.
-	Matrix *Matrix
-	// Isolated lists nodes whose activity bit dropped to 0 in this round.
-	Isolated []int
-	// Reintegrated lists nodes returned to service by the optional
+	// Isolated marks the nodes whose activity bit dropped to 0 in this
+	// round.
+	Isolated uint64
+	// Reintegrated marks the nodes returned to service by the optional
 	// reintegration extension.
-	Reintegrated []int
-	// Active is the activity vector after the update (1-based). Like Send it
-	// is ring-buffered: valid for the next three Steps, then overwritten.
-	Active []bool
-	// ActiveMask is the packed activity vector (bit j-1 = node j active).
-	// Unlike Active it is a value, so it is retain-safe.
-	ActiveMask uint64
-	// Accused lists the minority accusations raised in this round
+	Reintegrated uint64
+	// Active is the activity vector after the update.
+	Active uint64
+	// Accused marks the minority accusations raised in this round
 	// (membership mode only).
-	Accused []int
-}
-
-// The packedBlock tiers are the per-round retained blocks of the hot path:
-// the diagnostic matrix header, its two row planes, and the byte-per-entry
-// consHV/outSyn views of RoundOutput all live in one allocation. Tiering at
-// powers of two keeps the footprint close to the system size (the paper's
-// experiments run at N <= 16) while still costing exactly one allocation per
-// warm round at any width.
-type packedBlock4 struct {
-	m      Matrix
-	planes [2 * 5]uint64
-	syn    [2 * 5]Opinion
-}
-
-type packedBlock8 struct {
-	m      Matrix
-	planes [2 * 9]uint64
-	syn    [2 * 9]Opinion
-}
-
-type packedBlock16 struct {
-	m      Matrix
-	planes [2 * 17]uint64
-	syn    [2 * 17]Opinion
-}
-
-type packedBlock32 struct {
-	m      Matrix
-	planes [2 * 33]uint64
-	syn    [2 * 33]Opinion
-}
-
-type packedBlock64 struct {
-	m      Matrix
-	planes [2 * (MaxPackedN + 1)]uint64
-	syn    [2 * (MaxPackedN + 1)]Opinion
-}
-
-// newPackedRoundBlock allocates the single retained block of one packed
-// round and carves it into the matrix and the two output syndromes.
-func newPackedRoundBlock(n int) (m *Matrix, consHV, outSyn Syndrome) {
-	var planes []uint64
-	var syn []Opinion
-	switch {
-	case n <= 4:
-		b := new(packedBlock4)
-		m, planes, syn = &b.m, b.planes[:], b.syn[:]
-	case n <= 8:
-		b := new(packedBlock8)
-		m, planes, syn = &b.m, b.planes[:], b.syn[:]
-	case n <= 16:
-		b := new(packedBlock16)
-		m, planes, syn = &b.m, b.planes[:], b.syn[:]
-	case n <= 32:
-		b := new(packedBlock32)
-		m, planes, syn = &b.m, b.planes[:], b.syn[:]
-	default:
-		b := new(packedBlock64)
-		m, planes, syn = &b.m, b.planes[:], b.syn[:]
-	}
-	w := n + 1
-	m.n = n
-	initPackedMatrix(m, planes[:2*w])
-	consHV = Syndrome(syn[0:w:w])
-	outSyn = Syndrome(syn[w : 2*w : 2*w])
-	consHV[0], outSyn[0] = Erased, Erased
-	return m, consHV, outSyn
+	Accused uint64
 }
 
 // Protocol is the per-node diagnostic job state machine (Alg. 1). Create one
@@ -273,8 +197,8 @@ func newPackedRoundBlock(n int) (m *Matrix, consHV, outSyn Syndrome) {
 //
 // Protocol is the one-lane view of the kernel: a BatchProtocol with a single
 // lane runs every phase (alignment, voting, accusations, Alg. 2, telemetry),
-// and Protocol only converts the input and builds RoundOutput from the
-// kernel's masks. The state is bit-plane throughout, which bounds a flat
+// and Protocol only converts the input and copies the lane's words into
+// RoundOutput. The state is bit-plane throughout, which bounds a flat
 // system at MaxPackedN nodes (internal/fleet shards wider ones). StepPacked
 // accepts the round input in packed form directly; Step packs its
 // byte-per-entry input and delegates. The collision detector is queried at
@@ -282,13 +206,10 @@ func newPackedRoundBlock(n int) (m *Matrix, consHV, outSyn Syndrome) {
 // resolves every ⊥ column.
 //
 // Buffer ownership: Step copies its inputs into protocol-owned scratch
-// (callers may reuse RoundInput slices immediately). The analysis results in
-// RoundOutput — ConsHV, Matrix, SendSyndrome — are backed by memory
-// allocated for that round alone and safe to retain indefinitely; no later
-// Step mutates them. Send and Active live in a small ring of reusable
-// buffers: they stay valid for the next three Steps and are then
-// overwritten, so callers that keep them longer must copy (every in-tree
-// consumer either copies immediately or reads only the latest output).
+// (callers may reuse RoundInput slices immediately), and RoundOutput is a
+// value that no later Step mutates. The diagnostic matrix is not part of the
+// output: the kernel votes on its own scratch, and Matrix copies the last
+// warm round's out for the callers that inspect it.
 type Protocol struct {
 	// b is the one-lane kernel; it also owns the telemetry attachment
 	// (SetMetrics), whose nil-is-off discipline costs one branch per Step.
@@ -302,15 +223,11 @@ type Protocol struct {
 	// inRows is the scratch for Step's input conversion (StepPacked callers
 	// provide their own rows).
 	inRows []BitSyndrome
-	// sendRing and activeRing back RoundOutput.Send and RoundOutput.Active:
-	// four slots each, round k writes slot k%4, so an output's buffers
-	// survive the next three Steps before being reused.
-	sendRing   []byte
-	activeRing []bool
+	// warm reports that the kernel's matrix scratch holds the diagnostic
+	// matrix of the last Step; it is false after a cold Step, construction,
+	// Reset, CopyFrom and restore.
+	warm bool
 }
-
-// outputRing is the number of slots of the Send and Active rings.
-const outputRing = 4
 
 // NewProtocol builds the diagnostic job for one node. It refuses systems
 // wider than MaxPackedN; shard those with internal/fleet.
@@ -319,22 +236,16 @@ func NewProtocol(cfg Config) (*Protocol, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Protocol{
-		b:          b,
-		inRows:     make([]BitSyndrome, cfg.N+1),
-		sendRing:   make([]byte, outputRing*EncodedLen(cfg.N)),
-		activeRing: make([]bool, outputRing*(cfg.N+1)),
-	}, nil
+	return &Protocol{b: b, inRows: make([]BitSyndrome, cfg.N+1)}, nil
 }
 
 // Reset returns the protocol to its freshly constructed state (round
 // StartRound, warm-up pending, all counters cleared) while keeping its
 // allocated buffers, so one instance can be reused across campaign
-// repetitions. Previously returned RoundOutputs keep their documented
-// retention guarantees: ConsHV/Matrix/SendSyndrome stay valid, Send and
-// Active follow the usual ring-buffer window.
+// repetitions.
 func (p *Protocol) Reset() {
 	p.b.Reset(1)
+	p.warm = false
 	if p.trace != nil {
 		p.trace.resync(p.b.pr)
 	}
@@ -427,25 +338,16 @@ func (p *Protocol) StepPacked(in PackedRoundInput) (RoundOutput, error) {
 	return p.step(in), nil
 }
 
-// step runs one validated round on the kernel and builds the RoundOutput
-// views of its lane: the only allocation is the round's retained output
-// block.
+// step runs one validated round on the kernel and copies out its lane's
+// words; it allocates nothing.
 //
 //ttdiag:noretain params
 func (p *Protocol) step(in PackedRoundInput) RoundOutput {
 	b := p.b
-	n := b.n
-	slot := b.steps % outputRing
 	var collision uint64
 	if lag := b.cfg.Lag(); b.steps >= lag && in.Collision != nil && in.Collision(in.Round-lag) == Faulty {
 		collision = 1
 	}
-	// The round's entire indefinitely-retainable output — matrix planes,
-	// consistent health vector and outgoing syndrome — lives in one fixed-
-	// size block, so the steady-state warm path costs exactly one allocation
-	// per Step (Send and Active come from the protocol's buffer rings). The
-	// kernel installs the round's matrix straight into the block's planes.
-	matrix, consHV, outSyn := newPackedRoundBlock(n)
 	var bo BatchRoundOutput
 	b.step(&BatchRoundInput{
 		Round:           in.Round,
@@ -453,26 +355,18 @@ func (p *Protocol) step(in PackedRoundInput) RoundOutput {
 		Present:         in.Present,
 		Validity:        in.Validity,
 		CollisionFaulty: collision,
-	}, &bo, matrix.op, matrix.know)
-	out := RoundOutput{Round: bo.Round, DiagnosedRound: bo.DiagnosedRound, ActiveMask: bo.ActiveMask}
-	if bo.Warm {
-		matrix.rowSet = b.rowSet
-		out.ConsHVBits = BitSyndrome{Op: bo.ConsOp, Known: bo.ConsKnown}
-		out.ConsHVBits.UnpackInto(consHV)
-		out.ConsHV = consHV
-		out.Matrix = matrix
-		out.Isolated = maskNodes(bo.IsolatedMask)
-		out.Reintegrated = maskNodes(bo.ReintegratedMask)
-		out.Accused = maskNodes(bo.AccusedMask)
+	}, &bo)
+	p.warm = bo.Warm
+	out := RoundOutput{
+		Round:          bo.Round,
+		Send:           BitSyndrome{Op: bo.SendOp, Known: bo.SendKnown},
+		ConsHV:         BitSyndrome{Op: bo.ConsOp, Known: bo.ConsKnown},
+		DiagnosedRound: bo.DiagnosedRound,
+		Isolated:       bo.IsolatedMask,
+		Reintegrated:   bo.ReintegratedMask,
+		Active:         bo.ActiveMask,
+		Accused:        bo.AccusedMask,
 	}
-	send := BitSyndrome{Op: bo.SendOp, Known: bo.SendKnown}
-	send.UnpackInto(outSyn)
-	out.SendSyndrome = outSyn
-	sw, aw := len(p.sendRing)/outputRing, n+1
-	out.Send = p.sendRing[slot*sw : (slot+1)*sw : (slot+1)*sw]
-	send.EncodeInto(out.Send)
-	out.Active = p.activeRing[slot*aw : (slot+1)*aw : (slot+1)*aw]
-	copy(out.Active, b.pr.active)
 	if p.trace != nil {
 		p.emitStepTrace(&out, bo.DefiniteMask)
 	}
@@ -482,12 +376,18 @@ func (p *Protocol) step(in PackedRoundInput) RoundOutput {
 	return out
 }
 
-// maskNodes lists the nodes of a one-lane mask in ascending order, nil when
-// the mask is empty.
-func maskNodes(m uint64) []int {
-	var nodes []int
-	for rem := m; rem != 0; rem &= rem - 1 {
-		nodes = append(nodes, bits.TrailingZeros64(rem)+1)
+// Matrix returns a copy of the diagnostic matrix the last Step voted over
+// (row ID is the node's own buffered aligned syndrome), or nil when that
+// Step was still warming up or no Step ran since construction, Reset,
+// CopyFrom or RestoreProtocol. Every call builds a fresh matrix, which later
+// Steps never touch.
+func (p *Protocol) Matrix() *Matrix {
+	if !p.warm {
+		return nil
 	}
-	return nodes
+	m, _ := NewPackedMatrix(p.b.n) // n was validated at construction
+	copy(m.op, p.b.op)
+	copy(m.know, p.b.know)
+	m.rowSet = p.b.rowSet
+	return m
 }

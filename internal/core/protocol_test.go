@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math/bits"
 	"testing"
 
 	"ttdiag/internal/rng"
@@ -105,7 +107,8 @@ func (w *world) runRound() []RoundOutput {
 			w.t.Fatalf("round %d node %d: %v", k, i, err)
 		}
 		outs[i] = out
-		w.staged[i] = out.Send
+		w.staged[i] = make([]byte, EncodedLen(w.n))
+		out.Send.EncodeInto(w.staged[i])
 		ran[i] = true
 	}
 
@@ -150,29 +153,30 @@ func (w *world) obedient(i int) bool {
 	return w.malicious == nil || w.malicious(0, i) == nil
 }
 
-// checkAgreement asserts that all obedient nodes produced the same non-nil
-// consistent health vector and returns it.
+// checkAgreement asserts that all obedient nodes produced the same
+// consistent health vector and returns it unpacked.
 func checkAgreement(t *testing.T, w *world, outs []RoundOutput) Syndrome {
 	t.Helper()
-	var ref Syndrome
+	var ref BitSyndrome
 	refNode := 0
 	for i := 1; i <= w.n; i++ {
 		if !w.obedient(i) {
 			continue
 		}
-		if outs[i].ConsHV == nil {
-			t.Fatalf("node %d: nil cons_hv", i)
+		hv := outs[i].ConsHV
+		if hv.Known == 0 {
+			t.Fatalf("node %d: no cons_hv", i)
 		}
-		if ref == nil {
-			ref, refNode = outs[i].ConsHV, i
+		if refNode == 0 {
+			ref, refNode = hv, i
 			continue
 		}
-		if !outs[i].ConsHV.Equal(ref) {
-			t.Fatalf("consistency violated: node %d says %v, node %d says %v",
-				refNode, ref, i, outs[i].ConsHV)
+		if hv != ref {
+			t.Fatalf("consistency violated: node %d says %s, node %d says %s",
+				refNode, ref.String(w.n), i, hv.String(w.n))
 		}
 	}
-	return ref
+	return ref.Unpack(w.n)
 }
 
 var defaultLs = [][]int{
@@ -191,7 +195,7 @@ func TestFaultFreeRunAllSchedules(t *testing.T) {
 			outs := w.runRound()
 			if k < lag {
 				for i := 1; i <= 4; i++ {
-					if outs[i].ConsHV != nil {
+					if outs[i].ConsHV.Known != 0 {
 						t.Fatalf("schedule %d: cons_hv emitted during warm-up round %d", si, k)
 					}
 				}
@@ -265,7 +269,7 @@ func TestTable1Pipeline(t *testing.T) {
 			if d == 6 {
 				// Dissemination (round 7) was also faulty: matrices at
 				// obedient nodes 1, 2 must have ε rows for 3 and 4.
-				m := outs[1].Matrix
+				m := w.protos[1].Matrix()
 				if m.Row(3) != nil || m.Row(4) != nil {
 					t.Fatalf("rows 3/4 not ε: %v", m)
 				}
@@ -356,8 +360,8 @@ func TestAsymmetricFaultConsistency(t *testing.T) {
 			if si == 0 && k-lag == 6 {
 				// With 1 faulty vote vs 2 healthy ones the majority keeps
 				// node 2 healthy.
-				if outs[3].ConsHV[2] != Healthy {
-					t.Fatalf("node 2 convicted on minority evidence: %v", outs[3].ConsHV)
+				if outs[3].ConsHV.Get(2) != Healthy {
+					t.Fatalf("node 2 convicted on minority evidence: %s", outs[3].ConsHV.String(4))
 				}
 			}
 		}
@@ -375,7 +379,7 @@ func TestPenaltyRewardPipeline(t *testing.T) {
 	lag := w.protos[1].Config().Lag()
 	for k := 0; k < 40; k++ {
 		outs := w.runRound()
-		if outs[1].ConsHV == nil {
+		if outs[1].ConsHV.Known == 0 {
 			continue
 		}
 		d := k - lag
@@ -411,7 +415,8 @@ func TestIsolationAgreedRound(t *testing.T) {
 	for k := 0; k < 20; k++ {
 		outs := w.runRound()
 		for i := 1; i <= 4; i++ {
-			for _, isoNode := range outs[i].Isolated {
+			for m := outs[i].Isolated; m != 0; m &= m - 1 {
+				isoNode := bits.TrailingZeros64(m) + 1
 				if isoNode != 4 {
 					t.Fatalf("node %d isolated healthy node %d", i, isoNode)
 				}
@@ -458,7 +463,7 @@ func TestRandomisedTheorem1(t *testing.T) {
 		w.benign = func(round, sender int) bool { return faultOfRound[round] == sender }
 		for k := 0; k < 28; k++ {
 			outs := w.runRound()
-			if outs[1].ConsHV == nil {
+			if outs[1].ConsHV.Known == 0 {
 				continue
 			}
 			ref := checkAgreement(t, w, outs)
@@ -562,7 +567,7 @@ func TestStartRoundOffset(t *testing.T) {
 			t.Fatal(err)
 		}
 		if k >= 102 {
-			if out.ConsHV == nil {
+			if out.ConsHV.Known == 0 {
 				t.Fatalf("round %d: no health vector", k)
 			}
 			if out.DiagnosedRound != k-2 {
@@ -609,12 +614,104 @@ func TestProtocolDeterminism(t *testing.T) {
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("round %d: error divergence", k)
 		}
-		if !outA.SendSyndrome.Equal(outB.SendSyndrome) {
-			t.Fatalf("round %d: send divergence", k)
+		if outA != outB {
+			t.Fatalf("round %d: output divergence: %+v vs %+v", k, outA, outB)
 		}
-		if (outA.ConsHV == nil) != (outB.ConsHV == nil) ||
-			(outA.ConsHV != nil && !outA.ConsHV.Equal(outB.ConsHV)) {
-			t.Fatalf("round %d: cons_hv divergence", k)
+	}
+}
+
+// TestProtocolMatrixAccessor pins the retention contract of the per-run
+// outputs: Matrix is nil until a warm Step and again after Reset, CopyFrom
+// and RestoreProtocol; a returned matrix is a copy that later Steps leave
+// alone; and RoundOutput is a comparable value, so outputs retained over
+// many Steps still equal their first read.
+func TestProtocolMatrixAccessor(t *testing.T) {
+	if (RoundOutput{}) != (RoundOutput{}) {
+		t.Fatal("zero RoundOutputs differ")
+	}
+	cfg := Config{N: 4, ID: 1, L: 0, SendCurrRound: true, PR: PRConfig{PenaltyThreshold: 3, RewardThreshold: 10}}
+	p, err := NewProtocol(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := rng.NewStream(17)
+	round := 0
+	step := func(p *Protocol) RoundOutput {
+		t.Helper()
+		out, err := p.Step(randomStepInput(st, cfg.N, round))
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
 		}
+		round++
+		return out
+	}
+	if p.Matrix() != nil {
+		t.Fatal("matrix before the first Step")
+	}
+	for round < cfg.Lag() {
+		step(p)
+		if p.Matrix() != nil {
+			t.Fatalf("matrix after cold round %d", round-1)
+		}
+	}
+
+	var kept []RoundOutput
+	var firstRead []string
+	step(p)
+	m := p.Matrix()
+	if m == nil {
+		t.Fatal("no matrix after the first warm Step")
+	}
+	mFirst := m.String()
+	changed := false
+	for i := 0; i < 12; i++ {
+		out := step(p)
+		kept = append(kept, out)
+		firstRead = append(firstRead, fmt.Sprintf("%+v", out))
+		changed = changed || p.Matrix().String() != mFirst
+	}
+	if !changed {
+		t.Fatal("every later matrix equals the first: the retention check is vacuous")
+	}
+	if got := m.String(); got != mFirst {
+		t.Fatalf("a later Step changed a returned matrix:\n%s\nwas\n%s", got, mFirst)
+	}
+	for i, out := range kept {
+		if got := fmt.Sprintf("%+v", out); got != firstRead[i] {
+			t.Fatalf("output %d changed after %d more Steps: %s, first read %s", i, len(kept)-i, got, firstRead[i])
+		}
+	}
+
+	snap, err := p.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreProtocol(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored.Matrix() != nil {
+		t.Fatal("matrix after RestoreProtocol")
+	}
+	twin, err := NewProtocol(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := twin.CopyFrom(restored); err != nil {
+		t.Fatal(err)
+	}
+	step(twin)
+	if twin.Matrix() == nil {
+		t.Fatal("no matrix after a warm Step of a copied protocol")
+	}
+	if err := twin.CopyFrom(p); err != nil {
+		t.Fatal(err)
+	}
+	if twin.Matrix() != nil {
+		t.Fatal("matrix after CopyFrom")
+	}
+	p.Reset()
+	if p.Matrix() != nil {
+		t.Fatal("matrix after Reset")
 	}
 }

@@ -35,14 +35,19 @@ type refProtocol struct {
 	accusedAge []int
 }
 
-// refOutput is the reference's view of one round: the RoundOutput fields it
-// computes (Matrix, ConsHVBits and ActiveMask stay zero — the reference has
-// no packed forms), the diagnostic matrix rows, and the evidence class of
-// every accusation raised (true = a definite opinion opposite the verdict).
+// refOutput is the reference's byte-per-entry view of one round: the
+// RoundOutput results as slices (ConsHV nil during warm-up, Wire the wire
+// bytes of the outgoing syndrome Sent), the diagnostic matrix rows, and the
+// evidence class of every accusation raised (true = a definite opinion
+// opposite the verdict).
 type refOutput struct {
-	RoundOutput
-	Rows     []Syndrome
-	Definite map[int]bool
+	Round, DiagnosedRound           int
+	Wire                            []byte
+	Sent, ConsHV                    Syndrome
+	Rows                            []Syndrome
+	Isolated, Reintegrated, Accused []int
+	Active                          []bool
+	Definite                        map[int]bool
 }
 
 func newRefProtocol(t testing.TB, cfg Config) *refProtocol {
@@ -174,7 +179,7 @@ func (r *refProtocol) Step(in RoundInput) refOutput {
 		}
 	}
 
-	out := refOutput{RoundOutput: RoundOutput{Round: in.Round, DiagnosedRound: -1}}
+	out := refOutput{Round: in.Round, DiagnosedRound: -1}
 	if r.steps >= r.cfg.Lag() {
 		rows := make([]Syndrome, n+1)
 		copy(rows, alDM)
@@ -232,7 +237,7 @@ func (r *refProtocol) Step(in RoundInput) refOutput {
 			}
 		}
 	}
-	out.Send, out.SendSyndrome = refEncode(send), send
+	out.Wire, out.Sent = refEncode(send), send
 
 	if out.ConsHV != nil {
 		iso, reint, err := r.pr.Update(out.ConsHV)
@@ -325,71 +330,68 @@ func randomStepInput(st *rng.Stream, n, round int) RoundInput {
 }
 
 // diffAgainstReference fails unless the kernel's round output matches the
-// reference's in every field, including the diagnostic matrix rows and the
-// packed forms of the health and activity vectors. Unless accusations is nil,
-// it must hold the round's accusation events from the kernel's flight
-// recorder, whose evidence classes must match the reference's.
-func diffAgainstReference(t testing.TB, tag string, got RoundOutput, accusations []trace.Event, want refOutput) {
+// reference's in every field, and the diagnostic matrix the kernel's
+// Matrix accessor returned after the round (nil when cold) matches the
+// reference's rows. Unless accusations is nil, it must hold the round's
+// accusation events from the kernel's flight recorder, whose evidence
+// classes must match the reference's.
+func diffAgainstReference(t testing.TB, tag string, got RoundOutput, matrix *Matrix, accusations []trace.Event, want refOutput) {
 	t.Helper()
 	fail := func(field string, gv, wv interface{}) {
 		t.Fatalf("%s: %s diverged: kernel %v, reference %v", tag, field, gv, wv)
 	}
-	n := want.SendSyndrome.N()
+	n := want.Sent.N()
 	if got.Round != want.Round {
 		fail("Round", got.Round, want.Round)
 	}
 	if got.DiagnosedRound != want.DiagnosedRound {
 		fail("DiagnosedRound", got.DiagnosedRound, want.DiagnosedRound)
 	}
-	if !bytes.Equal(got.Send, want.Send) {
-		fail("Send", got.Send, want.Send)
+	wire := make([]byte, EncodedLen(n))
+	got.Send.EncodeInto(wire)
+	if !bytes.Equal(wire, want.Wire) {
+		fail("Send wire bytes", wire, want.Wire)
 	}
-	if !got.SendSyndrome.Equal(want.SendSyndrome) {
-		fail("SendSyndrome", got.SendSyndrome, want.SendSyndrome)
+	if s := got.Send.Unpack(n); !s.Equal(want.Sent) {
+		fail("Send", s, want.Sent)
 	}
-	if (got.ConsHV == nil) != (want.ConsHV == nil) || (got.ConsHV != nil && !got.ConsHV.Equal(want.ConsHV)) {
-		fail("ConsHV", got.ConsHV, want.ConsHV)
+	if (got.ConsHV.Known == 0) != (want.ConsHV == nil) {
+		fail("ConsHV presence", got.ConsHV.Known != 0, want.ConsHV != nil)
 	}
 	for j := 0; j <= MaxPackedN; j++ {
 		wantBit := Erased
 		if want.ConsHV != nil && j >= 1 && j <= n {
 			wantBit = want.ConsHV[j]
 		}
-		if got.ConsHVBits.Get(j) != wantBit {
-			fail(fmt.Sprintf("ConsHVBits entry %d", j), got.ConsHVBits.Get(j), wantBit)
+		if got.ConsHV.Get(j) != wantBit {
+			fail(fmt.Sprintf("ConsHV entry %d", j), got.ConsHV.Get(j), wantBit)
 		}
 	}
-	if (got.Matrix == nil) != (want.Rows == nil) {
-		fail("Matrix presence", got.Matrix != nil, want.Rows != nil)
+	if (matrix == nil) != (want.Rows == nil) {
+		fail("Matrix presence", matrix != nil, want.Rows != nil)
 	}
-	for j := 1; got.Matrix != nil && j <= n; j++ {
-		if row := got.Matrix.Row(j); (row == nil) != (want.Rows[j] == nil) || (row != nil && !row.Equal(want.Rows[j])) {
+	for j := 1; matrix != nil && j <= n; j++ {
+		if row := matrix.Row(j); (row == nil) != (want.Rows[j] == nil) || (row != nil && !row.Equal(want.Rows[j])) {
 			fail(fmt.Sprintf("Matrix row %d", j), row, want.Rows[j])
 		}
 	}
-	if !intsEqual(got.Isolated, want.Isolated) {
-		fail("Isolated", got.Isolated, want.Isolated)
+	if w := intsToMask(want.Isolated); got.Isolated != w {
+		fail("Isolated", got.Isolated, w)
 	}
-	if !intsEqual(got.Reintegrated, want.Reintegrated) {
-		fail("Reintegrated", got.Reintegrated, want.Reintegrated)
+	if w := intsToMask(want.Reintegrated); got.Reintegrated != w {
+		fail("Reintegrated", got.Reintegrated, w)
 	}
-	if !intsEqual(got.Accused, want.Accused) {
-		fail("Accused", got.Accused, want.Accused)
-	}
-	if len(got.Active) != len(want.Active) {
-		fail("Active length", len(got.Active), len(want.Active))
+	if w := intsToMask(want.Accused); got.Accused != w {
+		fail("Accused", got.Accused, w)
 	}
 	var wantMask uint64
 	for j := 1; j < len(want.Active); j++ {
-		if got.Active[j] != want.Active[j] {
-			fail(fmt.Sprintf("Active[%d]", j), got.Active[j], want.Active[j])
-		}
 		if want.Active[j] {
 			wantMask |= 1 << uint(j-1)
 		}
 	}
-	if got.ActiveMask != wantMask {
-		fail("ActiveMask", got.ActiveMask, wantMask)
+	if got.Active != wantMask {
+		fail("Active", got.Active, wantMask)
 	}
 	if accusations == nil {
 		return
@@ -406,18 +408,6 @@ func diffAgainstReference(t testing.TB, tag string, got RoundOutput, accusations
 			fail(fmt.Sprintf("accusation %d evidence", i), e, fmt.Sprintf("subject %d, %s", want.Accused[i], wantEv))
 		}
 	}
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestPackedScalarStepEquivalence runs the bit-plane Protocol and the
@@ -475,7 +465,7 @@ func runAgainstReference(t *testing.T, cfg Config, traced bool) {
 		if traced {
 			accusations = append([]trace.Event{}, rec.Filter(trace.KindAccusation)...)
 		}
-		diffAgainstReference(t, fmt.Sprintf("round %d", round), got, accusations, want)
+		diffAgainstReference(t, fmt.Sprintf("round %d", round), got, kernel.Matrix(), accusations, want)
 		accused += len(want.Accused)
 		if traced {
 			continue
@@ -485,7 +475,7 @@ func runAgainstReference(t *testing.T, cfg Config, traced bool) {
 			if err != nil {
 				t.Fatalf("round %d: restored: %v", round, err)
 			}
-			diffAgainstReference(t, fmt.Sprintf("round %d (restored)", round), rOut, nil, want)
+			diffAgainstReference(t, fmt.Sprintf("round %d (restored)", round), rOut, restored.Matrix(), nil, want)
 		}
 		if r == rounds/2 {
 			snap, err := kernel.Snapshot()

@@ -56,8 +56,8 @@ func HMaj(votes []Opinion) (Opinion, bool) {
 // bit-sliced voting kernel over all columns at once. The byte-per-entry
 // accessors (Row, String) materialise a byte-level view lazily on first use.
 // The matrix owns its storage — SetRow/SetBitRow copy the given row — so a
-// Matrix retained from a RoundOutput stays valid even though the protocol
-// reuses its alignment buffers round over round.
+// Matrix returned by Protocol.Matrix stays valid even though the protocol
+// reuses its scratch round over round.
 type Matrix struct {
 	n int
 	// op/know are the row planes (1-based), rowSet the presence mask (bit
@@ -78,18 +78,10 @@ func NewPackedMatrix(n int) (*Matrix, error) {
 	if err := checkFlatN(n); err != nil {
 		return nil, err
 	}
-	planes := make([]uint64, 2*(n+1))
-	m := &Matrix{n: n}
-	initPackedMatrix(m, planes)
-	return m, nil
-}
-
-// initPackedMatrix wires a zeroed caller-provided plane block of length
-// 2*(n+1) into m (rows 1-based; the two index-0 words are never exposed).
-func initPackedMatrix(m *Matrix, planes []uint64) {
-	w := m.n + 1
-	m.op = planes[0:w:w]
-	m.know = planes[w : 2*w : 2*w]
+	// Rows are 1-based; the two index-0 words are never exposed.
+	w := n + 1
+	planes := make([]uint64, 2*w)
+	return &Matrix{n: n, op: planes[:w:w], know: planes[w:]}, nil
 }
 
 // N returns the system size.

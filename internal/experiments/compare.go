@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math/bits"
 	"strconv"
 
 	"ttdiag/internal/core"
@@ -53,7 +54,7 @@ func runSec10(p Params) error {
 		eng.Bus().AddDisturbance(fault.NewTrain(fault.SlotBurst(eng.Schedule(), faultRound, 3, 1)))
 		detected := -1
 		runners[1].OnOutput = func(out core.RoundOutput) {
-			if detected < 0 && out.ConsHV != nil && out.DiagnosedRound == faultRound && out.ConsHV[3] == core.Faulty {
+			if detected < 0 && out.DiagnosedRound == faultRound && out.ConsHV.Get(3) == core.Faulty {
 				detected = out.Round
 			}
 		}
@@ -175,12 +176,7 @@ func runCmpTTPC(p Params) error {
 		if err := eng.RunRounds(16); err != nil {
 			return err
 		}
-		active := 0
-		for id := 1; id <= 4; id++ {
-			if runners[1].Last().Active[id] {
-				active++
-			}
-		}
+		active := bits.OnesCount64(runners[1].Last().Active)
 		verdict := "consistent diagnosis, all nodes kept"
 		if err := sim.AuditTheorem1(eng, col, []int{1, 2, 3, 4}, 3, 10); err != nil {
 			verdict = "audit failed: " + err.Error()

@@ -59,7 +59,7 @@ func runPortability(p Params) error {
 		collect := runners[1].OnOutput
 		runners[1].OnOutput = func(out core.RoundOutput) {
 			collect(out)
-			if detected < 0 && out.ConsHV != nil && out.DiagnosedRound == faultRound && out.ConsHV[2] == core.Faulty {
+			if detected < 0 && out.DiagnosedRound == faultRound && out.ConsHV.Get(2) == core.Faulty {
 				detected = out.Round
 			}
 		}
@@ -76,7 +76,7 @@ func runPortability(p Params) error {
 				time.Duration(detected-faultRound)*eng.Schedule().RoundLen())
 		}
 		t.row(prof.Name, strconv.Itoa(prof.N), prof.RoundLen.String(), prof.SlotLen().String(),
-			strconv.Itoa(len(runners[1].Last().Send)), strconv.FormatBool(detected >= 0), latency, audit)
+			strconv.Itoa(len(eng.Controller(1).Outbox())), strconv.FormatBool(detected >= 0), latency, audit)
 	}
 	if err := t.flush(); err != nil {
 		return err
@@ -302,13 +302,15 @@ func runAblation(p Params) error {
 	// the ablations on re-votes over the recorded matrices.
 	type obsRecord struct {
 		m  *core.Matrix
-		hv core.Syndrome
+		hv core.BitSyndrome
 	}
 	records := make(map[int]map[int]obsRecord) // diagRound -> observer -> record
 	for id := 1; id <= 4; id++ {
 		id := id
+		proto := runners[id].Protocol()
 		runners[id].OnOutput = func(out core.RoundOutput) {
-			if out.Matrix == nil {
+			m := proto.Matrix()
+			if m == nil {
 				return
 			}
 			byObs := records[out.DiagnosedRound]
@@ -316,7 +318,7 @@ func runAblation(p Params) error {
 				byObs = make(map[int]obsRecord)
 				records[out.DiagnosedRound] = byObs
 			}
-			byObs[id] = obsRecord{m: out.Matrix, hv: out.ConsHV}
+			byObs[id] = obsRecord{m: m, hv: out.ConsHV}
 		}
 	}
 	if err := eng.RunRounds(26); err != nil {
@@ -332,7 +334,7 @@ func runAblation(p Params) error {
 	verdictOf := func(name string, obs int, rec obsRecord, j int) (core.Opinion, bool) {
 		if name == ablationRuleOrder[0] {
 			// Paper rule: the value the protocol actually agreed on.
-			return rec.hv[j], true
+			return rec.hv.Get(j), true
 		}
 		return ablationRules(obs)[name](rec.m, j)
 	}

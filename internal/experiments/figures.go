@@ -49,7 +49,7 @@ func runFig1(p Params) error {
 	}
 	diagnosedAt := make(map[int]int) // diagnosed round -> execution round
 	runners[1].OnOutput = func(out core.RoundOutput) {
-		if out.ConsHV != nil {
+		if out.ConsHV.Known != 0 {
 			diagnosedAt[out.DiagnosedRound] = out.Round
 		}
 	}

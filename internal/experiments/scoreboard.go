@@ -165,7 +165,7 @@ func detectionLatencies() ([3]int, error) {
 		eng.Bus().AddDisturbance(fault.NewTrain(fault.SlotBurst(eng.Schedule(), faultRound, 3, 1)))
 		detected := -1
 		runners[1].OnOutput = func(o core.RoundOutput) {
-			if detected < 0 && o.ConsHV != nil && o.DiagnosedRound == faultRound && o.ConsHV[3] == core.Faulty {
+			if detected < 0 && o.DiagnosedRound == faultRound && o.ConsHV.Get(3) == core.Faulty {
 				detected = o.Round
 			}
 		}

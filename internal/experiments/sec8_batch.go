@@ -260,8 +260,8 @@ func maliciousCampaignBatched(p Params) ([]CampaignRow, error) {
 					err := sim.AuditTheorem1(w.cl.LaneTruth(lane), col, obedient, 4, 20)
 					if err == nil {
 						for d := 4; d < 20 && err == nil; d++ {
-							if hv := col.ConsHV[d][obedient[0]]; hv.CountFaulty() != 0 {
-								err = fmt.Errorf("round %d: conviction %v", d, hv)
+							if hv := col.ConsHV[d][obedient[0]]; hv.CountFaulty(4) != 0 {
+								err = fmt.Errorf("round %d: conviction %s", d, hv.String(4))
 							}
 						}
 					}

@@ -59,10 +59,10 @@ func runTable1(p Params) error {
 	eng.Bus().AddDisturbance(fault.NewTrain(bursts...))
 
 	var matrix *core.Matrix
-	var consHV core.Syndrome
+	var consHV core.BitSyndrome
 	runners[1].OnOutput = func(out core.RoundOutput) {
 		if out.DiagnosedRound == diagRound {
-			matrix = out.Matrix
+			matrix = runners[1].Protocol().Matrix()
 			consHV = out.ConsHV
 		}
 	}
@@ -73,7 +73,7 @@ func runTable1(p Params) error {
 		return fmt.Errorf("diagnosed round %d never analysed", diagRound)
 	}
 	fmt.Fprintf(p.Out, "diagnostic matrix at node 1 for diagnosed round %d:\n%s\n", diagRound, matrix)
-	fmt.Fprintf(p.Out, "consistent health vector: %s   (paper: 1 1 0 0)\n", consHV)
+	fmt.Fprintf(p.Out, "consistent health vector: %s   (paper: 1 1 0 0)\n", consHV.String(4))
 	return nil
 }
 

@@ -259,8 +259,12 @@ func runFDIRLoop(p Params) error {
 		desc  string
 	}
 	var changes []change
+	active := make([]bool, 5) // 1-based activity vector of the four nodes
 	runners[1].OnOutput = func(out core.RoundOutput) {
-		changed, err := manager.Observe(out.Active)
+		for j := 1; j < len(active); j++ {
+			active[j] = out.Active&(1<<uint(j-1)) != 0
+		}
+		changed, err := manager.Observe(active)
 		if err == nil && changed {
 			changes = append(changes, change{round: out.Round, desc: manager.Describe()})
 		}

@@ -191,10 +191,8 @@ func perRunShard(t *testing.T, cfg Config, seed int64, shard, size int, reg *met
 	collect := cl.Runners[1].OnOutput
 	cl.Runners[1].OnOutput = func(out core.RoundOutput) {
 		collect(out)
-		s := core.ShardSummary{Size: size, Isolated: size - bits.OnesCount64(out.ActiveMask&core.PlaneMask(size))}
-		if out.ConsHV != nil {
-			s.Faulty = out.ConsHVBits.CountFaulty(size)
-		}
+		s := core.ShardSummary{Size: size, Isolated: size - bits.OnesCount64(out.Active&core.PlaneMask(size))}
+		s.Faulty = out.ConsHV.CountFaulty(size)
 		rec.summaries[out.Round] = s
 	}
 	pool := rng.NewSource(seed).NewPool()

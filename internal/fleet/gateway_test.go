@@ -73,10 +73,9 @@ func (g *refGateway) runRound(t *testing.T, drop uint64) []core.RoundOutput {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out.Send = append([]byte(nil), out.Send...)
 		outs[id] = out
 		if !g.observe {
-			g.ign[id] = g.all &^ out.ActiveMask
+			g.ign[id] = g.all &^ out.Active
 		}
 	}
 	drop &= g.all
@@ -84,7 +83,9 @@ func (g *refGateway) runRound(t *testing.T, drop uint64) []core.RoundOutput {
 	g.present = g.all &^ drop
 	for id := 1; id <= g.s; id++ {
 		if drop&(1<<uint(id-1)) == 0 {
-			row, err := core.BitSyndromeFromWire(outs[id].Send, g.s)
+			wire := make([]byte, core.EncodedLen(g.s))
+			outs[id].Send.EncodeInto(wire)
+			row, err := core.BitSyndromeFromWire(wire, g.s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,14 +93,6 @@ func (g *refGateway) runRound(t *testing.T, drop uint64) []core.RoundOutput {
 		}
 	}
 	return outs
-}
-
-func isolatedMask(ids []int) uint64 {
-	var m uint64
-	for _, j := range ids {
-		m |= 1 << uint(j-1)
-	}
-	return m
 }
 
 // TestGatewayMatchesPerRunProtocol pins the gateway level, which runs every
@@ -151,22 +144,23 @@ func TestGatewayMatchesPerRunProtocol(t *testing.T) {
 					for g := 1; g <= tc.s; g++ {
 						tag := fmt.Sprintf("rep %d round %d gateway %d", rep, k, g)
 						o, w := &got[g], want[g]
-						if o.Warm != (w.ConsHV != nil) || o.DiagnosedRound != w.DiagnosedRound {
-							t.Fatalf("%s: warm/diagnosed %v/%d, reference %v/%d", tag, o.Warm, o.DiagnosedRound, w.ConsHV != nil, w.DiagnosedRound)
+						if o.Warm != (w.ConsHV.Known != 0) || o.DiagnosedRound != w.DiagnosedRound {
+							t.Fatalf("%s: warm/diagnosed %v/%d, reference %v/%d", tag, o.Warm, o.DiagnosedRound, w.ConsHV.Known != 0, w.DiagnosedRound)
 						}
-						if o.Warm && o.LaneConsHV(0, tc.s) != w.ConsHVBits {
-							t.Fatalf("%s: health vector %+v, reference %+v", tag, o.LaneConsHV(0, tc.s), w.ConsHVBits)
+						if o.LaneConsHV(0, tc.s) != w.ConsHV {
+							t.Fatalf("%s: health vector %+v, reference %+v", tag, o.LaneConsHV(0, tc.s), w.ConsHV)
 						}
-						wire := make([]byte, core.EncodedLen(tc.s))
+						wire, wantWire := make([]byte, core.EncodedLen(tc.s)), make([]byte, core.EncodedLen(tc.s))
 						o.LaneSend(0, tc.s).EncodeInto(wire)
-						if !bytes.Equal(wire, w.Send) {
-							t.Fatalf("%s: wire bytes %x, reference %x", tag, wire, w.Send)
+						w.Send.EncodeInto(wantWire)
+						if !bytes.Equal(wire, wantWire) {
+							t.Fatalf("%s: wire bytes %x, reference %x", tag, wire, wantWire)
 						}
-						if o.ActiveMask != w.ActiveMask || gw.ActiveMask(g) != w.ActiveMask {
-							t.Fatalf("%s: active %#x, reference %#x", tag, o.ActiveMask, w.ActiveMask)
+						if o.ActiveMask != w.Active || gw.ActiveMask(g) != w.Active {
+							t.Fatalf("%s: active %#x, reference %#x", tag, o.ActiveMask, w.Active)
 						}
-						if o.IsolatedMask != isolatedMask(w.Isolated) || o.ReintegratedMask != isolatedMask(w.Reintegrated) {
-							t.Fatalf("%s: isolated/reintegrated %#x/%#x, reference %v/%v", tag, o.IsolatedMask, o.ReintegratedMask, w.Isolated, w.Reintegrated)
+						if o.IsolatedMask != w.Isolated || o.ReintegratedMask != w.Reintegrated {
+							t.Fatalf("%s: isolated/reintegrated %#x/%#x, reference %#x/%#x", tag, o.IsolatedMask, o.ReintegratedMask, w.Isolated, w.Reintegrated)
 						}
 						isolations += bits.OnesCount64(o.IsolatedMask)
 						for j := 1; j <= tc.s; j++ {

@@ -1,11 +1,11 @@
 // Package escape is the allocation gate of the static-analysis suite: it
 // runs the Go compiler's escape analysis (go build -gcflags=-m) over the
 // hot-path packages and diffs the heap-escape sites against a committed
-// allowlist, internal/lint/escape.golden. The allocation-free refactors
-// (PR 2-4) hold the steady-state protocol step at one allocation per round;
-// a change that makes a previously stack-allocated value escape would erode
-// that silently — benchmarks catch it only for the paths they cover, the
-// gate catches it for every function in the hot packages at compile time.
+// allowlist, internal/lint/escape.golden. The steady-state protocol step
+// allocates nothing; a change that makes a previously stack-allocated value
+// escape would erode that silently — benchmarks catch it only for the paths
+// they cover, the gate catches it for every function in the hot packages at
+// compile time.
 //
 // Sites are keyed by "file: message" with the line and column dropped, so
 // unrelated edits that only shift line numbers never churn the allowlist;

@@ -150,7 +150,7 @@ func (s *Service) finish(diag core.RoundOutput) Output {
 	out := Output{Diag: diag}
 	// Newly convicted members in two word ops: known-Faulty entries not yet
 	// excluded (zero during warm-up).
-	fresh := (diag.ConsHVBits.Known &^ diag.ConsHVBits.Op) &^ s.outMask
+	fresh := (diag.ConsHV.Known &^ diag.ConsHV.Op) &^ s.outMask
 	changed := fresh != 0
 	if changed {
 		s.outMask |= fresh

@@ -87,7 +87,7 @@ func TestProtocolPortableAcrossProfiles(t *testing.T) {
 // profile: the diagnostic message is N bits (⌈N/8⌉ bytes).
 func TestDiagnosticMessageBandwidth(t *testing.T) {
 	for _, p := range All() {
-		eng, runners, err := sim.NewDiagnosticCluster(p.ClusterConfig())
+		eng, _, err := sim.NewDiagnosticCluster(p.ClusterConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func TestDiagnosticMessageBandwidth(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := (p.N + 7) / 8
-		if got := len(runners[1].Last().Send); got != want {
+		if got := len(eng.Controller(1).Outbox()); got != want {
 			t.Errorf("%s: diagnostic message is %d bytes, want %d", p.Name, got, want)
 		}
 	}

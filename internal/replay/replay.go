@@ -117,9 +117,10 @@ type RoundDiagnosis struct {
 	// refers to.
 	Round, DiagnosedRound int
 	// ConsHV is the reconstructed consistent health vector.
-	ConsHV core.Syndrome
-	// Isolated lists isolation decisions taken in this round.
-	Isolated []int
+	ConsHV core.BitSyndrome
+	// Isolated marks the isolation decisions taken in this round (bit j-1 =
+	// node j).
+	Isolated uint64
 }
 
 // Replay re-runs the diagnostic protocol of one observer offline against the
@@ -179,7 +180,7 @@ func Replay(log *Log, cfg sim.ClusterConfig, observer int) ([]RoundDiagnosis, er
 		if err != nil {
 			return nil, err
 		}
-		if res.ConsHV != nil {
+		if res.ConsHV.Known != 0 {
 			out = append(out, RoundDiagnosis{
 				Round:          res.Round,
 				DiagnosedRound: res.DiagnosedRound,

@@ -2,6 +2,7 @@ package replay
 
 import (
 	"bytes"
+	"math/bits"
 	"strings"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 
 // recordRun executes a live cluster with a fault scenario, records the bus
 // transcript and collects the live per-round health vectors of every node.
-func recordRun(t *testing.T, cfg sim.ClusterConfig, rounds int, arm func(*sim.Engine)) (*Log, [][]core.Syndrome, []sim.Isolation) {
+func recordRun(t *testing.T, cfg sim.ClusterConfig, rounds int, arm func(*sim.Engine)) (*Log, [][]core.BitSyndrome, []sim.Isolation) {
 	t.Helper()
 	eng, runners, err := sim.NewDiagnosticCluster(cfg)
 	if err != nil {
@@ -71,13 +72,13 @@ func TestReplayReconstructsLiveDiagnosis(t *testing.T) {
 		var isoRound int
 		for _, d := range diags {
 			want := liveHV[d.DiagnosedRound][observer]
-			if !d.ConsHV.Equal(want) {
-				t.Fatalf("observer %d round %d: replay %v != live %v",
-					observer, d.DiagnosedRound, d.ConsHV, want)
+			if d.ConsHV != want {
+				t.Fatalf("observer %d round %d: replay %s != live %s",
+					observer, d.DiagnosedRound, d.ConsHV.String(4), want.String(4))
 			}
-			for _, iso := range d.Isolated {
-				if iso != 4 {
-					t.Fatalf("replay isolated node %d", iso)
+			if d.Isolated != 0 {
+				if d.Isolated != 1<<3 {
+					t.Fatalf("replay isolated nodes %#x, want node 4 only", d.Isolated)
 				}
 				isoRound = d.Round
 			}
@@ -184,7 +185,7 @@ func TestCounterfactualReplay(t *testing.T) {
 		}
 		total := 0
 		for _, d := range diags {
-			total += len(d.Isolated)
+			total += bits.OnesCount64(d.Isolated)
 		}
 		return total
 	}

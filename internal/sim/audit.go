@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"ttdiag/internal/core"
@@ -37,10 +38,10 @@ type Collector struct {
 	// ConsHV[diagnosedRound][observer] is the consistent health vector the
 	// observer computed for that round. The outer slice covers rounds up to
 	// the last diagnosed one; the inner slice is 1-based by observer and is
-	// nil — or, on a reused collector, all-nil — for rounds nobody has
-	// diagnosed (use RoundHVs for bounds-safe reads and check entries for
-	// nil).
-	ConsHV [][]core.Syndrome
+	// nil for rounds nobody has diagnosed, and an observer that recorded
+	// nothing holds the zero vector (Known == 0). Use RoundHVs for
+	// bounds-safe reads.
+	ConsHV [][]core.BitSyndrome
 	// Isolations and Reintegrations in decision order.
 	Isolations     []Isolation
 	Reintegrations []Isolation
@@ -52,23 +53,18 @@ func NewCollector() *Collector {
 }
 
 // Reset empties the collector for reuse in the next campaign repetition,
-// keeping the recorded-round storage allocated. A reset collector is
-// observationally identical to a fresh one.
+// keeping the recorded-round storage allocated (setHV clears it on reuse).
+// A reset collector is observationally identical to a fresh one.
 func (c *Collector) Reset() {
-	for _, byObs := range c.ConsHV {
-		for j := range byObs {
-			byObs[j] = nil
-		}
-	}
 	c.ConsHV = c.ConsHV[:0]
 	c.Isolations = c.Isolations[:0]
 	c.Reintegrations = c.Reintegrations[:0]
 }
 
 // RoundHVs returns the health vectors recorded for a diagnosed round,
-// indexed by observer (nil entries for observers that recorded nothing), or
+// indexed by observer (zero vectors for observers that recorded nothing), or
 // nil when no observer diagnosed the round.
-func (c *Collector) RoundHVs(round int) []core.Syndrome {
+func (c *Collector) RoundHVs(round int) []core.BitSyndrome {
 	if round < 0 || round >= len(c.ConsHV) {
 		return nil
 	}
@@ -77,43 +73,53 @@ func (c *Collector) RoundHVs(round int) []core.Syndrome {
 
 // HookDiag installs the collector on a DiagRunner.
 func (c *Collector) HookDiag(observer int, r *DiagRunner) {
-	r.OnOutput = func(out core.RoundOutput) { c.record(observer, out) }
+	n := r.proto.Config().N
+	r.OnOutput = func(out core.RoundOutput) { c.record(observer, n, out) }
 }
 
 // HookMembership installs the collector on a MembershipRunner.
 func (c *Collector) HookMembership(observer int, r *MembershipRunner) {
-	r.OnOutput = func(out membership.Output) { c.record(observer, out.Diag) }
+	n := r.svc.Protocol().Config().N
+	r.OnOutput = func(out membership.Output) { c.record(observer, n, out.Diag) }
 }
 
 // setHV stores one observer's consistent health vector for a diagnosed
-// round, growing the recorded-round storage as needed. Shared by the
-// per-run hook path (record) and the lane-packed batch cluster.
-func (c *Collector) setHV(d, observer int, hv core.Syndrome) {
+// round of an n-node system, growing the recorded-round storage as needed.
+func (c *Collector) setHV(d, observer, n int, hv core.BitSyndrome) {
 	for len(c.ConsHV) <= d {
 		if len(c.ConsHV) < cap(c.ConsHV) {
 			// Re-extend over storage kept by Reset: the inner slice is
-			// already allocated (and cleared), so reuse it.
+			// already allocated, so clear and reuse it.
 			c.ConsHV = c.ConsHV[:len(c.ConsHV)+1]
+			clear(c.ConsHV[len(c.ConsHV)-1])
 		} else {
 			c.ConsHV = append(c.ConsHV, nil)
 		}
 	}
-	if len(c.ConsHV[d]) != len(hv) {
-		c.ConsHV[d] = make([]core.Syndrome, len(hv))
+	if len(c.ConsHV[d]) != n+1 {
+		c.ConsHV[d] = make([]core.BitSyndrome, n+1)
 	}
 	c.ConsHV[d][observer] = hv
 }
 
-func (c *Collector) record(observer int, out core.RoundOutput) {
-	if out.ConsHV != nil {
-		c.setHV(out.DiagnosedRound, observer, out.ConsHV)
+// addDecisions appends one observer's isolations and reintegrations of a
+// round (node masks, bit j-1 = node j) in ascending node order.
+func (c *Collector) addDecisions(observer, round int, isolated, reintegrated uint64) {
+	for rem := isolated; rem != 0; rem &= rem - 1 {
+		c.Isolations = append(c.Isolations, Isolation{Observer: observer, Node: bits.TrailingZeros64(rem) + 1, Round: round})
 	}
-	for _, j := range out.Isolated {
-		c.Isolations = append(c.Isolations, Isolation{Observer: observer, Node: j, Round: out.Round})
+	for rem := reintegrated; rem != 0; rem &= rem - 1 {
+		c.Reintegrations = append(c.Reintegrations, Isolation{Observer: observer, Node: bits.TrailingZeros64(rem) + 1, Round: round})
 	}
-	for _, j := range out.Reintegrated {
-		c.Reintegrations = append(c.Reintegrations, Isolation{Observer: observer, Node: j, Round: out.Round})
+}
+
+// record is the shared body of the per-run hooks (the lane-packed batch
+// cluster calls setHV and addDecisions per lane).
+func (c *Collector) record(observer, n int, out core.RoundOutput) {
+	if out.ConsHV.Known != 0 {
+		c.setHV(out.DiagnosedRound, observer, n, out.ConsHV)
 	}
+	c.addDecisions(observer, out.Round, out.Isolated, out.Reintegrated)
 }
 
 // FirstIsolation returns the earliest round in which any observer isolated
@@ -167,42 +173,46 @@ type TruthSource interface {
 // obedient slice lists the observers whose outputs are trustworthy (all
 // nodes, in campaigns without Byzantine protocol instances).
 func AuditTheorem1(src TruthSource, col *Collector, obedient []int, fromRound, toRound int) error {
+	if len(obedient) == 0 {
+		return fmt.Errorf("sim: no obedient observers")
+	}
 	for d := fromRound; d < toRound; d++ {
 		truth := src.Truth(d)
 		if truth == nil {
 			return fmt.Errorf("sim: no ground truth for round %d", d)
 		}
+		n := len(truth) - 1
 		byObs := col.RoundHVs(d)
 		if byObs == nil {
 			return fmt.Errorf("sim: no health vectors recorded for round %d", d)
 		}
-		var ref core.Syndrome
-		var refObs int
+		ref, refObs := core.BitSyndrome{}, obedient[0]
 		for _, obs := range obedient {
+			if obs < 1 || obs > n || obs >= len(byObs) {
+				return fmt.Errorf("sim: observer %d out of range 1..%d", obs, n)
+			}
 			hv := byObs[obs]
-			if hv == nil {
+			if hv.Known == 0 {
 				return fmt.Errorf("sim: observer %d produced no health vector for round %d", obs, d)
 			}
-			if ref == nil {
-				ref, refObs = hv, obs
-				continue
-			}
-			if !hv.Equal(ref) {
-				return fmt.Errorf("sim: consistency violated for round %d: observer %d says %v, observer %d says %v",
-					d, refObs, ref, obs, hv)
+			if obs == refObs {
+				ref = hv
+			} else if hv != ref {
+				return fmt.Errorf("sim: consistency violated for round %d: observer %d says %s, observer %d says %s",
+					d, refObs, ref.String(n), obs, hv.String(n))
 			}
 		}
-		for slot := 1; slot < len(truth); slot++ {
-			switch truth[slot] {
+		for slot := 1; slot <= n; slot++ {
+			switch got := ref.Get(slot); truth[slot] {
 			case tdma.OutcomeBenign:
-				if ref[slot] != core.Faulty {
+				if got != core.Faulty {
 					return fmt.Errorf("sim: completeness violated: round %d node %d was benign faulty but diagnosed %v",
-						d, slot, ref[slot])
+						d, slot, got)
 				}
 			case tdma.OutcomeCorrect:
-				if ref[slot] != core.Healthy {
+				if got != core.Healthy {
 					return fmt.Errorf("sim: correctness violated: round %d node %d was correct but diagnosed %v",
-						d, slot, ref[slot])
+						d, slot, got)
 				}
 			}
 		}

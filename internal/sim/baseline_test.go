@@ -123,10 +123,8 @@ func TestTTPCBlackoutKillsEveryone(t *testing.T) {
 		t.Fatalf("p/r isolated nodes during a short blackout: %+v", col.Isolations)
 	}
 	for id := 1; id <= 4; id++ {
-		for j := 1; j <= 4; j++ {
-			if !runners[id].Last().Active[j] {
-				t.Fatalf("node %d considers %d inactive after the blackout", id, j)
-			}
+		if a := runners[id].Last().Active; a != core.PlaneMask(4) {
+			t.Fatalf("node %d considers some node inactive after the blackout: %04b", id, a)
 		}
 	}
 }

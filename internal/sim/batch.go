@@ -100,14 +100,6 @@ type BatchDiagCluster struct {
 	payload []byte // EncodedLen(N) transmission scratch
 	tx      tdma.Transmission
 
-	// hvArena backs the unpacked consolidated health vectors handed to the
-	// collectors, bump-allocated in (N+1)-entry chunks. The collectors own
-	// their slices only until the gang ends: ResetBatch resets the collectors
-	// (which drop every reference) and rewinds the offset, so one slab is
-	// recycled across gangs instead of one allocation per recorded vector.
-	hvArena core.Syndrome
-	hvOff   int
-
 	// OnOutput, when set, observes every diagnostic job's gang output
 	// (node id, all lanes), after the lane collectors recorded it. It is
 	// the lane-packed counterpart of DiagRunner.OnOutput and survives
@@ -243,27 +235,7 @@ func (c *BatchDiagCluster) ResetBatch(lanes int) error {
 		c.truth[r] = c.truth[r][:0]
 		c.cols[r].Reset()
 	}
-	// The collectors just dropped every health-vector reference, so the
-	// arena slab can be recycled for the next gang.
-	c.hvOff = 0
 	return nil
-}
-
-// allocHV carves the next (N+1)-entry health vector out of the arena,
-// growing it by a fresh slab when exhausted (earlier slabs stay alive
-// through the collector references that still point into them). Each fresh
-// slab doubles the last, so after a few gangs one slab holds a whole gang
-// and the steady state allocates nothing.
-func (c *BatchDiagCluster) allocHV() core.Syndrome {
-	w := c.n + 1
-	if c.hvOff+w > len(c.hvArena) {
-		size := max(1024*w, 2*len(c.hvArena))
-		c.hvArena = make(core.Syndrome, size)
-		c.hvOff = 0
-	}
-	hv := c.hvArena[c.hvOff : c.hvOff+w : c.hvOff+w]
-	c.hvOff += w
-	return hv
 }
 
 // AddLaneDisturbance appends a disturbance to one lane's bus filter chain.
@@ -422,18 +394,9 @@ func (c *BatchDiagCluster) runJob(k, id int) error {
 		}
 		col := c.cols[r]
 		if out.Warm {
-			hv := c.allocHV()
-			out.LaneConsHV(r, c.n).UnpackInto(hv)
-			col.setHV(out.DiagnosedRound, id, hv)
+			col.setHV(out.DiagnosedRound, id, c.n, out.LaneConsHV(r, c.n))
 		}
-		for iso := out.LaneIsolated(r, c.n); iso != 0; iso &= iso - 1 {
-			j := bits.TrailingZeros64(iso) + 1
-			col.Isolations = append(col.Isolations, Isolation{Observer: id, Node: j, Round: out.Round})
-		}
-		for re := out.LaneReintegrated(r, c.n); re != 0; re &= re - 1 {
-			j := bits.TrailingZeros64(re) + 1
-			col.Reintegrations = append(col.Reintegrations, Isolation{Observer: id, Node: j, Round: out.Round})
-		}
+		col.addDecisions(id, out.Round, out.LaneIsolated(r, c.n), out.LaneReintegrated(r, c.n))
 	}
 	if c.OnOutput != nil {
 		c.OnOutput(id, out)

@@ -72,18 +72,16 @@ func TestClusterCheckpointRewind(t *testing.T) {
 	ck.AttachStream(scenario)
 
 	type roundRecord struct {
-		sends  [5]string
+		sends  [5]core.BitSyndrome
 		draws  uint64
-		active [5]bool
+		active [5]uint64
 	}
 	record := func() roundRecord {
 		var rec roundRecord
 		for id := 1; id <= cl.cfg.N; id++ {
 			out := cl.Runners[id].Last()
-			rec.sends[id] = string(out.Send)
-			for j := 1; j <= cl.cfg.N; j++ {
-				rec.active[j] = out.Active[j]
-			}
+			rec.sends[id] = out.Send
+			rec.active[id] = out.Active
 		}
 		rec.draws = scenario.Uint64() // scenario randomness rides along
 		return rec

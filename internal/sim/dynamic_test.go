@@ -51,10 +51,10 @@ func TestDynamicSchedulingFaultFree(t *testing.T) {
 	// referenced rounds differ in content).
 	for id := 1; id <= 4; id++ {
 		out := runners[id].Last()
-		if out.ConsHV == nil || out.ConsHV.CountFaulty() != 0 {
-			t.Fatalf("node %d: cons_hv %v", id, out.ConsHV)
+		if out.ConsHV.Known == 0 || out.ConsHV.CountFaulty(4) != 0 {
+			t.Fatalf("node %d: cons_hv %+v", id, out.ConsHV)
 		}
-		if !out.ConsHV.Equal(runners[1].Last().ConsHV) {
+		if out.ConsHV != runners[1].Last().ConsHV {
 			t.Fatalf("health vectors disagree")
 		}
 	}
@@ -75,14 +75,14 @@ func TestDynamicSchedulingBenignFault(t *testing.T) {
 		const faultRound = 10
 		eng.Bus().AddDisturbance(fault.NewTrain(fault.SlotBurst(eng.Schedule(), faultRound, 3, 1)))
 		detections := make(map[int]bool)
-		var hvs []core.Syndrome
+		var hvs []core.BitSyndrome
 		for id := 1; id <= 4; id++ {
 			id := id
 			runners[id].OnOutput = func(out core.RoundOutput) {
-				if out.ConsHV == nil || out.DiagnosedRound != faultRound {
+				if out.ConsHV.Known == 0 || out.DiagnosedRound != faultRound {
 					return
 				}
-				detections[id] = out.ConsHV[3] == core.Faulty
+				detections[id] = out.ConsHV.Get(3) == core.Faulty
 				hvs = append(hvs, out.ConsHV)
 			}
 		}
@@ -93,8 +93,8 @@ func TestDynamicSchedulingBenignFault(t *testing.T) {
 			t.Fatalf("seed %d: %d health vectors for the fault round", seed, len(hvs))
 		}
 		for _, hv := range hvs[1:] {
-			if !hv.Equal(hvs[0]) {
-				t.Fatalf("seed %d: consistency violated under dynamic scheduling: %v vs %v", seed, hv, hvs[0])
+			if hv != hvs[0] {
+				t.Fatalf("seed %d: consistency violated under dynamic scheduling: %s vs %s", seed, hv.String(4), hvs[0].String(4))
 			}
 		}
 		for id := 1; id <= 4; id++ {
@@ -182,11 +182,11 @@ func TestDynamicEquivalentToPinnedStatic(t *testing.T) {
 		}
 		for id := 1; id <= 4; id++ {
 			d, s := dynRunners[id].Last(), statRunners[id].Last()
-			if (d.ConsHV == nil) != (s.ConsHV == nil) {
+			if (d.ConsHV.Known == 0) != (s.ConsHV.Known == 0) {
 				t.Fatalf("round %d node %d: warm-up divergence", k, id)
 			}
-			if d.ConsHV != nil && !d.ConsHV.Equal(s.ConsHV) {
-				t.Fatalf("round %d node %d: dynamic %v != static %v", k, id, d.ConsHV, s.ConsHV)
+			if d.ConsHV != s.ConsHV {
+				t.Fatalf("round %d node %d: dynamic %s != static %s", k, id, d.ConsHV.String(4), s.ConsHV.String(4))
 			}
 		}
 	}

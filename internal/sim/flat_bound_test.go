@@ -52,11 +52,11 @@ func TestPackedRunnersSelectPackedPath(t *testing.T) {
 	}
 	for id := 1; id <= 4; id++ {
 		out := runners[id].Last()
-		if out.ConsHVBits.Known != core.PlaneMask(4) {
-			t.Fatalf("node %d: ConsHVBits not fully known: %+v", id, out.ConsHVBits)
+		if out.ConsHV.Known != core.PlaneMask(4) {
+			t.Fatalf("node %d: ConsHV not fully known: %+v", id, out.ConsHV)
 		}
-		if out.ActiveMask != core.PlaneMask(4) {
-			t.Fatalf("node %d: fault-free ActiveMask = %x", id, out.ActiveMask)
+		if out.Active != core.PlaneMask(4) {
+			t.Fatalf("node %d: fault-free Active = %x", id, out.Active)
 		}
 	}
 }

@@ -37,8 +37,8 @@ func (r *LowLatRunner) Node() *lowlat.Node { return r.node }
 func (r *LowLatRunner) Run(_ int, ctrl *tdma.Controller) ([]byte, error) {
 	out := r.node.Outgoing().Encode()
 	r.node.TickRound()
-	applyActivity(ctrl, r.node.PenaltyReward().Active(),
-		r.node.Config().PR.ReintegrationThreshold > 0)
+	cfg := r.node.Config()
+	applyActivity(ctrl, cfg.N, r.node.PenaltyReward().ActiveMask(), cfg.PR.ReintegrationThreshold > 0)
 	return out, nil
 }
 

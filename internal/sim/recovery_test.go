@@ -34,8 +34,12 @@ func TestFDIRLoopConsistentModeSwitches(t *testing.T) {
 	for id := 1; id <= 4; id++ {
 		id := id
 		managers[id] = recovery.NewManager(plan)
+		active := make([]bool, 5)
 		runners[id].OnOutput = func(out core.RoundOutput) {
-			changed, err := managers[id].Observe(out.Active)
+			for j := 1; j <= 4; j++ {
+				active[j] = out.Active&(1<<uint(j-1)) != 0
+			}
+			changed, err := managers[id].Observe(active)
 			if err != nil {
 				t.Error(err)
 				return

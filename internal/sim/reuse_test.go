@@ -23,8 +23,8 @@ func renderDiagState(eng *Engine, runners []*DiagRunner, col *Collector, rounds 
 		}
 		byObs := col.RoundHVs(d)
 		for obs := 1; obs <= n; obs++ {
-			if byObs != nil && byObs[obs] != nil {
-				fmt.Fprintf(&b, "hv %d/%d: %s\n", d, obs, byObs[obs])
+			if byObs != nil && byObs[obs].Known != 0 {
+				fmt.Fprintf(&b, "hv %d/%d: %s\n", d, obs, byObs[obs].String(n))
 			}
 		}
 	}

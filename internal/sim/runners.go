@@ -77,9 +77,9 @@ func (sc *inputScratch) build(round, n int, values [][]byte, validMask uint64, c
 // controller keeps listening to isolated nodes so that their fault-free
 // behaviour can be observed and rewarded; the activity vector still tells
 // the applications the node is down.
-func applyActivity(ctrl *tdma.Controller, active []bool, observe bool) {
-	for j := 1; j < len(active); j++ {
-		ctrl.SetIgnored(tdma.NodeID(j), !active[j] && !observe)
+func applyActivity(ctrl *tdma.Controller, n int, active uint64, observe bool) {
+	for j := 1; j <= n; j++ {
+		ctrl.SetIgnored(tdma.NodeID(j), active&(1<<uint(j-1)) == 0 && !observe)
 	}
 }
 
@@ -95,12 +95,26 @@ type activityCache struct {
 
 func (c *activityCache) reset() { c.ctrl = nil }
 
-func (c *activityCache) apply(ctrl *tdma.Controller, out core.RoundOutput, observe bool) {
-	if c.ctrl == ctrl && c.mask == out.ActiveMask {
+func (c *activityCache) apply(ctrl *tdma.Controller, n int, active uint64, observe bool) {
+	if c.ctrl == ctrl && c.mask == active {
 		return
 	}
-	applyActivity(ctrl, out.Active, observe)
-	c.ctrl, c.mask = ctrl, out.ActiveMask
+	applyActivity(ctrl, n, active, observe)
+	c.ctrl, c.mask = ctrl, active
+}
+
+// payloadBuf is a runner-owned dissemination buffer: the engine copies the
+// staged payload into the controller (WriteInterface), so one buffer serves
+// every round.
+type payloadBuf []byte
+
+// encode renders send's n-node wire form into the buffer and returns it.
+func (b *payloadBuf) encode(send core.BitSyndrome, n int) []byte {
+	if len(*b) != core.EncodedLen(n) {
+		*b = make([]byte, core.EncodedLen(n))
+	}
+	send.EncodeInto(*b)
+	return *b
 }
 
 // DiagRunner adapts a core.Protocol to the engine: it snapshots the
@@ -111,6 +125,7 @@ type DiagRunner struct {
 	last    core.RoundOutput
 	scratch inputScratch
 	act     activityCache
+	payload payloadBuf
 	// OnOutput, when set, observes every round output (used by collectors).
 	OnOutput func(core.RoundOutput)
 
@@ -206,12 +221,12 @@ func (r *DiagRunner) Run(round int, ctrl *tdma.Controller) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.act.apply(ctrl, out, cfg.PR.ReintegrationThreshold > 0)
+	r.act.apply(ctrl, cfg.N, out.Active, cfg.PR.ReintegrationThreshold > 0)
 	r.last = out
 	if r.OnOutput != nil {
 		r.OnOutput(out)
 	}
-	return out.Send, nil
+	return r.payload.encode(out.Send, cfg.N), nil
 }
 
 // MembershipRunner adapts a membership.Service to the engine.
@@ -220,6 +235,7 @@ type MembershipRunner struct {
 	last    membership.Output
 	scratch inputScratch
 	act     activityCache
+	payload payloadBuf
 	// OnOutput, when set, observes every round output.
 	OnOutput func(membership.Output)
 	// sink, when set, receives a KindViewChange causal event whenever a new
@@ -268,7 +284,7 @@ func (r *MembershipRunner) Run(round int, ctrl *tdma.Controller) ([]byte, error)
 	if err != nil {
 		return nil, err
 	}
-	r.act.apply(ctrl, out.Diag, cfg.PR.ReintegrationThreshold > 0)
+	r.act.apply(ctrl, cfg.N, out.Diag.Active, cfg.PR.ReintegrationThreshold > 0)
 	if r.sink != nil && out.ViewChanged {
 		r.sink.Record(trace.Event{
 			Round:  round,
@@ -281,5 +297,5 @@ func (r *MembershipRunner) Run(round int, ctrl *tdma.Controller) ([]byte, error)
 	if r.OnOutput != nil {
 		r.OnOutput(out)
 	}
-	return out.Diag.Send, nil
+	return r.payload.encode(out.Diag.Send, cfg.N), nil
 }

@@ -103,8 +103,8 @@ func TestCommunicationBlackout(t *testing.T) {
 		t.Fatal(err)
 	}
 	hv := col.ConsHV[6][2]
-	if hv.String() != "0000" {
-		t.Fatalf("blackout round diagnosed as %v, want 0000", hv)
+	if hv.String(4) != "0000" {
+		t.Fatalf("blackout round diagnosed as %s, want 0000", hv.String(4))
 	}
 }
 
@@ -137,8 +137,8 @@ func TestMaliciousNodeClasses(t *testing.T) {
 			// guarantees agreement; additionally no conviction may happen.
 			for d := 4; d < 26; d++ {
 				hv := col.ConsHV[d][obedient[0]]
-				if hv.CountFaulty() != 0 {
-					t.Fatalf("round %d: malicious node induced conviction: %v", d, hv)
+				if hv.CountFaulty(4) != 0 {
+					t.Fatalf("round %d: malicious node induced conviction: %s", d, hv.String(4))
 				}
 			}
 		})
@@ -211,8 +211,8 @@ func TestIsolationStopsTraffic(t *testing.T) {
 			t.Fatalf("node %d does not ignore isolated node 4", id)
 		}
 	}
-	if !runners[1].Last().Active[1] || runners[1].Last().Active[4] {
-		t.Fatalf("activity vector wrong: %v", runners[1].Last().Active)
+	if a := runners[1].Last().Active; a&1 == 0 || a&(1<<3) != 0 {
+		t.Fatalf("activity vector wrong: %04b", a)
 	}
 }
 
@@ -250,7 +250,7 @@ func TestReintegrationLoop(t *testing.T) {
 	if eng.Controller(1).Ignored(3) {
 		t.Fatal("node 1 still ignores reintegrated node 3")
 	}
-	if !runners[2].Last().Active[3] {
+	if runners[2].Last().Active&(1<<2) == 0 {
 		t.Fatal("node 3 not active after reintegration")
 	}
 }
@@ -430,8 +430,8 @@ func TestHeterogeneousSlotCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	hv := col.ConsHV[6][1]
-	if hv.String() != "1011" {
-		t.Fatalf("cons_hv(6) = %v, want 1011", hv)
+	if hv.String(4) != "1011" {
+		t.Fatalf("cons_hv(6) = %s, want 1011", hv.String(4))
 	}
 	if _, _, err := NewDiagnosticCluster(ClusterConfig{SlotLens: []time.Duration{time.Millisecond}}); err == nil {
 		t.Fatal("short SlotLens accepted")
@@ -483,8 +483,8 @@ func TestAdversarialMaliciousAtTheBoundEdge(t *testing.T) {
 			t.Fatalf("n=%d adversaries=%v: %v", tc.n, tc.adversaries, err)
 		}
 		for d := 4; d < 20; d++ {
-			if hv := col.ConsHV[d][obedient[0]]; hv.CountFaulty() != 0 {
-				t.Fatalf("n=%d: adversaries convicted someone: %v", tc.n, hv)
+			if hv := col.ConsHV[d][obedient[0]]; hv.CountFaulty(tc.n) != 0 {
+				t.Fatalf("n=%d: adversaries convicted someone: %s", tc.n, hv.String(tc.n))
 			}
 		}
 	}
@@ -546,8 +546,8 @@ func TestCollectorHookMembership(t *testing.T) {
 	if runners[2].Last().View.ID != 1 {
 		t.Fatalf("membership Last() view = %+v", runners[2].Last().View)
 	}
-	if got := col.ConsHV[6][3]; got.String() != "1011" {
-		t.Fatalf("membership collector hv = %v", got)
+	if got := col.ConsHV[6][3]; got.String(4) != "1011" {
+		t.Fatalf("membership collector hv = %s", got.String(4))
 	}
 }
 
@@ -582,5 +582,36 @@ func TestAuditTheorem2ErrorPaths(t *testing.T) {
 	}
 	if err := AuditTheorem2(runners, obedientAll(4), 4, 2); err == nil {
 		t.Error("missing view change accepted")
+	}
+}
+
+// TestAuditTheorem1ErrorPaths: observer lists the audit cannot evaluate —
+// empty, or naming nodes outside 1..N — are reported as errors instead of
+// indexing past the recorded health vectors.
+func TestAuditTheorem1ErrorPaths(t *testing.T) {
+	eng, _, col := mustDiagCluster(t, ClusterConfig{})
+	if err := eng.RunRounds(12); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		obedient []int
+		want     string
+	}{
+		{"nil", nil, "no obedient observers"},
+		{"empty", []int{}, "no obedient observers"},
+		{"zero", []int{1, 0}, "observer 0 out of range 1..4"},
+		{"negative", []int{-1}, "observer -1 out of range 1..4"},
+		{"beyond_n", []int{2, 5}, "observer 5 out of range 1..4"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := AuditTheorem1(eng, col, tc.obedient, 4, 6)
+			if err == nil || err.Error() != "sim: "+tc.want {
+				t.Fatalf("AuditTheorem1(%v) = %v, want %q", tc.obedient, err, tc.want)
+			}
+		})
+	}
+	if err := AuditTheorem1(eng, col, obedientAll(4), 4, 6); err != nil {
+		t.Fatalf("valid observers rejected: %v", err)
 	}
 }

@@ -36,9 +36,9 @@ func TestStressRandomNoiseConsistency(t *testing.T) {
 			}
 			ref := byObs[1]
 			for obs := 2; obs <= 4; obs++ {
-				if !byObs[obs].Equal(ref) {
-					t.Fatalf("noise %v round %d: consistency violated: %v vs %v",
-						noiseProb, d, ref, byObs[obs])
+				if byObs[obs] != ref {
+					t.Fatalf("noise %v round %d: consistency violated: %s vs %s",
+						noiseProb, d, ref.String(4), byObs[obs].String(4))
 				}
 			}
 		}
@@ -170,19 +170,13 @@ func TestStressConcurrentMatchesLockStepUnderNoise(t *testing.T) {
 	}
 	eng.Bus().AddDisturbance(fault.NewRandomNoise(0.1, rng.NewStream(5)))
 	const rounds = 400
-	type snap struct{ hv, active string }
-	ref := make([][5]snap, rounds)
+	ref := make([][5]core.RoundOutput, rounds)
 	for k := 0; k < rounds; k++ {
 		if err := eng.RunRound(); err != nil {
 			t.Fatal(err)
 		}
 		for id := 1; id <= 4; id++ {
-			out := runners[id].Last()
-			s := snap{active: boolKey(out.Active)}
-			if out.ConsHV != nil {
-				s.hv = out.ConsHV.String()
-			}
-			ref[k][id] = s
+			ref[k][id] = runners[id].Last()
 		}
 	}
 	// The concurrent runtime lives in package cluster; to avoid an import
@@ -199,28 +193,11 @@ func TestStressConcurrentMatchesLockStepUnderNoise(t *testing.T) {
 			t.Fatal(err)
 		}
 		for id := 1; id <= 4; id++ {
-			out := runners2[id].Last()
-			hv := ""
-			if out.ConsHV != nil {
-				hv = out.ConsHV.String()
-			}
-			if hv != ref[k][id].hv || boolKey(out.Active) != ref[k][id].active {
+			if runners2[id].Last() != ref[k][id] {
 				t.Fatalf("round %d node %d: nondeterministic replay", k, id)
 			}
 		}
 	}
-}
-
-func boolKey(bs []bool) string {
-	out := make([]byte, len(bs))
-	for i, b := range bs {
-		if b {
-			out[i] = '1'
-		} else {
-			out[i] = '0'
-		}
-	}
-	return string(out)
 }
 
 // TestRedundantBusMasksChannelFaults runs the protocol over a replicated
@@ -253,13 +230,13 @@ func TestRedundantBusMasksChannelFaults(t *testing.T) {
 	for d := 3; d < rounds-4; d++ {
 		hv := col.ConsHV[d][1]
 		if d == 20 {
-			if hv.String() != "1011" {
-				t.Fatalf("common-mode fault diagnosed as %v, want 1011", hv)
+			if hv.String(4) != "1011" {
+				t.Fatalf("common-mode fault diagnosed as %s, want 1011", hv.String(4))
 			}
 			continue
 		}
-		if hv.CountFaulty() != 0 {
-			t.Fatalf("round %d: channel-local noise leaked through redundancy: %v", d, hv)
+		if hv.CountFaulty(4) != 0 {
+			t.Fatalf("round %d: channel-local noise leaked through redundancy: %s", d, hv.String(4))
 		}
 	}
 }

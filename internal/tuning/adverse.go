@@ -212,10 +212,10 @@ func ComparePolicies(scen fault.Scenario, res Result, alphaDecay, alphaThreshold
 		out := PolicyOutcome{Policy: "alpha-count", FirstIsolation: -1}
 		sched := eng.Schedule()
 		runners[1].OnOutput = func(ro core.RoundOutput) {
-			if ro.ConsHV == nil {
+			if ro.ConsHV.Known == 0 {
 				return
 			}
-			iso, err := alpha.Update(ro.ConsHV)
+			iso, err := alpha.Update(ro.ConsHV.Unpack(n))
 			if err != nil {
 				return
 			}

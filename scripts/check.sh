@@ -53,6 +53,10 @@ check_checkpoint_determinism() {
 
 step "gofmt" check_gofmt
 step "go vet" go vet ./...
+# The benchmark probe has no tests and is only built by -trace launches, so
+# vetting the benchmark module is what compile-checks it against core API
+# changes.
+step "go vet (benchmark module)" go -C cmd/ttdiag-bench vet ./...
 step "go build" go build ./...
 step "go test" go test ./...
 # The benchmark is its own module, which the root ./... skips. Its smoke test

@@ -31,8 +31,12 @@
 //	eng, runners, err := ttdiag.NewSimulation(ttdiag.SimulationConfig{})
 //	if err != nil { ... }
 //	eng.Bus().AddDisturbance(ttdiag.SlotBurstTrain(eng.Schedule(), 6, 3, 1))
+//	runners[1].OnOutput = func(out ttdiag.RoundOutput) {
+//		if out.DiagnosedRound == 6 {
+//			fmt.Println(out.ConsHV.String(4)) // agreed health of round 6: 1101
+//		}
+//	}
 //	if err := eng.RunRounds(12); err != nil { ... }
-//	fmt.Println(runners[1].Last().ConsHV) // agreed health of round 6: 1101
 //
 // See examples/ for runnable walkthroughs and cmd/ttdiag-experiments for the
 // full reproduction of the paper's tables and figures.

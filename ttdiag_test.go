@@ -21,7 +21,7 @@ func TestFacadeQuickstart(t *testing.T) {
 	found := false
 	for id := 1; id <= 4; id++ {
 		last := runners[id].Last()
-		if last.ConsHV == nil {
+		if last.ConsHV.Known == 0 {
 			t.Fatalf("node %d has no health vector", id)
 		}
 	}
@@ -41,11 +41,11 @@ func TestFacadeQuickstart(t *testing.T) {
 	if err := ttdiag.AuditTheorem1(eng2, col, []int{1, 2, 3, 4}, 3, 9); err != nil {
 		t.Fatal(err)
 	}
-	if hv := col.ConsHV[6][1]; hv.String() == "1101" {
+	if hv := col.ConsHV[6][1]; hv.String(4) == "1101" {
 		found = true
 	}
 	if !found {
-		t.Fatalf("faulty round 6 diagnosed as %v, want 1101", col.ConsHV[6][1])
+		t.Fatalf("faulty round 6 diagnosed as %s, want 1101", col.ConsHV[6][1].String(4))
 	}
 }
 
@@ -108,7 +108,7 @@ func TestFacadeConcurrentCluster(t *testing.T) {
 	if err := cl.RunRounds(5); err != nil {
 		t.Fatal(err)
 	}
-	if cl.Last(1).ConsHV == nil {
+	if cl.Last(1).ConsHV.Known == 0 {
 		t.Fatal("no health vector from concurrent cluster")
 	}
 }
@@ -156,7 +156,7 @@ func TestFacadeDynamicAndNoise(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id := 2; id <= 4; id++ {
-		if !runners[id].Last().ConsHV.Equal(runners[1].Last().ConsHV) {
+		if runners[id].Last().ConsHV != runners[1].Last().ConsHV {
 			t.Fatal("dynamic+noise cluster disagreed")
 		}
 	}
@@ -173,7 +173,7 @@ func TestFacadeCrash(t *testing.T) {
 	if err := eng.RunRounds(20); err != nil {
 		t.Fatal(err)
 	}
-	if runners[1].Last().Active[2] {
+	if runners[1].Last().Active&(1<<1) != 0 {
 		t.Fatal("crashed node still active")
 	}
 }
@@ -308,10 +308,8 @@ func TestFacadeFlightRecorder(t *testing.T) {
 	}
 	isolated := false
 	for _, d := range diags {
-		for _, n := range d.Isolated {
-			if n == 2 {
-				isolated = true
-			}
+		if d.Isolated&(1<<1) != 0 {
+			isolated = true
 		}
 	}
 	if !isolated {
