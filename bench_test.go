@@ -64,7 +64,7 @@ func BenchmarkTable4AdverseScenarios(b *testing.B) {
 // campaign at several worker counts, on the default lane-packed path: gangs
 // of 16 repetitions share each protocol step and each bus delivery. The
 // rendered output is bit-identical across the sub-benchmarks and to the
-// per-run path of traced campaigns; only the wall clock changes (on
+// per-run test oracle; only the wall clock changes (on
 // multi-core hosts — with GOMAXPROCS=1 the pool degenerates to the serial
 // path plus channel overhead). Tracked in BENCH_campaign.json, discussed in
 // docs/PERFORMANCE.md.

@@ -168,13 +168,25 @@ func TestFleetShardsAreLanePacked(t *testing.T) {
 	}
 }
 
-// TestSec8BurstsTraceRunsPerRepetition: the same command with -trace takes
-// the per-run path, so the stream carries one boundary note per repetition.
+// TestSec8BurstsTraceRunsPerRepetition: the same command with -trace still
+// runs lane-packed gangs, and the stream carries one boundary note per
+// repetition.
 func TestSec8BurstsTraceRunsPerRepetition(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/trace.jsonl"
 	if err := run([]string{"-run", "sec8-bursts", "-runs", "20", "-metrics", dir + "/metrics.json", "-trace", path}); err != nil {
 		t.Fatal(err)
+	}
+	data, err := os.ReadFile(dir + "/metrics.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep metrics.Report
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Experiments["sec8-bursts"].Counters["batch/lanes"]; got != 240 {
+		t.Fatalf("traced batch/lanes = %d, want 240", got)
 	}
 	f, err := os.Open(path)
 	if err != nil {

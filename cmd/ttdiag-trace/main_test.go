@@ -12,6 +12,7 @@ import (
 	"ttdiag/internal/core"
 	"ttdiag/internal/fault"
 	"ttdiag/internal/sim"
+	"ttdiag/internal/tdma"
 	"ttdiag/internal/trace"
 )
 
@@ -19,31 +20,45 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden trace testdata
 
 const goldenTrace = "testdata/sec8-bursts.trace.jsonl"
 
-// genSec8BurstTrace reruns the sec8-bursts scenario geometry (prototype node
-// schedule, single-slot bursts in node 3's sending slot) with isolation-grade
-// thresholds, streaming node 1's causal flight recorder plus the engine
-// events to JSONL. The whole pipeline is deterministic, so the bytes are
-// golden.
+// goldenConfig is the sec8-bursts scenario geometry (prototype node
+// schedule) with isolation-grade thresholds, streaming node 1's causal
+// flight recorder plus the engine events to sink.
+func goldenConfig(sink trace.Sink) sim.ClusterConfig {
+	return sim.ClusterConfig{
+		N:    4,
+		Ls:   []int{2, 0, 3, 1},
+		PR:   core.PRConfig{PenaltyThreshold: 2, RewardThreshold: 3, ReintegrationThreshold: 4},
+		Sink: sink,
+	}
+}
+
+// goldenBursts is the golden scenario's fault: single-slot bursts in node
+// 3's sending slot, rounds 6-10.
+func goldenBursts(sched *tdma.Schedule) tdma.Disturbance {
+	var bursts []fault.Burst
+	for r := 6; r <= 10; r++ {
+		bursts = append(bursts, fault.SlotBurst(sched, r, 3, 1))
+	}
+	return fault.NewTrain(bursts...)
+}
+
+// goldenRounds is the golden scenario's run length.
+const goldenRounds = 28
+
+// genSec8BurstTrace runs the golden scenario on the per-run engine and
+// returns its JSONL trace. The whole pipeline is deterministic, so the
+// bytes are golden.
 func genSec8BurstTrace(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	jw := trace.NewJSONLWriter(&buf)
-	cl, err := sim.NewReusableDiagnosticCluster(sim.ClusterConfig{
-		N:    4,
-		Ls:   []int{2, 0, 3, 1},
-		PR:   core.PRConfig{PenaltyThreshold: 2, RewardThreshold: 3, ReintegrationThreshold: 4},
-		Sink: jw,
-	})
+	cl, err := sim.NewReusableDiagnosticCluster(goldenConfig(jw))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cl.Reset()
-	var bursts []fault.Burst
-	for r := 6; r <= 10; r++ {
-		bursts = append(bursts, fault.SlotBurst(cl.Eng.Schedule(), r, 3, 1))
-	}
-	cl.Eng.Bus().AddDisturbance(fault.NewTrain(bursts...))
-	if err := cl.Eng.RunRounds(28); err != nil {
+	cl.Eng.Bus().AddDisturbance(goldenBursts(cl.Eng.Schedule()))
+	if err := cl.Eng.RunRounds(goldenRounds); err != nil {
 		t.Fatal(err)
 	}
 	if err := jw.Err(); err != nil {
@@ -52,8 +67,34 @@ func genSec8BurstTrace(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
+// genSec8BurstTraceBatched runs the golden scenario as a one-lane gang of
+// the lane-packed cluster and returns the lane's flushed JSONL trace.
+func genSec8BurstTraceBatched(t *testing.T) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	jw := trace.NewJSONLWriter(&buf)
+	bc, err := sim.NewBatchDiagCluster(goldenConfig(jw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bc.ResetBatch(1); err != nil {
+		t.Fatal(err)
+	}
+	bc.AddLaneDisturbance(0, goldenBursts(bc.Schedule()))
+	bc.SetLaneHorizon(0, goldenRounds)
+	if err := bc.Run(); err != nil {
+		t.Fatal(err)
+	}
+	bc.FlushLaneTrace(0)
+	if err := jw.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestGoldenTrace pins the JSONL trace of the burst scenario byte for byte —
-// any change to the causal event schema or emission order shows up here.
+// any change to the causal event schema or emission order shows up here —
+// on the per-run engine and on a one-lane gang of the lane-packed cluster.
 // Regenerate with: go test ./cmd/ttdiag-trace -run TestGoldenTrace -update
 func TestGoldenTrace(t *testing.T) {
 	got := genSec8BurstTrace(t)
@@ -72,6 +113,9 @@ func TestGoldenTrace(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("trace drifted from %s (regenerate with -update if intended)", goldenTrace)
+	}
+	if !bytes.Equal(genSec8BurstTraceBatched(t), want) {
+		t.Fatalf("the one-lane gang's trace differs from %s", goldenTrace)
 	}
 }
 

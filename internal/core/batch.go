@@ -189,6 +189,12 @@ type BatchProtocol struct {
 	seriesLanes uint64
 	votes       laneVotes
 
+	// traces holds the optional per-lane causal flight recorders
+	// (SetLaneTrace); tracedLanes marks (bit r) the lanes carrying one, so
+	// an untraced gang pays one mask check per step.
+	traces      []*StepTrace
+	tracedLanes uint64
+
 	// invPrevActive is the previous round's activity mask, kept only by
 	// ttdiag_invariants builds for the monotonicity check (invHavePrev
 	// false after Reset and CopyFrom).
@@ -280,6 +286,7 @@ func (p *BatchProtocol) Reset(lanes int) {
 	p.invHavePrev = false
 	p.steps = 0
 	p.pr.reset(lanes)
+	p.resyncTraces()
 }
 
 // ownRowB returns the lane-packed syndromes this node physically transmitted
@@ -461,6 +468,9 @@ func (p *BatchProtocol) step(in *BatchRoundInput, out *BatchRoundOutput) {
 	p.lastSentB = outBits
 	if p.anyMetrics {
 		p.emitMetrics(out, warm, diagRound, op, know)
+	}
+	if p.tracedLanes != 0 && warm {
+		p.emitTraces(out)
 	}
 	if p.aging != 0 {
 		// Advance the skew-guard ages; the oldest generation leaves the

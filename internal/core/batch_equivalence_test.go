@@ -230,6 +230,7 @@ func runBatchEquivalence(t *testing.T, cfg Config, lanes int, draw func(st *rng.
 	refRegs := make([]*metrics.Registry, lanes)
 	laneRegs := make([]*metrics.Registry, lanes)
 	recs := make([]trace.Recorder, lanes)
+	laneRecs := make([]trace.Recorder, lanes)
 	for r := range refs {
 		if refs[r], err = NewProtocol(cfg); err != nil {
 			t.Fatalf("ref lane %d: %v", r, err)
@@ -238,9 +239,8 @@ func runBatchEquivalence(t *testing.T, cfg Config, lanes int, draw func(st *rng.
 		laneRegs[r] = metrics.New()
 		refs[r].SetMetrics(NewStepMetrics(refRegs[r]))
 		gang.SetLaneMetrics(r, NewStepMetrics(laneRegs[r]))
-		if membership {
-			refs[r].SetTrace(NewStepTrace(&recs[r]))
-		}
+		refs[r].SetTrace(NewStepTrace(&recs[r]))
+		gang.SetLaneTrace(r, NewStepTrace(&laneRecs[r]))
 	}
 	streams := make([]*rng.Stream, lanes)
 	for r := range streams {
@@ -249,7 +249,7 @@ func runBatchEquivalence(t *testing.T, cfg Config, lanes int, draw func(st *rng.
 	laneIns := make([]PackedRoundInput, lanes)
 	sendBuf := make([]byte, EncodedLen(n))
 	refSendBuf := make([]byte, EncodedLen(n))
-	accusations, convictions := 0, 0
+	accusations, convictions, traced := 0, 0, 0
 	for step := 0; step < rounds; step++ {
 		round := cfg.StartRound + step
 		var collisionFaulty uint64
@@ -317,6 +317,12 @@ func runBatchEquivalence(t *testing.T, cfg Config, lanes int, draw func(st *rng.
 			if got := laneExtract(gOut.DefiniteMask, r, n); got != wantDefinite {
 				t.Fatalf("%s: definite evidence diverged: batch %#x, ref %#x", tag, got, wantDefinite)
 			}
+			laneEvents, refEvents := laneRecs[r].Events(), recs[r].Events()
+			if i := trace.FirstDivergence(laneEvents, refEvents); i >= 0 {
+				t.Fatalf("%s: lane trace diverges at event %d:\nbatch %v\nref   %v", tag, i, laneEvents, refEvents)
+			}
+			traced += len(refEvents)
+			laneRecs[r].Reset()
 			accusations += bits.OnesCount64(out.Accused)
 			if out.ConsHV.Get(cfg.ID) == Faulty {
 				convictions++
@@ -339,6 +345,9 @@ func runBatchEquivalence(t *testing.T, cfg Config, lanes int, draw func(st *rng.
 	// so accusations may legitimately stay absent there.
 	if membership && (accusations == 0 && n > 2 || convictions == 0) {
 		t.Fatalf("membership inputs raised %d accusations and %d self-convictions; both must occur", accusations, convictions)
+	}
+	if traced == 0 {
+		t.Fatal("no lane recorded a causal event; the trace comparison is vacuous")
 	}
 	for r := range refs {
 		got, err := json.Marshal(laneRegs[r].Snapshot())

@@ -12,24 +12,26 @@ import (
 // isolation event's Detail: the last trajectoryLen counter changes.
 const trajectoryLen = 8
 
-// StepTrace is the protocol's optional causal flight recorder: attached with
-// SetTrace, it emits typed trace events — accusations with their evidence
-// class, penalty-counter changes, isolations with the penalty trajectory
-// that caused them, reintegrations — keyed by simulated round, on every warm
-// Step/StepPacked. A Protocol with no StepTrace attached pays a single nil
-// check per Step (the same nil-is-off discipline as StepMetrics), and an
-// attached recorder allocates only when an event actually fires.
+// StepTrace is the kernel's optional causal flight recorder for one lane:
+// attached with BatchProtocol.SetLaneTrace (Protocol.SetTrace is lane 0 of
+// the one-lane view), it emits typed trace events — accusations with their
+// evidence class, penalty-counter changes, isolations with the penalty
+// trajectory that caused them, reintegrations — keyed by simulated round, on
+// every warm step of its lane. A kernel with no lane traced pays a single
+// mask check per step (the same nil-is-off discipline as StepMetrics), and
+// an attached recorder allocates only when an event actually fires.
 //
 // Every emitted value derives from simulated quantities, never wall-clock
 // time, and the emission order within a round is fixed (accusations, penalty
 // changes in ascending node order, isolations, reintegrations). The
 // accusation evidence class is checked against the byte-per-entry reference
-// by TestPackedScalarTraceEquivalence.
+// by TestPackedScalarTraceEquivalence, and each gang lane's stream against
+// its per-run twin by TestBatchStepEquivalence.
 type StepTrace struct {
 	sink trace.Sink
 
-	// prevPen mirrors the penalty counters as of the last emission so only
-	// actual changes become KindPenalty events (1-based).
+	// prevPen mirrors the lane's penalty counters as of the last emission
+	// so only actual changes become KindPenalty events (1-based).
 	prevPen []int64
 	// trajRound/trajPen are flat per-node rings of the last trajectoryLen
 	// (round, penalty) counter changes; trajN counts total changes per node.
@@ -49,39 +51,69 @@ func NewStepTrace(sink trace.Sink) *StepTrace {
 }
 
 // SetTrace attaches (or, with nil, detaches) the protocol's causal flight
-// recorder. The attachment survives Reset and ResetConfig so reusable
-// campaign clusters keep emitting across repetitions; the recorder is
-// re-baselined on the protocol's current counter state so the attachment
-// itself never masquerades as a penalty change. Events are recorded from
-// whichever goroutine calls Step, so in concurrent runtimes the sink must be
-// safe for concurrent use (trace.Recorder and trace.JSONLWriter are).
-func (p *Protocol) SetTrace(t *StepTrace) {
-	p.trace = t
+// recorder: SetLaneTrace on the one-lane kernel. The attachment survives
+// Reset and ResetConfig so reusable campaign clusters keep emitting across
+// repetitions. Events are recorded from whichever goroutine calls Step, so
+// in concurrent runtimes the sink must be safe for concurrent use
+// (trace.Recorder and trace.JSONLWriter are).
+func (p *Protocol) SetTrace(t *StepTrace) { p.b.SetLaneTrace(0, t) }
+
+// SetLaneTrace attaches (or, with nil, detaches) lane `lane`'s causal flight
+// recorder; the lane's events are exactly what a per-run protocol stepping
+// that lane's inputs records. The attachment survives Reset, and the
+// recorder is re-baselined on the lane's current counters — at attachment,
+// Reset and CopyFrom — so neither the attachment nor a wholesale state swap
+// masquerades as a penalty change. A recorder serves one lane at a time.
+func (p *BatchProtocol) SetLaneTrace(lane int, t *StepTrace) {
+	if p.traces == nil {
+		if t == nil {
+			return
+		}
+		p.traces = make([]*StepTrace, p.capLanes)
+	}
+	p.traces[lane] = t
+	bit := uint64(1) << uint(lane)
+	p.tracedLanes &^= bit
 	if t != nil {
-		t.bind(p.b.n, p.b.pr)
+		p.tracedLanes |= bit
+		t.bind(p.n)
+		t.resync(p.pr, lane)
 	}
 }
 
-// Trace returns the attached flight recorder, nil when none.
-func (p *Protocol) Trace() *StepTrace { return p.trace }
+// resyncTraces re-baselines every attached lane recorder on its lane's
+// counters without emitting events.
+func (p *BatchProtocol) resyncTraces() {
+	for rem := p.tracedLanes; rem != 0; rem &= rem - 1 {
+		lane := bits.TrailingZeros64(rem)
+		p.traces[lane].resync(p.pr, lane)
+	}
+}
 
-// bind sizes the recorder's state for an n-node system (idempotent) and
-// re-baselines it on pr's counters.
-func (t *StepTrace) bind(n int, pr *PenaltyReward) {
+// emitTraces records one warm gang execution's causal events into the
+// recorders of the traced live lanes, each from its own lane segment.
+func (p *BatchProtocol) emitTraces(out *BatchRoundOutput) {
+	for rem := p.tracedLanes & (uint64(1)<<uint(p.lanes) - 1); rem != 0; rem &= rem - 1 {
+		lane := bits.TrailingZeros64(rem)
+		p.traces[lane].emit(p, out, lane)
+	}
+}
+
+// bind sizes the recorder's state for an n-node system (idempotent).
+func (t *StepTrace) bind(n int) {
 	if len(t.prevPen) != n+1 {
 		t.prevPen = make([]int64, n+1)
 		t.trajRound = make([]int, (n+1)*trajectoryLen)
 		t.trajPen = make([]int64, (n+1)*trajectoryLen)
 		t.trajN = make([]int, n+1)
 	}
-	t.resync(pr)
 }
 
-// resync re-baselines the recorder on the protocol's current counter state
-// without emitting events; called after Reset, ResetConfig and CopyFrom so
-// wholesale state swaps do not masquerade as penalty changes.
-func (t *StepTrace) resync(pr *PenaltyReward) {
-	copy(t.prevPen, pr.penalties)
+// resync re-baselines the recorder on lane `lane`'s counters and forgets
+// the trajectories.
+func (t *StepTrace) resync(pr *PenaltyReward, lane int) {
+	base := lane * (pr.n + 1)
+	copy(t.prevPen, pr.penalties[base:base+pr.n+1])
 	for j := range t.trajN {
 		t.trajN[j] = 0
 	}
@@ -107,21 +139,20 @@ func (t *StepTrace) trajectory(j int) string {
 	return b.String()
 }
 
-// emitStepTrace records one execution's causal events; called only when
-// p.trace != nil, after the round's counters are updated. definite marks
-// the accusations backed by a definite opinion opposite the H-maj verdict
-// (as opposed to mere ε gaps where the vector holds a verdict). Cold
-// executions emit nothing: there is no health vector, so no counter can
-// have moved.
-func (p *Protocol) emitStepTrace(out *RoundOutput, definite uint64) {
-	if out.ConsHV.Known == 0 {
-		return
-	}
-	t := p.trace
-	pr := p.b.pr
-	id := p.b.cfg.ID
-	thr := pr.cfg.PenaltyThreshold
-	for rem := out.Accused; rem != 0; rem &= rem - 1 {
+// emit records lane `lane`'s causal events of one warm execution, after
+// the round's counters are updated: accusations (definite ones, backed by a
+// definite opinion opposite the H-maj verdict, as opposed to mere ε gaps
+// where the vector holds a verdict), penalty changes, isolations and
+// reintegrations. Cold executions emit nothing: there is no health vector,
+// so no counter can have moved.
+func (t *StepTrace) emit(p *BatchProtocol, out *BatchRoundOutput, lane int) {
+	n := p.n
+	id := p.cfg.ID
+	thr := p.pr.cfg.PenaltyThreshold
+	pens := p.pr.penalties[lane*(n+1) : (lane+1)*(n+1)]
+	definite := laneExtract(out.DefiniteMask, lane, n)
+	reintegrated := laneExtract(out.ReintegratedMask, lane, n)
+	for rem := laneExtract(out.AccusedMask, lane, n); rem != 0; rem &= rem - 1 {
 		j := bits.TrailingZeros64(rem) + 1
 		ev := trace.EvidenceMatrix
 		if definite&rem&-rem != 0 {
@@ -135,9 +166,8 @@ func (p *Protocol) emitStepTrace(out *RoundOutput, definite uint64) {
 			Evidence: ev,
 		})
 	}
-	n := p.b.n
 	for j := 1; j <= n; j++ {
-		pen := pr.penalties[j]
+		pen := pens[j]
 		if pen == t.prevPen[j] {
 			continue
 		}
@@ -146,7 +176,7 @@ func (p *Protocol) emitStepTrace(out *RoundOutput, definite uint64) {
 		t.trajRound[slot] = out.Round
 		t.trajPen[slot] = pen
 		t.trajN[j]++
-		if pen == 0 && out.Reintegrated&(1<<uint(j-1)) != 0 {
+		if pen == 0 && reintegrated&(1<<uint(j-1)) != 0 {
 			// The zeroing is part of the reintegration, reported below.
 			continue
 		}
@@ -163,19 +193,19 @@ func (p *Protocol) emitStepTrace(out *RoundOutput, definite uint64) {
 		}
 		t.sink.Record(e)
 	}
-	for rem := out.Isolated; rem != 0; rem &= rem - 1 {
+	for rem := laneExtract(out.IsolatedMask, lane, n); rem != 0; rem &= rem - 1 {
 		j := bits.TrailingZeros64(rem) + 1
 		t.sink.Record(trace.Event{
 			Round:     out.Round,
 			Kind:      trace.KindIsolation,
 			Node:      id,
 			Subject:   j,
-			Penalty:   pr.penalties[j],
+			Penalty:   pens[j],
 			Threshold: thr,
 			Detail:    t.trajectory(j),
 		})
 	}
-	for rem := out.Reintegrated; rem != 0; rem &= rem - 1 {
+	for rem := reintegrated; rem != 0; rem &= rem - 1 {
 		j := bits.TrailingZeros64(rem) + 1
 		t.sink.Record(trace.Event{
 			Round:     out.Round,

@@ -13,8 +13,9 @@ import "fmt"
 // steady-state allocations instead of a JSON round-trip.
 //
 // Both protocols must have been built for the same N; within that shape the
-// configurations may differ — dst adopts src's. Telemetry attachments
-// (SetMetrics) are per-instance and deliberately not copied.
+// configurations may differ — dst adopts src's. Telemetry and trace
+// attachments (SetMetrics, SetTrace) are per-instance and deliberately not
+// copied; an attached recorder re-baselines on the copied counters.
 func (p *Protocol) CopyFrom(src *Protocol) error {
 	if p == src {
 		return nil
@@ -23,19 +24,16 @@ func (p *Protocol) CopyFrom(src *Protocol) error {
 		return err
 	}
 	p.warm = false
-	// An attached flight recorder re-baselines on the copied counters so the
-	// wholesale state swap does not masquerade as penalty changes.
-	if p.trace != nil {
-		p.trace.resync(p.b.pr)
-	}
 	return nil
 }
 
 // CopyFrom overwrites this batch protocol's run state — every live lane's —
 // with src's. Both instances must have been built for the same N, and src's
 // live lanes must fit this instance's capacity; dst adopts src's
-// configuration and live lane count. Per-lane telemetry attachments are not
-// copied. Zero allocations.
+// configuration and live lane count. Per-lane telemetry and trace
+// attachments are not copied; attached lane recorders re-baseline on the
+// copied counters, so the wholesale state swap does not masquerade as
+// penalty changes. Zero allocations.
 func (p *BatchProtocol) CopyFrom(src *BatchProtocol) error {
 	if p == src {
 		return nil
@@ -79,5 +77,6 @@ func (p *BatchProtocol) CopyFrom(src *BatchProtocol) error {
 	// state; dropping it skips one round of the monotonicity check after a
 	// copy, exactly like RestoreProtocol.
 	p.invHavePrev = false
+	p.resyncTraces()
 	return nil
 }

@@ -196,9 +196,9 @@ type RoundOutput struct {
 // per node with NewProtocol and call Step exactly once per TDMA round.
 //
 // Protocol is the one-lane view of the kernel: a BatchProtocol with a single
-// lane runs every phase (alignment, voting, accusations, Alg. 2, telemetry),
-// and Protocol only converts the input and copies the lane's words into
-// RoundOutput. The state is bit-plane throughout, which bounds a flat
+// lane runs every phase (alignment, voting, accusations, Alg. 2, telemetry,
+// causal trace), and Protocol only converts the input and copies the lane's
+// words into RoundOutput. The state is bit-plane throughout, which bounds a flat
 // system at MaxPackedN nodes (internal/fleet shards wider ones). StepPacked
 // accepts the round input in packed form directly; Step packs its
 // byte-per-entry input and delegates. The collision detector is queried at
@@ -211,14 +211,10 @@ type RoundOutput struct {
 // output: the kernel votes on its own scratch, and Matrix copies the last
 // warm round's out for the callers that inspect it.
 type Protocol struct {
-	// b is the one-lane kernel; it also owns the telemetry attachment
-	// (SetMetrics), whose nil-is-off discipline costs one branch per Step.
+	// b is the one-lane kernel; it also owns the telemetry and causal
+	// flight-recorder attachments (SetMetrics, SetTrace), whose nil-is-off
+	// discipline costs one branch each per Step.
 	b *BatchProtocol
-
-	// trace is the optional causal flight recorder (SetTrace); nil is off.
-	// It survives Reset/ResetConfig so reusable campaign clusters keep
-	// emitting across repetitions.
-	trace *StepTrace
 
 	// inRows is the scratch for Step's input conversion (StepPacked callers
 	// provide their own rows).
@@ -246,9 +242,6 @@ func NewProtocol(cfg Config) (*Protocol, error) {
 func (p *Protocol) Reset() {
 	p.b.Reset(1)
 	p.warm = false
-	if p.trace != nil {
-		p.trace.resync(p.b.pr)
-	}
 }
 
 // ResetConfig is Reset with a configuration swap: it revalidates cfg and
@@ -366,9 +359,6 @@ func (p *Protocol) step(in PackedRoundInput) RoundOutput {
 		Reintegrated:   bo.ReintegratedMask,
 		Active:         bo.ActiveMask,
 		Accused:        bo.AccusedMask,
-	}
-	if p.trace != nil {
-		p.emitStepTrace(&out, bo.DefiniteMask)
 	}
 	if invariant.Enabled {
 		p.checkStepInvariants(out)

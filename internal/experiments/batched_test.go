@@ -3,11 +3,14 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"ttdiag/internal/metrics"
+	"ttdiag/internal/rng"
 	"ttdiag/internal/trace"
 )
 
@@ -29,7 +32,7 @@ func runCampaign(t *testing.T, id string, p Params) (string, metrics.Snapshot) {
 
 // stripBatchInstruments removes the batch/* occupancy instruments, which
 // exist only on the batched path, so the remaining snapshot can be compared
-// against the per-run reference.
+// against the per-run oracle.
 func stripBatchInstruments(s metrics.Snapshot) metrics.Snapshot {
 	counters := make(map[string]int64, len(s.Counters))
 	for k, v := range s.Counters {
@@ -48,20 +51,12 @@ func stripBatchInstruments(s metrics.Snapshot) metrics.Snapshot {
 	return s
 }
 
-// perRun returns p with a trace recorder attached, which moves the Sec. 8
-// campaigns and the wide scale-resilience cases onto their per-run path: the
-// reference the default lane-packed path is tested against.
-func perRun(p Params) Params {
-	p.Trace = &trace.Recorder{}
-	return p
-}
-
-// TestBatchedCampaignEquivalence pins the lane-packed campaign path against
-// its per-run reference: for every batchable Sec. 8 campaign, the rendered
-// artifact is byte-identical and the metrics report identical (modulo the
-// batch-only occupancy instruments) between a default run and a traced one
-// — at a run count with a full and a ragged gang (20 = 16 + 4) and at a run
-// count below one gang (5).
+// TestBatchedCampaignEquivalence pins the lane-packed campaigns against
+// their per-run oracles (perrun_test.go): for every batchable Sec. 8
+// campaign, the rendered artifact is byte-identical and the metrics report
+// identical (modulo the batch-only occupancy instruments) — at a run count
+// with a full and a ragged gang (20 = 16 + 4) and at a run count below one
+// gang (5).
 func TestBatchedCampaignEquivalence(t *testing.T) {
 	for _, id := range batchedIDs {
 		id := id
@@ -69,13 +64,10 @@ func TestBatchedCampaignEquivalence(t *testing.T) {
 			t.Parallel()
 			for _, runs := range []int{5, 20} {
 				p := Params{Seed: 7, Runs: runs, Workers: 1}
-				reference, referenceSnap := runCampaign(t, id, perRun(p))
+				reference, referenceSnap := runPerRun(t, id, p)
 				batched, batchedSnap := runCampaign(t, id, p)
 				if reference != batched {
 					t.Fatalf("runs=%d: rendered output differs:\n--- per-run ---\n%s\n--- batched ---\n%s", runs, reference, batched)
-				}
-				if _, ok := referenceSnap.Counters["batch/lanes"]; ok {
-					t.Fatalf("runs=%d: the traced campaign ran lane-packed", runs)
 				}
 				if got := stripBatchInstruments(batchedSnap); !reflect.DeepEqual(got, referenceSnap) {
 					gj, _ := json.Marshal(got)
@@ -121,18 +113,77 @@ func TestBatchedWorkerCountInvariance(t *testing.T) {
 	}
 }
 
+// TestTracedCampaignEquivalence pins the gang's flight recorder at the
+// campaign level: with a JSONL trace sink on one worker, every batchable
+// Sec. 8 campaign writes byte for byte the stream of its per-run oracle —
+// boundary notes, engine events and node 1's causal events, run after run —
+// and renders the same artifact, at a full plus ragged gang (20) and below
+// one gang (5).
+func TestTracedCampaignEquivalence(t *testing.T) {
+	for _, id := range batchedIDs {
+		id := id
+		t.Run(id, func(t *testing.T) {
+			t.Parallel()
+			for _, runs := range []int{5, 20} {
+				var gangTrace, refTrace bytes.Buffer
+				p := Params{Seed: 7, Runs: runs, Workers: 1, Trace: trace.NewJSONLWriter(&gangTrace)}
+				batched, _ := runCampaign(t, id, p)
+				p.Trace = trace.NewJSONLWriter(&refTrace)
+				reference, _ := runPerRun(t, id, p)
+				if reference != batched {
+					t.Fatalf("runs=%d: rendered output differs:\n--- per-run ---\n%s\n--- batched ---\n%s", runs, reference, batched)
+				}
+				if refTrace.Len() == 0 {
+					t.Fatalf("runs=%d: the oracle recorded no trace", runs)
+				}
+				if !bytes.Equal(gangTrace.Bytes(), refTrace.Bytes()) {
+					got, _ := trace.ReadJSONL(&gangTrace)
+					want, _ := trace.ReadJSONL(&refTrace)
+					i := trace.FirstDivergence(got, want)
+					t.Fatalf("runs=%d: JSONL trace diverges at event %d of %d (oracle %d)", runs, i, len(got), len(want))
+				}
+			}
+		})
+	}
+}
+
 // TestScaleResilienceBatchedEquivalence pins the wide scale-resilience rows
-// (N = 32 and N = 64, see scale_wide.go): the rendered sweep is
-// byte-identical whether every wide case, the asymmetric a = 1 ones
-// included, runs lane-packed (the default; N = 32 gangs two repetitions per
-// word, N = 64 runs one-lane gangs) or per-run under a trace sink.
+// (N = 32 and N = 64, see scale_wide.go): every wide case, the asymmetric
+// a = 1 ones included, counts the same Theorem 1 violations on lane-packed
+// gangs (N = 32 gangs two repetitions per word, N = 64 runs one-lane gangs)
+// as its per-run oracle.
 func TestScaleResilienceBatchedEquivalence(t *testing.T) {
 	for _, runs := range []int{3, 5} {
 		p := Params{Seed: 7, Runs: runs, Workers: 1}
-		reference, _ := runCampaign(t, "scale-resilience", perRun(p))
-		batched, _ := runCampaign(t, "scale-resilience", p)
-		if reference != batched {
-			t.Fatalf("runs=%d: rendered output differs:\n--- per-run ---\n%s\n--- batched ---\n%s", runs, reference, batched)
+		for _, n := range []int{32, 64} {
+			for _, c := range resilienceCases(n) {
+				a, s, b := c[0], c[1], c[2]
+				name := fmt.Sprintf("runs=%d N=%d a=%d s=%d b=%d", runs, n, a, s, b)
+				want, err := resilienceRunsWidePerRun(n, a, s, b, p, rng.NewSource(p.Seed))
+				if err != nil {
+					t.Fatalf("%s: per-run: %v", name, err)
+				}
+				got, err := resilienceRunsWide(n, a, s, b, p, rng.NewSource(p.Seed))
+				if err != nil {
+					t.Fatalf("%s: batched: %v", name, err)
+				}
+				if got != want {
+					t.Fatalf("%s: %d violations lane-packed, %d per-run", name, got, want)
+				}
+			}
 		}
+	}
+}
+
+// TestScaleResilienceProgress: Params.Progress observes every repetition of
+// the sweep — the per-run N <= 16 and bound-violation rows as well as the
+// lane-packed wide ones — so 29 rows report 29 × Runs completions.
+func TestScaleResilienceProgress(t *testing.T) {
+	const runs, rows = 2, 29
+	var done atomic.Int64
+	p := Params{Seed: 7, Runs: runs, Workers: 2, Progress: func(int) { done.Add(1) }}
+	runCampaign(t, "scale-resilience", p)
+	if got := done.Load(); got != rows*runs {
+		t.Fatalf("Progress observed %d runs, want %d (%d rows × %d runs)", got, rows*runs, rows, runs)
 	}
 }

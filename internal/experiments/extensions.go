@@ -95,22 +95,12 @@ func runScaleResilience(p Params) error {
 	t.rule(7)
 	src := rng.NewSource(p.Seed)
 	for _, n := range []int{4, 6, 8, 12, 16} {
-		// The largest tolerable counts: s alone, b alone, and a mix with
-		// one asymmetric fault.
-		sMax := (n - 2) / 2
-		bMax := n - 2
-		cases := [][3]int{
-			{0, sMax, 0},
-			{0, 0, bMax},
-			{1, 0, n - 4},
-			{1, (n - 4) / 2, 0},
-		}
-		for _, c := range cases {
+		for _, c := range resilienceCases(n) {
 			a, s, b := c[0], c[1], c[2]
 			if a < 0 || s < 0 || b < 0 || !(n > 2*a+2*s+b+1) {
 				continue
 			}
-			violations, err := resilienceRuns(n, a, s, b, p.Runs, p.Workers, src)
+			violations, err := resilienceRuns(n, a, s, b, p, src)
 			if err != nil {
 				return err
 			}
@@ -120,18 +110,10 @@ func runScaleResilience(p Params) error {
 	}
 	// Past the original N <= 16 cap: the same fault-mix cases at N = 32 and
 	// N = 64 — every node still on the packed fast path — with one fixed
-	// schedule per case so the lane-packed batched twin stays draw-identical
-	// (see scale_wide.go).
+	// schedule per case, shared by the whole lane-packed gang (see
+	// scale_wide.go).
 	for _, n := range []int{32, 64} {
-		sMax := (n - 2) / 2
-		bMax := n - 2
-		cases := [][3]int{
-			{0, sMax, 0},
-			{0, 0, bMax},
-			{1, 0, n - 4},
-			{1, (n - 4) / 2, 0},
-		}
-		for _, c := range cases {
+		for _, c := range resilienceCases(n) {
 			a, s, b := c[0], c[1], c[2]
 			violations, err := resilienceRunsWide(n, a, s, b, p, src)
 			if err != nil {
@@ -143,7 +125,7 @@ func runScaleResilience(p Params) error {
 	}
 	// Bound violation: N=4 with two malicious syndrome sources
 	// (4 > 2*2+1 is false) — correct nodes get convicted.
-	violations, err := resilienceRuns(4, 0, 2, 0, p.Runs, p.Workers, src)
+	violations, err := resilienceRuns(4, 0, 2, 0, p, src)
 	if err != nil {
 		return err
 	}
@@ -155,14 +137,50 @@ func runScaleResilience(p Params) error {
 	return nil
 }
 
-// resilienceRuns executes `runs` campaigns on an n-node cluster with a
+// resilienceCases lists the scale-resilience fault mixes (a, s, b) of an
+// n-node cluster: the largest tolerable counts of s alone and b alone, and
+// two mixes with one asymmetric fault. Narrow clusters skip the mixes
+// outside the N > 2a+2s+b+1 bound.
+func resilienceCases(n int) [][3]int {
+	sMax := (n - 2) / 2
+	bMax := n - 2
+	return [][3]int{
+		{0, sMax, 0},
+		{0, 0, bMax},
+		{1, 0, n - 4},
+		{1, (n - 4) / 2, 0},
+	}
+}
+
+// diagWorker is the reusable per-worker state of a pooled per-run
+// diagnostic campaign: one cluster, one stream pool and one collector,
+// reset/recycled per repetition.
+type diagWorker struct {
+	cl  *sim.DiagCluster
+	rng *rng.Pool
+	col *sim.Collector
+}
+
+func newDiagWorker(src *rng.Source, cfg sim.ClusterConfig) func() (*diagWorker, error) {
+	return func() (*diagWorker, error) {
+		cl, err := sim.NewReusableDiagnosticCluster(cfg)
+		if err != nil {
+			return nil, err
+		}
+		return &diagWorker{cl: cl, rng: src.NewPool(), col: sim.NewCollector()}, nil
+	}
+}
+
+// resilienceRuns executes p.Runs campaigns on an n-node cluster with a
 // asymmetric (SOS), s symmetric-malicious and b benign coincident faults and
 // returns how many runs violated a Theorem 1 audit. Each run derives its own
 // streams (schedule draw and malicious payloads) from the master source, the
 // fault mix and its run index, so the count is worker-count independent.
-func resilienceRuns(n, a, s, b, runs, workers int, src *rng.Source) (int, error) {
-	failed, err := campaign.RunPooled(workers, runs,
-		newDiagWorker(Params{}, nil, "scale", src, sim.ClusterConfig{
+// Every run draws its own schedule, which a lane-packed gang cannot share,
+// so these cases run per repetition; they record no trace.
+func resilienceRuns(n, a, s, b int, p Params, src *rng.Source) (int, error) {
+	failed, err := campaign.RunPooledWith(p.campaignOpts(), p.Runs,
+		newDiagWorker(src, sim.ClusterConfig{
 			N: n, RoundLen: sim.DefaultRoundLen * time.Duration(n) / 4,
 		}),
 		func(w *diagWorker, run int) (bool, error) {

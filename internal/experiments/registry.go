@@ -33,14 +33,13 @@ type Params struct {
 	// bit-identical at any Workers setting; see internal/metrics.
 	Metrics *metrics.Report
 	// Trace, when non-nil, receives the simulation trace of every campaign
-	// repetition plus one KindNote boundary event per run. A sink moves the
-	// Sec. 8 campaigns and the wide scale-resilience cases from the
-	// lane-packed gangs to the slower per-run path
-	// (same rendered output), whose metrics report lacks the batch/*
-	// occupancy instruments. Event order is deterministic only with
-	// Workers == 1 (the CLI's -trace flag forces that); with more workers the
-	// sink must be safe for concurrent use and the interleaving reflects
-	// scheduling.
+	// repetition plus one KindNote boundary event per run. The lane-packed
+	// Sec. 8 gangs record each lane and write it out after its note, in run
+	// order, so tracing changes neither the execution path nor the rendered
+	// output or metrics. The scale-resilience sweep records nothing. Event
+	// order is deterministic only with Workers == 1 (the CLI's -trace flag
+	// forces that); with more workers the sink must be safe for concurrent
+	// use and the interleaving reflects scheduling.
 	Trace trace.Sink
 	// Progress, when non-nil, observes every completed repetition
 	// (campaign.Options.OnRunDone): wall-clock-side progress reporting that
@@ -60,14 +59,6 @@ type Params struct {
 	SplitEffort int
 	SplitLevels int
 }
-
-// batched reports whether the lane-packed campaign path runs: always, unless
-// a trace sink is attached. Tracing is per repetition, so a traced campaign
-// takes the per-run path, which is also the test oracle of the lane-packed
-// one. The lane-packed bus carries receiver-selective faults (tdma.Blinder),
-// so every wide scale-resilience case runs batched, including a > 0;
-// sec8-clique runs per repetition because it uses membership mode.
-func (p Params) batched() bool { return p.Trace == nil }
 
 func (p Params) withDefaults() Params {
 	if p.Runs <= 0 {

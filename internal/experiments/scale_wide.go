@@ -1,14 +1,11 @@
 // Wide scale-resilience campaigns: the N = 32 and N = 64 rows of the
 // scale-resilience sweep, past the N <= 16 cap the experiment originally
 // had. Wide cases pin one internal schedule per fault-mix case (drawn from a
-// case-named stream) instead of one per run: the lane-packed batched path
-// shares a single schedule across its whole gang, and a fixed case schedule
-// is what keeps the per-run and batched paths draw-identical — the same
-// contract the Sec. 8 campaigns establish (TestScaleResilienceBatchedEquivalence
-// pins it here). Every untraced wide case runs lane-packed: N = 32 in
-// two-lane gangs, N = 64 in one-lane gangs, with the asymmetric SOS faults
-// carried by the batched bus's blind masks. The per-run body remains as the
-// traced path and as the test oracle.
+// case-named stream) instead of one per run, because a lane-packed gang
+// shares a single schedule: N = 32 runs in two-lane gangs, N = 64 in
+// one-lane gangs, with the asymmetric SOS faults carried by the batched
+// bus's blind masks. The per-run body is the test oracle
+// (TestScaleResilienceBatchedEquivalence).
 package experiments
 
 import (
@@ -68,47 +65,19 @@ func resilienceObedient(n, s int) []int {
 	return obedient
 }
 
-// resilienceRunsWide executes the Monte-Carlo campaign of one wide case. The
-// schedule is drawn once from the case-named stream; per-run variation comes
-// from the malicious payload streams. Unless a trace sink is attached, the
-// repetitions advance through a sim.BatchDiagCluster: same draws, same
-// audits, same verdicts as the per-run body below.
-func resilienceRunsWide(n, a, s, b int, p Params, src *rng.Source) (int, error) {
+// wideResilienceCase returns one wide case's stream scope and cluster
+// configuration, with the case's schedule drawn once from the case-named
+// stream.
+func wideResilienceCase(n, a, s, b int, src *rng.Source) (string, sim.ClusterConfig) {
 	scope := fmt.Sprintf("scale/N%d-a%d-s%d-b%d", n, a, s, b)
 	sched := src.Stream(scope + "/schedule")
 	ls := make([]int, n)
 	for i := range ls {
 		ls[i] = sched.Intn(n)
 	}
-	cfg := sim.ClusterConfig{
+	return scope, sim.ClusterConfig{
 		N: n, RoundLen: sim.DefaultRoundLen * time.Duration(n) / 4, Ls: ls,
 	}
-	if p.batched() {
-		return resilienceRunsWideBatched(scope, n, a, s, b, p, src, cfg)
-	}
-	failed, err := campaign.RunPooled(p.Workers, p.Runs,
-		newDiagWorker(Params{}, nil, "scale", src, cfg),
-		func(w *diagWorker, run int) (bool, error) {
-			w.cl.Reset()
-			w.rng.Recycle()
-			w.col.Reset()
-			for id := 1; id <= n; id++ {
-				w.col.HookDiag(id, w.cl.Runners[id])
-			}
-			eng := w.cl.Eng
-			runScope := fmt.Sprintf("%s/run-%d", scope, run)
-			for _, d := range resilienceDisturbances(eng.Schedule(), w.rng, runScope, n, a, s, b) {
-				eng.Bus().AddDisturbance(d)
-			}
-			if err := eng.RunRounds(resilienceFaultRound + 10); err != nil {
-				return false, err
-			}
-			return sim.AuditTheorem1(eng, w.col, resilienceObedient(n, s), 4, resilienceFaultRound+6) != nil, nil
-		})
-	if err != nil {
-		return 0, err
-	}
-	return countTrue(failed), nil
 }
 
 // wideBatchWorker is the reusable per-worker state of a batched wide
@@ -118,9 +87,13 @@ type wideBatchWorker struct {
 	rng *rng.Pool
 }
 
-// resilienceRunsWideBatched is the lane-packed path of resilienceRunsWide and
-// must stay draw-identical to its per-run body.
-func resilienceRunsWideBatched(scope string, n, a, s, b int, p Params, src *rng.Source, cfg sim.ClusterConfig) (int, error) {
+// resilienceRunsWide executes the Monte-Carlo campaign of one wide case as
+// lane-packed gangs and returns how many runs violated a Theorem 1 audit.
+// The schedule is fixed per case; per-run variation comes from the
+// malicious payload streams, named by the absolute run index. The cluster
+// carries no trace sink, so a traced sweep records nothing here.
+func resilienceRunsWide(n, a, s, b int, p Params, src *rng.Source) (int, error) {
+	scope, cfg := wideResilienceCase(n, a, s, b, src)
 	gang := core.BatchLanes(n)
 	obedient := resilienceObedient(n, s)
 	failed, err := campaign.RunBatchedWith(p.campaignOpts(), p.Runs, gang,

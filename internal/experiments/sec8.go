@@ -70,95 +70,31 @@ func renderCampaign(p Params, rows []CampaignRow) error {
 // (the add-on deployment with detection latency k-3).
 var prototypeLs = []int{2, 0, 3, 1}
 
-// diagWorker is the reusable per-worker state of a pooled diagnostic
+// run0Metrics returns a copy of sm that also appends the per-node penalty
+// trajectories of an n-node cluster — the instruments of run 0's node-1
+// observer (one observer, one run, as StepMetrics requires) — named under
+// the campaign class so series stay unique across the whole report.
+func run0Metrics(reg *metrics.Registry, sm *core.StepMetrics, class string, n int) *core.StepMetrics {
+	run0 := *sm
+	run0.PenaltySeries = make([]*metrics.Series, n+1)
+	for j := 1; j <= n; j++ {
+		run0.PenaltySeries[j] = reg.Series(fmt.Sprintf("%s/penalty/node%d", class, j), 256)
+	}
+	return &run0
+}
+
+// memWorker is the reusable per-worker state of a pooled membership
 // campaign: one cluster, one stream pool and one collector, reset/recycled
 // per repetition, plus the worker's telemetry instruments when the campaign
 // collects metrics (reg is nil otherwise and every metrics hook is a no-op).
-type diagWorker struct {
-	cl    *sim.DiagCluster
-	rng   *rng.Pool
-	col   *sim.Collector
-	reg   *metrics.Registry
-	sm    *core.StepMetrics // counter/gauge instruments, all runs
-	sm0   *core.StepMetrics // run-0 variant with penalty trajectories, lazy
-	sys   *sim.RunMetrics
-	class string // unique series-name prefix of this campaign class
-}
-
-func newDiagWorker(p Params, ws *metrics.WorkerSet, class string, src *rng.Source, cfg sim.ClusterConfig) func() (*diagWorker, error) {
-	return func() (*diagWorker, error) {
-		cfg.Sink = p.Trace
-		cl, err := sim.NewReusableDiagnosticCluster(cfg)
-		if err != nil {
-			return nil, err
-		}
-		w := &diagWorker{cl: cl, rng: src.NewPool(), col: sim.NewCollector(), class: class}
-		if reg := ws.Worker(); reg != nil {
-			w.reg = reg
-			w.sm = core.NewStepMetrics(reg)
-			w.sys = sim.NewRunMetrics(reg)
-		}
-		return w, nil
-	}
-}
-
-// begin readies the worker for repetition run. Recycling the streams is
-// safe here because the cluster reset has already dropped the disturbances
-// that could still hold one. With metrics on, every protocol gets the
-// worker's shared instruments (the lock-step engine steps them from one
-// goroutine); run 0's node-1 observer additionally records the penalty
-// trajectories — one observer, one run, as StepMetrics requires.
-func (w *diagWorker) begin(run int) (*sim.Engine, []*sim.DiagRunner) {
-	w.cl.Reset()
-	w.rng.Recycle()
-	w.col.Reset()
-	if w.sm != nil {
-		for id := 1; id < len(w.cl.Runners); id++ {
-			w.cl.Runners[id].Protocol().SetMetrics(w.sm)
-		}
-		if run == 0 {
-			w.cl.Runners[1].Protocol().SetMetrics(w.run0Metrics())
-		}
-	}
-	return w.cl.Eng, w.cl.Runners
-}
-
-// run0Metrics builds (once) the StepMetrics variant that also appends the
-// per-node penalty trajectories, named under the campaign class so series
-// stay unique across the whole report.
-func (w *diagWorker) run0Metrics() *core.StepMetrics {
-	if w.sm0 == nil {
-		sm := *w.sm
-		n := len(w.cl.Runners) - 1
-		sm.PenaltySeries = make([]*metrics.Series, n+1)
-		for j := 1; j <= n; j++ {
-			sm.PenaltySeries[j] = w.reg.Series(fmt.Sprintf("%s/penalty/node%d", w.class, j), 256)
-		}
-		w.sm0 = &sm
-	}
-	return w.sm0
-}
-
-// observe folds the completed repetition's system-level ground truth into
-// the worker's registry; a no-op with metrics off.
-func (w *diagWorker) observe(eng *sim.Engine) {
-	if w.sys == nil {
-		return
-	}
-	w.sys.ObserveTruth(eng)
-	w.sys.ObserveIsolationLatency(eng, w.col)
-}
-
-// memWorker is the membership counterpart of diagWorker.
 type memWorker struct {
 	cl    *sim.MembershipCluster
 	rng   *rng.Pool
 	col   *sim.Collector
 	reg   *metrics.Registry
 	sm    *core.StepMetrics
-	sm0   *core.StepMetrics
 	sys   *sim.RunMetrics
-	class string
+	class string // unique series-name prefix of this campaign class
 }
 
 func newMemWorker(p Params, ws *metrics.WorkerSet, class string, src *rng.Source, cfg sim.ClusterConfig) func() (*memWorker, error) {
@@ -178,6 +114,12 @@ func newMemWorker(p Params, ws *metrics.WorkerSet, class string, src *rng.Source
 	}
 }
 
+// begin readies the worker for repetition run. Recycling the streams is
+// safe here because the cluster reset has already dropped the disturbances
+// that could still hold one. With metrics on, every protocol gets the
+// worker's shared instruments (the lock-step engine steps them from one
+// goroutine), and run 0's node-1 observer also records the penalty
+// trajectories.
 func (w *memWorker) begin(run int) (*sim.Engine, []*sim.MembershipRunner) {
 	w.cl.Reset()
 	w.rng.Recycle()
@@ -187,27 +129,15 @@ func (w *memWorker) begin(run int) (*sim.Engine, []*sim.MembershipRunner) {
 			w.cl.Runners[id].Service().Protocol().SetMetrics(w.sm)
 		}
 		if run == 0 {
-			w.cl.Runners[1].Service().Protocol().SetMetrics(w.run0Metrics())
+			w.cl.Runners[1].Service().Protocol().SetMetrics(run0Metrics(w.reg, w.sm, w.class, len(w.cl.Runners)-1))
 		}
 	}
 	return w.cl.Eng, w.cl.Runners
 }
 
-func (w *memWorker) run0Metrics() *core.StepMetrics {
-	if w.sm0 == nil {
-		sm := *w.sm
-		n := len(w.cl.Runners) - 1
-		sm.PenaltySeries = make([]*metrics.Series, n+1)
-		for j := 1; j <= n; j++ {
-			sm.PenaltySeries[j] = w.reg.Series(fmt.Sprintf("%s/penalty/node%d", w.class, j), 256)
-		}
-		w.sm0 = &sm
-	}
-	return w.sm0
-}
-
-// observe additionally folds the membership view transitions, which only
-// exist on this worker kind.
+// observe folds the completed repetition's system-level ground truth and
+// membership view transitions into the worker's registry; a no-op with
+// metrics off.
 func (w *memWorker) observe(eng *sim.Engine, runners []*sim.MembershipRunner) {
 	if w.sys == nil {
 		return
@@ -240,61 +170,6 @@ func foldRow(class string, verdicts []runVerdict) CampaignRow {
 	return row
 }
 
-// BurstCampaign runs the twelve burst experiment classes: bursts of one
-// slot, two slots and two whole TDMA rounds, starting at each of the four
-// sending slots. Every repetition shifts the injection round, and every run
-// is audited for Theorem 1's correctness, completeness and consistency.
-//
-// Untraced, this campaign and PRCampaign and MaliciousCampaign run as
-// lane-packed gangs (sec8_batch.go); their per-run bodies below serve traced
-// campaigns and are the reference the gangs are tested against.
-func BurstCampaign(p Params) ([]CampaignRow, error) {
-	p = p.withDefaults()
-	if p.batched() {
-		return burstCampaignBatched(p)
-	}
-	src := rng.NewSource(p.Seed)
-	ws := p.workerSet()
-	var rows []CampaignRow
-	for _, slots := range []int{1, 2, 8} {
-		for startSlot := 1; startSlot <= 4; startSlot++ {
-			slots, startSlot := slots, startSlot
-			class := fmt.Sprintf("sec8-bursts/%d-from-%d", slots, startSlot)
-			verdicts, err := campaign.RunPooledWith(p.campaignOpts(), p.Runs,
-				newDiagWorker(p, ws, class, src, sim.ClusterConfig{Ls: prototypeLs}),
-				func(w *diagWorker, run int) (runVerdict, error) {
-					eng, runners := w.begin(run)
-					p.traceRun(class, run)
-					stream := w.rng.Stream(fmt.Sprintf("sec8-bursts/%d-from-%d/run-%d", slots, startSlot, run))
-					injectRound := 5 + stream.Intn(6)
-					col := w.col
-					for id := 1; id <= 4; id++ {
-						col.HookDiag(id, runners[id])
-					}
-					eng.Bus().AddDisturbance(fault.NewTrain(
-						fault.SlotBurst(eng.Schedule(), injectRound, startSlot, slots)))
-					if err := eng.RunRounds(injectRound + 10); err != nil {
-						return runVerdict{}, err
-					}
-					w.observe(eng)
-					if err := sim.AuditTheorem1(eng, col, []int{1, 2, 3, 4}, 4, injectRound+6); err != nil {
-						return runVerdict{failure: err.Error()}, nil
-					}
-					return runVerdict{pass: true}, nil
-				})
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, foldRow(
-				fmt.Sprintf("burst %d slot(s) from slot %d", slots, startSlot), verdicts))
-		}
-	}
-	if err := p.recordMetrics("sec8-bursts", ws); err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
 func runSec8Bursts(p Params) error {
 	rows, err := BurstCampaign(p)
 	if err != nil {
@@ -303,121 +178,12 @@ func runSec8Bursts(p Params) error {
 	return renderCampaign(p, rows)
 }
 
-// PRCampaign reproduces the p/r validation class: a fault in one node's
-// sending slot every second round for 20 rounds; either the penalty or the
-// reward counter must advance every round, identically at every node.
-func PRCampaign(p Params) ([]CampaignRow, error) {
-	p = p.withDefaults()
-	if p.batched() {
-		return prCampaignBatched(p)
-	}
-	src := rng.NewSource(p.Seed)
-	ws := p.workerSet()
-	verdicts, err := campaign.RunPooledWith(p.campaignOpts(), p.Runs,
-		newDiagWorker(p, ws, "sec8-pr", src, sim.ClusterConfig{
-			Ls: prototypeLs,
-			PR: core.PRConfig{PenaltyThreshold: 1 << 30, RewardThreshold: 100},
-		}),
-		func(w *diagWorker, run int) (runVerdict, error) {
-			eng, runners := w.begin(run)
-			p.traceRun("sec8-pr", run)
-			stream := w.rng.Stream(fmt.Sprintf("sec8-pr/run-%d", run))
-			startRound := 6 + stream.Intn(4)
-			target := 1 + stream.Intn(4)
-			var bursts []fault.Burst
-			for r := startRound; r < startRound+20; r += 2 {
-				bursts = append(bursts, fault.SlotBurst(eng.Schedule(), r, target, 1))
-			}
-			eng.Bus().AddDisturbance(fault.NewTrain(bursts...))
-			if err := eng.RunRounds(startRound + 30); err != nil {
-				return runVerdict{}, err
-			}
-			w.observe(eng)
-			v := runVerdict{pass: true}
-			for id := 1; id <= 4; id++ {
-				pr := runners[id].Protocol().PenaltyReward()
-				if pr.Penalty(target) != 10 {
-					if v.pass {
-						v = runVerdict{failure: fmt.Sprintf("node %d: penalty %d, want 10", id, pr.Penalty(target))}
-					}
-				}
-			}
-			return v, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	if err := p.recordMetrics("sec8-pr", ws); err != nil {
-		return nil, err
-	}
-	return []CampaignRow{foldRow("fault every 2nd round for 20 rounds", verdicts)}, nil
-}
-
 func runSec8PR(p Params) error {
 	rows, err := PRCampaign(p)
 	if err != nil {
 		return err
 	}
 	return renderCampaign(p, rows)
-}
-
-// MaliciousCampaign runs the four malicious-node classes: each node in turn
-// broadcasts random local syndromes; the obedient nodes must never diagnose
-// a correct node as faulty and must stay consistent.
-func MaliciousCampaign(p Params) ([]CampaignRow, error) {
-	p = p.withDefaults()
-	if p.batched() {
-		return maliciousCampaignBatched(p)
-	}
-	src := rng.NewSource(p.Seed)
-	ws := p.workerSet()
-	var rows []CampaignRow
-	for mal := 1; mal <= 4; mal++ {
-		mal := mal
-		class := fmt.Sprintf("sec8-malicious/node-%d", mal)
-		verdicts, err := campaign.RunPooledWith(p.campaignOpts(), p.Runs,
-			newDiagWorker(p, ws, class, src, sim.ClusterConfig{Ls: prototypeLs}),
-			func(w *diagWorker, run int) (runVerdict, error) {
-				eng, runners := w.begin(run)
-				p.traceRun(class, run)
-				col := w.col
-				for id := 1; id <= 4; id++ {
-					col.HookDiag(id, runners[id])
-				}
-				eng.Bus().AddDisturbance(fault.NewMaliciousSyndrome(
-					tdma.NodeID(mal), w.rng.Stream(fmt.Sprintf("mal-%d-%d", mal, run))))
-				if err := eng.RunRounds(24); err != nil {
-					return runVerdict{}, err
-				}
-				w.observe(eng)
-				var obedient []int
-				for id := 1; id <= 4; id++ {
-					if id != mal {
-						obedient = append(obedient, id)
-					}
-				}
-				err := sim.AuditTheorem1(eng, col, obedient, 4, 20)
-				if err == nil {
-					for d := 4; d < 20 && err == nil; d++ {
-						if hv := col.ConsHV[d][obedient[0]]; hv.CountFaulty(4) != 0 {
-							err = fmt.Errorf("round %d: conviction %s", d, hv.String(4))
-						}
-					}
-				}
-				if err != nil {
-					return runVerdict{failure: err.Error()}, nil
-				}
-				return runVerdict{pass: true}, nil
-			})
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, foldRow(fmt.Sprintf("malicious node %d", mal), verdicts))
-	}
-	if err := p.recordMetrics("sec8-malicious", ws); err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 func runSec8Malicious(p Params) error {

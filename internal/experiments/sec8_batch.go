@@ -1,11 +1,13 @@
-// Lane-packed batched execution of the Sec. 8 campaigns, the path every
-// untraced campaign takes: gangs of ⌊64/N⌋ = 16 repetitions advance together
-// through one sim.BatchDiagCluster. Each campaign function here is the
-// batched twin of its per-run counterpart in sec8.go and must stay
-// draw-identical to it: same named rng streams per absolute run index, same
-// disturbances, same horizons, same audits. The per-run path serves traced
-// campaigns and is the executable reference: TestBatchedCampaignEquivalence
-// pins the rendered rows and metrics byte-exact against it.
+// Lane-packed execution of the Sec. 8 diagnostic campaigns (bursts, p/r,
+// malicious): gangs of ⌊64/N⌋ = 16 repetitions advance together through one
+// sim.BatchDiagCluster, traced or not. Every repetition draws from named rng
+// streams keyed by its absolute run index, so the result does not depend on
+// which lane or gang runs it. A traced gang flushes each lane's recording
+// after the lane's run-boundary note, in run order, so the stream is what a
+// per-run execution records. The per-run bodies are the test oracle:
+// TestBatchedCampaignEquivalence pins the rendered rows and metrics, and
+// TestTracedCampaignEquivalence the JSONL trace, byte-exact against them.
+// sec8-clique stays per-run (sec8.go) because it runs in membership mode.
 package experiments
 
 import (
@@ -29,10 +31,9 @@ type batchDiagWorker struct {
 	rng     *rng.Pool
 	reg     *metrics.Registry
 	sm      *core.StepMetrics
-	sm0     *core.StepMetrics
 	sys     *sim.RunMetrics
-	class   string
-	scratch []int // per-gang per-lane parameter stash
+	class   string // series-name prefix and trace note of this campaign class
+	scratch []int  // per-gang per-lane parameter stash
 
 	// Lane-occupancy instruments (batched path only): how full the 64-bit
 	// planes ran. lanes/gangs are totals; occupancy is the high watermark
@@ -42,8 +43,9 @@ type batchDiagWorker struct {
 	occupancy *metrics.Gauge
 }
 
-func newBatchDiagWorker(ws *metrics.WorkerSet, class string, src *rng.Source, cfg sim.ClusterConfig) func() (*batchDiagWorker, error) {
+func newBatchDiagWorker(p Params, ws *metrics.WorkerSet, class string, src *rng.Source, cfg sim.ClusterConfig) func() (*batchDiagWorker, error) {
 	return func() (*batchDiagWorker, error) {
+		cfg.Sink = p.Trace
 		cl, err := sim.NewBatchDiagCluster(cfg)
 		if err != nil {
 			return nil, err
@@ -64,7 +66,7 @@ func newBatchDiagWorker(ws *metrics.WorkerSet, class string, src *rng.Source, cf
 // begin readies the worker for the gang covering runs base..base+width-1.
 // With metrics on, every node's protocol carries the worker's shared
 // instruments in every live lane; the lane of run 0 additionally records
-// the penalty trajectories on node 1, exactly like the per-run path.
+// the penalty trajectories on node 1.
 func (w *batchDiagWorker) begin(base, width int) error {
 	if err := w.cl.ResetBatch(width); err != nil {
 		return err
@@ -79,7 +81,7 @@ func (w *batchDiagWorker) begin(base, width int) error {
 			}
 		}
 		if base == 0 {
-			w.cl.Proto(1).SetLaneMetrics(0, w.run0Metrics())
+			w.cl.Proto(1).SetLaneMetrics(0, run0Metrics(w.reg, w.sm, w.class, n))
 		}
 	}
 	w.lanes.Add(int64(width))
@@ -89,19 +91,20 @@ func (w *batchDiagWorker) begin(base, width int) error {
 	return nil
 }
 
-// run0Metrics builds (once) the StepMetrics variant that also appends the
-// per-node penalty trajectories (see diagWorker.run0Metrics).
-func (w *batchDiagWorker) run0Metrics() *core.StepMetrics {
-	if w.sm0 == nil {
-		sm := *w.sm
-		n := w.cl.Config().N
-		sm.PenaltySeries = make([]*metrics.Series, n+1)
-		for j := 1; j <= n; j++ {
-			sm.PenaltySeries[j] = w.reg.Series(fmt.Sprintf("%s/penalty/node%d", w.class, j), 256)
-		}
-		w.sm0 = &sm
+// run executes the gang of runs base..base+width-1 and, when the campaign
+// is traced, writes each lane's recording to the sink in run order, after
+// the run's boundary note.
+func (w *batchDiagWorker) run(p Params, base, width int) error {
+	if err := w.cl.Run(); err != nil {
+		return err
 	}
-	return w.sm0
+	if p.Trace != nil {
+		for lane := 0; lane < width; lane++ {
+			p.traceRun(w.class, base+lane)
+			w.cl.FlushLaneTrace(lane)
+		}
+	}
+	return nil
 }
 
 // observeLane folds one completed lane's system-level ground truth into the
@@ -114,8 +117,12 @@ func (w *batchDiagWorker) observeLane(lane int) {
 	w.sys.ObserveIsolationLatency(w.cl.LaneTruth(lane), w.cl.LaneCollector(lane))
 }
 
-// burstCampaignBatched is the lane-packed twin of BurstCampaign.
-func burstCampaignBatched(p Params) ([]CampaignRow, error) {
+// BurstCampaign runs the twelve burst experiment classes: bursts of one
+// slot, two slots and two whole TDMA rounds, starting at each of the four
+// sending slots. Every repetition shifts the injection round, and every run
+// is audited for Theorem 1's correctness, completeness and consistency.
+func BurstCampaign(p Params) ([]CampaignRow, error) {
+	p = p.withDefaults()
 	src := rng.NewSource(p.Seed)
 	ws := p.workerSet()
 	gang := core.BatchLanes(4)
@@ -125,7 +132,7 @@ func burstCampaignBatched(p Params) ([]CampaignRow, error) {
 			slots, startSlot := slots, startSlot
 			class := fmt.Sprintf("sec8-bursts/%d-from-%d", slots, startSlot)
 			verdicts, err := campaign.RunBatchedWith(p.campaignOpts(), p.Runs, gang,
-				newBatchDiagWorker(ws, class, src, sim.ClusterConfig{Ls: prototypeLs}),
+				newBatchDiagWorker(p, ws, class, src, sim.ClusterConfig{Ls: prototypeLs}),
 				func(w *batchDiagWorker, base, width int, out []runVerdict) error {
 					if err := w.begin(base, width); err != nil {
 						return err
@@ -139,7 +146,7 @@ func burstCampaignBatched(p Params) ([]CampaignRow, error) {
 						w.cl.SetLaneHorizon(lane, injectRound+10)
 						w.scratch = append(w.scratch, injectRound)
 					}
-					if err := w.cl.Run(); err != nil {
+					if err := w.run(p, base, width); err != nil {
 						return err
 					}
 					for lane := 0; lane < width; lane++ {
@@ -167,16 +174,19 @@ func burstCampaignBatched(p Params) ([]CampaignRow, error) {
 	return rows, nil
 }
 
-// prCampaignBatched is the lane-packed twin of PRCampaign. The final
-// penalty counters a per-run repetition ends with are read from the
-// cluster's at-horizon capture, since longer lanes of the gang keep
-// stepping past this lane's horizon.
-func prCampaignBatched(p Params) ([]CampaignRow, error) {
+// PRCampaign reproduces the p/r validation class: a fault in one node's
+// sending slot every second round for 20 rounds; either the penalty or the
+// reward counter must advance every round, identically at every node. The
+// final penalty counters a repetition ends with are read from the cluster's
+// at-horizon capture, since longer lanes of the gang keep stepping past
+// this lane's horizon.
+func PRCampaign(p Params) ([]CampaignRow, error) {
+	p = p.withDefaults()
 	src := rng.NewSource(p.Seed)
 	ws := p.workerSet()
 	gang := core.BatchLanes(4)
 	verdicts, err := campaign.RunBatchedWith(p.campaignOpts(), p.Runs, gang,
-		newBatchDiagWorker(ws, "sec8-pr", src, sim.ClusterConfig{
+		newBatchDiagWorker(p, ws, "sec8-pr", src, sim.ClusterConfig{
 			Ls: prototypeLs,
 			PR: core.PRConfig{PenaltyThreshold: 1 << 30, RewardThreshold: 100},
 		}),
@@ -197,7 +207,7 @@ func prCampaignBatched(p Params) ([]CampaignRow, error) {
 				w.cl.SetLaneHorizon(lane, startRound+30)
 				w.scratch = append(w.scratch, target)
 			}
-			if err := w.cl.Run(); err != nil {
+			if err := w.run(p, base, width); err != nil {
 				return err
 			}
 			for lane := 0; lane < width; lane++ {
@@ -223,10 +233,13 @@ func prCampaignBatched(p Params) ([]CampaignRow, error) {
 	return []CampaignRow{foldRow("fault every 2nd round for 20 rounds", verdicts)}, nil
 }
 
-// maliciousCampaignBatched is the lane-packed twin of MaliciousCampaign
-// (fault.MaliciousSyndrome is receiver-uniform: every receiver observes the
-// same corrupted syndrome, drawn once per round and slot).
-func maliciousCampaignBatched(p Params) ([]CampaignRow, error) {
+// MaliciousCampaign runs the four malicious-node classes: each node in turn
+// broadcasts random local syndromes; the obedient nodes must never diagnose
+// a correct node as faulty and must stay consistent. fault.MaliciousSyndrome
+// is receiver-uniform (every receiver observes the same corrupted syndrome,
+// drawn once per round and slot), so it runs on the shared lane planes.
+func MaliciousCampaign(p Params) ([]CampaignRow, error) {
+	p = p.withDefaults()
 	src := rng.NewSource(p.Seed)
 	ws := p.workerSet()
 	gang := core.BatchLanes(4)
@@ -241,7 +254,7 @@ func maliciousCampaignBatched(p Params) ([]CampaignRow, error) {
 			}
 		}
 		verdicts, err := campaign.RunBatchedWith(p.campaignOpts(), p.Runs, gang,
-			newBatchDiagWorker(ws, class, src, sim.ClusterConfig{Ls: prototypeLs}),
+			newBatchDiagWorker(p, ws, class, src, sim.ClusterConfig{Ls: prototypeLs}),
 			func(w *batchDiagWorker, base, width int, out []runVerdict) error {
 				if err := w.begin(base, width); err != nil {
 					return err
@@ -251,7 +264,7 @@ func maliciousCampaignBatched(p Params) ([]CampaignRow, error) {
 						tdma.NodeID(mal), w.rng.Stream(fmt.Sprintf("mal-%d-%d", mal, base+lane))))
 					w.cl.SetLaneHorizon(lane, 24)
 				}
-				if err := w.cl.Run(); err != nil {
+				if err := w.run(p, base, width); err != nil {
 					return err
 				}
 				for lane := 0; lane < width; lane++ {

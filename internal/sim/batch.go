@@ -8,8 +8,8 @@
 //
 // The batched front end is an executable optimisation of the lock-step
 // Engine, not a replacement: its observable outputs — collector contents,
-// ground-truth rows, penalty counters, telemetry — are pinned byte-exact to
-// G per-run Engine executions by TestBatchClusterEquivalence.
+// ground-truth rows, penalty counters, telemetry, trace events — are pinned
+// byte-exact to G per-run Engine executions by TestBatchClusterEquivalence.
 package sim
 
 import (
@@ -18,6 +18,7 @@ import (
 
 	"ttdiag/internal/core"
 	"ttdiag/internal/tdma"
+	"ttdiag/internal/trace"
 )
 
 // collRing is the depth of the per-node collision-verdict ring, mirroring
@@ -100,6 +101,13 @@ type BatchDiagCluster struct {
 	payload []byte // EncodedLen(N) transmission scratch
 	tx      tdma.Transmission
 
+	// With a trace sink (cfg.Sink), events[r] buffers lane r's flight
+	// recording — the engine's job and transmit events plus node 1's causal
+	// stream through traces[r] — until FlushLaneTrace; both are nil
+	// otherwise.
+	events []trace.Recorder
+	traces []*core.StepTrace
+
 	// OnOutput, when set, observes every diagnostic job's gang output
 	// (node id, all lanes), after the lane collectors recorded it. It is
 	// the lane-packed counterpart of DiagRunner.OnOutput and survives
@@ -109,9 +117,11 @@ type BatchDiagCluster struct {
 
 // NewBatchDiagCluster builds a lane-packed diagnostic cluster with capacity
 // for BatchLanes(N) repetitions per gang. The configuration space matches
-// NewReusableDiagnosticCluster except that Mode is forced to diagnostic and
-// trace sinks are not supported (tracing campaigns use the per-run engine).
-// The configuration stays caller-owned: its slot layout is copied.
+// NewReusableDiagnosticCluster except that Mode is forced to diagnostic. A
+// trace sink gives every lane its own event buffer, which records what the
+// per-run engine would for that repetition, in the same order, and reaches
+// the sink only through FlushLaneTrace. The configuration stays
+// caller-owned: its slot layout is copied.
 //
 //ttdiag:noretain params
 func NewBatchDiagCluster(cfg ClusterConfig) (*BatchDiagCluster, error) {
@@ -120,9 +130,6 @@ func NewBatchDiagCluster(cfg ClusterConfig) (*BatchDiagCluster, error) {
 		return nil, err
 	}
 	norm.Mode = core.ModeDiagnostic
-	if norm.Sink != nil {
-		return nil, fmt.Errorf("sim: batched cluster does not support trace sinks")
-	}
 	norm.Ls = append([]int(nil), norm.Ls...)
 	maxLanes := core.BatchLanes(norm.N)
 	if maxLanes < 1 {
@@ -179,6 +186,13 @@ func NewBatchDiagCluster(cfg ClusterConfig) (*BatchDiagCluster, error) {
 		c.cols[r] = NewCollector()
 		c.finalPen[r] = make([]int64, (norm.N+1)*(norm.N+1))
 	}
+	if norm.Sink != nil {
+		c.events = make([]trace.Recorder, maxLanes)
+		c.traces = make([]*core.StepTrace, maxLanes)
+		for r := range c.traces {
+			c.traces[r] = core.NewStepTrace(&c.events[r])
+		}
+	}
 	c.ResetBatch(maxLanes)
 	return c, nil
 }
@@ -201,8 +215,10 @@ func (c *BatchDiagCluster) Proto(id int) *core.BatchProtocol { return c.protos[i
 
 // ResetBatch rewinds the cluster for the next gang of `lanes` repetitions
 // (a ragged final gang shrinks the lane count): protocols restart their
-// warm-up, disturbances and horizons are dropped, collectors and ground
-// truth are emptied and the bootstrap all-healthy outboxes are re-staged.
+// warm-up, disturbances and horizons are dropped, collectors, ground truth
+// and trace buffers are emptied, the live lanes' flight recorders are
+// re-attached to node 1, and the bootstrap all-healthy outboxes are
+// re-staged.
 func (c *BatchDiagCluster) ResetBatch(lanes int) error {
 	if lanes < 1 || lanes > c.max {
 		return fmt.Errorf("sim: gang of %d lanes outside 1..%d", lanes, c.max)
@@ -234,6 +250,14 @@ func (c *BatchDiagCluster) ResetBatch(lanes int) error {
 		c.horizon[r] = 0
 		c.truth[r] = c.truth[r][:0]
 		c.cols[r].Reset()
+	}
+	if c.traces != nil {
+		// Node 1 carries the causal flight recorder, as on the per-run
+		// engine (see ClusterConfig.Sink).
+		for r := 0; r < lanes; r++ {
+			c.events[r].Reset()
+			c.protos[1].SetLaneTrace(r, c.traces[r])
+		}
 	}
 	return nil
 }
@@ -280,6 +304,20 @@ func (c *BatchDiagCluster) LaneFinalPenalty(lane, observer, j int) int64 {
 	return c.finalPen[lane][observer*(c.n+1)+j]
 }
 
+// FlushLaneTrace writes one lane's buffered trace events to the cluster's
+// sink, in record order, and clears the buffer; a no-op without a sink.
+// Campaigns flush the lanes of a completed gang in run order, each after
+// its run-boundary note.
+func (c *BatchDiagCluster) FlushLaneTrace(lane int) {
+	if c.events == nil {
+		return
+	}
+	for _, e := range c.events[lane].Events() {
+		c.cfg.Sink.Record(e)
+	}
+	c.events[lane].Reset()
+}
+
 // laneTruth adapts one lane's recorded rows to the TruthSource interface.
 type laneTruth struct {
 	c    *BatchDiagCluster
@@ -312,10 +350,14 @@ func (c *BatchDiagCluster) Run() error {
 		for r := 0; r < c.lanes; r++ {
 			if c.horizon[r] == k {
 				// The lane's repetition ended last round: detach its
-				// telemetry so rounds past the horizon emit nothing,
-				// exactly like a per-run repetition that has stopped.
+				// telemetry and flight recorder so rounds past the horizon
+				// emit nothing, exactly like a per-run repetition that has
+				// stopped.
 				for id := 1; id <= c.n; id++ {
 					c.protos[id].SetLaneMetrics(r, nil)
+				}
+				if c.traces != nil {
+					c.protos[1].SetLaneTrace(r, nil)
 				}
 			}
 			if k < c.horizon[r] {
@@ -363,6 +405,14 @@ func (c *BatchDiagCluster) runRound(k int) error {
 
 // runJob executes node id's diagnostic job for every lane at once.
 func (c *BatchDiagCluster) runJob(k, id int) error {
+	if c.events != nil {
+		at := jobTime(c.sched, k, c.cfg.Ls[id-1])
+		for r := 0; r < c.lanes; r++ {
+			if k < c.horizon[r] {
+				c.events[r].Record(trace.Event{At: at, Round: k, Kind: trace.KindJobRun, Node: id})
+			}
+		}
+	}
 	present := c.presentB &^ (c.ign[id] | c.ownClear[id] | c.blind[id])
 	var collF uint64
 	if d := k - c.lag[id]; d >= 0 {
@@ -475,6 +525,11 @@ func (c *BatchDiagCluster) transmitSlot(k, s int) {
 				class = tdma.OutcomeMalicious
 			}
 			c.truth[r][k*(n+1)+s] = class
+			if c.events != nil {
+				c.events[r].Record(trace.Event{
+					At: start, Round: k, Kind: trace.KindTransmit, Node: s, Detail: class.String(),
+				})
+			}
 		}
 	}
 	c.presentB = (c.presentB &^ (c.laneRep << col)) | expandColumn(validLanes, col, n)

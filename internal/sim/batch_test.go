@@ -11,6 +11,7 @@ import (
 	"ttdiag/internal/metrics"
 	"ttdiag/internal/rng"
 	"ttdiag/internal/tdma"
+	"ttdiag/internal/trace"
 )
 
 // batchScenario parameterises one lane/run of the batch-vs-engine
@@ -182,11 +183,13 @@ func wideLs(n int) []int {
 }
 
 // runBatchReference executes one repetition on the per-run lock-step engine
-// and returns its observables: collector, truth rows, final penalties and
-// the telemetry snapshot.
-func runBatchReference(t *testing.T, sc batchScenario, run int) (*Collector, [][]tdma.OutcomeClass, [][]int64, []byte) {
+// and returns its observables: collector, truth rows, final penalties, the
+// telemetry snapshot and the trace events.
+func runBatchReference(t *testing.T, sc batchScenario, run int) (*Collector, [][]tdma.OutcomeClass, [][]int64, []byte, []trace.Event) {
 	t.Helper()
 	cfg := sc.cfg
+	var rec trace.Recorder
+	cfg.Sink = &rec
 	cl, err := NewReusableDiagnosticCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -220,19 +223,23 @@ func runBatchReference(t *testing.T, sc batchScenario, run int) (*Collector, [][
 	if err != nil {
 		t.Fatal(err)
 	}
-	return col, truth, pen, snap
+	return col, truth, pen, snap, rec.Events()
 }
 
 // TestBatchClusterEquivalence pins the lane-packed batched cluster to the
 // lock-step per-run engine: for every scenario and gang width (full,
 // ragged, single-lane), lane r of the gang must leave behind exactly the
 // observables of per-run repetition r — collector records, ground-truth
-// rows, final penalty counters and telemetry snapshots.
+// rows, final penalty counters, telemetry snapshots and the flushed trace
+// events, node 1's causal stream included.
 func TestBatchClusterEquivalence(t *testing.T) {
 	for _, sc := range batchScenarios() {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			bc, err := NewBatchDiagCluster(sc.cfg)
+			var sink trace.Recorder
+			cfg := sc.cfg
+			cfg.Sink = &sink
+			bc, err := NewBatchDiagCluster(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -258,7 +265,12 @@ func TestBatchClusterEquivalence(t *testing.T) {
 						t.Fatal(err)
 					}
 					for lane := 0; lane < width; lane++ {
-						refCol, refTruth, refPen, refSnap := runBatchReference(t, sc, lane)
+						refCol, refTruth, refPen, refSnap, refEvents := runBatchReference(t, sc, lane)
+						sink.Reset()
+						bc.FlushLaneTrace(lane)
+						if i := trace.FirstDivergence(sink.Events(), refEvents); i >= 0 {
+							t.Fatalf("lane %d trace diverges at event %d (engine recorded %d)", lane, i, len(refEvents))
+						}
 						lt := bc.LaneTruth(lane)
 						if lt.Round() != len(refTruth) {
 							t.Fatalf("lane %d: %d recorded rounds, engine executed %d", lane, lt.Round(), len(refTruth))

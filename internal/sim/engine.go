@@ -171,11 +171,15 @@ func (e *Engine) Controller(id tdma.NodeID) *tdma.Controller {
 
 // JobTime returns the simulated time at which the job of a node with
 // position l executes in the given round (right after slot l completes).
-func (e *Engine) JobTime(round, l int) time.Duration {
+func (e *Engine) JobTime(round, l int) time.Duration { return jobTime(e.sched, round, l) }
+
+// jobTime is JobTime over a schedule, shared with the lane-packed cluster's
+// flight recorder.
+func jobTime(sched *tdma.Schedule, round, l int) time.Duration {
 	if l <= 0 {
-		return e.sched.RoundStart(round)
+		return sched.RoundStart(round)
 	}
-	_, end := e.sched.SlotWindow(round, l)
+	_, end := sched.SlotWindow(round, l)
 	return end
 }
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # bench.sh runs the campaign engine and protocol hot-path benchmarks (plus
-# the wide scale-resilience repetition, per-run vs lane-packed) and records
+# the wide scale-resilience repetition on one-lane gangs) and records
 # every sample in BENCH_campaign.json, plus the packed voting-kernel
 # microbenchmarks in BENCH_core.json, the telemetry-layer benchmarks
 # (instrument costs, Step with metrics on/off, the gang StepBatch with
@@ -43,8 +43,8 @@ END { print "\n]" }
 '
 }
 
-# BenchmarkWideResilienceRun pairs the per-run engine with one-lane gangs on
-# the N = 64 asymmetric scale-resilience case.
+# BenchmarkWideResilienceRun times one-lane gangs on the N = 64 asymmetric
+# scale-resilience case.
 go test -run '^$' \
     -bench 'BenchmarkSec8BurstCampaign|BenchmarkProtocolStep|BenchmarkEngineRound|BenchmarkWideResilienceRun' \
     -benchmem -count="$COUNT" . ./internal/experiments/ | tee "$raw"

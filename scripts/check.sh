@@ -72,7 +72,7 @@ step "go test -race -cpu=1,4 (cluster reuse equivalence)" \
 step "go test -race -cpu=1,4 (protocol vs reference)" \
     scripts/gotest.sh -race -cpu=1,4 ./internal/core/ -run 'TestPackedScalarStepEquivalence|TestPackedScalarTraceEquivalence'
 step "go test -race -cpu=1,4 (batched campaign determinism)" \
-    scripts/gotest.sh -race -cpu=1,4 ./internal/experiments/ -run 'TestBatchedWorkerCountInvariance|TestBatchedCampaignEquivalence|TestScaleResilienceBatchedEquivalence'
+    scripts/gotest.sh -race -cpu=1,4 ./internal/experiments/ -run 'TestBatchedWorkerCountInvariance|TestBatchedCampaignEquivalence|TestTracedCampaignEquivalence|TestScaleResilienceBatchedEquivalence|TestScaleResilienceProgress'
 step "go test -race -cpu=1,4 (fleet determinism)" check_fleet_determinism
 step "go test -race -cpu=1,4 (checkpoint + splitting determinism)" check_checkpoint_determinism
 step "go test (allocation ceilings)" \
