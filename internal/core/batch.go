@@ -289,6 +289,28 @@ func (p *BatchProtocol) Reset(lanes int) {
 	p.resyncTraces()
 }
 
+// ResetConfig is Reset with a configuration swap at the current gang
+// width: it revalidates cfg and restarts every lane under it. The node
+// count is fixed at construction time (the buffers are sized for it);
+// changing N requires a new instance.
+func (p *BatchProtocol) ResetConfig(cfg Config) error {
+	if cfg.Mode == 0 {
+		cfg.Mode = ModeDiagnostic
+	}
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if cfg.N != p.n {
+		return fmt.Errorf("core: node %d: ResetConfig cannot change N from %d to %d", p.cfg.ID, p.n, cfg.N)
+	}
+	if err := p.pr.ResetConfig(cfg.PR); err != nil {
+		return err
+	}
+	p.cfg = cfg
+	p.Reset(p.lanes)
+	return nil
+}
+
 // ownRowB returns the lane-packed syndromes this node physically transmitted
 // in the previous round: the last written payload when the node's job runs
 // before its sending slot, and the one before that otherwise (the write of

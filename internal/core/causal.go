@@ -52,10 +52,10 @@ func NewStepTrace(sink trace.Sink) *StepTrace {
 
 // SetTrace attaches (or, with nil, detaches) the protocol's causal flight
 // recorder: SetLaneTrace on the one-lane kernel. The attachment survives
-// Reset and ResetConfig so reusable campaign clusters keep emitting across
-// repetitions. Events are recorded from whichever goroutine calls Step, so
-// in concurrent runtimes the sink must be safe for concurrent use
-// (trace.Recorder and trace.JSONLWriter are).
+// Reset so reusable campaign clusters keep emitting across repetitions.
+// Events are recorded from whichever goroutine calls Step, so in concurrent
+// runtimes the sink must be safe for concurrent use (trace.Recorder and
+// trace.JSONLWriter are).
 func (p *Protocol) SetTrace(t *StepTrace) { p.b.SetLaneTrace(0, t) }
 
 // SetLaneTrace attaches (or, with nil, detaches) lane `lane`'s causal flight

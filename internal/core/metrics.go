@@ -64,8 +64,8 @@ func NewStepMetrics(reg *metrics.Registry) *StepMetrics {
 }
 
 // SetMetrics attaches (or, with nil, detaches) the protocol's telemetry.
-// The attachment survives Reset and ResetConfig so reusable campaign
-// clusters keep accumulating across repetitions; pass nil to stop emitting.
+// The attachment survives Reset so reusable campaign clusters keep
+// accumulating across repetitions; pass nil to stop emitting.
 // The instruments are updated from whichever goroutine calls Step, so in
 // concurrent runtimes each protocol needs instruments from its own
 // registry, merged after the run (see internal/metrics).

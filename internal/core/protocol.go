@@ -244,28 +244,6 @@ func (p *Protocol) Reset() {
 	p.warm = false
 }
 
-// ResetConfig is Reset with a configuration swap: it revalidates cfg and
-// restarts the protocol under it. The node count is fixed at construction
-// time (the internal buffers are sized for it); changing N requires a new
-// instance.
-func (p *Protocol) ResetConfig(cfg Config) error {
-	if cfg.Mode == 0 {
-		cfg.Mode = ModeDiagnostic
-	}
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	if cfg.N != p.b.n {
-		return fmt.Errorf("core: node %d: ResetConfig cannot change N from %d to %d", p.b.cfg.ID, p.b.n, cfg.N)
-	}
-	if err := p.b.pr.ResetConfig(cfg.PR); err != nil {
-		return err
-	}
-	p.b.cfg = cfg
-	p.Reset()
-	return nil
-}
-
 // Config returns the protocol's configuration.
 func (p *Protocol) Config() Config { return p.b.cfg }
 

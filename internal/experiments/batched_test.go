@@ -15,7 +15,7 @@ import (
 )
 
 // batchedIDs are the campaigns with a lane-packed batched twin.
-var batchedIDs = []string{"sec8-bursts", "sec8-pr", "sec8-malicious"}
+var batchedIDs = []string{"sec8-bursts", "sec8-pr", "sec8-malicious", "sec8-clique"}
 
 // runCampaign renders one experiment and collects its metrics report.
 func runCampaign(t *testing.T, id string, p Params) (string, metrics.Snapshot) {
@@ -147,37 +147,48 @@ func TestTracedCampaignEquivalence(t *testing.T) {
 	}
 }
 
-// TestScaleResilienceBatchedEquivalence pins the wide scale-resilience rows
-// (N = 32 and N = 64, see scale_wide.go): every wide case, the asymmetric
-// a = 1 ones included, counts the same Theorem 1 violations on lane-packed
-// gangs (N = 32 gangs two repetitions per word, N = 64 runs one-lane gangs)
-// as its per-run oracle.
+// TestScaleResilienceBatchedEquivalence pins every scale-resilience row
+// against its per-run oracle: each case of the sweep, the asymmetric a = 1
+// ones included, and the out-of-bound N = 4, s = 2 row counts the same
+// Theorem 1 violations on gangs — one-lane gangs re-pinned per run for
+// N <= 16, N = 32 gangs two repetitions per word, N = 64 one-lane gangs —
+// as one lock-step engine per repetition.
 func TestScaleResilienceBatchedEquivalence(t *testing.T) {
+	type scaleCase struct{ n, a, s, b int }
+	var cases []scaleCase
+	for _, n := range []int{4, 6, 8, 12, 16, 32, 64} {
+		for _, c := range resilienceCases(n) {
+			cases = append(cases, scaleCase{n, c[0], c[1], c[2]})
+		}
+	}
+	cases = append(cases, scaleCase{4, 0, 2, 0})
+	violated := false
 	for _, runs := range []int{3, 5} {
 		p := Params{Seed: 7, Runs: runs, Workers: 1}
-		for _, n := range []int{32, 64} {
-			for _, c := range resilienceCases(n) {
-				a, s, b := c[0], c[1], c[2]
-				name := fmt.Sprintf("runs=%d N=%d a=%d s=%d b=%d", runs, n, a, s, b)
-				want, err := resilienceRunsWidePerRun(n, a, s, b, p, rng.NewSource(p.Seed))
-				if err != nil {
-					t.Fatalf("%s: per-run: %v", name, err)
-				}
-				got, err := resilienceRunsWide(n, a, s, b, p, rng.NewSource(p.Seed))
-				if err != nil {
-					t.Fatalf("%s: batched: %v", name, err)
-				}
-				if got != want {
-					t.Fatalf("%s: %d violations lane-packed, %d per-run", name, got, want)
-				}
+		for _, c := range cases {
+			name := fmt.Sprintf("runs=%d N=%d a=%d s=%d b=%d", runs, c.n, c.a, c.s, c.b)
+			want, err := resilienceRunsPerRun(c.n, c.a, c.s, c.b, p, rng.NewSource(p.Seed))
+			if err != nil {
+				t.Fatalf("%s: per-run: %v", name, err)
 			}
+			got, err := resilienceRuns(c.n, c.a, c.s, c.b, p, rng.NewSource(p.Seed))
+			if err != nil {
+				t.Fatalf("%s: batched: %v", name, err)
+			}
+			if got != want {
+				t.Fatalf("%s: %d violations lane-packed, %d per-run", name, got, want)
+			}
+			violated = violated || got > 0
 		}
+	}
+	if !violated {
+		t.Fatal("no case violated an audit; the out-of-bound row should")
 	}
 }
 
 // TestScaleResilienceProgress: Params.Progress observes every repetition of
-// the sweep — the per-run N <= 16 and bound-violation rows as well as the
-// lane-packed wide ones — so 29 rows report 29 × Runs completions.
+// the sweep — the one-lane N <= 16 and bound-violation rows as well as the
+// wider gangs — so 29 rows report 29 × Runs completions.
 func TestScaleResilienceProgress(t *testing.T) {
 	const runs, rows = 2, 29
 	var done atomic.Int64

@@ -15,7 +15,7 @@ func BenchmarkWideResilienceRun(b *testing.B) {
 	b.Run("batched_n64_a1_s30", func(b *testing.B) {
 		b.ReportAllocs()
 		p := Params{Runs: b.N, Workers: 1}
-		violations, err := resilienceRunsWide(64, 1, 30, 0, p, rng.NewSource(1))
+		violations, err := resilienceRuns(64, 1, 30, 0, p, rng.NewSource(1))
 		if err != nil {
 			b.Fatal(err)
 		}

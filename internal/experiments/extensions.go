@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"time"
 
-	"ttdiag/internal/campaign"
 	"ttdiag/internal/core"
 	"ttdiag/internal/fault"
 	"ttdiag/internal/platform"
@@ -94,28 +93,15 @@ func runScaleResilience(p Params) error {
 	t.row("N", "a", "s", "b", "bound holds", "runs", "violations")
 	t.rule(7)
 	src := rng.NewSource(p.Seed)
-	for _, n := range []int{4, 6, 8, 12, 16} {
+	// N = 32 and N = 64 reach past the experiment's original N <= 16 cap,
+	// every node still on the packed fast path (see scale_wide.go).
+	for _, n := range []int{4, 6, 8, 12, 16, 32, 64} {
 		for _, c := range resilienceCases(n) {
 			a, s, b := c[0], c[1], c[2]
 			if a < 0 || s < 0 || b < 0 || !(n > 2*a+2*s+b+1) {
 				continue
 			}
 			violations, err := resilienceRuns(n, a, s, b, p, src)
-			if err != nil {
-				return err
-			}
-			t.row(strconv.Itoa(n), strconv.Itoa(a), strconv.Itoa(s), strconv.Itoa(b),
-				"yes", strconv.Itoa(p.Runs), strconv.Itoa(violations))
-		}
-	}
-	// Past the original N <= 16 cap: the same fault-mix cases at N = 32 and
-	// N = 64 — every node still on the packed fast path — with one fixed
-	// schedule per case, shared by the whole lane-packed gang (see
-	// scale_wide.go).
-	for _, n := range []int{32, 64} {
-		for _, c := range resilienceCases(n) {
-			a, s, b := c[0], c[1], c[2]
-			violations, err := resilienceRunsWide(n, a, s, b, p, src)
 			if err != nil {
 				return err
 			}
@@ -139,8 +125,8 @@ func runScaleResilience(p Params) error {
 
 // resilienceCases lists the scale-resilience fault mixes (a, s, b) of an
 // n-node cluster: the largest tolerable counts of s alone and b alone, and
-// two mixes with one asymmetric fault. Narrow clusters skip the mixes
-// outside the N > 2a+2s+b+1 bound.
+// two mixes with one asymmetric fault. The sweep skips any mix outside the
+// N > 2a+2s+b+1 bound.
 func resilienceCases(n int) [][3]int {
 	sMax := (n - 2) / 2
 	bMax := n - 2
@@ -150,72 +136,6 @@ func resilienceCases(n int) [][3]int {
 		{1, 0, n - 4},
 		{1, (n - 4) / 2, 0},
 	}
-}
-
-// diagWorker is the reusable per-worker state of a pooled per-run
-// diagnostic campaign: one cluster, one stream pool and one collector,
-// reset/recycled per repetition.
-type diagWorker struct {
-	cl  *sim.DiagCluster
-	rng *rng.Pool
-	col *sim.Collector
-}
-
-func newDiagWorker(src *rng.Source, cfg sim.ClusterConfig) func() (*diagWorker, error) {
-	return func() (*diagWorker, error) {
-		cl, err := sim.NewReusableDiagnosticCluster(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &diagWorker{cl: cl, rng: src.NewPool(), col: sim.NewCollector()}, nil
-	}
-}
-
-// resilienceRuns executes p.Runs campaigns on an n-node cluster with a
-// asymmetric (SOS), s symmetric-malicious and b benign coincident faults and
-// returns how many runs violated a Theorem 1 audit. Each run derives its own
-// streams (schedule draw and malicious payloads) from the master source, the
-// fault mix and its run index, so the count is worker-count independent.
-// Every run draws its own schedule, which a lane-packed gang cannot share,
-// so these cases run per repetition; they record no trace.
-func resilienceRuns(n, a, s, b int, p Params, src *rng.Source) (int, error) {
-	failed, err := campaign.RunPooledWith(p.campaignOpts(), p.Runs,
-		newDiagWorker(src, sim.ClusterConfig{
-			N: n, RoundLen: sim.DefaultRoundLen * time.Duration(n) / 4,
-		}),
-		func(w *diagWorker, run int) (bool, error) {
-			cl := w.cl
-			// ResetLs below performs the full cluster reset for this run, so
-			// only the stream pool needs recycling here. Reseeding pooled
-			// streams before the reset is safe: the previous run's
-			// disturbances are never delivered again once ResetLs drops them.
-			w.rng.Recycle()
-			scope := fmt.Sprintf("scale/N%d-a%d-s%d-b%d/run-%d", n, a, s, b, run)
-			stream := w.rng.Stream(scope)
-			ls := make([]int, n)
-			for i := range ls {
-				ls[i] = stream.Intn(n)
-			}
-			if err := cl.ResetLs(ls); err != nil {
-				return false, err
-			}
-			eng := cl.Eng
-			w.col.Reset()
-			for id := 1; id <= n; id++ {
-				w.col.HookDiag(id, cl.Runners[id])
-			}
-			for _, d := range resilienceDisturbances(eng.Schedule(), w.rng, scope, n, a, s, b) {
-				eng.Bus().AddDisturbance(d)
-			}
-			if err := eng.RunRounds(resilienceFaultRound + 10); err != nil {
-				return false, err
-			}
-			return sim.AuditTheorem1(eng, w.col, resilienceObedient(n, s), 4, resilienceFaultRound+6) != nil, nil
-		})
-	if err != nil {
-		return 0, err
-	}
-	return countTrue(failed), nil
 }
 
 // voteRule recomputes a verdict for target j from a diagnostic matrix under

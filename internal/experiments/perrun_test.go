@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"time"
 
 	"ttdiag/internal/campaign"
 	"ttdiag/internal/core"
@@ -15,17 +16,21 @@ import (
 )
 
 // This file holds the per-run oracles of the lane-packed campaigns: each
-// repetition runs on its own lock-step engine (sim.DiagCluster), drawing the
-// same named streams, attaching the same disturbances and running the same
-// audits as the gang body. With a trace sink, the per-run engine records
-// the repetition and p.traceRun its boundary note.
+// repetition runs on its own lock-step engine (a reused sim.DiagCluster, or
+// a fresh membership cluster for sec8-clique), drawing the same named
+// streams, attaching the same disturbances and running the same audits as
+// the gang body. With a trace sink, the per-run engine records the
+// repetition and p.traceRun its boundary note.
 
-// perRunWorker is the metrics-bearing per-run worker of the oracles: the
-// pooled diagWorker plus the worker's telemetry instruments when the
+// perRunWorker is the per-worker state of the per-run diagnostic oracles:
+// one reused cluster, one stream pool and one collector, reset/recycled
+// per repetition, plus the worker's telemetry instruments when the
 // campaign collects metrics (reg is nil otherwise and every metrics hook is
 // a no-op).
 type perRunWorker struct {
-	*diagWorker
+	cl    *sim.DiagCluster
+	rng   *rng.Pool
+	col   *sim.Collector
 	reg   *metrics.Registry
 	sm    *core.StepMetrics
 	sys   *sim.RunMetrics
@@ -35,11 +40,11 @@ type perRunWorker struct {
 func newPerRunWorker(p Params, ws *metrics.WorkerSet, class string, src *rng.Source, cfg sim.ClusterConfig) func() (*perRunWorker, error) {
 	return func() (*perRunWorker, error) {
 		cfg.Sink = p.Trace
-		dw, err := newDiagWorker(src, cfg)()
+		cl, err := sim.NewReusableDiagnosticCluster(cfg)
 		if err != nil {
 			return nil, err
 		}
-		w := &perRunWorker{diagWorker: dw, class: class}
+		w := &perRunWorker{cl: cl, rng: src.NewPool(), col: sim.NewCollector(), class: class}
 		if reg := ws.Worker(); reg != nil {
 			w.reg = reg
 			w.sm = core.NewStepMetrics(reg)
@@ -82,6 +87,7 @@ var perRunCampaigns = map[string]func(Params) ([]CampaignRow, error){
 	"sec8-bursts":    burstCampaignPerRun,
 	"sec8-pr":        prCampaignPerRun,
 	"sec8-malicious": maliciousCampaignPerRun,
+	"sec8-clique":    cliqueCampaignPerRun,
 }
 
 // runPerRun renders one Sec. 8 campaign through its per-run oracle, framed
@@ -252,28 +258,120 @@ func maliciousCampaignPerRun(p Params) ([]CampaignRow, error) {
 	return rows, nil
 }
 
-// resilienceRunsWidePerRun is the per-run oracle of resilienceRunsWide: the
-// same case schedule and run-named streams, one lock-step engine per
-// repetition.
-func resilienceRunsWidePerRun(n, a, s, b int, p Params, src *rng.Source) (int, error) {
-	scope, cfg := wideResilienceCase(n, a, s, b, src)
-	failed, err := campaign.RunPooled(p.Workers, p.Runs, newDiagWorker(src, cfg),
-		func(w *diagWorker, run int) (bool, error) {
-			w.cl.Reset()
-			w.rng.Recycle()
-			w.col.Reset()
-			for id := 1; id <= n; id++ {
-				w.col.HookDiag(id, w.cl.Runners[id])
+// cliqueCampaignPerRun is the per-run oracle of CliqueCampaign: one fresh
+// membership cluster per repetition, with the worker's telemetry attached
+// to every node and run 0's node-1 observer recording the penalty
+// trajectories.
+func cliqueCampaignPerRun(p Params) ([]CampaignRow, error) {
+	p = p.withDefaults()
+	src := rng.NewSource(p.Seed)
+	ws := p.workerSet()
+	type memWorker struct {
+		rng *rng.Pool
+		reg *metrics.Registry
+		sm  *core.StepMetrics
+		sys *sim.RunMetrics
+	}
+	verdicts, err := campaign.RunPooledWith(p.campaignOpts(), p.Runs,
+		func() (*memWorker, error) {
+			w := &memWorker{rng: src.NewPool()}
+			if reg := ws.Worker(); reg != nil {
+				w.reg = reg
+				w.sm = core.NewStepMetrics(reg)
+				w.sys = sim.NewRunMetrics(reg)
 			}
-			eng := w.cl.Eng
+			return w, nil
+		},
+		func(w *memWorker, run int) (runVerdict, error) {
+			eng, runners, err := sim.NewMembershipCluster(sim.ClusterConfig{Ls: prototypeLs, Sink: p.Trace})
+			if err != nil {
+				return runVerdict{}, err
+			}
+			w.rng.Recycle()
+			col := sim.NewCollector()
+			for id := 1; id <= 4; id++ {
+				col.HookMembership(id, runners[id])
+				if w.sm != nil {
+					runners[id].Service().Protocol().SetMetrics(w.sm)
+				}
+			}
+			if w.sm != nil && run == 0 {
+				runners[1].Service().Protocol().SetMetrics(run0Metrics(w.reg, w.sm, "sec8-clique", 4))
+			}
+			p.traceRun("sec8-clique", run)
+			stream := w.rng.Stream(fmt.Sprintf("sec8-clique/run-%d", run))
+			faultRound := 6 + stream.Intn(6)
+			missedSender := tdma.NodeID(2 + stream.Intn(3))
+			eng.Bus().AddDisturbance(fault.ReceiverBlind{
+				Receiver: 1, Senders: []tdma.NodeID{missedSender},
+				FromRound: faultRound, ToRound: faultRound + 1,
+			})
+			if err := eng.RunRounds(faultRound + 14); err != nil {
+				return runVerdict{}, err
+			}
+			if w.sys != nil {
+				w.sys.ObserveTruth(eng)
+				w.sys.ObserveIsolationLatency(eng, col)
+				w.sys.ObserveViews(runners)
+			}
+			lag := runners[1].Service().Protocol().Config().Lag()
+			ref := runners[1].View()
+			for id := 1; id <= 4; id++ {
+				v := runners[id].View()
+				if fmt.Sprint(v.Members) != "[2 3 4]" {
+					return runVerdict{failure: fmt.Sprintf("node %d view %v", id, v.Members)}, nil
+				}
+				if v.FormedAtRound != ref.FormedAtRound || v.ID != ref.ID {
+					return runVerdict{failure: fmt.Sprintf("node %d view disagrees with node 1", id)}, nil
+				}
+				if v.FormedAtRound > faultRound+2*(lag+1) {
+					return runVerdict{failure: fmt.Sprintf("view formed at %d, fault at %d (liveness)", v.FormedAtRound, faultRound)}, nil
+				}
+			}
+			return runVerdict{pass: true}, nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	if err := p.recordMetrics("sec8-clique", ws); err != nil {
+		return nil, err
+	}
+	return []CampaignRow{foldRow("minority clique {1} via asymmetric receive fault", verdicts)}, nil
+}
+
+// resilienceRunsPerRun is the per-run oracle of resilienceRuns: the same
+// schedules (one per run for a narrow case, one per case for a wide one)
+// and run-named streams, one lock-step engine per repetition.
+func resilienceRunsPerRun(n, a, s, b int, p Params, src *rng.Source) (int, error) {
+	scope := fmt.Sprintf("scale/N%d-a%d-s%d-b%d", n, a, s, b)
+	cfg := sim.ClusterConfig{N: n, RoundLen: sim.DefaultRoundLen * time.Duration(n) / 4}
+	wide := n > 16
+	if wide {
+		cfg.Ls = drawLs(src.Stream(scope+"/schedule"), n)
+	}
+	failed, err := campaign.RunPooled(p.Workers, p.Runs, func() (*rng.Pool, error) { return src.NewPool(), nil },
+		func(pool *rng.Pool, run int) (bool, error) {
+			pool.Recycle()
 			runScope := fmt.Sprintf("%s/run-%d", scope, run)
-			for _, d := range resilienceDisturbances(eng.Schedule(), w.rng, runScope, n, a, s, b) {
+			runCfg := cfg
+			if !wide {
+				runCfg.Ls = drawLs(pool.Stream(runScope), n)
+			}
+			eng, runners, err := sim.NewDiagnosticCluster(runCfg)
+			if err != nil {
+				return false, err
+			}
+			col := sim.NewCollector()
+			for id := 1; id <= n; id++ {
+				col.HookDiag(id, runners[id])
+			}
+			for _, d := range resilienceDisturbances(eng.Schedule(), pool, runScope, n, a, s, b) {
 				eng.Bus().AddDisturbance(d)
 			}
 			if err := eng.RunRounds(resilienceFaultRound + 10); err != nil {
 				return false, err
 			}
-			return sim.AuditTheorem1(eng, w.col, resilienceObedient(n, s), 4, resilienceFaultRound+6) != nil, nil
+			return sim.AuditTheorem1(eng, col, resilienceObedient(n, s), 4, resilienceFaultRound+6) != nil, nil
 		})
 	if err != nil {
 		return 0, err

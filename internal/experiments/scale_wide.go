@@ -1,11 +1,12 @@
-// Wide scale-resilience campaigns: the N = 32 and N = 64 rows of the
-// scale-resilience sweep, past the N <= 16 cap the experiment originally
-// had. Wide cases pin one internal schedule per fault-mix case (drawn from a
-// case-named stream) instead of one per run, because a lane-packed gang
-// shares a single schedule: N = 32 runs in two-lane gangs, N = 64 in
-// one-lane gangs, with the asymmetric SOS faults carried by the batched
-// bus's blind masks. The per-run body is the test oracle
-// (TestScaleResilienceBatchedEquivalence).
+// Scale-resilience campaigns on the gang: every row of the sweep, N = 4 to
+// N = 64, runs through one sim.BatchDiagCluster body. Narrow cases
+// (N <= 16, the experiment's original range) draw a fresh internal schedule
+// for every run and so run as one-lane gangs re-pinned per run by ResetLs.
+// Wide cases (N = 32 and N = 64) pin one schedule per fault-mix case, drawn
+// from a case-named stream, because a lane-packed gang shares a single
+// schedule: N = 32 runs in two-lane gangs, N = 64 in one-lane gangs. The
+// asymmetric SOS faults ride the batched bus's blind masks. The per-run
+// body is the test oracle (TestScaleResilienceBatchedEquivalence).
 package experiments
 
 import (
@@ -26,9 +27,8 @@ const resilienceFaultRound = 8
 // resilienceDisturbances builds the coincident-fault mix of one repetition
 // in role order: s malicious syndrome sources (each with its own lazily
 // drawn payload stream), then b single-slot benign bursts in the fault
-// round, then a SOS episodes. The narrow (N <= 16) and wide cases share it,
-// and the mix is identical on the per-run and the lane-packed path because
-// every stream is named by runScope and node.
+// round, then a SOS episodes. The mix is identical on the per-run and the
+// lane-packed path because every stream is named by runScope and node.
 func resilienceDisturbances(sched *tdma.Schedule, pool *rng.Pool, runScope string, n, a, s, b int) []tdma.Disturbance {
 	var ds []tdma.Disturbance
 	node := 1
@@ -65,50 +65,37 @@ func resilienceObedient(n, s int) []int {
 	return obedient
 }
 
-// wideResilienceCase returns one wide case's stream scope and cluster
-// configuration, with the case's schedule drawn once from the case-named
-// stream.
-func wideResilienceCase(n, a, s, b int, src *rng.Source) (string, sim.ClusterConfig) {
+// resilienceRuns executes the Monte-Carlo campaign of one scale-resilience
+// case as lane-packed gangs and returns how many runs violated a Theorem 1
+// audit. Every run's streams are named by the case and its absolute run
+// index, so the count does not depend on the worker count. A wide case
+// (N > 16) pins one schedule, drawn from a case-named stream, and fills
+// ⌊64/N⌋ lanes per gang; per-run variation comes from the malicious payload
+// streams. A narrow case draws every run's schedule from the run's own
+// stream, which a gang cannot share, so it runs in one-lane gangs that
+// ResetLs re-pins. The sweep records neither trace nor metrics.
+func resilienceRuns(n, a, s, b int, p Params, src *rng.Source) (int, error) {
+	p.Trace = nil
 	scope := fmt.Sprintf("scale/N%d-a%d-s%d-b%d", n, a, s, b)
-	sched := src.Stream(scope + "/schedule")
-	ls := make([]int, n)
-	for i := range ls {
-		ls[i] = sched.Intn(n)
+	cfg := sim.ClusterConfig{N: n, RoundLen: sim.DefaultRoundLen * time.Duration(n) / 4}
+	wide := n > 16
+	gang := 1
+	if wide {
+		cfg.Ls = drawLs(src.Stream(scope+"/schedule"), n)
+		gang = core.BatchLanes(n)
 	}
-	return scope, sim.ClusterConfig{
-		N: n, RoundLen: sim.DefaultRoundLen * time.Duration(n) / 4, Ls: ls,
-	}
-}
-
-// wideBatchWorker is the reusable per-worker state of a batched wide
-// campaign: one lane-packed cluster plus one stream pool.
-type wideBatchWorker struct {
-	cl  *sim.BatchDiagCluster
-	rng *rng.Pool
-}
-
-// resilienceRunsWide executes the Monte-Carlo campaign of one wide case as
-// lane-packed gangs and returns how many runs violated a Theorem 1 audit.
-// The schedule is fixed per case; per-run variation comes from the
-// malicious payload streams, named by the absolute run index. The cluster
-// carries no trace sink, so a traced sweep records nothing here.
-func resilienceRunsWide(n, a, s, b int, p Params, src *rng.Source) (int, error) {
-	scope, cfg := wideResilienceCase(n, a, s, b, src)
-	gang := core.BatchLanes(n)
 	obedient := resilienceObedient(n, s)
 	failed, err := campaign.RunBatchedWith(p.campaignOpts(), p.Runs, gang,
-		func() (*wideBatchWorker, error) {
-			cl, err := sim.NewBatchDiagCluster(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return &wideBatchWorker{cl: cl, rng: src.NewPool()}, nil
-		},
-		func(w *wideBatchWorker, base, width int, out []bool) error {
-			if err := w.cl.ResetBatch(width); err != nil {
+		newBatchDiagWorker(p, nil, scope, src, cfg),
+		func(w *batchDiagWorker, base, width int, out []bool) error {
+			if err := w.begin(base, width); err != nil {
 				return err
 			}
-			w.rng.Recycle()
+			if !wide {
+				if err := w.cl.ResetLs(drawLs(w.rng.Stream(fmt.Sprintf("%s/run-%d", scope, base)), n)); err != nil {
+					return err
+				}
+			}
 			for lane := 0; lane < width; lane++ {
 				runScope := fmt.Sprintf("%s/run-%d", scope, base+lane)
 				for _, d := range resilienceDisturbances(w.cl.Schedule(), w.rng, runScope, n, a, s, b) {
@@ -116,7 +103,7 @@ func resilienceRunsWide(n, a, s, b int, p Params, src *rng.Source) (int, error) 
 				}
 				w.cl.SetLaneHorizon(lane, resilienceFaultRound+10)
 			}
-			if err := w.cl.Run(); err != nil {
+			if err := w.run(p, base, width); err != nil {
 				return err
 			}
 			for lane := 0; lane < width; lane++ {
@@ -129,6 +116,15 @@ func resilienceRunsWide(n, a, s, b int, p Params, src *rng.Source) (int, error) 
 		return 0, err
 	}
 	return countTrue(failed), nil
+}
+
+// drawLs draws an n-node internal schedule, one job position per node.
+func drawLs(st *rng.Stream, n int) []int {
+	ls := make([]int, n)
+	for i := range ls {
+		ls[i] = st.Intn(n)
+	}
+	return ls
 }
 
 // countTrue counts the set entries of a verdict list.

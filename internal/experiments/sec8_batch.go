@@ -1,13 +1,13 @@
-// Lane-packed execution of the Sec. 8 diagnostic campaigns (bursts, p/r,
-// malicious): gangs of ⌊64/N⌋ = 16 repetitions advance together through one
-// sim.BatchDiagCluster, traced or not. Every repetition draws from named rng
-// streams keyed by its absolute run index, so the result does not depend on
-// which lane or gang runs it. A traced gang flushes each lane's recording
-// after the lane's run-boundary note, in run order, so the stream is what a
-// per-run execution records. The per-run bodies are the test oracle:
-// TestBatchedCampaignEquivalence pins the rendered rows and metrics, and
-// TestTracedCampaignEquivalence the JSONL trace, byte-exact against them.
-// sec8-clique stays per-run (sec8.go) because it runs in membership mode.
+// Lane-packed execution of the Sec. 8 campaigns (bursts, p/r, malicious,
+// and the membership-mode clique class): gangs of ⌊64/N⌋ = 16 repetitions
+// advance together through one sim.BatchDiagCluster, traced or not. Every
+// repetition draws from named rng streams keyed by its absolute run index,
+// so the result does not depend on which lane or gang runs it. A traced
+// gang flushes each lane's recording after the lane's run-boundary note, in
+// run order, so the stream is what a per-run execution records. The per-run
+// bodies are the test oracle: TestBatchedCampaignEquivalence pins the
+// rendered rows and metrics, and TestTracedCampaignEquivalence the JSONL
+// trace, byte-exact against them.
 package experiments
 
 import (
@@ -22,10 +22,11 @@ import (
 	"ttdiag/internal/tdma"
 )
 
-// batchDiagWorker is the reusable per-worker state of a batched diagnostic
-// campaign: one lane-packed cluster and one stream pool, reset per gang,
-// plus the worker's telemetry instruments when the campaign collects
-// metrics (reg is nil otherwise and every metrics hook is a no-op).
+// batchDiagWorker is the reusable per-worker state of every campaign gang
+// (the Sec. 8 classes and the scale-resilience sweep): one lane-packed
+// cluster and one stream pool, reset per gang, plus the worker's telemetry
+// instruments when the campaign collects metrics (reg is nil otherwise and
+// every metrics hook is a no-op).
 type batchDiagWorker struct {
 	cl      *sim.BatchDiagCluster
 	rng     *rng.Pool
@@ -107,14 +108,20 @@ func (w *batchDiagWorker) run(p Params, base, width int) error {
 	return nil
 }
 
-// observeLane folds one completed lane's system-level ground truth into the
-// worker's registry; a no-op with metrics off.
+// observeLane folds one completed lane's system-level ground truth and, in
+// membership mode, every node's view changes into the worker's registry; a
+// no-op with metrics off.
 func (w *batchDiagWorker) observeLane(lane int) {
 	if w.sys == nil {
 		return
 	}
 	w.sys.ObserveTruth(w.cl.LaneTruth(lane))
 	w.sys.ObserveIsolationLatency(w.cl.LaneTruth(lane), w.cl.LaneCollector(lane))
+	if cfg := w.cl.Config(); cfg.Mode == core.ModeMembership {
+		for id := 1; id <= cfg.N; id++ {
+			w.sys.ViewChanges.Add(int64(w.cl.LaneView(lane, id).ID))
+		}
+	}
 }
 
 // BurstCampaign runs the twelve burst experiment classes: bursts of one
@@ -295,4 +302,71 @@ func MaliciousCampaign(p Params) ([]CampaignRow, error) {
 		return nil, err
 	}
 	return rows, nil
+}
+
+// CliqueCampaign reproduces the membership validation: the disturbance node
+// sits between node 1 and the rest of the cluster, so node 1 misses another
+// node's broadcast and forms a minority clique; every obedient node must
+// install the view {2,3,4} in the same round, within two protocol
+// executions. The gang runs in membership mode, each lane's views read at
+// its horizon.
+func CliqueCampaign(p Params) ([]CampaignRow, error) {
+	p = p.withDefaults()
+	src := rng.NewSource(p.Seed)
+	ws := p.workerSet()
+	gang := core.BatchLanes(4)
+	verdicts, err := campaign.RunBatchedWith(p.campaignOpts(), p.Runs, gang,
+		newBatchDiagWorker(p, ws, "sec8-clique", src, sim.ClusterConfig{Ls: prototypeLs, Mode: core.ModeMembership}),
+		func(w *batchDiagWorker, base, width int, out []runVerdict) error {
+			if err := w.begin(base, width); err != nil {
+				return err
+			}
+			for lane := 0; lane < width; lane++ {
+				stream := w.rng.Stream(fmt.Sprintf("sec8-clique/run-%d", base+lane))
+				faultRound := 6 + stream.Intn(6)
+				missedSender := tdma.NodeID(2 + stream.Intn(3))
+				w.cl.AddLaneDisturbance(lane, fault.ReceiverBlind{
+					Receiver: 1, Senders: []tdma.NodeID{missedSender},
+					FromRound: faultRound, ToRound: faultRound + 1,
+				})
+				w.cl.SetLaneHorizon(lane, faultRound+14)
+				w.scratch = append(w.scratch, faultRound)
+			}
+			if err := w.run(p, base, width); err != nil {
+				return err
+			}
+			lag := w.cl.Proto(1).Config().Lag()
+			for lane := 0; lane < width; lane++ {
+				w.observeLane(lane)
+				out[lane] = cliqueVerdict(w.cl, lane, w.scratch[lane], lag)
+			}
+			return nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	if err := p.recordMetrics("sec8-clique", ws); err != nil {
+		return nil, err
+	}
+	return []CampaignRow{foldRow("minority clique {1} via asymmetric receive fault", verdicts)}, nil
+}
+
+// cliqueVerdict audits one clique lane: every node holds the view {2,3,4},
+// agrees with node 1 on its ID and formation round, and formed it within
+// two protocol executions of the fault.
+func cliqueVerdict(cl *sim.BatchDiagCluster, lane, faultRound, lag int) runVerdict {
+	ref := cl.LaneView(lane, 1)
+	for id := 1; id <= 4; id++ {
+		v := cl.LaneView(lane, id)
+		if fmt.Sprint(v.Members) != "[2 3 4]" {
+			return runVerdict{failure: fmt.Sprintf("node %d view %v", id, v.Members)}
+		}
+		if v.FormedAtRound != ref.FormedAtRound || v.ID != ref.ID {
+			return runVerdict{failure: fmt.Sprintf("node %d view disagrees with node 1", id)}
+		}
+		if v.FormedAtRound > faultRound+2*(lag+1) {
+			return runVerdict{failure: fmt.Sprintf("view formed at %d, fault at %d (liveness)", v.FormedAtRound, faultRound)}
+		}
+	}
+	return runVerdict{pass: true}
 }

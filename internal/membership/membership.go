@@ -53,16 +53,85 @@ type Output struct {
 	View View
 }
 
+// Views is the view rule of Sec. 7 for a gang of lane-packed repetitions of
+// one node (lane r holds bits [r·N, (r+1)·N) of a plane word, as in
+// core.BatchProtocol): a lane installs a new view — the next ID, the members
+// not convicted so far, formed in the current round — whenever its
+// consistent health vector convicts a node still in the view. Service is
+// its one-lane view; sim.BatchDiagCluster keeps one per node in membership
+// mode.
+type Views struct {
+	n int
+	// out marks the nodes excluded from each lane's membership, lane-packed,
+	// so the per-round exclusion check is two word operations.
+	out uint64
+	// id[r] is lane r's view ID, which is also its number of view changes;
+	// formed[r] the round its view was installed, -1 for the initial view.
+	id     []int
+	formed []int
+}
+
+// NewViews returns the view state of `lanes` repetitions of an n-node
+// system, every lane in the initial full view.
+func NewViews(n, lanes int) *Views {
+	v := &Views{n: n, id: make([]int, lanes), formed: make([]int, lanes)}
+	v.Reset()
+	return v
+}
+
+// Reset reinstalls the initial full view (ID 0, formed at round -1) in
+// every lane.
+func (v *Views) Reset() {
+	v.out = 0
+	for r := range v.id {
+		v.id[r] = 0
+		v.formed[r] = -1
+	}
+}
+
+// Install folds one round's lane-packed consistent health vectors into the
+// lanes marked in lanes (bit r = lane r) and returns the lanes that
+// installed a new view. A node is convicted by a Known Faulty entry, so
+// the warm-up rounds, which know nothing, change nothing.
+func (v *Views) Install(round int, consOp, consKnown, lanes uint64) uint64 {
+	var changed uint64
+	for fresh := (consKnown &^ consOp) &^ v.out; fresh != 0; {
+		r := bits.TrailingZeros64(fresh) / v.n
+		seg := core.PlaneMask(v.n) << uint(r*v.n)
+		if lanes&(1<<uint(r)) != 0 {
+			v.out |= fresh & seg
+			v.id[r]++
+			v.formed[r] = round
+			changed |= 1 << uint(r)
+		}
+		fresh &^= seg
+	}
+	return changed
+}
+
+// View returns lane's current view; the members are a fresh slice.
+func (v *Views) View(lane int) View {
+	rem := core.PlaneMask(v.n) &^ core.LaneView(v.out, lane, v.n)
+	var members []int
+	if rem != 0 {
+		members = make([]int, 0, bits.OnesCount64(rem))
+	}
+	for ; rem != 0; rem &= rem - 1 {
+		members = append(members, bits.TrailingZeros64(rem)+1)
+	}
+	return View{ID: v.id[lane], Members: members, FormedAtRound: v.formed[lane]}
+}
+
 // Service is the per-node membership service: the modified diagnostic
 // protocol plus view management. Create one per node and call Step once per
 // TDMA round, exactly like core.Protocol.
 type Service struct {
-	proto   *core.Protocol
+	proto *core.Protocol
+	// views is the one-lane view rule; view is its current view,
+	// materialised once per change for View and History.
+	views   *Views
 	view    View
 	history []View
-	// outMask marks the nodes excluded from the membership (bit j-1 = node
-	// j), so the per-round exclusion check is two word operations.
-	outMask uint64
 }
 
 // New builds the membership service for one node. The configuration's Mode
@@ -76,14 +145,8 @@ func New(cfg core.Config) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	members := make([]int, cfg.N)
-	for j := 1; j <= cfg.N; j++ {
-		members[j-1] = j
-	}
-	return &Service{
-		proto: proto,
-		view:  View{ID: 0, Members: members, FormedAtRound: -1},
-	}, nil
+	views := NewViews(cfg.N, 1)
+	return &Service{proto: proto, views: views, view: views.View(0)}, nil
 }
 
 // Protocol exposes the underlying diagnostic protocol.
@@ -96,14 +159,9 @@ func (s *Service) Protocol() *core.Protocol { return s.proto }
 // unaffected (View and History return copies).
 func (s *Service) Reset() {
 	s.proto.Reset()
-	n := s.proto.Config().N
-	members := make([]int, n)
-	for j := 1; j <= n; j++ {
-		members[j-1] = j
-	}
-	s.view = View{ID: 0, Members: members, FormedAtRound: -1}
+	s.views.Reset()
+	s.view = s.views.View(0)
 	s.history = s.history[:0]
-	s.outMask = 0
 }
 
 // View returns the current view.
@@ -148,20 +206,11 @@ func (s *Service) StepPacked(in core.PackedRoundInput) (Output, error) {
 // finish folds one diagnostic round into the view bookkeeping.
 func (s *Service) finish(diag core.RoundOutput) Output {
 	out := Output{Diag: diag}
-	// Newly convicted members in two word ops: known-Faulty entries not yet
-	// excluded (zero during warm-up).
-	fresh := (diag.ConsHV.Known &^ diag.ConsHV.Op) &^ s.outMask
-	changed := fresh != 0
-	if changed {
-		s.outMask |= fresh
-		var members []int
-		for rem := core.PlaneMask(s.proto.Config().N) &^ s.outMask; rem != 0; rem &= rem - 1 {
-			members = append(members, bits.TrailingZeros64(rem)+1)
-		}
+	if s.views.Install(diag.Round, diag.ConsHV.Op, diag.ConsHV.Known, 1) != 0 {
 		s.history = append(s.history, s.view)
-		s.view = View{ID: s.view.ID + 1, Members: members, FormedAtRound: diag.Round}
+		s.view = s.views.View(0)
+		out.ViewChanged = true
 	}
-	out.ViewChanged = changed
 	out.View = s.view.clone()
 	return out
 }

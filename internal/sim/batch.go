@@ -1,6 +1,6 @@
 // Lane-packed batched simulation front end: one BatchDiagCluster advances
 // G = ⌊64/N⌋ independent Monte-Carlo repetitions ("lanes") of the same
-// diagnostic cluster per TDMA round. Each node is a single
+// diagnostic or membership cluster per TDMA round. Each node is a single
 // core.BatchProtocol whose syndrome planes hold all lanes side by side, so
 // one StepBatch call per node per round replaces G per-run protocol
 // executions, and the TDMA delivery work is done once per (lane, slot)
@@ -8,8 +8,9 @@
 //
 // The batched front end is an executable optimisation of the lock-step
 // Engine, not a replacement: its observable outputs — collector contents,
-// ground-truth rows, penalty counters, telemetry, trace events — are pinned
-// byte-exact to G per-run Engine executions by TestBatchClusterEquivalence.
+// ground-truth rows, penalty counters, membership views, telemetry, trace
+// events — are pinned byte-exact to G per-run Engine executions by
+// TestBatchClusterEquivalence.
 package sim
 
 import (
@@ -17,6 +18,7 @@ import (
 	"math/bits"
 
 	"ttdiag/internal/core"
+	"ttdiag/internal/membership"
 	"ttdiag/internal/tdma"
 	"ttdiag/internal/trace"
 )
@@ -25,9 +27,11 @@ import (
 // the tdma.Controller history depth.
 const collRing = 16
 
-// BatchDiagCluster is a diagnostic cluster whose repetitions run
-// lane-packed: every node's protocol advances all lanes with one StepBatch
-// per round, and the bus delivery is evaluated once per lane and slot.
+// BatchDiagCluster is a diagnostic or membership cluster whose repetitions
+// run lane-packed: every node's protocol advances all lanes with one
+// StepBatch per round, and the bus delivery is evaluated once per lane and
+// slot. In membership mode every node also keeps each lane's view
+// (membership.Views), as a per-run MembershipRunner keeps its own.
 //
 // The shared-plane layout needs every attached disturbance to be either
 // receiver-uniform — it degrades the delivery identically for every
@@ -36,7 +40,7 @@ const collRing = 16
 // fault.ReceiverBlind), which the per-observer blind masks carry. See
 // AddLaneDisturbance.
 type BatchDiagCluster struct {
-	cfg   ClusterConfig // normalized, diagnostic mode; Ls cluster-owned
+	cfg   ClusterConfig // normalized; Ls cluster-owned
 	sched *tdma.Schedule
 	n     int
 	max   int // lane capacity, BatchLanes(N)
@@ -45,6 +49,9 @@ type BatchDiagCluster struct {
 
 	protos []*core.BatchProtocol // 1-based; entry 0 is nil
 	lag    []int                 // 1-based; per-node diagnosis lag
+	// views holds each node's lane views in membership mode (1-based); it
+	// is nil in diagnostic mode.
+	views []*membership.Views
 	// jobs lists the node ids in the order their diagnostic jobs run within
 	// a round: by job position l_i, ties by id, as Engine.RunRound does.
 	jobs []int
@@ -103,8 +110,8 @@ type BatchDiagCluster struct {
 
 	// With a trace sink (cfg.Sink), events[r] buffers lane r's flight
 	// recording — the engine's job and transmit events plus node 1's causal
-	// stream through traces[r] — until FlushLaneTrace; both are nil
-	// otherwise.
+	// stream through traces[r] and, in membership mode, its view changes —
+	// until FlushLaneTrace; both are nil otherwise.
 	events []trace.Recorder
 	traces []*core.StepTrace
 
@@ -115,13 +122,13 @@ type BatchDiagCluster struct {
 	OnOutput func(id int, out core.BatchRoundOutput)
 }
 
-// NewBatchDiagCluster builds a lane-packed diagnostic cluster with capacity
-// for BatchLanes(N) repetitions per gang. The configuration space matches
-// NewReusableDiagnosticCluster except that Mode is forced to diagnostic. A
-// trace sink gives every lane its own event buffer, which records what the
-// per-run engine would for that repetition, in the same order, and reaches
-// the sink only through FlushLaneTrace. The configuration stays
-// caller-owned: its slot layout is copied.
+// NewBatchDiagCluster builds a lane-packed cluster with capacity for
+// BatchLanes(N) repetitions per gang. It honours cfg.Mode: a diagnostic
+// cluster matches NewReusableDiagnosticCluster, a membership one
+// NewMembershipCluster. A trace sink gives every lane its own event
+// buffer, which records what the per-run engine would for that repetition,
+// in the same order, and reaches the sink only through FlushLaneTrace. The
+// configuration stays caller-owned: its slot layout is copied.
 //
 //ttdiag:noretain params
 func NewBatchDiagCluster(cfg ClusterConfig) (*BatchDiagCluster, error) {
@@ -129,7 +136,9 @@ func NewBatchDiagCluster(cfg ClusterConfig) (*BatchDiagCluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	norm.Mode = core.ModeDiagnostic
+	if norm.Mode == 0 {
+		norm.Mode = core.ModeDiagnostic
+	}
 	norm.Ls = append([]int(nil), norm.Ls...)
 	maxLanes := core.BatchLanes(norm.N)
 	if maxLanes < 1 {
@@ -175,13 +184,14 @@ func NewBatchDiagCluster(cfg ClusterConfig) (*BatchDiagCluster, error) {
 		c.protos[id] = p
 		c.lag[id] = nc.Lag()
 	}
-	for pos := 0; pos <= norm.N; pos++ {
+	if norm.Mode == core.ModeMembership {
+		c.views = make([]*membership.Views, norm.N+1)
 		for id := 1; id <= norm.N; id++ {
-			if norm.Ls[id-1] == pos {
-				c.jobs = append(c.jobs, id)
-			}
+			c.views[id] = membership.NewViews(norm.N, maxLanes)
 		}
 	}
+	c.jobs = make([]int, 0, norm.N)
+	c.orderJobs()
 	for r := 0; r < maxLanes; r++ {
 		c.cols[r] = NewCollector()
 		c.finalPen[r] = make([]int64, (norm.N+1)*(norm.N+1))
@@ -195,6 +205,18 @@ func NewBatchDiagCluster(cfg ClusterConfig) (*BatchDiagCluster, error) {
 	}
 	c.ResetBatch(maxLanes)
 	return c, nil
+}
+
+// orderJobs lists the node ids by job position, ties by id.
+func (c *BatchDiagCluster) orderJobs() {
+	c.jobs = c.jobs[:0]
+	for pos := 0; pos <= c.n; pos++ {
+		for id := 1; id <= c.n; id++ {
+			if c.cfg.Ls[id-1] == pos {
+				c.jobs = append(c.jobs, id)
+			}
+		}
+	}
 }
 
 // Config returns the cluster's normalized configuration.
@@ -215,10 +237,10 @@ func (c *BatchDiagCluster) Proto(id int) *core.BatchProtocol { return c.protos[i
 
 // ResetBatch rewinds the cluster for the next gang of `lanes` repetitions
 // (a ragged final gang shrinks the lane count): protocols restart their
-// warm-up, disturbances and horizons are dropped, collectors, ground truth
-// and trace buffers are emptied, the live lanes' flight recorders are
-// re-attached to node 1, and the bootstrap all-healthy outboxes are
-// re-staged.
+// warm-up, views return to the initial full view, disturbances and
+// horizons are dropped, collectors, ground truth and trace buffers are
+// emptied, the live lanes' flight recorders are re-attached to node 1, and
+// the bootstrap all-healthy outboxes are re-staged.
 func (c *BatchDiagCluster) ResetBatch(lanes int) error {
 	if lanes < 1 || lanes > c.max {
 		return fmt.Errorf("sim: gang of %d lanes outside 1..%d", lanes, c.max)
@@ -232,6 +254,9 @@ func (c *BatchDiagCluster) ResetBatch(lanes int) error {
 	c.allB = c.laneRep * c.laneAll
 	for id := 1; id <= c.n; id++ {
 		c.protos[id].Reset(lanes)
+		if c.views != nil {
+			c.views[id].Reset()
+		}
 		c.ign[id] = 0
 		c.ownClear[id] = 0
 		c.blind[id] = 0
@@ -259,6 +284,36 @@ func (c *BatchDiagCluster) ResetBatch(lanes int) error {
 			c.protos[1].SetLaneTrace(r, c.traces[r])
 		}
 	}
+	return nil
+}
+
+// ResetLs re-pins the internal schedule of a freshly reset gang, after
+// ResetBatch and before Run: every node's diagnostic-job position becomes
+// ls[i] (0-based, node i+1) and its protocol is reconfigured accordingly,
+// so per-repetition random schedules do not rebuild the cluster. The bus
+// schedule does not depend on the job positions and is kept.
+func (c *BatchDiagCluster) ResetLs(ls []int) error {
+	if c.round != 0 {
+		return fmt.Errorf("sim: ResetLs after round %d of the gang", c.round)
+	}
+	if len(ls) != c.n {
+		return fmt.Errorf("sim: ResetLs got %d positions, want %d", len(ls), c.n)
+	}
+	for i, l := range ls {
+		if l < 0 || l > c.n-1 {
+			return fmt.Errorf("sim: node %d job position %d out of range 0..%d", i+1, l, c.n-1)
+		}
+		if c.cfg.AllSendCurrRound && l >= i+1 {
+			return fmt.Errorf("sim: AllSendCurrRound set but node %d has l=%d (job after its slot)", i+1, l)
+		}
+	}
+	copy(c.cfg.Ls, ls)
+	for id := 1; id <= c.n; id++ {
+		if err := c.protos[id].ResetConfig(c.cfg.nodeConfig(id)); err != nil {
+			return err
+		}
+	}
+	c.orderJobs()
 	return nil
 }
 
@@ -302,6 +357,12 @@ func (c *BatchDiagCluster) LaneTruth(lane int) TruthSource {
 // ends with).
 func (c *BatchDiagCluster) LaneFinalPenalty(lane, observer, j int) int64 {
 	return c.finalPen[lane][observer*(c.n+1)+j]
+}
+
+// LaneView returns node id's membership view in one lane, as it stood at
+// the lane's horizon; membership mode only.
+func (c *BatchDiagCluster) LaneView(lane, id int) membership.View {
+	return c.views[id].View(lane)
 }
 
 // FlushLaneTrace writes one lane's buffered trace events to the cluster's
@@ -438,20 +499,40 @@ func (c *BatchDiagCluster) runJob(k, id int) error {
 		// SetIgnored(j, true) does to the controller.
 		c.ign[id] |= c.allB &^ out.ActiveMask
 	}
+	var live uint64 // lanes still inside their horizon
 	for r := 0; r < c.lanes; r++ {
 		if out.Round >= c.horizon[r] {
 			continue
 		}
+		live |= 1 << uint(r)
 		col := c.cols[r]
 		if out.Warm {
 			col.setHV(out.DiagnosedRound, id, c.n, out.LaneConsHV(r, c.n))
 		}
 		col.addDecisions(id, out.Round, out.LaneIsolated(r, c.n), out.LaneReintegrated(r, c.n))
 	}
+	if c.views != nil {
+		c.installViews(id, &out, live)
+	}
 	if c.OnOutput != nil {
 		c.OnOutput(id, out)
 	}
 	return nil
+}
+
+// installViews folds node id's gang output into its lane views, for the
+// lanes still inside their horizon, and records each changed lane's view
+// change after node 1's causal events of the round, as a per-run
+// MembershipRunner does.
+func (c *BatchDiagCluster) installViews(id int, out *core.BatchRoundOutput, live uint64) {
+	changed := c.views[id].Install(out.Round, out.ConsOp, out.ConsKnown, live)
+	if id != 1 || c.events == nil {
+		return
+	}
+	for ; changed != 0; changed &= changed - 1 {
+		r := bits.TrailingZeros64(changed)
+		c.events[r].Record(viewChangeEvent(out.Round, id, c.views[id].View(r)))
+	}
 }
 
 // transmitSlot broadcasts node s's staged outbox in every lane: encode the

@@ -8,6 +8,7 @@ import (
 
 	"ttdiag/internal/core"
 	"ttdiag/internal/fault"
+	"ttdiag/internal/membership"
 	"ttdiag/internal/metrics"
 	"ttdiag/internal/rng"
 	"ttdiag/internal/tdma"
@@ -32,6 +33,8 @@ type batchScenario struct {
 // receiver-selective faults the blind masks carry (tdma.Blinder): SOS
 // senders, blind receivers, a blinder that hides a malicious sender from
 // every receiver, and the N = 64 mix of the widest scale-resilience case.
+// Two membership-mode scenarios add the views: the sec8-clique receive
+// fault and a node that falls silent.
 func batchScenarios() []batchScenario {
 	prototype := []int{2, 0, 3, 1}
 	burstAttach := func(run int, sched *tdma.Schedule, add func(tdma.Disturbance)) int {
@@ -169,7 +172,48 @@ func batchScenarios() []batchScenario {
 				return 18
 			},
 		},
+		{
+			// The sec8-clique fault: node 1 misses one sender's broadcast
+			// for one round and forms a minority clique. The horizons end
+			// some lanes before their view change and others after it.
+			name: "membership_clique",
+			cfg:  ClusterConfig{Ls: prototype, Mode: core.ModeMembership},
+			attach: func(run int, _ *tdma.Schedule, add func(tdma.Disturbance)) int {
+				f := 6 + run%6
+				add(fault.ReceiverBlind{
+					Receiver: 1, Senders: []tdma.NodeID{tdma.NodeID(2 + run%3)},
+					FromRound: f, ToRound: f + 1,
+				})
+				return f + 3 + run%12
+			},
+		},
+		{
+			// A node falls silent: every view excludes it, and the
+			// penalties isolate it.
+			name: "membership_silent",
+			cfg: ClusterConfig{
+				Ls:   prototype,
+				Mode: core.ModeMembership,
+				PR:   core.PRConfig{PenaltyThreshold: 2, RewardThreshold: 3},
+			},
+			attach: func(run int, _ *tdma.Schedule, add func(tdma.Disturbance)) int {
+				add(fault.Crash(tdma.NodeID(1+run%4), 5+run%4))
+				return 16 + run%5
+			},
+		},
 	}
+}
+
+// batchScenarioNamed returns the scenario of that name.
+func batchScenarioNamed(t *testing.T, name string) batchScenario {
+	t.Helper()
+	for _, sc := range batchScenarios() {
+		if sc.name == name {
+			return sc
+		}
+	}
+	t.Fatalf("no batch scenario %q", name)
+	return batchScenario{}
 }
 
 // wideLs draws a fixed job layout for an n-node scenario.
@@ -182,56 +226,95 @@ func wideLs(n int) []int {
 	return ls
 }
 
+// batchReference is what one per-run repetition leaves behind: collector,
+// truth rows, final penalties (observer, node), the telemetry snapshot, the
+// trace events and, in membership mode, every node's view (1-based).
+type batchReference struct {
+	col    *Collector
+	truth  [][]tdma.OutcomeClass
+	pen    [][]int64
+	snap   []byte
+	events []trace.Event
+	views  []membership.View
+}
+
 // runBatchReference executes one repetition on the per-run lock-step engine
-// and returns its observables: collector, truth rows, final penalties, the
-// telemetry snapshot and the trace events.
-func runBatchReference(t *testing.T, sc batchScenario, run int) (*Collector, [][]tdma.OutcomeClass, [][]int64, []byte, []trace.Event) {
+// of the scenario's mode and returns its observables.
+func runBatchReference(t *testing.T, sc batchScenario, run int) batchReference {
 	t.Helper()
 	cfg := sc.cfg
 	var rec trace.Recorder
 	cfg.Sink = &rec
-	cl, err := NewReusableDiagnosticCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	reg := metrics.New()
 	sm := core.NewStepMetrics(reg)
-	col := NewCollector()
-	n := cl.Config().N
-	for id := 1; id <= n; id++ {
-		col.HookDiag(id, cl.Runners[id])
-		cl.Runners[id].Protocol().SetMetrics(sm)
+	ref := batchReference{col: NewCollector()}
+	var eng *Engine
+	var protos []*core.Protocol
+	var views func(id int) membership.View
+	if cfg.Mode == core.ModeMembership {
+		e, runners, err := NewMembershipCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, protos = e, make([]*core.Protocol, len(runners))
+		for id := 1; id < len(runners); id++ {
+			ref.col.HookMembership(id, runners[id])
+			protos[id] = runners[id].Service().Protocol()
+		}
+		views = func(id int) membership.View { return runners[id].View() }
+	} else {
+		e, runners, err := NewDiagnosticCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, protos = e, make([]*core.Protocol, len(runners))
+		for id := 1; id < len(runners); id++ {
+			ref.col.HookDiag(id, runners[id])
+			protos[id] = runners[id].Protocol()
+		}
 	}
-	eng := cl.Eng
+	n := eng.Schedule().N()
+	for id := 1; id <= n; id++ {
+		protos[id].SetMetrics(sm)
+	}
 	horizon := sc.attach(run, eng.Schedule(), func(d tdma.Disturbance) { eng.Bus().AddDisturbance(d) })
 	if err := eng.RunRounds(horizon); err != nil {
 		t.Fatal(err)
 	}
-	truth := make([][]tdma.OutcomeClass, horizon)
+	ref.truth = make([][]tdma.OutcomeClass, horizon)
 	for r := 0; r < horizon; r++ {
-		truth[r] = append([]tdma.OutcomeClass(nil), eng.Truth(r)...)
+		ref.truth[r] = append([]tdma.OutcomeClass(nil), eng.Truth(r)...)
 	}
-	pen := make([][]int64, n+1)
+	ref.pen = make([][]int64, n+1)
 	for id := 1; id <= n; id++ {
-		pen[id] = make([]int64, n+1)
-		pr := cl.Runners[id].Protocol().PenaltyReward()
+		ref.pen[id] = make([]int64, n+1)
+		pr := protos[id].PenaltyReward()
 		for j := 1; j <= n; j++ {
-			pen[id][j] = pr.Penalty(j)
+			ref.pen[id][j] = pr.Penalty(j)
+		}
+	}
+	if views != nil {
+		ref.views = make([]membership.View, n+1)
+		for id := 1; id <= n; id++ {
+			ref.views[id] = views(id)
 		}
 	}
 	snap, err := json.Marshal(reg.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return col, truth, pen, snap, rec.Events()
+	ref.snap = snap
+	ref.events = rec.Events()
+	return ref
 }
 
 // TestBatchClusterEquivalence pins the lane-packed batched cluster to the
 // lock-step per-run engine: for every scenario and gang width (full,
 // ragged, single-lane), lane r of the gang must leave behind exactly the
 // observables of per-run repetition r — collector records, ground-truth
-// rows, final penalty counters, telemetry snapshots and the flushed trace
-// events, node 1's causal stream included.
+// rows, final penalty counters, membership views, telemetry snapshots and
+// the flushed trace events, node 1's causal stream and view changes
+// included.
 func TestBatchClusterEquivalence(t *testing.T) {
 	for _, sc := range batchScenarios() {
 		sc := sc
@@ -264,29 +347,35 @@ func TestBatchClusterEquivalence(t *testing.T) {
 					if err := bc.Run(); err != nil {
 						t.Fatal(err)
 					}
+					viewChanges := 0 // lanes whose node 1 installed a new view
 					for lane := 0; lane < width; lane++ {
-						refCol, refTruth, refPen, refSnap, refEvents := runBatchReference(t, sc, lane)
+						ref := runBatchReference(t, sc, lane)
 						sink.Reset()
 						bc.FlushLaneTrace(lane)
-						if i := trace.FirstDivergence(sink.Events(), refEvents); i >= 0 {
-							t.Fatalf("lane %d trace diverges at event %d (engine recorded %d)", lane, i, len(refEvents))
+						if i := trace.FirstDivergence(sink.Events(), ref.events); i >= 0 {
+							t.Fatalf("lane %d trace diverges at event %d (engine recorded %d)", lane, i, len(ref.events))
 						}
 						lt := bc.LaneTruth(lane)
-						if lt.Round() != len(refTruth) {
-							t.Fatalf("lane %d: %d recorded rounds, engine executed %d", lane, lt.Round(), len(refTruth))
+						if lt.Round() != len(ref.truth) {
+							t.Fatalf("lane %d: %d recorded rounds, engine executed %d", lane, lt.Round(), len(ref.truth))
 						}
-						for r := range refTruth {
-							if got := lt.Truth(r); !reflect.DeepEqual(got, refTruth[r]) {
-								t.Fatalf("lane %d round %d truth:\n got %v\nwant %v", lane, r, got, refTruth[r])
+						for r := range ref.truth {
+							if got := lt.Truth(r); !reflect.DeepEqual(got, ref.truth[r]) {
+								t.Fatalf("lane %d round %d truth:\n got %v\nwant %v", lane, r, got, ref.truth[r])
 							}
 						}
-						if got := bc.LaneCollector(lane); !reflect.DeepEqual(got, refCol) {
-							t.Fatalf("lane %d collector diverges:\n got %+v\nwant %+v", lane, got, refCol)
+						if got := bc.LaneCollector(lane); !reflect.DeepEqual(got, ref.col) {
+							t.Fatalf("lane %d collector diverges:\n got %+v\nwant %+v", lane, got, ref.col)
 						}
 						for id := 1; id <= n; id++ {
 							for j := 1; j <= n; j++ {
-								if got, want := bc.LaneFinalPenalty(lane, id, j), refPen[id][j]; got != want {
+								if got, want := bc.LaneFinalPenalty(lane, id, j), ref.pen[id][j]; got != want {
 									t.Fatalf("lane %d observer %d penalty(%d) = %d, want %d", lane, id, j, got, want)
+								}
+							}
+							if ref.views != nil {
+								if got := bc.LaneView(lane, id); !reflect.DeepEqual(got, ref.views[id]) {
+									t.Fatalf("lane %d node %d view %+v, want %+v", lane, id, got, ref.views[id])
 								}
 							}
 						}
@@ -294,9 +383,15 @@ func TestBatchClusterEquivalence(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if string(snap) != string(refSnap) {
-							t.Fatalf("lane %d metrics snapshot diverges:\n got %s\nwant %s", lane, snap, refSnap)
+						if string(snap) != string(ref.snap) {
+							t.Fatalf("lane %d metrics snapshot diverges:\n got %s\nwant %s", lane, snap, ref.snap)
 						}
+						if ref.views != nil && ref.views[1].ID > 0 {
+							viewChanges++
+						}
+					}
+					if sc.cfg.Mode == core.ModeMembership && width == bc.MaxLanes() && viewChanges == 0 {
+						t.Fatal("no lane installed a new view")
 					}
 				})
 			}
@@ -316,39 +411,112 @@ func gangWidths(capacity int) []int {
 	return ws
 }
 
-// TestBatchClusterReset pins gang reuse: a cluster reset between gangs is
-// observationally identical to a freshly built one, including shrinking to
-// a ragged width and growing back.
+// TestBatchClusterReset pins gang reuse in both modes: a cluster reset
+// between gangs is observationally identical to a freshly built one,
+// including shrinking to a ragged width and growing back, and ResetLs
+// re-pins a used cluster's job schedule exactly as building the cluster
+// with that schedule does.
 func TestBatchClusterReset(t *testing.T) {
-	sc := batchScenarios()[0]
-	reused, err := NewBatchDiagCluster(sc.cfg)
-	if err != nil {
+	for _, name := range []string{"bursts_detect", "membership_silent"} {
+		sc := batchScenarioNamed(t, name)
+		t.Run(name, func(t *testing.T) {
+			reused, err := NewBatchDiagCluster(sc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for gang, width := range []int{reused.MaxLanes(), 3, reused.MaxLanes(), 1} {
+				fresh, err := NewBatchDiagCluster(sc.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, bc := range []*BatchDiagCluster{reused, fresh} {
+					if err := bc.ResetBatch(width); err != nil {
+						t.Fatal(err)
+					}
+					runGang(t, sc, bc, gang*7, width)
+				}
+				sameLanes(t, fmt.Sprintf("gang %d", gang), reused, fresh, width)
+			}
+
+			// A staircase cluster, dirtied by one gang, re-pinned to the
+			// scenario's schedule.
+			stair := sc.cfg
+			stair.Ls = Staircase(4)
+			swapped, err := NewBatchDiagCluster(stair)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runGang(t, sc, swapped, 3, swapped.MaxLanes())
+			fresh, err := NewBatchDiagCluster(sc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const width = 5
+			for _, bc := range []*BatchDiagCluster{swapped, fresh} {
+				if err := bc.ResetBatch(width); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := swapped.ResetLs(sc.cfg.Ls); err != nil {
+				t.Fatal(err)
+			}
+			for _, bc := range []*BatchDiagCluster{swapped, fresh} {
+				runGang(t, sc, bc, 11, width)
+			}
+			sameLanes(t, "ResetLs", swapped, fresh, width)
+
+			// The gang has run: a schedule swap now needs a reset first.
+			if err := swapped.ResetLs(sc.cfg.Ls); err == nil {
+				t.Fatal("ResetLs after Run: want an error")
+			}
+			if err := swapped.ResetBatch(1); err != nil {
+				t.Fatal(err)
+			}
+			for _, bad := range [][]int{{9, 0, 0, 0}, {0, 1}} {
+				if err := swapped.ResetLs(bad); err == nil {
+					t.Fatalf("ResetLs(%v): want an error", bad)
+				}
+			}
+		})
+	}
+}
+
+// runGang attaches runs first..first+width-1 of a scenario to the lanes of
+// a reset cluster and runs the gang.
+func runGang(t *testing.T, sc batchScenario, bc *BatchDiagCluster, first, width int) {
+	t.Helper()
+	for lane := 0; lane < width; lane++ {
+		lane := lane
+		h := sc.attach(first+lane, bc.Schedule(), func(d tdma.Disturbance) { bc.AddLaneDisturbance(lane, d) })
+		bc.SetLaneHorizon(lane, h)
+	}
+	if err := bc.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for gang, width := range []int{reused.MaxLanes(), 3, reused.MaxLanes(), 1} {
-		fresh, err := NewBatchDiagCluster(sc.cfg)
-		if err != nil {
-			t.Fatal(err)
+}
+
+// sameLanes requires two clusters' lanes to hold the same collectors,
+// truth rows, final penalties and, in membership mode, views.
+func sameLanes(t *testing.T, label string, got, want *BatchDiagCluster, width int) {
+	t.Helper()
+	n := want.Config().N
+	for lane := 0; lane < width; lane++ {
+		if !reflect.DeepEqual(got.LaneCollector(lane), want.LaneCollector(lane)) {
+			t.Fatalf("%s lane %d: collector diverges from a fresh cluster", label, lane)
 		}
-		for _, bc := range []*BatchDiagCluster{reused, fresh} {
-			if err := bc.ResetBatch(width); err != nil {
-				t.Fatal(err)
-			}
-			for lane := 0; lane < width; lane++ {
-				lane := lane
-				h := sc.attach(gang*7+lane, bc.Schedule(), func(d tdma.Disturbance) { bc.AddLaneDisturbance(lane, d) })
-				bc.SetLaneHorizon(lane, h)
-			}
-			if err := bc.Run(); err != nil {
-				t.Fatal(err)
-			}
+		if !reflect.DeepEqual(got.truth[lane], want.truth[lane]) {
+			t.Fatalf("%s lane %d: truth diverges from a fresh cluster", label, lane)
 		}
-		for lane := 0; lane < width; lane++ {
-			if !reflect.DeepEqual(reused.LaneCollector(lane), fresh.LaneCollector(lane)) {
-				t.Fatalf("gang %d lane %d: reused cluster collector diverges from fresh", gang, lane)
+		for id := 1; id <= n; id++ {
+			for j := 1; j <= n; j++ {
+				if g, w := got.LaneFinalPenalty(lane, id, j), want.LaneFinalPenalty(lane, id, j); g != w {
+					t.Fatalf("%s lane %d observer %d penalty(%d) = %d, fresh cluster %d", label, lane, id, j, g, w)
+				}
 			}
-			if !reflect.DeepEqual(reused.truth[lane], fresh.truth[lane]) {
-				t.Fatalf("gang %d lane %d: reused cluster truth diverges from fresh", gang, lane)
+			if want.Config().Mode == core.ModeMembership {
+				if g, w := got.LaneView(lane, id), want.LaneView(lane, id); !reflect.DeepEqual(g, w) {
+					t.Fatalf("%s lane %d node %d view %+v, fresh cluster %+v", label, lane, id, g, w)
+				}
 			}
 		}
 	}

@@ -82,7 +82,7 @@ func TestClusterCausalEvents(t *testing.T) {
 // event alongside the accusation/penalty stream.
 func TestMembershipClusterEmitsViewChange(t *testing.T) {
 	var rec trace.Recorder
-	cl, err := NewReusableMembershipCluster(ClusterConfig{
+	eng, runners, err := NewMembershipCluster(ClusterConfig{
 		N:    4,
 		PR:   core.PRConfig{PenaltyThreshold: 2, RewardThreshold: 3},
 		Sink: &rec,
@@ -90,9 +90,8 @@ func TestMembershipClusterEmitsViewChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl.Reset()
-	cl.Eng.Bus().AddDisturbance(fault.Crash(3, 5))
-	if err := cl.Eng.RunRounds(20); err != nil {
+	eng.Bus().AddDisturbance(fault.Crash(3, 5))
+	if err := eng.RunRounds(20); err != nil {
 		t.Fatal(err)
 	}
 	views := rec.Filter(trace.KindViewChange)
@@ -102,7 +101,7 @@ func TestMembershipClusterEmitsViewChange(t *testing.T) {
 	if views[0].Node != 1 || views[0].Detail == "" {
 		t.Fatalf("view-change event malformed: %+v", views[0])
 	}
-	if got := cl.Runners[1].View(); got.Contains(3) {
+	if got := runners[1].View(); got.Contains(3) {
 		t.Fatalf("node 3 still in the view after crashing: %+v", got)
 	}
 }

@@ -32,8 +32,9 @@ type ClusterConfig struct {
 	// "never isolate, never forget" (both thresholds practically infinite),
 	// which is convenient for pure detection experiments.
 	PR core.PRConfig
-	// Mode selects diagnostic or membership behaviour for DiagRunner-based
-	// clusters (NewDiagnosticCluster forces ModeDiagnostic).
+	// Mode selects diagnostic or membership behaviour for NewBatchDiagCluster
+	// and NewLowLatCluster; the zero value means diagnostic.
+	// NewDiagnosticCluster and NewMembershipCluster force their own mode.
 	Mode core.Mode
 	// Sink receives trace events; nil discards them. Besides the engine's
 	// transmit/job events, a non-nil sink also receives node 1's causal
@@ -181,7 +182,7 @@ type DiagCluster struct {
 }
 
 // NewReusableDiagnosticCluster builds a diagnostic cluster intended for
-// reuse via Reset / ResetLs.
+// reuse via Reset.
 func NewReusableDiagnosticCluster(cfg ClusterConfig) (*DiagCluster, error) {
 	norm, err := cfg.withDefaults()
 	if err != nil {
@@ -209,78 +210,6 @@ func (c *DiagCluster) Config() ClusterConfig { return c.cfg }
 // protocol restarts its warm-up, observers are detached and the bootstrap
 // payloads are re-staged. No allocations are needed.
 func (c *DiagCluster) Reset() {
-	c.Eng.ResetForRun()
-	for id := 1; id <= c.cfg.N; id++ {
-		c.Runners[id].ResetForRun()
-		c.Eng.Controller(tdmaID(id)).WriteInterface(c.initial)
-	}
-}
-
-// ResetLs is Reset with a new internal schedule: every node's
-// diagnostic-job position is re-pinned to ls[i] (0-based, node i+1) and its
-// protocol reconfigured accordingly — the per-repetition random schedules of
-// the resilience experiments without rebuilding the cluster.
-func (c *DiagCluster) ResetLs(ls []int) error {
-	if len(ls) != c.cfg.N {
-		return fmt.Errorf("sim: ResetLs got %d positions, want %d", len(ls), c.cfg.N)
-	}
-	for i, l := range ls {
-		if l < 0 || l > c.cfg.N-1 {
-			return fmt.Errorf("sim: node %d job position %d out of range 0..%d", i+1, l, c.cfg.N-1)
-		}
-		if c.cfg.AllSendCurrRound && l >= i+1 {
-			return fmt.Errorf("sim: AllSendCurrRound set but node %d has l=%d (job after its slot)", i+1, l)
-		}
-	}
-	copy(c.cfg.Ls, ls)
-	c.Eng.ResetForRun()
-	for id := 1; id <= c.cfg.N; id++ {
-		if err := c.Runners[id].ResetConfig(c.cfg.nodeConfig(id)); err != nil {
-			return err
-		}
-		if err := c.Eng.SetNodePosition(tdmaID(id), ls[id-1]); err != nil {
-			return err
-		}
-		c.Eng.Controller(tdmaID(id)).WriteInterface(c.initial)
-	}
-	return nil
-}
-
-// MembershipCluster is the reusable counterpart of NewMembershipCluster.
-type MembershipCluster struct {
-	Eng     *Engine
-	Runners []*MembershipRunner // 1-based; entry 0 is nil
-	cfg     ClusterConfig
-	initial []byte
-}
-
-// NewReusableMembershipCluster builds a membership cluster intended for
-// reuse via Reset.
-func NewReusableMembershipCluster(cfg ClusterConfig) (*MembershipCluster, error) {
-	norm, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	norm.Mode = core.ModeMembership
-	eng, runners, err := NewMembershipCluster(cfg)
-	if err != nil {
-		return nil, err
-	}
-	norm.Ls = append([]int(nil), norm.Ls...)
-	return &MembershipCluster{
-		Eng:     eng,
-		Runners: runners,
-		cfg:     norm,
-		initial: core.NewSyndrome(norm.N, core.Healthy).Encode(),
-	}, nil
-}
-
-// Config returns the cluster's normalized configuration.
-func (c *MembershipCluster) Config() ClusterConfig { return c.cfg }
-
-// Reset rewinds the cluster to its freshly built state for the next
-// repetition (see DiagCluster.Reset).
-func (c *MembershipCluster) Reset() {
 	c.Eng.ResetForRun()
 	for id := 1; id <= c.cfg.N; id++ {
 		c.Runners[id].ResetForRun()

@@ -106,19 +106,6 @@ func (e *Engine) ResetForRun() {
 	}
 }
 
-// SetNodePosition re-pins the diagnostic-job position of an already added
-// node (used when a reused cluster is reconfigured between repetitions).
-func (e *Engine) SetNodePosition(id tdma.NodeID, l int) error {
-	if id < 1 || int(id) >= len(e.nodes) || e.nodes[id] == nil {
-		return fmt.Errorf("sim: node %d not added", id)
-	}
-	if l < 0 || l > e.sched.N()-1 {
-		return fmt.Errorf("sim: node %d job position %d out of range 0..%d", id, l, e.sched.N()-1)
-	}
-	e.nodes[id].pos = func(int) (int, error) { return l, nil }
-	return nil
-}
-
 // Bus returns the engine's bus (to attach disturbances).
 func (e *Engine) Bus() *tdma.Bus { return e.bus }
 

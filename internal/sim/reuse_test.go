@@ -7,7 +7,6 @@ import (
 
 	"ttdiag/internal/core"
 	"ttdiag/internal/fault"
-	"ttdiag/internal/tdma"
 )
 
 // renderDiagState flattens everything a campaign can observe from a
@@ -107,101 +106,5 @@ func TestClusterReuseEquivalence(t *testing.T) {
 	}
 	if got != want {
 		t.Fatal("second reuse diverged from fresh cluster")
-	}
-}
-
-// TestClusterReuseEquivalenceResetLs checks the schedule-swapping reset: a
-// reused cluster re-pinned to a new internal schedule must match a cluster
-// freshly built with that schedule.
-func TestClusterReuseEquivalenceResetLs(t *testing.T) {
-	lsA := []int{0, 1, 2, 3}
-	lsB := []int{2, 0, 3, 1}
-	const rounds = 24
-
-	fresh, freshRunners, err := NewDiagnosticCluster(ClusterConfig{Ls: lsB})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := runDiagScenario(fresh, freshRunners, NewCollector(), 7, 1, 1, rounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cl, err := NewReusableDiagnosticCluster(ClusterConfig{Ls: lsA})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := runDiagScenario(cl.Eng, cl.Runners, NewCollector(), 6, 4, 2, rounds); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.ResetLs(lsB); err != nil {
-		t.Fatal(err)
-	}
-	got, err := runDiagScenario(cl.Eng, cl.Runners, NewCollector(), 7, 1, 1, rounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("ResetLs cluster diverged from fresh cluster:\n--- fresh ---\n%s--- reused ---\n%s", want, got)
-	}
-
-	if err := cl.ResetLs([]int{9, 0, 0, 0}); err == nil {
-		t.Fatal("out-of-range position: want an error")
-	}
-	if err := cl.ResetLs([]int{0, 1}); err == nil {
-		t.Fatal("wrong length: want an error")
-	}
-}
-
-// TestMembershipClusterReuseEquivalence is the membership-mode counterpart:
-// view histories and formation rounds must be identical between a fresh and
-// a reset-reused cluster.
-func TestMembershipClusterReuseEquivalence(t *testing.T) {
-	cfg := ClusterConfig{Ls: []int{2, 0, 3, 1}}
-	const rounds = 22
-
-	scenario := func(eng *Engine, runners []*MembershipRunner, missed tdma.NodeID) (string, error) {
-		eng.Bus().AddDisturbance(fault.ReceiverBlind{
-			Receiver: 1, Senders: []tdma.NodeID{missed},
-			FromRound: 6, ToRound: 7,
-		})
-		if err := eng.RunRounds(rounds); err != nil {
-			return "", err
-		}
-		var b strings.Builder
-		for id := 1; id <= 4; id++ {
-			for _, v := range runners[id].Service().History() {
-				fmt.Fprintf(&b, "node %d view %d at %d: %v\n", id, v.ID, v.FormedAtRound, v.Members)
-			}
-		}
-		return b.String(), nil
-	}
-
-	fresh, freshRunners, err := NewMembershipCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := scenario(fresh, freshRunners, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(want, "[2 3 4]") {
-		t.Fatalf("scenario did not form the expected clique view:\n%s", want)
-	}
-
-	cl, err := NewReusableMembershipCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := scenario(cl.Eng, cl.Runners, 4); err != nil {
-		t.Fatal(err)
-	}
-	cl.Reset()
-	got, err := scenario(cl.Eng, cl.Runners, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("reused membership cluster diverged:\n--- fresh ---\n%s--- reused ---\n%s", want, got)
 	}
 }

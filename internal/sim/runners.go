@@ -171,20 +171,6 @@ func (r *DiagRunner) ResetForRun() {
 	r.act.reset()
 }
 
-// ResetConfig is ResetForRun with a configuration swap (same N), used when a
-// reused cluster changes per-repetition parameters such as the internal
-// schedule position L.
-func (r *DiagRunner) ResetConfig(cfg core.Config) error {
-	if err := r.proto.ResetConfig(cfg); err != nil {
-		return err
-	}
-	r.last = core.RoundOutput{}
-	r.OnOutput = nil
-	r.haveSnap = false
-	r.act.reset()
-	return nil
-}
-
 var _ Runner = (*DiagRunner)(nil)
 
 // NewDiagRunner builds the runner and its protocol instance.
@@ -286,16 +272,22 @@ func (r *MembershipRunner) Run(round int, ctrl *tdma.Controller) ([]byte, error)
 	}
 	r.act.apply(ctrl, cfg.N, out.Diag.Active, cfg.PR.ReintegrationThreshold > 0)
 	if r.sink != nil && out.ViewChanged {
-		r.sink.Record(trace.Event{
-			Round:  round,
-			Kind:   trace.KindViewChange,
-			Node:   cfg.ID,
-			Detail: fmt.Sprintf("view %d installed (%d members)", out.View.ID, len(out.View.Members)),
-		})
+		r.sink.Record(viewChangeEvent(round, cfg.ID, out.View))
 	}
 	r.last = out
 	if r.OnOutput != nil {
 		r.OnOutput(out)
 	}
 	return r.payload.encode(out.Diag.Send, cfg.N), nil
+}
+
+// viewChangeEvent is the causal event announcing that node id installed view
+// v in round, shared with the lane-packed cluster's flight recorder.
+func viewChangeEvent(round, id int, v membership.View) trace.Event {
+	return trace.Event{
+		Round:  round,
+		Kind:   trace.KindViewChange,
+		Node:   id,
+		Detail: fmt.Sprintf("view %d installed (%d members)", v.ID, len(v.Members)),
+	}
 }

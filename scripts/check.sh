@@ -39,7 +39,7 @@ check_metrics_determinism() {
 }
 
 check_fleet_determinism() {
-    go test -race -cpu=1,4 ./internal/fleet/ \
+    scripts/gotest.sh -race -cpu=1,4 ./internal/fleet/ \
         -run 'TestFleetWorkerCountInvariance|TestFleetShardOrderInvariance|TestFleetLanePackedMatchesPerRun|TestGatewayMatchesPerRunProtocol|TestFleetCausalWorkerInvariance'
     scripts/gotest.sh -race -cpu=1,4 ./internal/experiments/ -run TestFleetCampaignWorkerCountInvariance
 }
@@ -68,7 +68,7 @@ step "go test -race -cpu=1,4 (campaign determinism)" \
     scripts/gotest.sh -race -cpu=1,4 ./internal/experiments/ -run TestCampaignWorkerCountInvariance
 step "go test -race -cpu=1,4 (metrics determinism)" check_metrics_determinism
 step "go test -race -cpu=1,4 (cluster reuse equivalence)" \
-    scripts/gotest.sh -race -cpu=1,4 ./internal/sim/ -run TestClusterReuseEquivalence
+    scripts/gotest.sh -race -cpu=1,4 ./internal/sim/ -run 'TestClusterReuseEquivalence|TestBatchClusterReset'
 step "go test -race -cpu=1,4 (protocol vs reference)" \
     scripts/gotest.sh -race -cpu=1,4 ./internal/core/ -run 'TestPackedScalarStepEquivalence|TestPackedScalarTraceEquivalence'
 step "go test -race -cpu=1,4 (batched campaign determinism)" \
@@ -90,7 +90,7 @@ step "go test -fuzz (trace JSONL decoder, seed corpus + short fuzz)" \
 step "go test (exhaustive shard-summary decode)" \
     scripts/gotest.sh ./internal/core/ -run TestShardSummaryDecodeExhaustive
 step "go test -tags ttdiag_invariants" \
-    go test -tags ttdiag_invariants ./internal/core/... ./internal/invariant/... ./internal/cluster/... ./internal/sim/... ./internal/fleet/... ./internal/splitting/...
+    go test -tags ttdiag_invariants ./internal/core/... ./internal/invariant/... ./internal/cluster/... ./internal/sim/... ./internal/fleet/... ./internal/splitting/... ./internal/experiments/... ./internal/membership/...
 step "ttdiag-lint (+ escape gate)" \
     go run ./cmd/ttdiag-lint -escapes ./...
 
