@@ -17,7 +17,7 @@ import (
 	"ttdiag/internal/replay"
 	"ttdiag/internal/rng"
 	"ttdiag/internal/sim"
-	"ttdiag/internal/tdma"
+	"ttdiag/internal/trace"
 	"ttdiag/internal/tuning"
 
 	"ttdiag"
@@ -284,32 +284,32 @@ func BenchmarkFDIRLoop(b *testing.B) { benchExperiment(b, "fdir-loop", 1) }
 
 func BenchmarkReintegrationExtension(b *testing.B) { benchExperiment(b, "ext-reintegration", 1) }
 
-// BenchmarkFlightRecorder measures transcript writing plus offline replay of
-// a 30-round scenario.
+// BenchmarkFlightRecorder measures recording a 30-round scenario's JSONL
+// trace plus decoding and replaying it.
 func BenchmarkFlightRecorder(b *testing.B) {
 	cfg := sim.ClusterConfig{Ls: []int{2, 0, 3, 1}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		eng, _, err := sim.NewDiagnosticCluster(cfg)
+		var buf bytes.Buffer
+		jw := trace.NewJSONLWriter(&buf)
+		live := cfg
+		live.Sink = jw
+		eng, _, err := sim.NewDiagnosticCluster(live)
 		if err != nil {
 			b.Fatal(err)
-		}
-		var buf bytes.Buffer
-		w := replay.NewWriter(&buf)
-		eng.OnReport = func(rep *tdma.TxReport) {
-			if err := w.RecordReport(rep); err != nil {
-				b.Fatal(err)
-			}
 		}
 		eng.Bus().AddDisturbance(fault.NewTrain(fault.SlotBurst(eng.Schedule(), 6, 3, 1)))
 		if err := eng.RunRounds(30); err != nil {
 			b.Fatal(err)
 		}
-		log, err := replay.Read(&buf, 4)
+		if err := jw.Err(); err != nil {
+			b.Fatal(err)
+		}
+		events, err := trace.ReadJSONL(&buf)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := replay.Replay(log, cfg, 1); err != nil {
+		if _, err := replay.Replay(events, cfg, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -24,7 +24,6 @@ import (
 	"ttdiag/internal/lowlat"
 	"ttdiag/internal/membership"
 	"ttdiag/internal/metrics"
-	"ttdiag/internal/replay"
 	"ttdiag/internal/rng"
 	"ttdiag/internal/sim"
 	"ttdiag/internal/tdma"
@@ -52,7 +51,6 @@ type options struct {
 	seed     int64
 	quiet    bool
 	gantt    bool
-	record   string
 	metrics  string
 	traceOut string
 }
@@ -73,7 +71,6 @@ func run(args []string) error {
 	fs.Int64Var(&o.seed, "seed", 2007, "random seed")
 	fs.BoolVar(&o.quiet, "quiet", false, "only print the final summary")
 	fs.BoolVar(&o.gantt, "gantt", false, "print an ASCII round timeline at the end")
-	fs.StringVar(&o.record, "record", "", "write a flight-recorder bus transcript (JSONL) to this file")
 	fs.StringVar(&o.metrics, "metrics", "", "write a versioned metrics report (JSON) to this file (diag and membership variants)")
 	fs.StringVar(&o.traceOut, "trace", "", "stream simulation trace events (JSONL) to this file")
 	if err := fs.Parse(args); err != nil {
@@ -281,25 +278,6 @@ func simulateDiag(o options, cfg sim.ClusterConfig) error {
 	}
 	tel := newSimTelemetry(o)
 	tel.attach(o.n, func(id int) *core.Protocol { return runners[id].Protocol() })
-	if o.record != "" {
-		f, err := os.Create(o.record)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w := replay.NewWriter(f)
-		var recErr error
-		eng.OnReport = func(rep *tdma.TxReport) {
-			if err := w.RecordReport(rep); err != nil && recErr == nil {
-				recErr = err
-			}
-		}
-		defer func() {
-			if recErr != nil {
-				fmt.Fprintln(os.Stderr, "ttdiag-sim: transcript:", recErr)
-			}
-		}()
-	}
 	ds, err := disturbances(o, eng.Schedule())
 	if err != nil {
 		return err

@@ -6,7 +6,10 @@ import (
 	"strings"
 	"testing"
 
+	"ttdiag/internal/core"
 	"ttdiag/internal/metrics"
+	"ttdiag/internal/replay"
+	"ttdiag/internal/sim"
 	"ttdiag/internal/trace"
 )
 
@@ -61,17 +64,38 @@ func TestGanttFlag(t *testing.T) {
 	}
 }
 
+// TestRecordFlag: the flight recorder is the -trace stream — -record and
+// its separate bus transcript are gone — and replaying the recorded trace
+// under the run's tuning reproduces node 1's isolation of the crashed node.
 func TestRecordFlag(t *testing.T) {
 	path := t.TempDir() + "/flight.jsonl"
-	if err := run([]string{"-burst", "6:3:1", "-rounds", "10", "-quiet", "-record", path}); err != nil {
+	if err := run([]string{"-rounds", "10", "-quiet", "-record", path}); err == nil ||
+		!strings.Contains(err.Error(), "flag provided but not defined: -record") {
+		t.Fatalf("-record: got %v, want an unknown-flag error", err)
+	}
+	if err := run([]string{"-crash", "4:10", "-p", "4", "-rounds", "20", "-quiet", "-trace", path}); err != nil {
 		t.Fatal(err)
 	}
-	info, err := os.Stat(path)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Size() == 0 {
-		t.Fatal("transcript empty")
+	defer f.Close()
+	events, err := trace.ReadJSONL(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sim.ClusterConfig{PR: core.PRConfig{PenaltyThreshold: 4, RewardThreshold: 1_000_000}}
+	diags, err := replay.Replay(events, cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	isolated := false
+	for _, d := range diags {
+		isolated = isolated || d.Isolated == 1<<3
+	}
+	if !isolated {
+		t.Fatal("replaying the trace did not isolate the crashed node 4")
 	}
 }
 

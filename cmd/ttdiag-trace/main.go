@@ -8,14 +8,20 @@
 //	ttdiag-trace timeline -in f.jsonl [-run i] [-node n]
 //	ttdiag-trace explain  -in f.jsonl [-run i] -node n [-round r]
 //	ttdiag-trace diff     -a x.jsonl -b y.jsonl
+//	ttdiag-trace replay   -in f.jsonl [-run i] [-observer id] [-p P] [-r R] [-faulty-only]
 //	ttdiag-trace bisect   [-n nodes] [-rounds k] [-p P] [-r R] [-reint T]
 //	                      [-every node:k:from:to] -inject round:slot:slots
 //
 // filter prints matching events; timeline prints each node's isolation
 // spans; explain prints the causal chain (accusations, penalty trajectory,
 // isolation) that ended in a node's isolation; diff reports the first event
-// where two traces diverge. bisect re-executes a scenario on two sides — the
-// base cluster vs one with an extra injected burst (-inject) — and
+// where two traces diverge. replay re-simulates a recorded diagnostic run
+// from its transmit events — the node count and job positions come from the
+// trace — and prints one observer's health vectors and isolations: with the
+// recorded -p/-r it reproduces the run, with others it shows the
+// counterfactual (runs recorded with a reintegration threshold or
+// AllSendCurrRound need replay.Replay with their full configuration). bisect re-executes a scenario on two sides — the base
+// cluster vs one with an extra injected burst (-inject) — and
 // binary-searches the first divergent round via run checkpointing, printing
 // both sides' causal events at that round.
 package main
@@ -24,11 +30,13 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 
 	"ttdiag/internal/bisect"
 	"ttdiag/internal/core"
 	"ttdiag/internal/fault"
+	"ttdiag/internal/replay"
 	"ttdiag/internal/sim"
 	"ttdiag/internal/tdma"
 	"ttdiag/internal/trace"
@@ -43,7 +51,7 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: ttdiag-trace filter|timeline|explain|diff|bisect [flags]")
+		return fmt.Errorf("usage: ttdiag-trace filter|timeline|explain|diff|replay|bisect [flags]")
 	}
 	switch cmd := args[0]; cmd {
 	case "filter":
@@ -54,10 +62,12 @@ func run(args []string, out io.Writer) error {
 		return runExplain(args[1:], out)
 	case "diff":
 		return runDiff(args[1:], out)
+	case "replay":
+		return runReplay(args[1:], out)
 	case "bisect":
 		return runBisect(args[1:], out)
 	default:
-		return fmt.Errorf("unknown command %q (want filter, timeline, explain, diff or bisect)", cmd)
+		return fmt.Errorf("unknown command %q (want filter, timeline, explain, diff, replay or bisect)", cmd)
 	}
 }
 
@@ -252,6 +262,58 @@ func runDiff(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "  %s: %s\n", *fileB, b[i])
 	} else {
 		fmt.Fprintf(out, "  %s: (ends after %d events)\n", *fileB, len(b))
+	}
+	return nil
+}
+
+func runReplay(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("ttdiag-trace replay", flag.ContinueOnError)
+	in := fs.String("in", "", "JSONL trace file")
+	runIdx := fs.Int("run", -1, "repetition index in a multi-run trace")
+	observer := fs.Int("observer", 1, "node whose diagnosis to replay")
+	p := fs.Int64("p", 197, "penalty threshold P (the recorded one reproduces the run)")
+	r := fs.Int64("r", 1_000_000, "reward threshold R (the recorded one reproduces the run)")
+	faultyOnly := fs.Bool("faulty-only", false, "print only rounds with non-healthy vectors or isolations")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *in == "" {
+		return fmt.Errorf("replay: -in is required")
+	}
+	events, err := loadRun(*in, *runIdx)
+	if err != nil {
+		return err
+	}
+	n, ls, err := replay.Layout(events)
+	if err != nil {
+		return err
+	}
+	diags, err := replay.Replay(events, sim.ClusterConfig{
+		N: n, Ls: ls, PR: core.PRConfig{PenaltyThreshold: *p, RewardThreshold: *r},
+	}, *observer)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "trace: rounds 0..%d, %d-node system, job positions %v; replaying observer %d\n\n",
+		events[len(events)-1].Round, n, ls, *observer)
+	printed := 0
+	for _, d := range diags {
+		if *faultyOnly && d.ConsHV.CountFaulty(n) == 0 && d.Isolated == 0 {
+			continue
+		}
+		extra := ""
+		if d.Isolated != 0 {
+			var nodes []int
+			for m := d.Isolated; m != 0; m &= m - 1 {
+				nodes = append(nodes, bits.TrailingZeros64(m)+1)
+			}
+			extra = fmt.Sprintf("   ISOLATED %v", nodes)
+		}
+		fmt.Fprintf(out, "round %-5d cons_hv(round %d) = %s%s\n", d.Round, d.DiagnosedRound, d.ConsHV.String(n), extra)
+		printed++
+	}
+	if printed == 0 {
+		fmt.Fprintln(out, "no matching rounds (the trace looks clean)")
 	}
 	return nil
 }

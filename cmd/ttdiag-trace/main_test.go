@@ -11,6 +11,7 @@ import (
 
 	"ttdiag/internal/core"
 	"ttdiag/internal/fault"
+	"ttdiag/internal/replay"
 	"ttdiag/internal/sim"
 	"ttdiag/internal/tdma"
 	"ttdiag/internal/trace"
@@ -20,13 +21,16 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden trace testdata
 
 const goldenTrace = "testdata/sec8-bursts.trace.jsonl"
 
+// prototypeLs is the node schedule of the Sec. 8 campaigns.
+var prototypeLs = []int{2, 0, 3, 1}
+
 // goldenConfig is the sec8-bursts scenario geometry (prototype node
 // schedule) with isolation-grade thresholds, streaming node 1's causal
 // flight recorder plus the engine events to sink.
 func goldenConfig(sink trace.Sink) sim.ClusterConfig {
 	return sim.ClusterConfig{
 		N:    4,
-		Ls:   []int{2, 0, 3, 1},
+		Ls:   prototypeLs,
 		PR:   core.PRConfig{PenaltyThreshold: 2, RewardThreshold: 3, ReintegrationThreshold: 4},
 		Sink: sink,
 	}
@@ -301,6 +305,111 @@ func TestBisectCLIRejectsIdenticalSides(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"bisect"}, &out); err == nil {
 		t.Fatal("bisect with identical sides accepted")
+	}
+}
+
+// TestReplayGoldenGang: replaying every repetition of the golden trace,
+// which the lane-packed gang records, under the recorded configuration
+// reproduces that repetition's events exactly.
+func TestReplayGoldenGang(t *testing.T) {
+	f, err := os.Open(goldenTrace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	all, err := trace.ReadJSONL(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, events := range trace.SplitRuns(all) {
+		if events[0].Kind == trace.KindNote {
+			events = events[1:]
+		}
+		var rec trace.Recorder
+		cfg := goldenConfig(&rec)
+		cfg.Ls = prototypeLs
+		if _, err := replay.Replay(events, cfg, 1); err != nil {
+			t.Fatal(err)
+		}
+		got := rec.Events()
+		if j := trace.FirstDivergence(got, events); j >= 0 {
+			t.Fatalf("repetition %d: replay diverges at event %d of %d/%d", i, j, len(got), len(events))
+		}
+	}
+}
+
+// TestReplayCLI drives the flight-recorder workflow: the golden trace
+// replayed under its recorded tuning prints node 3's isolation, and a
+// larger P is the counterfactual without it.
+func TestReplayCLI(t *testing.T) {
+	iso := goldenIsolation(t)
+	var out bytes.Buffer
+	if err := run([]string{"replay", "-in", goldenTrace, "-p", "2", "-r", "3", "-faulty-only"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	got := out.String()
+	if !strings.HasPrefix(got, "trace: rounds 0..27, 4-node system, job positions [2 0 3 1]; replaying observer 1") {
+		t.Fatalf("replay header: %q", got)
+	}
+	if want := fmt.Sprintf("round %-5d", iso.Round); !strings.Contains(got, want) || !strings.Contains(got, "ISOLATED [3]") {
+		t.Fatalf("replay output lacks node 3's isolation in round %d:\n%s", iso.Round, got)
+	}
+
+	// A campaign trace separates repetitions with notes; -run picks one.
+	golden, err := os.ReadFile(goldenTrace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var multi bytes.Buffer
+	for i := 0; i < 2; i++ {
+		if err := trace.WriteJSONL(&multi, trace.Event{Kind: trace.KindNote, Detail: fmt.Sprintf("run %d", i)}); err != nil {
+			t.Fatal(err)
+		}
+		multi.Write(golden)
+	}
+	campaign := filepath.Join(t.TempDir(), "campaign.jsonl")
+	if err := os.WriteFile(campaign, multi.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var picked bytes.Buffer
+	if err := run([]string{"replay", "-in", campaign, "-run", "1", "-p", "2", "-r", "3", "-faulty-only"}, &picked); err != nil {
+		t.Fatal(err)
+	}
+	if picked.String() != got {
+		t.Fatalf("replaying repetition 1 of a campaign trace:\n%s\nwant\n%s", picked.String(), got)
+	}
+
+	out.Reset()
+	if err := run([]string{"replay", "-in", goldenTrace, "-observer", "4", "-p", "50", "-r", "3"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out.String(), "ISOLATED") || !strings.Contains(out.String(), "cons_hv(round 6) = 1101") {
+		t.Fatalf("counterfactual replay with P=50:\n%s", out.String())
+	}
+}
+
+func TestReplayCLIErrors(t *testing.T) {
+	legacy := filepath.Join(t.TempDir(), "v2.jsonl")
+	v2 := `{"v":2,"at_ns":0,"round":0,"kind":"transmit","node":1,"detail":"benign"}` + "\n" +
+		`{"v":2,"at_ns":0,"round":0,"kind":"job","node":2}` + "\n" +
+		`{"v":2,"at_ns":0,"round":0,"kind":"transmit","node":2,"detail":"correct"}` + "\n"
+	if err := os.WriteFile(legacy, []byte(v2), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cases := [][]string{
+		{"replay"},
+		{"replay", "-in", "/does/not/exist"},
+		{"replay", "-in", goldenTrace, "-observer", "9"},
+		{"replay", "-in", goldenTrace, "-run", "3"},
+		{"replay", "-in", goldenTrace, "-n", "4"},
+		{"replay", "-in", goldenTrace, "-ls", "0,1,2,3"},
+		{"replay", "-in", legacy},
+	}
+	for _, args := range cases {
+		var out bytes.Buffer
+		if err := run(args, &out); err == nil {
+			t.Fatalf("run(%v): expected an error", args)
+		}
 	}
 }
 

@@ -1,11 +1,11 @@
-// Flight recorder: record the bus transcript of a live run, then analyse it
-// offline — including a counterfactual replay under different tuning. The
-// diagnosis is a deterministic function of the bus observations, so the
-// transcript is all a post-mortem needs.
+// Flight recorder: record the trace of a live run, then analyse it offline —
+// including a counterfactual replay under different tuning. The diagnosis is
+// a deterministic function of the bus observations, and the trace records
+// every deviation from a clean broadcast, so the trace is all a post-mortem
+// needs.
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"log"
 	"math/bits"
@@ -20,8 +20,10 @@ func main() {
 }
 
 func run() error {
+	var rec ttdiag.Recorder
 	cfg := ttdiag.SimulationConfig{
-		PR: ttdiag.PRConfig{PenaltyThreshold: 5, RewardThreshold: 20},
+		PR:   ttdiag.PRConfig{PenaltyThreshold: 5, RewardThreshold: 20},
+		Sink: &rec,
 	}
 
 	// --- Live run: node 3 suffers a 7-round transient and is isolated. ---
@@ -29,8 +31,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	var transcript bytes.Buffer
-	flush := ttdiag.RecordTranscript(eng, ttdiag.NewTranscriptWriter(&transcript))
 	// Corrupt node 3's sending slot for 7 consecutive rounds (an external
 	// transient hitting only its stub).
 	bursts := make([]ttdiag.Burst, 0, 7)
@@ -42,17 +42,12 @@ func run() error {
 	if err := eng.RunRounds(30); err != nil {
 		return err
 	}
-	if err := flush(); err != nil {
-		return err
-	}
-	fmt.Printf("recorded %d bytes of bus transcript (30 rounds)\n\n", transcript.Len())
+	events := rec.Events()
+	fmt.Printf("recorded %d trace events (30 rounds)\n\n", len(events))
 
 	// --- Post-mortem: reconstruct what node 1 decided. ---
-	logf, err := ttdiag.ReadTranscript(bytes.NewReader(transcript.Bytes()), 4)
-	if err != nil {
-		return err
-	}
-	diags, err := ttdiag.ReplayTranscript(logf, cfg, 1)
+	cfg.Sink = nil
+	diags, err := ttdiag.ReplayTrace(events, cfg, 1)
 	if err != nil {
 		return err
 	}
@@ -70,7 +65,7 @@ func run() error {
 
 	// --- Counterfactual: would P=50 have ridden the transient out? ---
 	cfg.PR.PenaltyThreshold = 50
-	diags, err = ttdiag.ReplayTranscript(logf, cfg, 1)
+	diags, err = ttdiag.ReplayTrace(events, cfg, 1)
 	if err != nil {
 		return err
 	}

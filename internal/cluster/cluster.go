@@ -140,7 +140,7 @@ type Cluster struct {
 	outbox [][]byte
 	last   []core.RoundOutput
 	round  int
-	sink   trace.Sink
+	sink   trace.Sink // nil: no events are built
 	// quit is closed exactly once by Close; every mailbox send and reply
 	// receive selects on it, so shutdown can never deadlock mid-round.
 	quit    chan struct{}
@@ -159,17 +159,13 @@ func New(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	sink := cfg.Sink
-	if sink == nil {
-		sink = trace.Discard{}
-	}
 	c := &Cluster{
 		cfg:    cfg,
 		sched:  sched,
 		nodes:  make([]*nodeProc, cfg.N+1),
 		outbox: make([][]byte, cfg.N+1),
 		last:   make([]core.RoundOutput, cfg.N+1),
-		sink:   sink,
+		sink:   cfg.Sink,
 		quit:   make(chan struct{}),
 	}
 	initial := core.NewSyndrome(cfg.N, core.Healthy).Encode()
@@ -206,17 +202,13 @@ func NewWithRunners(cfg Config, runners []sim.Runner, ls []int) (*Cluster, error
 	if err != nil {
 		return nil, err
 	}
-	sink := cfg.Sink
-	if sink == nil {
-		sink = trace.Discard{}
-	}
 	c := &Cluster{
 		cfg:    cfg,
 		sched:  sched,
 		nodes:  make([]*nodeProc, cfg.N+1),
 		outbox: make([][]byte, cfg.N+1),
 		last:   make([]core.RoundOutput, cfg.N+1),
-		sink:   sink,
+		sink:   cfg.Sink,
 		quit:   make(chan struct{}),
 	}
 	initial := core.NewSyndrome(cfg.N, core.Healthy).Encode()
@@ -418,9 +410,11 @@ func (c *Cluster) RunRound() error {
 				c.outbox[id] = rep.payload
 			}
 			c.last[id] = rep.output
-			c.sink.Record(trace.Event{
-				At: c.sched.RoundStart(k), Round: k, Kind: trace.KindJobRun, Node: id,
-			})
+			if c.sink != nil {
+				c.sink.Record(trace.Event{
+					At: c.sched.JobTime(k, pos), Round: k, Kind: trace.KindJobRun, Node: id,
+				})
+			}
 		}
 		if pos == n {
 			break
@@ -476,7 +470,11 @@ func (c *Cluster) transmit(round, slot int) error {
 		End:     end,
 		Payload: append([]byte(nil), c.outbox[sender]...),
 	}
-	collision := c.dist.SenderCollision(&tx, false)
+	rep := tdma.TxReport{
+		Tx:         tx,
+		Deliveries: make([]tdma.Delivery, c.cfg.N+1),
+		Collision:  c.dist.SenderCollision(&tx, false),
+	}
 	reply := make(chan error, c.cfg.N)
 	for rcv := 1; rcv <= c.cfg.N; rcv++ {
 		d := tdma.Delivery{Valid: true, Payload: tx.Payload}
@@ -484,12 +482,13 @@ func (c *Cluster) transmit(round, slot int) error {
 		if !d.Valid {
 			d.Payload = nil
 		}
+		rep.Deliveries[rcv] = d
 		if err := c.post(rcv, deliverCmd{
 			sender:    sender,
 			round:     round,
 			slot:      slot,
 			delivery:  d,
-			collision: collision,
+			collision: rep.Collision,
 			reply:     reply,
 		}); err != nil {
 			return err
@@ -510,7 +509,9 @@ func (c *Cluster) transmit(round, slot int) error {
 	if firstErr != nil {
 		return fmt.Errorf("cluster: round %d slot %d: %w", round, slot, firstErr)
 	}
-	c.sink.Record(trace.Event{At: start, Round: round, Kind: trace.KindTransmit, Node: int(sender)})
+	if c.sink != nil {
+		c.sink.Record(rep.Event())
+	}
 	return nil
 }
 

@@ -24,17 +24,36 @@ func scenarioDisturbances(sched *tdma.Schedule) []tdma.Disturbance {
 	}
 }
 
+// equivalenceCfgs are the configurations the lock-step equivalence tests
+// run under scenarioDisturbances.
+var equivalenceCfgs = []Config{
+	{Ls: sim.Staircase(4), AllSendCurrRound: true,
+		PR: core.PRConfig{PenaltyThreshold: 6, RewardThreshold: 50}},
+	{Ls: []int{2, 0, 3, 1},
+		PR: core.PRConfig{PenaltyThreshold: 6, RewardThreshold: 50}},
+}
+
+// heterogeneousCfg declares per-slot frame lengths, and
+// heterogeneousBurst is its scenario.
+var heterogeneousCfg = Config{
+	SlotLens: []time.Duration{
+		250 * time.Microsecond,
+		time.Millisecond,
+		500 * time.Microsecond,
+		750 * time.Microsecond,
+	},
+	Ls: sim.Staircase(4), AllSendCurrRound: true,
+}
+
+func heterogeneousBurst(sched *tdma.Schedule) []tdma.Disturbance {
+	return []tdma.Disturbance{fault.NewTrain(fault.SlotBurst(sched, 6, 2, 1))}
+}
+
 // TestEquivalenceWithLockStepEngine runs the same scenario on the lock-step
 // engine and the concurrent runtime and requires bit-identical consistent
 // health vectors and activity vectors in every round.
 func TestEquivalenceWithLockStepEngine(t *testing.T) {
-	cfgs := []Config{
-		{Ls: sim.Staircase(4), AllSendCurrRound: true,
-			PR: core.PRConfig{PenaltyThreshold: 6, RewardThreshold: 50}},
-		{Ls: []int{2, 0, 3, 1},
-			PR: core.PRConfig{PenaltyThreshold: 6, RewardThreshold: 50}},
-	}
-	for ci, cfg := range cfgs {
+	for ci, cfg := range equivalenceCfgs {
 		// Lock-step reference run.
 		eng, runners, err := sim.NewDiagnosticCluster(cfg)
 		if err != nil {
@@ -129,6 +148,73 @@ func TestClusterTrace(t *testing.T) {
 	}
 	if got := len(rec.Filter(trace.KindTransmit)); got != 8 {
 		t.Fatalf("transmit events = %d, want 8", got)
+	}
+}
+
+// TestConcurrentTraceMatchesLockStep: the concurrent runtime's transmit and
+// job events — outcome class, job times and the deviations a replay needs —
+// equal the lock-step engine's, event for event, in the equivalence
+// scenarios.
+func TestConcurrentTraceMatchesLockStep(t *testing.T) {
+	type tcase struct {
+		cfg  Config
+		dist func(*tdma.Schedule) []tdma.Disturbance
+	}
+	cases := []tcase{{heterogeneousCfg, heterogeneousBurst}}
+	for _, cfg := range equivalenceCfgs {
+		cases = append(cases, tcase{cfg, scenarioDisturbances})
+	}
+	const rounds = 24
+	busEvents := func(rec *trace.Recorder) []trace.Event {
+		var out []trace.Event
+		for _, e := range rec.Events() {
+			if e.Kind == trace.KindTransmit || e.Kind == trace.KindJobRun {
+				out = append(out, e)
+			}
+		}
+		return out
+	}
+	for ci, tc := range cases {
+		var want, got trace.Recorder
+		cfg := tc.cfg
+		cfg.Sink = &want
+		eng, _, err := sim.NewDiagnosticCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range tc.dist(eng.Schedule()) {
+			eng.Bus().AddDisturbance(d)
+		}
+		if err := eng.RunRounds(rounds); err != nil {
+			t.Fatal(err)
+		}
+		cfg.Sink = &got
+		cl, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range tc.dist(cl.Schedule()) {
+			cl.AddDisturbance(d)
+		}
+		err = cl.RunRounds(rounds)
+		cl.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, g := busEvents(&want), busEvents(&got)
+		if i := trace.FirstDivergence(g, w); i >= 0 {
+			if i >= len(g) || i >= len(w) {
+				t.Fatalf("case %d: concurrent trace has %d bus events, lock-step %d", ci, len(g), len(w))
+			}
+			t.Fatalf("case %d: event %d is %+v, lock-step %+v", ci, i, g[i], w[i])
+		}
+		var invalid uint64
+		for _, e := range w {
+			invalid |= e.Invalid
+		}
+		if invalid == 0 {
+			t.Fatalf("case %d: the scenario records no invalid delivery", ci)
+		}
 	}
 }
 
@@ -233,16 +319,7 @@ func TestNewWithRunnersValidation(t *testing.T) {
 // TestConcurrentHeterogeneousSlots runs the goroutine-per-node runtime on a
 // custom per-slot schedule, matching the lock-step engine's support.
 func TestConcurrentHeterogeneousSlots(t *testing.T) {
-	cfg := Config{
-		SlotLens: []time.Duration{
-			250 * time.Microsecond,
-			time.Millisecond,
-			500 * time.Microsecond,
-			750 * time.Microsecond,
-		},
-		Ls: sim.Staircase(4), AllSendCurrRound: true,
-	}
-	cl, err := New(cfg)
+	cl, err := New(heterogeneousCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +327,9 @@ func TestConcurrentHeterogeneousSlots(t *testing.T) {
 	if cl.Schedule().Uniform() {
 		t.Fatal("custom schedule not applied")
 	}
-	cl.AddDisturbance(fault.NewTrain(fault.SlotBurst(cl.Schedule(), 6, 2, 1)))
+	for _, d := range heterogeneousBurst(cl.Schedule()) {
+		cl.AddDisturbance(d)
+	}
 	if err := cl.RunRounds(12); err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,9 @@ import (
 	"testing"
 
 	"ttdiag/internal/metrics"
+	"ttdiag/internal/replay"
 	"ttdiag/internal/rng"
+	"ttdiag/internal/sim"
 	"ttdiag/internal/trace"
 )
 
@@ -144,6 +146,34 @@ func TestTracedCampaignEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestTracedCampaignReplays: every repetition a diagnostic-mode Sec. 8
+// campaign traces from its gang — bursts with their invalid receivers and
+// collisions, malicious senders with their altered payloads — replays under
+// the campaign's cluster configuration to exactly the events it recorded.
+func TestTracedCampaignReplays(t *testing.T) {
+	for _, id := range []string{"sec8-bursts", "sec8-malicious"} {
+		var buf bytes.Buffer
+		runCampaign(t, id, Params{Seed: 7, Runs: 20, Workers: 1, Trace: trace.NewJSONLWriter(&buf)})
+		all, err := trace.ReadJSONL(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs := trace.SplitRuns(all)
+		if len(runs) == 0 {
+			t.Fatalf("%s recorded no repetition", id)
+		}
+		for _, run := range runs {
+			var rec trace.Recorder
+			if _, err := replay.Replay(run[1:], sim.ClusterConfig{Ls: prototypeLs, Sink: &rec}, 1); err != nil {
+				t.Fatalf("%s: %v", run[0].Detail, err)
+			}
+			if i := trace.FirstDivergence(rec.Events(), run[1:]); i >= 0 {
+				t.Fatalf("%s: replay diverges at event %d of %d", run[0].Detail, i, len(run)-1)
+			}
+		}
 	}
 }
 

@@ -1,114 +1,146 @@
-// Package replay is the flight-recorder tooling: it captures a bus
-// transcript (every slot transmission with its per-receiver validity, the
-// observed payload and the sender-side collision verdict) as JSON lines, and
-// re-runs the diagnostic protocol offline from such a transcript. A
-// post-mortem analyst can therefore reconstruct, for any node schedule, the
-// exact health vectors and isolation decisions the cluster must have taken —
-// the protocol is deterministic in its observations.
+// Package replay re-simulates a recorded run from its flight-recorder trace.
+// The diagnosis is a deterministic function of what each node observes on
+// the bus, and a trace's transmit events (schema 3) record every departure
+// from a clean broadcast: the receivers whose delivery was invalid, the
+// altered payload and the sender-side collision verdict. A diagnostic
+// cluster run under exactly those departures is therefore the recorded run:
+// with the recorded tuning it reproduces every node's outputs and the trace
+// itself, and with another penalty/reward tuning it shows what the whole
+// cluster would have decided instead.
 package replay
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"ttdiag/internal/core"
 	"ttdiag/internal/sim"
 	"ttdiag/internal/tdma"
+	"ttdiag/internal/trace"
 )
 
-// SlotRecord is one recorded slot transmission.
-type SlotRecord struct {
-	// Round and Slot identify the transmission.
-	Round int `json:"round"`
-	Slot  int `json:"slot"`
-	// Payload is the observed frame content (identical at every receiver
-	// that accepted it; JSON encodes it as base64).
-	Payload []byte `json:"payload,omitempty"`
-	// Valid[r] is receiver r's validity bit (1-based; index 0 unused).
-	Valid []bool `json:"valid"`
-	// Collision is the sender-side collision-detector verdict.
-	Collision bool `json:"collision"`
+// deviation is one recorded transmission's departure from a clean
+// broadcast.
+type deviation struct {
+	invalid   uint64 // receivers whose delivery was invalid (bit r-1)
+	collision bool
+	payload   []byte // bytes the accepting receivers observed; nil if unaltered
 }
 
-// Writer streams slot records as JSON lines.
-type Writer struct {
-	enc *json.Encoder
+// recording is the tdma.Disturbance that reproduces a trace's
+// transmissions: entry round·N + slot−1 of devs holds the deviation of that
+// slot's transmission.
+type recording struct {
+	n    int
+	devs []deviation
 }
 
-// NewWriter wraps an io.Writer.
-func NewWriter(w io.Writer) *Writer {
-	return &Writer{enc: json.NewEncoder(w)}
-}
+var _ tdma.Disturbance = (*recording)(nil)
 
-// RecordReport converts a bus report into a record and writes it.
-func (w *Writer) RecordReport(rep *tdma.TxReport) error {
-	rec := SlotRecord{
-		Round:     rep.Tx.Round,
-		Slot:      rep.Tx.Slot,
-		Collision: rep.Collision,
-		Valid:     make([]bool, len(rep.Deliveries)),
+// Deliver implements tdma.Disturbance.
+func (r *recording) Deliver(tx *tdma.Transmission, rcv tdma.NodeID, d tdma.Delivery) tdma.Delivery {
+	dev := &r.devs[tx.Round*r.n+tx.Slot-1]
+	if dev.invalid&tdma.ReceiverBit(rcv) != 0 {
+		return tdma.Delivery{}
 	}
-	for r, d := range rep.Deliveries {
-		rec.Valid[r] = d.Valid
-		if d.Valid && rec.Payload == nil {
-			rec.Payload = append([]byte(nil), d.Payload...)
-		}
+	if dev.payload != nil {
+		d.Payload = dev.payload
 	}
-	return w.enc.Encode(rec)
+	return d
 }
 
-// Log is a bus transcript, indexed by (round, slot).
-type Log struct {
-	n       int
-	records map[[2]int]SlotRecord
-	// lastRound is the highest recorded round.
-	lastRound int
+// SenderCollision implements tdma.Disturbance.
+func (r *recording) SenderCollision(tx *tdma.Transmission, collided bool) bool {
+	return collided || r.devs[tx.Round*r.n+tx.Slot-1].collision
 }
 
-// Read parses a JSONL transcript for an n-node system.
-func Read(r io.Reader, n int) (*Log, error) {
-	log := &Log{n: n, records: make(map[[2]int]SlotRecord), lastRound: -1}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
+// record builds the recording of an n-node trace and returns it with the
+// number of recorded rounds. Every slot of every round from 0 to the last
+// must be recorded exactly once, and a faulty outcome class must come with
+// the deviations that explain it (a trace older than schema 3 has none).
+func record(events []trace.Event, n int) (*recording, int, error) {
+	count, last := 0, -1
+	for _, e := range events {
+		if e.Kind != trace.KindTransmit {
 			continue
 		}
-		var rec SlotRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			return nil, fmt.Errorf("replay: line %d: %w", line, err)
+		if e.Round < 0 || e.Node < 1 {
+			return nil, 0, fmt.Errorf("replay: transmit event of node %d in round %d", e.Node, e.Round)
 		}
-		if rec.Slot < 1 || rec.Slot > n {
-			return nil, fmt.Errorf("replay: line %d: slot %d out of range 1..%d", line, rec.Slot, n)
+		count++
+		last = max(last, e.Round)
+	}
+	rounds := last + 1
+	if count%n != 0 || count/n != rounds {
+		return nil, 0, fmt.Errorf("replay: trace holds %d transmissions, want %d slots in each of %d rounds", count, n, rounds)
+	}
+	rec := &recording{n: n, devs: make([]deviation, count)}
+	seen := make([]bool, count)
+	for _, e := range events {
+		if e.Kind != trace.KindTransmit {
+			continue
 		}
-		if len(rec.Valid) != n+1 {
-			return nil, fmt.Errorf("replay: line %d: valid has %d entries, want %d", line, len(rec.Valid), n+1)
+		i := e.Round*n + e.Node - 1
+		if seen[i] {
+			return nil, 0, fmt.Errorf("replay: slot %d of round %d recorded twice", e.Node, e.Round)
 		}
-		log.records[[2]int{rec.Round, rec.Slot}] = rec
-		if rec.Round > log.lastRound {
-			log.lastRound = rec.Round
+		seen[i] = true
+		unexplained := e.Payload == "" && e.Detail == tdma.OutcomeMalicious.String() ||
+			e.Invalid == 0 && (e.Detail == tdma.OutcomeBenign.String() || e.Detail == tdma.OutcomeAsymmetric.String())
+		if unexplained {
+			return nil, 0, fmt.Errorf("replay: round %d slot %d: %s transmission without its recorded deviations (a trace older than schema 3?)", e.Round, e.Node, e.Detail)
+		}
+		rec.devs[i] = deviation{invalid: e.Invalid, collision: e.Collision}
+		if e.Payload != "" {
+			rec.devs[i].payload = []byte(e.Payload)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("replay: %w", err)
-	}
-	return log, nil
+	return rec, rounds, nil
 }
 
-// N returns the system size of the transcript.
-func (l *Log) N() int { return l.n }
-
-// LastRound returns the highest recorded round (-1 for an empty log).
-func (l *Log) LastRound() int { return l.lastRound }
-
-// At returns the record of (round, slot).
-func (l *Log) At(round, slot int) (SlotRecord, bool) {
-	rec, ok := l.records[[2]int{round, slot}]
-	return rec, ok
+// Layout reads the system size and the job positions of a recorded run: N
+// is the highest transmitting node, and node i's position l_i is the number
+// of transmissions its round holds before its job (a job at position l runs
+// right after slot l).
+func Layout(events []trace.Event) (n int, ls []int, err error) {
+	for _, e := range events {
+		if e.Kind == trace.KindTransmit {
+			n = max(n, e.Node)
+		}
+	}
+	if n < 2 || n > core.MaxPackedN {
+		return 0, nil, fmt.Errorf("replay: trace transmissions name %d nodes, want 2..%d", n, core.MaxPackedN)
+	}
+	ls = make([]int, n)
+	for i := range ls {
+		ls[i] = -1
+	}
+	round, sent := 0, 0
+	for _, e := range events {
+		if e.Kind != trace.KindTransmit && e.Kind != trace.KindJobRun {
+			continue
+		}
+		if e.Round != round {
+			round, sent = e.Round, 0
+		}
+		if e.Kind == trace.KindTransmit {
+			sent++
+			continue
+		}
+		switch {
+		case e.Node < 1 || e.Node > n:
+			return 0, nil, fmt.Errorf("replay: job of node %d in a %d-node trace", e.Node, n)
+		case ls[e.Node-1] < 0:
+			ls[e.Node-1] = sent
+		case ls[e.Node-1] != sent:
+			return 0, nil, fmt.Errorf("replay: node %d runs its job at positions %d and %d", e.Node, ls[e.Node-1], sent)
+		}
+	}
+	for i, l := range ls {
+		if l < 0 {
+			return 0, nil, fmt.Errorf("replay: trace holds no job of node %d", i+1)
+		}
+	}
+	return n, ls, nil
 }
 
 // RoundDiagnosis is one reconstructed per-round outcome at one observer.
@@ -123,71 +155,54 @@ type RoundDiagnosis struct {
 	Isolated uint64
 }
 
-// Replay re-runs the diagnostic protocol of one observer offline against the
-// transcript, using the cluster configuration the recorded system ran with
-// (node schedules and penalty/reward tuning must match the deployment for
-// the reconstruction to be exact).
-func Replay(log *Log, cfg sim.ClusterConfig, observer int) ([]RoundDiagnosis, error) {
-	cfg, err := sim.NormalizeConfig(cfg)
+// Replay re-simulates one recorded repetition of a diagnostic-mode run on
+// sim.NewDiagnosticCluster(cfg) and returns observer's diagnoses, one per
+// warm round. cfg.N and cfg.Ls must match the trace (see Layout); the
+// penalty/reward tuning is free, so a tuning other than the recorded one is
+// a whole-cluster counterfactual. Like every cluster builder, Replay streams
+// the replayed run's events to cfg.Sink.
+func Replay(events []trace.Event, cfg sim.ClusterConfig, observer int) ([]RoundDiagnosis, error) {
+	n, ls, err := Layout(events)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.N != log.n {
-		return nil, fmt.Errorf("replay: transcript covers %d nodes, config %d", log.n, cfg.N)
-	}
-	if observer < 1 || observer > cfg.N {
-		return nil, fmt.Errorf("replay: observer %d out of range 1..%d", observer, cfg.N)
-	}
-	proto, err := core.NewProtocol(sim.NodeConfig(cfg, observer))
+	norm, err := sim.NormalizeConfig(cfg)
 	if err != nil {
 		return nil, err
 	}
-	l := cfg.Ls[observer-1]
-
+	if norm.N != n {
+		return nil, fmt.Errorf("replay: trace covers %d nodes, config %d", n, norm.N)
+	}
+	for i, l := range ls {
+		if norm.Ls[i] != l {
+			return nil, fmt.Errorf("replay: trace runs node %d's job at position %d, config at %d", i+1, l, norm.Ls[i])
+		}
+	}
+	if observer < 1 || observer > n {
+		return nil, fmt.Errorf("replay: observer %d out of range 1..%d", observer, n)
+	}
+	rec, rounds, err := record(events, n)
+	if err != nil {
+		return nil, err
+	}
+	eng, runners, err := sim.NewDiagnosticCluster(cfg)
+	if err != nil {
+		return nil, err
+	}
+	eng.Bus().AddDisturbance(rec)
 	var out []RoundDiagnosis
-	for round := 0; round <= log.lastRound; round++ {
-		in := core.RoundInput{
-			Round:    round,
-			DMs:      make([]core.Syndrome, cfg.N+1),
-			Validity: core.NewSyndrome(cfg.N, core.Healthy),
-		}
-		for j := 1; j <= cfg.N; j++ {
-			// At job position l of round k, variable j holds the round-k
-			// transmission if j <= l, the round-(k-1) one otherwise.
-			srcRound := round
-			if j > l {
-				srcRound = round - 1
-			}
-			rec, ok := log.At(srcRound, j)
-			if !ok || !rec.Valid[observer] {
-				in.Validity[j] = core.Faulty
-				continue
-			}
-			syn, err := core.DecodeSyndrome(rec.Payload, cfg.N)
-			if err != nil {
-				in.Validity[j] = core.Faulty
-				continue
-			}
-			in.DMs[j] = syn
-		}
-		in.Collision = func(r int) core.Opinion {
-			if rec, ok := log.At(r, observer); ok && rec.Collision {
-				return core.Faulty
-			}
-			return core.Healthy
-		}
-		res, err := proto.Step(in)
-		if err != nil {
-			return nil, err
-		}
-		if res.ConsHV.Known != 0 {
+	runners[observer].OnOutput = func(o core.RoundOutput) {
+		if o.ConsHV.Known != 0 {
 			out = append(out, RoundDiagnosis{
-				Round:          res.Round,
-				DiagnosedRound: res.DiagnosedRound,
-				ConsHV:         res.ConsHV,
-				Isolated:       res.Isolated,
+				Round:          o.Round,
+				DiagnosedRound: o.DiagnosedRound,
+				ConsHV:         o.ConsHV,
+				Isolated:       o.Isolated,
 			})
 		}
+	}
+	if err := eng.RunRounds(rounds); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -3,45 +3,27 @@ package replay
 import (
 	"bytes"
 	"math/bits"
+	"reflect"
 	"strings"
 	"testing"
 
 	"ttdiag/internal/core"
 	"ttdiag/internal/fault"
+	"ttdiag/internal/rng"
 	"ttdiag/internal/sim"
 	"ttdiag/internal/tdma"
+	"ttdiag/internal/trace"
 )
 
-// recordRun executes a live cluster with a fault scenario, records the bus
-// transcript and collects the live per-round health vectors of every node.
-func recordRun(t *testing.T, cfg sim.ClusterConfig, rounds int, arm func(*sim.Engine)) (*Log, [][]core.BitSyndrome, []sim.Isolation) {
-	t.Helper()
-	eng, runners, err := sim.NewDiagnosticCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	eng.OnReport = func(rep *tdma.TxReport) {
-		if err := w.RecordReport(rep); err != nil {
-			t.Fatal(err)
-		}
-	}
-	col := sim.NewCollector()
-	for id := 1; id <= 4; id++ {
-		col.HookDiag(id, runners[id])
-	}
-	if arm != nil {
-		arm(eng)
-	}
-	if err := eng.RunRounds(rounds); err != nil {
-		t.Fatal(err)
-	}
-	log, err := Read(&buf, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return log, col.ConsHV, col.Isolations
+// scenario is one recorded run: a cluster configuration, its faults, its
+// length, and the deviation its trace must show for the scenario to
+// exercise what it is named for.
+type scenario struct {
+	name    string
+	cfg     sim.ClusterConfig
+	rounds  int
+	faults  func(*tdma.Schedule) []tdma.Disturbance
+	feature func(trace.Event) bool
 }
 
 var replayCfg = sim.ClusterConfig{
@@ -49,137 +31,191 @@ var replayCfg = sim.ClusterConfig{
 	PR: core.PRConfig{PenaltyThreshold: 5, RewardThreshold: 20},
 }
 
-// TestReplayReconstructsLiveDiagnosis is the core flight-recorder property:
-// replaying the transcript must reproduce every live health vector and the
-// isolation decision, for every observer.
-func TestReplayReconstructsLiveDiagnosis(t *testing.T) {
-	const rounds = 30
-	log, liveHV, liveIso := recordRun(t, replayCfg, rounds, func(eng *sim.Engine) {
-		eng.Bus().AddDisturbance(fault.NewTrain(fault.SlotBurst(eng.Schedule(), 6, 3, 2)))
-		eng.Bus().AddDisturbance(fault.Crash(4, 12))
-	})
-	if log.LastRound() != rounds-1 {
-		t.Fatalf("transcript covers rounds up to %d, want %d", log.LastRound(), rounds-1)
+// slotHits corrupts node's sending slot in rounds [from, to).
+func slotHits(sched *tdma.Schedule, node tdma.NodeID, from, to int) tdma.Disturbance {
+	var bursts []fault.Burst
+	for r := from; r < to; r++ {
+		bursts = append(bursts, fault.SlotBurst(sched, r, int(node), 1))
 	}
-	for observer := 1; observer <= 4; observer++ {
-		diags, err := Replay(log, replayCfg, observer)
+	return fault.NewTrain(bursts...)
+}
+
+// flightRecorderCfg and flightRecorderFaults are the flight-recorder
+// example: node 3's slot is hit for 7 rounds, node 3 is isolated, and its
+// later (clean) transmissions are ignored by every controller.
+var flightRecorderCfg = sim.ClusterConfig{PR: core.PRConfig{PenaltyThreshold: 5, RewardThreshold: 20}}
+
+func flightRecorderFaults(sched *tdma.Schedule) []tdma.Disturbance {
+	return []tdma.Disturbance{slotHits(sched, 3, 6, 13)}
+}
+
+var scenarios = []scenario{
+	{
+		name: "burst-crash", cfg: replayCfg, rounds: 30,
+		faults: func(sched *tdma.Schedule) []tdma.Disturbance {
+			return []tdma.Disturbance{
+				fault.NewTrain(fault.SlotBurst(sched, 6, 3, 2)),
+				fault.Crash(4, 12),
+			}
+		},
+		feature: func(e trace.Event) bool { return e.Collision && e.Node == 4 },
+	},
+	{
+		name: "recovered-isolation", cfg: flightRecorderCfg, rounds: 30,
+		faults:  flightRecorderFaults,
+		feature: func(e trace.Event) bool { return e.Kind == trace.KindIsolation },
+	},
+	{
+		name: "malicious", cfg: replayCfg, rounds: 30,
+		faults: func(*tdma.Schedule) []tdma.Disturbance {
+			m := fault.NewMaliciousSyndrome(2, rng.NewSource(7).Stream("malicious"))
+			m.FromRound, m.ToRound = 4, 12
+			return []tdma.Disturbance{m}
+		},
+		feature: func(e trace.Event) bool { return e.Payload != "" },
+	},
+	{
+		name: "receiver-blind", cfg: replayCfg, rounds: 24,
+		faults: func(*tdma.Schedule) []tdma.Disturbance {
+			return []tdma.Disturbance{fault.ReceiverBlind{
+				Receiver: 1, Senders: []tdma.NodeID{3}, FromRound: 8, ToRound: 14,
+			}}
+		},
+		feature: func(e trace.Event) bool { return e.Detail == "asymmetric" && e.Invalid == 1 },
+	},
+	{
+		name: "reintegration", rounds: 28,
+		cfg: sim.ClusterConfig{
+			Ls: []int{2, 0, 3, 1},
+			PR: core.PRConfig{PenaltyThreshold: 2, RewardThreshold: 3, ReintegrationThreshold: 4},
+		},
+		faults:  func(sched *tdma.Schedule) []tdma.Disturbance { return []tdma.Disturbance{slotHits(sched, 3, 6, 11)} },
+		feature: func(e trace.Event) bool { return e.Kind == trace.KindReintegration },
+	},
+}
+
+// liveRun executes a scenario on a live cluster and returns its JSONL trace
+// and every observer's diagnoses (1-based), in RoundDiagnosis form.
+func liveRun(t *testing.T, sc scenario) ([]byte, [][]RoundDiagnosis) {
+	t.Helper()
+	var buf bytes.Buffer
+	jw := trace.NewJSONLWriter(&buf)
+	cfg := sc.cfg
+	cfg.Sink = jw
+	eng, runners, err := sim.NewDiagnosticCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(runners) - 1
+	live := make([][]RoundDiagnosis, n+1)
+	for id := 1; id <= n; id++ {
+		id := id
+		runners[id].OnOutput = func(o core.RoundOutput) {
+			if o.ConsHV.Known != 0 {
+				live[id] = append(live[id], RoundDiagnosis{
+					Round: o.Round, DiagnosedRound: o.DiagnosedRound, ConsHV: o.ConsHV, Isolated: o.Isolated,
+				})
+			}
+		}
+	}
+	for _, d := range sc.faults(eng.Schedule()) {
+		eng.Bus().AddDisturbance(d)
+	}
+	if err := eng.RunRounds(sc.rounds); err != nil {
+		t.Fatal(err)
+	}
+	if err := jw.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), live
+}
+
+func decode(t *testing.T, b []byte) []trace.Event {
+	t.Helper()
+	events, err := trace.ReadJSONL(bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return events
+}
+
+// TestReplayReconstructsLiveDiagnosis is the flight-recorder property, a
+// fixpoint: replaying a recorded trace under the live configuration
+// reproduces the trace byte for byte, and every observer's diagnoses equal
+// the live ones in every round.
+func TestReplayReconstructsLiveDiagnosis(t *testing.T) {
+	for _, sc := range scenarios {
+		t.Run(sc.name, func(t *testing.T) {
+			recorded, live := liveRun(t, sc)
+			events := decode(t, recorded)
+			exercised := false
+			for _, e := range events {
+				exercised = exercised || sc.feature(e)
+			}
+			if !exercised {
+				t.Fatalf("the %s scenario's trace does not show the deviation it is named for", sc.name)
+			}
+			for observer := 1; observer < len(live); observer++ {
+				var replayed bytes.Buffer
+				cfg := sc.cfg
+				cfg.Sink = trace.NewJSONLWriter(&replayed)
+				diags, err := Replay(events, cfg, observer)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(replayed.Bytes(), recorded) {
+					got := decode(t, replayed.Bytes())
+					i := trace.FirstDivergence(got, events)
+					t.Fatalf("observer %d: replayed trace diverges at event %d", observer, i)
+				}
+				if len(live[observer]) == 0 {
+					t.Fatalf("observer %d diagnosed nothing live", observer)
+				}
+				if !reflect.DeepEqual(diags, live[observer]) {
+					t.Fatalf("observer %d: replayed diagnoses\n%+v\nwant live\n%+v", observer, diags, live[observer])
+				}
+			}
+		})
+	}
+}
+
+// TestReplayIgnoresIsolatedSender pins the flight-recorder example: after
+// node 3's isolation its clean transmissions are ignored by every
+// controller, so observers 1 and 2 diagnose round 14 as 1101, as the live
+// run did.
+func TestReplayIgnoresIsolatedSender(t *testing.T) {
+	recorded, _ := liveRun(t, scenarios[1])
+	events := decode(t, recorded)
+	for observer := 1; observer <= 2; observer++ {
+		diags, err := Replay(events, flightRecorderCfg, observer)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(diags) == 0 {
-			t.Fatal("no diagnoses reconstructed")
-		}
-		var isoRound int
-		for _, d := range diags {
-			want := liveHV[d.DiagnosedRound][observer]
-			if d.ConsHV != want {
-				t.Fatalf("observer %d round %d: replay %s != live %s",
-					observer, d.DiagnosedRound, d.ConsHV.String(4), want.String(4))
-			}
-			if d.Isolated != 0 {
-				if d.Isolated != 1<<3 {
-					t.Fatalf("replay isolated nodes %#x, want node 4 only", d.Isolated)
-				}
-				isoRound = d.Round
-			}
-		}
 		found := false
-		for _, iso := range liveIso {
-			if iso.Observer == observer && iso.Round == isoRound && iso.Node == 4 {
+		for _, d := range diags {
+			if d.DiagnosedRound == 14 {
 				found = true
+				if got := d.ConsHV.String(4); got != "1101" {
+					t.Fatalf("observer %d: cons_hv(round 14) = %s, want 1101", observer, got)
+				}
 			}
 		}
 		if !found {
-			t.Fatalf("observer %d: replayed isolation at round %d not in live record %+v",
-				observer, isoRound, liveIso)
+			t.Fatalf("observer %d never diagnosed round 14", observer)
 		}
-	}
-}
-
-func TestReplayValidation(t *testing.T) {
-	log, _, _ := recordRun(t, replayCfg, 6, nil)
-	if _, err := Replay(log, sim.ClusterConfig{N: 6, RoundLen: 3 * sim.DefaultRoundLen / 2}, 1); err == nil {
-		t.Error("size mismatch accepted")
-	}
-	if _, err := Replay(log, replayCfg, 0); err == nil {
-		t.Error("observer 0 accepted")
-	}
-	if _, err := Replay(log, replayCfg, 5); err == nil {
-		t.Error("observer 5 accepted")
-	}
-}
-
-func TestReadValidation(t *testing.T) {
-	if _, err := Read(strings.NewReader("not json\n"), 4); err == nil {
-		t.Error("garbage accepted")
-	}
-	if _, err := Read(strings.NewReader(`{"round":0,"slot":9,"valid":[false,true,true,true,true]}`+"\n"), 4); err == nil {
-		t.Error("out-of-range slot accepted")
-	}
-	if _, err := Read(strings.NewReader(`{"round":0,"slot":1,"valid":[false,true]}`+"\n"), 4); err == nil {
-		t.Error("short valid vector accepted")
-	}
-	log, err := Read(strings.NewReader("\n\n"), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if log.LastRound() != -1 {
-		t.Errorf("empty log LastRound = %d", log.LastRound())
-	}
-	if _, ok := log.At(0, 1); ok {
-		t.Error("empty log has records")
-	}
-}
-
-func TestWriterRoundTrip(t *testing.T) {
-	rep := &tdma.TxReport{
-		Tx: tdma.Transmission{Sender: 2, Round: 3, Slot: 2, Payload: []byte{0xAB}},
-		Deliveries: []tdma.Delivery{
-			{},
-			{Valid: true, Payload: []byte{0xAB}},
-			{Valid: true, Payload: []byte{0xAB}},
-			{Valid: false},
-			{Valid: true, Payload: []byte{0xAB}},
-		},
-		Collision: false,
-	}
-	var buf bytes.Buffer
-	if err := NewWriter(&buf).RecordReport(rep); err != nil {
-		t.Fatal(err)
-	}
-	log, err := Read(&buf, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, ok := log.At(3, 2)
-	if !ok {
-		t.Fatal("record missing")
-	}
-	if rec.Valid[3] || !rec.Valid[1] || !rec.Valid[2] || !rec.Valid[4] {
-		t.Fatalf("validity wrong: %+v", rec)
-	}
-	if len(rec.Payload) != 1 || rec.Payload[0] != 0xAB {
-		t.Fatalf("payload wrong: %+v", rec)
 	}
 }
 
 // TestCounterfactualReplay is the what-if analysis the flight recorder
-// enables: replaying the same transcript under a different penalty/reward
-// tuning answers "would a larger P have avoided this isolation?" offline.
+// enables: replaying the same trace under a different penalty/reward tuning
+// answers "would a larger P have avoided this isolation?".
 func TestCounterfactualReplay(t *testing.T) {
-	log, _, _ := recordRun(t, replayCfg, 30, func(eng *sim.Engine) {
-		// A 6-round transient burst on node 3: with P=5 it is isolated,
-		// with P=50 it would have survived.
-		eng.Bus().AddDisturbance(fault.NewTrain(fault.Burst{
-			Start:  eng.Schedule().RoundStart(6),
-			Length: 6 * eng.Schedule().RoundLen(),
-		}))
-	})
-
+	recorded, _ := liveRun(t, scenarios[1])
+	events := decode(t, recorded)
 	countIsolations := func(p int64) int {
-		cfg := replayCfg
-		cfg.PR = core.PRConfig{PenaltyThreshold: p, RewardThreshold: 20}
-		diags, err := Replay(log, cfg, 1)
+		cfg := flightRecorderCfg
+		cfg.PR.PenaltyThreshold = p
+		diags, err := Replay(events, cfg, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,4 +231,55 @@ func TestCounterfactualReplay(t *testing.T) {
 	if got := countIsolations(50); got != 0 {
 		t.Fatalf("counterfactual P=50 still isolated %d nodes", got)
 	}
+}
+
+func TestLayout(t *testing.T) {
+	recorded, _ := liveRun(t, scenarios[0])
+	n, ls, err := Layout(decode(t, recorded))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 4 || !reflect.DeepEqual(ls, replayCfg.Ls) {
+		t.Fatalf("Layout = %d, %v; want 4, %v", n, ls, replayCfg.Ls)
+	}
+}
+
+func TestReplayValidation(t *testing.T) {
+	recorded, _ := liveRun(t, scenarios[0])
+	events := decode(t, recorded)
+	wantErr := func(name, substr string, events []trace.Event, cfg sim.ClusterConfig, observer int) {
+		t.Helper()
+		_, err := Replay(events, cfg, observer)
+		if err == nil || !strings.Contains(err.Error(), substr) {
+			t.Errorf("%s: got %v, want an error containing %q", name, err, substr)
+		}
+	}
+	wantErr("size mismatch", "covers 4 nodes", events, sim.ClusterConfig{N: 6}, 1)
+	wantErr("schedule mismatch", "position", events, sim.ClusterConfig{PR: replayCfg.PR}, 1)
+	wantErr("observer 0", "observer 0", events, replayCfg, 0)
+	wantErr("observer 5", "observer 5", events, replayCfg, 5)
+	wantErr("empty trace", "2..", nil, replayCfg, 1)
+
+	lastTx := len(events) - 1
+	for events[lastTx].Kind != trace.KindTransmit {
+		lastTx--
+	}
+	var dropped, doubled, legacy []trace.Event
+	for i, e := range events {
+		if i != lastTx {
+			dropped = append(dropped, e)
+		}
+		doubled = append(doubled, e)
+		if e.Kind == trace.KindTransmit {
+			e.Invalid, e.Collision, e.Payload = 0, false, ""
+		}
+		legacy = append(legacy, e)
+	}
+	doubled[5] = doubled[3]
+	if events[3].Kind != trace.KindTransmit || events[5].Kind != trace.KindTransmit {
+		t.Fatal("events 3 and 5 are not transmissions")
+	}
+	wantErr("missing slot", "transmissions", dropped, replayCfg, 1)
+	wantErr("doubled slot", "recorded twice", doubled, replayCfg, 1)
+	wantErr("pre-v3 trace", "without its recorded deviations", legacy, replayCfg, 1)
 }

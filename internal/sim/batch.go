@@ -467,7 +467,7 @@ func (c *BatchDiagCluster) runRound(k int) error {
 // runJob executes node id's diagnostic job for every lane at once.
 func (c *BatchDiagCluster) runJob(k, id int) error {
 	if c.events != nil {
-		at := jobTime(c.sched, k, c.cfg.Ls[id-1])
+		at := c.sched.JobTime(k, c.cfg.Ls[id-1])
 		for r := 0; r < c.lanes; r++ {
 			if k < c.horizon[r] {
 				c.events[r].Record(trace.Event{At: at, Round: k, Kind: trace.KindJobRun, Node: id})
@@ -586,7 +586,8 @@ func (c *BatchDiagCluster) transmitSlot(k, s int) {
 				wireWord |= row.Op << uint(r*n)
 			}
 		}
-		if c.dist[r].SenderCollision(&c.tx, false) {
+		collided := c.dist[r].SenderCollision(&c.tx, false)
+		if collided {
 			collLanes |= 1 << uint(r)
 		}
 		if k < c.horizon[r] {
@@ -607,9 +608,16 @@ func (c *BatchDiagCluster) transmitSlot(k, s int) {
 			}
 			c.truth[r][k*(n+1)+s] = class
 			if c.events != nil {
-				c.events[r].Record(trace.Event{
-					At: start, Round: k, Kind: trace.KindTransmit, Node: s, Detail: class.String(),
-				})
+				e := trace.Event{
+					At: start, Round: k, Kind: trace.KindTransmit, Node: s,
+					Detail: class.String(), Invalid: blinded, Collision: collided,
+				}
+				if !d.Valid {
+					e.Invalid = c.laneAll
+				} else if !untouched {
+					e.Payload = string(d.Payload)
+				}
+				c.events[r].Record(e)
 			}
 		}
 	}

@@ -20,7 +20,7 @@ import (
 //
 // Capture must happen at a round boundary (between RunRound calls), which is
 // the only instant the engine exposes anyway. Scenario state outside the
-// cluster — bus disturbances, OnOutput/OnReport observers — is deliberately
+// cluster — bus disturbances, OnOutput observers — is deliberately
 // not captured: disturbances encode the fault process, and a splitting clone
 // re-runs the suffix under a *different* fault key, so the caller owns them.
 //

@@ -41,7 +41,9 @@ type ClusterConfig struct {
 	// flight-recorder stream (accusations, penalty changes, isolations,
 	// reintegrations — see core.StepTrace) and, in membership clusters, view
 	// changes. One observer suffices: Theorem 1 consistency makes every
-	// obedient node's causal transitions identical.
+	// obedient node's causal transitions identical. The concurrent runtime
+	// (internal/cluster) emits only the transmit and job events: it does
+	// not attach node 1's causal stream.
 	Sink trace.Sink
 }
 

@@ -53,14 +53,9 @@ type node struct {
 type Engine struct {
 	sched *tdma.Schedule
 	bus   *tdma.Bus
-	nodes []*node // 1-based
-	sink  trace.Sink
+	nodes []*node    // 1-based
+	sink  trace.Sink // nil: no events are built
 	round int
-
-	// OnReport, when set, observes every slot transmission report (used by
-	// the flight-recorder tooling in internal/replay). The report is
-	// bus-owned scratch — observers keeping it across slots must Clone it.
-	OnReport func(*tdma.TxReport)
 
 	// truth is the ground-truth outcome class of every executed
 	// transmission, stored as one flat block of (N+1)-entry rows: entry
@@ -74,11 +69,9 @@ type Engine struct {
 	positions []int
 }
 
-// NewEngine builds an engine over a fresh bus for the given schedule.
+// NewEngine builds an engine over a fresh bus for the given schedule; a nil
+// sink records no events.
 func NewEngine(sched *tdma.Schedule, sink trace.Sink) *Engine {
-	if sink == nil {
-		sink = trace.Discard{}
-	}
 	return &Engine{
 		sched:     sched,
 		bus:       tdma.NewBus(sched, sink),
@@ -98,7 +91,6 @@ func (e *Engine) ResetForRun() {
 	e.round = 0
 	e.truth = e.truth[:0]
 	e.bus.ClearDisturbances()
-	e.OnReport = nil
 	for id := 1; id < len(e.nodes); id++ {
 		if e.nodes[id] != nil {
 			e.nodes[id].ctrl.Reset()
@@ -158,17 +150,7 @@ func (e *Engine) Controller(id tdma.NodeID) *tdma.Controller {
 
 // JobTime returns the simulated time at which the job of a node with
 // position l executes in the given round (right after slot l completes).
-func (e *Engine) JobTime(round, l int) time.Duration { return jobTime(e.sched, round, l) }
-
-// jobTime is JobTime over a schedule, shared with the lane-packed cluster's
-// flight recorder.
-func jobTime(sched *tdma.Schedule, round, l int) time.Duration {
-	if l <= 0 {
-		return sched.RoundStart(round)
-	}
-	_, end := sched.SlotWindow(round, l)
-	return end
-}
+func (e *Engine) JobTime(round, l int) time.Duration { return e.sched.JobTime(round, l) }
 
 // RunRound executes one TDMA round: slot transmissions in slot order,
 // interleaved with the node jobs at their schedule positions.
@@ -216,9 +198,11 @@ func (e *Engine) RunRound() error {
 			if positions[id] != pos {
 				continue
 			}
-			e.sink.Record(trace.Event{
-				At: e.JobTime(k, pos), Round: k, Kind: trace.KindJobRun, Node: id,
-			})
+			if e.sink != nil {
+				e.sink.Record(trace.Event{
+					At: e.JobTime(k, pos), Round: k, Kind: trace.KindJobRun, Node: id,
+				})
+			}
 			payload, err := nd.runner.Run(k, nd.ctrl)
 			if err != nil {
 				return fmt.Errorf("sim: round %d node %d job: %w", k, id, err)
@@ -235,9 +219,6 @@ func (e *Engine) RunRound() error {
 			return fmt.Errorf("sim: round %d slot %d: %w", k, pos+1, err)
 		}
 		rt[pos+1] = report.Classify()
-		if e.OnReport != nil {
-			e.OnReport(report)
-		}
 		for id := 1; id <= n; id++ {
 			so, ok := e.nodes[id].runner.(SlotObserver)
 			if !ok {

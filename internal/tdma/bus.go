@@ -54,20 +54,6 @@ type TxReport struct {
 	Collision bool
 }
 
-// Clone returns a retain-safe deep copy of the report: the bus reuses the
-// report (and the payload slices it references) for the next slot, so
-// observers that keep reports across slots must clone them first.
-func (r *TxReport) Clone() *TxReport {
-	cp := *r
-	cp.Tx.Payload = append([]byte(nil), r.Tx.Payload...)
-	cp.Deliveries = make([]Delivery, len(r.Deliveries))
-	for i, d := range r.Deliveries {
-		d.Payload = append([]byte(nil), d.Payload...)
-		cp.Deliveries[i] = d
-	}
-	return &cp
-}
-
 // Classify returns the ground-truth outcome class of the transmission with
 // respect to the receivers other than the sender.
 func (r *TxReport) Classify() OutcomeClass {
@@ -98,6 +84,26 @@ func (r *TxReport) Classify() OutcomeClass {
 	}
 }
 
+// Event returns the report's flight-recorder transmit event: the outcome
+// class as Detail plus the deviations a replay re-simulates from (see
+// trace.Event). An altered payload is copied, so the event is retain-safe.
+func (r *TxReport) Event() trace.Event {
+	e := trace.Event{
+		At: r.Tx.Start, Round: r.Tx.Round, Kind: trace.KindTransmit, Node: int(r.Tx.Sender),
+		Detail: r.Classify().String(), Collision: r.Collision,
+	}
+	altered := false
+	for rcv := 1; rcv < len(r.Deliveries); rcv++ {
+		switch d := r.Deliveries[rcv]; {
+		case !d.Valid:
+			e.Invalid |= ReceiverBit(NodeID(rcv))
+		case !altered && !bytesEqual(d.Payload, r.Tx.Payload):
+			e.Payload, altered = string(d.Payload), true
+		}
+	}
+	return e
+}
+
 // Bus is the shared broadcast medium. It executes slot transmissions
 // according to the global communication schedule, applying the configured
 // disturbances per receiver, updating every attached controller, and
@@ -106,7 +112,7 @@ type Bus struct {
 	sched *Schedule
 	ctrls []*Controller // 1-based by node ID
 	dist  Disturbances
-	sink  trace.Sink
+	sink  trace.Sink // nil: no transmit events are built
 
 	// payloadBuf, tx and report are the bus's reusable in-flight frame: the
 	// staged payload copy, the transmission handed to disturbances and the
@@ -117,12 +123,9 @@ type Bus struct {
 	report     TxReport
 }
 
-// NewBus creates a bus for the given schedule. All N controllers must be
-// attached before the first transmission.
+// NewBus creates a bus for the given schedule; a nil sink records no
+// events. All N controllers must be attached before the first transmission.
 func NewBus(sched *Schedule, sink trace.Sink) *Bus {
-	if sink == nil {
-		sink = trace.Discard{}
-	}
 	return &Bus{
 		sched:  sched,
 		ctrls:  make([]*Controller, sched.N()+1),
@@ -169,8 +172,7 @@ func (b *Bus) ClearDisturbances() { b.dist = nil }
 // disturbed) delivery, and the sender's collision detector is refreshed.
 //
 // The returned report is bus-owned scratch, overwritten by the next
-// TransmitSlot — observers that keep reports across slots must use
-// TxReport.Clone.
+// TransmitSlot — callers must not keep it across slots.
 //
 //ttdiag:noretain
 func (b *Bus) TransmitSlot(round, slot int) (*TxReport, error) {
@@ -222,13 +224,9 @@ func (b *Bus) TransmitSlot(round, slot int) (*TxReport, error) {
 		sc.ApplyDelivery(sender, Delivery{})
 	}
 
-	b.sink.Record(trace.Event{
-		At:     start,
-		Round:  round,
-		Kind:   trace.KindTransmit,
-		Node:   int(sender),
-		Detail: report.Classify().String(),
-	})
+	if b.sink != nil {
+		b.sink.Record(report.Event())
+	}
 	return report, nil
 }
 

@@ -134,6 +134,17 @@ func (s *Schedule) SlotWindow(round, slot int) (start, end time.Duration) {
 	return base + s.offsets[slot-1], base + s.offsets[slot]
 }
 
+// JobTime returns the simulated time at which a diagnostic job at position l
+// executes in the given round: right after slot l completes, or at the
+// round start for l = 0.
+func (s *Schedule) JobTime(round, l int) time.Duration {
+	if l <= 0 {
+		return s.RoundStart(round)
+	}
+	_, end := s.SlotWindow(round, l)
+	return end
+}
+
 // SlotOwner returns the node that owns the given slot.
 func (s *Schedule) SlotOwner(slot int) NodeID { return NodeID(slot) }
 

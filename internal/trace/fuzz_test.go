@@ -17,6 +17,7 @@ func FuzzReadJSONL(f *testing.F) {
 			At: time.Duration(k) * time.Millisecond, Round: int(k), Kind: k,
 			Node: 1 + int(k)%3, Subject: int(k) % 4, Penalty: int64(k) % 5,
 			Threshold: int64(k) % 7, Evidence: EvidenceVerdict, Detail: "detail <&>",
+			Invalid: uint64(k) << 60, Collision: k%2 == 0, Payload: "\xff" + k.String(),
 		}); err != nil {
 			f.Fatal(err)
 		}
@@ -24,7 +25,13 @@ func FuzzReadJSONL(f *testing.F) {
 	f.Add(every.Bytes())
 	f.Add([]byte(`{"at_ns":2500000,"round":3,"kind":"isolation","node":1,"subject":2,"detail":"old stream"}` + "\n"))
 	f.Add([]byte(`{"v":1,"kind":"kind(42)","round":-1}` + "\n\n" + `{"v":2,"kind":"note","detail":"é�"}`))
-	f.Add([]byte(`{"v":3,"kind":"note"}`))
+	f.Add([]byte(`{"v":3,"at_ns":625000,"round":2,"kind":"transmit","node":2,"detail":"asymmetric","invalid":1}` + "\n" +
+		`{"v":3,"at_ns":1250000,"round":2,"kind":"transmit","node":3,"detail":"benign","invalid":15,"collision":true}` + "\n" +
+		`{"v":3,"at_ns":1875000,"round":2,"kind":"transmit","node":4,"detail":"malicious","payload":"q83v"}`))
+	f.Add([]byte(`{"v":3,"kind":"transmit","invalid":18446744073709551615,"collision":false,"payload":""}`))
+	f.Add([]byte(`{"v":3,"kind":"transmit","payload":"q83v="}`))
+	f.Add([]byte(`{"v":3,"kind":"transmit","invalid":-1}`))
+	f.Add([]byte(`{"v":4,"kind":"note"}`))
 	f.Add([]byte("not json\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		events, err := ReadJSONL(bytes.NewReader(data))

@@ -12,9 +12,13 @@ import (
 // SchemaVersion is the JSONL wire schema this package writes. Version 1 was
 // the original wire form without a version field (at_ns/round/kind/
 // node/subject/detail only); version 2 added the explicit "v" field and the
-// typed causal fields (penalty, threshold, evidence). Readers accept both:
-// a line without a "v" field is a legacy version-1 event.
-const SchemaVersion = 2
+// typed causal fields (penalty, threshold, evidence); version 3 added the
+// transmit deviations a replay re-simulates from: "invalid" (the receiver
+// mask, present when some delivery was invalid), "collision" (present when
+// the sender's collision detector tripped) and "payload" (base64, present
+// when receivers accepted bytes other than the staged ones). Readers accept
+// all three: a line without a "v" field is a legacy version-1 event.
+const SchemaVersion = 3
 
 // kindFromName maps the lowercase kind names back to their Kind values. It
 // is built with an explicit loop over the closed Kind range rather than by
@@ -56,6 +60,9 @@ type eventJSON struct {
 	Threshold int64  `json:"threshold,omitempty"`
 	Evidence  string `json:"evidence,omitempty"`
 	Detail    string `json:"detail,omitempty"`
+	Invalid   uint64 `json:"invalid,omitempty"`
+	Collision bool   `json:"collision,omitempty"`
+	Payload   []byte `json:"payload,omitempty"`
 }
 
 // WriteJSONL encodes one event as a single JSON line on w.
@@ -71,6 +78,9 @@ func WriteJSONL(w io.Writer, e Event) error {
 		Threshold: e.Threshold,
 		Evidence:  e.Evidence,
 		Detail:    e.Detail,
+		Invalid:   e.Invalid,
+		Collision: e.Collision,
+		Payload:   []byte(e.Payload),
 	})
 	if err != nil {
 		return err
@@ -119,6 +129,9 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 			Threshold: ej.Threshold,
 			Evidence:  ej.Evidence,
 			Detail:    ej.Detail,
+			Invalid:   ej.Invalid,
+			Collision: ej.Collision,
+			Payload:   string(ej.Payload),
 		})
 	}
 	if err := sc.Err(); err != nil {

@@ -77,7 +77,8 @@ func TestTeeFansOutToEverySink(t *testing.T) {
 }
 
 // TestJSONLRoundTripEveryKind encodes one event of every Kind (plus an
-// out-of-range kind) and decodes them back unchanged.
+// out-of-range kind and transmit events carrying each schema-3 deviation)
+// and decodes them back unchanged.
 func TestJSONLRoundTripEveryKind(t *testing.T) {
 	var events []Event
 	for k := KindTransmit; k <= maxKind; k++ {
@@ -93,7 +94,10 @@ func TestJSONLRoundTripEveryKind(t *testing.T) {
 			Detail:    "detail for " + k.String(),
 		})
 	}
-	events = append(events, Event{Kind: Kind(42), Round: 99})
+	events = append(events, Event{Kind: Kind(42), Round: 99},
+		Event{Kind: KindTransmit, Node: 3, Detail: "asymmetric", Invalid: 1<<63 | 0b101},
+		Event{Kind: KindTransmit, Node: 2, Detail: "benign", Invalid: 0b1111, Collision: true},
+		Event{Kind: KindTransmit, Node: 4, Detail: "malicious", Payload: "\x00\xffé"})
 
 	var buf bytes.Buffer
 	for _, e := range events {
@@ -169,12 +173,12 @@ func TestReadJSONLSchemaVersions(t *testing.T) {
 	if err := WriteJSONL(&buf, Event{Kind: KindNote}); err != nil {
 		t.Fatal(err)
 	}
-	buf.WriteString(`{"v":99,"at_ns":0,"round":0,"kind":"note"}` + "\n")
+	buf.WriteString(`{"v":4,"at_ns":0,"round":0,"kind":"transmit","invalid":2}` + "\n")
 	_, err = ReadJSONL(&buf)
 	if err == nil {
 		t.Fatalf("want an unsupported-schema error")
 	}
-	for _, want := range []string{"line 2", "unsupported schema version 99"} {
+	for _, want := range []string{"line 2", "unsupported schema version 4"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("error %q does not mention %q", err, want)
 		}
@@ -182,21 +186,48 @@ func TestReadJSONLSchemaVersions(t *testing.T) {
 	if _, err := ReadJSONL(strings.NewReader(`{"v":-1,"kind":"note"}` + "\n")); err == nil {
 		t.Fatalf("want an unsupported-schema error for a negative version")
 	}
+
+	v2 := `{"v":2,"at_ns":625000,"round":0,"kind":"transmit","node":2,"detail":"benign"}` + "\n"
+	events, err = ReadJSONL(strings.NewReader(v2))
+	if err != nil {
+		t.Fatalf("schema-2 line must decode, got %v", err)
+	}
+	if want := (Event{At: 625 * time.Microsecond, Kind: KindTransmit, Node: 2, Detail: "benign"}); len(events) != 1 || events[0] != want {
+		t.Fatalf("schema-2 line decoded to %+v, want %+v", events, want)
+	}
+	if _, err := ReadJSONL(strings.NewReader(`{"v":3,"kind":"transmit","payload":"not base64!"}` + "\n")); err == nil {
+		t.Fatalf("want a decode error for a malformed payload")
+	}
 }
 
 // TestWriteJSONLStampsSchemaVersion: every written line carries the current
-// schema version so future readers can dispatch on it.
+// schema version so future readers can dispatch on it, and a clean
+// transmit event carries none of the schema-3 deviation fields.
 func TestWriteJSONLStampsSchemaVersion(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteJSONL(&buf, Event{Kind: KindAccusation, Evidence: EvidenceMatrix}); err != nil {
 		t.Fatal(err)
 	}
 	line := buf.String()
-	if !strings.Contains(line, `"v":2`) {
+	if !strings.Contains(line, `"v":3`) {
 		t.Fatalf("written line %q lacks the schema version stamp", line)
 	}
 	if !strings.Contains(line, `"evidence":"matrix-disagreement"`) {
 		t.Fatalf("written line %q lacks the evidence field", line)
+	}
+	buf.Reset()
+	if err := WriteJSONL(&buf, Event{Kind: KindTransmit, Node: 1, Detail: "correct"}); err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"v":3,"at_ns":0,"round":0,"kind":"transmit","node":1,"detail":"correct"}` + "\n"; buf.String() != want {
+		t.Fatalf("clean transmit line %q, want %q", buf.String(), want)
+	}
+	buf.Reset()
+	if err := WriteJSONL(&buf, Event{Kind: KindTransmit, Node: 1, Invalid: 6, Collision: true, Payload: "\x0f"}); err != nil {
+		t.Fatal(err)
+	}
+	if want := `"invalid":6,"collision":true,"payload":"Dw=="}`; !strings.HasSuffix(strings.TrimSpace(buf.String()), want) {
+		t.Fatalf("transmit line %q does not end in %q", buf.String(), want)
 	}
 }
 

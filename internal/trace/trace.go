@@ -86,6 +86,18 @@ type Event struct {
 	Evidence string
 	// Detail is a short human-readable description.
 	Detail string
+	// Invalid, Collision and Payload carry a KindTransmit event's deviations
+	// from a clean broadcast, which is what a replay needs to re-simulate
+	// the run. Invalid marks the receivers whose delivery was invalid (bit
+	// r-1 = receiver r, 1..64); the sender's own loop-back delivery counts
+	// before the collision invalidation. Collision is the sender-side
+	// collision-detector verdict. Payload holds the bytes the accepting
+	// receivers observed when they differ from what the sender staged; it
+	// is a string so that Event stays comparable. All three are zero for a
+	// clean transmission and for every other kind.
+	Invalid   uint64
+	Collision bool
+	Payload   string
 }
 
 // String renders the event for round-by-round traces.

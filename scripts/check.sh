@@ -90,7 +90,7 @@ step "go test -fuzz (trace JSONL decoder, seed corpus + short fuzz)" \
 step "go test (exhaustive shard-summary decode)" \
     scripts/gotest.sh ./internal/core/ -run TestShardSummaryDecodeExhaustive
 step "go test -tags ttdiag_invariants" \
-    go test -tags ttdiag_invariants ./internal/core/... ./internal/invariant/... ./internal/cluster/... ./internal/sim/... ./internal/fleet/... ./internal/splitting/... ./internal/experiments/... ./internal/membership/...
+    go test -tags ttdiag_invariants ./internal/core/... ./internal/invariant/... ./internal/cluster/... ./internal/sim/... ./internal/fleet/... ./internal/splitting/... ./internal/experiments/... ./internal/membership/... ./internal/replay/... ./cmd/ttdiag-trace/...
 step "ttdiag-lint (+ escape gate)" \
     go run ./cmd/ttdiag-lint -escapes ./...
 

@@ -43,8 +43,6 @@
 package ttdiag
 
 import (
-	"io"
-
 	"ttdiag/internal/cluster"
 	"ttdiag/internal/core"
 	"ttdiag/internal/fault"
@@ -348,41 +346,17 @@ func NewRecoveryPlan(n int, jobs []RecoveryJob) (*RecoveryPlan, error) {
 // NewRecoveryManager builds a per-node mode manager over a plan.
 func NewRecoveryManager(plan *RecoveryPlan) *RecoveryManager { return recovery.NewManager(plan) }
 
-// Flight recorder (bus transcripts + offline replay).
-type (
-	// TranscriptWriter streams slot records as JSON lines.
-	TranscriptWriter = replay.Writer
-	// Transcript is a parsed bus transcript.
-	Transcript = replay.Log
-	// RoundDiagnosis is one reconstructed per-round outcome.
-	RoundDiagnosis = replay.RoundDiagnosis
-)
+// RoundDiagnosis is one per-round outcome of a replayed observer.
+type RoundDiagnosis = replay.RoundDiagnosis
 
-// NewTranscriptWriter wraps an io.Writer; attach the result to
-// Engine.OnReport via RecordTranscript.
-func NewTranscriptWriter(w io.Writer) *TranscriptWriter { return replay.NewWriter(w) }
-
-// RecordTranscript attaches a transcript writer to an engine; every slot
-// transmission is streamed as one JSON line. Write errors are reported
-// through the returned error func (call it after the run).
-func RecordTranscript(eng *Engine, w *TranscriptWriter) (flushErr func() error) {
-	var firstErr error
-	eng.OnReport = func(rep *tdma.TxReport) {
-		if err := w.RecordReport(rep); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return func() error { return firstErr }
-}
-
-// ReadTranscript parses a JSONL bus transcript for an n-node system.
-func ReadTranscript(r io.Reader, n int) (*Transcript, error) { return replay.Read(r, n) }
-
-// ReplayTranscript re-runs the diagnostic protocol of one observer offline
-// against a transcript; pass a different PR configuration for
-// counterfactual analysis.
-func ReplayTranscript(log *Transcript, cfg SimulationConfig, observer int) ([]RoundDiagnosis, error) {
-	return replay.Replay(log, cfg, observer)
+// ReplayTrace re-simulates the run recorded in a trace (the events a
+// Recorder or JSONL sink received from one diagnostic simulation) and
+// returns one observer's diagnoses. cfg must have the recorded node count
+// and job positions; with the recorded tuning the replay is the live run,
+// and a different PR configuration gives the whole cluster's
+// counterfactual.
+func ReplayTrace(events []trace.Event, cfg SimulationConfig, observer int) ([]RoundDiagnosis, error) {
+	return replay.Replay(events, cfg, observer)
 }
 
 // Deterministic telemetry (see docs/OBSERVABILITY.md).

@@ -1,7 +1,6 @@
 package ttdiag_test
 
 import (
-	"bytes"
 	"testing"
 
 	"ttdiag"
@@ -284,25 +283,18 @@ func TestFacadeRecovery(t *testing.T) {
 }
 
 func TestFacadeFlightRecorder(t *testing.T) {
-	cfg := ttdiag.SimulationConfig{PR: ttdiag.PRConfig{PenaltyThreshold: 3, RewardThreshold: 10}}
+	var rec ttdiag.Recorder
+	cfg := ttdiag.SimulationConfig{PR: ttdiag.PRConfig{PenaltyThreshold: 3, RewardThreshold: 10}, Sink: &rec}
 	eng, _, err := ttdiag.NewSimulation(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	flush := ttdiag.RecordTranscript(eng, ttdiag.NewTranscriptWriter(&buf))
 	eng.Bus().AddDisturbance(ttdiag.Crash(2, 5))
 	if err := eng.RunRounds(20); err != nil {
 		t.Fatal(err)
 	}
-	if err := flush(); err != nil {
-		t.Fatal(err)
-	}
-	logf, err := ttdiag.ReadTranscript(&buf, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, err := ttdiag.ReplayTranscript(logf, cfg, 1)
+	cfg.Sink = nil
+	diags, err := ttdiag.ReplayTrace(rec.Events(), cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
