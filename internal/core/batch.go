@@ -61,6 +61,13 @@ type BatchRoundInput struct {
 	// input. Lanes with a clear bit resolve ⊥ to Healthy, exactly like a nil
 	// CollisionFn on the per-run path.
 	CollisionFaulty uint64
+	// HealthyRows is an optional hint: bit j-1 set promises that
+	// Rows[j].Op ∧ Rows[j].Known covers every live lane's node bits. A warm
+	// step whose aligned rows are all present and all marked healthy skips
+	// installing its matrix, which it knows to be quiet. The zero value
+	// means "unknown" and is always correct; a set bit the rows do not
+	// honour is a caller bug (checked under ttdiag_invariants).
+	HealthyRows uint64
 }
 
 // BatchRoundOutput is the result of one gang execution. Every field is a
@@ -119,15 +126,17 @@ func (o *BatchRoundOutput) LaneReintegrated(lane, n int) uint64 {
 // batchAlignBuf holds one round's buffered controller observations for read
 // and send alignment (Alg. 1 lines 16-17), lane-packed: rows[j] is the copy
 // of interface variable j, meaningful in the lanes whose set bit for j holds
-// (a clear bit is the ε case); ls is the validity vector observed in the
-// buffered round and al the aligned local syndrome computed in it (send
-// alignment, Alg. 1 line 9). The kernel keeps two and alternates between
-// them — the buffer written in round k is the one read in round k+1.
+// (a clear bit is the ε case); healthy is the HealthyRows hint that came
+// with rows; ls is the validity vector observed in the buffered round and al
+// the aligned local syndrome computed in it (send alignment, Alg. 1 line 9).
+// The kernel keeps two and alternates between them — the buffer written in
+// round k is the one read in round k+1.
 type batchAlignBuf struct {
-	rows []BitSyndrome
-	set  uint64
-	ls   BitSyndrome
-	al   BitSyndrome
+	rows    []BitSyndrome
+	set     uint64
+	healthy uint64
+	ls      BitSyndrome
+	al      BitSyndrome
 }
 
 // BatchProtocol runs one node's diagnostic job for G independent repetitions
@@ -277,6 +286,7 @@ func (p *BatchProtocol) Reset(lanes int) {
 			buf.rows[j] = hw
 		}
 		buf.set = p.allB
+		buf.healthy = 0
 		buf.ls, buf.al = hw, hw
 	}
 	p.lastSentB, p.prevSentB = hw, hw
@@ -343,10 +353,14 @@ func (p *BatchProtocol) StepBatch(in BatchRoundInput) (BatchRoundOutput, error) 
 
 // step is StepBatch on a validated input, writing its result into out and
 // installing a warm round's diagnostic matrix into the protocol-owned
-// scratch planes op/know (1-based rows).
+// scratch planes op/know (1-based rows) unless the HealthyRows hints show it
+// quiet.
 //
 //ttdiag:noretain params
 func (p *BatchProtocol) step(in *BatchRoundInput, out *BatchRoundOutput) {
+	if invariant.Enabled {
+		p.checkHealthyRows(in)
+	}
 	n := p.n
 	op, know := p.op, p.know
 	all := p.allB
@@ -380,6 +394,7 @@ func (p *BatchProtocol) step(in *BatchRoundInput, out *BatchRoundOutput) {
 	lag := p.cfg.Lag()
 	warm := p.steps >= lag
 	var diagRound int
+	var quiet bool // warm with a quiet matrix, so the vote is skipped
 	if warm {
 		self := p.selfB
 		rowSet := (alSet &^ self) | self
@@ -388,36 +403,41 @@ func (p *BatchProtocol) step(in *BatchRoundInput, out *BatchRoundOutput) {
 		if p.cfg.Dynamic {
 			l = 0
 		}
-		// Install the gang matrix: row j's lane segment is live iff lane r's
-		// rowSet bit for j is set; compressing those bits onto the lane
-		// replicator and multiplying by the segment mask expands per-lane row
-		// presence into a plane mask (fault outcome as mask AND, not branch).
-		// Entries 1..l_i come from the previous read, the rest from the
-		// current one, and each lane's own row is its locally buffered copy
-		// of the syndrome it physically transmitted in round k-1 — available
-		// even when the transmission itself failed (Lemma 3).
-		op, know = op[:n+1], know[:n+1]
-		rows, held := in.Rows[:n+1], rd.rows[:n+1]
-		laneRep, laneAll := p.laneRep, p.laneAll
-		id, own := p.cfg.ID, p.ownRowB()
-		for j := 1; j <= n; j++ {
-			row := rows[j]
-			if j <= l {
-				row = held[j]
+		// A quiet matrix — every row present, all-Healthy and fully Known
+		// in every lane — can only vote all-Healthy: Eqn. 1 without a
+		// Faulty opinion, and every column has a voter because N ≥ 2. When
+		// the hints already vouch for every aligned row, and the own row is
+		// checked directly, even the install is skipped: op/know then stay
+		// stale, and no reader of them runs on a quiet round.
+		own := p.ownRowB()
+		lowRows := PlaneMask(l)
+		hinted := (rd.healthy & lowRows) | (in.HealthyRows &^ lowRows) | 1<<uint(p.cfg.ID-1)
+		quiet = rowSet == all && hinted&p.laneAll == p.laneAll && own.Op&own.Known&all == all
+		quietLanes := p.laneRep
+		if !quiet {
+			acc := p.install(in.Rows, rd.rows, rowSet, l)
+			quiet = acc&all == all
+			if p.anyMetrics && !quiet {
+				quietLanes = p.laneRep &^ p.laneAny(all&^acc)
 			}
-			if j == id {
-				row = own
-			}
-			seg := ((rowSet >> uint(j-1)) & laneRep) * laneAll
-			op[j] = row.Op & row.Known & seg
-			know[j] = row.Known & seg
 		}
 
 		var votes *laneVotes
 		if p.anyMetrics {
 			votes = &p.votes
 		}
-		consOp, consKnown := voteAllLanes(op, know, n, p.laneRep, votes)
+		consOp, consKnown := all, all
+		if !quiet {
+			consOp, consKnown = voteAllLanes(op, know, n, p.laneRep, votes)
+		} else if votes != nil {
+			*votes = laneVotes{any: all}
+		}
+		if votes != nil {
+			votes.quiet = quietLanes
+		}
+		if invariant.Enabled && quiet {
+			p.checkQuietVote(in, rd, rowSet, l)
+		}
 
 		diagRound = in.Round - lag
 		// ⊥ fallback (Alg. 1 line 14): H-maj returned ⊥ on the columns
@@ -439,7 +459,9 @@ func (p *BatchProtocol) step(in *BatchRoundInput, out *BatchRoundOutput) {
 		out.ConsOp, out.ConsKnown = consOp, consKnown
 		out.DiagnosedRound = diagRound
 		out.Warm = true
-		if p.cfg.Mode == ModeMembership {
+		// A quiet matrix conflicts with no verdict, so the membership
+		// analysis would raise nothing and touch no register.
+		if p.cfg.Mode == ModeMembership && !quiet {
 			out.AccusedMask, out.DefiniteMask = p.accuseMinorities(consOp, op, know)
 		}
 	}
@@ -485,11 +507,12 @@ func (p *BatchProtocol) step(in *BatchRoundInput, out *BatchRoundOutput) {
 	// Op ∧ Known, the lane segment).
 	wr.set = present
 	copy(wr.rows, in.Rows)
+	wr.healthy = in.HealthyRows
 	wr.ls = validity
 	p.prevSentB = p.lastSentB
 	p.lastSentB = outBits
 	if p.anyMetrics {
-		p.emitMetrics(out, warm, diagRound, op, know)
+		p.emitMetrics(out, warm, quiet, diagRound, op, know)
 	}
 	if p.tracedLanes != 0 && warm {
 		p.emitTraces(out)
@@ -508,6 +531,50 @@ func (p *BatchProtocol) step(in *BatchRoundInput, out *BatchRoundOutput) {
 	p.steps++
 }
 
+// install writes a warm round's gang matrix into the scratch planes op/know
+// and returns the AND of its op planes, whose lane segments are all set
+// exactly in the lanes with a quiet matrix. Row j's lane segment is live iff
+// lane r's rowSet bit for j is set; compressing those bits onto the lane
+// replicator and multiplying by the segment mask expands per-lane row
+// presence into a plane mask (fault outcome as mask AND, not branch).
+// Entries 1..l come from the previous read (held), the rest from the
+// current one, and each lane's own row is its locally buffered copy of the
+// syndrome it physically transmitted in round k-1 — available even when the
+// transmission itself failed (Lemma 3).
+func (p *BatchProtocol) install(rows, held []BitSyndrome, rowSet uint64, l int) uint64 {
+	n := p.n
+	op, know := p.op[:n+1], p.know[:n+1]
+	rows, held = rows[:n+1], held[:n+1]
+	laneRep, laneAll := p.laneRep, p.laneAll
+	id, own := p.cfg.ID, p.ownRowB()
+	acc := ^uint64(0)
+	for j := 1; j <= n; j++ {
+		row := rows[j]
+		if j <= l {
+			row = held[j]
+		}
+		if j == id {
+			row = own
+		}
+		seg := ((rowSet >> uint(j-1)) & laneRep) * laneAll
+		o := row.Op & row.Known & seg
+		op[j], know[j] = o, row.Known&seg
+		acc &= o
+	}
+	return acc
+}
+
+// laneAny folds each live lane's segment of x to the segment's lowest bit
+// (a lane replicator subset): the low n-1 bits of a segment plus all-ones
+// carry into the segment's top bit iff any of them is set, and the sum
+// stays below 2^n, so lanes never interact.
+func (p *BatchProtocol) laneAny(x uint64) uint64 {
+	n := p.n
+	top := p.laneRep << uint(n-1)
+	lowBits := p.allB &^ top
+	return ((((x & lowBits) + lowBits) | x) & top) >> uint(n-1)
+}
+
 // accuseMinorities is the membership analysis of Sec. 7 over the warm gang
 // matrix: every lane's rows that conflict with that lane's consistent health
 // vector receive a minority accusation. A row conflicts wherever it is known
@@ -523,14 +590,6 @@ func (p *BatchProtocol) accuseMinorities(consOp uint64, op, know []uint64) (accu
 	all := p.allB
 	convicted := p.selfB &^ consOp
 	skip := p.aging&^p.age[0] | convicted
-	// laneAny folds each lane's segment to its lowest bit: the low n-1 bits
-	// of a segment plus all-ones carry into the segment's top bit iff any of
-	// them is set, and the sum stays below 2^n, so lanes never interact.
-	top := p.laneRep << uint(n-1)
-	lowBits := all &^ top
-	laneAny := func(x uint64) uint64 {
-		return ((((x & lowBits) + lowBits) | x) & top) >> uint(n-1)
-	}
 	for j := 1; j <= n; j++ {
 		rows := (p.rowSet >> uint(j-1)) & p.laneRep
 		if j == p.cfg.ID || rows == 0 {
@@ -538,9 +597,9 @@ func (p *BatchProtocol) accuseMinorities(consOp uint64, op, know []uint64) (accu
 		}
 		keep := all &^ (skip | p.laneRep<<uint(j-1))
 		wrong := know[j] & (op[j] ^ consOp) & keep
-		acc := laneAny(wrong|all&^know[j]&keep) & rows
+		acc := p.laneAny(wrong|all&^know[j]&keep) & rows
 		accused |= acc << uint(j-1)
-		definite |= laneAny(wrong) & acc << uint(j-1)
+		definite |= p.laneAny(wrong) & acc << uint(j-1)
 	}
 	// The registers change only after every row was judged, so all rows see
 	// the same guard state.
@@ -563,9 +622,11 @@ func (p *BatchProtocol) accuseMinorities(consOp uint64, op, know []uint64) (accu
 // laneVotes classifies one warm round's gang vote column by column, as
 // lane-packed masks: any marks the columns with at least one opinion (⊥ is
 // its complement), faulty the strict faulty majorities, tied the exact
-// non-zero ties (which H-maj resolves to Healthy).
+// non-zero ties (which H-maj resolves to Healthy). quiet marks (bit r·N)
+// the lanes whose installed matrix was all-Healthy and fully Known.
 type laneVotes struct {
 	any, faulty, tied uint64
+	quiet             uint64
 }
 
 // voteAllLanes is the gang vote kernel: one carry-save pass over every
@@ -664,7 +725,7 @@ func (p *BatchProtocol) regroupMetrics() {
 // from the kernel's classification, disagreements are one masked popcount
 // per matrix row, and every quantity folds into a group's counters with one
 // popcount, so the cost does not grow with the lane count.
-func (p *BatchProtocol) emitMetrics(out *BatchRoundOutput, warm bool, diagRound int, op, know []uint64) {
+func (p *BatchProtocol) emitMetrics(out *BatchRoundOutput, warm, quiet bool, diagRound int, op, know []uint64) {
 	if p.regroup {
 		p.regroupMetrics()
 	}
@@ -695,8 +756,11 @@ func (p *BatchProtocol) emitMetrics(out *BatchRoundOutput, warm bool, diagRound 
 		m.VotesFaulty.Add(int64(bits.OnesCount64(seg & v.faulty)))
 		m.VotesHealthy.Add(int64(bits.OnesCount64(seg & v.any &^ v.faulty)))
 		m.VotesTied.Add(int64(bits.OnesCount64(seg & v.tied)))
+		m.MatrixQuiet.Add(int64(bits.OnesCount64(rep & v.quiet)))
+		// A quiet matrix agrees with its all-Healthy verdict everywhere,
+		// and op/know may be stale after a skipped install.
 		var disagreements int
-		for i := 1; i <= n; i++ {
+		for i := 1; i <= n && !quiet; i++ {
 			conflict := know[i] & out.ConsKnown & (op[i] ^ out.ConsOp) &^ (p.laneRep << uint(i-1))
 			disagreements += bits.OnesCount64(conflict & seg)
 		}

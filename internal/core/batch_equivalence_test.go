@@ -656,3 +656,130 @@ func FuzzVoteAllBatch(f *testing.F) {
 		}
 	})
 }
+
+// FuzzStepBatchQuiet differentially checks the quiet-round shortcuts: two
+// twin gangs step through the same rounds, biased towards all-Healthy rows
+// so that both the vote skip and the install skip fire, and only one of them
+// is told which rows are healthy (HealthyRows). Every output, every lane's
+// final state and the telemetry — matrix/quiet included — must agree.
+func FuzzStepBatchQuiet(f *testing.F) {
+	f.Add(uint8(4), uint8(16), uint8(0), uint8(1), uint8(0), []byte{0x00, 0x03, 0x12, 0x40, 0x00, 0x00, 0x01, 0x77})
+	f.Add(uint8(4), uint8(5), uint8(2), uint8(3), uint8(1), []byte{0x02, 0x00, 0x05, 0x31, 0x00, 0x07, 0xc8, 0x0e})
+	f.Add(uint8(64), uint8(1), uint8(40), uint8(7), uint8(2), []byte{0x00, 0x00, 0x01, 0xff, 0x10})
+	f.Add(uint8(7), uint8(9), uint8(5), uint8(2), uint8(1), []byte{0x01, 0x9a, 0x33, 0x00, 0x00, 0x5c, 0x11, 0x06, 0x02})
+	f.Add(uint8(64), uint8(1), uint8(40), uint8(7), uint8(9), []byte("001"))
+	f.Add(uint8(7), uint8(9), uint8(46), uint8(2), uint8(1), []byte("00120"))
+	f.Fuzz(func(t *testing.T, nRaw, lanesRaw, lRaw, idRaw, modeRaw uint8, data []byte) {
+		n := 2 + int(nRaw)%(MaxPackedN-1)
+		lanes := 1 + int(lanesRaw)%BatchLanes(n)
+		id := 1 + int(idRaw)%n
+		l := int(lRaw) % n
+		cfg := Config{
+			N: n, ID: id, L: l, SendCurrRound: l < id,
+			PR: PRConfig{PenaltyThreshold: 3, RewardThreshold: 2, ReintegrationThreshold: 3},
+		}
+		switch modeRaw % 3 {
+		case 0:
+			cfg.Mode = ModeDiagnostic
+		case 1:
+			cfg.Mode = ModeMembership
+		default:
+			cfg.Mode, cfg.Dynamic, cfg.SendCurrRound = ModeDiagnostic, true, true
+		}
+		var twins [2]*BatchProtocol
+		var regs [2]*metrics.Registry
+		for i := range twins {
+			p, err := NewBatchProtocol(cfg, lanes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			regs[i] = metrics.New()
+			m := NewStepMetrics(regs[i])
+			for r := 0; r < lanes; r++ {
+				p.SetLaneMetrics(r, m)
+			}
+			twins[i] = p
+		}
+		allB := twins[0].allB
+		pos := 0
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[pos%len(data)]
+			pos++
+			return b
+		}
+		rows := make([]BitSyndrome, n+1)
+		for round := 0; round < 16; round++ {
+			// Healthy rows carry garbage beyond the live lanes, which the
+			// kernel must mask out; a disturbed round then flips single
+			// entries to Faulty or ε, drops a row from one lane, or turns
+			// a whole row Faulty.
+			present := allB
+			for j := 1; j <= n; j++ {
+				rows[j] = BitSyndrome{Op: ^uint64(0), Known: ^uint64(0)}
+			}
+			if b := next(); b&1 != 0 {
+				for k := 0; k <= int(b>>1)&3; k++ {
+					what, where := next(), next()
+					j := 1 + int(what>>2)%n
+					r := int(where) % lanes
+					bit := uint64(1) << uint(r*n+int(where>>3)%n)
+					switch what & 3 {
+					case 0:
+						rows[j].Op &^= bit
+					case 1:
+						rows[j].Known &^= bit
+					case 2:
+						present &^= 1 << uint(r*n+j-1)
+					default:
+						rows[j].Op &^= allB
+					}
+				}
+			}
+			var hint uint64
+			for j := 1; j <= n; j++ {
+				if rows[j].Op&rows[j].Known&allB == allB {
+					hint |= 1 << uint(j-1)
+				}
+			}
+			in := BatchRoundInput{
+				Round: round, Rows: rows, Present: present,
+				Validity:        BitSyndrome{Op: present, Known: allB},
+				CollisionFaulty: uint64(next()),
+			}
+			hinted := in
+			hinted.HealthyRows = hint
+			want, err := twins[0].StepBatch(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := twins[1].StepBatch(hinted)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("round %d: hinted gang %+v, unhinted %+v", round, got, want)
+			}
+		}
+		for r := 0; r < lanes; r++ {
+			want, err := twins[0].SnapshotLane(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := twins[1].SnapshotLane(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("lane %d: hinted state %s, unhinted %s", r, got, want)
+			}
+		}
+		want, _ := json.Marshal(regs[0].Snapshot())
+		got, _ := json.Marshal(regs[1].Snapshot())
+		if !bytes.Equal(got, want) {
+			t.Fatalf("hinted telemetry %s, unhinted %s", got, want)
+		}
+	})
+}

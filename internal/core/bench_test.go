@@ -136,12 +136,17 @@ func BenchmarkStepMetrics(b *testing.B) {
 // BenchmarkStepBatch measures one gang execution: ⌊64/N⌋ independent runs
 // advanced by a single lane-packed protocol step. Divide ns/op by the lane
 // count for the amortised per-run cost; compare against BenchmarkProtocolStep
-// in BENCH_campaign.json for the per-run packed baseline. Tracked in
+// in BENCH_campaign.json for the per-run packed baseline. The plain variant
+// steps a quiet matrix, whose vote the kernel skips; the _faulty variant has
+// one Faulty opinion in every lane, so it times the full vote. Tracked in
 // BENCH_core.json.
 func BenchmarkStepBatch(b *testing.B) {
 	for _, n := range benchSizes {
 		b.Run(fmt.Sprintf("n%d_g%d", n, BatchLanes(n)), func(b *testing.B) {
-			benchStepBatch(b, n, nil)
+			benchStepBatch(b, n, false, nil)
+		})
+		b.Run(fmt.Sprintf("n%d_g%d_faulty", n, BatchLanes(n)), func(b *testing.B) {
+			benchStepBatch(b, n, true, nil)
 		})
 	}
 }
@@ -152,13 +157,15 @@ func BenchmarkStepBatch(b *testing.B) {
 // in BENCH_metrics.json.
 func BenchmarkStepBatchMetrics(b *testing.B) {
 	b.Run("n4_g16", func(b *testing.B) {
-		benchStepBatch(b, 4, NewStepMetrics(metrics.New()))
+		benchStepBatch(b, 4, false, NewStepMetrics(metrics.New()))
 	})
 }
 
 // benchStepBatch times steady-state StepBatch calls of a full-width gang of
-// node 1 on all-healthy inputs, with m (when non-nil) on every lane.
-func benchStepBatch(b *testing.B, n int, m *StepMetrics) {
+// node 1 on all-healthy inputs, with m (when non-nil) on every lane. With
+// faulty, row 2 accuses node N in every lane, which keeps every matrix from
+// being quiet without changing any verdict.
+func benchStepBatch(b *testing.B, n int, faulty bool, m *StepMetrics) {
 	lanes := BatchLanes(n)
 	p, err := NewBatchProtocol(Config{
 		N: n, ID: 1, L: 0, SendCurrRound: true,
@@ -176,6 +183,9 @@ func benchStepBatch(b *testing.B, n int, m *StepMetrics) {
 	rows := make([]BitSyndrome, n+1)
 	for j := 1; j <= n; j++ {
 		rows[j] = BitSyndrome{Op: allB, Known: allB}
+	}
+	if faulty {
+		rows[2].Op &^= p.laneRep << uint(n-1)
 	}
 	validity := BitSyndrome{Op: allB, Known: allB}
 	for i := 0; i < 16; i++ {

@@ -55,7 +55,7 @@ func (p *BatchProtocol) CopyFrom(src *BatchProtocol) error {
 	// them would be dead work.
 	dst, from := &p.pbufs[p.steps&1], &src.pbufs[src.steps&1]
 	copy(dst.rows, from.rows)
-	dst.set, dst.ls, dst.al = from.set, from.ls, from.al
+	dst.set, dst.healthy, dst.ls, dst.al = from.set, from.healthy, from.ls, from.al
 	p.lastSentB = src.lastSentB
 	p.prevSentB = src.prevSentB
 	p.accuse, p.age, p.aging = src.accuse, src.age, src.aging

@@ -69,6 +69,38 @@ func (p *BatchProtocol) checkStepInvariants(out *BatchRoundOutput) {
 	p.invPrevActive, p.invHavePrev = out.ActiveMask, true
 }
 
+// checkHealthyRows asserts that every row a step's HealthyRows hint marks
+// is all-Healthy and fully Known in every live lane: a false bit would let
+// the kernel skip the install of a matrix that is not quiet.
+func (p *BatchProtocol) checkHealthyRows(in *BatchRoundInput) {
+	if extra := in.HealthyRows &^ p.laneAll; extra != 0 {
+		invariant.Checkf(false, "core: node %d round %d: HealthyRows %#x marks rows beyond N=%d",
+			p.cfg.ID, in.Round, in.HealthyRows, p.n)
+	}
+	for rem := in.HealthyRows & p.laneAll; rem != 0; rem &= rem - 1 {
+		j := bits.TrailingZeros64(rem) + 1
+		if row := in.Rows[j]; row.Op&row.Known&p.allB != p.allB {
+			invariant.Checkf(false, "core: node %d round %d: HealthyRows marks row %d healthy, but it is not all-Healthy in every lane",
+				p.cfg.ID, in.Round, j)
+		}
+	}
+}
+
+// checkQuietVote re-runs a quiet step the long way: it installs the matrix
+// the shortcut may have skipped and requires the full vote to return what
+// the shortcut assumed — all-Healthy, fully Known, no Faulty majority and no
+// tie in any column.
+func (p *BatchProtocol) checkQuietVote(in *BatchRoundInput, rd *batchAlignBuf, rowSet uint64, l int) {
+	all := p.allB
+	acc := p.install(in.Rows, rd.rows, rowSet, l)
+	var v laneVotes
+	consOp, consKnown := voteAllLanes(p.op, p.know, p.n, p.laneRep, &v)
+	if acc&all != all || consOp != all || consKnown != all || v.any != all || v.faulty != 0 || v.tied != 0 {
+		invariant.Checkf(false, "core: node %d round %d: quiet shortcut disagrees with the full vote (matrix AND %#x, consistent vector %#x/%#x, faulty %#x, tied %#x)",
+			p.cfg.ID, in.Round, acc&all, consOp, consKnown, v.faulty, v.tied)
+	}
+}
+
 // checkStepInvariants asserts that a per-run RoundOutput's warm-up marker
 // (a zero ConsHV) matches its diagnosed round; the counter and lag
 // invariants run inside the kernel.

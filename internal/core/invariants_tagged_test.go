@@ -127,3 +127,41 @@ func TestGangLaneInvariantsPanic(t *testing.T) {
 	}()
 	step(6)
 }
+
+// TestFalseHealthyRowsHintPanics marks a row healthy that is Faulty in one
+// lane: the kernel would skip installing a matrix that is not quiet, so the
+// invariant layer must reject the hint before it is used.
+func TestFalseHealthyRowsHintPanics(t *testing.T) {
+	p, err := NewBatchProtocol(Config{
+		N: 4, ID: 1, L: 0, SendCurrRound: true,
+		PR: PRConfig{PenaltyThreshold: 4, RewardThreshold: 8},
+	}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]BitSyndrome, 5)
+	for j := range rows {
+		rows[j] = BitSyndrome{Op: p.allB, Known: p.allB}
+	}
+	hint := uint64(0b1111)
+	for k := 0; k < 4; k++ {
+		in := BatchRoundInput{Round: k, Rows: rows, Present: p.allB, Validity: rows[1], HealthyRows: hint}
+		if _, err := p.StepBatch(in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows[3].Op &^= 1 << (4 + 1) // lane 1: row 3 accuses node 2
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("false HealthyRows bit was not caught")
+		}
+		if msg, ok := r.(string); !ok || !strings.Contains(msg, "HealthyRows marks row 3") {
+			t.Fatalf("unexpected panic: %v", r)
+		}
+	}()
+	in := BatchRoundInput{Round: 4, Rows: rows, Present: p.allB, Validity: rows[1], HealthyRows: hint}
+	if _, err := p.StepBatch(in); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -27,6 +27,9 @@ type StepMetrics struct {
 	// Disagreements counts definite matrix opinions that differ from the
 	// round's agreed health vector (syndrome disagreement).
 	Disagreements *metrics.Counter
+	// MatrixQuiet counts the warm executions whose installed matrix was
+	// all-Healthy and fully Known — the rounds whose vote the kernel skips.
+	MatrixQuiet *metrics.Counter
 	// Accusations counts minority accusations raised (membership mode), and
 	// Isolations/Reintegrations count penalty/reward threshold crossings.
 	Accusations    *metrics.Counter
@@ -56,6 +59,7 @@ func NewStepMetrics(reg *metrics.Registry) *StepMetrics {
 		VotesBottom:    reg.Counter("vote/bottom"),
 		VotesTied:      reg.Counter("vote/tied"),
 		Disagreements:  reg.Counter("matrix/disagreements"),
+		MatrixQuiet:    reg.Counter("matrix/quiet"),
 		Accusations:    reg.Counter("membership/accusations"),
 		Isolations:     reg.Counter("pr/isolations"),
 		Reintegrations: reg.Counter("pr/reintegrations"),

@@ -71,6 +71,9 @@ func TestStepMetricsScenario(t *testing.T) {
 	if a.Counters["matrix/disagreements"] == 0 {
 		t.Fatalf("dissenting row produced no disagreement: %v", a.Counters)
 	}
+	if q, warm := a.Counters["matrix/quiet"], int64(24-p.Config().Lag()); q == 0 || q >= warm {
+		t.Fatalf("quiet matrices = %d, want some but fewer than the %d warm steps", q, warm)
+	}
 	if a.Counters["pr/isolations"] == 0 || a.Counters["pr/reintegrations"] == 0 {
 		t.Fatalf("threshold crossings not exercised: %v", a.Counters)
 	}
@@ -94,7 +97,7 @@ func TestStepMetricsScenario(t *testing.T) {
 
 // TestStepMetricsVoteClassification pins the per-column classification on
 // an all-healthy steady state: N healthy votes per warm round, no ⊥, no
-// ties, no disagreement.
+// ties, no disagreement, and every warm round's matrix quiet.
 func TestStepMetricsVoteClassification(t *testing.T) {
 	reg := metrics.New()
 	p := newMetricsProtocol(t)
@@ -116,6 +119,9 @@ func TestStepMetricsVoteClassification(t *testing.T) {
 	warm := int64(rounds - p.Config().Lag())
 	if got := snap.Counters["vote/healthy"]; got != warm*int64(n) {
 		t.Fatalf("healthy votes = %d, want %d", got, warm*int64(n))
+	}
+	if got := snap.Counters["matrix/quiet"]; got != warm {
+		t.Fatalf("quiet matrices = %d, want %d warm steps", got, warm)
 	}
 	for _, k := range []string{"vote/faulty", "vote/bottom", "vote/tied", "matrix/disagreements"} {
 		if snap.Counters[k] != 0 {

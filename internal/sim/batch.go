@@ -71,6 +71,10 @@ type BatchDiagCluster struct {
 	// stored payload is valid and decodable.
 	rows     []core.BitSyndrome // 1-based by interface variable
 	presentB uint64
+	// healthyRows marks (bit s-1) the senders whose last wire word is
+	// all-Healthy in every live lane: the jobs' core.BatchRoundInput
+	// HealthyRows hint, kept in O(1) per slot.
+	healthyRows uint64
 
 	// Per-observer divergence from the shared planes. ign[i] marks the
 	// senders observer i has stopped listening to (monotone when observe
@@ -266,6 +270,7 @@ func (c *BatchDiagCluster) ResetBatch(lanes int) error {
 		c.rows[id] = core.BitSyndrome{Op: 0, Known: c.allB}
 	}
 	c.presentB = 0
+	c.healthyRows = 0
 	c.blindLanes = 0
 	for i := range c.collSeen {
 		c.collSeen[i] = false
@@ -488,6 +493,7 @@ func (c *BatchDiagCluster) runJob(k, id int) error {
 		Present:         present,
 		Validity:        core.BitSyndrome{Op: present, Known: c.allB},
 		CollisionFaulty: collF,
+		HealthyRows:     c.healthyRows,
 	})
 	if err != nil {
 		return fmt.Errorf("sim: node %d round %d: %w", id, k, err)
@@ -623,6 +629,10 @@ func (c *BatchDiagCluster) transmitSlot(k, s int) {
 	}
 	c.presentB = (c.presentB &^ (c.laneRep << col)) | expandColumn(validLanes, col, n)
 	c.rows[s] = core.BitSyndrome{Op: wireWord, Known: c.allB}
+	c.healthyRows &^= 1 << col
+	if wireWord&c.allB == c.allB {
+		c.healthyRows |= 1 << col
+	}
 	// Sender-side collision feedback: the controller cannot read its own
 	// message back, so the sender's stored copy of its own slot is
 	// invalidated (other receivers keep their deliveries), and the verdict

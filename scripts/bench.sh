@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # bench.sh runs the campaign engine and protocol hot-path benchmarks (plus
-# the wide scale-resilience repetition on one-lane gangs) and records
+# the wide scale-resilience repetition on one-lane gangs and one gang of the
+# lane-packed cluster) and records
 # every sample in BENCH_campaign.json, plus the packed voting-kernel
 # microbenchmarks in BENCH_core.json, the telemetry-layer benchmarks
 # (instrument costs, Step with metrics on/off, the gang StepBatch with
@@ -44,10 +45,11 @@ END { print "\n]" }
 }
 
 # BenchmarkWideResilienceRun times one-lane gangs on the N = 64 asymmetric
-# scale-resilience case.
+# scale-resilience case; BenchmarkBatchClusterRun times one gang of the
+# lane-packed cluster, quiet and with one burst per lane.
 go test -run '^$' \
-    -bench 'BenchmarkSec8BurstCampaign|BenchmarkProtocolStep|BenchmarkEngineRound|BenchmarkWideResilienceRun' \
-    -benchmem -count="$COUNT" . ./internal/experiments/ | tee "$raw"
+    -bench 'BenchmarkSec8BurstCampaign|BenchmarkProtocolStep|BenchmarkEngineRound|BenchmarkWideResilienceRun|BenchmarkBatchClusterRun' \
+    -benchmem -count="$COUNT" . ./internal/experiments/ ./internal/sim/ | tee "$raw"
 fold_json < "$raw" > BENCH_campaign.json
 echo "wrote BENCH_campaign.json"
 

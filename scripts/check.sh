@@ -81,6 +81,8 @@ step "go test -fuzz (packed voting kernel, seed corpus + short fuzz)" \
     scripts/gotest.sh ./internal/core/ -run FuzzVoteAll -fuzz 'FuzzVoteAll$' -fuzztime 15s
 step "go test -fuzz (lane-packed voting kernel, seed corpus + short fuzz)" \
     scripts/gotest.sh ./internal/core/ -run FuzzVoteAllBatch -fuzz 'FuzzVoteAllBatch$' -fuzztime 15s
+step "go test -fuzz (quiet-round shortcuts, hinted vs unhinted gang, seed corpus + short fuzz)" \
+    scripts/gotest.sh ./internal/core/ -run FuzzStepBatchQuiet -fuzz 'FuzzStepBatchQuiet$' -fuzztime 15s
 step "go test -fuzz (Alg. 1 kernel vs reference, seed corpus + short fuzz)" \
     scripts/gotest.sh ./internal/core/ -run FuzzProtocolStep -fuzz 'FuzzProtocolStep$' -fuzztime 15s
 step "go test -fuzz (snapshot restore, seed corpus + short fuzz)" \
