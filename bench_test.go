@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"ttdiag/internal/campaign"
 	"ttdiag/internal/core"
 	"ttdiag/internal/experiments"
 	"ttdiag/internal/fault"
@@ -50,7 +51,7 @@ func BenchmarkTable4AdverseScenarios(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := tuning.TimeToIncorrectIsolation(fault.LightningBolt(), res, 1, 1, int64(i), true)
+		rows, err := tuning.TimeToIncorrectIsolation(fault.LightningBolt(), res, 1, campaign.Options{Workers: 1}, int64(i), true)
 		if err != nil {
 			b.Fatal(err)
 		}

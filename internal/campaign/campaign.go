@@ -36,7 +36,7 @@ var clampLogOnce sync.Once
 // the results are bit-identical at any worker count anyway. The first clamp
 // is logged once per process so an over-provisioned configuration is
 // visible; library users who want to observe or silence the clamp instead
-// pass Options.OnClamp to RunWith/RunPooledWith.
+// pass Options.OnClamp to RunPooledWith/RunBatchedWith.
 func Workers(workers int) int {
 	return resolveWorkers(workers, nil)
 }
@@ -62,8 +62,8 @@ func resolveWorkers(workers int, onClamp func(requested, max int)) int {
 	return workers
 }
 
-// Options configures a campaign beyond the worker count. The zero value is
-// valid and matches the plain Run/RunPooled behaviour.
+// Options configures a campaign. The zero value is valid: GOMAXPROCS
+// workers, the default clamp log, no completion callback.
 type Options struct {
 	// Workers bounds the worker pool: <= 0 means GOMAXPROCS, 1 recovers
 	// serial execution; requests beyond GOMAXPROCS are clamped.
@@ -81,51 +81,25 @@ type Options struct {
 	OnRunDone func(run int)
 }
 
-// Run executes fn(0) .. fn(runs-1) on a pool of the given number of workers
-// and returns the results indexed by run. The result slice is identical for
-// every worker count as long as fn is a pure function of its run index (see
-// the package comment for the full contract).
+// RunPooledWith executes fn(state, 0) .. fn(state, runs-1) on a pool of
+// o.Workers workers and returns the results indexed by run. newState builds
+// one state value per worker (serially, before any run starts), and every
+// repetition dispatched to that worker receives the same state value — a
+// reusable simulation cluster that each repetition resets instead of
+// rebuilding, for instance. It is the engine RunBatchedWith delegates to.
+//
+// The result slice is identical for every worker count as long as fn is a
+// pure function of its run index (see the package comment for the full
+// contract) and returns the state to a scenario-independent condition
+// before (or after) each repetition — typically by resetting the cluster as
+// its first action — so that a run's result never depends on which runs the
+// worker executed before it.
 //
 // On failure the first error — the error of the lowest-indexed failing run
 // that was observed — is returned and the remaining runs are cancelled;
 // already-running repetitions finish or fail on their own, but no new run is
-// dispatched. With workers == 1 the runs execute serially on the calling
-// goroutine and the first error aborts the loop immediately, exactly like
-// the pre-engine serial campaign loops.
-func Run[T any](workers, runs int, fn func(run int) (T, error)) ([]T, error) {
-	return RunWith(Options{Workers: workers}, runs, fn)
-}
-
-// RunWith is Run with the full option set (injectable clamp observer,
-// completion callback). The determinism contract is unchanged: the options
-// affect only what is observed about the campaign, never its results.
-func RunWith[T any](o Options, runs int, fn func(run int) (T, error)) ([]T, error) {
-	if fn == nil {
-		return nil, fmt.Errorf("campaign: nil run function")
-	}
-	return RunPooledWith(o, runs,
-		func() (struct{}, error) { return struct{}{}, nil },
-		func(_ struct{}, run int) (T, error) { return fn(run) })
-}
-
-// RunPooled is Run with per-worker reusable state: newState builds one state
-// value per worker (serially, before any run starts), and every repetition
-// dispatched to that worker receives the same state value. The intended use
-// is a reusable simulation cluster that each repetition resets instead of
-// rebuilding, which removes the per-run wiring allocations from the campaign
-// hot path.
-//
-// The determinism contract of Run carries over unchanged, with one addition:
-// fn must return the state to a scenario-independent condition before (or
-// after) each repetition — typically by calling the cluster's Reset as its
-// first action — so that a run's result never depends on which runs the
-// worker executed before it.
-func RunPooled[S, T any](workers, runs int, newState func() (S, error), fn func(state S, run int) (T, error)) ([]T, error) {
-	return RunPooledWith(Options{Workers: workers}, runs, newState, fn)
-}
-
-// RunPooledWith is RunPooled with the full option set; it is the engine the
-// other entry points delegate to.
+// dispatched. With one worker the runs execute serially on the calling
+// goroutine and the first error aborts the loop immediately.
 func RunPooledWith[S, T any](o Options, runs int, newState func() (S, error), fn func(state S, run int) (T, error)) ([]T, error) {
 	if runs < 0 {
 		return nil, fmt.Errorf("campaign: negative run count %d", runs)

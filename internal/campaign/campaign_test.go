@@ -11,17 +11,23 @@ import (
 	"ttdiag/internal/rng"
 )
 
+// stateless runs a campaign without per-worker state on RunPooledWith.
+func stateless[T any](o Options, runs int, fn func(run int) (T, error)) ([]T, error) {
+	return RunPooledWith(o, runs, func() (struct{}, error) { return struct{}{}, nil },
+		func(_ struct{}, run int) (T, error) { return fn(run) })
+}
+
 // TestResultsIndexedByRun checks the core contract: results land at their
 // run index for any worker count, identically to the serial execution.
 func TestResultsIndexedByRun(t *testing.T) {
 	const runs = 257
 	fn := func(run int) (int, error) { return run * run, nil }
-	want, err := Run(1, runs, fn)
+	want, err := stateless(Options{Workers: 1}, runs, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, 3, 8, 64, runs + 5} {
-		got, err := Run(workers, runs, fn)
+		got, err := stateless(Options{Workers: workers}, runs, fn)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -45,11 +51,11 @@ func TestSeededStreamsAreScheduleIndependent(t *testing.T) {
 		st := rng.NewSource(2007).Stream(fmt.Sprintf("campaign-test/run-%d", run))
 		return st.Uint64(), nil
 	}
-	serial, err := Run(1, runs, draw)
+	serial, err := stateless(Options{Workers: 1}, runs, draw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Run(8, runs, draw)
+	parallel, err := stateless(Options{Workers: 8}, runs, draw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +73,7 @@ func TestFirstErrorPropagatesAndCancels(t *testing.T) {
 	boom := errors.New("injected failure")
 	const runs = 1000
 	var executed atomic.Int64
-	_, err := Run(4, runs, func(run int) (struct{}, error) {
+	_, err := stateless(Options{Workers: 4}, runs, func(run int) (struct{}, error) {
 		executed.Add(1)
 		if run == 0 {
 			return struct{}{}, boom
@@ -92,7 +98,7 @@ func TestFirstErrorPropagatesAndCancels(t *testing.T) {
 func TestSerialErrorAbortsImmediately(t *testing.T) {
 	boom := errors.New("stop here")
 	executed := 0
-	_, err := Run(1, 10, func(run int) (int, error) {
+	_, err := stateless(Options{Workers: 1}, 10, func(run int) (int, error) {
 		executed++
 		if run == 3 {
 			return 0, boom
@@ -111,7 +117,7 @@ func TestSerialErrorAbortsImmediately(t *testing.T) {
 // rely on: when several runs fail, the reported error belongs to the lowest
 // observed run index.
 func TestLowestFailingIndexWins(t *testing.T) {
-	_, err := Run(8, 8, func(run int) (int, error) {
+	_, err := stateless(Options{Workers: 8}, 8, func(run int) (int, error) {
 		return 0, fmt.Errorf("run %d failed", run)
 	})
 	if err == nil {
@@ -124,17 +130,23 @@ func TestLowestFailingIndexWins(t *testing.T) {
 	}
 }
 
-// TestEdgeCases covers zero runs, negative runs and a nil function.
+// TestEdgeCases covers zero runs, negative runs, a nil function and a nil
+// state constructor.
 func TestEdgeCases(t *testing.T) {
-	got, err := Run(4, 0, func(int) (int, error) { return 0, nil })
+	got, err := stateless(Options{Workers: 4}, 0, func(int) (int, error) { return 0, nil })
 	if err != nil || len(got) != 0 {
 		t.Fatalf("zero runs: results %v, err %v", got, err)
 	}
-	if _, err := Run(4, -1, func(int) (int, error) { return 0, nil }); err == nil {
+	if _, err := stateless(Options{Workers: 4}, -1, func(int) (int, error) { return 0, nil }); err == nil {
 		t.Fatal("negative runs: want an error")
 	}
-	if _, err := Run[int](4, 4, nil); err == nil {
+	newState := func() (struct{}, error) { return struct{}{}, nil }
+	if _, err := RunPooledWith[struct{}, int](Options{Workers: 4}, 4, newState, nil); err == nil {
 		t.Fatal("nil fn: want an error")
+	}
+	if _, err := RunPooledWith[struct{}, int](Options{Workers: 4}, 4, nil,
+		func(struct{}, int) (int, error) { return 0, nil }); err == nil {
+		t.Fatal("nil state constructor: want an error")
 	}
 }
 
@@ -171,7 +183,7 @@ func TestOnClampObserver(t *testing.T) {
 		Workers: max + 7,
 		OnClamp: func(requested, m int) { calls++; gotRequested, gotMax = requested, m },
 	}
-	results, err := RunWith(o, 2*max+4, func(run int) (int, error) { return run, nil })
+	results, err := stateless(o, 2*max+4, func(run int) (int, error) { return run, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +195,7 @@ func TestOnClampObserver(t *testing.T) {
 	}
 	// No clamp, no callback.
 	calls = 0
-	if _, err := RunWith(Options{Workers: 1, OnClamp: func(int, int) { calls++ }}, 4,
+	if _, err := stateless(Options{Workers: 1, OnClamp: func(int, int) { calls++ }}, 4,
 		func(run int) (int, error) { return run, nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +231,7 @@ func TestOnRunDone(t *testing.T) {
 	}
 	// A failing run must not be reported as done.
 	var done int64
-	_, err := RunWith(Options{Workers: 1, OnRunDone: func(int) { atomic.AddInt64(&done, 1) }}, 4,
+	_, err := stateless(Options{Workers: 1, OnRunDone: func(int) { atomic.AddInt64(&done, 1) }}, 4,
 		func(run int) (int, error) {
 			if run == 2 {
 				return 0, errors.New("boom")

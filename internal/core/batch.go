@@ -789,14 +789,6 @@ func (p *BatchProtocol) LanePenalty(lane, j int) int64 {
 	return p.pr.penalties[lane*(p.n+1)+j]
 }
 
-// LaneActive reports whether node j is active in lane `lane`.
-func (p *BatchProtocol) LaneActive(lane, j int) bool {
-	if j < 1 || j > p.n {
-		return false
-	}
-	return p.pr.active[lane*(p.n+1)+j]
-}
-
 // SnapshotLane serialises lane `lane`'s full protocol state to JSON,
 // byte-identical to Protocol.Snapshot of a per-run instance that ran the
 // same inputs: the accusation registers are materialised as the per-node

@@ -326,22 +326,3 @@ func (m *Matrix) String() string {
 	b.WriteString("\n")
 	return b.String()
 }
-
-// Tolerates reports whether an N-node system satisfies the fault hypothesis
-// of Lemma 2 for a asymmetric, s symmetric-malicious and b benign faulty
-// senders over one protocol execution: N > 2a + 2s + b + 1 and a <= 1. The
-// benign-only blackout regime (Lemma 3) is handled separately and reported
-// by ToleratesBenignOnly.
-func Tolerates(n, a, s, b int) bool {
-	if a < 0 || s < 0 || b < 0 {
-		return false
-	}
-	return a <= 1 && n > 2*a+2*s+b+1
-}
-
-// ToleratesBenignOnly reports whether the benign-only regime of Lemma 3
-// applies: every fault is benign and correct local collision detection is
-// available for self-diagnosis. It holds for any b up to N.
-func ToleratesBenignOnly(n, b int) bool {
-	return b >= 0 && b <= n
-}

@@ -197,40 +197,6 @@ func TestHMajDecisionProperty(t *testing.T) {
 	}
 }
 
-func TestTolerates(t *testing.T) {
-	tests := []struct {
-		n, a, s, b int
-		want       bool
-	}{
-		{4, 0, 0, 1, true},   // single benign fault at N=4
-		{4, 0, 0, 2, true},   // two coincident benign faults
-		{4, 0, 0, 3, false},  // b = N-1 needs the Lemma 3 regime
-		{4, 0, 1, 0, true},   // one malicious node
-		{4, 0, 2, 0, false},  // two malicious nodes exceed the bound
-		{4, 1, 0, 0, true},   // one asymmetric fault
-		{4, 2, 0, 0, false},  // a <= 1 always
-		{8, 1, 1, 2, true},   // 8 > 2+2+2+1
-		{8, 1, 2, 1, false},  // 8 > 2+4+1+1 is false
-		{4, -1, 0, 0, false}, // negative counts rejected
-		{4, 0, -1, 0, false},
-		{4, 0, 0, -1, false},
-	}
-	for _, tt := range tests {
-		if got := Tolerates(tt.n, tt.a, tt.s, tt.b); got != tt.want {
-			t.Errorf("Tolerates(%d,%d,%d,%d) = %v, want %v", tt.n, tt.a, tt.s, tt.b, got, tt.want)
-		}
-	}
-}
-
-func TestToleratesBenignOnly(t *testing.T) {
-	if !ToleratesBenignOnly(4, 4) || !ToleratesBenignOnly(4, 3) || !ToleratesBenignOnly(4, 0) {
-		t.Error("benign-only regime rejected valid b")
-	}
-	if ToleratesBenignOnly(4, 5) || ToleratesBenignOnly(4, -1) {
-		t.Error("benign-only regime accepted invalid b")
-	}
-}
-
 func TestMatrixN(t *testing.T) {
 	if got := mustMatrix(t, 6).N(); got != 6 {
 		t.Fatalf("N() = %d", got)

@@ -228,3 +228,16 @@ func TestScaleResilienceProgress(t *testing.T) {
 		t.Fatalf("Progress observed %d runs, want %d (%d rows × %d runs)", got, rows*runs, rows, runs)
 	}
 }
+
+// TestTable4Progress: Params.Progress observes every Table 4 repetition,
+// the round-aligned run and the random-phase batch of both domains, so
+// Runs = 3 reports 2 × (1 + 3) completions.
+func TestTable4Progress(t *testing.T) {
+	const runs, domains = 3, 2
+	var done atomic.Int64
+	p := Params{Seed: 7, Runs: runs, Workers: 2, Progress: func(int) { done.Add(1) }}
+	runCampaign(t, "table4", p)
+	if got, want := done.Load(), int64(domains*(1+runs)); got != want {
+		t.Fatalf("Progress observed %d runs, want %d (%d domains × (1 aligned + %d random))", got, want, domains, runs)
+	}
+}

@@ -34,50 +34,69 @@ func init() {
 	})
 }
 
-// runSec10 measures the detection latency of the three deployments on an
+// runSec10 renders the detection latency of the three deployments on an
 // identical single-slot fault: the add-on protocol with unconstrained
 // scheduling (k-3), the add-on protocol under the global send_curr_round
 // predicate (k-2), and the constrained system-level variant (one round).
 func runSec10(p Params) error {
-	const faultRound = 8
-	type variant struct {
-		name    string
-		latency int // detection round - fault round
+	lat, err := detectionLatencies()
+	if err != nil {
+		return err
 	}
-	var variants []variant
+	t := newTable(p.Out)
+	t.row("deployment", "detection latency (rounds)", "paper")
+	t.rule(3)
+	paper := []string{"k-3 (Lemma 1), <= 4 worst case", "k-2 (Lemma 1)", "1"}
+	for i, l := range lat {
+		t.row(sec10Deployments[i], strconv.Itoa(l), paper[i])
+	}
+	if err := t.flush(); err != nil {
+		return err
+	}
+	fmt.Fprintln(p.Out, "\nmembership: 2 executions of the respective protocol (see sec8-clique and the low-latency membership tests)")
+	return nil
+}
 
-	measureAddOn := func(name string, cfg sim.ClusterConfig) error {
+// sec10Deployments names the three deployments of the Sec. 10 comparison,
+// in the order detectionLatencies measures them.
+var sec10Deployments = [3]string{"add-on, unconstrained scheduling", "add-on, all send_curr_round", "system-level (constrained)"}
+
+// detectionLatencies measures the detection latency (detection round minus
+// fault round) of the sec10Deployments against an identical single-slot
+// fault.
+func detectionLatencies() ([3]int, error) {
+	var out [3]int
+	const faultRound = 8
+	addOn := func(name string, cfg sim.ClusterConfig) (int, error) {
 		eng, runners, err := sim.NewDiagnosticCluster(cfg)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		eng.Bus().AddDisturbance(fault.NewTrain(fault.SlotBurst(eng.Schedule(), faultRound, 3, 1)))
 		detected := -1
-		runners[1].OnOutput = func(out core.RoundOutput) {
-			if detected < 0 && out.DiagnosedRound == faultRound && out.ConsHV.Get(3) == core.Faulty {
-				detected = out.Round
+		runners[1].OnOutput = func(o core.RoundOutput) {
+			if detected < 0 && o.DiagnosedRound == faultRound && o.ConsHV.Get(3) == core.Faulty {
+				detected = o.Round
 			}
 		}
 		if err := eng.RunRounds(faultRound + 8); err != nil {
-			return err
+			return 0, err
 		}
 		if detected < 0 {
-			return fmt.Errorf("%s never detected the fault", name)
+			return 0, fmt.Errorf("%s never detected the fault", name)
 		}
-		variants = append(variants, variant{name: name, latency: detected - faultRound})
-		return nil
+		return detected - faultRound, nil
 	}
-
-	if err := measureAddOn("add-on, unconstrained scheduling", sim.ClusterConfig{Ls: []int{2, 0, 3, 1}}); err != nil {
-		return err
+	var err error
+	if out[0], err = addOn(sec10Deployments[0], sim.ClusterConfig{Ls: []int{2, 0, 3, 1}}); err != nil {
+		return out, err
 	}
-	if err := measureAddOn("add-on, all send_curr_round", sim.ClusterConfig{Ls: sim.Staircase(4), AllSendCurrRound: true}); err != nil {
-		return err
+	if out[1], err = addOn(sec10Deployments[1], sim.ClusterConfig{Ls: sim.Staircase(4), AllSendCurrRound: true}); err != nil {
+		return out, err
 	}
-
 	eng, runners, err := sim.NewLowLatCluster(sim.ClusterConfig{})
 	if err != nil {
-		return err
+		return out, err
 	}
 	eng.Bus().AddDisturbance(fault.NewTrain(fault.SlotBurst(eng.Schedule(), faultRound, 3, 1)))
 	detected := -1
@@ -87,25 +106,13 @@ func runSec10(p Params) error {
 		}
 	}
 	if err := eng.RunRounds(faultRound + 6); err != nil {
-		return err
+		return out, err
 	}
 	if detected < 0 {
-		return fmt.Errorf("low-latency variant never detected the fault")
+		return out, fmt.Errorf("low-latency variant never detected the fault")
 	}
-	variants = append(variants, variant{name: "system-level (constrained)", latency: detected - faultRound})
-
-	t := newTable(p.Out)
-	t.row("deployment", "detection latency (rounds)", "paper")
-	t.rule(3)
-	paper := []string{"k-3 (Lemma 1), <= 4 worst case", "k-2 (Lemma 1)", "1"}
-	for i, v := range variants {
-		t.row(v.name, strconv.Itoa(v.latency), paper[i])
-	}
-	if err := t.flush(); err != nil {
-		return err
-	}
-	fmt.Fprintln(p.Out, "\nmembership: 2 executions of the respective protocol (see sec8-clique and the low-latency membership tests)")
-	return nil
+	out[2] = detected - faultRound
+	return out, nil
 }
 
 // runCmpTTPC compares the protocols under fault patterns beyond the

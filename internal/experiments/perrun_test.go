@@ -349,7 +349,7 @@ func resilienceRunsPerRun(n, a, s, b int, p Params, src *rng.Source) (int, error
 	if wide {
 		cfg.Ls = drawLs(src.Stream(scope+"/schedule"), n)
 	}
-	failed, err := campaign.RunPooled(p.Workers, p.Runs, func() (*rng.Pool, error) { return src.NewPool(), nil },
+	failed, err := campaign.RunPooledWith(campaign.Options{Workers: p.Workers}, p.Runs, func() (*rng.Pool, error) { return src.NewPool(), nil },
 		func(pool *rng.Pool, run int) (bool, error) {
 			pool.Recycle()
 			runScope := fmt.Sprintf("%s/run-%d", scope, run)

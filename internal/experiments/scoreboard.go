@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"math"
 
-	"ttdiag/internal/core"
+	"ttdiag/internal/campaign"
 	"ttdiag/internal/fault"
-	"ttdiag/internal/lowlat"
 	"ttdiag/internal/sim"
 	"ttdiag/internal/tuning"
 )
@@ -68,11 +67,11 @@ func runScoreboard(p Params) error {
 	// Table 4: time to incorrect isolation, round-aligned runs; the paper's
 	// numbers carry the testbed's phase artifacts, so the acceptance band
 	// is one blinking-light period (automotive) / a few rounds (aerospace).
-	autoRows, err := tuning.TimeToIncorrectIsolation(fault.BlinkingLight(), auto, 1, p.Workers, p.Seed, false)
+	autoRows, err := tuning.TimeToIncorrectIsolation(fault.BlinkingLight(), auto, 1, campaign.Options{Workers: p.Workers}, p.Seed, false)
 	if err != nil {
 		return err
 	}
-	aeroRows, err := tuning.TimeToIncorrectIsolation(fault.LightningBolt(), aero, 1, p.Workers, p.Seed, false)
+	aeroRows, err := tuning.TimeToIncorrectIsolation(fault.LightningBolt(), aero, 1, campaign.Options{Workers: p.Workers}, p.Seed, false)
 	if err != nil {
 		return err
 	}
@@ -151,53 +150,3 @@ func runScoreboard(p Params) error {
 	fmt.Fprintln(p.Out, "")
 	return fmt.Errorf("scoreboard has failing checks")
 }
-
-// detectionLatencies measures the detection latency (in rounds) of the
-// three deployments against an identical single-slot fault.
-func detectionLatencies() ([3]int, error) {
-	var out [3]int
-	const faultRound = 8
-	addOn := func(cfg sim.ClusterConfig) (int, error) {
-		eng, runners, err := sim.NewDiagnosticCluster(cfg)
-		if err != nil {
-			return 0, err
-		}
-		eng.Bus().AddDisturbance(fault.NewTrain(fault.SlotBurst(eng.Schedule(), faultRound, 3, 1)))
-		detected := -1
-		runners[1].OnOutput = func(o core.RoundOutput) {
-			if detected < 0 && o.DiagnosedRound == faultRound && o.ConsHV.Get(3) == core.Faulty {
-				detected = o.Round
-			}
-		}
-		if err := eng.RunRounds(faultRound + 8); err != nil {
-			return 0, err
-		}
-		return detected - faultRound, nil
-	}
-	var err error
-	if out[0], err = addOn(sim.ClusterConfig{Ls: []int{2, 0, 3, 1}}); err != nil {
-		return out, err
-	}
-	if out[1], err = addOn(sim.ClusterConfig{Ls: sim.Staircase(4), AllSendCurrRound: true}); err != nil {
-		return out, err
-	}
-	eng, runners, err := sim.NewLowLatCluster(sim.ClusterConfig{})
-	if err != nil {
-		return out, err
-	}
-	eng.Bus().AddDisturbance(fault.NewTrain(fault.SlotBurst(eng.Schedule(), faultRound, 3, 1)))
-	detected := -1
-	runners[1].OnVerdict = func(v lowlatVerdict) {
-		if detected < 0 && v.Round == faultRound && v.Node == 3 && v.Health == core.Faulty {
-			detected = eng.Round()
-		}
-	}
-	if err := eng.RunRounds(faultRound + 6); err != nil {
-		return out, err
-	}
-	out[2] = detected - faultRound
-	return out, nil
-}
-
-// lowlatVerdict aliases the verdict type to keep the signature readable.
-type lowlatVerdict = lowlat.Verdict

@@ -156,11 +156,11 @@ func runTable4(p Params) error {
 		if err != nil {
 			return err
 		}
-		aligned, err := tuning.TimeToIncorrectIsolation(ds.scen, res, 1, p.Workers, p.Seed, false)
+		aligned, err := tuning.TimeToIncorrectIsolation(ds.scen, res, 1, p.campaignOpts(), p.Seed, false)
 		if err != nil {
 			return err
 		}
-		random, err := tuning.TimeToIncorrectIsolation(ds.scen, res, p.Runs, p.Workers, p.Seed, true)
+		random, err := tuning.TimeToIncorrectIsolation(ds.scen, res, p.Runs, p.campaignOpts(), p.Seed, true)
 		if err != nil {
 			return err
 		}

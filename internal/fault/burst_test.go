@@ -9,7 +9,14 @@ import (
 	"ttdiag/internal/tdma"
 )
 
-var paperSched = tdma.MustSchedule(4, 2500*time.Microsecond)
+// paperSched is the Sec. 8 prototype's schedule: N = 4, T = 2.5 ms.
+var paperSched = func() *tdma.Schedule {
+	s, err := tdma.NewSchedule(4, 2500*time.Microsecond)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}()
 
 func TestBurstOverlaps(t *testing.T) {
 	b := Burst{Start: 10, Length: 5} // [10, 15)

@@ -67,7 +67,7 @@ func TestBatchClusterRunAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			const horizon = 30
-			lanes := bc.MaxLanes()
+			lanes := core.BatchLanes(bc.Config().N)
 			// The disturbances are built once: boxing a struct into the
 			// interface allocates, and that cost belongs to the caller.
 			dist := make([][]tdma.Disturbance, lanes)

@@ -229,9 +229,6 @@ func (c *BatchDiagCluster) Config() ClusterConfig { return c.cfg }
 // Schedule returns the cluster's TDMA schedule.
 func (c *BatchDiagCluster) Schedule() *tdma.Schedule { return c.sched }
 
-// MaxLanes returns the gang capacity ⌊64/N⌋.
-func (c *BatchDiagCluster) MaxLanes() int { return c.max }
-
 // Lanes returns the live lane count of the current gang.
 func (c *BatchDiagCluster) Lanes() int { return c.lanes }
 
@@ -343,6 +340,9 @@ func (c *BatchDiagCluster) AddLaneDisturbance(lane int, d tdma.Disturbance) {
 // and its final penalty counters are captured when that round completes.
 // Run executes to the maximum horizon over the gang; lanes keep stepping
 // past their own horizon (the segments are independent) but record nothing.
+// Between two Run calls a horizon may be raised past the rounds already
+// run: the lane then records on from where the gang stopped, as though the
+// higher horizon had been set before the first Run.
 func (c *BatchDiagCluster) SetLaneHorizon(lane, rounds int) {
 	c.horizon[lane] = rounds
 }
@@ -403,6 +403,11 @@ func (t laneTruth) Truth(round int) []tdma.OutcomeClass {
 
 // Run executes the gang to the maximum lane horizon. It is the batched
 // counterpart of Engine.RunRounds over every repetition of the gang.
+// It resumes from the last round run: raising horizons and calling Run
+// again continues the gang, and the lanes end exactly as one Run to the
+// higher horizons leaves them (collectors, ground truth, final penalties,
+// trace). A caller can thus stop a gang early once every lane has what it
+// measures.
 func (c *BatchDiagCluster) Run() error {
 	maxH := 0
 	for r := 0; r < c.lanes; r++ {

@@ -327,7 +327,7 @@ func TestBatchClusterEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			n := bc.Config().N
-			for _, width := range gangWidths(bc.MaxLanes()) {
+			for _, width := range gangWidths(core.BatchLanes(bc.Config().N)) {
 				width := width
 				t.Run(fmt.Sprintf("g%d", width), func(t *testing.T) {
 					if err := bc.ResetBatch(width); err != nil {
@@ -390,7 +390,7 @@ func TestBatchClusterEquivalence(t *testing.T) {
 							viewChanges++
 						}
 					}
-					if sc.cfg.Mode == core.ModeMembership && width == bc.MaxLanes() && viewChanges == 0 {
+					if sc.cfg.Mode == core.ModeMembership && width == core.BatchLanes(bc.Config().N) && viewChanges == 0 {
 						t.Fatal("no lane installed a new view")
 					}
 				})
@@ -424,7 +424,7 @@ func TestBatchClusterReset(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for gang, width := range []int{reused.MaxLanes(), 3, reused.MaxLanes(), 1} {
+			for gang, width := range []int{core.BatchLanes(reused.Config().N), 3, core.BatchLanes(reused.Config().N), 1} {
 				fresh, err := NewBatchDiagCluster(sc.cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -446,7 +446,7 @@ func TestBatchClusterReset(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			runGang(t, sc, swapped, 3, swapped.MaxLanes())
+			runGang(t, sc, swapped, 3, core.BatchLanes(swapped.Config().N))
 			fresh, err := NewBatchDiagCluster(sc.cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -522,6 +522,85 @@ func sameLanes(t *testing.T, label string, got, want *BatchDiagCluster, width in
 	}
 }
 
+// TestBatchClusterRunResumes pins Run's resume contract, on which early
+// stopping campaigns rely: running a gang to a low horizon, raising the
+// horizons and running on, in several steps, leaves every lane exactly as
+// one Run to the final horizons does — collectors, ground truth, final
+// penalties, views, telemetry and the flushed trace.
+func TestBatchClusterRunResumes(t *testing.T) {
+	for _, sc := range batchScenarios() {
+		sc := sc
+		t.Run(sc.name, func(t *testing.T) {
+			type gang struct {
+				bc   *BatchDiagCluster
+				sink *trace.Recorder
+				regs []*metrics.Registry
+			}
+			build := func() gang {
+				g := gang{sink: new(trace.Recorder)}
+				cfg := sc.cfg
+				cfg.Sink = g.sink
+				bc, err := NewBatchDiagCluster(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				g.bc = bc
+				width := core.BatchLanes(bc.Config().N)
+				for lane := 0; lane < width; lane++ {
+					reg := metrics.New()
+					sm := core.NewStepMetrics(reg)
+					for id := 1; id <= bc.Config().N; id++ {
+						bc.Proto(id).SetLaneMetrics(lane, sm)
+					}
+					g.regs = append(g.regs, reg)
+				}
+				return g
+			}
+			once, resumed := build(), build()
+			width := len(once.regs)
+			horizons := make([]int, width)
+			for lane := 0; lane < width; lane++ {
+				lane := lane
+				horizons[lane] = sc.attach(lane, once.bc.Schedule(), func(d tdma.Disturbance) { once.bc.AddLaneDisturbance(lane, d) })
+				sc.attach(lane, resumed.bc.Schedule(), func(d tdma.Disturbance) { resumed.bc.AddLaneDisturbance(lane, d) })
+				once.bc.SetLaneHorizon(lane, horizons[lane])
+			}
+			if err := once.bc.Run(); err != nil {
+				t.Fatal(err)
+			}
+			for _, cut := range []int{1, 6, 11, 1 << 30} {
+				for lane, h := range horizons {
+					resumed.bc.SetLaneHorizon(lane, min(h, cut))
+				}
+				if err := resumed.bc.Run(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sameLanes(t, "resumed", resumed.bc, once.bc, width)
+			for lane := 0; lane < width; lane++ {
+				once.sink.Reset()
+				once.bc.FlushLaneTrace(lane)
+				resumed.sink.Reset()
+				resumed.bc.FlushLaneTrace(lane)
+				if i := trace.FirstDivergence(resumed.sink.Events(), once.sink.Events()); i >= 0 {
+					t.Fatalf("lane %d trace diverges at event %d", lane, i)
+				}
+				got, err := json.Marshal(resumed.regs[lane].Snapshot())
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := json.Marshal(once.regs[lane].Snapshot())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(got) != string(want) {
+					t.Fatalf("lane %d metrics snapshot diverges:\n got %s\nwant %s", lane, got, want)
+				}
+			}
+		})
+	}
+}
+
 // TestBatchClusterRejects pins the constructor's validation surface.
 func TestBatchClusterRejects(t *testing.T) {
 	if _, err := NewBatchDiagCluster(ClusterConfig{N: 65}); err == nil {
@@ -531,8 +610,8 @@ func TestBatchClusterRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bc.MaxLanes() != 16 {
-		t.Fatalf("MaxLanes = %d, want 16 for N=4", bc.MaxLanes())
+	if err := bc.ResetBatch(16); err != nil {
+		t.Fatalf("16-lane gang refused at N=4: %v", err)
 	}
 	if err := bc.ResetBatch(0); err == nil {
 		t.Fatal("0-lane gang accepted")

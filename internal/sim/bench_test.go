@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"ttdiag/internal/core"
 	"ttdiag/internal/fault"
 	"ttdiag/internal/tdma"
 )
@@ -29,7 +30,7 @@ func BenchmarkBatchClusterRun(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			lanes := bc.MaxLanes()
+			lanes := core.BatchLanes(bc.Config().N)
 			b.Run(fmt.Sprintf("n%d_g%d_%s", n, lanes, mode), func(b *testing.B) {
 				const horizon = 40
 				// Boxing a burst into the interface allocates, so the

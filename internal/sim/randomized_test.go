@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"ttdiag/internal/core"
 	"ttdiag/internal/fault"
 	"ttdiag/internal/rng"
 	"ttdiag/internal/tdma"
@@ -29,12 +28,13 @@ func generateScenario(st *rng.Stream) randomScenario {
 	for i := range ls {
 		ls[i] = st.Intn(n)
 	}
-	// Draw (a,s,b) uniformly until within bound (rejection sampling with a
+	// Draw (a,s,b) uniformly until within Lemma 2's fault hypothesis,
+	// N > 2a + 2s + b + 1 with a <= 1 (rejection sampling with a
 	// guaranteed fallback to a single benign fault).
 	var a, s, b int
 	for tries := 0; ; tries++ {
 		a, s, b = st.Intn(2), st.Intn(3), st.Intn(n-1)
-		if core.Tolerates(n, a, s, b) {
+		if a <= 1 && n > 2*a+2*s+b+1 {
 			break
 		}
 		if tries > 32 {
@@ -155,7 +155,7 @@ func TestRandomizedMembershipCampaign(t *testing.T) {
 			t.Fatal(err)
 		}
 		lag := runners[1].Service().Protocol().Config().Lag()
-		if err := AuditTheorem2(runners, obedientAll(4), faultRound, lag); err != nil {
+		if err := auditTheorem2(runners, obedientAll(4), faultRound, lag); err != nil {
 			t.Fatalf("trial %d (ls=%v victim=%d sender=%d round=%d): %v",
 				trial, ls, victim, sender, faultRound, err)
 		}

@@ -21,6 +21,16 @@ func obedientAll(n int) []int {
 	return out
 }
 
+// paperSchedule is the Sec. 8 prototype's schedule: N = 4, T = 2.5 ms.
+func paperSchedule(t *testing.T) *tdma.Schedule {
+	t.Helper()
+	sched, err := tdma.NewSchedule(4, 2500*time.Microsecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sched
+}
+
 func mustDiagCluster(t *testing.T, cfg ClusterConfig) (*Engine, []*DiagRunner, *Collector) {
 	t.Helper()
 	eng, runners, err := NewDiagnosticCluster(cfg)
@@ -282,7 +292,7 @@ func TestMembershipCliqueDetection(t *testing.T) {
 				t.Fatal(err)
 			}
 			lag := runners[1].Service().Protocol().Config().Lag()
-			if err := AuditTheorem2(runners, obedientAll(4), faultRound, lag); err != nil {
+			if err := auditTheorem2(runners, obedientAll(4), faultRound, lag); err != nil {
 				t.Fatal(err)
 			}
 			for id := 1; id <= 4; id++ {
@@ -314,7 +324,7 @@ func TestMembershipBenignFaultView(t *testing.T) {
 }
 
 func TestEngineValidation(t *testing.T) {
-	sched := tdma.MustSchedule(4, 2500*time.Microsecond)
+	sched := paperSchedule(t)
 	eng := NewEngine(sched, nil)
 	r, err := NewDiagRunner(core.Config{N: 4, ID: 1, L: 0, SendCurrRound: true,
 		PR: core.PRConfig{PenaltyThreshold: 1, RewardThreshold: 1}})
@@ -379,7 +389,7 @@ func TestCollectorFirstIsolation(t *testing.T) {
 	if got := col.FirstIsolation(1); got != 7 {
 		t.Errorf("FirstIsolation = %d, want 7", got)
 	}
-	sched := tdma.MustSchedule(4, 2500*time.Microsecond)
+	sched := paperSchedule(t)
 	if got := col.FirstIsolationTime(1, sched); got != sched.RoundStart(7) {
 		t.Errorf("FirstIsolationTime = %v", got)
 	}
@@ -507,7 +517,7 @@ func (f failingRunner) Run(round int, _ *tdma.Controller) ([]byte, error) {
 }
 
 func TestEnginePropagatesRunnerErrors(t *testing.T) {
-	sched := tdma.MustSchedule(4, 2500*time.Microsecond)
+	sched := paperSchedule(t)
 	eng := NewEngine(sched, nil)
 	for id := 1; id <= 4; id++ {
 		r := Runner(failingRunner{failAt: -1})
@@ -573,14 +583,14 @@ func TestAuditTheorem2ErrorPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := AuditTheorem2(runners, nil, 0, 2); err == nil {
+	if err := auditTheorem2(runners, nil, 0, 2); err == nil {
 		t.Error("empty obedient set accepted")
 	}
 	// No fault, no view change: liveness must be reported violated.
 	if err := eng.RunRounds(10); err != nil {
 		t.Fatal(err)
 	}
-	if err := AuditTheorem2(runners, obedientAll(4), 4, 2); err == nil {
+	if err := auditTheorem2(runners, obedientAll(4), 4, 2); err == nil {
 		t.Error("missing view change accepted")
 	}
 }

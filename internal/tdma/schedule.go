@@ -66,16 +66,6 @@ func NewCustomSchedule(slotLens []time.Duration) (*Schedule, error) {
 	return &Schedule{n: n, offsets: offsets}, nil
 }
 
-// MustSchedule is NewSchedule for statically known-good parameters; it panics
-// on error and is intended for tests and examples.
-func MustSchedule(n int, roundLen time.Duration) *Schedule {
-	s, err := NewSchedule(n, roundLen)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // N returns the number of nodes (and slots per round).
 func (s *Schedule) N() int { return s.n }
 

@@ -6,6 +6,16 @@ import (
 	"time"
 )
 
+// MustSchedule is NewSchedule for the tests' known-good parameters; it
+// panics on error.
+func MustSchedule(n int, roundLen time.Duration) *Schedule {
+	s, err := NewSchedule(n, roundLen)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 func TestNewScheduleValidation(t *testing.T) {
 	tests := []struct {
 		name    string

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -98,24 +97,4 @@ func (g Gantt) Render(events []Event) string {
 	}
 	b.WriteString("legend: . clean  ! disturbed tx  X isolation  R reintegration  V view change\n")
 	return b.String()
-}
-
-// NodesInEvents returns the highest node index referenced by the events —
-// a convenience for sizing a Gantt.
-func NodesInEvents(events []Event) int {
-	max := 0
-	for _, e := range events {
-		if e.Node > max {
-			max = e.Node
-		}
-		if e.Subject > max {
-			max = e.Subject
-		}
-	}
-	return max
-}
-
-// SortByTime orders events chronologically (stable for equal times).
-func SortByTime(events []Event) {
-	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
 }

@@ -3,7 +3,6 @@ package trace
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestGanttRender(t *testing.T) {
@@ -63,31 +62,5 @@ func TestGanttWindow(t *testing.T) {
 	}
 	if (Gantt{Nodes: 0}).Render(events) != "" {
 		t.Fatal("zero nodes not empty")
-	}
-}
-
-func TestNodesInEvents(t *testing.T) {
-	events := []Event{
-		{Node: 2}, {Node: 1, Subject: 7}, {Node: 3},
-	}
-	if got := NodesInEvents(events); got != 7 {
-		t.Fatalf("NodesInEvents = %d", got)
-	}
-	if got := NodesInEvents(nil); got != 0 {
-		t.Fatalf("NodesInEvents(nil) = %d", got)
-	}
-}
-
-func TestSortByTime(t *testing.T) {
-	events := []Event{
-		{At: 3 * time.Millisecond, Round: 3},
-		{At: time.Millisecond, Round: 1},
-		{At: 2 * time.Millisecond, Round: 2},
-	}
-	SortByTime(events)
-	for i, want := range []int{1, 2, 3} {
-		if events[i].Round != want {
-			t.Fatalf("order wrong: %+v", events)
-		}
 	}
 }

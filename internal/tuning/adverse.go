@@ -54,10 +54,11 @@ func (c *ClassIsolation) finalise() {
 // scenario by a random offset within one round (the physical injector's
 // phase uncertainty); otherwise the bursts are aligned to round starts.
 //
-// The repetitions fan out over a campaign worker pool (workers <= 0 selects
-// GOMAXPROCS, 1 is serial); each run draws its phase from its own named
-// stream, so the aggregate is identical at any worker count.
-func TimeToIncorrectIsolation(scen fault.Scenario, res Result, runs, workers int, seed int64, randomPhase bool) ([]ClassIsolation, error) {
+// The repetitions run lane-packed: gangs of core.BatchLanes(4) = 16 runs
+// advance together on one sim.BatchDiagCluster per campaign worker (see
+// campaign.Options). Each run draws its phase from its own named stream, so
+// the aggregate is identical at any worker count and gang width.
+func TimeToIncorrectIsolation(scen fault.Scenario, res Result, runs int, o campaign.Options, seed int64, randomPhase bool) ([]ClassIsolation, error) {
 	if runs < 1 {
 		return nil, fmt.Errorf("tuning: need at least 1 run, got %d", runs)
 	}
@@ -77,56 +78,55 @@ func TimeToIncorrectIsolation(scen fault.Scenario, res Result, runs, workers int
 	// One result per run: the isolation time of each class's node, or -1
 	// when it stayed in service for the whole horizon.
 	type worker struct {
-		cl  *sim.DiagCluster
+		cl  *sim.BatchDiagCluster
 		rng *rng.Pool
-		col *sim.Collector
 	}
-	times, err := campaign.RunPooled(workers, runs, func() (*worker, error) {
-		cl, err := sim.NewReusableDiagnosticCluster(sim.ClusterConfig{
+	times, err := campaign.RunBatchedWith(o, runs, core.BatchLanes(n), func() (*worker, error) {
+		cl, err := sim.NewBatchDiagCluster(sim.ClusterConfig{
 			N: n, RoundLen: res.RoundLen, Ls: adverseLs, PR: prCfg,
 		})
 		if err != nil {
 			return nil, err
 		}
-		return &worker{cl: cl, rng: src.NewPool(), col: sim.NewCollector()}, nil
-	}, func(w *worker, run int) ([]time.Duration, error) {
-		// Reset drops the previous run's disturbances before the pooled
-		// streams they hold are recycled and reseeded.
-		w.cl.Reset()
+		return &worker{cl: cl, rng: src.NewPool()}, nil
+	}, func(w *worker, base, width int, ts [][]time.Duration) error {
+		if err := w.cl.ResetBatch(width); err != nil {
+			return err
+		}
 		w.rng.Recycle()
-		w.col.Reset()
-		phase := time.Duration(0)
-		if randomPhase {
-			stream := w.rng.Stream(fmt.Sprintf("adverse-phase/run-%d", run))
-			phase = time.Duration(stream.Int63n(int64(res.RoundLen)))
-		}
-		eng, runners := w.cl.Eng, w.cl.Runners
-		col := w.col
-		for id := 1; id <= n; id++ {
-			col.HookDiag(id, runners[id])
-		}
-		eng.Bus().AddDisturbance(scen.Train(phase))
-
-		for r := 0; r < maxRounds; r++ {
-			if err := eng.RunRound(); err != nil {
-				return nil, err
+		for lane := 0; lane < width; lane++ {
+			phase := time.Duration(0)
+			if randomPhase {
+				stream := w.rng.Stream(fmt.Sprintf("adverse-phase/run-%d", base+lane))
+				phase = time.Duration(stream.Int63n(int64(res.RoundLen)))
 			}
-			isolatedAll := true
-			for id := 1; id <= classNodes; id++ {
-				if col.FirstIsolation(id) < 0 {
-					isolatedAll = false
-					break
-				}
+			w.cl.AddLaneDisturbance(lane, scen.Train(phase))
+		}
+		// The gang horizon doubles until every lane has isolated every
+		// class node: a first isolation never moves in later rounds, so
+		// stopping early leaves the result as a full-horizon run has it.
+		for h := 64; ; h *= 2 {
+			if h > maxRounds {
+				h = maxRounds
 			}
-			if isolatedAll {
+			for lane := 0; lane < width; lane++ {
+				w.cl.SetLaneHorizon(lane, h)
+			}
+			if err := w.cl.Run(); err != nil {
+				return err
+			}
+			if h == maxRounds || allIsolated(w.cl, width, classNodes) {
 				break
 			}
 		}
-		ts := make([]time.Duration, classNodes)
-		for i := range ts {
-			ts[i] = col.FirstIsolationTime(i+1, eng.Schedule())
+		for lane := range ts {
+			col := w.cl.LaneCollector(lane)
+			ts[lane] = make([]time.Duration, classNodes)
+			for i := range ts[lane] {
+				ts[lane][i] = col.FirstIsolationTime(i+1, w.cl.Schedule())
+			}
 		}
-		return ts, nil
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -144,6 +144,20 @@ func TimeToIncorrectIsolation(scen fault.Scenario, res Result, runs, workers int
 		out[i].finalise()
 	}
 	return out, nil
+}
+
+// allIsolated reports whether nodes 1..nodes have been isolated in every
+// live lane of the gang.
+func allIsolated(cl *sim.BatchDiagCluster, lanes, nodes int) bool {
+	for lane := 0; lane < lanes; lane++ {
+		col := cl.LaneCollector(lane)
+		for id := 1; id <= nodes; id++ {
+			if col.FirstIsolation(id) < 0 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // PolicyOutcome compares fault-filtering policies on one adverse scenario.

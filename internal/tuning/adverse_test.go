@@ -21,7 +21,7 @@ func TestBlinkingLightAlignedPhase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := TimeToIncorrectIsolation(fault.BlinkingLight(), res, 1, 1, 1, false)
+	rows, err := TimeToIncorrectIsolation(fault.BlinkingLight(), res, 1, serial, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestLightningBoltAlignedPhase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := TimeToIncorrectIsolation(fault.LightningBolt(), res, 1, 1, 1, false)
+	rows, err := TimeToIncorrectIsolation(fault.LightningBolt(), res, 1, serial, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TimeToIncorrectIsolationSC(t *testing.T, res Result) ([]ClassIsolation, err
 			{Burst: 10 * time.Millisecond, Reappearance: 500 * time.Millisecond, Count: 3},
 		},
 	}
-	return TimeToIncorrectIsolation(short, res, 5, 1, 11, true)
+	return TimeToIncorrectIsolation(short, res, 5, serial, 11, true)
 }
 
 func TestTimeToIncorrectIsolationValidation(t *testing.T) {
@@ -112,7 +112,7 @@ func TestTimeToIncorrectIsolationValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := TimeToIncorrectIsolation(fault.LightningBolt(), res, 0, 1, 1, false); err == nil {
+	if _, err := TimeToIncorrectIsolation(fault.LightningBolt(), res, 0, serial, 1, false); err == nil {
 		t.Fatal("zero runs accepted")
 	}
 }

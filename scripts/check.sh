@@ -38,6 +38,12 @@ check_metrics_determinism() {
     scripts/gotest.sh -race -cpu=1,4 ./internal/cluster/ -run TestClusterMetricsMatchLockStep
 }
 
+check_batched_determinism() {
+    scripts/gotest.sh -race -cpu=1,4 ./internal/experiments/ \
+        -run 'TestBatchedWorkerCountInvariance|TestBatchedCampaignEquivalence|TestTracedCampaignEquivalence|TestScaleResilienceBatchedEquivalence|TestScaleResilienceProgress|TestTable4Progress'
+    scripts/gotest.sh -race -cpu=1,4 ./internal/tuning/ -run TestTimeToIncorrectIsolationMatchesPerRun
+}
+
 check_fleet_determinism() {
     scripts/gotest.sh -race -cpu=1,4 ./internal/fleet/ \
         -run 'TestFleetWorkerCountInvariance|TestFleetShardOrderInvariance|TestFleetLanePackedMatchesPerRun|TestGatewayMatchesPerRunProtocol|TestFleetCausalWorkerInvariance'
@@ -68,11 +74,10 @@ step "go test -race -cpu=1,4 (campaign determinism)" \
     scripts/gotest.sh -race -cpu=1,4 ./internal/experiments/ -run TestCampaignWorkerCountInvariance
 step "go test -race -cpu=1,4 (metrics determinism)" check_metrics_determinism
 step "go test -race -cpu=1,4 (cluster reuse equivalence)" \
-    scripts/gotest.sh -race -cpu=1,4 ./internal/sim/ -run 'TestClusterReuseEquivalence|TestBatchClusterReset'
+    scripts/gotest.sh -race -cpu=1,4 ./internal/sim/ -run 'TestClusterReuseEquivalence|TestBatchClusterReset|TestBatchClusterRunResumes'
 step "go test -race -cpu=1,4 (protocol vs reference)" \
     scripts/gotest.sh -race -cpu=1,4 ./internal/core/ -run 'TestPackedScalarStepEquivalence|TestPackedScalarTraceEquivalence'
-step "go test -race -cpu=1,4 (batched campaign determinism)" \
-    scripts/gotest.sh -race -cpu=1,4 ./internal/experiments/ -run 'TestBatchedWorkerCountInvariance|TestBatchedCampaignEquivalence|TestTracedCampaignEquivalence|TestScaleResilienceBatchedEquivalence|TestScaleResilienceProgress'
+step "go test -race -cpu=1,4 (batched campaign determinism)" check_batched_determinism
 step "go test -race -cpu=1,4 (fleet determinism)" check_fleet_determinism
 step "go test -race -cpu=1,4 (checkpoint + splitting determinism)" check_checkpoint_determinism
 step "go test (allocation ceilings)" \
