@@ -1,6 +1,6 @@
 // Command ttdiag-trace queries JSONL causal traces written by the simulators
-// and experiments (-trace), and bisects divergences between two scenario
-// variants.
+// and experiments (-trace), and localizes the first divergent round between
+// two scenario variants.
 //
 // Usage:
 //
@@ -20,10 +20,11 @@
 // trace — and prints one observer's health vectors and isolations: with the
 // recorded -p/-r it reproduces the run, with others it shows the
 // counterfactual (runs recorded with a reintegration threshold or
-// AllSendCurrRound need replay.Replay with their full configuration). bisect re-executes a scenario on two sides — the base
-// cluster vs one with an extra injected burst (-inject) — and
-// binary-searches the first divergent round via run checkpointing, printing
-// both sides' causal events at that round.
+// AllSendCurrRound need replay.Replay with their full configuration).
+// bisect runs a scenario on two sides — the base cluster vs one with an
+// extra injected burst (-inject) — in lock-step, compares each round's
+// recorded events, and at the first round where they differ prints the
+// first differing event and both sides' events of that round.
 package main
 
 import (
@@ -33,7 +34,6 @@ import (
 	"math/bits"
 	"os"
 
-	"ttdiag/internal/bisect"
 	"ttdiag/internal/core"
 	"ttdiag/internal/fault"
 	"ttdiag/internal/replay"
@@ -253,17 +253,23 @@ func runDiff(args []string, out io.Writer) error {
 		return nil
 	}
 	fmt.Fprintf(out, "traces diverge at event %d:\n", i)
-	if i < len(a) {
-		fmt.Fprintf(out, "  %s: %s\n", *fileA, a[i])
-	} else {
-		fmt.Fprintf(out, "  %s: (ends after %d events)\n", *fileA, len(a))
-	}
-	if i < len(b) {
-		fmt.Fprintf(out, "  %s: %s\n", *fileB, b[i])
-	} else {
-		fmt.Fprintf(out, "  %s: (ends after %d events)\n", *fileB, len(b))
-	}
+	printDivergence(out, i, *fileA, a, *fileB, b)
 	return nil
+}
+
+// printDivergence prints event i of two event streams, one line per stream,
+// or where a stream ends before it.
+func printDivergence(out io.Writer, i int, nameA string, a []trace.Event, nameB string, b []trace.Event) {
+	for _, s := range []struct {
+		name   string
+		events []trace.Event
+	}{{nameA, a}, {nameB, b}} {
+		if i < len(s.events) {
+			fmt.Fprintf(out, "  %s: %s\n", s.name, s.events[i])
+		} else {
+			fmt.Fprintf(out, "  %s: (ends after %d events)\n", s.name, len(s.events))
+		}
+	}
 }
 
 func runReplay(args []string, out io.Writer) error {
@@ -333,67 +339,98 @@ func runBisect(args []string, out io.Writer) error {
 	if *inject == "" {
 		return fmt.Errorf("bisect: nothing distinguishes the sides — pass -inject")
 	}
+	if *rounds < 1 {
+		return fmt.Errorf("bisect: need at least 1 round, got %d", *rounds)
+	}
 	var round, slot, slots int
 	if _, err := fmt.Sscanf(*inject, "%d:%d:%d", &round, &slot, &slots); err != nil {
 		return fmt.Errorf("bisect: -inject wants round:slot:slots, got %q", *inject)
 	}
-	build := func(name string) (bisect.Side, error) {
-		rec := &trace.Recorder{}
-		cl, err := sim.NewReusableDiagnosticCluster(sim.ClusterConfig{
-			N: *n,
-			PR: core.PRConfig{
-				PenaltyThreshold: *p, RewardThreshold: *r, ReintegrationThreshold: *reint,
-			},
-			Sink: rec,
-		})
-		if err != nil {
-			return bisect.Side{}, err
+	var node, k, from, to int
+	if *every != "" {
+		if _, err := fmt.Sscanf(*every, "%d:%d:%d:%d", &node, &k, &from, &to); err != nil {
+			return fmt.Errorf("bisect: -every wants node:k:from:to, got %q", *every)
 		}
-		cl.Reset()
-		if *every != "" {
-			var node, k, from, to int
-			if _, err := fmt.Sscanf(*every, "%d:%d:%d:%d", &node, &k, &from, &to); err != nil {
-				return bisect.Side{}, fmt.Errorf("bisect: -every wants node:k:from:to, got %q", *every)
-			}
-			cl.Eng.Bus().AddDisturbance(fault.EveryKthRound(tdma.NodeID(node), k, from, to))
+	}
+	cfg := sim.ClusterConfig{
+		N:  *n,
+		PR: core.PRConfig{PenaltyThreshold: *p, RewardThreshold: *r, ReintegrationThreshold: *reint},
+	}
+	// Each side gets its own disturbance instances, so no fault process
+	// state is shared between them.
+	build := func() (side, error) {
+		s, err := newSide(cfg)
+		if err == nil && *every != "" {
+			s.eng.Bus().AddDisturbance(fault.EveryKthRound(tdma.NodeID(node), k, from, to))
 		}
-		return bisect.Side{Name: name, Cluster: cl, Rec: rec}, nil
+		return s, err
 	}
-	a, err := build("A")
+	a, err := build()
 	if err != nil {
 		return err
 	}
-	b, err := build("B")
+	b, err := build()
 	if err != nil {
 		return err
 	}
-	b.Cluster.Eng.Bus().AddDisturbance(fault.NewTrain(
-		fault.SlotBurst(b.Cluster.Eng.Schedule(), round, slot, slots)))
-	rep, err := bisect.FirstDivergence(a, b, *rounds)
+	b.eng.Bus().AddDisturbance(fault.NewTrain(fault.SlotBurst(b.eng.Schedule(), round, slot, slots)))
+	div, evA, evB, err := firstDivergentRound(a, b, *rounds)
 	if err != nil {
 		return err
 	}
-	if !rep.Diverged {
-		fmt.Fprintf(out, "no divergence within %d rounds (%d probe)\n", *rounds, rep.Probes)
+	if div < 0 {
+		fmt.Fprintf(out, "no divergence within %d rounds\n", *rounds)
 		return nil
 	}
-	where := fmt.Sprintf("node %d state", rep.Node)
-	if rep.Node == 0 {
-		where = "ground truth only"
-	}
-	fmt.Fprintf(out, "first divergent round: %d (%s; %d probes over %d rounds)\n",
-		rep.Round, where, rep.Probes, *rounds)
+	i := trace.FirstDivergence(evA, evB)
+	fmt.Fprintf(out, "first divergent round: %d, at event %d of the round:\n", div, i)
+	printDivergence(out, i, "side A", evA, "side B", evB)
 	dump := func(name string, events []trace.Event) {
-		fmt.Fprintf(out, "side %s causal events in round %d:\n", name, rep.Round)
-		if len(events) == 0 {
-			fmt.Fprintln(out, "  (none)")
-			return
-		}
+		fmt.Fprintf(out, "side %s causal events in round %d:\n", name, div)
 		for _, e := range events {
 			fmt.Fprintf(out, "  %s\n", e)
 		}
 	}
-	dump("A", rep.EventsA)
-	dump("B", rep.EventsB)
+	dump("A", evA)
+	dump("B", evB)
 	return nil
+}
+
+// side is one variant of a bisected scenario: a lock-step cluster whose
+// flight recorder holds the events of the round it executed last.
+type side struct {
+	eng *sim.Engine
+	rec *trace.Recorder
+}
+
+// newSide builds a fresh, undisturbed variant of cfg recording into its own
+// unbounded recorder.
+func newSide(cfg sim.ClusterConfig) (side, error) {
+	rec := &trace.Recorder{}
+	cfg.Sink = rec
+	eng, _, err := sim.NewDiagnosticCluster(cfg)
+	return side{eng: eng, rec: rec}, err
+}
+
+// firstDivergentRound steps a and b in lock-step for at most rounds rounds
+// and returns the first round whose recorded events differ, together with
+// both sides' events of that round; -1 when the sides agree throughout. A
+// schema-v3 trace records every input the protocol state depends on, so the
+// first round whose events differ is the first round whose state differs.
+func firstDivergentRound(a, b side, rounds int) (int, []trace.Event, []trace.Event, error) {
+	for k := 0; k < rounds; k++ {
+		if err := a.eng.RunRound(); err != nil {
+			return 0, nil, nil, fmt.Errorf("bisect: side A: %w", err)
+		}
+		if err := b.eng.RunRound(); err != nil {
+			return 0, nil, nil, fmt.Errorf("bisect: side B: %w", err)
+		}
+		evA, evB := a.rec.Events(), b.rec.Events()
+		if trace.FirstDivergence(evA, evB) >= 0 {
+			return k, evA, evB, nil
+		}
+		a.rec.Reset()
+		b.rec.Reset()
+	}
+	return -1, nil, nil, nil
 }

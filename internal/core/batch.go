@@ -629,15 +629,21 @@ type laneVotes struct {
 	quiet             uint64
 }
 
-// voteAllLanes is the gang vote kernel: one carry-save pass over every
-// lane's every column, identical to Matrix.voteAllPlanes except the
-// self-column mask is replicated into every lane by laneRep. op/know are the
-// 1-based gang matrix planes, already restricted to the live lanes (absent
-// rows carry zero know segments). Per-column counts stay ≤ N-1 ≤ 63, so the
-// six counter planes cover every lane at once. A non-nil votes additionally
+// voteAllLanes is the word-parallel vote kernel, for a gang and — with
+// laneRep 1 — for Matrix.VoteAll: every row contributes its healthy and
+// faulty opinion masks (self-opinion column removed per Sec. 5, the mask
+// replicated into every lane by laneRep) to two bit-sliced per-column
+// counters, and the Faulty verdicts fall out of one bit-sliced comparison —
+// the borrow of the 6-bit subtraction healthy − faulty, computed with the
+// full-subtractor recurrence borrow' = (¬h ∧ (f ∨ borrow)) ∨ (f ∧ borrow).
+// Columns with no contribution at all are ⊥, and ties land on Healthy
+// because a tie produces no borrow — exactly Eqn. 1. op/know are the
+// 1-based matrix planes, already restricted to the live lanes (absent rows
+// carry zero know segments). Per-column counts stay ≤ N-1 ≤ 63, so the six
+// counter planes cover every lane at once. A non-nil votes additionally
 // receives the column classification the telemetry needs, read off the same
-// counter planes. Lane-exact equivalence with Matrix.VoteAll is pinned by
-// FuzzVoteAllBatch.
+// counter planes. FuzzVoteAll pins the one-lane form against the scalar
+// H-maj, FuzzVoteAllBatch the gang form lane by lane against VoteAll.
 func voteAllLanes(op, know []uint64, n int, laneRep uint64, votes *laneVotes) (consOp, consKnown uint64) {
 	var healthy, faulty [countPlanes]uint64
 	var any uint64

@@ -245,11 +245,13 @@ func (m *Matrix) DisagreementCount(consHV Syndrome) int {
 
 // VoteAll runs H-maj over every column at once and returns the result as a
 // packed health vector: Known bit j-1 clear means column j voted ⊥, Op bit
-// j-1 carries the Healthy/Faulty verdict otherwise. It is the bit-sliced
-// kernel (O(N·log N) word operations) and never fails: the error result is
-// always nil.
+// j-1 carries the Healthy/Faulty verdict otherwise. It is the gang vote
+// kernel voteAllLanes on a single lane — unset rows hold zero planes and
+// SetBitRow normalises to PlaneMask, so the matrix planes are already a
+// valid one-lane gang — and never fails: the error result is always nil.
 func (m *Matrix) VoteAll() (BitSyndrome, error) {
-	return m.voteAllPlanes(), nil
+	op, known := voteAllLanes(m.op, m.know, m.n, 1, nil)
+	return BitSyndrome{Op: op, Known: known}, nil
 }
 
 // countPlanes is the number of bit-sliced counter planes: per-column vote
@@ -264,35 +266,6 @@ func addPlane(cnt *[countPlanes]uint64, mask uint64) {
 		cnt[k] ^= mask
 		mask = carried
 	}
-}
-
-// voteAllPlanes is the word-parallel voting kernel: every set row
-// contributes its healthy and faulty opinion masks (self-opinion column
-// removed per Sec. 5) to two bit-sliced per-column counters, and the final
-// Faulty verdicts fall out of one bit-sliced comparison — the borrow of the
-// 6-bit subtraction healthy − faulty, computed with the full-subtractor
-// recurrence borrow' = (¬h ∧ (f ∨ borrow)) ∨ (f ∧ borrow). Columns with no
-// contribution at all are ⊥, and ties land on Healthy because a tie produces
-// no borrow — exactly Eqn. 1.
-func (m *Matrix) voteAllPlanes() BitSyndrome {
-	all := PlaneMask(m.n)
-	var healthy, faulty [countPlanes]uint64
-	var any uint64
-	for rows := m.rowSet; rows != 0; rows &= rows - 1 {
-		i := bits.TrailingZeros64(rows) + 1
-		valid := m.know[i] & all &^ (uint64(1) << uint(i-1))
-		if valid == 0 {
-			continue
-		}
-		any |= valid
-		addPlane(&healthy, m.op[i]&valid)
-		addPlane(&faulty, valid&^m.op[i])
-	}
-	var borrow uint64
-	for k := 0; k < countPlanes; k++ {
-		borrow = (^healthy[k] & (faulty[k] | borrow)) | (faulty[k] & borrow)
-	}
-	return BitSyndrome{Op: any &^ borrow, Known: any}
 }
 
 // String renders the matrix in the layout of Table 1, including the voted

@@ -241,3 +241,16 @@ func TestTable4Progress(t *testing.T) {
 		t.Fatalf("Progress observed %d runs, want %d (%d domains × (1 aligned + %d random))", got, want, domains, runs)
 	}
 }
+
+// TestScoreboardProgress: Params.Progress observes every repetition the
+// scoreboard runs — three of each of the 18 Sec. 8 classes (12 burst, 1 p/r,
+// 4 malicious, 1 clique) and the round-aligned Table 4 run of both domains.
+func TestScoreboardProgress(t *testing.T) {
+	const sec8, table4 = 18 * 3, 2
+	var done atomic.Int64
+	p := Params{Seed: 7, Runs: 5, Workers: 2, Progress: func(int) { done.Add(1) }}
+	runCampaign(t, "scoreboard", p)
+	if got, want := done.Load(), int64(sec8+table4); got != want {
+		t.Fatalf("Progress observed %d runs, want %d (%d Sec. 8 + %d Table 4)", got, want, sec8, table4)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"ttdiag/internal/campaign"
 	"ttdiag/internal/fault"
 	"ttdiag/internal/sim"
 	"ttdiag/internal/tuning"
@@ -67,11 +66,11 @@ func runScoreboard(p Params) error {
 	// Table 4: time to incorrect isolation, round-aligned runs; the paper's
 	// numbers carry the testbed's phase artifacts, so the acceptance band
 	// is one blinking-light period (automotive) / a few rounds (aerospace).
-	autoRows, err := tuning.TimeToIncorrectIsolation(fault.BlinkingLight(), auto, 1, campaign.Options{Workers: p.Workers}, p.Seed, false)
+	autoRows, err := tuning.TimeToIncorrectIsolation(fault.BlinkingLight(), auto, 1, p.campaignOpts(), p.Seed, false)
 	if err != nil {
 		return err
 	}
-	aeroRows, err := tuning.TimeToIncorrectIsolation(fault.LightningBolt(), aero, 1, campaign.Options{Workers: p.Workers}, p.Seed, false)
+	aeroRows, err := tuning.TimeToIncorrectIsolation(fault.LightningBolt(), aero, 1, p.campaignOpts(), p.Seed, false)
 	if err != nil {
 		return err
 	}
@@ -102,7 +101,7 @@ func runScoreboard(p Params) error {
 	)
 
 	// Sec. 8 campaign: all classes pass.
-	small := Params{Seed: p.Seed, Runs: 3}
+	small := Params{Seed: p.Seed, Runs: 3, Workers: p.Workers, Progress: p.Progress}
 	for _, c := range []struct {
 		name string
 		fn   func(Params) ([]CampaignRow, error)

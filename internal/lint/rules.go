@@ -52,7 +52,6 @@ var deterministicPkgs = []string{
 	"internal/splitting",
 	"internal/stats",
 	"internal/trace",
-	"internal/bisect",
 }
 
 // orderSensitivePkgs covers the packages where map-iteration order would

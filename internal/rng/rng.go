@@ -32,8 +32,7 @@ func NewSource(seed int64) *Source {
 // positioned at the same starting point. Streams are backed by the lazily
 // seeded fastSource, draw-for-draw identical to math/rand's default source.
 func (s *Source) Stream(name string) *Stream {
-	fs := newFastSource(int64(s.mix(name)))
-	return &Stream{r: rand.New(fs), src: fs}
+	return &Stream{r: rand.New(newFastSource(int64(s.mix(name))))}
 }
 
 // mix derives the stream seed for a name. The hash of the name is mixed with
@@ -92,35 +91,13 @@ func (p *Pool) Recycle() { p.next = 0 }
 // goroutine instead.
 type Stream struct {
 	r *rand.Rand
-	// src is the same generator rand.New wraps, kept typed so Save/Restore
-	// can copy the exact cursor position without reflection or encoding.
-	src *fastSource
 }
 
 // NewStream returns a stand-alone stream seeded directly, for tests that do
 // not need named derivation.
 func NewStream(seed int64) *Stream {
-	fs := newFastSource(seed)
-	return &Stream{r: rand.New(fs), src: fs}
+	return &Stream{r: rand.New(newFastSource(seed))}
 }
-
-// StreamState is a saved generator position. It is a plain value — copying it
-// copies the position — sized ~5 KB (the full lagged-Fibonacci state vector).
-// The zero value is a valid target for Save.
-type StreamState struct {
-	src fastSource
-}
-
-// Save records st's exact generator position into dst. It is a pure value
-// copy: no allocation, and dst can be reused across saves. Every draw method
-// on Stream is a pure function of this state, so Restore followed by any
-// sequence of draws reproduces the saved-point sequence exactly.
-func (st *Stream) Save(dst *StreamState) { dst.src = *st.src }
-
-// Restore repositions st at a previously saved position. st and the stream
-// the state was saved from must share a generator shape, which all streams
-// do; cross-stream restores are well-defined and used by splitting clones.
-func (st *Stream) Restore(from *StreamState) { *st.src = from.src }
 
 // Int63n returns a uniform integer in [0, n). n must be > 0.
 func (st *Stream) Int63n(n int64) int64 { return st.r.Int63n(n) }

@@ -198,80 +198,3 @@ func TestInt63nRange(t *testing.T) {
 		}
 	}
 }
-
-// TestStreamSaveRestore pins the checkpoint contract: Restore repositions a
-// stream exactly, so any draw sequence after Restore reproduces the draws
-// made after Save — including mixed draw kinds, and across intermediate
-// consumption that moved the cursor arbitrarily far.
-func TestStreamSaveRestore(t *testing.T) {
-	src := NewSource(42)
-	st := src.Stream("checkpoint/probe")
-	for i := 0; i < 1234; i++ { // park the cursor mid-sequence
-		st.Uint64()
-	}
-	var state StreamState
-	st.Save(&state)
-	drain := func() [6]uint64 {
-		var out [6]uint64
-		out[0] = st.Uint64()
-		out[1] = uint64(st.Int63n(1 << 40))
-		out[2] = math.Float64bits(st.Float64())
-		out[3] = uint64(st.Intn(97))
-		out[4] = math.Float64bits(st.Exp(2.5))
-		b := make([]byte, 5)
-		st.Bytes(b)
-		for i, v := range b {
-			out[5] |= uint64(v) << (8 * i)
-		}
-		return out
-	}
-	want := drain()
-	for i := 0; i < 321; i++ { // diverge before restoring
-		st.Float64()
-	}
-	st.Restore(&state)
-	if got := drain(); got != want {
-		t.Fatalf("draws after Restore = %v, want %v", got, want)
-	}
-}
-
-// TestStreamRestoreCrossStream checks that a state saved from one stream can
-// reposition a different stream (splitting clones restore a parent's saved
-// position into a pooled stream).
-func TestStreamRestoreCrossStream(t *testing.T) {
-	src := NewSource(7)
-	parent := src.Stream("parent")
-	parent.Uint64()
-	parent.Uint64()
-	var state StreamState
-	parent.Save(&state)
-	want := [3]uint64{parent.Uint64(), parent.Uint64(), parent.Uint64()}
-	clone := src.Stream("unrelated")
-	clone.Restore(&state)
-	got := [3]uint64{clone.Uint64(), clone.Uint64(), clone.Uint64()}
-	if got != want {
-		t.Fatalf("cross-stream restore draws = %v, want %v", got, want)
-	}
-}
-
-// TestStreamSaveRestoreAfterPoolReseed checks Save/Restore composes with the
-// pool's reseed-in-place reuse: a recycled stream restored to a saved
-// position forgets the reseed entirely.
-func TestStreamSaveRestoreAfterPoolReseed(t *testing.T) {
-	src := NewSource(11)
-	pool := src.NewPool()
-	st := pool.Stream("run-0")
-	st.Uint64()
-	var state StreamState
-	st.Save(&state)
-	want := st.Uint64()
-	pool.Recycle()
-	st2 := pool.Stream("run-1") // same object, reseeded in place
-	if st2 != st {
-		t.Fatalf("pool did not recycle the stream object")
-	}
-	st2.Restore(&state)
-	if got := st2.Uint64(); got != want {
-		t.Fatalf("restored recycled stream drew %d, want %d", got, want)
-	}
-}

@@ -4,17 +4,15 @@ import (
 	"fmt"
 
 	"ttdiag/internal/core"
-	"ttdiag/internal/rng"
 	"ttdiag/internal/tdma"
 )
 
 // ClusterCheckpoint is a reusable in-memory checkpoint of a DiagCluster
 // mid-run: the engine's round cursor and ground-truth record, every node's
 // protocol state and controller state (in-flight interface copies, staged
-// outboxes, isolation marks, collision history), and the positions of any
-// attached rng streams. Capture and Restore are flat state copies built on
-// core.Protocol.CopyFrom / tdma.Controller.CopyStateFrom / rng.Stream.Save —
-// no encoding, no steady-state allocations once the checkpoint's buffers
+// outboxes, isolation marks, collision history). Capture and Restore are
+// flat state copies built on core.Protocol.CopyFrom /
+// tdma.Controller.CopyStateFrom — no encoding, no steady-state allocations once the checkpoint's buffers
 // have warmed — which is what lets the splitting engine clone runs at every
 // level crossing (the JSON Snapshot path would dominate its hot loop).
 //
@@ -34,9 +32,6 @@ type ClusterCheckpoint struct {
 	truth  []tdma.OutcomeClass
 	protos []*core.Protocol   // 1-based; entry 0 nil
 	ctrls  []*tdma.Controller // 1-based; entry 0 nil
-
-	streams []*rng.Stream
-	states  []rng.StreamState
 }
 
 // NewClusterCheckpoint builds an empty checkpoint shaped for c. The
@@ -64,15 +59,6 @@ func NewClusterCheckpoint(c *DiagCluster) (*ClusterCheckpoint, error) {
 	return ck, nil
 }
 
-// AttachStream registers a stream whose position Capture saves and Restore
-// reinstates alongside the cluster state, so randomness consumed by the
-// scenario between capture and restore is rewound with it. Streams must be
-// attached before the first Capture.
-func (ck *ClusterCheckpoint) AttachStream(st *rng.Stream) {
-	ck.streams = append(ck.streams, st)
-	ck.states = append(ck.states, rng.StreamState{})
-}
-
 // Round returns the engine round the last Capture recorded.
 func (ck *ClusterCheckpoint) Round() int { return ck.round }
 
@@ -93,15 +79,11 @@ func (ck *ClusterCheckpoint) Capture(c *DiagCluster) error {
 			return fmt.Errorf("sim: checkpoint node %d: %w", id, err)
 		}
 	}
-	for i, st := range ck.streams {
-		st.Save(&ck.states[i])
-	}
 	return nil
 }
 
 // Restore rewinds c to the captured state: the next RunRound re-executes the
-// round that followed the capture. Attached streams are repositioned; the
-// runners' per-round caches are invalidated so the first restored round
+// round that followed the capture. The runners' per-round caches are invalidated so the first restored round
 // rebuilds them. Bus disturbances are left as they are — install the clone's
 // fault process before or after, as the scenario requires.
 func (ck *ClusterCheckpoint) Restore(c *DiagCluster) error {
@@ -122,9 +104,6 @@ func (ck *ClusterCheckpoint) Restore(c *DiagCluster) error {
 		r.last = core.RoundOutput{}
 		r.haveSnap = false
 		r.act.reset()
-	}
-	for i, st := range ck.streams {
-		st.Restore(&ck.states[i])
 	}
 	return nil
 }

@@ -11,7 +11,6 @@ import (
 
 	"ttdiag/internal/core"
 	"ttdiag/internal/invariant"
-	"ttdiag/internal/rng"
 )
 
 // TestClusterCheckpointAllocs pins Capture and Restore at ≤ 1 allocation per
@@ -34,7 +33,6 @@ func TestClusterCheckpointAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck.AttachStream(rng.NewStream(3))
 	// Warm up: run past the truth block's early doublings, capture once to
 	// grow the checkpoint's buffers, restore once to warm the reverse path.
 	if err := cl.Eng.RunRounds(64); err != nil {

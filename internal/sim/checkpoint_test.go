@@ -6,7 +6,6 @@ import (
 
 	"ttdiag/internal/core"
 	"ttdiag/internal/fault"
-	"ttdiag/internal/rng"
 )
 
 func checkpointTestCluster(t *testing.T) *DiagCluster {
@@ -54,7 +53,7 @@ func clusterFingerprint(t *testing.T, c *DiagCluster) []byte {
 // TestClusterCheckpointRewind is the continuation property: a disturbed run
 // captured mid-way, run to completion, rewound, and re-run must retrace the
 // exact same trajectory — same per-round outputs, same final state, same
-// ground truth — including the positions of attached rng streams.
+// ground truth.
 func TestClusterCheckpointRewind(t *testing.T) {
 	const captureAt, horizon = 10, 24
 	cl := checkpointTestCluster(t)
@@ -63,17 +62,13 @@ func TestClusterCheckpointRewind(t *testing.T) {
 	// honest: the same rounds see the same faults on both passes.
 	cl.Eng.Bus().AddDisturbance(fault.EveryKthRound(2, 3, 2, 20))
 
-	src := rng.NewSource(55)
-	scenario := src.Stream("scenario")
 	ck, err := NewClusterCheckpoint(cl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck.AttachStream(scenario)
 
 	type roundRecord struct {
 		sends  [5]core.BitSyndrome
-		draws  uint64
 		active [5]uint64
 	}
 	record := func() roundRecord {
@@ -83,7 +78,6 @@ func TestClusterCheckpointRewind(t *testing.T) {
 			rec.sends[id] = out.Send
 			rec.active[id] = out.Active
 		}
-		rec.draws = scenario.Uint64() // scenario randomness rides along
 		return rec
 	}
 
