@@ -44,7 +44,7 @@ func run(args []string) error {
 		levels     = fs.Int("levels", 0, "rare-event splitting level count; penalty threshold is levels-1 (0 = default 8)")
 		out        = fs.String("out", "", "also write the rendered artifacts to this file")
 		metricsOut = fs.String("metrics", "", "write a versioned machine-readable metrics report (JSON) to this file")
-		traceOut   = fs.String("trace", "", "stream simulation trace events (JSONL) to this file: one boundary note plus the job, transmit and node-1 causal events per campaign repetition, in run order (scale-resilience records none); forces -workers=1 so the event order is deterministic; output and metrics are unchanged")
+		traceOut   = fs.String("trace", "", "stream simulation trace events (JSONL) to this file: one boundary note plus the job, transmit and node-1 causal events per campaign repetition, in run order (only the four Sec. 8 campaigns sec8-bursts, sec8-clique, sec8-malicious and sec8-pr record; every other experiment writes nothing); forces -workers=1 so the event order is deterministic; output and metrics are unchanged")
 		progress   = fs.Bool("progress", false, "print wall-clock campaign progress (runs/s) to stderr")
 		progrAddr  = fs.String("progress-addr", "", "serve progress counters over HTTP expvar (/debug/vars) at this address")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")

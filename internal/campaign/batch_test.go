@@ -27,7 +27,7 @@ func TestRunBatchedWithDeterminism(t *testing.T) {
 		var want []int
 		for _, gang := range []int{1, 3, 16} {
 			for _, workers := range []int{1, 4} {
-				got, err := RunBatchedWith(Options{Workers: workers, OnClamp: func(int, int) {}},
+				got, err := RunBatchedWith(Options{Workers: workers},
 					runs, gang, newState, fn)
 				if err != nil {
 					t.Fatal(err)
@@ -76,7 +76,7 @@ func TestRunBatchedWithGangShape(t *testing.T) {
 func TestRunBatchedWithOnRunDone(t *testing.T) {
 	var mu sync.Mutex
 	seen := map[int]int{}
-	_, err := RunBatchedWith(Options{Workers: 2, OnClamp: func(int, int) {}, OnRunDone: func(run int) {
+	_, err := RunBatchedWith(Options{Workers: 2, OnRunDone: func(run int) {
 		mu.Lock()
 		seen[run]++
 		mu.Unlock()

@@ -35,28 +35,16 @@ var clampLogOnce sync.Once
 // GOMAXPROCS — workers beyond the schedulable CPUs only add contention, and
 // the results are bit-identical at any worker count anyway. The first clamp
 // is logged once per process so an over-provisioned configuration is
-// visible; library users who want to observe or silence the clamp instead
-// pass Options.OnClamp to RunPooledWith/RunBatchedWith.
+// visible.
 func Workers(workers int) int {
-	return resolveWorkers(workers, nil)
-}
-
-// resolveWorkers clamps the requested worker count, reporting a clamp to
-// onClamp when provided and falling back to the once-per-process log
-// otherwise.
-func resolveWorkers(workers int, onClamp func(requested, max int)) int {
 	max := runtime.GOMAXPROCS(0)
 	if workers <= 0 {
 		return max
 	}
 	if workers > max {
-		if onClamp != nil {
-			onClamp(workers, max)
-		} else {
-			clampLogOnce.Do(func() {
-				log.Printf("campaign: clamping %d requested workers to GOMAXPROCS=%d", workers, max)
-			})
-		}
+		clampLogOnce.Do(func() {
+			log.Printf("campaign: clamping %d requested workers to GOMAXPROCS=%d", workers, max)
+		})
 		return max
 	}
 	return workers
@@ -68,10 +56,6 @@ type Options struct {
 	// Workers bounds the worker pool: <= 0 means GOMAXPROCS, 1 recovers
 	// serial execution; requests beyond GOMAXPROCS are clamped.
 	Workers int
-	// OnClamp, when non-nil, observes a worker-count clamp instead of the
-	// once-per-process default log — library users and tests inject it to
-	// count or silence the warning.
-	OnClamp func(requested, max int)
 	// OnRunDone, when non-nil, is invoked after every successfully completed
 	// run with its run index. With more than one worker it is called
 	// concurrently from the worker goroutines, in completion order — which
@@ -110,7 +94,7 @@ func RunPooledWith[S, T any](o Options, runs int, newState func() (S, error), fn
 	if fn == nil {
 		return nil, fmt.Errorf("campaign: nil run function")
 	}
-	workers := resolveWorkers(o.Workers, o.OnClamp)
+	workers := Workers(o.Workers)
 	if workers > runs {
 		workers = runs
 	}

@@ -172,38 +172,6 @@ func TestWorkersResolution(t *testing.T) {
 	}
 }
 
-// TestOnClampObserver checks the injectable clamp callback: it replaces the
-// once-per-process log, fires with the requested and resolved counts, and
-// still clamps.
-func TestOnClampObserver(t *testing.T) {
-	max := runtime.GOMAXPROCS(0)
-	var gotRequested, gotMax int
-	calls := 0
-	o := Options{
-		Workers: max + 7,
-		OnClamp: func(requested, m int) { calls++; gotRequested, gotMax = requested, m },
-	}
-	results, err := stateless(o, 2*max+4, func(run int) (int, error) { return run, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2*max+4 {
-		t.Fatalf("results len = %d", len(results))
-	}
-	if calls != 1 || gotRequested != max+7 || gotMax != max {
-		t.Fatalf("OnClamp calls=%d requested=%d max=%d, want 1, %d, %d", calls, gotRequested, gotMax, max+7, max)
-	}
-	// No clamp, no callback.
-	calls = 0
-	if _, err := stateless(Options{Workers: 1, OnClamp: func(int, int) { calls++ }}, 4,
-		func(run int) (int, error) { return run, nil }); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 0 {
-		t.Fatalf("OnClamp fired %d times without a clamp", calls)
-	}
-}
-
 // TestOnRunDone checks the completion callback: every successful run is
 // reported exactly once, at any worker count, and failed runs are not.
 func TestOnRunDone(t *testing.T) {

@@ -26,7 +26,7 @@ func scenarioDisturbances(sched *tdma.Schedule) []tdma.Disturbance {
 
 // equivalenceCfgs are the configurations the lock-step equivalence tests
 // run under scenarioDisturbances.
-var equivalenceCfgs = []Config{
+var equivalenceCfgs = []sim.ClusterConfig{
 	{Ls: sim.Staircase(4), AllSendCurrRound: true,
 		PR: core.PRConfig{PenaltyThreshold: 6, RewardThreshold: 50}},
 	{Ls: []int{2, 0, 3, 1},
@@ -35,7 +35,7 @@ var equivalenceCfgs = []Config{
 
 // heterogeneousCfg declares per-slot frame lengths, and
 // heterogeneousBurst is its scenario.
-var heterogeneousCfg = Config{
+var heterogeneousCfg = sim.ClusterConfig{
 	SlotLens: []time.Duration{
 		250 * time.Microsecond,
 		time.Millisecond,
@@ -98,7 +98,7 @@ func TestEquivalenceWithLockStepEngine(t *testing.T) {
 }
 
 func TestClusterIsolatesCrashedNode(t *testing.T) {
-	cl, err := New(Config{
+	cl, err := New(sim.ClusterConfig{
 		Ls: []int{2, 0, 3, 1},
 		PR: core.PRConfig{PenaltyThreshold: 4, RewardThreshold: 20},
 	})
@@ -119,7 +119,7 @@ func TestClusterIsolatesCrashedNode(t *testing.T) {
 }
 
 func TestClusterCloseIdempotent(t *testing.T) {
-	cl, err := New(Config{})
+	cl, err := New(sim.ClusterConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestClusterCloseIdempotent(t *testing.T) {
 
 func TestClusterTrace(t *testing.T) {
 	var rec trace.Recorder
-	cl, err := New(Config{Sink: &rec})
+	cl, err := New(sim.ClusterConfig{Sink: &rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,34 +151,33 @@ func TestClusterTrace(t *testing.T) {
 	}
 }
 
-// TestConcurrentTraceMatchesLockStep: the concurrent runtime's transmit and
-// job events — outcome class, job times and the deviations a replay needs —
-// equal the lock-step engine's, event for event, in the equivalence
-// scenarios.
+// TestConcurrentTraceMatchesLockStep: the concurrent runtime's flight
+// recording equals the lock-step engine's, event for event — transmit and
+// job events with the deviations a replay needs, node 1's causal stream
+// (penalties, isolations, accusations) and membership view changes.
 func TestConcurrentTraceMatchesLockStep(t *testing.T) {
 	type tcase struct {
-		cfg  Config
-		dist func(*tdma.Schedule) []tdma.Disturbance
+		cfg        sim.ClusterConfig
+		dist       func(*tdma.Schedule) []tdma.Disturbance
+		membership bool
 	}
-	cases := []tcase{{heterogeneousCfg, heterogeneousBurst}}
+	cases := []tcase{{cfg: heterogeneousCfg, dist: heterogeneousBurst}}
 	for _, cfg := range equivalenceCfgs {
-		cases = append(cases, tcase{cfg, scenarioDisturbances})
+		cases = append(cases, tcase{cfg: cfg, dist: scenarioDisturbances})
 	}
+	cases = append(cases, tcase{cfg: equivalenceCfgs[1], dist: scenarioDisturbances, membership: true})
 	const rounds = 24
-	busEvents := func(rec *trace.Recorder) []trace.Event {
-		var out []trace.Event
-		for _, e := range rec.Events() {
-			if e.Kind == trace.KindTransmit || e.Kind == trace.KindJobRun {
-				out = append(out, e)
-			}
-		}
-		return out
-	}
 	for ci, tc := range cases {
 		var want, got trace.Recorder
 		cfg := tc.cfg
 		cfg.Sink = &want
-		eng, _, err := sim.NewDiagnosticCluster(cfg)
+		var eng *sim.Engine
+		var err error
+		if tc.membership {
+			eng, _, err = sim.NewMembershipCluster(cfg)
+		} else {
+			eng, _, err = sim.NewDiagnosticCluster(cfg)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +188,12 @@ func TestConcurrentTraceMatchesLockStep(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg.Sink = &got
-		cl, err := New(cfg)
+		var cl *Cluster
+		if tc.membership {
+			cl, _, err = NewMembershipCluster(cfg)
+		} else {
+			cl, err = New(cfg)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,34 +205,44 @@ func TestConcurrentTraceMatchesLockStep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, g := busEvents(&want), busEvents(&got)
+		w, g := want.Events(), got.Events()
 		if i := trace.FirstDivergence(g, w); i >= 0 {
 			if i >= len(g) || i >= len(w) {
-				t.Fatalf("case %d: concurrent trace has %d bus events, lock-step %d", ci, len(g), len(w))
+				t.Fatalf("case %d: concurrent trace has %d events, lock-step %d", ci, len(g), len(w))
 			}
-			t.Fatalf("case %d: event %d is %+v, lock-step %+v", ci, i, g[i], w[i])
+			t.Fatalf("case %d: event %d of %d is %+v, lock-step %+v", ci, i, len(w), g[i], w[i])
 		}
 		var invalid uint64
+		causal := 0
 		for _, e := range w {
 			invalid |= e.Invalid
+			if e.Kind != trace.KindTransmit && e.Kind != trace.KindJobRun {
+				causal++
+			}
 		}
 		if invalid == 0 {
 			t.Fatalf("case %d: the scenario records no invalid delivery", ci)
+		}
+		if causal == 0 {
+			t.Fatalf("case %d: the scenario records no causal event", ci)
+		}
+		if tc.membership && len(want.Filter(trace.KindViewChange)) == 0 {
+			t.Fatalf("case %d: the membership scenario records no view change", ci)
 		}
 	}
 }
 
 func TestClusterValidation(t *testing.T) {
-	if _, err := New(Config{N: 1}); err == nil {
+	if _, err := New(sim.ClusterConfig{N: 1}); err == nil {
 		t.Fatal("1-node cluster accepted")
 	}
-	if _, err := New(Config{N: 4, Ls: []int{0, 0}}); err == nil {
+	if _, err := New(sim.ClusterConfig{N: 4, Ls: []int{0, 0}}); err == nil {
 		t.Fatal("short Ls accepted")
 	}
 }
 
 func TestLastOutOfRange(t *testing.T) {
-	cl, err := New(Config{})
+	cl, err := New(sim.ClusterConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +259,7 @@ func TestLastOutOfRange(t *testing.T) {
 // concurrent runtime: node 1 misses node 2's broadcast and must be excluded
 // from the view at every node goroutine, identically to the lock-step run.
 func TestConcurrentMembershipClique(t *testing.T) {
-	cl, runners, err := NewMembershipCluster(Config{Ls: sim.Staircase(4), AllSendCurrRound: true})
+	cl, runners, err := NewMembershipCluster(sim.ClusterConfig{Ls: sim.Staircase(4), AllSendCurrRound: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +285,7 @@ func TestConcurrentMembershipClique(t *testing.T) {
 // goroutines: a single benign fault must be diagnosed with one-round latency
 // and consistent verdicts.
 func TestConcurrentLowLat(t *testing.T) {
-	cl, runners, err := NewLowLatCluster(Config{})
+	cl, runners, err := NewLowLatCluster(sim.ClusterConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,18 +318,6 @@ func TestConcurrentLowLat(t *testing.T) {
 	}
 }
 
-func TestNewWithRunnersValidation(t *testing.T) {
-	if _, err := NewWithRunners(Config{}, make([]sim.Runner, 2), []int{0, 0, 0, 0}); err == nil {
-		t.Error("short runners accepted")
-	}
-	if _, err := NewWithRunners(Config{}, make([]sim.Runner, 5), []int{0}); err == nil {
-		t.Error("short ls accepted")
-	}
-	if _, err := NewWithRunners(Config{}, make([]sim.Runner, 5), []int{0, 0, 0, 0}); err == nil {
-		t.Error("nil runners accepted")
-	}
-}
-
 // TestConcurrentHeterogeneousSlots runs the goroutine-per-node runtime on a
 // custom per-slot schedule, matching the lock-step engine's support.
 func TestConcurrentHeterogeneousSlots(t *testing.T) {
@@ -339,39 +341,16 @@ func TestConcurrentHeterogeneousSlots(t *testing.T) {
 			t.Fatalf("node %d disagreed on the heterogeneous schedule", id)
 		}
 	}
-	if _, err := New(Config{SlotLens: []time.Duration{time.Millisecond}}); err == nil {
+	if _, err := New(sim.ClusterConfig{SlotLens: []time.Duration{time.Millisecond}}); err == nil {
 		t.Fatal("short SlotLens accepted")
 	}
 }
 
-func TestNewWithRunnersBadPosition(t *testing.T) {
-	runners := make([]sim.Runner, 5)
-	for id := 1; id <= 4; id++ {
-		r, err := sim.NewDiagRunner(sim.NodeConfig(mustNormal(t), id))
-		if err != nil {
-			t.Fatal(err)
-		}
-		runners[id] = r
-	}
-	if _, err := NewWithRunners(Config{}, runners, []int{0, 0, 0, 9}); err == nil {
-		t.Fatal("out-of-range position accepted")
-	}
-}
-
-func mustNormal(t *testing.T) Config {
-	t.Helper()
-	cfg, err := Normalize(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cfg
-}
-
 func TestMembershipClusterValidation(t *testing.T) {
-	if _, _, err := NewMembershipCluster(Config{N: 1}); err == nil {
+	if _, _, err := NewMembershipCluster(sim.ClusterConfig{N: 1}); err == nil {
 		t.Fatal("invalid membership cluster accepted")
 	}
-	if _, _, err := NewLowLatCluster(Config{N: 1}); err == nil {
+	if _, _, err := NewLowLatCluster(sim.ClusterConfig{N: 1}); err == nil {
 		t.Fatal("invalid lowlat cluster accepted")
 	}
 }
@@ -379,7 +358,7 @@ func TestMembershipClusterValidation(t *testing.T) {
 // TestMembershipEquivalenceWithLockStep holds the membership variant to the
 // same bit-identical cross-runtime guarantee as the diagnostic one.
 func TestMembershipEquivalenceWithLockStep(t *testing.T) {
-	cfg := Config{Ls: []int{2, 0, 3, 1}}
+	cfg := sim.ClusterConfig{Ls: []int{2, 0, 3, 1}}
 	mkDisturb := func(sched *tdma.Schedule) []tdma.Disturbance {
 		return []tdma.Disturbance{
 			fault.ReceiverBlind{Receiver: 1, Senders: []tdma.NodeID{2}, FromRound: 8, ToRound: 9},
@@ -422,5 +401,48 @@ func TestMembershipEquivalenceWithLockStep(t *testing.T) {
 				t.Fatalf("node %d view %d: %+v vs lock-step %+v", id, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// TestHostedDynamicScheduling hosts a dynamically scheduled engine, whose
+// runners take a round-start snapshot, and requires the lock-step outputs:
+// the snapshot call is forwarded to the node goroutines.
+func TestHostedDynamicScheduling(t *testing.T) {
+	sides := []bool{true, false, true, true}
+	pos := func(id, round int) int {
+		if sides[id-1] {
+			return (round + id) % id // before the node's slot
+		}
+		return id + round%(4-id) // after it
+	}
+	build := func() (*sim.Engine, []*sim.DiagRunner) {
+		eng, runners, err := sim.NewDynamicDiagnosticCluster(sim.ClusterConfig{}, sides, pos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Bus().AddDisturbance(fault.NewTrain(fault.SlotBurst(eng.Schedule(), 6, 3, 1)))
+		return eng, runners
+	}
+	eng, want := build()
+	hosted, got := build()
+	cl := Host(hosted)
+	defer cl.Close()
+	faulty := 0
+	for k := 0; k < 16; k++ {
+		if err := eng.RunRound(); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.RunRound(); err != nil {
+			t.Fatal(err)
+		}
+		for id := 1; id <= 4; id++ {
+			if got[id].Last() != want[id].Last() {
+				t.Fatalf("round %d node %d: %+v, lock-step %+v", k, id, got[id].Last(), want[id].Last())
+			}
+		}
+		faulty += want[1].Last().ConsHV.CountFaulty(4)
+	}
+	if faulty == 0 {
+		t.Fatal("the burst was never diagnosed")
 	}
 }

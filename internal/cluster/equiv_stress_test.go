@@ -41,7 +41,7 @@ func stressDisturbances(seed int64) []tdma.Disturbance {
 // races the static analyzer cannot see.
 func TestSeededCrossEngineEquivalenceStress(t *testing.T) {
 	const rounds = 40
-	cfg := Config{
+	cfg := sim.ClusterConfig{
 		Ls: []int{2, 0, 3, 1},
 		PR: core.PRConfig{
 			PenaltyThreshold:       5,
@@ -63,7 +63,7 @@ func TestSeededCrossEngineEquivalenceStress(t *testing.T) {
 	}
 }
 
-func lockStepSnapshots(t *testing.T, cfg Config, seed int64, rounds int) [][]byte {
+func lockStepSnapshots(t *testing.T, cfg sim.ClusterConfig, seed int64, rounds int) [][]byte {
 	t.Helper()
 	eng, runners, err := sim.NewDiagnosticCluster(cfg)
 	if err != nil {
@@ -86,25 +86,13 @@ func lockStepSnapshots(t *testing.T, cfg Config, seed int64, rounds int) [][]byt
 	return snaps
 }
 
-func concurrentSnapshots(t *testing.T, cfg Config, seed int64, rounds int) [][]byte {
+func concurrentSnapshots(t *testing.T, cfg sim.ClusterConfig, seed int64, rounds int) [][]byte {
 	t.Helper()
-	ncfg, err := Normalize(cfg)
+	eng, typed, err := sim.NewDiagnosticCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	runners := make([]sim.Runner, ncfg.N+1)
-	typed := make([]*sim.DiagRunner, ncfg.N+1)
-	for id := 1; id <= ncfg.N; id++ {
-		r, err := sim.NewDiagRunner(NodeConfig(ncfg, id))
-		if err != nil {
-			t.Fatal(err)
-		}
-		runners[id], typed[id] = r, r
-	}
-	cl, err := NewWithRunners(ncfg, runners, ncfg.Ls)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := Host(eng)
 	defer cl.Close()
 	for _, d := range stressDisturbances(seed) {
 		cl.AddDisturbance(d)
@@ -115,7 +103,7 @@ func concurrentSnapshots(t *testing.T, cfg Config, seed int64, rounds int) [][]b
 	// The mailbox rendezvous of the last RunRound establishes the
 	// happens-before edge that makes reading the runners safe here.
 	snaps := make([][]byte, 5)
-	for id := 1; id <= ncfg.N; id++ {
+	for id := 1; id <= 4; id++ {
 		snap, err := typed[id].Protocol().Snapshot()
 		if err != nil {
 			t.Fatal(err)

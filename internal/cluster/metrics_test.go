@@ -21,7 +21,7 @@ import (
 func TestClusterMetricsMatchLockStep(t *testing.T) {
 	const rounds = 32
 	const seed = 7
-	cfg := Config{
+	cfg := sim.ClusterConfig{
 		Ls: []int{2, 0, 3, 1},
 		PR: core.PRConfig{
 			PenaltyThreshold:       5,
@@ -49,26 +49,17 @@ func TestClusterMetricsMatchLockStep(t *testing.T) {
 	}
 
 	concurrent := func() []byte {
-		ncfg, err := Normalize(cfg)
+		eng, runners, err := sim.NewDiagnosticCluster(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ws := metrics.NewWorkerSet()
-		runners := make([]sim.Runner, ncfg.N+1)
-		for id := 1; id <= ncfg.N; id++ {
-			r, err := sim.NewDiagRunner(NodeConfig(ncfg, id))
-			if err != nil {
-				t.Fatal(err)
-			}
+		for id := 1; id <= 4; id++ {
 			// Attached before the node goroutines start; each protocol
 			// updates only its own registry from its own goroutine.
-			r.Protocol().SetMetrics(core.NewStepMetrics(ws.Worker()))
-			runners[id] = r
+			runners[id].Protocol().SetMetrics(core.NewStepMetrics(ws.Worker()))
 		}
-		cl, err := NewWithRunners(ncfg, runners, ncfg.Ls)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cl := Host(eng)
 		defer cl.Close()
 		for _, d := range stressDisturbances(seed) {
 			cl.AddDisturbance(d)

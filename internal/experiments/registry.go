@@ -33,13 +33,14 @@ type Params struct {
 	// bit-identical at any Workers setting; see internal/metrics.
 	Metrics *metrics.Report
 	// Trace, when non-nil, receives the simulation trace of every campaign
-	// repetition plus one KindNote boundary event per run. The lane-packed
-	// Sec. 8 gangs record each lane and write it out after its note, in run
-	// order, so tracing changes neither the execution path nor the rendered
-	// output or metrics. The scale-resilience sweep records nothing. Event
-	// order is deterministic only with Workers == 1 (the CLI's -trace flag
-	// forces that); with more workers the sink must be safe for concurrent
-	// use and the interleaving reflects scheduling.
+	// repetition plus one KindNote boundary event per run. Only the four
+	// Sec. 8 campaigns (sec8-bursts, sec8-clique, sec8-malicious, sec8-pr)
+	// record; every other experiment writes nothing to it. Their lane-packed
+	// gangs record each lane and write it out after its note, in run order,
+	// so tracing changes neither the execution path nor the rendered output
+	// or metrics. Event order is deterministic only with Workers == 1 (the
+	// CLI's -trace flag forces that); with more workers the sink must be
+	// safe for concurrent use and the interleaving reflects scheduling.
 	Trace trace.Sink
 	// Progress, when non-nil, observes every completed repetition
 	// (campaign.Options.OnRunDone): wall-clock-side progress reporting that

@@ -42,8 +42,8 @@ type ClusterConfig struct {
 	// reintegrations — see core.StepTrace) and, in membership clusters, view
 	// changes. One observer suffices: Theorem 1 consistency makes every
 	// obedient node's causal transitions identical. The concurrent runtime
-	// (internal/cluster) emits only the transmit and job events: it does
-	// not attach node 1's causal stream.
+	// (internal/cluster) hosts the engine these builders wire, so its
+	// stream is the same, event for event.
 	Sink trace.Sink
 }
 
@@ -102,14 +102,14 @@ func Uniform(n, l int) []int {
 }
 
 // NormalizeConfig applies the defaulting and validation rules of the
-// cluster builders. It is exported so that the concurrent runtime accepts
-// exactly the same configurations as the lock-step engine.
+// cluster builders. It is exported so that callers outside this package
+// (the flight-recorder replay) accept exactly the same configurations.
 func NormalizeConfig(cfg ClusterConfig) (ClusterConfig, error) {
 	return cfg.withDefaults()
 }
 
 // NodeConfig derives node id's protocol configuration from a (normalized)
-// cluster configuration, shared with the concurrent runtime.
+// cluster configuration, for callers that wire an engine node by node.
 func NodeConfig(cfg ClusterConfig, id int) core.Config {
 	return cfg.nodeConfig(id)
 }

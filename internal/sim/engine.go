@@ -140,6 +140,17 @@ func (e *Engine) AddDynamicNode(id tdma.NodeID, pos func(round int) (int, error)
 	return nil
 }
 
+// WrapRunners replaces every attached node's runner with wrap(id, runner).
+// RunRound then calls the wrappers exactly where it called the runners; the
+// concurrent runtime uses this to host each runner on its own goroutine.
+func (e *Engine) WrapRunners(wrap func(id tdma.NodeID, r Runner) Runner) {
+	for _, nd := range e.nodes {
+		if nd != nil {
+			nd.runner = wrap(nd.id, nd.runner)
+		}
+	}
+}
+
 // Controller returns node id's communication controller.
 func (e *Engine) Controller(id tdma.NodeID) *tdma.Controller {
 	if id < 1 || int(id) >= len(e.nodes) || e.nodes[id] == nil {

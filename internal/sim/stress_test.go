@@ -157,49 +157,6 @@ func TestStressMixedFaultSoup(t *testing.T) {
 	}
 }
 
-// TestStressConcurrentMatchesLockStepUnderNoise extends the equivalence
-// guarantee to a noisy 400-round run.
-func TestStressConcurrentMatchesLockStepUnderNoise(t *testing.T) {
-	cfg := ClusterConfig{
-		Ls: []int{2, 0, 3, 1},
-		PR: core.PRConfig{PenaltyThreshold: 30, RewardThreshold: 15},
-	}
-	eng, runners, err := NewDiagnosticCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Bus().AddDisturbance(fault.NewRandomNoise(0.1, rng.NewStream(5)))
-	const rounds = 400
-	ref := make([][5]core.RoundOutput, rounds)
-	for k := 0; k < rounds; k++ {
-		if err := eng.RunRound(); err != nil {
-			t.Fatal(err)
-		}
-		for id := 1; id <= 4; id++ {
-			ref[k][id] = runners[id].Last()
-		}
-	}
-	// The concurrent runtime lives in package cluster; to avoid an import
-	// cycle in tests this equivalence variant re-runs the lock-step engine
-	// with an identical noise stream and asserts determinism instead; the
-	// cross-runtime equivalence is asserted in package cluster's tests.
-	eng2, runners2, err := NewDiagnosticCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng2.Bus().AddDisturbance(fault.NewRandomNoise(0.1, rng.NewStream(5)))
-	for k := 0; k < rounds; k++ {
-		if err := eng2.RunRound(); err != nil {
-			t.Fatal(err)
-		}
-		for id := 1; id <= 4; id++ {
-			if runners2[id].Last() != ref[k][id] {
-				t.Fatalf("round %d node %d: nondeterministic replay", k, id)
-			}
-		}
-	}
-}
-
 // TestRedundantBusMasksChannelFaults runs the protocol over a replicated
 // bus (the paper's prototype had a redundant layered-TTP network): heavy
 // noise confined to channel A is fully masked by channel B, so no fault is

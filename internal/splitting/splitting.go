@@ -69,8 +69,6 @@ type Config struct {
 	// Workers bounds the campaign pool (<= 0 means GOMAXPROCS). The
 	// estimate is bit-identical at any value.
 	Workers int
-	// OnClamp forwards to campaign.Options.OnClamp.
-	OnClamp func(requested, max int)
 	// Name prefixes the per-trial stream names; "" defaults to "splitting".
 	Name string
 }
@@ -308,7 +306,7 @@ func Run(cfg Config, src *rng.Source) (*Result, error) {
 	for level := range cfg.Levels {
 		lvl := level
 		outs, err := campaign.RunPooledWith(
-			campaign.Options{Workers: cfg.Workers, OnClamp: cfg.OnClamp},
+			campaign.Options{Workers: cfg.Workers},
 			cfg.Effort,
 			s.newWorker,
 			func(w *worker, trial int) (trialOut, error) { return s.runTrial(w, lvl, trial) },

@@ -33,7 +33,6 @@ func TestRunWorkerCountInvariance(t *testing.T) {
 	mk := func(workers int) *Result {
 		cfg := testConfig()
 		cfg.Workers = workers
-		cfg.OnClamp = func(int, int) {}
 		res, err := Run(cfg, rng.NewSource(7))
 		if err != nil {
 			t.Fatal(err)

@@ -13,11 +13,11 @@ const collisionHistory = 16
 // validity bits, stages the node's own outgoing value, and records the local
 // collision-detector verdict for the node's own sending slots.
 //
-// A Controller is driven by a bus — the lock-step Bus in this package or the
-// channel-based bus of the concurrent runtime — which calls ApplyDelivery and
-// RecordCollision in slot order, and read by the node's application-level
-// jobs. It is not safe for concurrent use; the concurrent runtime confines
-// each controller to its node's goroutine.
+// A Controller is driven by the Bus in this package, which calls
+// ApplyDelivery and RecordCollision in slot order, and read by the node's
+// application-level jobs. It is not safe for concurrent use; the concurrent
+// runtime hands each controller to its node's goroutine only for the length
+// of a job or observer call, ordered by the mailbox rendezvous.
 type Controller struct {
 	id NodeID
 	n  int

@@ -135,7 +135,7 @@ func TestTimeToIncorrectIsolationMatchesPerRun(t *testing.T) {
 				for _, workers := range []int{1, 4} {
 					name := fmt.Sprintf("%s/random=%v/runs=%d/workers=%d", tc.name, randomPhase, runs, workers)
 					t.Run(name, func(t *testing.T) {
-						o := campaign.Options{Workers: workers, OnClamp: func(int, int) {}}
+						o := campaign.Options{Workers: workers}
 						got, err := TimeToIncorrectIsolation(tc.scen, tc.res, runs, o, 7, randomPhase)
 						if err != nil {
 							t.Fatal(err)

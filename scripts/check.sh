@@ -2,11 +2,13 @@
 # check.sh is the repository's full correctness gate: formatting, go vet,
 # build, tests, the race detector on the concurrent packages, the
 # ttdiag_invariants-enabled test run, the static-analysis suite
-# (cmd/ttdiag-lint) and the escape-analysis allocation gate. CI runs exactly
-# these steps; run it locally before sending a PR. Every step that selects
+# (cmd/ttdiag-lint) and the escape-analysis allocation gate. CI runs this
+# script; run it locally before sending a PR. Every step that selects
 # tests with -run goes through scripts/gotest.sh, which fails when a pattern
 # matches nothing. Each step reports its wall-clock duration, and a summary
-# table prints at the end. See docs/STATIC_ANALYSIS.md.
+# table prints at the end. With LINT_JSON set to a file name, the lint step
+# also writes its findings there as JSON (CI uploads that report). See
+# docs/STATIC_ANALYSIS.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,6 +32,16 @@ check_gofmt() {
         echo "gofmt needed on:" >&2
         echo "$unformatted" >&2
         exit 1
+    fi
+}
+
+# check_lint runs the analyzer and the escape gate; pipefail keeps tee from
+# masking its exit code.
+check_lint() {
+    if [ -n "${LINT_JSON:-}" ]; then
+        go run ./cmd/ttdiag-lint -json -escapes ./... | tee "$LINT_JSON"
+    else
+        go run ./cmd/ttdiag-lint -escapes ./...
     fi
 }
 
@@ -98,8 +110,7 @@ step "go test (exhaustive shard-summary decode)" \
     scripts/gotest.sh ./internal/core/ -run TestShardSummaryDecodeExhaustive
 step "go test -tags ttdiag_invariants" \
     go test -tags ttdiag_invariants ./internal/core/... ./internal/invariant/... ./internal/cluster/... ./internal/sim/... ./internal/fleet/... ./internal/splitting/... ./internal/experiments/... ./internal/membership/... ./internal/replay/... ./cmd/ttdiag-trace/...
-step "ttdiag-lint (+ escape gate)" \
-    go run ./cmd/ttdiag-lint -escapes ./...
+step "ttdiag-lint (+ escape gate)" check_lint
 
 echo
 echo "== step timings =="
