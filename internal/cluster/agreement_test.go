@@ -47,10 +47,16 @@ func TestRoundAgreementCheckPanics(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// The node configurations come from a cluster the builder
+			// wired; only node 2's is changed.
+			_, ref, err := sim.NewDiagnosticCluster(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 			eng := sim.NewEngine(sched, nil)
 			initial := core.NewSyndrome(cfg.N, core.Healthy).Encode()
 			for id := 1; id <= cfg.N; id++ {
-				nc := sim.NodeConfig(cfg, id)
+				nc := ref[id].Protocol().Config()
 				nc.AllSendCurrRound = id != 2
 				r, err := sim.NewDiagRunner(nc)
 				if err != nil {
@@ -66,6 +72,16 @@ func TestRoundAgreementCheckPanics(t *testing.T) {
 		// Node 1 alone votes node 4 faulty for the forged round.
 		{"health vector", func(t *testing.T) *Cluster {
 			cl, err := New(sim.ClusterConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cl.AddDisturbance(twoFaced{})
+			return cl
+		}, "health vectors diverge"},
+		// The same forgery in a membership cluster: the check reads the
+		// diagnostic output underlying each membership runner's.
+		{"membership health vector", func(t *testing.T) *Cluster {
+			cl, _, err := NewMembershipCluster(sim.ClusterConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -209,13 +209,17 @@ func (c *Cluster) Round() int { return c.eng.Round() }
 // Schedule returns the cluster's global communication schedule.
 func (c *Cluster) Schedule() *tdma.Schedule { return c.eng.Schedule() }
 
-// Last returns node id's most recent output (zero unless it runs a
-// DiagRunner). The runner is read on the caller's goroutine, ordered after
-// the node goroutine's writes by the last rendezvous.
+// Last returns node id's most recent diagnostic output: a DiagRunner's, or
+// the one underlying a MembershipRunner's; zero for other runners. The
+// runner is read on the caller's goroutine, ordered after the node
+// goroutine's writes by the last rendezvous.
 func (c *Cluster) Last(id int) core.RoundOutput {
 	if id >= 1 && id < len(c.hosts) && c.hosts[id] != nil {
-		if dr, ok := c.hosts[id].runner.(*sim.DiagRunner); ok {
-			return dr.Last()
+		switch r := c.hosts[id].runner.(type) {
+		case *sim.DiagRunner:
+			return r.Last()
+		case *sim.MembershipRunner:
+			return r.Last().Diag
 		}
 	}
 	return core.RoundOutput{}

@@ -209,6 +209,9 @@ type BatchProtocol struct {
 	// false after Reset and CopyFrom).
 	invPrevActive uint64
 	invHavePrev   bool
+	// invLane is the scratch lane state RestoreLane re-captures into under
+	// ttdiag_invariants; nil until the first checked restore.
+	invLane *LaneState
 }
 
 // NewBatchProtocol builds the gang diagnostic job: `lanes` independent runs
@@ -687,6 +690,9 @@ type laneGroup struct {
 // instrument a gang. The attachment survives Reset.
 func (p *BatchProtocol) SetLaneMetrics(lane int, m *StepMetrics) {
 	if p.metrics == nil {
+		if m == nil {
+			return // nothing attached, nothing to detach
+		}
 		p.metrics = make([]*StepMetrics, p.capLanes)
 	}
 	p.metrics[lane] = m

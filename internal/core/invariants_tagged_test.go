@@ -165,3 +165,90 @@ func TestFalseHealthyRowsHintPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// laneGang is a full-width N=4 gang of node 1 without reintegration, and a
+// closure stepping it one quiet round.
+func laneGang(t *testing.T) (*BatchProtocol, func(round int)) {
+	t.Helper()
+	p, err := NewBatchProtocol(Config{
+		N: 4, ID: 1, L: 0, SendCurrRound: true,
+		PR: PRConfig{PenaltyThreshold: 4, RewardThreshold: 8},
+	}, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]BitSyndrome, 5)
+	for j := range rows {
+		rows[j] = BitSyndrome{Op: p.allB, Known: p.allB}
+	}
+	return p, func(round int) {
+		t.Helper()
+		in := BatchRoundInput{Round: round, Rows: rows, Present: p.allB, Validity: rows[1]}
+		if _, err := p.StepBatch(in); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRestoreLaneRebaselinesActivity restores an all-active lane over a
+// lane where node 3 is isolated, which brings node 3 back without the
+// reintegration extension: the activity history re-baselines for that lane
+// only, so the next step accepts it, and an unjustified isolation in
+// another lane right after the restore is still caught.
+func TestRestoreLaneRebaselinesActivity(t *testing.T) {
+	p, step := laneGang(t)
+	for k := 0; k < 4; k++ {
+		step(k)
+	}
+	st := NewLaneStates(4, 1)[0]
+	if err := p.CaptureLane(0, &st); err != nil {
+		t.Fatal(err)
+	}
+	// Lane 7, node 3: a legitimate isolation (penalty past the threshold).
+	i := 7*5 + 3
+	p.pr.active[i] = false
+	p.pr.activeMask &^= 1 << (7*4 + 2)
+	p.pr.penalties[i] = 5
+	step(4)
+	if err := p.RestoreLane(7, &st); err != nil {
+		t.Fatal(err)
+	}
+	step(5) // node 3 is active again in lane 7: no monotonicity failure
+
+	// Lane 2, node 4: dropped without a penalty past the threshold.
+	p.pr.active[2*5+4] = false
+	p.pr.activeMask &^= 1 << (2*4 + 3)
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("unjustified isolation in lane 2 after a restore was not caught")
+		}
+		if msg, ok := r.(string); !ok || !strings.Contains(msg, "lane 2") || !strings.Contains(msg, "isolated without a faulty verdict") {
+			t.Fatalf("unexpected panic: %v", r)
+		}
+	}()
+	step(6)
+}
+
+// TestRestoreLaneRecaptureMismatchPanics restores a lane state carrying
+// bits beyond the lane's segment, which the restore cannot keep: the
+// re-capture no longer equals the state and the invariant layer must stop.
+func TestRestoreLaneRecaptureMismatchPanics(t *testing.T) {
+	p, step := laneGang(t)
+	step(0)
+	st := NewLaneStates(4, 1)[0]
+	if err := p.CaptureLane(3, &st); err != nil {
+		t.Fatal(err)
+	}
+	st.aging = 1 << 4 // node 5 of a 4-node lane
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("a restore that does not round-trip was not caught")
+		}
+		if msg, ok := r.(string); !ok || !strings.Contains(msg, "restored lane 3") {
+			t.Fatalf("unexpected panic: %v", r)
+		}
+	}()
+	_ = p.RestoreLane(3, &st)
+}

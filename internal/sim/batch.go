@@ -18,6 +18,7 @@ import (
 	"math/bits"
 
 	"ttdiag/internal/core"
+	"ttdiag/internal/invariant"
 	"ttdiag/internal/membership"
 	"ttdiag/internal/tdma"
 	"ttdiag/internal/trace"
@@ -118,6 +119,19 @@ type BatchDiagCluster struct {
 	// until FlushLaneTrace; both are nil otherwise.
 	events []trace.Recorder
 	traces []*core.StepTrace
+
+	// Observation state of ttdiag_invariants builds: the round, node and
+	// output the Theorem 1 agreement check compares each job against
+	// (invRef 0 before the round's first warm job); invFaults[k%invWindow]
+	// the senders of round k whose delivery was benign, asymmetric or
+	// malicious (lane-packed, in that order); invTainted the lanes (bit r)
+	// that left the fault hypothesis at some point and so the check's
+	// scope; and the scratch checkpoint RestoreLane re-captures into.
+	invRound, invRef int
+	invOut           core.BatchRoundOutput
+	invFaults        [invWindow][3]uint64
+	invTainted       uint64
+	invLane          *LaneCheckpoint
 
 	// OnOutput, when set, observes every diagnostic job's gang output
 	// (node id, all lanes), after the lane collectors recorded it. It is
@@ -248,6 +262,8 @@ func (c *BatchDiagCluster) ResetBatch(lanes int) error {
 	}
 	c.lanes = lanes
 	c.round = 0
+	c.invRef, c.invTainted = 0, 0
+	c.invFaults = [invWindow][3]uint64{}
 	c.laneRep = 0
 	for r := 0; r < lanes; r++ {
 		c.laneRep |= 1 << uint(r*c.n)
@@ -415,45 +431,62 @@ func (c *BatchDiagCluster) Run() error {
 			maxH = c.horizon[r]
 		}
 	}
-	w := c.n + 1
 	for c.round < maxH {
-		k := c.round
-		for r := 0; r < c.lanes; r++ {
-			if c.horizon[r] == k {
-				// The lane's repetition ended last round: detach its
-				// telemetry and flight recorder so rounds past the horizon
-				// emit nothing, exactly like a per-run repetition that has
-				// stopped.
-				for id := 1; id <= c.n; id++ {
-					c.protos[id].SetLaneMetrics(r, nil)
-				}
-				if c.traces != nil {
-					c.protos[1].SetLaneTrace(r, nil)
-				}
-			}
-			if k < c.horizon[r] {
-				for i := 0; i < w; i++ {
-					c.truth[r] = append(c.truth[r], 0)
-				}
-			}
-		}
-		if err := c.runRound(k); err != nil {
-			for r := 0; r < c.lanes; r++ {
-				if k < c.horizon[r] {
-					c.truth[r] = c.truth[r][:k*w]
-				}
-			}
+		if err := c.Step(); err != nil {
 			return err
-		}
-		c.round++
-		for r := 0; r < c.lanes; r++ {
-			if c.horizon[r] == c.round {
-				c.captureFinal(r)
-			}
 		}
 	}
 	return nil
 }
+
+// Step advances every lane by one round, the gang's Engine.RunRound. A lane
+// records (ground truth, collector, final penalties, telemetry, trace)
+// only while the round lies inside its horizon; past it the lane keeps
+// stepping and records nothing. Callers that read the lane state between
+// rounds themselves, such as the splitting estimator, step with horizon 0.
+// On error the round's ground-truth rows are dropped and the round is not
+// counted.
+func (c *BatchDiagCluster) Step() error {
+	w := c.n + 1
+	k := c.round
+	for r := 0; r < c.lanes; r++ {
+		if c.horizon[r] == k {
+			// The lane's repetition ended last round: detach its
+			// telemetry and flight recorder so rounds past the horizon
+			// emit nothing, exactly like a per-run repetition that has
+			// stopped.
+			for id := 1; id <= c.n; id++ {
+				c.protos[id].SetLaneMetrics(r, nil)
+			}
+			if c.traces != nil {
+				c.protos[1].SetLaneTrace(r, nil)
+			}
+		}
+		if k < c.horizon[r] {
+			for i := 0; i < w; i++ {
+				c.truth[r] = append(c.truth[r], 0)
+			}
+		}
+	}
+	if err := c.runRound(k); err != nil {
+		for r := 0; r < c.lanes; r++ {
+			if k < c.horizon[r] {
+				c.truth[r] = c.truth[r][:k*w]
+			}
+		}
+		return err
+	}
+	c.round++
+	for r := 0; r < c.lanes; r++ {
+		if c.horizon[r] == c.round {
+			c.captureFinal(r)
+		}
+	}
+	return nil
+}
+
+// Round returns the next round the gang executes.
+func (c *BatchDiagCluster) Round() int { return c.round }
 
 // runRound advances every lane by one TDMA round, mirroring
 // Engine.RunRound's slot walk: diagnostic jobs at their positions, then the
@@ -503,6 +536,9 @@ func (c *BatchDiagCluster) runJob(k, id int) error {
 	if err != nil {
 		return fmt.Errorf("sim: node %d round %d: %w", id, k, err)
 	}
+	if invariant.Enabled && out.Warm {
+		c.checkAgreement(id, &out)
+	}
 	c.staged[id] = out.SendOp & out.SendKnown
 	if !c.observe {
 		// No reintegration: an isolation permanently drops the sender
@@ -529,6 +565,85 @@ func (c *BatchDiagCluster) runJob(k, id int) error {
 		c.OnOutput(id, out)
 	}
 	return nil
+}
+
+// invWindow is the depth of the fault history the agreement check
+// scopes lanes by: the diagnosed round, the rounds its syndromes are
+// disseminated in and a margin, for every diagnosis lag.
+const invWindow = 8
+
+// checkAgreement asserts Theorem 1 across the observers of one round
+// (ttdiag_invariants builds only): every job that produced health vectors
+// must diagnose the same round as the round's first such job and agree
+// with it on the consistent health vector of every lane inside the fault
+// hypothesis, one word compare per observer. A lane leaves the check for
+// good once the faulty senders of the last invWindow rounds break
+// N > 2a + 2s + b + 1 (isolated senders count as benign): observers may
+// then disagree, and their counters stay apart.
+func (c *BatchDiagCluster) checkAgreement(id int, out *core.BatchRoundOutput) {
+	c.invTainted |= c.outsideHypothesis()
+	if c.invRef == 0 || c.invRound != out.Round {
+		c.invRound, c.invRef, c.invOut = out.Round, id, *out
+		return
+	}
+	ref := &c.invOut
+	if out.DiagnosedRound != ref.DiagnosedRound {
+		invariant.Checkf(false, "sim: round %d: nodes %d and %d diagnose different rounds (%d vs %d)",
+			out.Round, c.invRef, id, ref.DiagnosedRound, out.DiagnosedRound)
+	}
+	scope := c.allB &^ (expandColumn(c.invTainted, 0, c.n) * c.laneAll)
+	if diff := ((out.ConsOp ^ ref.ConsOp) | (out.ConsKnown ^ ref.ConsKnown)) & scope; diff != 0 {
+		lane := bits.TrailingZeros64(diff) / c.n
+		invariant.Checkf(false, "sim: round %d lane %d: health vectors diverge across observers: node %d says %s, node %d says %s",
+			out.Round, lane, c.invRef, ref.LaneConsHV(lane, c.n).String(c.n), id, out.LaneConsHV(lane, c.n).String(c.n))
+	}
+}
+
+// outsideHypothesis returns the lanes (bit r) whose faulty senders over
+// the fault history break N > 2a + 2s + b + 1. A sender counts in its
+// worst class (malicious, then asymmetric, then benign); the history may
+// still hold the senders of invWindow rounds ago whose slot this round
+// has not reached, which only makes the scope smaller.
+func (c *BatchDiagCluster) outsideHypothesis() uint64 {
+	var b, a, m uint64
+	for _, f := range c.invFaults {
+		b, a, m = b|f[0], a|f[1], m|f[2]
+	}
+	for id := 1; id <= c.n; id++ {
+		b |= c.ign[id]
+	}
+	var out uint64
+	for r := 0; r < c.lanes; r++ {
+		sh := uint(r * c.n)
+		ml := m >> sh & c.laneAll
+		al := a >> sh & c.laneAll &^ ml
+		bl := b >> sh & c.laneAll &^ (al | ml)
+		if c.n <= 2*bits.OnesCount64(al)+2*bits.OnesCount64(ml)+bits.OnesCount64(bl)+1 {
+			out |= 1 << uint(r)
+		}
+	}
+	return out
+}
+
+// noteFault records the outcome class of lane r's slot-col delivery in
+// round k for the agreement check's scope: benign when invalid at every
+// receiver other than the sender, asymmetric when invalid at some of
+// them, malicious when valid with altered payload bytes.
+func (c *BatchDiagCluster) noteFault(k, r int, col uint, valid, untouched bool, blinded uint64) {
+	bit := uint64(1) << (uint(r*c.n) + col)
+	f := &c.invFaults[k%invWindow]
+	for i := range f {
+		f[i] &^= bit
+	}
+	others := c.laneAll &^ (1 << col)
+	switch bo := blinded & others; {
+	case !valid || bo == others:
+		f[0] |= bit
+	case bo != 0:
+		f[1] |= bit
+	case !untouched:
+		f[2] |= bit
+	}
 }
 
 // installViews folds node id's gang output into its lane views, for the
@@ -596,6 +711,9 @@ func (c *BatchDiagCluster) transmitSlot(k, s int) {
 				validLanes |= 1 << uint(r)
 				wireWord |= row.Op << uint(r*n)
 			}
+		}
+		if invariant.Enabled {
+			c.noteFault(k, r, col, d.Valid, untouched, blinded)
 		}
 		collided := c.dist[r].SenderCollision(&c.tx, false)
 		if collided {

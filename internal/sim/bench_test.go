@@ -63,3 +63,39 @@ func BenchmarkBatchClusterRun(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkLaneCheckpoint times the lane checkpoint of a warmed N = 4
+// gang: "capture" records lane 5 into a reused checkpoint, "restore"
+// writes it into lane 11, the two halves of a splitting level crossing and
+// trial start. Tracked in BENCH_splitting.json.
+func BenchmarkLaneCheckpoint(b *testing.B) {
+	bc, err := NewBatchDiagCluster(ClusterConfig{N: 4, PR: core.PRConfig{PenaltyThreshold: 7, RewardThreshold: 2}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for k := 0; k < 16; k++ {
+		if err := bc.Step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ck := bc.NewLaneCheckpoint()
+	if err := bc.CaptureLane(5, ck); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("n4_capture", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := bc.CaptureLane(5, ck); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("n4_restore", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := bc.RestoreLane(11, ck); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

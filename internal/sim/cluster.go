@@ -108,12 +108,6 @@ func NormalizeConfig(cfg ClusterConfig) (ClusterConfig, error) {
 	return cfg.withDefaults()
 }
 
-// NodeConfig derives node id's protocol configuration from a (normalized)
-// cluster configuration, for callers that wire an engine node by node.
-func NodeConfig(cfg ClusterConfig, id int) core.Config {
-	return cfg.nodeConfig(id)
-}
-
 // nodeConfig derives node id's protocol configuration from the cluster
 // configuration.
 func (c ClusterConfig) nodeConfig(id int) core.Config {

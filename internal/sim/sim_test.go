@@ -569,7 +569,7 @@ func TestNormalizeAndNodeConfigExports(t *testing.T) {
 	if cfg.N != 4 || len(cfg.Ls) != 4 {
 		t.Fatalf("normalized config %+v", cfg)
 	}
-	nc := NodeConfig(cfg, 2)
+	nc := cfg.nodeConfig(2)
 	if nc.ID != 2 || nc.N != 4 || !nc.SendCurrRound {
 		t.Fatalf("node config %+v", nc)
 	}

@@ -9,9 +9,9 @@ import (
 )
 
 // BenchmarkSplittingCampaign measures one full fixed-effort estimation at a
-// small but non-trivial shape (3 levels, 64 trials each) — the
-// checkpoint-restore hot loop the zero-copy path exists for. Tracked in
-// BENCH_splitting.json.
+// small but non-trivial shape (3 levels, 64 trials each): gang set-up, a
+// lane restore at every trial start and a lane capture at every level
+// crossing. Tracked in BENCH_splitting.json.
 func BenchmarkSplittingCampaign(b *testing.B) {
 	cfg := Config{
 		Cluster: sim.ClusterConfig{

@@ -10,24 +10,36 @@
 // The estimator is fixed effort (n trials per level): level 0 trials start
 // from a warmed-up fault-free cluster state; a trial succeeds when the
 // observer's penalty for the target reaches the level's threshold, at which
-// point the full cluster state is captured (core.Protocol.CopyFrom /
-// sim.ClusterCheckpoint — the zero-copy path, not the JSON codec) and
-// becomes an entry state for the next level. Level ℓ+1 trials restore entry
-// states round-robin and continue under fresh randomness until they either
-// reach the next threshold or regenerate (penalty back to zero — the
-// reward mechanism erased all progress, so the trajectory can no longer
-// reach the level without re-crossing the ones below). The product of the
-// per-level success fractions estimates the rare-event probability, with
-// first-order relative error and Wilson intervals from internal/stats.
+// point its cluster state is captured as an entry state for the next
+// level. Level ℓ+1 trials restore entry states round-robin and continue
+// under fresh randomness until they either reach the next threshold or
+// regenerate (penalty back to zero — the reward mechanism erased all
+// progress, so the trajectory can no longer reach the level without
+// re-crossing the ones below). The product of the per-level success
+// fractions estimates the rare-event probability, with first-order
+// relative error and Wilson intervals from internal/stats.
+//
+// Trials run in the lanes of a sim.BatchDiagCluster: each campaign worker
+// keeps one gang (16 lanes at N=4), warmed past the diagnosis lag, and
+// streams a batch of trials through it. A lane whose trial hits,
+// regenerates or runs out of rounds takes the batch's next trial at the
+// next round boundary: RestoreLane writes the trial's entry state into the
+// lane, and a level crossing is captured with CaptureLane into a
+// sim.LaneCheckpoint, the lane's share of the cluster state only. The
+// per-run trial body, which restores a whole-cluster checkpoint into a
+// per-run cluster, is kept in the tests as the oracle the gang must match
+// exactly (TestRunMatchesPerRun).
 //
 // Determinism contract: trials are scheduled on the internal/campaign pool
-// with index-addressed results; each trial's randomness is one named stream
+// in index-addressed batches; each trial's randomness is one named stream
 // ("<name>/L<level>/T<trial>") drawn through rng.Pool's reseed-in-place
-// reuse, and its fault process is a pure hash of (trial key, round) — so
-// every receiver of a slot sees the same verdict, a restored suffix replays
-// its prefix's faults exactly, and the estimate is bit-identical at any
-// worker count. Entry states are collected in trial-index order and shared
-// read-only across workers.
+// reuse, and its fault process is a pure hash of (trial key, round), where
+// the round is the trial's own, counted from the start of the run, not the
+// gang's — so every receiver of a slot sees the same verdict, a restored
+// suffix replays its prefix's faults exactly, and a trial's outcome does not
+// depend on its lane, its worker or the trials before it. The estimate is
+// bit-identical at any worker count. Entry states are collected in
+// trial-index order and shared read-only across workers.
 package splitting
 
 import (
@@ -61,7 +73,9 @@ type Config struct {
 	// StageRounds bounds each trial's round count; 0 defaults to 16.
 	StageRounds int
 	// WarmRounds is the fault-free run-in before the shared base state is
-	// captured; 0 defaults to the diagnosis lag + 2.
+	// captured; 0 defaults to the diagnosis lag + 2. A shorter run-in than
+	// the lag is rejected: the base state would still be warming up, which
+	// trials restored into a warm gang cannot reproduce.
 	WarmRounds int
 	// FaultProb is the per-round probability of a benign transient fault in
 	// Target's sending slot.
@@ -79,6 +93,9 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.StageRounds == 0 {
 		c.StageRounds = 16
+	}
+	if c.StageRounds < 0 {
+		return c, fmt.Errorf("splitting: %d stage rounds, need >= 1", c.StageRounds)
 	}
 	if c.Name == "" {
 		c.Name = "splitting"
@@ -147,11 +164,14 @@ type Result struct {
 // of the round, every receiver of the slot — and the sender's own collision
 // detector — sees the same verdict, and a restored clone replays the faults
 // its checkpoint prefix saw. Re-keying gives a clone fresh randomness
-// without any generator state to checkpoint.
+// without any generator state to checkpoint. Each gang lane carries its
+// own: off maps the gang's round onto the round the lane's trial is at, so
+// the hash sees exactly the rounds a trial run on its own would.
 type keyedTransient struct {
 	target tdma.NodeID
 	thresh uint64 // probability scaled to [0, 2^53]
 	key    uint64
+	off    int
 }
 
 func splitmix(x uint64) uint64 {
@@ -167,15 +187,23 @@ func (f *keyedTransient) hit(round int) bool {
 
 func (f *keyedTransient) predicate() fault.Predicate {
 	return fault.Predicate{Match: func(tx *tdma.Transmission) bool {
-		return tx.Sender == f.target && f.hit(tx.Round)
+		return tx.Sender == f.target && f.hit(tx.Round+f.off)
 	}}
 }
 
-// worker is one campaign worker's private simulation state.
-type worker struct {
-	cl    *sim.DiagCluster
-	pool  *rng.Pool
-	fault *keyedTransient
+// entry is a level-entry state: a lane checkpoint and the round its trial
+// had reached, counted from the start of the run.
+type entry struct {
+	ck    *sim.LaneCheckpoint
+	round int
+}
+
+// trialOut is one trial's result. entry is set iff the trial succeeded at
+// a non-final level (final-level successes need no entry state).
+type trialOut[E any] struct {
+	hit    bool
+	rounds int64
+	entry  E
 }
 
 // session carries the per-run state shared (read-only during a level's
@@ -184,80 +212,142 @@ type session struct {
 	cfg      Config
 	src      *rng.Source
 	observer int
-	entries  []*sim.ClusterCheckpoint
+	warm     int // gang run-in before the first restore: the diagnosis lag
 }
 
-func (s *session) newWorker() (*worker, error) {
-	cl, err := sim.NewReusableDiagnosticCluster(s.cfg.Cluster)
+// worker is one campaign worker's gang: every lane runs one trial at a
+// time, each under its own keyed fault process.
+type worker struct {
+	cl     *sim.BatchDiagCluster
+	pool   *rng.Pool
+	faults []*keyedTransient // per lane
+	trial  []int             // per lane: index into the batch, -1 idle
+}
+
+// newGang builds a full-width gang and runs it fault-free for `rounds`
+// rounds.
+func (s *session) newGang(rounds int) (*sim.BatchDiagCluster, error) {
+	cl, err := sim.NewBatchDiagCluster(s.cfg.Cluster)
 	if err != nil {
 		return nil, err
 	}
-	cl.Reset()
-	w := &worker{
-		cl:   cl,
-		pool: s.src.NewPool(),
-		fault: &keyedTransient{
-			target: tdma.NodeID(s.cfg.Target),
-			thresh: uint64(s.cfg.FaultProb * (1 << 53)),
-		},
+	for r := 0; r < rounds; r++ {
+		if err := cl.Step(); err != nil {
+			return nil, err
+		}
 	}
-	// Installed once; trials re-key it. Restore never clears disturbances.
-	cl.Eng.Bus().AddDisturbance(w.fault.predicate())
+	return cl, nil
+}
+
+// newWorker builds one worker's gang, warmed past the diagnosis lag so
+// that every restored lane reads its collision history from rounds the
+// gang has run. Faults are off until a lane takes its first trial.
+func (s *session) newWorker() (*worker, error) {
+	cl, err := s.newGang(s.warm)
+	if err != nil {
+		return nil, err
+	}
+	w := &worker{
+		cl:     cl,
+		pool:   s.src.NewPool(),
+		faults: make([]*keyedTransient, cl.Lanes()),
+		trial:  make([]int, cl.Lanes()),
+	}
+	for r := range w.faults {
+		f := &keyedTransient{target: tdma.NodeID(s.cfg.Target)}
+		w.faults[r] = f
+		cl.AddLaneDisturbance(r, f.predicate())
+	}
 	return w, nil
 }
 
 // importance is the level function: the observer's penalty count for the
-// target. It keeps its crossing value after isolation (no reward updates for
-// inactive nodes), so the top level PenaltyThreshold+1 is absorbing.
-func (s *session) importance(cl *sim.DiagCluster) int64 {
-	return cl.Runners[s.observer].Protocol().PenaltyReward().Penalty(s.cfg.Target)
+// target in one lane. It keeps its crossing value after isolation (no
+// reward updates for inactive nodes), so the top level PenaltyThreshold+1
+// is absorbing.
+func (s *session) importance(cl *sim.BatchDiagCluster, lane int) int64 {
+	return cl.Proto(s.observer).LanePenalty(lane, s.cfg.Target)
 }
 
-// trialOut is one trial's result. entry is non-nil iff the trial succeeded
-// at a non-final level (final-level successes need no entry state).
-type trialOut struct {
-	hit    bool
-	rounds int64
-	entry  *sim.ClusterCheckpoint
-}
-
-func (s *session) runTrial(w *worker, level, trial int) (trialOut, error) {
-	entry := s.entries[trial%len(s.entries)]
-	if err := entry.Restore(w.cl); err != nil {
-		return trialOut{}, err
+// load starts trial `trial` of the level in lane r: the lane is restored
+// from the trial's entry state and its fault process re-keyed from the
+// trial's stream.
+func (s *session) load(w *worker, r, level, trial int, entries []*entry) error {
+	e := entries[trial%len(entries)]
+	if err := w.cl.RestoreLane(r, e.ck); err != nil {
+		return err
 	}
 	w.pool.Recycle()
-	st := w.pool.Stream(fmt.Sprintf("%s/L%d/T%d", s.cfg.Name, level, trial))
-	w.fault.key = st.Uint64()
+	f := w.faults[r]
+	f.key = w.pool.Stream(fmt.Sprintf("%s/L%d/T%d", s.cfg.Name, level, trial)).Uint64()
+	f.thresh = uint64(s.cfg.FaultProb * (1 << 53))
+	f.off = e.round - w.cl.Round()
+	return nil
+}
+
+// runBatch runs trials base..base+len(out)-1 of a level through the
+// worker's gang. A lane whose trial hits, regenerates or exhausts
+// StageRounds takes the batch's next trial at the next round boundary; a
+// trial's result depends on its index alone, never on its lane or on the
+// trials before it.
+func (s *session) runBatch(w *worker, level, base int, entries []*entry, out []trialOut[*entry]) error {
 	threshold := s.cfg.Levels[level]
-	var out trialOut
-	for r := 0; r < s.cfg.StageRounds; r++ {
-		if err := w.cl.Eng.RunRound(); err != nil {
-			return trialOut{}, err
+	final := level == len(s.cfg.Levels)-1
+	next, busy := 0, 0
+	// take gives lane r the batch's next trial, or leaves it idle.
+	take := func(r int) error {
+		w.trial[r] = -1
+		if next == len(out) {
+			return nil
 		}
-		out.rounds++
-		imp := s.importance(w.cl)
-		if imp >= threshold {
-			out.hit = true
-			if level < len(s.cfg.Levels)-1 {
-				ck, err := sim.NewClusterCheckpoint(w.cl)
-				if err != nil {
-					return trialOut{}, err
-				}
-				if err := ck.Capture(w.cl); err != nil {
-					return trialOut{}, err
-				}
-				out.entry = ck
-			}
-			return out, nil
+		if err := s.load(w, r, level, base+next, entries); err != nil {
+			return err
 		}
-		if level > 0 && imp == 0 {
-			// Regenerated: the reward mechanism cleared every counter, so
-			// the trajectory is back below level 0's threshold.
-			return out, nil
+		w.trial[r] = next
+		next++
+		busy++
+		return nil
+	}
+	for r := range w.trial {
+		if err := take(r); err != nil {
+			return err
 		}
 	}
-	return out, nil
+	for busy > 0 {
+		if err := w.cl.Step(); err != nil {
+			return err
+		}
+		for r, i := range w.trial {
+			if i < 0 {
+				continue
+			}
+			o := &out[i]
+			o.rounds++
+			imp := s.importance(w.cl, r)
+			switch {
+			case imp >= threshold:
+				o.hit = true
+				if !final {
+					ck := w.cl.NewLaneCheckpoint()
+					if err := w.cl.CaptureLane(r, ck); err != nil {
+						return err
+					}
+					o.entry = &entry{ck: ck, round: w.cl.Round() + w.faults[r].off}
+				}
+			case level > 0 && imp == 0:
+				// Regenerated: the reward mechanism cleared every
+				// counter, so the trajectory is back below level 0's
+				// threshold.
+			case o.rounds < int64(s.cfg.StageRounds):
+				continue
+			}
+			busy--
+			if err := take(r); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // Run executes the splitting estimation. The estimate is a pure function of
@@ -267,62 +357,83 @@ func Run(cfg Config, src *rng.Source) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	boot, err := sim.NewReusableDiagnosticCluster(cfg.Cluster)
+	s := &session{cfg: cfg, src: src}
+	boot, err := s.newGang(0)
 	if err != nil {
 		return nil, err
 	}
-	norm := boot.Config()
-	if cfg.Target < 1 || cfg.Target > norm.N {
-		return nil, fmt.Errorf("splitting: target %d outside 1..%d", cfg.Target, norm.N)
+	n := boot.Config().N
+	if cfg.Target < 1 || cfg.Target > n {
+		return nil, fmt.Errorf("splitting: target %d outside 1..%d", cfg.Target, n)
 	}
-	observer := 1
-	if cfg.Target == 1 {
-		observer = 2
+	s.observer = observerOf(cfg.Target)
+	for id := 1; id <= n; id++ {
+		s.warm = max(s.warm, boot.Proto(id).Config().Lag())
 	}
 	warm := cfg.WarmRounds
 	if warm == 0 {
-		warm = boot.Runners[observer].Protocol().Config().Lag() + 2
+		warm = boot.Proto(s.observer).Config().Lag() + 2
 	}
+	if warm < s.warm {
+		return nil, fmt.Errorf("splitting: warm-up of %d rounds is shorter than the diagnosis lag %d", warm, s.warm)
+	}
+	for r := 0; r < warm; r++ {
+		if err := boot.Step(); err != nil {
+			return nil, err
+		}
+	}
+	base := &entry{ck: boot.NewLaneCheckpoint(), round: warm}
+	if err := boot.CaptureLane(0, base.ck); err != nil {
+		return nil, err
+	}
+	batch := trialsPerLane * boot.Lanes()
+	return estimate(cfg, n, warm, base, func(level int, entries []*entry) ([]trialOut[*entry], error) {
+		return campaign.RunBatchedWith(campaign.Options{Workers: cfg.Workers}, cfg.Effort, batch, s.newWorker,
+			func(w *worker, base, _ int, out []trialOut[*entry]) error {
+				return s.runBatch(w, level, base, entries, out)
+			})
+	})
+}
 
-	res := &Result{}
-	boot.Reset()
-	if err := boot.Eng.RunRounds(warm); err != nil {
-		return nil, err
-	}
-	base, err := sim.NewClusterCheckpoint(boot)
-	if err != nil {
-		return nil, err
-	}
-	if err := base.Capture(boot); err != nil {
-		return nil, err
-	}
-	res.Rounds += int64(warm)
-	res.Captures = 1
+// trialsPerLane sizes a worker's batch of trials: a batch ends with lanes
+// idling until its last trials finish, so a batch of many trials per lane
+// keeps that tail small.
+const trialsPerLane = 64
 
-	s := &session{cfg: cfg, src: src, observer: observer,
-		entries: []*sim.ClusterCheckpoint{base}}
+// observerOf returns the node whose penalty counter for target is the
+// importance function: the lowest-numbered node other than target.
+func observerOf(target int) int {
+	if target == 1 {
+		return 2
+	}
+	return 1
+}
+
+// estimate runs the fixed-effort levels from one base entry state and
+// assembles the Result; warm is the run-in the base state took. runLevel
+// runs one level's Effort trials from the given entry states and returns
+// their results by trial index: on the gang in production, on the per-run
+// cluster in the tests' oracle.
+func estimate[E any](cfg Config, n, warm int, base E, runLevel func(level int, entries []E) ([]trialOut[E], error)) (*Result, error) {
+	res := &Result{Rounds: int64(warm), Captures: 1}
+	entries := []E{base}
 	successes := make([]int64, 0, len(cfg.Levels))
 	trials := make([]int64, 0, len(cfg.Levels))
 	for level := range cfg.Levels {
-		lvl := level
-		outs, err := campaign.RunPooledWith(
-			campaign.Options{Workers: cfg.Workers},
-			cfg.Effort,
-			s.newWorker,
-			func(w *worker, trial int) (trialOut, error) { return s.runTrial(w, lvl, trial) },
-		)
+		outs, err := runLevel(level, entries)
 		if err != nil {
 			return nil, err
 		}
 		lr := LevelResult{Threshold: cfg.Levels[level], Trials: cfg.Effort}
-		next := make([]*sim.ClusterCheckpoint, 0, len(outs))
+		final := level == len(cfg.Levels)-1
+		next := make([]E, 0, len(outs))
 		for _, out := range outs {
 			lr.Rounds += out.rounds
 			if out.hit {
 				lr.Hits++
-			}
-			if out.entry != nil {
-				next = append(next, out.entry)
+				if !final {
+					next = append(next, out.entry)
+				}
 			}
 		}
 		lr.P = float64(lr.Hits) / float64(lr.Trials)
@@ -337,8 +448,8 @@ func Run(cfg Config, src *rng.Source) (*Result, error) {
 		if lr.Hits == 0 {
 			break // later levels are unreachable from zero entry states
 		}
-		if level < len(cfg.Levels)-1 {
-			s.entries = next
+		if !final {
+			entries = next
 		}
 	}
 
@@ -350,7 +461,7 @@ func Run(cfg Config, src *rng.Source) (*Result, error) {
 		res.P = 0 // stopped early on a dry level
 	}
 	res.RelErr = stats.RelativeErrorProduct(successes, trials)
-	res.NodeRounds = res.Rounds * int64(norm.N)
+	res.NodeRounds = res.Rounds * int64(n)
 	switch {
 	case res.P <= 0:
 		res.NaiveTrials, res.NaiveRounds = math.Inf(1), math.Inf(1)

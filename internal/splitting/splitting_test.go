@@ -64,34 +64,9 @@ func directStaged(t *testing.T, cfg Config, src *rng.Source, trials int) float64
 	if err != nil {
 		t.Fatal(err)
 	}
-	boot, err := sim.NewReusableDiagnosticCluster(cfg.Cluster)
-	if err != nil {
-		t.Fatal(err)
-	}
-	boot.Reset()
-	observer := 1
-	if cfg.Target == 1 {
-		observer = 2
-	}
-	warm := cfg.WarmRounds
-	if warm == 0 {
-		warm = boot.Runners[observer].Protocol().Config().Lag() + 2
-	}
-	if err := boot.Eng.RunRounds(warm); err != nil {
-		t.Fatal(err)
-	}
-	base, err := sim.NewClusterCheckpoint(boot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := base.Capture(boot); err != nil {
-		t.Fatal(err)
-	}
-	s := &session{cfg: cfg, src: src, observer: observer}
-	w, err := s.newWorker()
-	if err != nil {
-		t.Fatal(err)
-	}
+	base, _, _ := perRunBase(t, cfg)
+	w := newPerRunWorker(t, cfg, src)
+	observer := observerOf(cfg.Target)
 	hits := 0
 trialLoop:
 	for trial := 0; trial < trials; trial++ {
@@ -110,7 +85,7 @@ trialLoop:
 				t.Fatal(err)
 			}
 			window++
-			imp := s.importance(w.cl)
+			imp := perRunImportance(w.cl, observer, cfg.Target)
 			if imp >= cfg.Levels[stage] {
 				stage++
 				window = 0
@@ -246,6 +221,8 @@ func TestConfigValidation(t *testing.T) {
 		{"zero level", func(c *Config) { c.Levels = []int64{0, 1} }},
 		{"bad probability", func(c *Config) { c.FaultProb = 1.5 }},
 		{"bad target", func(c *Config) { c.Target = 9 }},
+		{"negative stage rounds", func(c *Config) { c.StageRounds = -1 }},
+		{"warm-up shorter than the lag", func(c *Config) { c.WarmRounds = 2 }},
 	} {
 		cfg := testConfig()
 		tc.mutate(&cfg)

@@ -8,8 +8,8 @@
 # shared instruments and Step with the causal flight recorder on/off) in
 # BENCH_metrics.json,
 # the hierarchical fleet campaign in BENCH_fleet.json and the rare-event
-# splitting estimation
-# (checkpoint-restore hot loop) in BENCH_splitting.json, so the bench
+# splitting estimation with the lane checkpoint it refills gang lanes from
+# in BENCH_splitting.json, so the bench
 # trajectory of the repository can be tracked across commits. Usage:
 #
 #   scripts/bench.sh                 # 5 samples per benchmark (default)
@@ -78,8 +78,10 @@ go test -run '^$' \
 fold_json < "$raw" > BENCH_fleet.json
 echo "wrote BENCH_fleet.json"
 
+# BenchmarkLaneCheckpoint is the capture and the restore of one N = 4 gang
+# lane, the primitives a splitting level crossing and trial start cost.
 go test -run '^$' \
-    -bench 'BenchmarkSplittingCampaign' \
-    -benchmem -count="$COUNT" ./internal/splitting/ | tee "$raw"
+    -bench 'BenchmarkSplittingCampaign|BenchmarkLaneCheckpoint' \
+    -benchmem -count="$COUNT" ./internal/splitting/ ./internal/sim/ | tee "$raw"
 fold_json < "$raw" > BENCH_splitting.json
 echo "wrote BENCH_splitting.json"
