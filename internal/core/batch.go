@@ -151,6 +151,7 @@ type BatchProtocol struct {
 	// capLanes is the lane capacity the counters were allocated for.
 	capLanes int
 	steps    int
+	lag      int // cfg.Lag(), cached by Reset
 
 	// Lane-replicated masks, rebuilt by Reset: laneRep has bit r·N set for
 	// every live lane (the multiplicative lane replicator), allB covers every
@@ -267,6 +268,7 @@ func (p *BatchProtocol) Reset(lanes int) {
 	}
 	n := p.n
 	p.lanes = lanes
+	p.lag = p.cfg.Lag()
 	p.laneAll = PlaneMask(n)
 	p.laneRep = 0
 	for r := 0; r < lanes; r++ {
@@ -343,15 +345,28 @@ func (p *BatchProtocol) ownRowB() BitSyndrome {
 //
 //ttdiag:noretain params
 func (p *BatchProtocol) StepBatch(in BatchRoundInput) (BatchRoundOutput, error) {
+	var out BatchRoundOutput
+	if err := p.StepBatchInto(&in, &out); err != nil {
+		return BatchRoundOutput{}, err
+	}
+	return out, nil
+}
+
+// StepBatchInto is StepBatch through pointers: it reads the round's input
+// from in and writes the gang output into out, sparing a caller that steps
+// every round the copies of both structs. Neither is retained. On error
+// out is left as it was.
+//
+//ttdiag:noretain params
+func (p *BatchProtocol) StepBatchInto(in *BatchRoundInput, out *BatchRoundOutput) error {
 	if want := p.cfg.StartRound + p.steps; in.Round != want {
-		return BatchRoundOutput{}, fmt.Errorf("core: node %d: StepBatch round %d, want %d", p.cfg.ID, in.Round, want)
+		return fmt.Errorf("core: node %d: StepBatch round %d, want %d", p.cfg.ID, in.Round, want)
 	}
 	if len(in.Rows) != p.n+1 {
-		return BatchRoundOutput{}, fmt.Errorf("core: node %d: Rows has %d entries, want %d", p.cfg.ID, len(in.Rows), p.n+1)
+		return fmt.Errorf("core: node %d: Rows has %d entries, want %d", p.cfg.ID, len(in.Rows), p.n+1)
 	}
-	var out BatchRoundOutput
-	p.step(&in, &out)
-	return out, nil
+	p.step(in, out)
+	return nil
 }
 
 // step is StepBatch on a validated input, writing its result into out and
@@ -394,7 +409,7 @@ func (p *BatchProtocol) step(in *BatchRoundInput, out *BatchRoundOutput) {
 	// Phase 4 — analysis (Alg. 1 lines 11-14). In membership mode this runs
 	// before dissemination so that minority accusations can be added to the
 	// outgoing syndrome; in diagnostic mode the ordering is unobservable.
-	lag := p.cfg.Lag()
+	lag := p.lag
 	warm := p.steps >= lag
 	var diagRound int
 	var quiet bool // warm with a quiet matrix, so the vote is skipped

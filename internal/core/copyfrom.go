@@ -51,6 +51,7 @@ func (p *BatchProtocol) CopyFrom(src *BatchProtocol) error {
 	p.cfg = src.cfg
 	p.lanes = src.lanes
 	p.steps = src.steps
+	p.lag = src.lag
 	p.laneRep, p.allB, p.selfB, p.lowB, p.laneAll = src.laneRep, src.allB, src.selfB, src.lowB, src.laneAll
 
 	// Only the buffer the next step will read carries live state; the other

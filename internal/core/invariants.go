@@ -22,7 +22,7 @@ import (
 // condition so the arguments are boxed only on a violation and the gang
 // keeps its zero-allocation steady state under the tag.
 func (p *BatchProtocol) checkStepInvariants(out *BatchRoundOutput) {
-	id, n, lag := p.cfg.ID, p.n, p.cfg.Lag()
+	id, n, lag := p.cfg.ID, p.n, p.lag
 	if warm := p.steps >= lag; out.Warm != warm ||
 		warm && out.DiagnosedRound != out.Round-lag || !warm && out.DiagnosedRound != -1 {
 		invariant.Checkf(false, "core: node %d round %d: diagnosed round %d violates the lag of Lemma 1 (want %d once warm)",

@@ -35,7 +35,10 @@ type Train struct {
 	bursts []Burst // kept sorted by Start
 }
 
-var _ tdma.Disturbance = (*Train)(nil)
+var (
+	_ tdma.Disturbance = (*Train)(nil)
+	_ tdma.Quieter     = (*Train)(nil)
+)
 
 // NewTrain builds a train from the given bursts. Bursts are sorted and
 // overlapping or touching bursts are merged, so the train's intervals are
@@ -65,9 +68,27 @@ func (t *Train) Bursts() []Burst { return append([]Burst(nil), t.bursts...) }
 
 // Hits reports whether any burst overlaps [start, end).
 func (t *Train) Hits(start, end time.Duration) bool {
-	// Binary search for the first burst that could overlap.
-	i := sort.Search(len(t.bursts), func(i int) bool { return t.bursts[i].End() > start })
+	i := t.next(start)
 	return i < len(t.bursts) && t.bursts[i].Overlaps(start, end)
+}
+
+// next returns the index of the first burst that ends after start: the
+// only one that can overlap a window starting there (a binary search).
+func (t *Train) next(start time.Duration) int {
+	return sort.Search(len(t.bursts), func(i int) bool { return t.bursts[i].End() > start })
+}
+
+// QuietUntil implements tdma.Quieter: a transmission clear of every burst
+// leaves the sender untouched until the next burst starts.
+func (t *Train) QuietUntil(tx *tdma.Transmission) tdma.Wake {
+	i := t.next(tx.Start)
+	switch {
+	case i == len(t.bursts):
+		return tdma.WakeNever
+	case t.bursts[i].Start < tx.End:
+		return tdma.Wake{}
+	}
+	return tdma.Wake{Round: tdma.WakeNever.Round, At: t.bursts[i].Start}
 }
 
 // Deliver implements tdma.Disturbance: transmissions overlapping a burst are

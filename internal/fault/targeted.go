@@ -29,7 +29,10 @@ type MaliciousSyndrome struct {
 	cacheSet              bool
 }
 
-var _ tdma.Disturbance = (*MaliciousSyndrome)(nil)
+var (
+	_ tdma.Disturbance = (*MaliciousSyndrome)(nil)
+	_ tdma.Quieter     = (*MaliciousSyndrome)(nil)
+)
 
 // NewMaliciousSyndrome builds the disturbance with its own random stream.
 func NewMaliciousSyndrome(node tdma.NodeID, stream *rng.Stream) *MaliciousSyndrome {
@@ -59,6 +62,25 @@ func (m *MaliciousSyndrome) Deliver(tx *tdma.Transmission, _ tdma.NodeID, d tdma
 	return d
 }
 
+// QuietUntil implements tdma.Quieter: other senders are never touched,
+// Node until FromRound and from ToRound on.
+func (m *MaliciousSyndrome) QuietUntil(tx *tdma.Transmission) tdma.Wake {
+	return windowWake(tx, tx.Sender == m.Node, m.FromRound, m.ToRound)
+}
+
+// windowWake answers tdma.Quieter for a disturbance that touches tx.Sender
+// (when sender holds) in the rounds [from, to) only, to <= 0 meaning
+// "forever".
+func windowWake(tx *tdma.Transmission, sender bool, from, to int) tdma.Wake {
+	switch {
+	case !sender || (to > 0 && tx.Round >= to):
+		return tdma.WakeNever
+	case tx.Round < from:
+		return tdma.Wake{Round: from, At: tdma.WakeNever.At}
+	}
+	return tdma.Wake{}
+}
+
 // SenderCollision implements tdma.Disturbance: malicious content does not
 // trip local detection anywhere, including at the sender.
 func (m *MaliciousSyndrome) SenderCollision(_ *tdma.Transmission, collided bool) bool {
@@ -84,6 +106,7 @@ type ReceiverBlind struct {
 var (
 	_ tdma.Disturbance = ReceiverBlind{}
 	_ tdma.Blinder     = ReceiverBlind{}
+	_ tdma.Quieter     = ReceiverBlind{}
 )
 
 func (rb ReceiverBlind) matches(tx *tdma.Transmission, rcv tdma.NodeID) bool {
@@ -93,15 +116,26 @@ func (rb ReceiverBlind) matches(tx *tdma.Transmission, rcv tdma.NodeID) bool {
 	if tx.Round < rb.FromRound || (rb.ToRound > 0 && tx.Round >= rb.ToRound) {
 		return false
 	}
+	return rb.blinds(tx.Sender)
+}
+
+// blinds reports whether the fault's sender set holds sender.
+func (rb ReceiverBlind) blinds(sender tdma.NodeID) bool {
 	if len(rb.Senders) == 0 {
 		return true
 	}
 	for _, s := range rb.Senders {
-		if tx.Sender == s {
+		if sender == s {
 			return true
 		}
 	}
 	return false
+}
+
+// QuietUntil implements tdma.Quieter: senders outside the fault's set are
+// never touched, the others until FromRound and from ToRound on.
+func (rb ReceiverBlind) QuietUntil(tx *tdma.Transmission) tdma.Wake {
+	return windowWake(tx, tx.Sender != rb.Receiver && rb.blinds(tx.Sender), rb.FromRound, rb.ToRound)
 }
 
 // Deliver implements tdma.Disturbance.
@@ -145,10 +179,17 @@ type SOS struct {
 var (
 	_ tdma.Disturbance = SOS{}
 	_ tdma.Blinder     = SOS{}
+	_ tdma.Quieter     = SOS{}
 )
 
 func (s SOS) active(tx *tdma.Transmission) bool {
 	return tx.Sender == s.Sender && tx.Round >= s.FromRound && (s.ToRound <= 0 || tx.Round < s.ToRound)
+}
+
+// QuietUntil implements tdma.Quieter: other senders are never touched,
+// Sender until FromRound and from ToRound on.
+func (s SOS) QuietUntil(tx *tdma.Transmission) tdma.Wake {
+	return windowWake(tx, tx.Sender == s.Sender, s.FromRound, s.ToRound)
 }
 
 // Deliver implements tdma.Disturbance.

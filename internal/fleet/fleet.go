@@ -273,8 +273,10 @@ func (w *shardWorker) cluster(size int) (*sim.BatchDiagCluster, error) {
 // publish records the ShardSummary every shard's gateway (node 1 of its
 // lane) publishes each round: how many nodes the shard's penalty/reward
 // state has isolated and how many entries of the latest consistent health
-// vector are faulty.
-func (w *shardWorker) publish(id int, out core.BatchRoundOutput) {
+// vector are faulty. out is the cluster's scratch: only counts are kept.
+//
+//ttdiag:noretain params
+func (w *shardWorker) publish(id int, out *core.BatchRoundOutput) {
 	if id != 1 || out.Round < 0 || out.Round >= w.c.cfg.Rounds {
 		return
 	}

@@ -11,7 +11,6 @@ package rng
 
 import (
 	"encoding/binary"
-	"hash/fnv"
 	"math"
 	"math/rand"
 )
@@ -38,18 +37,24 @@ func (s *Source) Stream(name string) *Stream {
 // mix derives the stream seed for a name. The hash of the name is mixed with
 // the master seed so that distinct seeds produce unrelated streams even for
 // equal names.
-func (s *Source) mix(name string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(name))
-	return h.Sum64() ^ (s.seed * 0x9e3779b97f4a7c15)
+func (s *Source) mix(name string) uint64 { return mixName(s, name) }
+
+// mixName is mix for a name held in a string or a byte slice: the 64-bit
+// FNV-1a hash of its bytes, mixed with the master seed.
+func mixName[T string | []byte](s *Source, name T) uint64 {
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(name); i++ {
+		h ^= uint64(name[i])
+		h *= fnvPrime64
+	}
+	return h ^ (s.seed * 0x9e3779b97f4a7c15)
 }
 
-// Reseed repositions st at the starting point of the named stream derived
-// from this source, reusing st's generator state. The repositioned stream is
-// draw-for-draw identical to a fresh Stream(name).
-func (s *Source) Reseed(st *Stream, name string) {
-	st.r.Seed(int64(s.mix(name)))
-}
+// The 64-bit FNV-1a parameters (hash/fnv's New64a).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
 
 // Pool recycles stream state across the repetitions executed by one campaign
 // worker: math/rand's generator state is ~5 KB, so deriving fresh named
@@ -68,14 +73,22 @@ func (s *Source) NewPool() *Pool { return &Pool{src: s} }
 
 // Stream returns the named stream, reusing a recycled generator state when
 // one is available.
-func (p *Pool) Stream(name string) *Stream {
+func (p *Pool) Stream(name string) *Stream { return p.stream(p.src.mix(name)) }
+
+// StreamBytes is Stream for a name held in a byte slice, which it does not
+// retain: it returns the stream Stream(string(name)) would, without
+// building the string.
+func (p *Pool) StreamBytes(name []byte) *Stream { return p.stream(mixName(p.src, name)) }
+
+// stream hands out the pool's next stream, positioned at the given seed.
+func (p *Pool) stream(seed uint64) *Stream {
 	if p.next < len(p.streams) {
 		st := p.streams[p.next]
 		p.next++
-		p.src.Reseed(st, name)
+		st.r.Seed(int64(seed))
 		return st
 	}
-	st := p.src.Stream(name)
+	st := &Stream{r: rand.New(newFastSource(int64(seed)))}
 	p.streams = append(p.streams, st)
 	p.next++
 	return st

@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -196,5 +197,45 @@ func TestInt63nRange(t *testing.T) {
 		if v := st.Int63n(7); v < 0 || v >= 7 {
 			t.Fatalf("Int63n out of range: %d", v)
 		}
+	}
+}
+
+// TestStreamBytesMatchesStream pins the byte-slice stream names to the
+// string ones, fresh and recycled, and the name hash to hash/fnv's FNV-1a
+// that named every stream before.
+func TestStreamBytesMatchesStream(t *testing.T) {
+	src := NewSource(2007)
+	names := []string{"", "rare-event/L0/T0", "rare-event/L7/T139999", "scale/N64-a1-s2-b3/run-12/mal-1", "\xff\x00é"}
+	for _, name := range names {
+		h := fnv.New64a()
+		h.Write([]byte(name))
+		if got, want := src.mix(name), h.Sum64()^(src.seed*0x9e3779b97f4a7c15); got != want {
+			t.Fatalf("mix(%q) = %#x, want %#x", name, got, want)
+		}
+	}
+	bytesPool, strPool := src.NewPool(), src.NewPool()
+	for round := 0; round < 3; round++ {
+		bytesPool.Recycle()
+		strPool.Recycle()
+		for _, name := range names {
+			got, want := bytesPool.StreamBytes([]byte(name)), strPool.Stream(name)
+			for k := 0; k < 100; k++ {
+				if g, w := got.Uint64(), want.Uint64(); g != w {
+					t.Fatalf("round %d, %q draw %d: StreamBytes %#x, Stream %#x", round, name, k, g, w)
+				}
+			}
+		}
+	}
+}
+
+func TestStreamBytesAllocs(t *testing.T) {
+	pool := NewSource(1).NewPool()
+	name := []byte("rare-event/L3/T12")
+	pool.StreamBytes(name)
+	if allocs := testing.AllocsPerRun(100, func() {
+		pool.Recycle()
+		pool.StreamBytes(name).Uint64()
+	}); allocs != 0 {
+		t.Fatalf("StreamBytes on a recycled pool allocates %.1f times, want 0", allocs)
 	}
 }

@@ -15,6 +15,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"ttdiag/internal/core"
@@ -106,6 +107,22 @@ type BatchDiagCluster struct {
 	dist    []tdma.Disturbances // per lane
 	horizon []int               // per lane: rounds to record (run length)
 
+	// wake[s·max+r] is the first round whose slot-s transmission lane r's
+	// chain may touch (tdma.Quieter): in every earlier round the lane's
+	// slot s is quiet and folds in without running the chain. Zero means
+	// "ask at the next transmission". wakeMin[s] is the least wake of
+	// slot s over the live lanes, so a slot every lane is quiet in costs
+	// one compare. loudLanes (bit r) marks the lanes whose chain has no
+	// answer: they are never quiet and never ask.
+	wake      []int
+	wakeMin   []int // 1-based by sender
+	loudLanes uint64
+
+	// jobIn and jobOut are runJob's StepBatch input and output, reused
+	// every job instead of copied through the call.
+	jobIn  core.BatchRoundInput
+	jobOut core.BatchRoundOutput
+
 	truth    [][]tdma.OutcomeClass // per lane, flat rows of N+1
 	cols     []*Collector          // per lane
 	finalPen [][]int64             // per lane, flat observer·(N+1)+j
@@ -136,8 +153,10 @@ type BatchDiagCluster struct {
 	// OnOutput, when set, observes every diagnostic job's gang output
 	// (node id, all lanes), after the lane collectors recorded it. It is
 	// the lane-packed counterpart of DiagRunner.OnOutput and survives
-	// ResetBatch.
-	OnOutput func(id int, out core.BatchRoundOutput)
+	// ResetBatch. out is cluster-owned scratch, overwritten by the next
+	// job: an observer copies what it keeps and is annotated
+	// //ttdiag:noretain params.
+	OnOutput func(id int, out *core.BatchRoundOutput)
 }
 
 // NewBatchDiagCluster builds a lane-packed cluster with capacity for
@@ -208,8 +227,12 @@ func NewBatchDiagCluster(cfg ClusterConfig) (*BatchDiagCluster, error) {
 			c.views[id] = membership.NewViews(norm.N, maxLanes)
 		}
 	}
+	c.tx.Payload = c.payload
+	wakes := make([]int, (norm.N+1)*(maxLanes+1))
+	c.wake, c.wakeMin = wakes[:(norm.N+1)*maxLanes], wakes[(norm.N+1)*maxLanes:]
 	c.jobs = make([]int, 0, norm.N)
 	c.orderJobs()
+	c.jobIn.Rows = c.rows
 	for r := 0; r < maxLanes; r++ {
 		c.cols[r] = NewCollector()
 		c.finalPen[r] = make([]int64, (norm.N+1)*(norm.N+1))
@@ -285,6 +308,9 @@ func (c *BatchDiagCluster) ResetBatch(lanes int) error {
 	c.presentB = 0
 	c.healthyRows = 0
 	c.blindLanes = 0
+	c.loudLanes = 0
+	clear(c.wake)
+	clear(c.wakeMin)
 	for i := range c.collSeen {
 		c.collSeen[i] = false
 	}
@@ -344,10 +370,34 @@ func (c *BatchDiagCluster) ResetLs(ls []int) error {
 // used instead of Deliver. A composite chain (tdma.Disturbances,
 // fault.RedundantChannels) counts as one opaque disturbance and must be
 // receiver-uniform as a whole.
+//
+// A lane whose every disturbance is a tdma.Quieter skips its chain on the
+// slots the chain says it leaves untouched: the transmission is folded in
+// as a clean delivery, so the Quieter contract — Deliver and
+// SenderCollision return their input, Blinded returns 0, no state
+// changes — must hold on every transmission the answer covers. The lane
+// asks again once a transmission runs past the answer, and after
+// ResetBatch, AddLaneDisturbance or RestoreLane; a caller that changes a
+// disturbance's behaviour in between must re-add or restore the lane. One
+// disturbance that is not a Quieter (fault.Predicate, fault.RandomNoise)
+// makes the lane run its chain on every slot, as before.
 func (c *BatchDiagCluster) AddLaneDisturbance(lane int, d tdma.Disturbance) {
 	c.dist[lane] = append(c.dist[lane], d)
 	if _, ok := d.(tdma.Blinder); ok {
 		c.blindLanes |= 1 << uint(lane)
+	}
+	if !tdma.Quiets(d) {
+		c.loudLanes |= 1 << uint(lane)
+	}
+	c.resetWake(lane)
+}
+
+// resetWake makes lane ask its chain again at its next transmission of
+// every slot.
+func (c *BatchDiagCluster) resetWake(lane int) {
+	for s := 1; s <= c.n; s++ {
+		c.wake[s*c.max+lane] = 0
+		c.wakeMin[s] = 0
 	}
 }
 
@@ -463,8 +513,11 @@ func (c *BatchDiagCluster) Step() error {
 			}
 		}
 		if k < c.horizon[r] {
-			for i := 0; i < w; i++ {
-				c.truth[r] = append(c.truth[r], 0)
+			// A slot's truth starts as what a quiet transmission
+			// records; transmitSlot overwrites the other slots.
+			c.truth[r] = append(c.truth[r], 0)
+			for i := 1; i < w; i++ {
+				c.truth[r] = append(c.truth[r], tdma.OutcomeCorrect)
 			}
 		}
 	}
@@ -525,19 +578,17 @@ func (c *BatchDiagCluster) runJob(k, id int) error {
 			collF = c.collMask[i]
 		}
 	}
-	out, err := c.protos[id].StepBatch(core.BatchRoundInput{
-		Round:           k,
-		Rows:            c.rows,
-		Present:         present,
-		Validity:        core.BitSyndrome{Op: present, Known: c.allB},
-		CollisionFaulty: collF,
-		HealthyRows:     c.healthyRows,
-	})
-	if err != nil {
+	in, out := &c.jobIn, &c.jobOut
+	in.Round = k
+	in.Present = present
+	in.Validity = core.BitSyndrome{Op: present, Known: c.allB}
+	in.CollisionFaulty = collF
+	in.HealthyRows = c.healthyRows
+	if err := c.protos[id].StepBatchInto(in, out); err != nil {
 		return fmt.Errorf("sim: node %d round %d: %w", id, k, err)
 	}
 	if invariant.Enabled && out.Warm {
-		c.checkAgreement(id, &out)
+		c.checkAgreement(id, out)
 	}
 	c.staged[id] = out.SendOp & out.SendKnown
 	if !c.observe {
@@ -559,7 +610,7 @@ func (c *BatchDiagCluster) runJob(k, id int) error {
 		col.addDecisions(id, out.Round, out.LaneIsolated(r, c.n), out.LaneReintegrated(r, c.n))
 	}
 	if c.views != nil {
-		c.installViews(id, &out, live)
+		c.installViews(id, out, live)
 	}
 	if c.OnOutput != nil {
 		c.OnOutput(id, out)
@@ -661,32 +712,54 @@ func (c *BatchDiagCluster) installViews(id int, out *core.BatchRoundOutput, live
 	}
 }
 
-// transmitSlot broadcasts node s's staged outbox in every lane: encode the
-// lane's wire word, run the lane's disturbance chain once (uniform
-// disturbances at representative receiver 1, blinders as receiver masks),
-// fold the delivery into the shared planes, the blind masks and the
-// sender's collision ring, and record the lane's ground truth.
+// transmitSlot broadcasts node s's staged outbox in every lane. The lanes
+// whose chain leaves the transmission untouched (quietLanes) fold in with
+// word operations: every receiver stores the staged word, valid, and the
+// sender reads it back. Every other lane encodes its wire word, runs its
+// disturbance chain once (uniform disturbances at representative
+// receiver 1, blinders as receiver masks) and folds the delivery into the
+// shared planes, the blind masks and the sender's collision ring. Each
+// lane records its ground truth.
 func (c *BatchDiagCluster) transmitSlot(k, s int) {
 	start, end := c.sched.SlotWindow(k, s)
 	n := c.n
 	encLen := len(c.payload)
 	// The transmission is lane-invariant (only the payload bytes differ, and
 	// those are re-encoded in place), and no Disturbance mutates it, so it is
-	// built once per slot rather than once per lane.
-	c.tx = tdma.Transmission{
-		Sender: tdma.NodeID(s), Round: k, Slot: s,
-		Start: start, End: end, Payload: c.payload,
-	}
+	// filled in once per slot rather than built once per lane.
+	tx := &c.tx // its Payload is c.payload for good
+	tx.Sender, tx.Round, tx.Slot, tx.Start, tx.End = tdma.NodeID(s), k, s, start, end
 	clean := tdma.Delivery{Valid: true, Payload: c.payload}
 	col := uint(s - 1)
+	colBits := c.laneRep << col // sender s's column in every live lane
 	if c.blindLanes != 0 {
-		colBits := c.laneRep << col
 		for i := 1; i <= n; i++ {
 			c.blind[i] &^= colBits
 		}
 	}
-	var wireWord, validLanes, collLanes uint64
-	for r := 0; r < c.lanes; r++ {
+	quiet, quietSegs := c.quietLanes(k, s)
+	if invariant.Enabled && quiet != 0 {
+		c.checkQuiet(k, s, quiet)
+	}
+	// A quiet lane's truth is the OutcomeCorrect its row starts with (see
+	// Step); only a flight recording needs each lane visited.
+	if c.events != nil {
+		for q := quiet; q != 0; q &= q - 1 {
+			if r := bits.TrailingZeros64(q); k < c.horizon[r] {
+				c.events[r].Record(trace.Event{
+					At: start, Round: k, Kind: trace.KindTransmit, Node: s,
+					Detail: tdma.OutcomeCorrect.String(),
+				})
+			}
+		}
+	}
+	// wireWord, validCol and collCol are lane-packed: the delivered words,
+	// and the valid and collided lanes at sender s's column.
+	wireWord, validCol := c.staged[s]&quietSegs, colBits&quietSegs
+	var collLanes, collCol uint64
+	for loud := (uint64(1)<<uint(c.lanes) - 1) &^ quiet; loud != 0; loud &= loud - 1 {
+		r := bits.TrailingZeros64(loud)
+		bit := uint64(1) << (uint(r*n) + col)
 		laneW := core.LaneView(c.staged[s], r, n)
 		core.BitSyndrome{Op: laneW, Known: c.laneAll}.EncodeInto(c.payload)
 		var d tdma.Delivery
@@ -696,7 +769,7 @@ func (c *BatchDiagCluster) transmitSlot(k, s int) {
 		} else {
 			d, blinded = c.deliverSelective(r, clean)
 			for m := blinded; m != 0; m &= m - 1 {
-				c.blind[bits.TrailingZeros64(m)+1] |= 1 << (uint(r*n) + col)
+				c.blind[bits.TrailingZeros64(m)+1] |= bit
 			}
 		}
 		untouched := false
@@ -705,10 +778,10 @@ func (c *BatchDiagCluster) transmitSlot(k, s int) {
 				// The chain passed the encoding through unaltered, so it
 				// decodes back to exactly the word we encoded — skip the
 				// wire-format parse on this clean-delivery fast path.
-				validLanes |= 1 << uint(r)
+				validCol |= bit
 				wireWord |= laneW << uint(r*n)
 			} else if row, err := core.BitSyndromeFromWire(d.Payload, n); err == nil {
-				validLanes |= 1 << uint(r)
+				validCol |= bit
 				wireWord |= row.Op << uint(r*n)
 			}
 		}
@@ -718,6 +791,7 @@ func (c *BatchDiagCluster) transmitSlot(k, s int) {
 		collided := c.dist[r].SenderCollision(&c.tx, false)
 		if collided {
 			collLanes |= 1 << uint(r)
+			collCol |= bit
 		}
 		if k < c.horizon[r] {
 			// Ground-truth classification over the non-sender receivers,
@@ -750,7 +824,7 @@ func (c *BatchDiagCluster) transmitSlot(k, s int) {
 			}
 		}
 	}
-	c.presentB = (c.presentB &^ (c.laneRep << col)) | expandColumn(validLanes, col, n)
+	c.presentB = c.presentB&^colBits | validCol
 	c.rows[s] = core.BitSyndrome{Op: wireWord, Known: c.allB}
 	c.healthyRows &^= 1 << col
 	if wireWord&c.allB == c.allB {
@@ -760,11 +834,79 @@ func (c *BatchDiagCluster) transmitSlot(k, s int) {
 	// message back, so the sender's stored copy of its own slot is
 	// invalidated (other receivers keep their deliveries), and the verdict
 	// enters the node's collision history for the Lemma 3 fallback.
-	c.ownClear[s] = expandColumn(collLanes, col, n)
+	c.ownClear[s] = collCol
 	i := s*collRing + k%collRing
 	c.collRound[i] = k
 	c.collMask[i] = collLanes
 	c.collSeen[i] = true
+}
+
+// quietLanes returns the live lanes (bit r) whose disturbance chain leaves
+// sender s's transmission of round k untouched, and those lanes' segments
+// of a lane-packed plane. A lane asks its chain (tdma.Quieter) only once
+// the transmission runs past the lane's wake; a loud lane never asks.
+func (c *BatchDiagCluster) quietLanes(k, s int) (quiet, segs uint64) {
+	if k < c.wakeMin[s] {
+		return uint64(1)<<uint(c.lanes) - 1, c.allB
+	}
+	wake := c.wake[s*c.max : s*c.max+c.lanes]
+	least := math.MaxInt
+	for r := range wake {
+		if k >= wake[r] && c.loudLanes>>uint(r)&1 == 0 {
+			wake[r] = c.wakeRound(c.dist[r].QuietUntil(&c.tx), s)
+		}
+		if k < wake[r] {
+			quiet |= 1 << uint(r)
+			segs |= c.laneAll << uint(r*c.n)
+		}
+		least = min(least, wake[r])
+	}
+	c.wakeMin[s] = least
+	return quiet, segs
+}
+
+// wakeRound returns the first round whose slot-s transmission w does not
+// cover: every earlier round is below w.Round, and its slot-s window ends
+// by w.At. The schedule is periodic, so slot s of round k ends k round
+// lengths after it ends in round 0.
+func (c *BatchDiagCluster) wakeRound(w tdma.Wake, s int) int {
+	_, end := c.sched.SlotWindow(0, s)
+	if w.At < end {
+		return 0
+	}
+	return min(w.Round, int((w.At-end)/c.sched.RoundLen())+1)
+}
+
+// checkQuiet runs the chain of every lane whose slot-s transmission of
+// round k quietLanes folded in (ttdiag_invariants builds only): the chain
+// must leave it untouched — valid with the encoded bytes, blinded at no
+// receiver, no sender collision. It also clears the lanes' fault history
+// for the slot, as noteFault does for a clean delivery.
+func (c *BatchDiagCluster) checkQuiet(k, s int, quiet uint64) {
+	n := c.n
+	col := uint(s - 1)
+	colBits := expandColumn(quiet, col, n)
+	f := &c.invFaults[k%invWindow]
+	for i := range f {
+		f[i] &^= colBits
+	}
+	clean := tdma.Delivery{Valid: true, Payload: c.payload}
+	for q := quiet; q != 0; q &= q - 1 {
+		r := bits.TrailingZeros64(q)
+		core.BitSyndrome{Op: core.LaneView(c.staged[s], r, n), Known: c.laneAll}.EncodeInto(c.payload)
+		var d tdma.Delivery
+		var blinded uint64
+		if c.blindLanes&(1<<uint(r)) == 0 {
+			d = c.dist[r].Deliver(&c.tx, 1, clean)
+		} else {
+			d, blinded = c.deliverSelective(r, clean)
+		}
+		collided := c.dist[r].SenderCollision(&c.tx, false)
+		if !d.Valid || !payloadEqual(d.Payload, c.payload) || blinded != 0 || collided {
+			invariant.Checkf(false, "sim: round %d slot %d lane %d: the disturbance chain claimed the transmission quiet but touched it (valid %v, blinded %#x, collision %v)",
+				k, s, r, d.Valid, blinded, collided)
+		}
+	}
 }
 
 // deliverSelective runs lane r's chain when it holds a tdma.Blinder: each

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ttdiag/internal/core"
+	"ttdiag/internal/tdma"
 )
 
 // expectPanic runs f and requires it to panic with a message containing
@@ -59,7 +60,7 @@ func TestBatchAgreementCheckPanics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bc.OnOutput = func(id int, _ core.BatchRoundOutput) {
+		bc.OnOutput = func(id int, _ *core.BatchRoundOutput) {
 			if id <= 2 {
 				bc.staged[id] &^= 1 << (6*4 + 2)
 			}
@@ -95,4 +96,71 @@ func TestBatchRestoreRecaptureMismatchPanics(t *testing.T) {
 	expectPanic(t, "restored lane 9 does not re-capture", func() {
 		_ = bc.RestoreLane(9, ck)
 	})
+}
+
+// lyingQuiet claims it never touches any sender but corrupts one
+// transmission the way its mode says: invalid, altered, blinded at one
+// receiver, or colliding at the sender.
+type lyingQuiet struct {
+	sender tdma.NodeID
+	round  int
+	mode   string
+}
+
+func (l lyingQuiet) hits(tx *tdma.Transmission) bool {
+	return tx.Sender == l.sender && tx.Round == l.round
+}
+
+func (l lyingQuiet) QuietUntil(*tdma.Transmission) tdma.Wake { return tdma.WakeNever }
+
+func (l lyingQuiet) Deliver(tx *tdma.Transmission, _ tdma.NodeID, d tdma.Delivery) tdma.Delivery {
+	switch {
+	case !l.hits(tx):
+	case l.mode == "invalid":
+		return tdma.Delivery{}
+	case l.mode == "altered":
+		d.Payload = append([]byte(nil), d.Payload...)
+		d.Payload[0] ^= 1
+	}
+	return d
+}
+
+func (l lyingQuiet) SenderCollision(tx *tdma.Transmission, collided bool) bool {
+	return collided || (l.mode == "collision" && l.hits(tx))
+}
+
+// lyingBlinder is lyingQuiet with a receiver mask.
+type lyingBlinder struct{ lyingQuiet }
+
+func (l lyingBlinder) Blinded(tx *tdma.Transmission) uint64 {
+	if l.hits(tx) {
+		return tdma.ReceiverBit(1)
+	}
+	return 0
+}
+
+// TestQuietClaimCheckPanics gives a lane a disturbance that claims every
+// slot quiet but touches one: the check that sends every quiet lane·slot
+// through the chain as well must stop the run, whichever way it touches.
+func TestQuietClaimCheckPanics(t *testing.T) {
+	for _, mode := range []string{"invalid", "altered", "collision", "blinded"} {
+		t.Run(mode, func(t *testing.T) {
+			bc, err := NewBatchDiagCluster(ClusterConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var d tdma.Disturbance = lyingQuiet{sender: 2, round: 5, mode: mode}
+			if mode == "blinded" {
+				d = lyingBlinder{lyingQuiet{sender: 2, round: 5, mode: mode}}
+			}
+			bc.AddLaneDisturbance(3, d)
+			expectPanic(t, "round 5 slot 2 lane 3: the disturbance chain claimed the transmission quiet", func() {
+				for k := 0; k < 8; k++ {
+					if err := bc.Step(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+		})
+	}
 }

@@ -129,7 +129,8 @@ func (c *BatchDiagCluster) CaptureLane(lane int, ck *LaneCheckpoint) error {
 // its start as the diagnosis lag (an earlier restore is an error), so that
 // the collision verdicts a job still reads land on rounds the gang has;
 // the lane's verdicts of older rounds are left stale, as no job reads them. The lane's disturbances and
-// horizon are left as they are. The HealthyRows hint is recomputed from
+// horizon are left as they are, and the lane asks its chain afresh which
+// slots it leaves quiet (see AddLaneDisturbance). The HealthyRows hint is recomputed from
 // the shared rows. Under ttdiag_invariants the restored lane is
 // re-captured and must equal ck. Zero allocations.
 func (c *BatchDiagCluster) RestoreLane(lane int, ck *LaneCheckpoint) error {
@@ -176,6 +177,7 @@ func (c *BatchDiagCluster) RestoreLane(lane int, ck *LaneCheckpoint) error {
 		}
 	}
 	c.presentB = put(c.presentB, ck.present)
+	c.resetWake(lane)
 	if invariant.Enabled {
 		c.invTainted &^= laneBit
 		if ck.tainted {

@@ -135,7 +135,7 @@ func TestLaneCheckpointRoundTrip(t *testing.T) {
 			}
 
 			outs := make([]core.BatchRoundOutput, 5)
-			b.OnOutput = func(id int, out core.BatchRoundOutput) { outs[id] = out }
+			b.OnOutput = func(id int, out *core.BatchRoundOutput) { outs[id] = *out }
 			isolations := 0
 			for k := 0; k < rounds; k++ {
 				if err := b.Step(); err != nil {

@@ -45,6 +45,7 @@ package splitting
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"ttdiag/internal/campaign"
 	"ttdiag/internal/fault"
@@ -222,6 +223,7 @@ type worker struct {
 	pool   *rng.Pool
 	faults []*keyedTransient // per lane
 	trial  []int             // per lane: index into the batch, -1 idle
+	name   []byte            // load's trial stream name scratch
 }
 
 // newGang builds a full-width gang and runs it fault-free for `rounds`
@@ -279,7 +281,12 @@ func (s *session) load(w *worker, r, level, trial int, entries []*entry) error {
 	}
 	w.pool.Recycle()
 	f := w.faults[r]
-	f.key = w.pool.Stream(fmt.Sprintf("%s/L%d/T%d", s.cfg.Name, level, trial)).Uint64()
+	// The trial's stream is "<name>/L<level>/T<trial>", built in reused
+	// scratch rather than formatted per trial.
+	w.name = append(append(w.name[:0], s.cfg.Name...), "/L"...)
+	w.name = append(strconv.AppendInt(w.name, int64(level), 10), "/T"...)
+	w.name = strconv.AppendInt(w.name, int64(trial), 10)
+	f.key = w.pool.StreamBytes(w.name).Uint64()
 	f.thresh = uint64(s.cfg.FaultProb * (1 << 53))
 	f.off = e.round - w.cl.Round()
 	return nil
