@@ -165,7 +165,7 @@ func BenchmarkPenaltyRewardUpdate(b *testing.B) {
 // five phases) for growing cluster sizes, on the packed entry the simulation
 // runners call (StepPacked); the byte-input Step adds the conversion.
 func BenchmarkProtocolStep(b *testing.B) {
-	for _, n := range []int{4, 8, 16, 32} {
+	for _, n := range []int{4, 8, 16, 32, 64} {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
 			p, err := core.NewProtocol(core.Config{
 				N: n, ID: 1, L: 0, SendCurrRound: true, AllSendCurrRound: true,

@@ -194,8 +194,8 @@ func fleetBurstPrepare(prefix string, victim int) func(fleet.ShardRun) (func() s
 // fleetGatewayViolations scores one repetition's fleet-level outcome: the
 // consistency of every diagnosed gateway-round health vector across
 // gateways, no spurious isolations (only the outage shard may be isolated —
-// the transient gateway fault must stay below the threshold), and intact
-// summary decoding at every surviving gateway.
+// the transient gateway fault must stay below the threshold), and a summary
+// delivered from every surviving gateway.
 func fleetGatewayViolations(gr *fleet.GatewayResult, sizes []int, outage, gwf int) int {
 	viol := 0
 	s := len(sizes)
@@ -225,7 +225,7 @@ func fleetGatewayViolations(gr *fleet.GatewayResult, sizes []int, outage, gwf in
 			viol++ // spurious isolation (includes the transient-fault gateway)
 		}
 		if gr.Received[g].Size != sizes[g-1] {
-			viol++ // summary lost or corrupted at a surviving gateway
+			viol++ // no summary delivered from a surviving gateway
 		}
 	}
 	return viol

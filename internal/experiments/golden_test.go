@@ -20,9 +20,6 @@ func TestGoldenOutputs(t *testing.T) {
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			if e.ID == "overhead" {
-				t.Skip("CPU numbers are machine-dependent")
-			}
 			runs := 3
 			if e.ID == "table4" {
 				runs = 1 // 25 simulated seconds per automotive NSR repetition

@@ -9,42 +9,9 @@ package fleet
 import (
 	"testing"
 
-	"ttdiag/internal/core"
 	"ttdiag/internal/invariant"
 	"ttdiag/internal/rng"
 )
-
-// TestGatewayRoundAllocs pins the steady-state allocation budget of one
-// gateway TDMA round at zero: the one-lane gang kernel returns values, and
-// frames, rows, collision ring and summary scratch are all reused.
-func TestGatewayRoundAllocs(t *testing.T) {
-	if invariant.Enabled {
-		t.Skip("invariant checking boxes Checkf arguments and inflates the allocation count")
-	}
-	const s = 16
-	gw, err := NewGatewayNet(s, core.PRConfig{PenaltyThreshold: 1 << 50, RewardThreshold: 1 << 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	summaries := make([]core.ShardSummary, s)
-	for i := range summaries {
-		summaries[i] = core.ShardSummary{Size: 64, Isolated: i % 3, Faulty: i % 5}
-	}
-	round := 0
-	run := func() {
-		if _, err := gw.RunRound(summaries, uint64(round%3)<<4); err != nil {
-			t.Fatal(err)
-		}
-		round++
-	}
-	// Warm up past the protocol warm-up and the collision ring.
-	for round < 8 {
-		run()
-	}
-	if avg := testing.AllocsPerRun(200, run); avg != 0 {
-		t.Errorf("gateway round allocates %.1f times, want 0", avg)
-	}
-}
 
 // TestFleetRunAllocs pins the steady-state allocation budget of a whole
 // fleet repetition. Shard workers and their lane-packed clusters are
@@ -52,20 +19,23 @@ func TestGatewayRoundAllocs(t *testing.T) {
 // count must not depend on the shard size (one 16-lane gang of 4-node shards
 // against sixteen single-lane gangs of 64-node shards). What remains is the
 // gateway phase's one health-vector row per diagnosed round and a fixed set
-// of result headers.
+// of result headers. Lost gateway frames add the one fault.Train that
+// carries them, whatever their number: a whole-shard outage and a transient
+// gateway fault cost at most trainAllocs more (the train, its sorted and
+// merged burst lists and the sort's swapper).
 func TestFleetRunAllocs(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("invariant checking boxes Checkf arguments and inflates the allocation count")
 	}
-	const s, rounds, headers = 16, 12, 40
-	allocs := func(nodes int) float64 {
+	const s, rounds, headers, trainAllocs = 16, 12, 40, 6
+	allocs := func(nodes int, hooks Hooks) float64 {
 		c, err := New(Config{Nodes: nodes, Shards: s, Rounds: rounds, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		src := rng.NewSource(1)
 		run := func() {
-			if _, err := c.Run(src, Hooks{}); err != nil {
+			if _, err := c.Run(src, hooks); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -76,11 +46,17 @@ func TestFleetRunAllocs(t *testing.T) {
 		}
 		return testing.AllocsPerRun(20, run)
 	}
-	small, large := allocs(4*s), allocs(64*s)
+	small, large := allocs(4*s, Hooks{}), allocs(64*s, Hooks{})
+	drops := allocs(64*s, Hooks{GatewayDrop: func(round, g int) bool {
+		return g == 3 && round >= 5 || g == 2 && round >= 4 && round < 6
+	}})
 	if small != large {
 		t.Errorf("a repetition allocates %.1f times with 4-node shards but %.1f with 64-node shards; the shard phase must allocate nothing", small, large)
 	}
 	if ceiling := float64(rounds + headers); large > ceiling {
 		t.Errorf("a repetition allocates %.1f times, want <= %.0f", large, ceiling)
+	}
+	if ceiling := large + trainAllocs; drops > ceiling {
+		t.Errorf("a repetition with lost gateway frames allocates %.1f times, want <= %.0f", drops, ceiling)
 	}
 }

@@ -4,18 +4,26 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
+	"time"
 
 	"ttdiag/internal/campaign"
 	"ttdiag/internal/core"
+	"ttdiag/internal/fault"
 	"ttdiag/internal/metrics"
 	"ttdiag/internal/rng"
 	"ttdiag/internal/sim"
+	"ttdiag/internal/tdma"
 	"ttdiag/internal/trace"
 )
 
 // defaultShardRoundLen is the paper's prototype TDMA round (2.5 ms at N = 4);
 // Config.shardRoundLen scales it with the shard size to keep slots constant.
 const defaultShardRoundLen = sim.DefaultRoundLen
+
+// gatewaySlotLen is the slot of the gateway TDMA round, the prototype's
+// 625 µs: the round of S gateways lasts S slots, so it divides evenly at any
+// shard count.
+const gatewaySlotLen = defaultShardRoundLen / 4
 
 // ShardRun is the view a Hooks callback gets of one shard's repetition.
 // Shards of equal size run lane-packed: each is one lane of a shared
@@ -50,7 +58,8 @@ type Hooks struct {
 	Prepare func(sr ShardRun) (audit func() string, err error)
 	// GatewayDrop reports whether gateway g's frame (1-based) is lost on the
 	// inter-cluster bus in the given gateway round — the benign gateway
-	// fault and whole-shard outage model.
+	// fault and whole-shard outage model. Run asks it once per round and
+	// gateway, round by round, before the gateway rounds execute.
 	GatewayDrop func(round, gateway int) bool
 }
 
@@ -79,7 +88,8 @@ type GatewayResult struct {
 	IsolationRound []int
 	// FinalActive[g] is gateway g's activity mask after the last round.
 	FinalActive []uint64
-	// Received[g] is the last ShardSummary decoded from gateway g's frame.
+	// Received[g] is the last ShardSummary delivered in gateway g's frame;
+	// the zero value when no frame of g's got through.
 	Received []core.ShardSummary
 	// Drops counts the gateway frames lost to GatewayDrop.
 	Drops int
@@ -92,13 +102,25 @@ type Result struct {
 }
 
 // Campaign is a reusable hierarchical fleet: per-worker lane-packed shard
-// clusters, the serial gateway net, and the per-shard metrics registries,
-// built once and driven once per repetition by Run.
+// clusters, the serial gateway cluster, and the per-shard metrics
+// registries, built once and driven once per repetition by Run.
 type Campaign struct {
 	cfg   Config
 	sizes []int
 	first []int
-	gw    *GatewayNet
+
+	// gw is the gateway level (nil for a single shard): the same protocol
+	// one level up, with the S shard gateways as the nodes of a one-lane
+	// sim.BatchDiagCluster. Every gateway's job runs before the round's
+	// first slot and its frame goes out in the same round
+	// (AllSendCurrRound), so the fleet-level detection latency is two
+	// gateway rounds. A frame carries the S-bit syndrome over the shards
+	// plus the sender's ShardSummary; a lost frame is a slot burst on the
+	// lane, the benign fault of the paper's bus. gwRes is the result its
+	// OnOutput fills during Run, and bursts the drop scratch.
+	gw     *sim.BatchDiagCluster
+	gwRes  *GatewayResult
+	bursts []fault.Burst
 
 	// gangs lists the shards that run together, lane by lane, in one
 	// BatchDiagCluster: equal-sized shards in dispatch order, at most
@@ -123,8 +145,6 @@ type Campaign struct {
 	// repetitions (each shard writes only its own row during the parallel
 	// phase).
 	summaries [][]core.ShardSummary
-	// roundSums is the per-round transmit scratch of the gateway phase.
-	roundSums []core.ShardSummary
 	// health is the per-shard previous summary health, scratch for the
 	// causal shard-health transition events (Config.Sink).
 	health []core.Opinion
@@ -151,7 +171,6 @@ func New(cfg Config) (*Campaign, error) {
 		sizes:     sizes,
 		first:     make([]int, cfg.Shards),
 		summaries: make([][]core.ShardSummary, cfg.Shards),
-		roundSums: make([]core.ShardSummary, cfg.Shards),
 		health:    make([]core.Opinion, cfg.Shards),
 		shardSM:   make([]*core.StepMetrics, cfg.Shards),
 		shardSys:  make([]*sim.RunMetrics, cfg.Shards),
@@ -177,10 +196,17 @@ func New(cfg Config) (*Campaign, error) {
 	c.gwReg.Gauge("fleet/shards").Observe(int64(cfg.Shards))
 	c.planGangs(nil)
 	if cfg.Shards >= 2 {
-		gw, err := NewGatewayNet(cfg.Shards, cfg.GatewayPR)
+		gw, err := sim.NewBatchDiagCluster(sim.ClusterConfig{
+			N:                cfg.Shards,
+			RoundLen:         gatewaySlotLen * time.Duration(cfg.Shards),
+			Ls:               sim.Uniform(cfg.Shards, 0),
+			AllSendCurrRound: true,
+			PR:               cfg.GatewayPR,
+		})
 		if err != nil {
 			return nil, err
 		}
+		gw.OnOutput = c.observeGateway
 		c.gw = gw
 	}
 	return c, nil
@@ -379,12 +405,39 @@ func (c *Campaign) Run(src *rng.Source, hooks Hooks) (*Result, error) {
 		return res, nil
 	}
 
-	// Gateway phase: one fleet-level TDMA round per intra-shard round, each
-	// transmitting the summaries the shards published in that round.
-	c.gw.Reset()
-	s := c.cfg.Shards
+	gr, err := c.runGateways(hooks)
+	if err != nil {
+		return nil, err
+	}
+	res.Gateway = gr
+	return res, nil
+}
+
+// runGateways is the gateway phase: one fleet-level TDMA round per
+// intra-shard round, each carrying the summaries the shards published in
+// that round. The frames hooks.GatewayDrop loses become one-slot bursts of
+// a fault.Train on the gateway lane, so the lane stays quiet between them.
+func (c *Campaign) runGateways(hooks Hooks) (*GatewayResult, error) {
+	s, rounds := c.cfg.Shards, c.cfg.Rounds
+	if err := c.gw.ResetBatch(1); err != nil {
+		return nil, err
+	}
+	c.gw.SetLaneHorizon(0, rounds)
+	if hooks.GatewayDrop != nil {
+		c.bursts = c.bursts[:0]
+		for k := 0; k < rounds; k++ {
+			for g := 1; g <= s; g++ {
+				if hooks.GatewayDrop(k, g) {
+					c.bursts = append(c.bursts, fault.SlotBurst(c.gw.Schedule(), k, g, 1))
+				}
+			}
+		}
+		if len(c.bursts) > 0 {
+			c.gw.AddLaneDisturbance(0, fault.NewTrain(c.bursts...))
+		}
+	}
 	gr := &GatewayResult{
-		HVs:            make([][]core.BitSyndrome, c.cfg.Rounds),
+		HVs:            make([][]core.BitSyndrome, rounds),
 		IsolationRound: make([]int, s+1),
 		FinalActive:    make([]uint64, s+1),
 		Received:       make([]core.ShardSummary, s+1),
@@ -392,62 +445,65 @@ func (c *Campaign) Run(src *rng.Source, hooks Hooks) (*Result, error) {
 	for t := range gr.IsolationRound {
 		gr.IsolationRound[t] = -1
 	}
-	for k := 0; k < c.cfg.Rounds; k++ {
-		var drop uint64
-		if hooks.GatewayDrop != nil {
-			for g := 1; g <= s; g++ {
-				if hooks.GatewayDrop(k, g) {
-					drop |= 1 << uint(g-1)
-				}
-			}
-		}
-		for i := 0; i < s; i++ {
-			c.roundSums[i] = c.summaries[i][k]
-		}
-		outs, err := c.gw.RunRound(c.roundSums, drop)
-		if err != nil {
-			return nil, err
-		}
-		gr.Drops += droppedCount(drop)
-		c.gwRounds.Add(1)
-		c.gwDrops.Add(int64(droppedCount(drop)))
-		for g := 1; g <= s; g++ {
-			out := &outs[g]
-			if out.Warm && out.DiagnosedRound >= 0 {
-				if gr.HVs[out.DiagnosedRound] == nil {
-					gr.HVs[out.DiagnosedRound] = make([]core.BitSyndrome, s+1)
-				}
-				gr.HVs[out.DiagnosedRound][g] = out.LaneConsHV(0, s)
-			}
-			for iso := out.LaneIsolated(0, s); iso != 0; iso &= iso - 1 {
-				t := bits.TrailingZeros64(iso) + 1
-				c.gwIsol.Add(1)
-				if gr.IsolationRound[t] < 0 {
-					gr.IsolationRound[t] = k
-					if c.cfg.Sink != nil {
-						// One event per shard isolation: g is the first
-						// gateway seen isolating (all obedient gateways
-						// decide identically in the same round).
-						c.cfg.Sink.Record(trace.Event{
-							Round:     k,
-							Kind:      trace.KindIsolation,
-							Node:      g,
-							Subject:   t,
-							Penalty:   c.gw.protos[g].LanePenalty(0, t),
-							Threshold: c.cfg.GatewayPR.PenaltyThreshold,
-							Detail:    "gateway level",
-						})
-					}
-				}
+	c.gwRes = gr
+	err := c.gw.Run()
+	c.gwRes = nil
+	if err != nil {
+		return nil, err
+	}
+	// A frame, and with it the summary it carries, is delivered exactly
+	// when its slot's ground truth is correct.
+	truth := c.gw.LaneTruth(0)
+	for k := 0; k < rounds; k++ {
+		for g, class := range truth.Truth(k)[1:] {
+			if class == tdma.OutcomeCorrect {
+				gr.Received[g+1] = c.summaries[g][k]
+			} else {
+				gr.Drops++
 			}
 		}
 	}
-	for g := 1; g <= s; g++ {
-		gr.FinalActive[g] = c.gw.ActiveMask(g)
-		gr.Received[g] = c.gw.Received(g)
+	c.gwRounds.Add(int64(rounds))
+	c.gwDrops.Add(int64(gr.Drops))
+	return gr, nil
+}
+
+// observeGateway records gateway id's job output of one gateway round into
+// the repetition's GatewayResult: its health vector, its activity mask and
+// the shard isolations it decides, the first of each with a causal event.
+//
+//ttdiag:noretain params
+func (c *Campaign) observeGateway(id int, out *core.BatchRoundOutput) {
+	gr, s := c.gwRes, c.cfg.Shards
+	if out.Warm && out.DiagnosedRound >= 0 {
+		if gr.HVs[out.DiagnosedRound] == nil {
+			gr.HVs[out.DiagnosedRound] = make([]core.BitSyndrome, s+1)
+		}
+		gr.HVs[out.DiagnosedRound][id] = out.LaneConsHV(0, s)
 	}
-	res.Gateway = gr
-	return res, nil
+	gr.FinalActive[id] = out.LaneActiveMask(0, s)
+	for iso := out.LaneIsolated(0, s); iso != 0; iso &= iso - 1 {
+		t := bits.TrailingZeros64(iso) + 1
+		c.gwIsol.Add(1)
+		if gr.IsolationRound[t] >= 0 {
+			continue
+		}
+		gr.IsolationRound[t] = out.Round
+		if c.cfg.Sink != nil {
+			// One event per shard isolation: id is the first gateway seen
+			// isolating (all obedient gateways decide identically in the
+			// same round).
+			c.cfg.Sink.Record(trace.Event{
+				Round:     out.Round,
+				Kind:      trace.KindIsolation,
+				Node:      id,
+				Subject:   t,
+				Penalty:   c.gw.Proto(id).LanePenalty(0, t),
+				Threshold: c.cfg.GatewayPR.PenaltyThreshold,
+				Detail:    "gateway level",
+			})
+		}
+	}
 }
 
 // emitShardHealth streams one KindShardHealth event per shard-summary

@@ -1,105 +1,93 @@
 package fleet
 
 import (
-	"bytes"
 	"fmt"
-	"math/bits"
+	"reflect"
 	"testing"
+	"time"
 
 	"ttdiag/internal/core"
+	"ttdiag/internal/fault"
 	"ttdiag/internal/rng"
+	"ttdiag/internal/sim"
 )
 
-// refGateway is the executable reference of the gateway level: the same
-// lock-step round over per-run core.Protocol instances, whose collision
-// detector is queried through a CollisionFn like the intra-cluster engine's.
-type refGateway struct {
-	s, synLen int
-	all       uint64
-	observe   bool
-	protos    []*core.Protocol
-	rows      []core.BitSyndrome
-	present   uint64
-	ign       []uint64
-	lost      []uint64 // lost[r]: gateways whose round-r frame was dropped
-}
-
-func newRefGateway(t *testing.T, s int, pr core.PRConfig) *refGateway {
+// perRunGateways is the executable reference of the gateway level: a
+// per-run sim diagnostic cluster with the S gateways as nodes, every job
+// before the round's first slot, carrying one slot burst per dropped frame.
+// It returns the GatewayResult the campaign must report and every gateway's
+// final penalty counters (observer·(S+1)+shard). The received summaries and
+// the drop count follow from the drop decisions themselves, not from the
+// bus's ground truth.
+func perRunGateways(t *testing.T, cfg Config, summaries [][]core.ShardSummary, drop [][]bool) (*GatewayResult, []int64) {
 	t.Helper()
-	g := &refGateway{
-		s: s, synLen: core.EncodedLen(s), all: core.PlaneMask(s),
-		observe: pr.ReintegrationThreshold > 0,
-		protos:  make([]*core.Protocol, s+1),
-		rows:    make([]core.BitSyndrome, s+1),
-		ign:     make([]uint64, s+1),
+	s, rounds := cfg.Shards, cfg.Rounds
+	eng, runners, err := sim.NewDiagnosticCluster(sim.ClusterConfig{
+		N:                s,
+		RoundLen:         625 * time.Microsecond * time.Duration(s),
+		Ls:               sim.Uniform(s, 0),
+		AllSendCurrRound: true,
+		PR:               cfg.GatewayPR,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for id := 1; id <= s; id++ {
-		p, err := core.NewProtocol(core.Config{
-			N: s, ID: id, L: 0,
-			SendCurrRound: true, AllSendCurrRound: true,
-			Mode: core.ModeDiagnostic, PR: pr,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		g.protos[id] = p
-		g.rows[id] = core.BitSyndrome{Op: g.all, Known: g.all}
+	want := &GatewayResult{
+		HVs:            make([][]core.BitSyndrome, rounds),
+		IsolationRound: make([]int, s+1),
+		FinalActive:    make([]uint64, s+1),
+		Received:       make([]core.ShardSummary, s+1),
 	}
-	g.present = g.all
-	return g
-}
-
-// runRound steps every gateway on the previous round's deliveries, then
-// delivers the frames not in drop.
-func (g *refGateway) runRound(t *testing.T, drop uint64) []core.RoundOutput {
-	t.Helper()
-	round := len(g.lost)
-	outs := make([]core.RoundOutput, g.s+1)
-	for id := 1; id <= g.s; id++ {
-		id := id
-		vis := g.present &^ g.ign[id]
-		out, err := g.protos[id].StepPacked(core.PackedRoundInput{
-			Round:    round,
-			Rows:     g.rows,
-			Present:  vis,
-			Validity: core.BitSyndrome{Op: vis, Known: g.all},
-			Collision: func(r int) core.Opinion {
-				if r >= 0 && r < len(g.lost) && g.lost[r]&(1<<uint(id-1)) != 0 {
-					return core.Faulty
-				}
-				return core.Healthy
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		outs[id] = out
-		if !g.observe {
-			g.ign[id] = g.all &^ out.Active
-		}
+	for i := range want.IsolationRound {
+		want.IsolationRound[i] = -1
 	}
-	drop &= g.all
-	g.lost = append(g.lost, drop)
-	g.present = g.all &^ drop
-	for id := 1; id <= g.s; id++ {
-		if drop&(1<<uint(id-1)) == 0 {
-			wire := make([]byte, core.EncodedLen(g.s))
-			outs[id].Send.EncodeInto(wire)
-			row, err := core.BitSyndromeFromWire(wire, g.s)
-			if err != nil {
-				t.Fatal(err)
+	var bursts []fault.Burst
+	for k := 0; k < rounds; k++ {
+		for g := 1; g <= s; g++ {
+			if drop[k][g] {
+				bursts = append(bursts, fault.SlotBurst(eng.Schedule(), k, g, 1))
+				want.Drops++
+			} else {
+				want.Received[g] = summaries[g-1][k]
 			}
-			g.rows[id] = row
 		}
 	}
-	return outs
+	eng.Bus().AddDisturbance(fault.NewTrain(bursts...))
+	for g := 1; g <= s; g++ {
+		g := g
+		runners[g].OnOutput = func(out core.RoundOutput) {
+			if out.ConsHV.Known != 0 && out.DiagnosedRound >= 0 {
+				if want.HVs[out.DiagnosedRound] == nil {
+					want.HVs[out.DiagnosedRound] = make([]core.BitSyndrome, s+1)
+				}
+				want.HVs[out.DiagnosedRound][g] = out.ConsHV
+			}
+			want.FinalActive[g] = out.Active
+			for j := 1; j <= s; j++ {
+				if out.Isolated>>uint(j-1)&1 != 0 && want.IsolationRound[j] < 0 {
+					want.IsolationRound[j] = out.Round
+				}
+			}
+		}
+	}
+	if err := eng.RunRounds(rounds); err != nil {
+		t.Fatal(err)
+	}
+	pen := make([]int64, (s+1)*(s+1))
+	for g := 1; g <= s; g++ {
+		for j := 1; j <= s; j++ {
+			pen[g*(s+1)+j] = runners[g].Protocol().PenaltyReward().Penalty(j)
+		}
+	}
+	return want, pen
 }
 
-// TestGatewayMatchesPerRunProtocol pins the gateway level, which runs every
-// gateway as a one-lane core.BatchProtocol, against the per-run
-// core.Protocol reference: health vectors, wire bytes, activity, isolations,
-// reintegrations and penalty counters agree round by round under random
-// frame loss, a whole-shard outage and an intermittent gateway.
+// TestGatewayMatchesPerRunProtocol pins the gateway level, a one-lane
+// sim.BatchDiagCluster inside Campaign.Run, against a per-run diagnostic
+// cluster carrying the same frame losses: health vectors, isolation rounds,
+// final activity, received summaries, drop count and every penalty counter
+// agree under random frame loss, a whole-shard outage and an intermittent
+// gateway, with and without reintegration.
 func TestGatewayMatchesPerRunProtocol(t *testing.T) {
 	cases := []struct {
 		s  int
@@ -113,69 +101,48 @@ func TestGatewayMatchesPerRunProtocol(t *testing.T) {
 	const rounds = 40
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("s%d", tc.s), func(t *testing.T) {
-			gw, err := NewGatewayNet(tc.s, tc.pr)
+			c, err := New(Config{Nodes: 2 * tc.s, Shards: tc.s, Rounds: rounds, Workers: 1, GatewayPR: tc.pr})
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Run twice: the second repetition checks Reset.
+			// Run twice: the second repetition checks the reset.
+			isolations := 0
 			for rep := 0; rep < 2; rep++ {
-				gw.Reset()
-				ref := newRefGateway(t, tc.s, tc.pr)
 				stream := rng.NewSource(int64(tc.s)).Stream(fmt.Sprintf("gateway/rep-%d", rep))
-				summaries := make([]core.ShardSummary, tc.s)
-				isolations := 0
-				for k := 0; k < rounds; k++ {
-					var drop uint64
+				drop := make([][]bool, rounds)
+				for k := range drop {
+					drop[k] = make([]bool, tc.s+1)
 					for g := 1; g <= tc.s; g++ {
 						outage := g == 1 && k >= 12
 						intermittent := g == tc.s && k%3 == 0
-						if outage || intermittent || stream.Intn(10) == 0 {
-							drop |= 1 << uint(g-1)
-						}
+						drop[k][g] = outage || intermittent || stream.Intn(10) == 0
 					}
-					for i := range summaries {
-						summaries[i] = core.ShardSummary{Size: 8, Isolated: stream.Intn(3), Faulty: stream.Intn(3)}
-					}
-					got, err := gw.RunRound(summaries, drop)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := ref.runRound(t, drop)
-					for g := 1; g <= tc.s; g++ {
-						tag := fmt.Sprintf("rep %d round %d gateway %d", rep, k, g)
-						o, w := &got[g], want[g]
-						if o.Warm != (w.ConsHV.Known != 0) || o.DiagnosedRound != w.DiagnosedRound {
-							t.Fatalf("%s: warm/diagnosed %v/%d, reference %v/%d", tag, o.Warm, o.DiagnosedRound, w.ConsHV.Known != 0, w.DiagnosedRound)
-						}
-						if o.LaneConsHV(0, tc.s) != w.ConsHV {
-							t.Fatalf("%s: health vector %+v, reference %+v", tag, o.LaneConsHV(0, tc.s), w.ConsHV)
-						}
-						wire, wantWire := make([]byte, core.EncodedLen(tc.s)), make([]byte, core.EncodedLen(tc.s))
-						o.LaneSend(0, tc.s).EncodeInto(wire)
-						w.Send.EncodeInto(wantWire)
-						if !bytes.Equal(wire, wantWire) {
-							t.Fatalf("%s: wire bytes %x, reference %x", tag, wire, wantWire)
-						}
-						if o.ActiveMask != w.Active || gw.ActiveMask(g) != w.Active {
-							t.Fatalf("%s: active %#x, reference %#x", tag, o.ActiveMask, w.Active)
-						}
-						if o.IsolatedMask != w.Isolated || o.ReintegratedMask != w.Reintegrated {
-							t.Fatalf("%s: isolated/reintegrated %#x/%#x, reference %#x/%#x", tag, o.IsolatedMask, o.ReintegratedMask, w.Isolated, w.Reintegrated)
-						}
-						isolations += bits.OnesCount64(o.IsolatedMask)
-						for j := 1; j <= tc.s; j++ {
-							if p, q := gw.Protocol(g).LanePenalty(0, j), ref.protos[g].PenaltyReward().Penalty(j); p != q {
-								t.Fatalf("%s: penalty of shard %d %d, reference %d", tag, j, p, q)
-							}
-						}
-						if drop&(1<<uint(g-1)) == 0 && gw.Received(g) != summaries[g-1] {
-							t.Fatalf("%s: received summary %+v, sent %+v", tag, gw.Received(g), summaries[g-1])
+				}
+				res, err := c.Run(rng.NewSource(int64(rep)), Hooks{
+					GatewayDrop: func(round, g int) bool { return drop[round][g] },
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, wantPen := perRunGateways(t, c.Config(), c.summaries, drop)
+				if !reflect.DeepEqual(res.Gateway, want) {
+					t.Fatalf("rep %d: gateway result differs\ncampaign: %+v\nper-run:  %+v", rep, res.Gateway, want)
+				}
+				for g := 1; g <= tc.s; g++ {
+					for j := 1; j <= tc.s; j++ {
+						if p, q := c.gw.Proto(g).LanePenalty(0, j), wantPen[g*(tc.s+1)+j]; p != q {
+							t.Fatalf("rep %d: gateway %d's penalty of shard %d is %d, per-run %d", rep, g, j, p, q)
 						}
 					}
 				}
-				if isolations == 0 {
-					t.Fatal("no gateway isolated anything — the comparison is weak")
+				for _, r := range want.IsolationRound[1:] {
+					if r >= 0 {
+						isolations++
+					}
 				}
+			}
+			if isolations == 0 {
+				t.Fatal("no gateway isolated anything — the comparison is weak")
 			}
 		})
 	}

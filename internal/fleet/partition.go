@@ -6,13 +6,13 @@
 // themselves — per-shard gateways exchange bit-packed cluster-health summary
 // syndromes over a gateway TDMA round and accumulate penalties/rewards one
 // level up, with shards as "nodes" (the FTI-TMR interconnected-cluster
-// model). Both levels run on the lane-packed kernel: equal-sized shards are
-// the lanes of one sim.BatchDiagCluster, and every gateway is a one-lane
-// core.BatchProtocol. Gangs of shards execute in parallel on the
-// internal/campaign pool with per-shard named rng streams; results are
-// index-addressed and per-shard metrics registries merge through the
-// commutative WorkerSet machinery, so every report is byte-identical at any
-// worker count, shard execution order and lane placement.
+// model). Both levels run on the lane-packed cluster: equal-sized shards are
+// the lanes of one sim.BatchDiagCluster, and the gateways are the nodes of a
+// one-lane sim.BatchDiagCluster of their own. Gangs of shards execute in
+// parallel on the internal/campaign pool with per-shard named rng streams;
+// results are index-addressed and per-shard metrics registries merge through
+// the commutative WorkerSet machinery, so every report is byte-identical at
+// any worker count, shard execution order and lane placement.
 package fleet
 
 import (

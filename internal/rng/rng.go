@@ -136,34 +136,6 @@ func (st *Stream) Exp(rate float64) float64 {
 	return st.r.ExpFloat64() / rate
 }
 
-// Poisson returns a Poisson-distributed count with the given mean, using
-// inversion by sequential search for small means and a normal approximation
-// for large ones. It is used to cross-check the analytic transient-fault
-// correlation model of Fig. 3.
-func (st *Stream) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 500 {
-		// Normal approximation with continuity correction.
-		v := st.r.NormFloat64()*math.Sqrt(mean) + mean + 0.5
-		if v < 0 {
-			return 0
-		}
-		return int(v)
-	}
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= st.r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
 // Bytes fills b with random bytes, consuming one Uint64 draw per eight bytes
 // (little-endian) instead of one draw per byte. Note this makes the filled
 // bytes — and the stream position afterwards — differ from the historical

@@ -74,45 +74,6 @@ func TestExpNonPositiveRate(t *testing.T) {
 	}
 }
 
-func TestPoissonMean(t *testing.T) {
-	tests := []struct {
-		name string
-		mean float64
-	}{
-		{name: "small", mean: 0.5},
-		{name: "moderate", mean: 12},
-		{name: "large_normal_approx", mean: 900},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			st := NewStream(11)
-			const n = 100000
-			sum := 0.0
-			for i := 0; i < n; i++ {
-				sum += float64(st.Poisson(tt.mean))
-			}
-			got := sum / n
-			tol := 0.05 * tt.mean
-			if tol < 0.02 {
-				tol = 0.02
-			}
-			if math.Abs(got-tt.mean) > tol {
-				t.Fatalf("Poisson mean = %v, want ~%v", got, tt.mean)
-			}
-		})
-	}
-}
-
-func TestPoissonNonPositiveMean(t *testing.T) {
-	st := NewStream(3)
-	if got := st.Poisson(0); got != 0 {
-		t.Fatalf("Poisson(0) = %d, want 0", got)
-	}
-	if got := st.Poisson(-2); got != 0 {
-		t.Fatalf("Poisson(-2) = %d, want 0", got)
-	}
-}
-
 func TestBoolProbability(t *testing.T) {
 	st := NewStream(5)
 	const n = 100000

@@ -108,8 +108,6 @@ step "go test -fuzz (snapshot restore, seed corpus + short fuzz)" \
     scripts/gotest.sh ./internal/core/ -run FuzzRestoreProtocol -fuzz 'FuzzRestoreProtocol$' -fuzztime 15s
 step "go test -fuzz (trace JSONL decoder, seed corpus + short fuzz)" \
     scripts/gotest.sh ./internal/trace/ -run FuzzReadJSONL -fuzz 'FuzzReadJSONL$' -fuzztime 15s
-step "go test (exhaustive shard-summary decode)" \
-    scripts/gotest.sh ./internal/core/ -run TestShardSummaryDecodeExhaustive
 step "go test -tags ttdiag_invariants" \
     go test -tags ttdiag_invariants ./internal/core/... ./internal/invariant/... ./internal/cluster/... ./internal/sim/... ./internal/fleet/... ./internal/splitting/... ./internal/experiments/... ./internal/membership/... ./internal/replay/... ./cmd/ttdiag-trace/...
 step "ttdiag-lint (+ escape gate)" check_lint
