@@ -163,32 +163,45 @@ func BenchmarkPenaltyRewardUpdate(b *testing.B) {
 
 // BenchmarkProtocolStep measures one diagnostic-job execution (Alg. 1, all
 // five phases) for growing cluster sizes, on the packed entry the simulation
-// runners call (StepPacked); the byte-input Step adds the conversion.
+// runners call (StepPacked); the byte-input Step adds the conversion. The
+// n<N> rows feed all-Healthy rows, so they time the quiet-round skip of the
+// vote; in the n<N>_loud rows node N accuses node 2, so every job runs the
+// O(N²) vote (node 2 stays healthy by majority, and the thresholds are far
+// out of reach, so every round is the same job).
 func BenchmarkProtocolStep(b *testing.B) {
 	for _, n := range []int{4, 8, 16, 32, 64} {
-		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
-			p, err := core.NewProtocol(core.Config{
-				N: n, ID: 1, L: 0, SendCurrRound: true, AllSendCurrRound: true,
-				PR: core.PRConfig{PenaltyThreshold: 1 << 40, RewardThreshold: 1 << 40},
-			})
-			if err != nil {
-				b.Fatal(err)
+		for _, loud := range []bool{false, true} {
+			name := fmt.Sprintf("n%d", n)
+			if loud {
+				name += "_loud"
 			}
-			all := core.PlaneMask(n)
-			healthy := core.BitSyndrome{Op: all, Known: all}
-			rows := make([]core.BitSyndrome, n+1)
-			for j := 1; j <= n; j++ {
-				rows[j] = healthy
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				in := core.PackedRoundInput{Round: i, Rows: rows, Present: all, Validity: healthy}
-				if _, err := p.StepPacked(in); err != nil {
+			b.Run(name, func(b *testing.B) {
+				p, err := core.NewProtocol(core.Config{
+					N: n, ID: 1, L: 0, SendCurrRound: true, AllSendCurrRound: true,
+					PR: core.PRConfig{PenaltyThreshold: 1 << 40, RewardThreshold: 1 << 40},
+				})
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
+				all := core.PlaneMask(n)
+				healthy := core.BitSyndrome{Op: all, Known: all}
+				rows := make([]core.BitSyndrome, n+1)
+				for j := 1; j <= n; j++ {
+					rows[j] = healthy
+				}
+				if loud {
+					rows[n].Op &^= 1 << 1
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					in := core.PackedRoundInput{Round: i, Rows: rows, Present: all, Validity: healthy}
+					if _, err := p.StepPacked(in); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

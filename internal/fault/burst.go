@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"time"
 
@@ -45,10 +47,23 @@ var (
 // always disjoint and in increasing order (which makes overlap queries a
 // single binary search).
 func NewTrain(bursts ...Burst) *Train {
-	sorted := append([]Burst(nil), bursts...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Start < sorted[j].Start })
-	merged := make([]Burst, 0, len(sorted))
-	for _, b := range sorted {
+	t := &Train{}
+	t.Reset(bursts...)
+	return t
+}
+
+// Reset makes t the train NewTrain(bursts...) builds, reusing t's storage:
+// bursts already in start order are merged without sorting, so refilling a
+// train of at most as many bursts allocates nothing.
+func (t *Train) Reset(bursts ...Burst) {
+	t.bursts = append(t.bursts[:0], bursts...)
+	byStart := func(a, b Burst) int { return cmp.Compare(a.Start, b.Start) }
+	if !slices.IsSortedFunc(t.bursts, byStart) {
+		slices.SortFunc(t.bursts, byStart)
+	}
+	// Merge in place: the write index never passes the read index.
+	merged := t.bursts[:0]
+	for _, b := range t.bursts {
 		if b.Length <= 0 {
 			continue
 		}
@@ -60,7 +75,7 @@ func NewTrain(bursts ...Burst) *Train {
 		}
 		merged = append(merged, b)
 	}
-	return &Train{bursts: merged}
+	t.bursts = merged
 }
 
 // Bursts returns a copy of the train's bursts in start order.

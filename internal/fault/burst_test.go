@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -59,6 +61,33 @@ func TestNewTrainMergesAndSorts(t *testing.T) {
 	}
 	if got[1].Start != 20 || got[1].End() != 25 {
 		t.Errorf("second burst = [%v,%v), want [20,25)", got[1].Start, got[1].End())
+	}
+}
+
+// TestTrainResetMatchesNewTrain refills one train with random burst sets,
+// sorted and unsorted, larger and smaller than the last: each Reset must
+// leave exactly the bursts NewTrain builds, and refilling with sorted
+// bursts that fit its storage must allocate nothing.
+func TestTrainResetMatchesNewTrain(t *testing.T) {
+	st := rng.NewStream(5)
+	var tr Train
+	for i := 0; i < 200; i++ {
+		raw := make([]Burst, st.Intn(20))
+		for j := range raw {
+			raw[j] = Burst{Start: time.Duration(st.Intn(500)), Length: time.Duration(st.Intn(40))}
+		}
+		if i%2 == 0 {
+			slices.SortFunc(raw, func(a, b Burst) int { return cmp.Compare(a.Start, b.Start) })
+		}
+		tr.Reset(raw...)
+		if got, want := tr.Bursts(), NewTrain(raw...).Bursts(); !slices.Equal(got, want) {
+			t.Fatalf("refill %d: Reset left %+v, NewTrain builds %+v", i, got, want)
+		}
+	}
+	sorted := []Burst{{Start: 0, Length: 10}, {Start: 5, Length: 10}, {Start: 30, Length: 5}}
+	tr.Reset(sorted...)
+	if allocs := testing.AllocsPerRun(20, func() { tr.Reset(sorted...) }); allocs != 0 {
+		t.Errorf("refilling a train with sorted bursts allocates %.1f times, want 0", allocs)
 	}
 }
 

@@ -19,15 +19,15 @@ import (
 // count must not depend on the shard size (one 16-lane gang of 4-node shards
 // against sixteen single-lane gangs of 64-node shards). What remains is the
 // gateway phase's one health-vector row per diagnosed round and a fixed set
-// of result headers. Lost gateway frames add the one fault.Train that
-// carries them, whatever their number: a whole-shard outage and a transient
-// gateway fault cost at most trainAllocs more (the train, its sorted and
-// merged burst lists and the sort's swapper).
+// of result headers. Lost gateway frames cost nothing more: the campaign
+// refills one fault.Train in place (its bursts arrive in start order, so it
+// merges them without sorting), and a whole-shard outage plus a transient
+// gateway fault allocate exactly what a quiet repetition does.
 func TestFleetRunAllocs(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("invariant checking boxes Checkf arguments and inflates the allocation count")
 	}
-	const s, rounds, headers, trainAllocs = 16, 12, 40, 6
+	const s, rounds, headers = 16, 12, 40
 	allocs := func(nodes int, hooks Hooks) float64 {
 		c, err := New(Config{Nodes: nodes, Shards: s, Rounds: rounds, Workers: 1})
 		if err != nil {
@@ -56,7 +56,7 @@ func TestFleetRunAllocs(t *testing.T) {
 	if ceiling := float64(rounds + headers); large > ceiling {
 		t.Errorf("a repetition allocates %.1f times, want <= %.0f", large, ceiling)
 	}
-	if ceiling := large + trainAllocs; drops > ceiling {
-		t.Errorf("a repetition with lost gateway frames allocates %.1f times, want <= %.0f", drops, ceiling)
+	if drops > large {
+		t.Errorf("a repetition with lost gateway frames allocates %.1f times, want <= %.0f: the gateway fault.Train is refilled in place", drops, large)
 	}
 }

@@ -117,10 +117,12 @@ type Campaign struct {
 	// gateway rounds. A frame carries the S-bit syndrome over the shards
 	// plus the sender's ShardSummary; a lost frame is a slot burst on the
 	// lane, the benign fault of the paper's bus. gwRes is the result its
-	// OnOutput fills during Run, and bursts the drop scratch.
+	// OnOutput fills during Run; bursts is the drop scratch and train the
+	// lane's fault.Train, refilled in place every repetition with drops.
 	gw     *sim.BatchDiagCluster
 	gwRes  *GatewayResult
 	bursts []fault.Burst
+	train  fault.Train
 
 	// gangs lists the shards that run together, lane by lane, in one
 	// BatchDiagCluster: equal-sized shards in dispatch order, at most
@@ -433,7 +435,8 @@ func (c *Campaign) runGateways(hooks Hooks) (*GatewayResult, error) {
 			}
 		}
 		if len(c.bursts) > 0 {
-			c.gw.AddLaneDisturbance(0, fault.NewTrain(c.bursts...))
+			c.train.Reset(c.bursts...)
+			c.gw.AddLaneDisturbance(0, &c.train)
 		}
 	}
 	gr := &GatewayResult{

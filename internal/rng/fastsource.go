@@ -15,8 +15,8 @@ import "math/rand"
 // Equivalence with the stdlib source is structural, not sampled: the seeding
 // recurrence assigns vec[i] from LCG chain positions 21+3i, 22+3i, 23+3i
 // XORed with a fixed per-slot constant, so vec[i] is a pure function of the
-// seed computable in O(log i) multiplications (O(1) amortised along the two
-// read cursors, which move sequentially). The per-slot constants are not
+// seed computable in three multiplications from a per-slot power of the LCG
+// multiplier (fastPow, tabulated at init). The per-slot constants are not
 // copied from the stdlib source: they are recovered numerically at package
 // init from the first 607 outputs of rand.NewSource(1) — every state word is
 // read at a known cursor position before or as it is first overwritten, so
@@ -28,12 +28,6 @@ type fastSource struct {
 	tap  int
 	feed int
 	x0   uint64 // normalised seed: LCG chain position 0
-
-	// Per-cursor memo of the most recent lazily computed slot (stored as
-	// index+1) and its first LCG value, so the sequential cursor walk costs
-	// one modular multiplication per new slot instead of a full modpow.
-	memoI [2]int
-	memoA [2]uint64
 }
 
 // Generator parameters of math/rand's default source and of the
@@ -50,10 +44,10 @@ const (
 // state word i; recovered from the reference source at init.
 var fastCooked [fastLen]int64
 
-// invA3 is the modular inverse of lcgA³ mod lcgM: one multiplication by it
-// steps a slot's LCG value from slot i+1 to slot i, the direction the read
-// cursors walk.
-var invA3 uint64
+// fastPow[i] is lcgA^(21+3i) mod lcgM, the LCG multiplier that takes the
+// normalised seed to slot i's first chain position: a cold slot costs one
+// modular multiplication instead of a modpow.
+var fastPow [fastLen]uint64
 
 // modmul returns a·b mod 2³¹−1 for a, b < 2³¹, using the Mersenne-prime
 // folding identity x ≡ (x>>31) + (x & 2³¹−1) applied twice.
@@ -114,12 +108,12 @@ func init() {
 	a := modpow(lcgA, 21) // chain position 21 for x0 = 1
 	lcgA3 := modpow(lcgA, 3)
 	for i := 0; i < fastLen; i++ {
+		fastPow[i] = a
 		b := modmul(lcgA, a)
 		c := modmul(lcgA, b)
 		fastCooked[i] = int64(seeded[i]) ^ int64(a<<40^b<<20^c)
 		a = modmul(a, lcgA3)
 	}
-	invA3 = modpow(lcgA3, lcgM-2)
 }
 
 // newFastSource returns a fast source positioned exactly like
@@ -145,25 +139,16 @@ func (s *fastSource) Seed(seed int64) {
 	s.tap = 0
 	s.feed = fastLen - fastTap
 	s.done = [(fastLen + 63) / 64]uint64{}
-	s.memoI = [2]int{}
 }
 
 // ensure materialises state word i if it has not been generated or lazily
-// seeded yet. cursor selects the memo lane (0 = feed, 1 = tap) so the two
-// sequential cursor walks each pay one modmul per new word.
-func (s *fastSource) ensure(i, cursor int) {
+// seeded yet: three modular multiplications, wherever the slot lies.
+func (s *fastSource) ensure(i int) {
 	w, bit := i>>6, uint(i)&63
 	if s.done[w]&(1<<bit) != 0 {
 		return
 	}
-	var a uint64
-	if s.memoI[cursor] == i+2 {
-		a = modmul(s.memoA[cursor], invA3)
-	} else {
-		a = modmul(modpow(lcgA, uint64(21+3*i)), s.x0)
-	}
-	s.memoI[cursor] = i + 1
-	s.memoA[cursor] = a
+	a := modmul(fastPow[i], s.x0)
 	b := modmul(lcgA, a)
 	c := modmul(lcgA, b)
 	s.vec[i] = int64(a<<40^b<<20^c) ^ fastCooked[i]
@@ -180,8 +165,8 @@ func (s *fastSource) Uint64() uint64 {
 	if s.feed < 0 {
 		s.feed += fastLen
 	}
-	s.ensure(s.feed, 0)
-	s.ensure(s.tap, 1)
+	s.ensure(s.feed)
+	s.ensure(s.tap)
 	x := s.vec[s.feed] + s.vec[s.tap]
 	s.vec[s.feed] = x
 	return uint64(x)

@@ -13,7 +13,10 @@ var fastSeedCases = []int64{
 // TestFastSourceMatchesStdlib pins the lazy source draw-for-draw against the
 // stdlib source across seeds that exercise every normalisation branch, for
 // enough draws to wrap the 607-word state vector several times (the wrap is
-// where the lazily seeded and generated words interleave).
+// where the lazily seeded and generated words interleave). The feed cursor
+// first touches every slot within the first 607 draws, and every first
+// touch seeds the slot from its fastPow entry, so each seed checks the whole
+// table.
 func TestFastSourceMatchesStdlib(t *testing.T) {
 	const draws = 3 * fastLen
 	for _, seed := range fastSeedCases {

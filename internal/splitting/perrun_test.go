@@ -8,6 +8,7 @@ import (
 
 	"ttdiag/internal/campaign"
 	"ttdiag/internal/core"
+	"ttdiag/internal/fault"
 	"ttdiag/internal/rng"
 	"ttdiag/internal/sim"
 	"ttdiag/internal/tdma"
@@ -24,6 +25,15 @@ type perRunWorker struct {
 	cl    *sim.DiagCluster
 	pool  *rng.Pool
 	fault *keyedTransient
+}
+
+// predicate is the oracle's own bus fault for f: a fault.Predicate over
+// f.hit, so the per-run path shares neither the transient's Deliver and
+// SenderCollision nor its quiet-slot answer with the gang.
+func (f *keyedTransient) predicate() fault.Predicate {
+	return fault.Predicate{Match: func(tx *tdma.Transmission) bool {
+		return tx.Sender == f.target && f.hit(tx.Round+f.off)
+	}}
 }
 
 // perRunCluster builds a reset per-run cluster and its observer.

@@ -25,10 +25,15 @@
 // regenerates or runs out of rounds takes the batch's next trial at the
 // next round boundary: RestoreLane writes the trial's entry state into the
 // lane, and a level crossing is captured with CaptureLane into a
-// sim.LaneCheckpoint, the lane's share of the cluster state only. The
-// per-run trial body, which restores a whole-cluster checkpoint into a
-// per-run cluster, is kept in the tests as the oracle the gang must match
-// exactly (TestRunMatchesPerRun).
+// sim.LaneCheckpoint, the lane's share of the cluster state only. A lane's
+// one disturbance, its trial's keyed transient, answers tdma.Quieter: it
+// never touches a sender other than the target, and the target's slot only
+// in the rounds whose keyed hash hits, so at the campaign's fault rates
+// nearly every lane·slot folds in with word operations instead of running
+// the chain. The per-run trial body, which restores a whole-cluster
+// checkpoint into a per-run cluster under a fault.Predicate of its own, is
+// kept in the tests as the oracle the gang must match exactly
+// (TestRunMatchesPerRun).
 //
 // Determinism contract: trials are scheduled on the internal/campaign pool
 // in index-addressed batches; each trial's randomness is one named stream
@@ -48,7 +53,6 @@ import (
 	"strconv"
 
 	"ttdiag/internal/campaign"
-	"ttdiag/internal/fault"
 	"ttdiag/internal/rng"
 	"ttdiag/internal/sim"
 	"ttdiag/internal/stats"
@@ -168,12 +172,21 @@ type Result struct {
 // without any generator state to checkpoint. Each gang lane carries its
 // own: off maps the gang's round onto the round the lane's trial is at, so
 // the hash sees exactly the rounds a trial run on its own would.
+//
+// It is a tdma.Quieter: the hash can be evaluated ahead, so the gang asks
+// it when the target's slot next loses a frame and folds every slot before
+// that in without running the chain.
 type keyedTransient struct {
 	target tdma.NodeID
 	thresh uint64 // probability scaled to [0, 2^53]
 	key    uint64
 	off    int
 }
+
+var (
+	_ tdma.Disturbance = (*keyedTransient)(nil)
+	_ tdma.Quieter     = (*keyedTransient)(nil)
+)
 
 func splitmix(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
@@ -186,10 +199,43 @@ func (f *keyedTransient) hit(round int) bool {
 	return splitmix(f.key^(uint64(round)*0x9e3779b97f4a7c15))>>11 < f.thresh
 }
 
-func (f *keyedTransient) predicate() fault.Predicate {
-	return fault.Predicate{Match: func(tx *tdma.Transmission) bool {
-		return tx.Sender == f.target && f.hit(tx.Round+f.off)
-	}}
+// corrupts reports whether tx is a transmission the transient destroys.
+func (f *keyedTransient) corrupts(tx *tdma.Transmission) bool {
+	return tx.Sender == f.target && f.hit(tx.Round+f.off)
+}
+
+// Deliver implements tdma.Disturbance: a hit slot is locally detectable at
+// every receiver.
+func (f *keyedTransient) Deliver(tx *tdma.Transmission, _ tdma.NodeID, d tdma.Delivery) tdma.Delivery {
+	if f.corrupts(tx) {
+		return tdma.Delivery{}
+	}
+	return d
+}
+
+// SenderCollision implements tdma.Disturbance: the target's collision
+// detector sees the corruption of its own slot.
+func (f *keyedTransient) SenderCollision(tx *tdma.Transmission, collided bool) bool {
+	return collided || f.corrupts(tx)
+}
+
+// quietScan bounds QuietUntil's look-ahead in rounds: longer than a trial's
+// default 16 StageRounds, so a trial that meets no fault asks once, and
+// short enough that a rare fault costs at most 64 hashes per answer.
+const quietScan = 64
+
+// QuietUntil implements tdma.Quieter. Senders other than the target are
+// never touched. The target is left alone until the first round from
+// tx.Round on whose keyed hash hits, or for quietScan rounds when none of
+// them does; a hit in tx.Round itself covers nothing.
+func (f *keyedTransient) QuietUntil(tx *tdma.Transmission) tdma.Wake {
+	if tx.Sender != f.target || f.thresh == 0 {
+		return tdma.WakeNever
+	}
+	r := tx.Round
+	for end := r + quietScan; r < end && !f.hit(r+f.off); r++ {
+	}
+	return tdma.Wake{Round: r, At: math.MaxInt64}
 }
 
 // entry is a level-entry state: a lane checkpoint and the round its trial
@@ -258,7 +304,7 @@ func (s *session) newWorker() (*worker, error) {
 	for r := range w.faults {
 		f := &keyedTransient{target: tdma.NodeID(s.cfg.Target)}
 		w.faults[r] = f
-		cl.AddLaneDisturbance(r, f.predicate())
+		cl.AddLaneDisturbance(r, f)
 	}
 	return w, nil
 }
@@ -273,7 +319,10 @@ func (s *session) importance(cl *sim.BatchDiagCluster, lane int) int64 {
 
 // load starts trial `trial` of the level in lane r: the lane is restored
 // from the trial's entry state and its fault process re-keyed from the
-// trial's stream.
+// trial's stream. The re-key comes after RestoreLane and before the next
+// Step: RestoreLane drops the lane's quiet-slot wakes, so the gang's next
+// transmission asks the re-keyed transient afresh rather than trusting an
+// answer the previous trial's key gave.
 func (s *session) load(w *worker, r, level, trial int, entries []*entry) error {
 	e := entries[trial%len(entries)]
 	if err := w.cl.RestoreLane(r, e.ck); err != nil {

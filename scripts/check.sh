@@ -65,7 +65,7 @@ check_fleet_determinism() {
 check_checkpoint_determinism() {
     scripts/gotest.sh -race -cpu=1,4 ./internal/core/ -run 'TestCopyFromMatchesJSONRestore|TestCopyFromContinuation'
     scripts/gotest.sh -race -cpu=1,4 ./internal/sim/ -run 'TestClusterCheckpointRewind|TestClusterCheckpointCrossCluster|TestLaneCheckpointRoundTrip'
-    scripts/gotest.sh -race -cpu=1,4 ./internal/splitting/ -run 'TestRunWorkerCountInvariance|TestRunMatchesDirectMonteCarlo|TestRunMatchesPerRun'
+    scripts/gotest.sh -race -cpu=1,4 ./internal/splitting/ -run 'TestRunWorkerCountInvariance|TestRunMatchesDirectMonteCarlo|TestRunMatchesPerRun|TestKeyedTransientQuietContract'
     scripts/gotest.sh -race -cpu=1,4 ./internal/experiments/ -run TestRareEventCampaignWorkerCountInvariance
 }
 
@@ -100,6 +100,8 @@ step "go test -fuzz (lane-packed voting kernel, seed corpus + short fuzz)" \
     scripts/gotest.sh ./internal/core/ -run FuzzVoteAllBatch -fuzz 'FuzzVoteAllBatch$' -fuzztime 15s
 step "go test -fuzz (quiet slots, answering vs hidden Quieter chains, seed corpus + short fuzz)" \
     scripts/gotest.sh ./internal/sim/ -run FuzzQuietSlots -fuzz 'FuzzQuietSlots$' -fuzztime 15s
+step "go test -fuzz (splitting keyed transient's quiet answer, seed corpus + short fuzz)" \
+    scripts/gotest.sh ./internal/splitting/ -run FuzzKeyedTransientQuiet -fuzz 'FuzzKeyedTransientQuiet$' -fuzztime 15s
 step "go test -fuzz (quiet-round shortcuts, hinted vs unhinted gang, seed corpus + short fuzz)" \
     scripts/gotest.sh ./internal/core/ -run FuzzStepBatchQuiet -fuzz 'FuzzStepBatchQuiet$' -fuzztime 15s
 step "go test -fuzz (Alg. 1 kernel vs reference, seed corpus + short fuzz)" \
