@@ -28,6 +28,37 @@ func TestUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestSec8CampaignsPass runs each Sec. 8 fault-injection campaign through
+// the CLI: every audit passes, so each exits without error (a failed audit
+// would make run return one).
+func TestSec8CampaignsPass(t *testing.T) {
+	for _, id := range []string{"sec8-bursts", "sec8-pr", "sec8-malicious", "sec8-clique"} {
+		if err := run([]string{"-run", id, "-runs", "2"}); err != nil {
+			t.Errorf("%s: %v", id, err)
+		}
+	}
+}
+
+// TestSec8SingleCampaign runs one Sec. 8 campaign by ID: only that
+// campaign's table is written, followed by its audit summary.
+func TestSec8SingleCampaign(t *testing.T) {
+	path := t.TempDir() + "/report.txt"
+	if err := run([]string{"-run", "sec8-pr", "-runs", "2", "-out", path}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report := string(data)
+	if n := strings.Count(report, "==> "); n != 1 || !strings.Contains(report, "==> sec8-pr ") {
+		t.Fatalf("want exactly the sec8-pr section, got %d sections:\n%s", n, report)
+	}
+	if !strings.Contains(report, "2/2 injections passed their audits") {
+		t.Fatalf("audit summary missing:\n%s", report)
+	}
+}
+
 func TestBadFlag(t *testing.T) {
 	if err := run([]string{"-definitely-not-a-flag"}); err == nil {
 		t.Fatal("bad flag accepted")

@@ -68,18 +68,18 @@ func detectionLatencies() ([3]int, error) {
 	var out [3]int
 	const faultRound = 8
 	addOn := func(name string, cfg sim.ClusterConfig) (int, error) {
-		eng, runners, err := sim.NewDiagnosticCluster(cfg)
+		cl, err := oneLane(cfg, faultRound+8)
 		if err != nil {
 			return 0, err
 		}
-		eng.Bus().AddDisturbance(fault.NewTrain(fault.SlotBurst(eng.Schedule(), faultRound, 3, 1)))
+		cl.AddLaneDisturbance(0, fault.NewTrain(fault.SlotBurst(cl.Schedule(), faultRound, 3, 1)))
 		detected := -1
-		runners[1].OnOutput = func(o core.RoundOutput) {
-			if detected < 0 && o.DiagnosedRound == faultRound && o.ConsHV.Get(3) == core.Faulty {
+		cl.OnOutput = func(id int, o *core.BatchRoundOutput) {
+			if id == 1 && detected < 0 && o.DiagnosedRound == faultRound && o.LaneConsHV(0, 4).Get(3) == core.Faulty {
 				detected = o.Round
 			}
 		}
-		if err := eng.RunRounds(faultRound + 8); err != nil {
+		if err := cl.Run(); err != nil {
 			return 0, err
 		}
 		if detected < 0 {
@@ -166,26 +166,28 @@ func runCmpTTPC(p Params) error {
 	}
 
 	runOurs := func(scenario string, ds func(*tdma.Schedule) []tdma.Disturbance) error {
-		eng, runners, err := sim.NewDiagnosticCluster(sim.ClusterConfig{
+		cl, err := oneLane(sim.ClusterConfig{
 			Ls: sim.Staircase(4), AllSendCurrRound: true,
 			PR: core.PRConfig{PenaltyThreshold: 10, RewardThreshold: 100},
-		})
+		}, 16)
 		if err != nil {
 			return err
 		}
-		col := sim.NewCollector()
-		for id := 1; id <= 4; id++ {
-			col.HookDiag(id, runners[id])
+		for _, d := range ds(cl.Schedule()) {
+			cl.AddLaneDisturbance(0, d)
 		}
-		for _, d := range ds(eng.Schedule()) {
-			eng.Bus().AddDisturbance(d)
+		var last uint64 // node 1's activity vector after its last job
+		cl.OnOutput = func(id int, o *core.BatchRoundOutput) {
+			if id == 1 {
+				last = o.LaneActiveMask(0, 4)
+			}
 		}
-		if err := eng.RunRounds(16); err != nil {
+		if err := cl.Run(); err != nil {
 			return err
 		}
-		active := bits.OnesCount64(runners[1].Last().Active)
+		active := bits.OnesCount64(last)
 		verdict := "consistent diagnosis, all nodes kept"
-		if err := sim.AuditTheorem1(eng, col, []int{1, 2, 3, 4}, 3, 10); err != nil {
+		if err := sim.AuditTheorem1(cl.LaneTruth(0), cl.LaneCollector(0), []int{1, 2, 3, 4}, 3, 10); err != nil {
 			verdict = "audit failed: " + err.Error()
 		} else if active < 4 {
 			verdict = fmt.Sprintf("%d node(s) isolated", 4-active)

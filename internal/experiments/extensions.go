@@ -42,40 +42,36 @@ func runPortability(p Params) error {
 	t.row("platform", "N", "round", "slot", "dm bytes", "detected", "latency", "audit")
 	t.rule(8)
 	for _, prof := range platform.All() {
-		eng, runners, err := sim.NewDiagnosticCluster(prof.ClusterConfig())
+		cl, err := oneLane(prof.ClusterConfig(), 20)
 		if err != nil {
 			return err
 		}
-		col := sim.NewCollector()
 		obedient := make([]int, prof.N)
 		for id := 1; id <= prof.N; id++ {
-			col.HookDiag(id, runners[id])
 			obedient[id-1] = id
 		}
 		const faultRound = 6
-		eng.Bus().AddDisturbance(fault.NewTrain(fault.SlotBurst(eng.Schedule(), faultRound, 2, 1)))
+		cl.AddLaneDisturbance(0, fault.NewTrain(fault.SlotBurst(cl.Schedule(), faultRound, 2, 1)))
 		detected := -1
-		collect := runners[1].OnOutput
-		runners[1].OnOutput = func(out core.RoundOutput) {
-			collect(out)
-			if detected < 0 && out.DiagnosedRound == faultRound && out.ConsHV.Get(2) == core.Faulty {
+		cl.OnOutput = func(id int, out *core.BatchRoundOutput) {
+			if id == 1 && detected < 0 && out.DiagnosedRound == faultRound && out.LaneConsHV(0, prof.N).Get(2) == core.Faulty {
 				detected = out.Round
 			}
 		}
-		if err := eng.RunRounds(20); err != nil {
+		if err := cl.Run(); err != nil {
 			return err
 		}
 		audit := "pass"
-		if err := sim.AuditTheorem1(eng, col, obedient, 4, 16); err != nil {
+		if err := sim.AuditTheorem1(cl.LaneTruth(0), cl.LaneCollector(0), obedient, 4, 16); err != nil {
 			audit = err.Error()
 		}
 		latency := "-"
 		if detected >= 0 {
 			latency = fmt.Sprintf("%d rounds (%v)", detected-faultRound,
-				time.Duration(detected-faultRound)*eng.Schedule().RoundLen())
+				time.Duration(detected-faultRound)*cl.Schedule().RoundLen())
 		}
 		t.row(prof.Name, strconv.Itoa(prof.N), prof.RoundLen.String(), prof.SlotLen().String(),
-			strconv.Itoa(len(eng.Controller(1).Outbox())), strconv.FormatBool(detected >= 0), latency, audit)
+			strconv.Itoa(core.EncodedLen(prof.N)), strconv.FormatBool(detected >= 0), latency, audit)
 	}
 	if err := t.flush(); err != nil {
 		return err

@@ -41,22 +41,23 @@ func init() {
 // instances — the pipeline sketched in Fig. 1.
 func runFig1(p Params) error {
 	var rec trace.Recorder
-	eng, runners, err := sim.NewDiagnosticCluster(sim.ClusterConfig{
+	const rounds = 8
+	cl, err := oneLane(sim.ClusterConfig{
 		Ls: sim.Staircase(4), AllSendCurrRound: true, Sink: &rec,
-	})
+	}, rounds)
 	if err != nil {
 		return err
 	}
 	diagnosedAt := make(map[int]int) // diagnosed round -> execution round
-	runners[1].OnOutput = func(out core.RoundOutput) {
-		if out.ConsHV.Known != 0 {
+	cl.OnOutput = func(id int, out *core.BatchRoundOutput) {
+		if id == 1 && out.Warm {
 			diagnosedAt[out.DiagnosedRound] = out.Round
 		}
 	}
-	const rounds = 8
-	if err := eng.RunRounds(rounds); err != nil {
+	if err := cl.Run(); err != nil {
 		return err
 	}
+	cl.FlushLaneTrace(0)
 	t := newTable(p.Out)
 	t.row("round", "phases executed by every diagnostic job")
 	t.rule(2)

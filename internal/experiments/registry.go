@@ -9,6 +9,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"ttdiag/internal/metrics"
@@ -83,30 +84,33 @@ type Experiment struct {
 	Run func(p Params) error
 }
 
-// registry is populated by the artifact files' register calls.
-var registry = map[string]Experiment{}
+// registry holds the experiments the artifact files register, sorted by
+// ID, so listing never depends on map order.
+var registry []Experiment
+
+// find returns the index at which id is or would be registered.
+func find(id string) int {
+	return sort.Search(len(registry), func(i int) bool { return registry[i].ID >= id })
+}
 
 func register(e Experiment) {
-	registry[e.ID] = e
+	i := find(e.ID)
+	if i < len(registry) && registry[i].ID == e.ID {
+		panic("experiments: duplicate experiment " + e.ID)
+	}
+	registry = slices.Insert(registry, i, e)
 }
 
 // All returns every registered experiment, sorted by ID.
-func All() []Experiment {
-	out := make([]Experiment, 0, len(registry))
-	for _, e := range registry {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
+func All() []Experiment { return slices.Clone(registry) }
 
 // Get returns the experiment with the given ID.
 func Get(id string) (Experiment, error) {
-	e, ok := registry[id]
-	if !ok {
+	i := find(id)
+	if i == len(registry) || registry[i].ID != id {
 		return Experiment{}, fmt.Errorf("experiments: unknown experiment %q (use -list)", id)
 	}
-	return e, nil
+	return registry[i], nil
 }
 
 // Run executes one experiment by ID.

@@ -65,3 +65,26 @@ func TestAsciiPlot(t *testing.T) {
 		t.Fatal("constant x produced nothing")
 	}
 }
+
+// TestRenderCampaignFailedAudit pins the campaign exit status: a row with
+// failed audits still renders the whole table, then fails the experiment.
+func TestRenderCampaignFailedAudit(t *testing.T) {
+	var buf bytes.Buffer
+	rows := []CampaignRow{
+		{Class: "ok", Runs: 3, Passed: 3},
+		{Class: "broken", Runs: 3, Passed: 1, FirstFailure: "run 1: disagreement"},
+	}
+	err := renderCampaign(Params{Out: &buf}, rows)
+	if err == nil || !strings.Contains(err.Error(), "2 injections failed") {
+		t.Fatalf("renderCampaign error = %v, want 2 failed injections", err)
+	}
+	for _, want := range []string{"ok", "3/3", "broken", "1/3", "run 1: disagreement", "4/6 injections passed their audits"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("output lacks %q:\n%s", want, buf.String())
+		}
+	}
+	buf.Reset()
+	if err := renderCampaign(Params{Out: &buf}, rows[:1]); err != nil {
+		t.Fatalf("all audits passed but renderCampaign = %v", err)
+	}
+}

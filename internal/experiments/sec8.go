@@ -44,6 +44,8 @@ type CampaignRow struct {
 	FirstFailure string
 }
 
+// renderCampaign prints the campaign table and its pass count, and returns
+// an error when any audit failed, so a failed campaign exits non-zero.
 func renderCampaign(p Params, rows []CampaignRow) error {
 	t := newTable(p.Out)
 	t.row("experiment class", "passed", "first failure")
@@ -58,6 +60,9 @@ func renderCampaign(p Params, rows []CampaignRow) error {
 		return err
 	}
 	fmt.Fprintf(p.Out, "\n%d/%d injections passed their audits\n", passed, total)
+	if passed != total {
+		return fmt.Errorf("%d injections failed their audits", total-passed)
+	}
 	return nil
 }
 

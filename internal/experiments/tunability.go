@@ -11,6 +11,7 @@ import (
 	"ttdiag/internal/recovery"
 	"ttdiag/internal/rng"
 	"ttdiag/internal/sim"
+	"ttdiag/internal/tdma"
 	"ttdiag/internal/tuning"
 )
 
@@ -44,15 +45,13 @@ func runSweepThreshold(p Params) error {
 			PenaltyThreshold: threshold,
 			RewardThreshold:  tuning.PaperRewardThreshold,
 		}
-		crashLatency, err := timeToIsolationUnder(prCfg, func(eng *sim.Engine) {
-			eng.Bus().AddDisturbance(fault.Crash(2, 0))
-		}, time.Second+time.Duration(threshold)*10*sim.DefaultRoundLen)
+		crashLatency, err := timeToIsolationUnder(prCfg, fault.Crash(2, 0),
+			time.Second+time.Duration(threshold)*10*sim.DefaultRoundLen)
 		if err != nil {
 			return err
 		}
-		storm, err := timeToIsolationUnder(prCfg, func(eng *sim.Engine) {
-			eng.Bus().AddDisturbance(fault.BlinkingLight().Train(0))
-		}, fault.BlinkingLight().Span()+time.Second)
+		storm, err := timeToIsolationUnder(prCfg, fault.BlinkingLight().Train(0),
+			fault.BlinkingLight().Span()+time.Second)
 		if err != nil {
 			return err
 		}
@@ -66,31 +65,34 @@ func runSweepThreshold(p Params) error {
 	return nil
 }
 
-// timeToIsolationUnder runs a 4-node cluster with the given fault setup and
-// returns the time of the first isolation of node 2 (-1 if none within the
-// horizon).
-func timeToIsolationUnder(prCfg core.PRConfig, arm func(*sim.Engine), horizon time.Duration) (time.Duration, error) {
-	eng, runners, err := sim.NewDiagnosticCluster(sim.ClusterConfig{
-		Ls: []int{2, 0, 3, 1}, PR: prCfg,
-	})
+// oneLane builds a one-lane gang of cfg that records rounds
+// 0..rounds-1: a single scenario run on the engine every campaign runs on.
+func oneLane(cfg sim.ClusterConfig, rounds int) (*sim.BatchDiagCluster, error) {
+	cl, err := sim.NewBatchDiagCluster(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := cl.ResetBatch(1); err != nil {
+		return nil, err
+	}
+	cl.SetLaneHorizon(0, rounds)
+	return cl, nil
+}
+
+// timeToIsolationUnder runs a 4-node cluster under d and returns the time
+// of the first isolation of node 2 (-1 if none within the horizon). It runs
+// the whole horizon: a first isolation never moves in later rounds.
+func timeToIsolationUnder(prCfg core.PRConfig, d tdma.Disturbance, horizon time.Duration) (time.Duration, error) {
+	cl, err := oneLane(sim.ClusterConfig{Ls: []int{2, 0, 3, 1}, PR: prCfg},
+		int(horizon/sim.DefaultRoundLen)+8)
 	if err != nil {
 		return 0, err
 	}
-	col := sim.NewCollector()
-	for id := 1; id <= 4; id++ {
-		col.HookDiag(id, runners[id])
+	cl.AddLaneDisturbance(0, d)
+	if err := cl.Run(); err != nil {
+		return 0, err
 	}
-	arm(eng)
-	maxRounds := int(horizon/eng.Schedule().RoundLen()) + 8
-	for r := 0; r < maxRounds; r++ {
-		if err := eng.RunRound(); err != nil {
-			return 0, err
-		}
-		if col.FirstIsolation(2) >= 0 {
-			break
-		}
-	}
-	return col.FirstIsolationTime(2, eng.Schedule()), nil
+	return cl.LaneCollector(0).FirstIsolationTime(2, cl.Schedule()), nil
 }
 
 // runReintegration measures the availability gain of the Sec. 9 extension:
@@ -108,28 +110,23 @@ func runReintegration(p Params) error {
 	measure := func(reint int64) (downFor time.Duration, backUp bool, err error) {
 		prCfg := res.PRConfig(4)
 		prCfg.ReintegrationThreshold = reint
-		eng, runners, err := sim.NewDiagnosticCluster(sim.ClusterConfig{
-			Ls: []int{2, 0, 3, 1}, PR: prCfg,
-		})
+		cl, err := oneLane(sim.ClusterConfig{Ls: []int{2, 0, 3, 1}, PR: prCfg},
+			int(horizon/sim.DefaultRoundLen))
 		if err != nil {
 			return 0, false, err
 		}
-		col := sim.NewCollector()
-		for id := 1; id <= 4; id++ {
-			col.HookDiag(id, runners[id])
-		}
-		eng.Bus().AddDisturbance(scen.Train(0))
-		maxRounds := int(horizon / eng.Schedule().RoundLen())
-		if err := eng.RunRounds(maxRounds); err != nil {
+		cl.AddLaneDisturbance(0, scen.Train(0))
+		if err := cl.Run(); err != nil {
 			return 0, false, err
 		}
-		isoAt := col.FirstIsolationTime(1, eng.Schedule())
+		col, sched := cl.LaneCollector(0), cl.Schedule()
+		isoAt := col.FirstIsolationTime(1, sched)
 		if isoAt < 0 {
 			return 0, true, nil
 		}
 		for _, re := range col.Reintegrations {
 			if re.Node == 1 && re.Observer == 1 {
-				return eng.Schedule().RoundStart(re.Round) - isoAt, true, nil
+				return sched.RoundStart(re.Round) - isoAt, true, nil
 			}
 		}
 		return horizon - isoAt, false, nil
@@ -201,25 +198,19 @@ func runHealthyIsolation(p Params) error {
 	if err != nil {
 		return err
 	}
-	eng, runners, err := sim.NewDiagnosticCluster(sim.ClusterConfig{
-		Ls: []int{2, 0, 3, 1}, PR: res.PRConfig(4),
-	})
+	horizon := 10 * time.Minute
+	cl, err := oneLane(sim.ClusterConfig{Ls: []int{2, 0, 3, 1}, PR: res.PRConfig(4)},
+		int(horizon/sim.DefaultRoundLen))
 	if err != nil {
 		return err
 	}
-	col := sim.NewCollector()
-	for id := 1; id <= 4; id++ {
-		col.HookDiag(id, runners[id])
-	}
-	horizon := 10 * time.Minute
-	eng.Bus().AddDisturbance(fault.PoissonTransients(
-		rng.NewSource(p.Seed).Stream("healthy"), 1.0/60, eng.Schedule().SlotLen(), horizon))
-	rounds := int(horizon / eng.Schedule().RoundLen())
-	if err := eng.RunRounds(rounds); err != nil {
+	cl.AddLaneDisturbance(0, fault.PoissonTransients(
+		rng.NewSource(p.Seed).Stream("healthy"), 1.0/60, cl.Schedule().SlotLen(), horizon))
+	if err := cl.Run(); err != nil {
 		return err
 	}
 	fmt.Fprintf(p.Out, "\nMonte-Carlo: %v of bus time at 1 transient/min (aero tuning, P=%d): %d isolations\n",
-		horizon, res.P, len(col.Isolations))
+		horizon, res.P, len(cl.LaneCollector(0).Isolations))
 	return nil
 }
 
@@ -246,10 +237,10 @@ func runFDIRLoop(p Params) error {
 	if err != nil {
 		return err
 	}
-	eng, runners, err := sim.NewDiagnosticCluster(sim.ClusterConfig{
+	cl, err := oneLane(sim.ClusterConfig{
 		Ls: []int{2, 0, 3, 1},
 		PR: core.PRConfig{PenaltyThreshold: 3, RewardThreshold: 10, ReintegrationThreshold: 12},
-	})
+	}, 40)
 	if err != nil {
 		return err
 	}
@@ -260,9 +251,13 @@ func runFDIRLoop(p Params) error {
 	}
 	var changes []change
 	active := make([]bool, 5) // 1-based activity vector of the four nodes
-	runners[1].OnOutput = func(out core.RoundOutput) {
+	cl.OnOutput = func(id int, out *core.BatchRoundOutput) {
+		if id != 1 {
+			return
+		}
+		mask := out.LaneActiveMask(0, 4)
 		for j := 1; j < len(active); j++ {
-			active[j] = out.Active&(1<<uint(j-1)) != 0
+			active[j] = mask&(1<<uint(j-1)) != 0
 		}
 		changed, err := manager.Observe(active)
 		if err == nil && changed {
@@ -271,17 +266,17 @@ func runFDIRLoop(p Params) error {
 	}
 	var bursts []fault.Burst
 	for r := 8; r < 14; r++ {
-		bursts = append(bursts, fault.SlotBurst(eng.Schedule(), r, 3, 1))
+		bursts = append(bursts, fault.SlotBurst(cl.Schedule(), r, 3, 1))
 	}
-	eng.Bus().AddDisturbance(fault.NewTrain(bursts...))
-	if err := eng.RunRounds(40); err != nil {
+	cl.AddLaneDisturbance(0, fault.NewTrain(bursts...))
+	if err := cl.Run(); err != nil {
 		return err
 	}
 	t := newTable(p.Out)
 	t.row("round", "time", "operating mode at node 1 (identical everywhere)")
 	t.rule(3)
 	for _, c := range changes {
-		t.row(strconv.Itoa(c.round), ms(eng.Schedule().RoundStart(c.round)), c.desc)
+		t.row(strconv.Itoa(c.round), ms(cl.Schedule().RoundStart(c.round)), c.desc)
 	}
 	if err := t.flush(); err != nil {
 		return err

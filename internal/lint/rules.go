@@ -35,8 +35,10 @@ type rule struct {
 
 // deterministicPkgs are the packages whose execution must be a pure function
 // of configuration and seed: the protocol core, both runtimes, the TDMA
-// substrate and everything that feeds them. Matching is by import-path
-// suffix so the same sets cover the real module and the test fixture tree.
+// substrate and everything that feeds them, plus the experiment and tuning
+// packages whose rendered tables the golden files pin. Matching is by
+// import-path suffix so the same sets cover the real module and the test
+// fixture tree.
 var deterministicPkgs = []string{
 	"internal/core",
 	"internal/sim",
@@ -52,6 +54,8 @@ var deterministicPkgs = []string{
 	"internal/splitting",
 	"internal/stats",
 	"internal/trace",
+	"internal/experiments",
+	"internal/tuning",
 }
 
 // orderSensitivePkgs covers the packages where map-iteration order would

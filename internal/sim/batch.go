@@ -367,9 +367,8 @@ func (c *BatchDiagCluster) ResetLs(ls []int) error {
 // must be either receiver-uniform — Deliver does not depend on the rcv
 // argument (fault.Train and any burst train, fault.MaliciousSyndrome) — or
 // a tdma.Blinder (fault.SOS, fault.ReceiverBlind), whose receiver mask is
-// used instead of Deliver. A composite chain (tdma.Disturbances,
-// fault.RedundantChannels) counts as one opaque disturbance and must be
-// receiver-uniform as a whole.
+// used instead of Deliver. A composite chain (tdma.Disturbances) counts as
+// one opaque disturbance and must be receiver-uniform as a whole.
 //
 // A lane whose every disturbance is a tdma.Quieter skips its chain on the
 // slots the chain says it leaves untouched: the transmission is folded in

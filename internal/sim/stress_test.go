@@ -6,7 +6,6 @@ import (
 	"ttdiag/internal/core"
 	"ttdiag/internal/fault"
 	"ttdiag/internal/rng"
-	"ttdiag/internal/tdma"
 )
 
 // TestStressRandomNoiseConsistency runs 2000 rounds under independent
@@ -153,47 +152,6 @@ func TestStressMixedFaultSoup(t *testing.T) {
 			if pr.Reward(j) >= 50 {
 				t.Fatalf("reward %d not reset at threshold", pr.Reward(j))
 			}
-		}
-	}
-}
-
-// TestRedundantBusMasksChannelFaults runs the protocol over a replicated
-// bus (the paper's prototype had a redundant layered-TTP network): heavy
-// noise confined to channel A is fully masked by channel B, so no fault is
-// ever diagnosed; a common-mode burst on both channels still is.
-func TestRedundantBusMasksChannelFaults(t *testing.T) {
-	eng, runners, err := NewDiagnosticCluster(ClusterConfig{Ls: []int{2, 0, 3, 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	common := fault.SlotBurst(eng.Schedule(), 20, 2, 1)
-	eng.Bus().AddDisturbance(fault.NewRedundantChannels(
-		[]tdma.Disturbance{
-			fault.NewRandomNoise(0.5, rng.NewStream(9)),
-			fault.NewTrain(common),
-		},
-		[]tdma.Disturbance{
-			fault.NewTrain(common),
-		},
-	))
-	col := NewCollector()
-	for id := 1; id <= 4; id++ {
-		col.HookDiag(id, runners[id])
-	}
-	const rounds = 60
-	if err := eng.RunRounds(rounds); err != nil {
-		t.Fatal(err)
-	}
-	for d := 3; d < rounds-4; d++ {
-		hv := col.ConsHV[d][1]
-		if d == 20 {
-			if hv.String(4) != "1011" {
-				t.Fatalf("common-mode fault diagnosed as %s, want 1011", hv.String(4))
-			}
-			continue
-		}
-		if hv.CountFaulty(4) != 0 {
-			t.Fatalf("round %d: channel-local noise leaked through redundancy: %s", d, hv.String(4))
 		}
 	}
 }

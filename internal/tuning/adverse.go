@@ -181,26 +181,28 @@ func ComparePolicies(scen fault.Scenario, res Result, alphaDecay, alphaThreshold
 	horizon := scen.Span() + time.Second
 	maxRounds := int(horizon/res.RoundLen) + 8
 
+	// Each policy runs the scenario on its own one-lane gang.
+	gang := func(prCfg core.PRConfig) (*sim.BatchDiagCluster, error) {
+		cl, err := oneLane(sim.ClusterConfig{N: n, RoundLen: res.RoundLen, Ls: adverseLs, PR: prCfg}, maxRounds)
+		if err != nil {
+			return nil, err
+		}
+		cl.AddLaneDisturbance(0, scen.Train(0))
+		return cl, nil
+	}
+
 	runPR := func(name string, prCfg core.PRConfig) (PolicyOutcome, error) {
-		eng, runners, err := sim.NewDiagnosticCluster(sim.ClusterConfig{
-			N: n, RoundLen: res.RoundLen, Ls: adverseLs, PR: prCfg,
-		})
+		cl, err := gang(prCfg)
 		if err != nil {
 			return PolicyOutcome{}, err
 		}
-		col := sim.NewCollector()
-		for id := 1; id <= n; id++ {
-			col.HookDiag(id, runners[id])
-		}
-		eng.Bus().AddDisturbance(scen.Train(0))
-		for r := 0; r < maxRounds; r++ {
-			if err := eng.RunRound(); err != nil {
-				return PolicyOutcome{}, err
-			}
+		if err := cl.Run(); err != nil {
+			return PolicyOutcome{}, err
 		}
 		out := PolicyOutcome{Policy: name, FirstIsolation: -1}
+		col := cl.LaneCollector(0)
 		for id := 1; id <= n; id++ {
-			if t := col.FirstIsolationTime(id, eng.Schedule()); t >= 0 {
+			if t := col.FirstIsolationTime(id, cl.Schedule()); t >= 0 {
 				out.NodesIsolated++
 				if out.FirstIsolation < 0 || t < out.FirstIsolation {
 					out.FirstIsolation = t
@@ -212,10 +214,7 @@ func ComparePolicies(scen fault.Scenario, res Result, alphaDecay, alphaThreshold
 	}
 
 	runAlpha := func() (PolicyOutcome, error) {
-		eng, runners, err := sim.NewDiagnosticCluster(sim.ClusterConfig{
-			N: n, RoundLen: res.RoundLen, Ls: adverseLs,
-			PR: core.PRConfig{PenaltyThreshold: 1 << 50, RewardThreshold: 1 << 50},
-		})
+		cl, err := gang(core.PRConfig{PenaltyThreshold: 1 << 50, RewardThreshold: 1 << 50})
 		if err != nil {
 			return PolicyOutcome{}, err
 		}
@@ -224,12 +223,13 @@ func ComparePolicies(scen fault.Scenario, res Result, alphaDecay, alphaThreshold
 			return PolicyOutcome{}, err
 		}
 		out := PolicyOutcome{Policy: "alpha-count", FirstIsolation: -1}
-		sched := eng.Schedule()
-		runners[1].OnOutput = func(ro core.RoundOutput) {
-			if ro.ConsHV.Known == 0 {
+		sched := cl.Schedule()
+		// The α-count filter reads node 1's consistent health vectors.
+		cl.OnOutput = func(id int, ro *core.BatchRoundOutput) {
+			if id != 1 || !ro.Warm {
 				return
 			}
-			iso, err := alpha.Update(ro.ConsHV.Unpack(n))
+			iso, err := alpha.Update(ro.LaneConsHV(0, n).Unpack(n))
 			if err != nil {
 				return
 			}
@@ -238,11 +238,8 @@ func ComparePolicies(scen fault.Scenario, res Result, alphaDecay, alphaThreshold
 			}
 			out.NodesIsolated += len(iso)
 		}
-		eng.Bus().AddDisturbance(scen.Train(0))
-		for r := 0; r < maxRounds; r++ {
-			if err := eng.RunRound(); err != nil {
-				return PolicyOutcome{}, err
-			}
+		if err := cl.Run(); err != nil {
+			return PolicyOutcome{}, err
 		}
 		out.SystemDown = out.NodesIsolated == n
 		return out, nil

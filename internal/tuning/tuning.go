@@ -229,33 +229,46 @@ func Derive(spec DomainSpec) (Result, error) {
 // starting at time zero and returns the penalty counter of an affected node
 // at the moment the outage budget expires.
 func penaltyAtDeadline(roundLen time.Duration, outage time.Duration) (int64, error) {
-	eng, runners, err := sim.NewDiagnosticCluster(sim.ClusterConfig{
+	cl, err := oneLane(sim.ClusterConfig{
 		RoundLen: roundLen,
 		// The prototype's unconstrained scheduling: detection latency of
 		// k-3 (the paper's add-on deployment).
 		Ls: []int{2, 0, 3, 1},
 		PR: core.PRConfig{PenaltyThreshold: 1 << 50, RewardThreshold: 1 << 50},
-	})
+	}, 0) // horizon 0: the loop below reads the counter, nothing is recorded
 	if err != nil {
 		return 0, err
 	}
-	horizon := outage + 10*roundLen
-	eng.Bus().AddDisturbance(fault.NewTrain(fault.Burst{Start: 0, Length: horizon}))
+	cl.AddLaneDisturbance(0, fault.NewTrain(fault.Burst{Start: 0, Length: outage + 10*roundLen}))
 
 	var penalty int64
-	node1 := runners[1]
-	target := 2 // observe the penalty counter of node 2 at node 1
-	for eng.Round() == 0 || eng.Schedule().RoundStart(eng.Round()) < outage {
-		if err := eng.RunRound(); err != nil {
+	sched := cl.Schedule()
+	for cl.Round() == 0 || sched.RoundStart(cl.Round()) < outage {
+		if err := cl.Step(); err != nil {
 			return 0, err
 		}
 		// The counter value "reached when the maximum diagnostic latency was
 		// reached" is the one after the last job executing before the
 		// deadline.
-		jobTime := eng.JobTime(eng.Round()-1, 2) // node 1's job position is 2
+		jobTime := sched.JobTime(cl.Round()-1, 2) // node 1's job position is 2
 		if jobTime < outage {
-			penalty = node1.Protocol().PenaltyReward().Penalty(target)
+			// The penalty counter of node 2 at node 1.
+			penalty = cl.Proto(1).LanePenalty(0, 2)
 		}
 	}
 	return penalty, nil
+}
+
+// oneLane builds a one-lane gang of cfg that records rounds
+// 0..rounds-1: a single scenario run on the engine every campaign runs on.
+func oneLane(cfg sim.ClusterConfig, rounds int) (*sim.BatchDiagCluster, error) {
+	cl, err := sim.NewBatchDiagCluster(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := cl.ResetBatch(1); err != nil {
+		return nil, err
+	}
+	cl.SetLaneHorizon(0, rounds)
+	return cl, nil
 }
