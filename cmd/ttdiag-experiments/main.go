@@ -11,6 +11,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -138,12 +139,12 @@ func run(args []string) error {
 		}
 		return experiments.RunAll(p)
 	}
-	if err := runExp(); err != nil {
-		return err
-	}
+	// The experiment's error is returned last: a failed audit still leaves
+	// its metrics report and a checked trace behind to diagnose it.
+	err := runExp()
 	if jw != nil {
-		if err := jw.Err(); err != nil {
-			return fmt.Errorf("trace: %w", err)
+		if terr := jw.Err(); terr != nil {
+			err = errors.Join(err, fmt.Errorf("trace: %w", terr))
 		}
 	}
 	if dc, ok := p.Trace.(trace.DropCounter); ok {
@@ -153,14 +154,14 @@ func run(args []string) error {
 		}
 	}
 	if rep != nil {
-		f, err := os.Create(*metricsOut)
-		if err != nil {
-			return err
+		f, ferr := os.Create(*metricsOut)
+		if ferr == nil {
+			defer f.Close()
+			ferr = rep.WriteJSON(f)
 		}
-		defer f.Close()
-		if err := rep.WriteJSON(f); err != nil {
-			return fmt.Errorf("metrics: %w", err)
+		if ferr != nil {
+			err = errors.Join(err, fmt.Errorf("metrics: %w", ferr))
 		}
 	}
-	return nil
+	return err
 }

@@ -253,3 +253,21 @@ func TestProgressFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFailedExperimentWritesMetrics: an experiment that fails still leaves
+// its metrics report behind, and the run returns the experiment's error.
+func TestFailedExperimentWritesMetrics(t *testing.T) {
+	path := t.TempDir() + "/metrics.json"
+	err := run([]string{"-run", "fleet-resilience", "-fleet", "3", "-shards", "2", "-runs", "1", "-metrics", path})
+	if err == nil || !strings.Contains(err.Error(), "fleet-resilience") {
+		t.Fatalf("got %v, want the fleet-resilience error", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep metrics.Report
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatalf("report of the failed run: %v", err)
+	}
+}

@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/bits"
 	"os"
 	"strings"
@@ -22,7 +23,6 @@ import (
 	"ttdiag/internal/core"
 	"ttdiag/internal/fault"
 	"ttdiag/internal/lowlat"
-	"ttdiag/internal/membership"
 	"ttdiag/internal/metrics"
 	"ttdiag/internal/rng"
 	"ttdiag/internal/sim"
@@ -31,7 +31,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "ttdiag-sim:", err)
 		os.Exit(1)
 	}
@@ -55,7 +55,7 @@ type options struct {
 	traceOut string
 }
 
-func run(args []string) error {
+func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("ttdiag-sim", flag.ContinueOnError)
 	var o options
 	fs.StringVar(&o.variant, "variant", "diag", "protocol variant: diag, membership, lowlat or ttpc")
@@ -76,7 +76,7 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	return simulate(o)
+	return simulate(w, o)
 }
 
 func parseTriple(s string) (a, b, c int, err error) {
@@ -97,49 +97,49 @@ func parsePair(s string) (a, b int, err error) {
 	return a, b, nil
 }
 
-func disturbances(o options, sched *tdma.Schedule) ([]tdma.Disturbance, error) {
-	var ds []tdma.Disturbance
+// addDisturbances attaches the faults the flags name through add.
+func addDisturbances(o options, sched *tdma.Schedule, add func(tdma.Disturbance)) error {
 	if o.burst != "" {
 		round, slot, slots, err := parseTriple(o.burst)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		ds = append(ds, fault.NewTrain(fault.SlotBurst(sched, round, slot, slots)))
+		add(fault.NewTrain(fault.SlotBurst(sched, round, slot, slots)))
 	}
 	if o.blind != "" {
 		rcv, sender, round, err := parseTriple(o.blind)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		ds = append(ds, fault.ReceiverBlind{
+		add(fault.ReceiverBlind{
 			Receiver: tdma.NodeID(rcv), Senders: []tdma.NodeID{tdma.NodeID(sender)},
 			FromRound: round, ToRound: round + 1,
 		})
 	}
 	if o.mal > 0 {
-		ds = append(ds, fault.NewMaliciousSyndrome(tdma.NodeID(o.mal),
+		add(fault.NewMaliciousSyndrome(tdma.NodeID(o.mal),
 			rng.NewSource(o.seed).Stream("malicious")))
 	}
 	if o.crash != "" {
 		node, round, err := parsePair(o.crash)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		ds = append(ds, fault.Crash(tdma.NodeID(node), round))
+		add(fault.Crash(tdma.NodeID(node), round))
 	}
 	switch o.scenario {
 	case "":
 	case "blinking":
-		ds = append(ds, fault.BlinkingLight().Train(0))
+		add(fault.BlinkingLight().Train(0))
 	case "lightning":
-		ds = append(ds, fault.LightningBolt().Train(0))
+		add(fault.LightningBolt().Train(0))
 	default:
-		return nil, fmt.Errorf("unknown scenario %q", o.scenario)
+		return fmt.Errorf("unknown scenario %q", o.scenario)
 	}
-	return ds, nil
+	return nil
 }
 
-func simulate(o options) error {
+func simulate(w io.Writer, o options) error {
 	cfg := sim.ClusterConfig{
 		N:  o.n,
 		PR: core.PRConfig{PenaltyThreshold: o.p, RewardThreshold: o.r},
@@ -159,14 +159,12 @@ func simulate(o options) error {
 	}
 	runVariant := func() error {
 		switch o.variant {
-		case "diag":
-			return simulateDiag(o, cfg)
-		case "membership":
-			return simulateMembership(o, cfg)
+		case "diag", "membership":
+			return simulateGang(w, o, cfg)
 		case "lowlat":
-			return simulateLowLat(o, cfg)
+			return simulateLowLat(w, o, cfg)
 		case "ttpc":
-			return simulateTTPC(o, cfg)
+			return simulateTTPC(w, o, cfg)
 		default:
 			return fmt.Errorf("unknown variant %q", o.variant)
 		}
@@ -182,53 +180,38 @@ func simulate(o options) error {
 	return nil
 }
 
-// simTelemetry is the single-run metrics wiring of the -metrics flag: one
-// registry shared by the lock-step cluster, standard protocol counters on
-// every node, penalty trajectories on the node-1 observer.
-type simTelemetry struct {
-	reg *metrics.Registry
-	sys *sim.RunMetrics
-}
-
-func newSimTelemetry(o options) *simTelemetry {
-	if o.metrics == "" {
-		return nil
-	}
-	reg := metrics.New()
-	return &simTelemetry{reg: reg, sys: sim.NewRunMetrics(reg)}
-}
-
-// attach wires every protocol's StepMetrics; protoOf must return node id's
-// protocol. A nil receiver is a no-op.
-func (t *simTelemetry) attach(n int, protoOf func(id int) *core.Protocol) {
-	if t == nil {
-		return
-	}
-	sm := core.NewStepMetrics(t.reg)
+// attachMetrics is the metrics wiring of the -metrics flag: standard
+// protocol counters on every node of the gang's lane, penalty trajectories
+// on the node-1 observer.
+func attachMetrics(cl *sim.BatchDiagCluster, reg *metrics.Registry) {
+	n := cl.Config().N
+	sm := core.NewStepMetrics(reg)
 	smObs := *sm
 	smObs.PenaltySeries = make([]*metrics.Series, n+1)
 	for j := 1; j <= n; j++ {
-		smObs.PenaltySeries[j] = t.reg.Series(fmt.Sprintf("penalty/node%d", j), 1024)
+		smObs.PenaltySeries[j] = reg.Series(fmt.Sprintf("penalty/node%d", j), 1024)
 	}
-	protoOf(1).SetMetrics(&smObs)
+	cl.Proto(1).SetLaneMetrics(0, &smObs)
 	for id := 2; id <= n; id++ {
-		protoOf(id).SetMetrics(sm)
+		cl.Proto(id).SetLaneMetrics(0, sm)
 	}
 }
 
-// write folds the run's ground truth and writes the report file; col and
-// views may be nil when the variant has no collector or membership layer.
-func (t *simTelemetry) write(o options, eng *sim.Engine, col *sim.Collector, views []*sim.MembershipRunner) error {
-	if t == nil {
-		return nil
+// writeMetrics folds the lane's ground truth into reg — with the isolation
+// latencies in diagnostic mode, the view changes in membership mode — and
+// writes the report file.
+func writeMetrics(o options, cl *sim.BatchDiagCluster, reg *metrics.Registry) error {
+	sys := sim.NewRunMetrics(reg)
+	sys.ObserveTruth(cl.LaneTruth(0))
+	if cl.Config().Mode == core.ModeMembership {
+		for id := 1; id <= cl.Config().N; id++ {
+			sys.ViewChanges.Add(int64(cl.LaneView(0, id).ID))
+		}
+	} else {
+		sys.ObserveIsolationLatency(cl.LaneTruth(0), cl.LaneCollector(0))
 	}
-	t.sys.ObserveTruth(eng)
-	if col != nil {
-		t.sys.ObserveIsolationLatency(eng, col)
-	}
-	t.sys.ObserveViews(views)
 	rep := metrics.NewReport("ttdiag-sim", o.seed, 1)
-	rep.Set(o.variant, t.reg.Snapshot())
+	rep.Set(o.variant, reg.Snapshot())
 	f, err := os.Create(o.metrics)
 	if err != nil {
 		return err
@@ -237,20 +220,23 @@ func (t *simTelemetry) write(o options, eng *sim.Engine, col *sim.Collector, vie
 	return rep.WriteJSON(f)
 }
 
-func printHV(o options, observer int, out core.RoundOutput, sched *tdma.Schedule) {
-	if o.quiet || out.ConsHV.Known == 0 || observer != 1 {
+// printHV prints node 1's consistent health vector of the lane when it
+// holds a faulty entry or comes with a decision.
+func printHV(w io.Writer, o options, out *core.BatchRoundOutput, n int, sched *tdma.Schedule) {
+	hv := out.LaneConsHV(0, n)
+	if o.quiet || hv.Known == 0 {
 		return
 	}
-	at := sched.RoundStart(out.Round)
 	extra := ""
-	if out.Isolated != 0 {
-		extra = fmt.Sprintf("  ISOLATED %v", nodeList(out.Isolated))
+	if iso := out.LaneIsolated(0, n); iso != 0 {
+		extra = fmt.Sprintf("  ISOLATED %v", nodeList(iso))
 	}
-	if out.Reintegrated != 0 {
-		extra += fmt.Sprintf("  REINTEGRATED %v", nodeList(out.Reintegrated))
+	if re := out.LaneReintegrated(0, n); re != 0 {
+		extra += fmt.Sprintf("  REINTEGRATED %v", nodeList(re))
 	}
-	if out.ConsHV.CountFaulty(o.n) > 0 || extra != "" {
-		fmt.Printf("%10v round %-4d cons_hv(round %d) = %s%s\n", at, out.Round, out.DiagnosedRound, out.ConsHV.String(o.n), extra)
+	if hv.CountFaulty(n) > 0 || extra != "" {
+		fmt.Fprintf(w, "%10v round %-4d cons_hv(round %d) = %s%s\n",
+			sched.RoundStart(out.Round), out.Round, out.DiagnosedRound, hv.String(n), extra)
 	}
 }
 
@@ -263,128 +249,105 @@ func nodeList(m uint64) []int {
 	return nodes
 }
 
-func simulateDiag(o options, cfg sim.ClusterConfig) error {
+// simulateGang runs the diag and membership variants on a one-lane gang:
+// node 1's outputs are printed as its jobs run (in membership mode with the
+// view changes, installed before OnOutput fires), and the lane's trace
+// reaches the sink after every round.
+func simulateGang(w io.Writer, o options, cfg sim.ClusterConfig) error {
+	if o.variant == "membership" {
+		cfg.Mode = core.ModeMembership
+	}
 	var rec trace.Recorder
-	if o.gantt {
+	gantt := o.gantt && cfg.Mode != core.ModeMembership
+	if gantt {
 		if cfg.Sink != nil {
 			cfg.Sink = trace.Tee{cfg.Sink, &rec}
 		} else {
 			cfg.Sink = &rec
 		}
 	}
-	eng, runners, err := sim.NewDiagnosticCluster(cfg)
+	cl, err := sim.NewOneLaneCluster(cfg, o.rounds)
 	if err != nil {
 		return err
 	}
-	tel := newSimTelemetry(o)
-	tel.attach(o.n, func(id int) *core.Protocol { return runners[id].Protocol() })
-	ds, err := disturbances(o, eng.Schedule())
-	if err != nil {
+	var reg *metrics.Registry
+	if o.metrics != "" {
+		reg = metrics.New()
+		attachMetrics(cl, reg)
+	}
+	if err := addDisturbances(o, cl.Schedule(), func(d tdma.Disturbance) { cl.AddLaneDisturbance(0, d) }); err != nil {
 		return err
 	}
-	for _, d := range ds {
-		eng.Bus().AddDisturbance(d)
-	}
-	col := sim.NewCollector()
-	for id := 1; id <= o.n; id++ {
-		id := id
-		col.HookDiag(id, runners[id])
-		inner := runners[id].OnOutput
-		runners[id].OnOutput = func(out core.RoundOutput) {
-			if inner != nil {
-				inner(out)
+	n, sched := cl.Config().N, cl.Schedule()
+	var active uint64 // node 1's activity vector after its last job
+	cl.OnOutput = func(id int, out *core.BatchRoundOutput) {
+		if id != 1 {
+			return
+		}
+		active = out.LaneActiveMask(0, n)
+		printHV(w, o, out, n, sched)
+		if cfg.Mode == core.ModeMembership && !o.quiet {
+			if v := cl.LaneView(0, 1); v.FormedAtRound == out.Round {
+				fmt.Fprintf(w, "%10v round %-4d NEW VIEW %d: members %v\n",
+					sched.RoundStart(out.Round), out.Round, v.ID, v.Members)
 			}
-			printHV(o, id, out, eng.Schedule())
 		}
 	}
-	if err := eng.RunRounds(o.rounds); err != nil {
-		return err
+	for cl.Round() < o.rounds {
+		if err := cl.Step(); err != nil {
+			return err
+		}
+		cl.FlushLaneTrace(0)
 	}
-	if err := tel.write(o, eng, col, nil); err != nil {
-		return err
+	if reg != nil {
+		if err := writeMetrics(o, cl, reg); err != nil {
+			return err
+		}
 	}
-	fmt.Printf("\nsimulated %d rounds (%v of bus time), %d isolation decision(s)\n",
-		o.rounds, time.Duration(o.rounds)*eng.Schedule().RoundLen(), len(col.Isolations))
-	fmt.Printf("active nodes: %v\n", nodeList(runners[1].Last().Active))
-	if o.gantt {
+	if cfg.Mode == core.ModeMembership {
+		v := cl.LaneView(0, 1)
+		fmt.Fprintf(w, "\nfinal view %d: members %v (formed at round %d)\n", v.ID, v.Members, v.FormedAtRound)
+		return nil
+	}
+	col := cl.LaneCollector(0)
+	fmt.Fprintf(w, "\nsimulated %d rounds (%v of bus time), %d isolation decision(s)\n",
+		o.rounds, time.Duration(o.rounds)*sched.RoundLen(), len(col.Isolations))
+	fmt.Fprintf(w, "active nodes: %v\n", nodeList(active))
+	if gantt {
 		events := rec.Events()
 		// Node 1's isolations/reintegrations already arrive through its causal
 		// flight recorder (ClusterConfig.Sink); synthesize only the other
 		// observers' decisions from the collector to avoid duplicate marks.
-		for _, iso := range col.Isolations {
-			if iso.Observer == 1 {
-				continue
+		for _, d := range []struct {
+			kind trace.Kind
+			list []sim.Isolation
+		}{{trace.KindIsolation, col.Isolations}, {trace.KindReintegration, col.Reintegrations}} {
+			for _, e := range d.list {
+				if e.Observer != 1 {
+					events = append(events, trace.Event{Round: e.Round, Kind: d.kind, Node: e.Observer, Subject: e.Node})
+				}
 			}
-			events = append(events, trace.Event{
-				Round: iso.Round, Kind: trace.KindIsolation,
-				Node: iso.Observer, Subject: iso.Node,
-			})
 		}
-		for _, re := range col.Reintegrations {
-			if re.Observer == 1 {
-				continue
-			}
-			events = append(events, trace.Event{
-				Round: re.Round, Kind: trace.KindReintegration,
-				Node: re.Observer, Subject: re.Node,
-			})
-		}
-		fmt.Println()
-		fmt.Print(trace.Gantt{Nodes: o.n}.Render(events))
+		fmt.Fprintln(w)
+		fmt.Fprint(w, trace.Gantt{Nodes: n}.Render(events))
 	}
 	return nil
 }
 
-func simulateMembership(o options, cfg sim.ClusterConfig) error {
-	eng, runners, err := sim.NewMembershipCluster(cfg)
-	if err != nil {
-		return err
-	}
-	tel := newSimTelemetry(o)
-	tel.attach(o.n, func(id int) *core.Protocol { return runners[id].Service().Protocol() })
-	ds, err := disturbances(o, eng.Schedule())
-	if err != nil {
-		return err
-	}
-	for _, d := range ds {
-		eng.Bus().AddDisturbance(d)
-	}
-	runners[1].OnOutput = func(out membership.Output) {
-		printHV(o, 1, out.Diag, eng.Schedule())
-		if out.ViewChanged && !o.quiet {
-			fmt.Printf("%10v round %-4d NEW VIEW %d: members %v\n",
-				eng.Schedule().RoundStart(out.Diag.Round), out.Diag.Round, out.View.ID, out.View.Members)
-		}
-	}
-	if err := eng.RunRounds(o.rounds); err != nil {
-		return err
-	}
-	if err := tel.write(o, eng, nil, runners); err != nil {
-		return err
-	}
-	v := runners[1].View()
-	fmt.Printf("\nfinal view %d: members %v (formed at round %d)\n", v.ID, v.Members, v.FormedAtRound)
-	return nil
-}
-
-func simulateLowLat(o options, cfg sim.ClusterConfig) error {
+func simulateLowLat(w io.Writer, o options, cfg sim.ClusterConfig) error {
 	eng, runners, err := sim.NewLowLatCluster(cfg)
 	if err != nil {
 		return err
 	}
-	ds, err := disturbances(o, eng.Schedule())
-	if err != nil {
+	if err := addDisturbances(o, eng.Schedule(), eng.Bus().AddDisturbance); err != nil {
 		return err
-	}
-	for _, d := range ds {
-		eng.Bus().AddDisturbance(d)
 	}
 	faultyVerdicts := 0
 	runners[1].OnVerdict = func(v lowlat.Verdict) {
 		if v.Health == core.Faulty {
 			faultyVerdicts++
 			if !o.quiet {
-				fmt.Printf("verdict: slot (%d, round %d) FAULTY (decided during round %d)\n",
+				fmt.Fprintf(w, "verdict: slot (%d, round %d) FAULTY (decided during round %d)\n",
 					v.Node, v.Round, eng.Round())
 			}
 		}
@@ -392,33 +355,30 @@ func simulateLowLat(o options, cfg sim.ClusterConfig) error {
 	if err := eng.RunRounds(o.rounds); err != nil {
 		return err
 	}
-	fmt.Printf("\nsimulated %d rounds, %d faulty per-slot verdicts at node 1\n", o.rounds, faultyVerdicts)
+	fmt.Fprintf(w, "\nsimulated %d rounds, %d faulty per-slot verdicts at node 1\n", o.rounds, faultyVerdicts)
 	return nil
 }
 
-func simulateTTPC(o options, cfg sim.ClusterConfig) error {
+func simulateTTPC(w io.Writer, o options, cfg sim.ClusterConfig) error {
 	eng, nodes, err := sim.NewTTPCCluster(cfg)
 	if err != nil {
 		return err
 	}
-	ds, err := disturbances(o, eng.Schedule())
-	if err != nil {
+	if err := addDisturbances(o, eng.Schedule(), eng.Bus().AddDisturbance); err != nil {
 		return err
-	}
-	for _, d := range ds {
-		eng.Bus().AddDisturbance(d)
 	}
 	if err := eng.RunRounds(o.rounds); err != nil {
 		return err
 	}
-	for id := 1; id <= o.n; id++ {
+	n := eng.Schedule().N()
+	for id := 1; id <= n; id++ {
 		var members []int
-		for j := 1; j <= o.n; j++ {
+		for j := 1; j <= n; j++ {
 			if nodes[id].Members()[j] {
 				members = append(members, j)
 			}
 		}
-		fmt.Printf("node %d: alive=%v members=%v\n", id, nodes[id].Alive(), members)
+		fmt.Fprintf(w, "node %d: alive=%v members=%v\n", id, nodes[id].Alive(), members)
 	}
 	return nil
 }

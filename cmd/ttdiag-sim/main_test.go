@@ -1,8 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"flag"
+	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -24,7 +28,7 @@ func TestVariants(t *testing.T) {
 		{"-scenario", "lightning", "-rounds", "100", "-p", "17", "-quiet"},
 	}
 	for _, args := range cases {
-		if err := run(args); err != nil {
+		if err := run(args, io.Discard); err != nil {
 			t.Fatalf("run(%v): %v", args, err)
 		}
 	}
@@ -41,7 +45,7 @@ func TestBadInputs(t *testing.T) {
 		{"-not-a-flag"},
 	}
 	for _, args := range cases {
-		if err := run(args); err == nil {
+		if err := run(args, io.Discard); err == nil {
 			t.Fatalf("run(%v): expected error", args)
 		}
 	}
@@ -51,7 +55,7 @@ func TestBadInputs(t *testing.T) {
 // refused, and the error names the package that runs such systems.
 func TestWideSystemPointsToFleet(t *testing.T) {
 	for _, variant := range []string{"diag", "membership", "lowlat", "ttpc"} {
-		err := run([]string{"-n", "65", "-variant", variant, "-quiet"})
+		err := run([]string{"-n", "65", "-variant", variant, "-quiet"}, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), "internal/fleet") {
 			t.Fatalf("-n 65 -variant %s: got %v, want an error pointing to internal/fleet", variant, err)
 		}
@@ -59,7 +63,7 @@ func TestWideSystemPointsToFleet(t *testing.T) {
 }
 
 func TestGanttFlag(t *testing.T) {
-	if err := run([]string{"-burst", "6:3:1", "-crash", "2:10", "-p", "4", "-rounds", "20", "-quiet", "-gantt"}); err != nil {
+	if err := run([]string{"-burst", "6:3:1", "-crash", "2:10", "-p", "4", "-rounds", "20", "-quiet", "-gantt"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -69,11 +73,11 @@ func TestGanttFlag(t *testing.T) {
 // under the run's tuning reproduces node 1's isolation of the crashed node.
 func TestRecordFlag(t *testing.T) {
 	path := t.TempDir() + "/flight.jsonl"
-	if err := run([]string{"-rounds", "10", "-quiet", "-record", path}); err == nil ||
+	if err := run([]string{"-rounds", "10", "-quiet", "-record", path}, io.Discard); err == nil ||
 		!strings.Contains(err.Error(), "flag provided but not defined: -record") {
 		t.Fatalf("-record: got %v, want an unknown-flag error", err)
 	}
-	if err := run([]string{"-crash", "4:10", "-p", "4", "-rounds", "20", "-quiet", "-trace", path}); err != nil {
+	if err := run([]string{"-crash", "4:10", "-p", "4", "-rounds", "20", "-quiet", "-trace", path}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(path)
@@ -108,7 +112,7 @@ func TestMetricsFlag(t *testing.T) {
 		} else {
 			args = append(args, "-blind", "1:2:8")
 		}
-		if err := run(args); err != nil {
+		if err := run(args, io.Discard); err != nil {
 			t.Fatalf("%s: %v", variant, err)
 		}
 		data, err := os.ReadFile(path)
@@ -127,14 +131,14 @@ func TestMetricsFlag(t *testing.T) {
 			t.Fatalf("%s: report under-filled: %+v", variant, snap)
 		}
 	}
-	if err := run([]string{"-variant", "ttpc", "-rounds", "4", "-metrics", t.TempDir() + "/m.json"}); err == nil {
+	if err := run([]string{"-variant", "ttpc", "-rounds", "4", "-metrics", t.TempDir() + "/m.json"}, io.Discard); err == nil {
 		t.Fatal("-metrics on ttpc accepted")
 	}
 }
 
 func TestTraceJSONLFlag(t *testing.T) {
 	path := t.TempDir() + "/trace.jsonl"
-	if err := run([]string{"-burst", "6:3:1", "-rounds", "10", "-quiet", "-gantt", "-trace", path}); err != nil {
+	if err := run([]string{"-burst", "6:3:1", "-rounds", "10", "-quiet", "-gantt", "-trace", path}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(path)
@@ -148,5 +152,78 @@ func TestTraceJSONLFlag(t *testing.T) {
 	}
 	if len(events) == 0 {
 		t.Fatal("trace stream empty")
+	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite the golden outputs in testdata")
+
+// TestGoldenOutputs pins what the diag and membership variants print, the
+// -trace stream and the -metrics report byte for byte. In each case's
+// arguments "OUT" stands for a temporary file whose content is compared
+// with the golden file instead of stdout.
+func TestGoldenOutputs(t *testing.T) {
+	cases := []struct {
+		golden string
+		args   []string
+	}{
+		{"diag-burst.golden", []string{"-burst", "6:3:1", "-rounds", "12"}},
+		// -n 0 is the default 4-node cluster, printed as such.
+		{"diag-burst.golden", []string{"-n", "0", "-burst", "6:3:1", "-rounds", "12"}},
+		{"membership-blind.golden", []string{"-variant", "membership", "-blind", "1:2:8", "-rounds", "18"}},
+		{"diag-malicious.golden", []string{"-malicious", "2", "-rounds", "10"}},
+		{"diag-crash.golden", []string{"-crash", "3:5", "-rounds", "12", "-p", "4"}},
+		{"diag-lightning.golden", []string{"-scenario", "lightning", "-rounds", "100", "-p", "17"}},
+		{"gantt.golden", []string{"-burst", "6:3:1", "-crash", "2:10", "-p", "4", "-rounds", "20", "-gantt"}},
+		{"crash.trace.jsonl", []string{"-crash", "4:10", "-p", "4", "-rounds", "20", "-quiet", "-trace", "OUT"}},
+		{"diag.metrics.json", []string{"-variant", "diag", "-rounds", "16", "-quiet", "-metrics", "OUT", "-burst", "6:3:1"}},
+		{"membership.metrics.json", []string{"-variant", "membership", "-rounds", "16", "-quiet", "-metrics", "OUT", "-blind", "1:2:8"}},
+	}
+	for _, c := range cases {
+		t.Run(c.golden, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), c.golden)
+			args := append([]string(nil), c.args...)
+			toFile := false
+			for i, a := range args {
+				if a == "OUT" {
+					args[i], toFile = path, true
+				}
+			}
+			var stdout bytes.Buffer
+			if err := run(args, &stdout); err != nil {
+				t.Fatal(err)
+			}
+			got := stdout.Bytes()
+			if toFile {
+				var err error
+				if got, err = os.ReadFile(path); err != nil {
+					t.Fatal(err)
+				}
+			}
+			golden := filepath.Join("testdata", c.golden)
+			if *updateGolden {
+				if err := os.WriteFile(golden, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%v: output differs from %s:\n%s", c.args, golden, got)
+			}
+		})
+	}
+}
+
+// TestTTPCZeroNodes: -n 0 is the default 4-node cluster, and the TTP/C
+// variant lists all four of its nodes.
+func TestTTPCZeroNodes(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-variant", "ttpc", "-n", "0", "-rounds", "4"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(out.String(), "alive=true"); got != 4 {
+		t.Fatalf("-n 0 listed %d live nodes, want 4:\n%s", got, out.String())
 	}
 }

@@ -359,9 +359,9 @@ func runBisect(args []string, out io.Writer) error {
 	// Each side gets its own disturbance instances, so no fault process
 	// state is shared between them.
 	build := func() (side, error) {
-		s, err := newSide(cfg)
+		s, err := newSide(cfg, *rounds)
 		if err == nil && *every != "" {
-			s.eng.Bus().AddDisturbance(fault.EveryKthRound(tdma.NodeID(node), k, from, to))
+			s.cl.AddLaneDisturbance(0, fault.EveryKthRound(tdma.NodeID(node), k, from, to))
 		}
 		return s, err
 	}
@@ -373,7 +373,7 @@ func runBisect(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	b.eng.Bus().AddDisturbance(fault.NewTrain(fault.SlotBurst(b.eng.Schedule(), round, slot, slots)))
+	b.cl.AddLaneDisturbance(0, fault.NewTrain(fault.SlotBurst(b.cl.Schedule(), round, slot, slots)))
 	div, evA, evB, err := firstDivergentRound(a, b, *rounds)
 	if err != nil {
 		return err
@@ -396,20 +396,20 @@ func runBisect(args []string, out io.Writer) error {
 	return nil
 }
 
-// side is one variant of a bisected scenario: a lock-step cluster whose
-// flight recorder holds the events of the round it executed last.
+// side is one variant of a bisected scenario: a one-lane gang whose flight
+// recorder holds the events of the round it executed last.
 type side struct {
-	eng *sim.Engine
+	cl  *sim.BatchDiagCluster
 	rec *trace.Recorder
 }
 
-// newSide builds a fresh, undisturbed variant of cfg recording into its own
-// unbounded recorder.
-func newSide(cfg sim.ClusterConfig) (side, error) {
+// newSide builds a fresh, undisturbed variant of cfg that records rounds
+// 0..rounds-1 into its own unbounded recorder.
+func newSide(cfg sim.ClusterConfig, rounds int) (side, error) {
 	rec := &trace.Recorder{}
 	cfg.Sink = rec
-	eng, _, err := sim.NewDiagnosticCluster(cfg)
-	return side{eng: eng, rec: rec}, err
+	cl, err := sim.NewOneLaneCluster(cfg, rounds)
+	return side{cl: cl, rec: rec}, err
 }
 
 // firstDivergentRound steps a and b in lock-step for at most rounds rounds
@@ -419,12 +419,14 @@ func newSide(cfg sim.ClusterConfig) (side, error) {
 // first round whose events differ is the first round whose state differs.
 func firstDivergentRound(a, b side, rounds int) (int, []trace.Event, []trace.Event, error) {
 	for k := 0; k < rounds; k++ {
-		if err := a.eng.RunRound(); err != nil {
+		if err := a.cl.Step(); err != nil {
 			return 0, nil, nil, fmt.Errorf("bisect: side A: %w", err)
 		}
-		if err := b.eng.RunRound(); err != nil {
+		if err := b.cl.Step(); err != nil {
 			return 0, nil, nil, fmt.Errorf("bisect: side B: %w", err)
 		}
+		a.cl.FlushLaneTrace(0)
+		b.cl.FlushLaneTrace(0)
 		evA, evB := a.rec.Events(), b.rec.Events()
 		if trace.FirstDivergence(evA, evB) >= 0 {
 			return k, evA, evB, nil

@@ -363,8 +363,9 @@ func stateDivergence(t *testing.T, engA, engB *sim.Engine, runA, runB []*sim.Dia
 // trace comparison: over a sweep of injected bursts — node counts, with and
 // without the shared fault, every sending slot, single-slot to nearly
 // two-round bursts, inject rounds inside and past the horizon — the first
-// round whose recorded events differ is exactly the first round whose full
-// state differs.
+// round whose events differ on the one-lane gangs bisect steps is exactly
+// the first round whose full state differs on an independent per-run
+// engine.
 func TestBisectMatchesStateScan(t *testing.T) {
 	const horizon = 32
 	cases := 0
@@ -377,27 +378,30 @@ func TestBisectMatchesStateScan(t *testing.T) {
 			for _, round := range []int{0, 3, 6, 9, 13, 21, 31, 32} {
 				for slot := 1; slot <= n; slot++ {
 					for _, slots := range []int{1, n, 2*n - 1} {
-						disturb := func(eng *sim.Engine, burst bool) {
+						disturb := func(add func(tdma.Disturbance), sched *tdma.Schedule, burst bool) {
 							if shared {
-								eng.Bus().AddDisturbance(fault.EveryKthRound(3, 1, 4, 9))
+								add(fault.EveryKthRound(3, 1, 4, 9))
 							}
 							if burst {
-								eng.Bus().AddDisturbance(fault.NewTrain(fault.SlotBurst(eng.Schedule(), round, slot, slots)))
+								add(fault.NewTrain(fault.SlotBurst(sched, round, slot, slots)))
 							}
 						}
 						engA, runA, errA := sim.NewDiagnosticCluster(cfg)
 						engB, runB, errB := sim.NewDiagnosticCluster(cfg)
-						a, errC := newSide(cfg)
-						b, errD := newSide(cfg)
+						a, errC := newSide(cfg, horizon)
+						b, errD := newSide(cfg, horizon)
 						for _, err := range []error{errA, errB, errC, errD} {
 							if err != nil {
 								t.Fatal(err)
 							}
 						}
-						disturb(engA, false)
-						disturb(engB, true)
-						disturb(a.eng, false)
-						disturb(b.eng, true)
+						laneOf := func(s side) func(tdma.Disturbance) {
+							return func(d tdma.Disturbance) { s.cl.AddLaneDisturbance(0, d) }
+						}
+						disturb(engA.Bus().AddDisturbance, engA.Schedule(), false)
+						disturb(engB.Bus().AddDisturbance, engB.Schedule(), true)
+						disturb(laneOf(a), a.cl.Schedule(), false)
+						disturb(laneOf(b), b.cl.Schedule(), true)
 						want := stateDivergence(t, engA, engB, runA, runB, horizon)
 						got, evA, evB, err := firstDivergentRound(a, b, horizon)
 						if err != nil {

@@ -68,7 +68,7 @@ func detectionLatencies() ([3]int, error) {
 	var out [3]int
 	const faultRound = 8
 	addOn := func(name string, cfg sim.ClusterConfig) (int, error) {
-		cl, err := oneLane(cfg, faultRound+8)
+		cl, err := sim.NewOneLaneCluster(cfg, faultRound+8)
 		if err != nil {
 			return 0, err
 		}
@@ -166,7 +166,7 @@ func runCmpTTPC(p Params) error {
 	}
 
 	runOurs := func(scenario string, ds func(*tdma.Schedule) []tdma.Disturbance) error {
-		cl, err := oneLane(sim.ClusterConfig{
+		cl, err := sim.NewOneLaneCluster(sim.ClusterConfig{
 			Ls: sim.Staircase(4), AllSendCurrRound: true,
 			PR: core.PRConfig{PenaltyThreshold: 10, RewardThreshold: 100},
 		}, 16)

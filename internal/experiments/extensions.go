@@ -42,7 +42,7 @@ func runPortability(p Params) error {
 	t.row("platform", "N", "round", "slot", "dm bytes", "detected", "latency", "audit")
 	t.rule(8)
 	for _, prof := range platform.All() {
-		cl, err := oneLane(prof.ClusterConfig(), 20)
+		cl, err := sim.NewOneLaneCluster(prof.ClusterConfig(), 20)
 		if err != nil {
 			return err
 		}

@@ -42,7 +42,7 @@ func init() {
 func runFig1(p Params) error {
 	var rec trace.Recorder
 	const rounds = 8
-	cl, err := oneLane(sim.ClusterConfig{
+	cl, err := sim.NewOneLaneCluster(sim.ClusterConfig{
 		Ls: sim.Staircase(4), AllSendCurrRound: true, Sink: &rec,
 	}, rounds)
 	if err != nil {

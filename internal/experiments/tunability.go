@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strconv"
 	"time"
 
@@ -65,25 +66,11 @@ func runSweepThreshold(p Params) error {
 	return nil
 }
 
-// oneLane builds a one-lane gang of cfg that records rounds
-// 0..rounds-1: a single scenario run on the engine every campaign runs on.
-func oneLane(cfg sim.ClusterConfig, rounds int) (*sim.BatchDiagCluster, error) {
-	cl, err := sim.NewBatchDiagCluster(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := cl.ResetBatch(1); err != nil {
-		return nil, err
-	}
-	cl.SetLaneHorizon(0, rounds)
-	return cl, nil
-}
-
 // timeToIsolationUnder runs a 4-node cluster under d and returns the time
 // of the first isolation of node 2 (-1 if none within the horizon). It runs
 // the whole horizon: a first isolation never moves in later rounds.
 func timeToIsolationUnder(prCfg core.PRConfig, d tdma.Disturbance, horizon time.Duration) (time.Duration, error) {
-	cl, err := oneLane(sim.ClusterConfig{Ls: []int{2, 0, 3, 1}, PR: prCfg},
+	cl, err := sim.NewOneLaneCluster(sim.ClusterConfig{Ls: []int{2, 0, 3, 1}, PR: prCfg},
 		int(horizon/sim.DefaultRoundLen)+8)
 	if err != nil {
 		return 0, err
@@ -110,7 +97,7 @@ func runReintegration(p Params) error {
 	measure := func(reint int64) (downFor time.Duration, backUp bool, err error) {
 		prCfg := res.PRConfig(4)
 		prCfg.ReintegrationThreshold = reint
-		cl, err := oneLane(sim.ClusterConfig{Ls: []int{2, 0, 3, 1}, PR: prCfg},
+		cl, err := sim.NewOneLaneCluster(sim.ClusterConfig{Ls: []int{2, 0, 3, 1}, PR: prCfg},
 			int(horizon/sim.DefaultRoundLen))
 		if err != nil {
 			return 0, false, err
@@ -199,18 +186,25 @@ func runHealthyIsolation(p Params) error {
 		return err
 	}
 	horizon := 10 * time.Minute
-	cl, err := oneLane(sim.ClusterConfig{Ls: []int{2, 0, 3, 1}, PR: res.PRConfig(4)},
-		int(horizon/sim.DefaultRoundLen))
+	// Horizon 0: the gang keeps no per-round records; the isolation
+	// decisions are counted as the jobs take them.
+	cl, err := sim.NewOneLaneCluster(sim.ClusterConfig{Ls: []int{2, 0, 3, 1}, PR: res.PRConfig(4)}, 0)
 	if err != nil {
 		return err
 	}
 	cl.AddLaneDisturbance(0, fault.PoissonTransients(
 		rng.NewSource(p.Seed).Stream("healthy"), 1.0/60, cl.Schedule().SlotLen(), horizon))
-	if err := cl.Run(); err != nil {
-		return err
+	isolations := 0
+	cl.OnOutput = func(_ int, out *core.BatchRoundOutput) {
+		isolations += bits.OnesCount64(out.LaneIsolated(0, 4))
+	}
+	for cl.Round() < int(horizon/sim.DefaultRoundLen) {
+		if err := cl.Step(); err != nil {
+			return err
+		}
 	}
 	fmt.Fprintf(p.Out, "\nMonte-Carlo: %v of bus time at 1 transient/min (aero tuning, P=%d): %d isolations\n",
-		horizon, res.P, len(cl.LaneCollector(0).Isolations))
+		horizon, res.P, isolations)
 	return nil
 }
 
@@ -237,7 +231,7 @@ func runFDIRLoop(p Params) error {
 	if err != nil {
 		return err
 	}
-	cl, err := oneLane(sim.ClusterConfig{
+	cl, err := sim.NewOneLaneCluster(sim.ClusterConfig{
 		Ls: []int{2, 0, 3, 1},
 		PR: core.PRConfig{PenaltyThreshold: 3, RewardThreshold: 10, ReintegrationThreshold: 12},
 	}, 40)

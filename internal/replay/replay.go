@@ -6,7 +6,10 @@
 // cluster run under exactly those departures is therefore the recorded run:
 // with the recorded tuning it reproduces every node's outputs and the trace
 // itself, and with another penalty/reward tuning it shows what the whole
-// cluster would have decided instead.
+// cluster would have decided instead. The replay runs on a one-lane
+// sim.BatchDiagCluster, the engine every campaign runs on, so builds with
+// the ttdiag_invariants tag check Theorem 1 agreement on every replayed
+// round.
 package replay
 
 import (
@@ -26,32 +29,53 @@ type deviation struct {
 	payload   []byte // bytes the accepting receivers observed; nil if unaltered
 }
 
-// recording is the tdma.Disturbance that reproduces a trace's
-// transmissions: entry round·N + slot−1 of devs holds the deviation of that
-// slot's transmission.
+// recording reproduces a trace's transmissions: entry round·N + slot−1 of
+// devs holds the deviation of that slot's transmission. It is the
+// tdma.Blinder half of the replay — the invalid receivers and the sender's
+// collision verdict — and its alteration the receiver-uniform half, the
+// altered payload: the gang never asks a Blinder to Deliver.
 type recording struct {
 	n    int
 	devs []deviation
 }
 
-var _ tdma.Disturbance = (*recording)(nil)
+var _ tdma.Blinder = (*recording)(nil)
+
+func (r *recording) dev(tx *tdma.Transmission) *deviation {
+	return &r.devs[tx.Round*r.n+tx.Slot-1]
+}
+
+// Blinded implements tdma.Blinder.
+func (r *recording) Blinded(tx *tdma.Transmission) uint64 { return r.dev(tx).invalid }
 
 // Deliver implements tdma.Disturbance.
 func (r *recording) Deliver(tx *tdma.Transmission, rcv tdma.NodeID, d tdma.Delivery) tdma.Delivery {
-	dev := &r.devs[tx.Round*r.n+tx.Slot-1]
-	if dev.invalid&tdma.ReceiverBit(rcv) != 0 {
+	if r.Blinded(tx)&tdma.ReceiverBit(rcv) != 0 {
 		return tdma.Delivery{}
-	}
-	if dev.payload != nil {
-		d.Payload = dev.payload
 	}
 	return d
 }
 
 // SenderCollision implements tdma.Disturbance.
 func (r *recording) SenderCollision(tx *tdma.Transmission, collided bool) bool {
-	return collided || r.devs[tx.Round*r.n+tx.Slot-1].collision
+	return collided || r.dev(tx).collision
 }
+
+// alteration applies a recording's altered payloads. It holds the
+// recording in a named field: embedded, the recording's Blinded would make
+// it a tdma.Blinder too.
+type alteration struct{ rec *recording }
+
+// Deliver implements tdma.Disturbance.
+func (a alteration) Deliver(tx *tdma.Transmission, _ tdma.NodeID, d tdma.Delivery) tdma.Delivery {
+	if p := a.rec.dev(tx).payload; p != nil {
+		d.Payload = p
+	}
+	return d
+}
+
+// SenderCollision implements tdma.Disturbance.
+func (alteration) SenderCollision(_ *tdma.Transmission, collided bool) bool { return collided }
 
 // record builds the recording of an n-node trace and returns it with the
 // number of recorded rounds. Every slot of every round from 0 to the last
@@ -156,16 +180,19 @@ type RoundDiagnosis struct {
 }
 
 // Replay re-simulates one recorded repetition of a diagnostic-mode run on
-// sim.NewDiagnosticCluster(cfg) and returns observer's diagnoses, one per
-// warm round. cfg.N and cfg.Ls must match the trace (see Layout); the
-// penalty/reward tuning is free, so a tuning other than the recorded one is
-// a whole-cluster counterfactual. Like every cluster builder, Replay streams
-// the replayed run's events to cfg.Sink.
+// a one-lane sim.BatchDiagCluster of cfg (forced to core.ModeDiagnostic)
+// and returns observer's diagnoses, one per warm round. cfg.N and cfg.Ls
+// must match the trace (see Layout); the penalty/reward tuning is free, so
+// a tuning other than the recorded one is a whole-cluster counterfactual.
+// Once the run is done, Replay writes its events to cfg.Sink, the same
+// events every cluster builder records.
 func Replay(events []trace.Event, cfg sim.ClusterConfig, observer int) ([]RoundDiagnosis, error) {
 	n, ls, err := Layout(events)
 	if err != nil {
 		return nil, err
 	}
+	// The configuration is checked before the gang is built: a mismatched N
+	// may not even divide the round into slots.
 	norm, err := sim.NormalizeConfig(cfg)
 	if err != nil {
 		return nil, err
@@ -185,23 +212,27 @@ func Replay(events []trace.Event, cfg sim.ClusterConfig, observer int) ([]RoundD
 	if err != nil {
 		return nil, err
 	}
-	eng, runners, err := sim.NewDiagnosticCluster(cfg)
+	cfg.Mode = core.ModeDiagnostic
+	cl, err := sim.NewOneLaneCluster(cfg, rounds)
 	if err != nil {
 		return nil, err
 	}
-	eng.Bus().AddDisturbance(rec)
+	cl.AddLaneDisturbance(0, rec)
+	cl.AddLaneDisturbance(0, alteration{rec: rec})
 	var out []RoundDiagnosis
-	runners[observer].OnOutput = func(o core.RoundOutput) {
-		if o.ConsHV.Known != 0 {
+	cl.OnOutput = func(id int, o *core.BatchRoundOutput) {
+		if hv := o.LaneConsHV(0, n); id == observer && hv.Known != 0 {
 			out = append(out, RoundDiagnosis{
 				Round:          o.Round,
 				DiagnosedRound: o.DiagnosedRound,
-				ConsHV:         o.ConsHV,
-				Isolated:       o.Isolated,
+				ConsHV:         hv,
+				Isolated:       o.LaneIsolated(0, n),
 			})
 		}
 	}
-	if err := eng.RunRounds(rounds); err != nil {
+	err = cl.Run()
+	cl.FlushLaneTrace(0)
+	if err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -248,6 +248,24 @@ func NewBatchDiagCluster(cfg ClusterConfig) (*BatchDiagCluster, error) {
 	return c, nil
 }
 
+// NewOneLaneCluster builds a one-lane gang of cfg whose lane records rounds
+// 0..rounds-1: a single scenario run on the engine every campaign runs on,
+// so the Theorem 1 agreement check of ttdiag_invariants builds covers it.
+// Callers attach the scenario with AddLaneDisturbance(0, …) and read lane 0.
+//
+//ttdiag:noretain params
+func NewOneLaneCluster(cfg ClusterConfig, rounds int) (*BatchDiagCluster, error) {
+	c, err := NewBatchDiagCluster(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.ResetBatch(1); err != nil {
+		return nil, err
+	}
+	c.SetLaneHorizon(0, rounds)
+	return c, nil
+}
+
 // orderJobs lists the node ids by job position, ties by id.
 func (c *BatchDiagCluster) orderJobs() {
 	c.jobs = c.jobs[:0]

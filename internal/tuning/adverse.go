@@ -183,7 +183,7 @@ func ComparePolicies(scen fault.Scenario, res Result, alphaDecay, alphaThreshold
 
 	// Each policy runs the scenario on its own one-lane gang.
 	gang := func(prCfg core.PRConfig) (*sim.BatchDiagCluster, error) {
-		cl, err := oneLane(sim.ClusterConfig{N: n, RoundLen: res.RoundLen, Ls: adverseLs, PR: prCfg}, maxRounds)
+		cl, err := sim.NewOneLaneCluster(sim.ClusterConfig{N: n, RoundLen: res.RoundLen, Ls: adverseLs, PR: prCfg}, maxRounds)
 		if err != nil {
 			return nil, err
 		}

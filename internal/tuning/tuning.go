@@ -229,7 +229,7 @@ func Derive(spec DomainSpec) (Result, error) {
 // starting at time zero and returns the penalty counter of an affected node
 // at the moment the outage budget expires.
 func penaltyAtDeadline(roundLen time.Duration, outage time.Duration) (int64, error) {
-	cl, err := oneLane(sim.ClusterConfig{
+	cl, err := sim.NewOneLaneCluster(sim.ClusterConfig{
 		RoundLen: roundLen,
 		// The prototype's unconstrained scheduling: detection latency of
 		// k-3 (the paper's add-on deployment).
@@ -257,18 +257,4 @@ func penaltyAtDeadline(roundLen time.Duration, outage time.Duration) (int64, err
 		}
 	}
 	return penalty, nil
-}
-
-// oneLane builds a one-lane gang of cfg that records rounds
-// 0..rounds-1: a single scenario run on the engine every campaign runs on.
-func oneLane(cfg sim.ClusterConfig, rounds int) (*sim.BatchDiagCluster, error) {
-	cl, err := sim.NewBatchDiagCluster(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := cl.ResetBatch(1); err != nil {
-		return nil, err
-	}
-	cl.SetLaneHorizon(0, rounds)
-	return cl, nil
 }

@@ -111,7 +111,7 @@ step "go test -fuzz (snapshot restore, seed corpus + short fuzz)" \
 step "go test -fuzz (trace JSONL decoder, seed corpus + short fuzz)" \
     scripts/gotest.sh ./internal/trace/ -run FuzzReadJSONL -fuzz 'FuzzReadJSONL$' -fuzztime 15s
 step "go test -tags ttdiag_invariants" \
-    go test -tags ttdiag_invariants ./internal/core/... ./internal/invariant/... ./internal/cluster/... ./internal/sim/... ./internal/fleet/... ./internal/splitting/... ./internal/experiments/... ./internal/tuning/... ./internal/membership/... ./internal/replay/... ./cmd/ttdiag-trace/...
+    go test -tags ttdiag_invariants ./internal/core/... ./internal/invariant/... ./internal/cluster/... ./internal/sim/... ./internal/fleet/... ./internal/splitting/... ./internal/experiments/... ./internal/tuning/... ./internal/membership/... ./internal/replay/... ./cmd/ttdiag-trace/... ./cmd/ttdiag-sim/...
 step "ttdiag-lint (+ escape gate)" check_lint
 
 echo
