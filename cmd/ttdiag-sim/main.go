@@ -8,7 +8,7 @@
 //	ttdiag-sim [-variant diag|membership|lowlat|ttpc] [-n nodes] [-rounds k]
 //	           [-burst round:slot:slots] [-blind rcv:sender:round]
 //	           [-malicious node] [-crash node:round] [-scenario blinking|lightning]
-//	           [-p P] [-r R] [-seed s] [-quiet] [-metrics f] [-trace f]
+//	           [-p P] [-r R] [-seed s] [-quiet] [-gantt] [-metrics f] [-trace f]
 package main
 
 import (
@@ -70,7 +70,7 @@ func run(args []string, w io.Writer) error {
 	fs.Int64Var(&o.r, "r", 1_000_000, "reward threshold R")
 	fs.Int64Var(&o.seed, "seed", 2007, "random seed")
 	fs.BoolVar(&o.quiet, "quiet", false, "only print the final summary")
-	fs.BoolVar(&o.gantt, "gantt", false, "print an ASCII round timeline at the end")
+	fs.BoolVar(&o.gantt, "gantt", false, "print an ASCII round timeline at the end (diag variant)")
 	fs.StringVar(&o.metrics, "metrics", "", "write a versioned metrics report (JSON) to this file (diag and membership variants)")
 	fs.StringVar(&o.traceOut, "trace", "", "stream simulation trace events (JSONL) to this file")
 	if err := fs.Parse(args); err != nil {
@@ -146,6 +146,9 @@ func simulate(w io.Writer, o options) error {
 	}
 	if o.metrics != "" && o.variant != "diag" && o.variant != "membership" {
 		return fmt.Errorf("-metrics supports the diag and membership variants, not %q", o.variant)
+	}
+	if o.gantt && o.variant != "diag" {
+		return fmt.Errorf("-gantt supports the diag variant, not %q", o.variant)
 	}
 	var jw *trace.JSONLWriter
 	if o.traceOut != "" {
@@ -258,8 +261,7 @@ func simulateGang(w io.Writer, o options, cfg sim.ClusterConfig) error {
 		cfg.Mode = core.ModeMembership
 	}
 	var rec trace.Recorder
-	gantt := o.gantt && cfg.Mode != core.ModeMembership
-	if gantt {
+	if o.gantt {
 		if cfg.Sink != nil {
 			cfg.Sink = trace.Tee{cfg.Sink, &rec}
 		} else {
@@ -313,7 +315,7 @@ func simulateGang(w io.Writer, o options, cfg sim.ClusterConfig) error {
 	fmt.Fprintf(w, "\nsimulated %d rounds (%v of bus time), %d isolation decision(s)\n",
 		o.rounds, time.Duration(o.rounds)*sched.RoundLen(), len(col.Isolations))
 	fmt.Fprintf(w, "active nodes: %v\n", nodeList(active))
-	if gantt {
+	if o.gantt {
 		events := rec.Events()
 		// Node 1's isolations/reintegrations already arrive through its causal
 		// flight recorder (ClusterConfig.Sink); synthesize only the other

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -62,9 +63,22 @@ func TestWideSystemPointsToFleet(t *testing.T) {
 	}
 }
 
+// TestGanttFlag: -gantt renders the diag variant's timeline (its output is
+// pinned by gantt.golden) and is a usage error for every other variant,
+// which has no timeline to render.
 func TestGanttFlag(t *testing.T) {
 	if err := run([]string{"-burst", "6:3:1", "-crash", "2:10", "-p", "4", "-rounds", "20", "-quiet", "-gantt"}, io.Discard); err != nil {
 		t.Fatal(err)
+	}
+	for _, variant := range []string{"membership", "lowlat", "ttpc"} {
+		var out bytes.Buffer
+		err := run([]string{"-variant", variant, "-blind", "1:2:8", "-rounds", "18", "-gantt", "-quiet"}, &out)
+		if err == nil || err.Error() != fmt.Sprintf("-gantt supports the diag variant, not %q", variant) {
+			t.Fatalf("-variant %s -gantt: got %v, want a usage error", variant, err)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("-variant %s -gantt printed %q before refusing", variant, out.String())
+		}
 	}
 }
 

@@ -173,6 +173,10 @@ type BatchProtocol struct {
 	op     []uint64
 	know   []uint64
 	rowSet uint64
+	// restoreAcc is RestoreLanes' scratch: the lane-packed words of a lane
+	// record, assembled from every restored lane before they are written;
+	// nil until the first restore.
+	restoreAcc []uint64
 
 	// accuse[k] marks the pending minority accusations (membership mode)
 	// that ride k+1 more dissemination writes, lane-packed. age[k] marks the
@@ -210,9 +214,9 @@ type BatchProtocol struct {
 	// false after Reset and CopyFrom).
 	invPrevActive uint64
 	invHavePrev   bool
-	// invLane is the scratch lane state RestoreLane re-captures into under
-	// ttdiag_invariants; nil until the first checked restore.
-	invLane *LaneState
+	// invLane is the scratch lane record RestoreLanes re-captures into
+	// under ttdiag_invariants; nil until the first checked restore.
+	invLane []uint64
 }
 
 // NewBatchProtocol builds the gang diagnostic job: `lanes` independent runs
@@ -235,7 +239,8 @@ func NewBatchProtocol(cfg Config, lanes int) (*BatchProtocol, error) {
 	}
 	// Per-run protocols are built by the thousand (checkpoint twins), so
 	// the matrix planes share one allocation and the two alignment
-	// buffers another; the telemetry slices appear on first attachment.
+	// buffers another; the telemetry slices and the restore scratch appear
+	// on first use.
 	w := cfg.N + 1
 	planes := make([]uint64, 2*w)
 	rows := make([]BitSyndrome, 2*w)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ttdiag/internal/invariant"
 )
@@ -86,144 +87,201 @@ func (p *BatchProtocol) CopyFrom(src *BatchProtocol) error {
 	return nil
 }
 
-// LaneState is one lane's run state of a BatchProtocol, the per-node half of
-// a lane checkpoint: CaptureLane fills it from lane r of one gang and
-// RestoreLane writes it into any lane r′ of a gang of the same node. Every
-// lane-packed word is stored as its lane segment, right-aligned (bit j-1 =
-// node j). A LaneState is immutable between captures, so one may be
-// restored into many gangs concurrently.
-type LaneState struct {
-	// The read-alignment buffer the next step reads: rows[j] is the copy of
-	// interface variable j (1-based), set its presence bits, ls and al the
-	// buffered validity vector and aligned local syndrome.
-	rows   []BitSyndrome
-	set    uint64
-	ls, al BitSyndrome
-	// lastSent and prevSent are the last two dissemination syndromes.
-	lastSent, prevSent BitSyndrome
-	// The membership accusation registers (see BatchProtocol).
-	accuse [accusationTTL]uint64
-	age    [accusationSkew + 1]uint64
-	aging  uint64
-	// counters holds the penalty, reward and observation counters, n+1
-	// entries each (1-based, entry 0 unused); active and attention are the
-	// lane's masks.
-	counters          []int64
-	active, attention uint64
-}
+// A lane record is one lane's run state of a BatchProtocol, the per-node
+// half of a lane checkpoint: CaptureLane fills it from lane r of one gang
+// and RestoreLanes writes it into any lane r′ of a gang of the same node.
+// It is LaneRecordLen(n) words with no pointers, so records can live side
+// by side in one flat slab the garbage collector never scans. The first
+// laneRecPacked(n) words are lane-packed words stored as their lane
+// segment, right-aligned (bit j-1 = node j):
+//
+//	set, ls.Op, ls.Known, al.Op, al.Known  the read-alignment buffer the
+//	                                       next step reads: presence bits,
+//	                                       buffered validity vector and
+//	                                       aligned local syndrome
+//	lastSent.Op/Known, prevSent.Op/Known   the last two dissemination
+//	                                       syndromes
+//	active, attention                      the lane's activity masks
+//	rows[j].Op, rows[j].Known, j = 1..n    the buffered interface variables
+//
+// followed by the penalty, reward and observation counters of nodes 1..n,
+// n words each, stored as their bits. A record is immutable between
+// captures, so one may be restored into many gangs concurrently. Lane
+// records cover diagnostic mode only: the membership accusation registers
+// are not part of them.
+const (
+	recSet = iota
+	recLsOp
+	recLsKnown
+	recAlOp
+	recAlKnown
+	recLastOp
+	recLastKnown
+	recPrevOp
+	recPrevKnown
+	recActive
+	recAttention
+	recRows // rows[j] at recRows+2(j-1): Op, then Known
+)
 
-// NewLaneStates allocates count lane states for an n-node system; they
-// share two backing arrays, so a whole cluster's lane checkpoint costs a
-// handful of allocations.
-func NewLaneStates(n, count int) []LaneState {
-	w := n + 1
-	rows := make([]BitSyndrome, count*w)
-	counters := make([]int64, 3*count*w)
-	st := make([]LaneState, count)
-	for i := range st {
-		st[i].rows = rows[i*w : (i+1)*w : (i+1)*w]
-		st[i].counters = counters[3*i*w : 3*(i+1)*w : 3*(i+1)*w]
+// laneRecPacked is the number of lane-packed words leading an n-node lane
+// record; the counters follow.
+func laneRecPacked(n int) int { return recRows + 2*n }
+
+// LaneRecordLen returns the length in words of one lane record of an n-node
+// system.
+func LaneRecordLen(n int) int { return laneRecPacked(n) + 3*n }
+
+// checkLaneRecords validates that lane records are supported and that the
+// lanes of a capture or restore are live.
+func (p *BatchProtocol) checkLaneRecords(lanes uint64) error {
+	if p.cfg.Mode == ModeMembership {
+		return fmt.Errorf("core: node %d: lane records cover diagnostic mode only", p.cfg.ID)
 	}
-	return st
+	if live := uint64(1)<<uint(p.lanes) - 1; lanes&^live != 0 {
+		return fmt.Errorf("core: node %d: lanes %#x outside 0..%d", p.cfg.ID, lanes, p.lanes-1)
+	}
+	return nil
 }
 
-// checkLane validates a lane index and a lane state's shape.
-func (p *BatchProtocol) checkLane(lane int, st *LaneState) error {
+// CaptureLane copies lane `lane`'s run state into rec, a lane record of
+// LaneRecordLen(N) words, overwriting it: the read-alignment buffer the
+// next step reads, the sent syndromes and the lane's counters and masks.
+// Telemetry and trace attachments are not state. Membership-mode protocols
+// are refused. Zero allocations.
+func (p *BatchProtocol) CaptureLane(lane int, rec []uint64) error {
 	if lane < 0 || lane >= p.lanes {
 		return fmt.Errorf("core: node %d: lane %d outside 0..%d", p.cfg.ID, lane, p.lanes-1)
 	}
-	if len(st.rows) != p.n+1 {
-		return fmt.Errorf("core: node %d: lane state shaped for N=%d, want N=%d", p.cfg.ID, len(st.rows)-1, p.n)
+	if err := p.checkLaneRecords(1 << uint(lane)); err != nil {
+		return err
+	}
+	n := p.n
+	if len(rec) != LaneRecordLen(n) {
+		return fmt.Errorf("core: node %d: lane record of %d words, want %d", p.cfg.ID, len(rec), LaneRecordLen(n))
+	}
+	sh := uint(lane * n)
+	all := p.laneAll
+	rd := &p.pbufs[p.steps&1]
+	rec[recSet] = rd.set >> sh & all
+	rec[recLsOp], rec[recLsKnown] = rd.ls.Op>>sh&all, rd.ls.Known>>sh&all
+	rec[recAlOp], rec[recAlKnown] = rd.al.Op>>sh&all, rd.al.Known>>sh&all
+	rec[recLastOp], rec[recLastKnown] = p.lastSentB.Op>>sh&all, p.lastSentB.Known>>sh&all
+	rec[recPrevOp], rec[recPrevKnown] = p.prevSentB.Op>>sh&all, p.prevSentB.Known>>sh&all
+	rec[recActive], rec[recAttention] = p.pr.activeMask>>sh&all, p.pr.attention>>sh&all
+	rows := rec[recRows:laneRecPacked(n)]
+	for j := 1; j <= n; j++ {
+		rows[2*j-2], rows[2*j-1] = rd.rows[j].Op>>sh&all, rd.rows[j].Known>>sh&all
+	}
+	counters, base := rec[laneRecPacked(n):], lane*(n+1)+1
+	for j, v := range p.pr.penalties[base : base+n] {
+		counters[j] = uint64(v)
+	}
+	for j, v := range p.pr.rewards[base : base+n] {
+		counters[n+j] = uint64(v)
+	}
+	for j, v := range p.pr.observe[base : base+n] {
+		counters[2*n+j] = uint64(v)
 	}
 	return nil
 }
 
-// CaptureLane copies lane `lane`'s run state into st, overwriting it: the
-// read-alignment buffer the next step reads, the sent syndromes, the
-// accusation registers and the lane's counters and masks. Telemetry and
-// trace attachments are not state. Zero allocations.
-func (p *BatchProtocol) CaptureLane(lane int, st *LaneState) error {
-	if err := p.checkLane(lane, st); err != nil {
+// RestoreLanes overwrites the run state of every lane in the mask `lanes`
+// (bit r = lane r) with a lane record, leaving every other lane untouched;
+// each restored lane then steps exactly as its captured lane would have.
+// recs[i][at:] holds the record of the i-th lane of the mask in lane order,
+// so a caller may pass records embedded at a fixed offset in larger ones.
+// Each lane-packed word is assembled from every record (GatherLanes) and
+// written once. The alignment buffer is written into the half this gang
+// reads next, which follows its own step parity, not the source's. Both
+// gangs must be warm (past the diagnosis lag) or both cold: warm-up is
+// gang-wide. The HealthyRows hint buffered with the rows is cleared for
+// every row a restored segment does not keep all-Healthy. Attached lane recorders re-baseline on the restored
+// counters; under ttdiag_invariants the activity history of the restored
+// lanes re-baselines too (a restore may bring an isolated node back), and
+// every restored lane is re-captured and compared with its record.
+// Membership-mode protocols are refused. Zero allocations after the first
+// restore.
+func (p *BatchProtocol) RestoreLanes(lanes uint64, recs [][]uint64, at int) error {
+	if err := p.checkLaneRecords(lanes); err != nil {
 		return err
 	}
 	n := p.n
-	sh := uint(lane * n)
-	seg := func(w uint64) uint64 { return (w >> sh) & p.laneAll }
-	segSyn := func(b BitSyndrome) BitSyndrome { return BitSyndrome{Op: seg(b.Op), Known: seg(b.Known)} }
+	if len(recs) != bits.OnesCount64(lanes) {
+		return fmt.Errorf("core: node %d: %d lane records for %d lanes", p.cfg.ID, len(recs), bits.OnesCount64(lanes))
+	}
+	size := LaneRecordLen(n)
+	packed := laneRecPacked(n)
+	for i, rec := range recs {
+		if at < 0 || len(rec) < at+size {
+			return fmt.Errorf("core: node %d: lane record %d holds %d words, want %d from word %d", p.cfg.ID, i, len(rec), size, at)
+		}
+	}
+	var segs uint64 // every restored lane's node bits
+	for i, m := 0, lanes; m != 0; i, m = i+1, m&(m-1) {
+		lane := bits.TrailingZeros64(m)
+		segs |= p.laneAll << uint(lane*n)
+		rec, base := recs[i][at:at+size], lane*(n+1)+1
+		active, counters := rec[recActive], rec[packed:packed+3*n]
+		pen, rew, obs, act := p.pr.penalties[base:base+n], p.pr.rewards[base:base+n], p.pr.observe[base:base+n], p.pr.active[base:base+n]
+		for j := range pen {
+			pen[j], rew[j], obs[j] = int64(counters[j]), int64(counters[n+j]), int64(counters[2*n+j])
+			act[j] = active>>uint(j)&1 != 0
+		}
+	}
+	if p.restoreAcc == nil {
+		p.restoreAcc = make([]uint64, packed)
+	}
+	acc := p.restoreAcc
+	GatherLanes(acc, lanes, recs, at, n)
+	put := func(w uint64, o int) uint64 { return w&^segs | acc[o] }
 	rd := &p.pbufs[p.steps&1]
-	w := n + 1
-	base := lane * w
-	pen, rew, obs := st.counters[:w], st.counters[w:2*w], st.counters[2*w:3*w]
+	rd.set = put(rd.set, recSet)
+	rd.ls = BitSyndrome{Op: put(rd.ls.Op, recLsOp), Known: put(rd.ls.Known, recLsKnown)}
+	rd.al = BitSyndrome{Op: put(rd.al.Op, recAlOp), Known: put(rd.al.Known, recAlKnown)}
+	p.lastSentB = BitSyndrome{Op: put(p.lastSentB.Op, recLastOp), Known: put(p.lastSentB.Known, recLastKnown)}
+	p.prevSentB = BitSyndrome{Op: put(p.prevSentB.Op, recPrevOp), Known: put(p.prevSentB.Known, recPrevKnown)}
+	p.pr.activeMask = put(p.pr.activeMask, recActive)
+	p.pr.attention = put(p.pr.attention, recAttention)
 	for j := 1; j <= n; j++ {
-		st.rows[j] = segSyn(rd.rows[j])
-		pen[j], rew[j], obs[j] = p.pr.penalties[base+j], p.pr.rewards[base+j], p.pr.observe[base+j]
-	}
-	st.set, st.ls, st.al = seg(rd.set), segSyn(rd.ls), segSyn(rd.al)
-	st.lastSent, st.prevSent = segSyn(p.lastSentB), segSyn(p.prevSentB)
-	for k, m := range p.accuse {
-		st.accuse[k] = seg(m)
-	}
-	for k, m := range p.age {
-		st.age[k] = seg(m)
-	}
-	st.aging = seg(p.aging)
-	st.active, st.attention = seg(p.pr.activeMask), seg(p.pr.attention)
-	return nil
-}
-
-// RestoreLane overwrites lane `lane`'s run state with st, leaving every
-// other lane untouched; the lane then steps exactly as the captured lane
-// would have. The alignment buffer is written into the half this gang reads
-// next, which follows its own step parity, not the source's. Both gangs
-// must be warm (past the diagnosis lag) or both cold: warm-up is gang-wide.
-// The HealthyRows hint buffered with the rows is cleared for every row the
-// restored segment does not keep all-Healthy. An attached lane recorder
-// re-baselines on the restored counters; under ttdiag_invariants the
-// activity history of this lane re-baselines too (a restore may bring an
-// isolated node back), and the lane is re-captured and compared with st.
-// Zero allocations.
-func (p *BatchProtocol) RestoreLane(lane int, st *LaneState) error {
-	if err := p.checkLane(lane, st); err != nil {
-		return err
-	}
-	n := p.n
-	sh := uint(lane * n)
-	keep := ^(p.laneAll << sh)
-	put := func(w, v uint64) uint64 { return w&keep | v<<sh }
-	putSyn := func(b, v BitSyndrome) BitSyndrome {
-		return BitSyndrome{Op: put(b.Op, v.Op), Known: put(b.Known, v.Known)}
-	}
-	rd := &p.pbufs[p.steps&1]
-	w := n + 1
-	base := lane * w
-	pen, rew, obs := st.counters[:w], st.counters[w:2*w], st.counters[2*w:3*w]
-	for j := 1; j <= n; j++ {
-		row := st.rows[j]
-		rd.rows[j] = putSyn(rd.rows[j], row)
-		if row.Op&row.Known != p.laneAll {
+		o := recRows + 2*j - 2
+		op, known := acc[o], acc[o+1]
+		rd.rows[j] = BitSyndrome{Op: rd.rows[j].Op&^segs | op, Known: rd.rows[j].Known&^segs | known}
+		if op&known != segs {
 			rd.healthy &^= 1 << uint(j-1)
 		}
-		i := base + j
-		p.pr.penalties[i], p.pr.rewards[i], p.pr.observe[i] = pen[j], rew[j], obs[j]
-		p.pr.active[i] = st.active>>uint(j-1)&1 != 0
 	}
-	rd.set, rd.ls, rd.al = put(rd.set, st.set), putSyn(rd.ls, st.ls), putSyn(rd.al, st.al)
-	p.lastSentB, p.prevSentB = putSyn(p.lastSentB, st.lastSent), putSyn(p.prevSentB, st.prevSent)
-	for k := range p.accuse {
-		p.accuse[k] = put(p.accuse[k], st.accuse[k])
-	}
-	for k := range p.age {
-		p.age[k] = put(p.age[k], st.age[k])
-	}
-	p.aging = put(p.aging, st.aging)
-	p.pr.activeMask = put(p.pr.activeMask, st.active)
-	p.pr.attention = put(p.pr.attention, st.attention)
-	if p.tracedLanes&(1<<uint(lane)) != 0 {
+	for m := p.tracedLanes & lanes; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros64(m)
 		p.traces[lane].resync(p.pr, lane)
 	}
 	if invariant.Enabled {
-		p.invPrevActive = put(p.invPrevActive, st.active)
-		p.checkRestoredLane(lane, st)
+		p.invPrevActive = put(p.invPrevActive, recActive)
+		for i, m := 0, lanes; m != 0; i, m = i+1, m&(m-1) {
+			p.checkRestoredLane(bits.TrailingZeros64(m), recs[i][at:at+size])
+		}
 	}
 	return nil
+}
+
+// GatherLanes assembles lane-packed words from lane records, the
+// restoring half of a gang-wide refill: acc[o] becomes the OR, over the
+// lanes r of the mask, of recs[i][at+o] shifted to lane r's segment of an
+// n-node plane, where recs[i] is the record of the i-th lane of the mask.
+// Each record's words are read once, in order.
+func GatherLanes(acc []uint64, lanes uint64, recs [][]uint64, at, n int) {
+	if lanes == 0 {
+		clear(acc)
+		return
+	}
+	sh := uint(bits.TrailingZeros64(lanes) * n)
+	for o, v := range recs[0][at : at+len(acc)] {
+		acc[o] = v << sh
+	}
+	for i, m := 1, lanes&(lanes-1); m != 0; i, m = i+1, m&(m-1) {
+		sh := uint(bits.TrailingZeros64(m) * n)
+		for o, v := range recs[i][at : at+len(acc)] {
+			acc[o] |= v << sh
+		}
+	}
 }

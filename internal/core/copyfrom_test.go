@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ttdiag/internal/rng"
+	"ttdiag/internal/trace"
 )
 
 // copyFromTape records a disturbed membership-mode input sequence so the
@@ -327,5 +328,138 @@ func TestBatchCopyFromRejectsSizeMismatch(t *testing.T) {
 	p := mk(4)
 	if err := p.CopyFrom(p); err != nil {
 		t.Fatalf("batch self-copy must be a no-op, got %v", err)
+	}
+}
+
+// TestLaneRecordsRejects pins the preconditions of the lane record pair:
+// membership-mode protocols are refused, since a lane record leaves out the
+// accusation registers, and so are lanes outside the gang, mismatched
+// record counts and records too short for the node.
+func TestLaneRecordsRejects(t *testing.T) {
+	mk := func(mode Mode) *BatchProtocol {
+		p, err := NewBatchProtocol(Config{
+			N: 4, ID: 2, L: 0, SendCurrRound: true, Mode: mode,
+			PR: PRConfig{PenaltyThreshold: 3, RewardThreshold: 2},
+		}, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	rec := make([]uint64, LaneRecordLen(4))
+	mem := mk(ModeMembership)
+	if err := mem.CaptureLane(0, rec); err == nil {
+		t.Error("lane capture in membership mode accepted")
+	}
+	if err := mem.RestoreLanes(1, [][]uint64{rec}, 0); err == nil {
+		t.Error("lane restore in membership mode accepted")
+	}
+	p := mk(ModeDiagnostic)
+	if err := p.CaptureLane(16, rec); err == nil {
+		t.Error("capture of lane 16 of a 16-lane gang accepted")
+	}
+	if err := p.CaptureLane(0, rec[1:]); err == nil {
+		t.Error("capture into a short record accepted")
+	}
+	if err := p.CaptureLane(3, rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.RestoreLanes(1<<16, [][]uint64{rec}, 0); err == nil {
+		t.Error("restore of lane 16 of a 16-lane gang accepted")
+	}
+	if err := p.RestoreLanes(0b11, [][]uint64{rec}, 0); err == nil {
+		t.Error("restore of two lanes from one record accepted")
+	}
+	if err := p.RestoreLanes(1, [][]uint64{rec}, 1); err == nil {
+		t.Error("restore from a record running past its buffer accepted")
+	}
+	if err := p.RestoreLanes(0b101, [][]uint64{rec, rec}, 0); err != nil {
+		t.Fatalf("restore of lanes 0 and 2: %v", err)
+	}
+}
+
+// hintedGang builds node 1 of a 16-lane N=4 gang and steps it four rounds
+// on all-Healthy rows, except that row 3 carries row3's bits; its
+// HealthyRows hint is full when row 3 is all-Healthy too.
+func hintedGang(t *testing.T, row3 uint64) *BatchProtocol {
+	t.Helper()
+	p, err := NewBatchProtocol(Config{
+		N: 4, ID: 1, L: 0, SendCurrRound: true,
+		PR: PRConfig{PenaltyThreshold: 4, RewardThreshold: 8},
+	}, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]BitSyndrome, 5)
+	for j := range rows {
+		rows[j] = BitSyndrome{Op: p.allB, Known: p.allB}
+	}
+	rows[3].Op = row3 & p.allB
+	healthy := uint64(0b1111)
+	if row3 != ^uint64(0) {
+		healthy = 0
+	}
+	in := BatchRoundInput{Rows: rows, Present: p.allB, Validity: rows[1], HealthyRows: healthy}
+	for k := 0; k < 4; k++ {
+		in.Round = k
+		if _, err := p.StepBatch(in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return p
+}
+
+// TestRestoreLanesClearsHealthyHint restores a lane whose buffered row 3
+// is not all-Healthy into a gang that buffered its rows under a full
+// HealthyRows hint: the hint must lose row 3, or the next step would take
+// the quiet-round shortcut over a row that accuses node 3.
+func TestRestoreLanesClearsHealthyHint(t *testing.T) {
+	quiet := hintedGang(t, ^uint64(0))
+	if got := quiet.pbufs[quiet.steps&1].healthy; got != 0b1111 {
+		t.Fatalf("quiet gang buffered HealthyRows %#b, want every row", got)
+	}
+	src := hintedGang(t, ^uint64(1<<5)) // row 3 accuses node 2 in lane 1
+	rec := make([]uint64, LaneRecordLen(4))
+	if err := src.CaptureLane(1, rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := quiet.RestoreLanes(1<<6, [][]uint64{rec}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := quiet.pbufs[quiet.steps&1].healthy; got != 0b1011 {
+		t.Fatalf("HealthyRows %#b after restoring a lane whose row 3 accuses, want %#b", got, 0b1011)
+	}
+}
+
+// TestRestoreLanesResyncsTrace restores a lane whose observer holds a
+// penalty of 3 for node 2 into a traced lane: the lane's flight recorder
+// re-baselines on the restored counters, so the next step, which leaves
+// them alone, records no penalty change.
+func TestRestoreLanesResyncsTrace(t *testing.T) {
+	dst, src := hintedGang(t, ^uint64(0)), hintedGang(t, ^uint64(0))
+	var rec trace.Recorder
+	dst.SetLaneTrace(6, NewStepTrace(&rec))
+	src.pr.penalties[1*5+2] = 3 // lane 1, node 2
+	st := make([]uint64, LaneRecordLen(4))
+	if err := src.CaptureLane(1, st); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.RestoreLanes(1<<6, [][]uint64{st}, 0); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]BitSyndrome, 5)
+	for j := range rows {
+		rows[j] = BitSyndrome{Op: dst.allB, Known: dst.allB}
+	}
+	if _, err := dst.StepBatch(BatchRoundInput{Round: 4, Rows: rows, Present: dst.allB, Validity: rows[1]}); err != nil {
+		t.Fatal(err)
+	}
+	if got := dst.LanePenalty(6, 2); got != 3 {
+		t.Fatalf("restored lane's penalty for node 2 is %d after a quiet step, want 3", got)
+	}
+	for _, e := range rec.Events() {
+		if e.Kind == trace.KindPenalty {
+			t.Fatalf("the restored lane's recorder saw a penalty change: %+v", e)
+		}
 	}
 }

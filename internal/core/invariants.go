@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"slices"
 
 	"ttdiag/internal/invariant"
 )
@@ -111,40 +112,19 @@ func (p *Protocol) checkStepInvariants(out RoundOutput) {
 	}
 }
 
-// checkRestoredLane re-captures a lane RestoreLane just wrote and requires
-// it to equal the lane state it was restored from.
-func (p *BatchProtocol) checkRestoredLane(lane int, want *LaneState) {
+// checkRestoredLane re-captures a lane RestoreLanes just wrote and requires
+// it to equal the lane record it was restored from.
+func (p *BatchProtocol) checkRestoredLane(lane int, want []uint64) {
 	if p.invLane == nil {
-		p.invLane = &NewLaneStates(p.n, 1)[0]
+		p.invLane = make([]uint64, LaneRecordLen(p.n))
 	}
 	got := p.invLane
 	if err := p.CaptureLane(lane, got); err != nil {
 		invariant.Checkf(false, "core: node %d: re-capturing restored lane %d: %v", p.cfg.ID, lane, err)
 		return
 	}
-	if !got.equal(want) {
-		invariant.Checkf(false, "core: node %d round %d: restored lane %d does not re-capture to the lane state it was restored from",
+	if !slices.Equal(got, want) {
+		invariant.Checkf(false, "core: node %d round %d: restored lane %d does not re-capture to the lane record it was restored from",
 			p.cfg.ID, p.cfg.StartRound+p.steps, lane)
 	}
-}
-
-// equal reports whether two lane states hold the same run state.
-func (s *LaneState) equal(o *LaneState) bool {
-	if len(s.rows) != len(o.rows) || len(s.counters) != len(o.counters) {
-		return false
-	}
-	for j := range s.rows {
-		if s.rows[j] != o.rows[j] {
-			return false
-		}
-	}
-	for i := range s.counters {
-		if s.counters[i] != o.counters[i] {
-			return false
-		}
-	}
-	return s.set == o.set && s.ls == o.ls && s.al == o.al &&
-		s.lastSent == o.lastSent && s.prevSent == o.prevSent &&
-		s.accuse == o.accuse && s.age == o.age && s.aging == o.aging &&
-		s.active == o.active && s.attention == o.attention
 }

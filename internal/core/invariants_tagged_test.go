@@ -200,8 +200,8 @@ func TestRestoreLaneRebaselinesActivity(t *testing.T) {
 	for k := 0; k < 4; k++ {
 		step(k)
 	}
-	st := NewLaneStates(4, 1)[0]
-	if err := p.CaptureLane(0, &st); err != nil {
+	st := make([]uint64, LaneRecordLen(4))
+	if err := p.CaptureLane(0, st); err != nil {
 		t.Fatal(err)
 	}
 	// Lane 7, node 3: a legitimate isolation (penalty past the threshold).
@@ -210,7 +210,7 @@ func TestRestoreLaneRebaselinesActivity(t *testing.T) {
 	p.pr.activeMask &^= 1 << (7*4 + 2)
 	p.pr.penalties[i] = 5
 	step(4)
-	if err := p.RestoreLane(7, &st); err != nil {
+	if err := p.RestoreLanes(1<<7, [][]uint64{st}, 0); err != nil {
 		t.Fatal(err)
 	}
 	step(5) // node 3 is active again in lane 7: no monotonicity failure
@@ -230,17 +230,17 @@ func TestRestoreLaneRebaselinesActivity(t *testing.T) {
 	step(6)
 }
 
-// TestRestoreLaneRecaptureMismatchPanics restores a lane state carrying
+// TestRestoreLaneRecaptureMismatchPanics restores a lane record carrying
 // bits beyond the lane's segment, which the restore cannot keep: the
-// re-capture no longer equals the state and the invariant layer must stop.
+// re-capture no longer equals the record and the invariant layer must stop.
 func TestRestoreLaneRecaptureMismatchPanics(t *testing.T) {
 	p, step := laneGang(t)
 	step(0)
-	st := NewLaneStates(4, 1)[0]
-	if err := p.CaptureLane(3, &st); err != nil {
+	st := make([]uint64, LaneRecordLen(4))
+	if err := p.CaptureLane(3, st); err != nil {
 		t.Fatal(err)
 	}
-	st.aging = 1 << 4 // node 5 of a 4-node lane
+	st[recAttention] = 1 << 4 // node 5 of a 4-node lane
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -250,5 +250,5 @@ func TestRestoreLaneRecaptureMismatchPanics(t *testing.T) {
 			t.Fatalf("unexpected panic: %v", r)
 		}
 	}()
-	_ = p.RestoreLane(3, &st)
+	_ = p.RestoreLanes(1<<3, [][]uint64{st}, 0)
 }

@@ -106,16 +106,25 @@ type BatchDiagCluster struct {
 
 	dist    []tdma.Disturbances // per lane
 	horizon []int               // per lane: rounds to record (run length)
+	// sole[r] is lane r's disturbance when its chain holds exactly one and
+	// that one is a tdma.Quieter, asked directly instead of through the
+	// chain; nil otherwise.
+	sole []tdma.Quieter
 
 	// wake[s·max+r] is the first round whose slot-s transmission lane r's
 	// chain may touch (tdma.Quieter): in every earlier round the lane's
 	// slot s is quiet and folds in without running the chain. Zero means
-	// "ask at the next transmission". wakeMin[s] is the least wake of
-	// slot s over the live lanes, so a slot every lane is quiet in costs
-	// one compare. loudLanes (bit r) marks the lanes whose chain has no
-	// answer: they are never quiet and never ask.
+	// "ask at the next transmission". stale[s] marks (bit r) the lanes
+	// whose slot-s wake no longer holds, because the lane's chain changed
+	// or the lane was restored: they ask at the next transmission whatever
+	// their wake says. wakeMin[s] is the least wake of slot s over the live
+	// lanes that are not stale, so a slot every lane is quiet in costs one
+	// compare, and a slot where only restored lanes must ask costs a
+	// question to each of them. loudLanes (bit r) marks the lanes whose
+	// chain has no answer: they are never quiet and their wake stays 0.
 	wake      []int
-	wakeMin   []int // 1-based by sender
+	wakeMin   []int    // 1-based by sender
+	stale     []uint64 // 1-based by sender
 	loudLanes uint64
 
 	// jobIn and jobOut are runJob's StepBatch input and output, reused
@@ -143,12 +152,17 @@ type BatchDiagCluster struct {
 	// the senders of round k whose delivery was benign, asymmetric or
 	// malicious (lane-packed, in that order); invTainted the lanes (bit r)
 	// that left the fault hypothesis at some point and so the check's
-	// scope; and the scratch checkpoint RestoreLane re-captures into.
+	// scope; and the scratch lane record RestoreLanes re-captures into.
 	invRound, invRef int
 	invOut           core.BatchRoundOutput
 	invFaults        [invWindow][3]uint64
 	invTainted       uint64
-	invLane          *LaneCheckpoint
+	invLane          []uint64
+
+	// restoreAcc is RestoreLanes' scratch: the lane-packed bus words of a
+	// lane record, assembled from every restored lane before they are
+	// written; nil until the first restore.
+	restoreAcc []uint64
 
 	// OnOutput, when set, observes every diagnostic job's gang output
 	// (node id, all lanes), after the lane collectors recorded it. It is
@@ -185,9 +199,10 @@ func NewBatchDiagCluster(cfg ClusterConfig) (*BatchDiagCluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The three per-observer mask families share one backing array.
+	// The three per-observer mask families and the stale wake masks share
+	// one backing array.
 	w := norm.N + 1
-	masks := make([]uint64, 3*w)
+	masks := make([]uint64, 4*w)
 	c := &BatchDiagCluster{
 		cfg:       norm,
 		sched:     sched,
@@ -200,12 +215,14 @@ func NewBatchDiagCluster(cfg ClusterConfig) (*BatchDiagCluster, error) {
 		rows:      make([]core.BitSyndrome, norm.N+1),
 		ign:       masks[:w:w],
 		ownClear:  masks[w : 2*w : 2*w],
-		blind:     masks[2*w:],
+		blind:     masks[2*w : 3*w : 3*w],
+		stale:     masks[3*w:],
 		staged:    make([]uint64, norm.N+1),
 		collRound: make([]int, (norm.N+1)*collRing),
 		collMask:  make([]uint64, (norm.N+1)*collRing),
 		collSeen:  make([]bool, (norm.N+1)*collRing),
 		dist:      make([]tdma.Disturbances, maxLanes),
+		sole:      make([]tdma.Quieter, maxLanes),
 		horizon:   make([]int, maxLanes),
 		truth:     make([][]tdma.OutcomeClass, maxLanes),
 		cols:      make([]*Collector, maxLanes),
@@ -329,11 +346,13 @@ func (c *BatchDiagCluster) ResetBatch(lanes int) error {
 	c.loudLanes = 0
 	clear(c.wake)
 	clear(c.wakeMin)
+	clear(c.stale)
 	for i := range c.collSeen {
 		c.collSeen[i] = false
 	}
 	for r := 0; r < c.max; r++ {
 		c.dist[r] = c.dist[r][:0]
+		c.sole[r] = nil
 		c.horizon[r] = 0
 		c.truth[r] = c.truth[r][:0]
 		c.cols[r].Reset()
@@ -394,27 +413,31 @@ func (c *BatchDiagCluster) ResetLs(ls []int) error {
 // SenderCollision return their input, Blinded returns 0, no state
 // changes — must hold on every transmission the answer covers. The lane
 // asks again once a transmission runs past the answer, and after
-// ResetBatch, AddLaneDisturbance or RestoreLane; a caller that changes a
+// ResetBatch, AddLaneDisturbance or RestoreLanes; a caller that changes a
 // disturbance's behaviour in between must re-add or restore the lane. One
 // disturbance that is not a Quieter (fault.Predicate, fault.RandomNoise)
 // makes the lane run its chain on every slot, as before.
 func (c *BatchDiagCluster) AddLaneDisturbance(lane int, d tdma.Disturbance) {
 	c.dist[lane] = append(c.dist[lane], d)
+	c.sole[lane] = nil
+	if len(c.dist[lane]) == 1 {
+		c.sole[lane], _ = d.(tdma.Quieter)
+	}
 	if _, ok := d.(tdma.Blinder); ok {
 		c.blindLanes |= 1 << uint(lane)
 	}
 	if !tdma.Quiets(d) {
 		c.loudLanes |= 1 << uint(lane)
 	}
-	c.resetWake(lane)
+	c.resetWake(1 << uint(lane))
 }
 
-// resetWake makes lane ask its chain again at its next transmission of
-// every slot.
-func (c *BatchDiagCluster) resetWake(lane int) {
+// resetWake makes the lanes of the mask ask their chain again at their
+// next transmission of every slot. Every other lane keeps its wakes, and
+// the slots keep their wakeMin fast path.
+func (c *BatchDiagCluster) resetWake(lanes uint64) {
 	for s := 1; s <= c.n; s++ {
-		c.wake[s*c.max+lane] = 0
-		c.wakeMin[s] = 0
+		c.stale[s] |= lanes
 	}
 }
 
@@ -861,16 +884,39 @@ func (c *BatchDiagCluster) transmitSlot(k, s int) {
 // quietLanes returns the live lanes (bit r) whose disturbance chain leaves
 // sender s's transmission of round k untouched, and those lanes' segments
 // of a lane-packed plane. A lane asks its chain (tdma.Quieter) only once
-// the transmission runs past the lane's wake; a loud lane never asks.
+// the transmission runs past the lane's wake, or when it is stale; a loud
+// lane never asks. While the transmission is below every other lane's
+// wake, only the stale lanes are visited.
 func (c *BatchDiagCluster) quietLanes(k, s int) (quiet, segs uint64) {
-	if k < c.wakeMin[s] {
+	if k < c.wakeMin[s] && c.stale[s] == 0 {
 		return uint64(1)<<uint(c.lanes) - 1, c.allB
 	}
+	return c.askLanes(k, s)
+}
+
+// askLanes is quietLanes once some lane must ask.
+func (c *BatchDiagCluster) askLanes(k, s int) (quiet, segs uint64) {
+	live := uint64(1)<<uint(c.lanes) - 1
+	stale := c.stale[s] & live
+	c.stale[s] = 0
 	wake := c.wake[s*c.max : s*c.max+c.lanes]
+	if k < c.wakeMin[s] {
+		quiet, segs = live, c.allB
+		for m := stale; m != 0; m &= m - 1 {
+			r := bits.TrailingZeros64(m)
+			wake[r] = c.ask(s, r)
+			if k >= wake[r] {
+				quiet &^= 1 << uint(r)
+				segs &^= c.laneAll << uint(r*c.n)
+			}
+			c.wakeMin[s] = min(c.wakeMin[s], wake[r])
+		}
+		return quiet, segs
+	}
 	least := math.MaxInt
 	for r := range wake {
-		if k >= wake[r] && c.loudLanes>>uint(r)&1 == 0 {
-			wake[r] = c.wakeRound(c.dist[r].QuietUntil(&c.tx), s)
+		if k >= wake[r] || stale>>uint(r)&1 != 0 {
+			wake[r] = c.ask(s, r)
 		}
 		if k < wake[r] {
 			quiet |= 1 << uint(r)
@@ -882,11 +928,26 @@ func (c *BatchDiagCluster) quietLanes(k, s int) (quiet, segs uint64) {
 	return quiet, segs
 }
 
+// ask returns lane r's wake for slot s from its chain's answer about the
+// transmission in c.tx; a loud lane's is 0.
+func (c *BatchDiagCluster) ask(s, r int) int {
+	if c.loudLanes>>uint(r)&1 != 0 {
+		return 0
+	}
+	if q := c.sole[r]; q != nil {
+		return c.wakeRound(q.QuietUntil(&c.tx), s)
+	}
+	return c.wakeRound(c.dist[r].QuietUntil(&c.tx), s)
+}
+
 // wakeRound returns the first round whose slot-s transmission w does not
 // cover: every earlier round is below w.Round, and its slot-s window ends
 // by w.At. The schedule is periodic, so slot s of round k ends k round
 // lengths after it ends in round 0.
 func (c *BatchDiagCluster) wakeRound(w tdma.Wake, s int) int {
+	if w.At == math.MaxInt64 {
+		return w.Round // no time bound: only the round counts
+	}
 	_, end := c.sched.SlotWindow(0, s)
 	if w.At < end {
 		return 0

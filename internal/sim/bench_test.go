@@ -67,7 +67,9 @@ func BenchmarkBatchClusterRun(b *testing.B) {
 // BenchmarkLaneCheckpoint times the lane checkpoint of a warmed N = 4
 // gang: "capture" records lane 5 into a reused checkpoint, "restore"
 // writes it into lane 11, the two halves of a splitting level crossing and
-// trial start. Tracked in BENCH_splitting.json.
+// trial start, and "restore8" refills the eight even lanes with one
+// RestoreLanes call from eight records, as a splitting round boundary
+// does. Tracked in BENCH_splitting.json.
 func BenchmarkLaneCheckpoint(b *testing.B) {
 	bc, err := NewBatchDiagCluster(ClusterConfig{N: 4, PR: core.PRConfig{PenaltyThreshold: 7, RewardThreshold: 2}})
 	if err != nil {
@@ -94,6 +96,21 @@ func BenchmarkLaneCheckpoint(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if err := bc.RestoreLane(11, ck); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	recs := make([][]uint64, 8)
+	for i := range recs {
+		recs[i] = make([]uint64, bc.LaneRecordLen())
+		if err := bc.CaptureLaneRecord(2*i+1, recs[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("n4_restore8", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := bc.RestoreLanes(0x5555, recs); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -92,7 +92,7 @@ func TestBatchRestoreRecaptureMismatchPanics(t *testing.T) {
 	if err := bc.CaptureLane(2, ck); err != nil {
 		t.Fatal(err)
 	}
-	ck.staged[3] |= 1 << 4 // node 5 of a 4-node lane
+	ck.rec[bc.recBus()+busStaged*4+2] |= 1 << 4 // node 3's outbox, node 5 of a 4-node lane
 	expectPanic(t, "restored lane 9 does not re-capture", func() {
 		_ = bc.RestoreLane(9, ck)
 	})

@@ -4,10 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ttdiag/internal/core"
 	"ttdiag/internal/fault"
+	"ttdiag/internal/invariant"
 	"ttdiag/internal/tdma"
 )
 
@@ -202,5 +204,85 @@ func TestLaneCheckpointRejects(t *testing.T) {
 	}
 	if err := mem.CaptureLane(0, mem.NewLaneCheckpoint()); err == nil {
 		t.Error("lane capture in a membership cluster accepted")
+	}
+}
+
+// TestRestoreLanesRoundTrip refills five lanes of a faulted gang with one
+// RestoreLanes call from records captured in five other lanes of another
+// gang, handed out in a different order, and its twin one lane at a time
+// with RestoreLane. Right after the refill every refilled lane re-captures
+// to its record; stepped on under the same faults, the two gangs must hold
+// the same state in every lane every round: a refill restores exactly the
+// lanes of its mask, each from its own record, and leaves the others be.
+func TestRestoreLanesRoundTrip(t *testing.T) {
+	const (
+		captureAt = 20
+		restoreAt = 7
+		rounds    = 30
+	)
+	cfg := ClusterConfig{N: 4, PR: core.PRConfig{PenaltyThreshold: 3, RewardThreshold: 2, ReintegrationThreshold: 5}}
+	a, _ := faultedGang(t, cfg, 0x5eed, captureAt)
+	from := []int{13, 1, 9, 4, 6} // source lane of the i-th refilled lane
+	dest := []int{0, 3, 7, 8, 15}
+	recs := make([][]uint64, len(from))
+	var mask uint64
+	for i, src := range from {
+		recs[i] = make([]uint64, a.LaneRecordLen())
+		if err := a.CaptureLaneRecord(src, recs[i]); err != nil {
+			t.Fatal(err)
+		}
+		mask |= 1 << uint(dest[i])
+	}
+	all, allFaults := faultedGang(t, cfg, 0xb0b, restoreAt)
+	one, oneFaults := faultedGang(t, cfg, 0xb0b, restoreAt)
+	if err := all.RestoreLanes(mask, recs); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range dest {
+		if err := one.RestoreLane(r, &LaneCheckpoint{rec: recs[i]}); err != nil {
+			t.Fatal(err)
+		}
+		*allFaults[r] = laneFaults{seed: 0xfeed + uint64(i), off: captureAt - restoreAt}
+		*oneFaults[r] = *allFaults[r]
+	}
+	got := make([]uint64, all.LaneRecordLen())
+	if !invariant.Enabled { // invariant builds keep fault history the gang cannot hold
+		for i, r := range dest {
+			if err := all.CaptureLaneRecord(r, got); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, recs[i]) {
+				t.Fatalf("lane %d does not re-capture to the record of lane %d it was refilled from", r, from[i])
+			}
+		}
+	}
+	want := make([]uint64, all.LaneRecordLen())
+	isolations := 0
+	for k := 0; k < rounds; k++ {
+		if err := all.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if err := one.Step(); err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < all.Lanes(); r++ {
+			if err := all.CaptureLaneRecord(r, got); err != nil {
+				t.Fatal(err)
+			}
+			if err := one.CaptureLaneRecord(r, want); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("round %d lane %d: the refilled gang and its lane-by-lane twin diverge", k, r)
+			}
+			for j := 1; j <= 4; j++ {
+				if all.Proto(2).LanePenalty(r, j) > cfg.PR.PenaltyThreshold {
+					isolations++
+				}
+			}
+		}
+	}
+	if isolations == 0 {
+		t.Fatal("no isolation after the refill; the fault pattern exercises too little")
 	}
 }

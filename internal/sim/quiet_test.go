@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -186,7 +187,8 @@ func FuzzQuietSlots(f *testing.F) {
 // TestQuietSlotWakes pins the wake bookkeeping: a lane with a burst train
 // is quiet up to the burst and asks again at it, a lane with a predicate
 // is loud and never asks, an empty lane is quiet for good, and
-// AddLaneDisturbance, RestoreLane and ResetBatch make a lane ask afresh.
+// AddLaneDisturbance, RestoreLane and ResetBatch make a lane ask afresh;
+// a restore leaves every other lane's wake and the slots' fast path alone.
 func TestQuietSlotWakes(t *testing.T) {
 	bc, err := NewBatchDiagCluster(ClusterConfig{})
 	if err != nil {
@@ -219,19 +221,33 @@ func TestQuietSlotWakes(t *testing.T) {
 	if got := wake(1, 2); got < 1<<30 {
 		t.Fatalf("empty lane's wake %d, want never", got)
 	}
+	// Restoring lane 2 marks it stale in every slot and touches nothing
+	// else: every other lane keeps its wake, and every slot its least wake,
+	// so the next transmission asks lane 2 alone.
 	ck := bc.NewLaneCheckpoint()
 	if err := bc.CaptureLane(2, ck); err != nil {
 		t.Fatal(err)
 	}
+	wakes, mins := slices.Clone(bc.wake), slices.Clone(bc.wakeMin)
 	if err := bc.RestoreLane(2, ck); err != nil {
 		t.Fatal(err)
 	}
-	if got := wake(1, 2); got != 0 {
-		t.Fatalf("restored lane's wake %d, want 0 (ask afresh)", got)
+	for s := 1; s <= bc.n; s++ {
+		if bc.stale[s] != 1<<2 {
+			t.Fatalf("slot %d stale lanes %#b after restoring lane 2, want lane 2 alone", s, bc.stale[s])
+		}
+		if bc.wakeMin[s] != mins[s] {
+			t.Fatalf("slot %d least wake %d after restoring lane 2, was %d", s, bc.wakeMin[s], mins[s])
+		}
+		for lane := 0; lane < bc.max; lane++ {
+			if lane != 2 && wake(s, lane) != wakes[s*bc.max+lane] {
+				t.Fatalf("slot %d lane %d wake %d after restoring lane 2, was %d", s, lane, wake(s, lane), wakes[s*bc.max+lane])
+			}
+		}
 	}
 	bc.AddLaneDisturbance(3, fault.SOS{Sender: 4, Victims: []tdma.NodeID{1}, FromRound: 9})
-	if got := wake(4, 3); got != 0 {
-		t.Fatalf("wake %d after AddLaneDisturbance, want 0", got)
+	if bc.stale[4]>>3&1 == 0 {
+		t.Fatalf("slot 4 stale lanes %#b after AddLaneDisturbance, want lane 3", bc.stale[4])
 	}
 	for k := 0; k < 2; k++ {
 		if err := bc.Step(); err != nil {
@@ -249,7 +265,7 @@ func TestQuietSlotWakes(t *testing.T) {
 	}
 	for s := 1; s <= bc.n; s++ {
 		for lane := 0; lane < bc.max; lane++ {
-			if wake(s, lane) != 0 || bc.wakeMin[s] != 0 {
+			if wake(s, lane) != 0 || bc.wakeMin[s] != 0 || bc.stale[s] != 0 {
 				t.Fatalf("slot %d lane %d wake %d after ResetBatch, want 0", s, lane, wake(s, lane))
 			}
 		}
@@ -257,4 +273,55 @@ func TestQuietSlotWakes(t *testing.T) {
 	if bc.loudLanes != 0 {
 		t.Fatalf("loud lanes %#b after ResetBatch", bc.loudLanes)
 	}
+
+	// A gang without loud lanes takes the fast path: slot 2 of rounds
+	// before the burst is below every wake. Restoring lane 2 there makes the
+	// next transmissions ask lane 2 alone; lane 0 is not asked again before
+	// its burst and the least wakes stay.
+	bc.AddLaneDisturbance(0, &countQuiet{Disturbance: fault.NewTrain(fault.SlotBurst(bc.Schedule(), burstRound, 2, 1))})
+	asked := &countQuiet{Disturbance: fault.NewTrain()}
+	bc.AddLaneDisturbance(2, asked)
+	for k := 0; k < 4; k++ {
+		if err := bc.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := bc.dist[0][0].(*countQuiet).n
+	if asked.n != bc.n || bc.wakeMin[2] != burstRound {
+		t.Fatalf("before the restore: lane 2 asked %d times, slot 2 least wake %d; want %d and %d", asked.n, bc.wakeMin[2], bc.n, burstRound)
+	}
+	if err := bc.CaptureLane(2, ck); err != nil {
+		t.Fatal(err)
+	}
+	if err := bc.RestoreLane(2, ck); err != nil {
+		t.Fatal(err)
+	}
+	if bc.wakeMin[2] != burstRound || bc.stale[2] != 1<<2 {
+		t.Fatalf("after the restore: slot 2 least wake %d, stale lanes %#b; want %d and lane 2", bc.wakeMin[2], bc.stale[2], burstRound)
+	}
+	if err := bc.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if got := bc.dist[0][0].(*countQuiet).n; got != first {
+		t.Fatalf("lane 0 asked %d times after lane 2's restore, want %d (not again)", got, first)
+	}
+	if asked.n != 2*bc.n || bc.wakeMin[2] != burstRound {
+		t.Fatalf("after the restore: lane 2 asked %d times, slot 2 least wake %d; want %d and %d", asked.n, bc.wakeMin[2], 2*bc.n, burstRound)
+	}
+	for s := 1; s <= bc.n; s++ {
+		if bc.stale[s] != 0 {
+			t.Fatalf("slot %d stale lanes %#b after a round, want none", s, bc.stale[s])
+		}
+	}
+}
+
+// countQuiet counts the quiet-slot questions its disturbance is asked.
+type countQuiet struct {
+	tdma.Disturbance
+	n int
+}
+
+func (q *countQuiet) QuietUntil(tx *tdma.Transmission) tdma.Wake {
+	q.n++
+	return q.Disturbance.(tdma.Quieter).QuietUntil(tx)
 }

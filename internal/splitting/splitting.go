@@ -20,20 +20,33 @@
 // relative error and Wilson intervals from internal/stats.
 //
 // Trials run in the lanes of a sim.BatchDiagCluster: each campaign worker
-// keeps one gang (16 lanes at N=4), warmed past the diagnosis lag, and
-// streams a batch of trials through it. A lane whose trial hits,
-// regenerates or runs out of rounds takes the batch's next trial at the
-// next round boundary: RestoreLane writes the trial's entry state into the
-// lane, and a level crossing is captured with CaptureLane into a
-// sim.LaneCheckpoint, the lane's share of the cluster state only. A lane's
-// one disturbance, its trial's keyed transient, answers tdma.Quieter: it
-// never touches a sender other than the target, and the target's slot only
-// in the rounds whose keyed hash hits, so at the campaign's fault rates
-// nearly every lane·slot folds in with word operations instead of running
-// the chain. The per-run trial body, which restores a whole-cluster
-// checkpoint into a per-run cluster under a fault.Predicate of its own, is
-// kept in the tests as the oracle the gang must match exactly
-// (TestRunMatchesPerRun).
+// keeps one gang (16 lanes at N=4), warmed past the diagnosis lag, across
+// all levels, and streams batches of trials through it. The lanes whose
+// trials hit, regenerate or run out of rounds in a round take the batch's
+// next trials at the round boundary, in lane order: one RestoreLanes call
+// writes their entry states into all of them at once. A level crossing is
+// captured with CaptureLaneRecord as a lane record, the lane's share of the
+// cluster state only: a fixed-stride, pointer-free run of words appended to
+// the worker's own slab for the level. A worker's slabs alternate between
+// levels and keep their memory, so once the levels have warmed them a
+// crossing allocates nothing and the garbage collector has nothing to scan.
+// A lane's one disturbance, its trial's keyed transient, answers
+// tdma.Quieter: it never touches a sender other than the target, and the
+// target's slot only in the rounds whose keyed hash hits, so at the
+// campaign's fault rates nearly every lane·slot folds in with word
+// operations instead of running the chain; a refill makes only the
+// refilled lanes ask again. The per-run trial body, which restores a
+// whole-cluster checkpoint into a per-run cluster under a fault.Predicate
+// of its own, is kept in the tests as the oracle the gang must match
+// exactly (TestRunMatchesPerRun).
+//
+// Refilling lanes is most of the estimator's work. Slab records, one
+// refill per round boundary and lane-local quiet-slot wakes took the
+// rare-event benchmark workload (-splitting 14000, two workers) from a
+// median of 1.14M to 1.57M repetitions per second and from 0.229 to 0.164
+// CPU seconds and 36.8 to 29.0 MB peak per launch, over ten alternating
+// ttdiag-bench pairs on a 2-vCPU Xeon VM (docs/PERFORMANCE.md, "Rare-event
+// at restore speed").
 //
 // Determinism contract: trials are scheduled on the internal/campaign pool
 // in index-addressed batches; each trial's randomness is one named stream
@@ -44,12 +57,14 @@
 // suffix replays its prefix's faults exactly, and a trial's outcome does not
 // depend on its lane, its worker or the trials before it. The estimate is
 // bit-identical at any worker count. Entry states are collected in
-// trial-index order and shared read-only across workers.
+// trial-index order and shared read-only across workers: a level reads the
+// slabs the previous level's workers wrote and writes the other ones.
 package splitting
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strconv"
 
 	"ttdiag/internal/campaign"
@@ -219,10 +234,15 @@ func (f *keyedTransient) SenderCollision(tx *tdma.Transmission, collided bool) b
 	return collided || f.corrupts(tx)
 }
 
-// quietScan bounds QuietUntil's look-ahead in rounds: longer than a trial's
-// default 16 StageRounds, so a trial that meets no fault asks once, and
-// short enough that a rare fault costs at most 64 hashes per answer.
-const quietScan = 64
+// quietScan bounds QuietUntil's look-ahead in rounds. It is sized from the
+// trial lengths of the rare-event campaign: a level-0 trial runs at most
+// StageRounds (16 by default, 12.7 on average), so a 16-round scan lets a
+// trial that meets no fault ask once, while a trial of a later level lasts
+// about two rounds and a restore throws the rest of its scan away. At the
+// rare-event campaign's shape and an Effort of 14000 a 16-round scan
+// evaluates 1.7M hashes and a 64-round one 3.0M, for the same number of
+// questions.
+const quietScan = 16
 
 // QuietUntil implements tdma.Quieter. Senders other than the target are
 // never touched. The target is left alone until the first round from
@@ -238,11 +258,39 @@ func (f *keyedTransient) QuietUntil(tx *tdma.Transmission) tdma.Wake {
 	return tdma.Wake{Round: r, At: math.MaxInt64}
 }
 
-// entry is a level-entry state: a lane checkpoint and the round its trial
-// had reached, counted from the start of the run.
+// entry is a level-entry state: lane record `rec` of the session's slab
+// `slab`, and the round its trial had reached, counted from the start of
+// the run. It holds no pointers, so neither the entries of a level nor the
+// trial results carrying them are ever scanned by the garbage collector.
 type entry struct {
-	ck    *sim.LaneCheckpoint
-	round int
+	slab, rec, round int
+}
+
+// slab is a growable store of lane records, side by side in chunks of
+// slabChunk records, so that growing never moves a record. Its memory is
+// pointer-free and kept for reuse.
+type slab struct {
+	chunks [][]uint64
+	n      int // records in use
+}
+
+// slabChunk is the number of lane records in one chunk of a slab: about
+// 75 KB at N=4.
+const slabChunk = 64
+
+// add appends an unwritten record of recLen words and returns its index.
+func (b *slab) add(recLen int) int {
+	if c := b.n / slabChunk; c == len(b.chunks) {
+		b.chunks = append(b.chunks, make([]uint64, slabChunk*recLen))
+	}
+	b.n++
+	return b.n - 1
+}
+
+// record returns record i.
+func (b *slab) record(i, recLen int) []uint64 {
+	at := i % slabChunk * recLen
+	return b.chunks[i/slabChunk][at : at+recLen : at+recLen]
 }
 
 // trialOut is one trial's result. entry is set iff the trial succeeded at
@@ -258,8 +306,24 @@ type trialOut[E any] struct {
 type session struct {
 	cfg      Config
 	src      *rng.Source
+	n        int // node count
 	observer int
 	warm     int // gang run-in before the first restore: the diagnosis lag
+	batch    int // trials per campaign job
+	recLen   int // words of one lane record
+	// slabs holds the lane records of the entry states: slab 0 the base
+	// state, then two per worker. A worker captures the crossings of level
+	// ℓ into its slab ℓ mod 2 and so overwrites the records of level ℓ-2,
+	// which only level ℓ-1 read. A slab grows when a level crosses more
+	// often than any before and otherwise keeps its memory. Workers write
+	// only their own slabs, and the table itself grows only while the
+	// campaign builds its workers, before any trial.
+	slabs []slab
+	// workers are kept across levels: a level's campaign takes them in
+	// order (see takeWorker), building more only when it runs more
+	// workers.
+	workers []*worker
+	taken   int
 }
 
 // worker is one campaign worker's gang: every lane runs one trial at a
@@ -269,7 +333,50 @@ type worker struct {
 	pool   *rng.Pool
 	faults []*keyedTransient // per lane
 	trial  []int             // per lane: index into the batch, -1 idle
-	name   []byte            // load's trial stream name scratch
+	name   []byte            // rekey's trial stream name scratch
+	slabs  [2]int            // the worker's output slabs, by level parity
+	recs   [][]uint64        // refill's lane records, in lane order
+}
+
+// newSession validates the cluster against cfg, runs a gang fault-free for
+// the run-in and captures its lane 0 as the base entry state, the one
+// level 0 starts from. The gang then serves the first worker.
+func newSession(cfg Config, src *rng.Source) (*session, entry, error) {
+	s := &session{cfg: cfg, src: src}
+	boot, err := s.newGang(0)
+	if err != nil {
+		return nil, entry{}, err
+	}
+	s.n = boot.Config().N
+	if cfg.Target < 1 || cfg.Target > s.n {
+		return nil, entry{}, fmt.Errorf("splitting: target %d outside 1..%d", cfg.Target, s.n)
+	}
+	s.observer = observerOf(cfg.Target)
+	for id := 1; id <= s.n; id++ {
+		s.warm = max(s.warm, boot.Proto(id).Config().Lag())
+	}
+	warm := cfg.WarmRounds
+	if warm == 0 {
+		warm = boot.Proto(s.observer).Config().Lag() + 2
+	}
+	if warm < s.warm {
+		return nil, entry{}, fmt.Errorf("splitting: warm-up of %d rounds is shorter than the diagnosis lag %d", warm, s.warm)
+	}
+	for r := 0; r < warm; r++ {
+		if err := boot.Step(); err != nil {
+			return nil, entry{}, err
+		}
+	}
+	s.batch = trialsPerLane * boot.Lanes()
+	s.recLen = boot.LaneRecordLen()
+	// Slab 0 holds the base state alone, in a chunk of its size.
+	s.slabs = []slab{{chunks: [][]uint64{make([]uint64, s.recLen)}, n: 1}}
+	base := entry{round: warm}
+	if err := boot.CaptureLaneRecord(0, s.record(base)); err != nil {
+		return nil, entry{}, err
+	}
+	s.addWorker(boot)
+	return s, base, nil
 }
 
 // newGang builds a full-width gang and runs it fault-free for `rounds`
@@ -287,26 +394,67 @@ func (s *session) newGang(rounds int) (*sim.BatchDiagCluster, error) {
 	return cl, nil
 }
 
-// newWorker builds one worker's gang, warmed past the diagnosis lag so
+// addWorker makes a worker of a gang warmed past the diagnosis lag, so
 // that every restored lane reads its collision history from rounds the
-// gang has run. Faults are off until a lane takes its first trial.
-func (s *session) newWorker() (*worker, error) {
-	cl, err := s.newGang(s.warm)
-	if err != nil {
-		return nil, err
-	}
+// gang has, and gives it two output slabs. Faults are off until a lane
+// takes its first trial.
+func (s *session) addWorker(cl *sim.BatchDiagCluster) {
 	w := &worker{
 		cl:     cl,
 		pool:   s.src.NewPool(),
 		faults: make([]*keyedTransient, cl.Lanes()),
 		trial:  make([]int, cl.Lanes()),
+		slabs:  [2]int{len(s.slabs), len(s.slabs) + 1},
+		recs:   make([][]uint64, 0, cl.Lanes()),
 	}
+	s.slabs = append(s.slabs, slab{}, slab{})
 	for r := range w.faults {
 		f := &keyedTransient{target: tdma.NodeID(s.cfg.Target)}
 		w.faults[r] = f
 		cl.AddLaneDisturbance(r, f)
 	}
+	s.workers = append(s.workers, w)
+}
+
+// takeWorker hands a level's campaign its next worker, building one when
+// the level runs more workers than any before, with its slab for this
+// level emptied. The campaign calls it serially, before any trial runs.
+func (s *session) takeWorker(level int) (*worker, error) {
+	if s.taken == len(s.workers) {
+		cl, err := s.newGang(s.warm)
+		if err != nil {
+			return nil, err
+		}
+		s.addWorker(cl)
+	}
+	w := s.workers[s.taken]
+	s.taken++
+	s.slabs[w.slabs[level&1]].n = 0
 	return w, nil
+}
+
+// runLevel runs one level's Effort trials from the given entry states on
+// the campaign pool and returns their results by trial index.
+func (s *session) runLevel(level int, entries []entry) ([]trialOut[entry], error) {
+	s.taken = 0
+	return campaign.RunBatchedWith(campaign.Options{Workers: s.cfg.Workers}, s.cfg.Effort, s.batch,
+		func() (*worker, error) { return s.takeWorker(level) },
+		func(w *worker, base, _ int, out []trialOut[entry]) error {
+			return s.runBatch(w, level, base, entries, out)
+		})
+}
+
+// record returns the lane record e points at.
+func (s *session) record(e entry) []uint64 {
+	return s.slabs[e.slab].record(e.rec, s.recLen)
+}
+
+// capture records lane r as an entry state in the worker's slab for this
+// level.
+func (s *session) capture(w *worker, r, level int) (entry, error) {
+	e := entry{slab: w.slabs[level&1], round: w.cl.Round() + w.faults[r].off}
+	e.rec = s.slabs[e.slab].add(s.recLen)
+	return e, w.cl.CaptureLaneRecord(r, s.record(e))
 }
 
 // importance is the level function: the observer's penalty count for the
@@ -317,17 +465,12 @@ func (s *session) importance(cl *sim.BatchDiagCluster, lane int) int64 {
 	return cl.Proto(s.observer).LanePenalty(lane, s.cfg.Target)
 }
 
-// load starts trial `trial` of the level in lane r: the lane is restored
-// from the trial's entry state and its fault process re-keyed from the
-// trial's stream. The re-key comes after RestoreLane and before the next
-// Step: RestoreLane drops the lane's quiet-slot wakes, so the gang's next
-// transmission asks the re-keyed transient afresh rather than trusting an
-// answer the previous trial's key gave.
-func (s *session) load(w *worker, r, level, trial int, entries []*entry) error {
-	e := entries[trial%len(entries)]
-	if err := w.cl.RestoreLane(r, e.ck); err != nil {
-		return err
-	}
+// rekey gives lane r's fault process the randomness of trial `trial` of
+// the level, which starts from an entry state at round `round`. It follows
+// the lane's restore and precedes the next Step: a restore makes the lane
+// ask its transient afresh which slots it leaves quiet, so the gang never
+// trusts an answer the previous trial's key gave.
+func (s *session) rekey(w *worker, r, level, trial, round int) {
 	w.pool.Recycle()
 	f := w.faults[r]
 	// The trial's stream is "<name>/L<level>/T<trial>", built in reused
@@ -337,42 +480,56 @@ func (s *session) load(w *worker, r, level, trial int, entries []*entry) error {
 	w.name = strconv.AppendInt(w.name, int64(trial), 10)
 	f.key = w.pool.StreamBytes(w.name).Uint64()
 	f.thresh = uint64(s.cfg.FaultProb * (1 << 53))
-	f.off = e.round - w.cl.Round()
-	return nil
+	f.off = round - w.cl.Round()
 }
 
 // runBatch runs trials base..base+len(out)-1 of a level through the
-// worker's gang. A lane whose trial hits, regenerates or exhausts
-// StageRounds takes the batch's next trial at the next round boundary; a
-// trial's result depends on its index alone, never on its lane or on the
-// trials before it.
-func (s *session) runBatch(w *worker, level, base int, entries []*entry, out []trialOut[*entry]) error {
+// worker's gang. The lanes whose trials hit, regenerate or exhaust
+// StageRounds in a round take the batch's next trials, in lane order, at
+// the round boundary, all restored from their entry states by one
+// RestoreLanes call; a trial's result depends on its index alone, never on
+// its lane or on the trials before it.
+func (s *session) runBatch(w *worker, level, base int, entries []entry, out []trialOut[entry]) error {
 	threshold := s.cfg.Levels[level]
 	final := level == len(s.cfg.Levels)-1
 	next, busy := 0, 0
-	// take gives lane r the batch's next trial, or leaves it idle.
-	take := func(r int) error {
-		w.trial[r] = -1
-		if next == len(out) {
+	// refill gives the lanes of the mask the batch's next trials, leaving
+	// the lanes it has no trial for idle.
+	refill := func(lanes uint64) error {
+		w.recs = w.recs[:0]
+		var loaded uint64
+		for m := lanes; m != 0 && next < len(out); m &= m - 1 {
+			r := bits.TrailingZeros64(m)
+			w.recs = append(w.recs, s.record(entries[(base+next)%len(entries)]))
+			w.trial[r] = next
+			loaded |= 1 << uint(r)
+			next++
+			busy++
+		}
+		for m := lanes &^ loaded; m != 0; m &= m - 1 {
+			w.trial[bits.TrailingZeros64(m)] = -1
+		}
+		if loaded == 0 {
 			return nil
 		}
-		if err := s.load(w, r, level, base+next, entries); err != nil {
+		if err := w.cl.RestoreLanes(loaded, w.recs); err != nil {
 			return err
 		}
-		w.trial[r] = next
-		next++
-		busy++
+		for m := loaded; m != 0; m &= m - 1 {
+			r := bits.TrailingZeros64(m)
+			trial := base + w.trial[r]
+			s.rekey(w, r, level, trial, entries[trial%len(entries)].round)
+		}
 		return nil
 	}
-	for r := range w.trial {
-		if err := take(r); err != nil {
-			return err
-		}
+	if err := refill(uint64(1)<<uint(len(w.trial)) - 1); err != nil {
+		return err
 	}
 	for busy > 0 {
 		if err := w.cl.Step(); err != nil {
 			return err
 		}
+		var ended uint64
 		for r, i := range w.trial {
 			if i < 0 {
 				continue
@@ -384,11 +541,11 @@ func (s *session) runBatch(w *worker, level, base int, entries []*entry, out []t
 			case imp >= threshold:
 				o.hit = true
 				if !final {
-					ck := w.cl.NewLaneCheckpoint()
-					if err := w.cl.CaptureLane(r, ck); err != nil {
+					e, err := s.capture(w, r, level)
+					if err != nil {
 						return err
 					}
-					o.entry = &entry{ck: ck, round: w.cl.Round() + w.faults[r].off}
+					o.entry = e
 				}
 			case level > 0 && imp == 0:
 				// Regenerated: the reward mechanism cleared every
@@ -398,7 +555,10 @@ func (s *session) runBatch(w *worker, level, base int, entries []*entry, out []t
 				continue
 			}
 			busy--
-			if err := take(r); err != nil {
+			ended |= 1 << uint(r)
+		}
+		if ended != 0 {
+			if err := refill(ended); err != nil {
 				return err
 			}
 		}
@@ -413,42 +573,11 @@ func Run(cfg Config, src *rng.Source) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &session{cfg: cfg, src: src}
-	boot, err := s.newGang(0)
+	s, base, err := newSession(cfg, src)
 	if err != nil {
 		return nil, err
 	}
-	n := boot.Config().N
-	if cfg.Target < 1 || cfg.Target > n {
-		return nil, fmt.Errorf("splitting: target %d outside 1..%d", cfg.Target, n)
-	}
-	s.observer = observerOf(cfg.Target)
-	for id := 1; id <= n; id++ {
-		s.warm = max(s.warm, boot.Proto(id).Config().Lag())
-	}
-	warm := cfg.WarmRounds
-	if warm == 0 {
-		warm = boot.Proto(s.observer).Config().Lag() + 2
-	}
-	if warm < s.warm {
-		return nil, fmt.Errorf("splitting: warm-up of %d rounds is shorter than the diagnosis lag %d", warm, s.warm)
-	}
-	for r := 0; r < warm; r++ {
-		if err := boot.Step(); err != nil {
-			return nil, err
-		}
-	}
-	base := &entry{ck: boot.NewLaneCheckpoint(), round: warm}
-	if err := boot.CaptureLane(0, base.ck); err != nil {
-		return nil, err
-	}
-	batch := trialsPerLane * boot.Lanes()
-	return estimate(cfg, n, warm, base, func(level int, entries []*entry) ([]trialOut[*entry], error) {
-		return campaign.RunBatchedWith(campaign.Options{Workers: cfg.Workers}, cfg.Effort, batch, s.newWorker,
-			func(w *worker, base, _ int, out []trialOut[*entry]) error {
-				return s.runBatch(w, level, base, entries, out)
-			})
-	})
+	return estimate(cfg, s.n, base.round, base, s.runLevel)
 }
 
 // trialsPerLane sizes a worker's batch of trials: a batch ends with lanes

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"ttdiag/internal/core"
@@ -228,6 +229,83 @@ func TestConfigValidation(t *testing.T) {
 		tc.mutate(&cfg)
 		if _, err := Run(cfg, src); err == nil {
 			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
+
+// TestSlabReuse runs the levels of one estimation by hand and pins the
+// slab life cycle: a level's crossings land in the slab of its workers for
+// the level's parity, and every level finds its entry records intact after
+// running, although workers wrote theirs meanwhile. On three workers, under
+// the race detector, it is the check that a worker writes only its own
+// slabs while the others read the previous level's. On one worker, where
+// the jobs per worker do not depend on scheduling, a slab whose level ℓ
+// crosses no more often than level ℓ-2 did must write over that level's
+// memory instead of growing.
+func TestSlabReuse(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	for _, workers := range []int{1, 3} {
+		cfg := testConfig()
+		cfg.Effort = 2500 // three jobs of 1024 trials
+		cfg.Workers = workers
+		cfg, err := cfg.withDefaults()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, base, err := newSession(cfg, rng.NewSource(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries := []entry{base}
+		type use struct{ n, chunks int }
+		uses := map[int]use{}
+		reused := 0
+		for level := range cfg.Levels {
+			want := make([][]uint64, len(entries))
+			for i, e := range entries {
+				want[i] = slices.Clone(s.record(e))
+			}
+			outs, err := s.runLevel(level, entries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, e := range entries {
+				if !slices.Equal(s.record(e), want[i]) {
+					t.Fatalf("workers=%d level %d: entry record %d (slab %d, record %d) changed while the level read it", workers, level, i, e.slab, e.rec)
+				}
+			}
+			if level == len(cfg.Levels)-1 {
+				break // final-level hits keep no entry state
+			}
+			entries = entries[:0:0]
+			for _, o := range outs {
+				if o.hit {
+					entries = append(entries, o.entry)
+				}
+			}
+			for _, e := range entries {
+				if e.slab == 0 || (e.slab-1)%2 != level&1 {
+					t.Fatalf("workers=%d level %d: entry in slab %d, not a worker slab of parity %d", workers, level, e.slab, level&1)
+				}
+			}
+			for _, w := range s.workers {
+				id := w.slabs[level&1]
+				b := &s.slabs[id]
+				if before, ok := uses[id]; ok && workers == 1 && b.n <= before.n {
+					if len(b.chunks) != before.chunks {
+						t.Fatalf("level %d: slab %d grew from %d to %d chunks for %d records, after holding %d", level, id, before.chunks, len(b.chunks), b.n, before.n)
+					}
+					reused++
+				}
+				uses[id] = use{n: max(b.n, uses[id].n), chunks: len(b.chunks)}
+			}
+		}
+		if len(s.workers) != workers {
+			t.Fatalf("%d workers, want %d", len(s.workers), workers)
+		}
+		if workers == 1 && reused == 0 {
+			t.Fatal("no slab was written over: the levels exercise no reuse")
 		}
 	}
 }

@@ -64,8 +64,8 @@ check_fleet_determinism() {
 
 check_checkpoint_determinism() {
     scripts/gotest.sh -race -cpu=1,4 ./internal/core/ -run 'TestCopyFromMatchesJSONRestore|TestCopyFromContinuation'
-    scripts/gotest.sh -race -cpu=1,4 ./internal/sim/ -run 'TestClusterCheckpointRewind|TestClusterCheckpointCrossCluster|TestLaneCheckpointRoundTrip'
-    scripts/gotest.sh -race -cpu=1,4 ./internal/splitting/ -run 'TestRunWorkerCountInvariance|TestRunMatchesDirectMonteCarlo|TestRunMatchesPerRun|TestKeyedTransientQuietContract'
+    scripts/gotest.sh -race -cpu=1,4 ./internal/sim/ -run 'TestClusterCheckpointRewind|TestClusterCheckpointCrossCluster|TestLaneCheckpointRoundTrip|TestRestoreLanesRoundTrip'
+    scripts/gotest.sh -race -cpu=1,4 ./internal/splitting/ -run 'TestRunWorkerCountInvariance|TestRunMatchesDirectMonteCarlo|TestRunMatchesPerRun|TestKeyedTransientQuietContract|TestSlabReuse'
     scripts/gotest.sh -race -cpu=1,4 ./internal/experiments/ -run TestRareEventCampaignWorkerCountInvariance
 }
 
@@ -93,7 +93,7 @@ step "go test -race -cpu=1,4 (batched campaign determinism)" check_batched_deter
 step "go test -race -cpu=1,4 (fleet determinism)" check_fleet_determinism
 step "go test -race -cpu=1,4 (checkpoint + splitting determinism)" check_checkpoint_determinism
 step "go test (allocation ceilings)" \
-    scripts/gotest.sh ./internal/core/ ./internal/tdma/ ./internal/sim/ ./internal/fleet/ -run 'Allocs'
+    scripts/gotest.sh ./internal/core/ ./internal/tdma/ ./internal/sim/ ./internal/fleet/ ./internal/splitting/ -run 'Allocs'
 step "go test -fuzz (packed voting kernel, seed corpus + short fuzz)" \
     scripts/gotest.sh ./internal/core/ -run FuzzVoteAll -fuzz 'FuzzVoteAll$' -fuzztime 15s
 step "go test -fuzz (lane-packed voting kernel, seed corpus + short fuzz)" \
