@@ -68,6 +68,12 @@ type BatchRoundInput struct {
 	// means "unknown" and is always correct; a set bit the rows do not
 	// honour is a caller bug (checked under ttdiag_invariants).
 	HealthyRows uint64
+	// Tally is an optional vote tally shared by the observers of one gang:
+	// a warm step that differs from the tallied matrix in few rows corrects
+	// the tally's counters instead of voting in full, and a step that votes
+	// in full records its vote there. The outputs are the same either way;
+	// nil means a plain vote. A tally sized for another N is ignored.
+	Tally *VoteTally
 }
 
 // BatchRoundOutput is the result of one gang execution. Every field is a
@@ -437,8 +443,14 @@ func (p *BatchProtocol) step(in *BatchRoundInput, out *BatchRoundOutput) {
 		hinted := (rd.healthy & lowRows) | (in.HealthyRows &^ lowRows) | 1<<uint(p.cfg.ID-1)
 		quiet = rowSet == all && hinted&p.laneAll == p.laneAll && own.Op&own.Known&all == all
 		quietLanes := p.laneRep
+		tally := in.Tally
+		if tally != nil && tally.n != n {
+			tally = nil
+		}
+		var differ uint64
 		if !quiet {
-			acc := p.install(in.Rows, rd.rows, rowSet, l)
+			var acc uint64
+			acc, differ = p.install(in.Rows, rd.rows, rowSet, l, tally)
 			quiet = acc&all == all
 			if p.anyMetrics && !quiet {
 				quietLanes = p.laneRep &^ p.laneAny(all&^acc)
@@ -451,7 +463,7 @@ func (p *BatchProtocol) step(in *BatchRoundInput, out *BatchRoundOutput) {
 		}
 		consOp, consKnown := all, all
 		if !quiet {
-			consOp, consKnown = voteAllLanes(op, know, n, p.laneRep, votes)
+			consOp, consKnown = p.vote(tally, differ, votes)
 		} else if votes != nil {
 			*votes = laneVotes{any: all}
 		}
@@ -556,7 +568,10 @@ func (p *BatchProtocol) step(in *BatchRoundInput, out *BatchRoundOutput) {
 
 // install writes a warm round's gang matrix into the scratch planes op/know
 // and returns the AND of its op planes, whose lane segments are all set
-// exactly in the lanes with a quiet matrix. Row j's lane segment is live iff
+// exactly in the lanes with a quiet matrix, and the rows (bit j-1 = row j)
+// that differ from the tally's, read in the same pass; without a tally the
+// rows are compared with the stale planes they overwrite, and that result
+// means nothing. Row j's lane segment is live iff
 // lane r's rowSet bit for j is set; compressing those bits onto the lane
 // replicator and multiplying by the segment mask expands per-lane row
 // presence into a plane mask (fault outcome as mask AND, not branch).
@@ -564,13 +579,17 @@ func (p *BatchProtocol) step(in *BatchRoundInput, out *BatchRoundOutput) {
 // current one, and each lane's own row is its locally buffered copy of the
 // syndrome it physically transmitted in round k-1 — available even when the
 // transmission itself failed (Lemma 3).
-func (p *BatchProtocol) install(rows, held []BitSyndrome, rowSet uint64, l int) uint64 {
+func (p *BatchProtocol) install(rows, held []BitSyndrome, rowSet uint64, l int, t *VoteTally) (acc, differ uint64) {
 	n := p.n
 	op, know := p.op[:n+1], p.know[:n+1]
+	baseOp, baseKnow := op, know
+	if t != nil {
+		baseOp, baseKnow = t.op[:n+1], t.know[:n+1]
+	}
 	rows, held = rows[:n+1], held[:n+1]
 	laneRep, laneAll := p.laneRep, p.laneAll
 	id, own := p.cfg.ID, p.ownRowB()
-	acc := ^uint64(0)
+	acc = ^uint64(0)
 	for j := 1; j <= n; j++ {
 		row := rows[j]
 		if j <= l {
@@ -580,11 +599,32 @@ func (p *BatchProtocol) install(rows, held []BitSyndrome, rowSet uint64, l int) 
 			row = own
 		}
 		seg := ((rowSet >> uint(j-1)) & laneRep) * laneAll
-		o := row.Op & row.Known & seg
-		op[j], know[j] = o, row.Known&seg
+		o, k := row.Op&row.Known&seg, row.Known&seg
+		d := (o ^ baseOp[j]) | (k ^ baseKnow[j])
+		differ |= (d | -d) >> 63 << uint(j-1) // bit j-1 iff d != 0
+		op[j], know[j] = o, k
 		acc &= o
 	}
-	return acc
+	return acc, differ
+}
+
+// vote is the warm step's vote over the installed matrix. With a tally of
+// the same lane layout and at most tallyMaxRows differing rows it corrects
+// the tally's counters; otherwise it votes in full and, given a tally,
+// makes this vote the tally. Both end in finishVote.
+func (p *BatchProtocol) vote(t *VoteTally, differ uint64, votes *laneVotes) (consOp, consKnown uint64) {
+	if t == nil {
+		return voteAllLanes(p.op, p.know, p.n, p.laneRep, votes)
+	}
+	if t.laneRep == p.laneRep && bits.OnesCount64(differ) <= tallyMaxRows(p.n) {
+		healthy, faulty := t.correct(p.op, p.know, differ)
+		if invariant.Enabled {
+			p.checkTallyVote(&healthy, &faulty)
+		}
+		return finishVote(&healthy, &faulty, votes)
+	}
+	t.record(p.op, p.know, p.laneRep)
+	return finishVote(&t.healthy, &t.faulty, votes)
 }
 
 // laneAny folds each live lane's segment of x to the segment's lowest bit
@@ -665,24 +705,38 @@ type laneVotes struct {
 // carry zero know segments). Per-column counts stay ≤ N-1 ≤ 63, so the six
 // counter planes cover every lane at once. A non-nil votes additionally
 // receives the column classification the telemetry needs, read off the same
-// counter planes. FuzzVoteAll pins the one-lane form against the scalar
-// H-maj, FuzzVoteAllBatch the gang form lane by lane against VoteAll.
+// counter planes. It is tallyLanes then finishVote; a vote taken from a
+// VoteTally runs finishVote on corrected counters instead. FuzzVoteAll pins
+// the one-lane form against the scalar H-maj, FuzzVoteAllBatch the gang form
+// lane by lane against VoteAll, FuzzVoteTally the tallied form against it.
 func voteAllLanes(op, know []uint64, n int, laneRep uint64, votes *laneVotes) (consOp, consKnown uint64) {
-	var healthy, faulty [countPlanes]uint64
-	var any uint64
+	healthy, faulty := tallyLanes(op, know, n, laneRep)
+	return finishVote(&healthy, &faulty, votes)
+}
+
+// tallyLanes is the counting half of voteAllLanes: the bit-sliced healthy
+// and faulty counters of every column, counted from scratch.
+func tallyLanes(op, know []uint64, n int, laneRep uint64) (healthy, faulty [countPlanes]uint64) {
 	op, know = op[:n+1], know[:n+1]
 	for i := 1; i <= n; i++ {
 		valid := know[i] &^ (laneRep << uint(i-1))
 		if valid == 0 {
 			continue
 		}
-		any |= valid
 		addPlane(&healthy, op[i]&valid)
 		addPlane(&faulty, valid&^op[i])
 	}
-	var borrow uint64
+	return healthy, faulty
+}
+
+// finishVote is the deciding half of voteAllLanes, shared with the votes
+// taken from a VoteTally: the borrow compare over the counters. A column
+// has an opinion iff one of its counts is non-zero.
+func finishVote(healthy, faulty *[countPlanes]uint64, votes *laneVotes) (consOp, consKnown uint64) {
+	var borrow, any uint64
 	for k := 0; k < countPlanes; k++ {
 		borrow = (^healthy[k] & (faulty[k] | borrow)) | (faulty[k] & borrow)
+		any |= healthy[k] | faulty[k]
 	}
 	if votes != nil {
 		// The borrow is the strict faulty majority (columns without any

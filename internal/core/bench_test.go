@@ -138,17 +138,27 @@ func BenchmarkStepMetrics(b *testing.B) {
 // count for the amortised per-run cost; compare against BenchmarkProtocolStep
 // in BENCH_campaign.json for the per-run packed baseline. The plain variant
 // steps a quiet matrix, whose vote the kernel skips; the _faulty variant has
-// one Faulty opinion in every lane, so it times the full vote. Tracked in
+// one Faulty opinion in every lane, so it times the full vote. The N=64
+// _loud variants carry random opinions in rows 2..32, the 31 malicious
+// senders of the widest scale-resilience case: _loud votes in full, and
+// _loud_tally corrects the vote tally another observer of the gang
+// recorded (one differing row, that observer's own). Tracked in
 // BENCH_core.json.
 func BenchmarkStepBatch(b *testing.B) {
 	for _, n := range benchSizes {
 		b.Run(fmt.Sprintf("n%d_g%d", n, BatchLanes(n)), func(b *testing.B) {
-			benchStepBatch(b, n, false, nil)
+			benchStepBatch(b, n, quietLoad, nil, false)
 		})
 		b.Run(fmt.Sprintf("n%d_g%d_faulty", n, BatchLanes(n)), func(b *testing.B) {
-			benchStepBatch(b, n, true, nil)
+			benchStepBatch(b, n, faultyLoad, nil, false)
 		})
 	}
+	b.Run("n64_g1_loud", func(b *testing.B) {
+		benchStepBatch(b, 64, loudLoad, nil, false)
+	})
+	b.Run("n64_g1_loud_tally", func(b *testing.B) {
+		benchStepBatch(b, 64, loudLoad, nil, true)
+	})
 }
 
 // BenchmarkStepBatchMetrics is BenchmarkStepBatch with telemetry attached
@@ -157,23 +167,40 @@ func BenchmarkStepBatch(b *testing.B) {
 // in BENCH_metrics.json.
 func BenchmarkStepBatchMetrics(b *testing.B) {
 	b.Run("n4_g16", func(b *testing.B) {
-		benchStepBatch(b, 4, false, NewStepMetrics(metrics.New()))
+		benchStepBatch(b, 4, quietLoad, NewStepMetrics(metrics.New()), false)
 	})
 }
 
+// stepBatchLoad is the content of benchStepBatch's rows.
+type stepBatchLoad int
+
+const (
+	// quietLoad: every row all-Healthy, so the vote is skipped.
+	quietLoad stepBatchLoad = iota
+	// faultyLoad: row 2 accuses node N in every lane, which keeps every
+	// matrix from being quiet without changing any verdict.
+	faultyLoad
+	// loudLoad: rows 2..N/2 hold random opinions in every lane.
+	loudLoad
+)
+
 // benchStepBatch times steady-state StepBatch calls of a full-width gang of
-// node 1 on all-healthy inputs, with m (when non-nil) on every lane. With
-// faulty, row 2 accuses node N in every lane, which keeps every matrix from
-// being quiet without changing any verdict.
-func benchStepBatch(b *testing.B, n int, faulty bool, m *StepMetrics) {
+// node 1 on the rows of load, with m (when non-nil) on every lane. With
+// tally, node 1 shares a vote tally with a node 2 gang that steps the same
+// rows during the warm-up, so node 1's timed steps correct node 2's vote.
+func benchStepBatch(b *testing.B, n int, load stepBatchLoad, m *StepMetrics, tally bool) {
 	lanes := BatchLanes(n)
-	p, err := NewBatchProtocol(Config{
-		N: n, ID: 1, L: 0, SendCurrRound: true,
-		PR: PRConfig{PenaltyThreshold: 1 << 50, RewardThreshold: 1 << 50},
-	}, lanes)
-	if err != nil {
-		b.Fatal(err)
+	newGang := func(id int) *BatchProtocol {
+		p, err := NewBatchProtocol(Config{
+			N: n, ID: id, L: 0, SendCurrRound: true,
+			PR: PRConfig{PenaltyThreshold: 1 << 50, RewardThreshold: 1 << 50},
+		}, lanes)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return p
 	}
+	p := newGang(1)
 	if m != nil {
 		for r := 0; r < lanes; r++ {
 			p.SetLaneMetrics(r, m)
@@ -184,19 +211,37 @@ func benchStepBatch(b *testing.B, n int, faulty bool, m *StepMetrics) {
 	for j := 1; j <= n; j++ {
 		rows[j] = BitSyndrome{Op: allB, Known: allB}
 	}
-	if faulty {
+	switch load {
+	case faultyLoad:
 		rows[2].Op &^= p.laneRep << uint(n-1)
+	case loudLoad:
+		st := rng.NewStream(int64(91 + n))
+		for j := 2; j <= n/2; j++ {
+			rows[j].Op = st.Uint64() & allB
+		}
 	}
-	validity := BitSyndrome{Op: allB, Known: allB}
+	in := BatchRoundInput{Rows: rows, Present: allB, Validity: BitSyndrome{Op: allB, Known: allB}}
+	var twin *BatchProtocol
+	if tally {
+		in.Tally = NewVoteTally(n)
+		twin = newGang(2)
+	}
 	for i := 0; i < 16; i++ {
-		if _, err := p.StepBatch(BatchRoundInput{Round: i, Rows: rows, Present: allB, Validity: validity}); err != nil {
+		in.Round = i
+		if twin != nil {
+			if _, err := twin.StepBatch(in); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := p.StepBatch(in); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.StepBatch(BatchRoundInput{Round: 16 + i, Rows: rows, Present: allB, Validity: validity}); err != nil {
+		in.Round = 16 + i
+		if _, err := p.StepBatch(in); err != nil {
 			b.Fatal(err)
 		}
 	}

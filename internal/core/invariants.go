@@ -93,12 +93,27 @@ func (p *BatchProtocol) checkHealthyRows(in *BatchRoundInput) {
 // tie in any column.
 func (p *BatchProtocol) checkQuietVote(in *BatchRoundInput, rd *batchAlignBuf, rowSet uint64, l int) {
 	all := p.allB
-	acc := p.install(in.Rows, rd.rows, rowSet, l)
+	acc, _ := p.install(in.Rows, rd.rows, rowSet, l, nil)
 	var v laneVotes
 	consOp, consKnown := voteAllLanes(p.op, p.know, p.n, p.laneRep, &v)
 	if acc&all != all || consOp != all || consKnown != all || v.any != all || v.faulty != 0 || v.tied != 0 {
 		invariant.Checkf(false, "core: node %d round %d: quiet shortcut disagrees with the full vote (matrix AND %#x, consistent vector %#x/%#x, faulty %#x, tied %#x)",
 			p.cfg.ID, in.Round, acc&all, consOp, consKnown, v.faulty, v.tied)
+	}
+}
+
+// checkTallyVote re-counts a matrix whose vote was taken from a VoteTally
+// and requires the corrected counters to equal the counts from scratch, so
+// the full vote and every telemetry class read off them agree with the
+// tallied ones.
+func (p *BatchProtocol) checkTallyVote(healthy, faulty *[countPlanes]uint64) {
+	h, f := tallyLanes(p.op, p.know, p.n, p.laneRep)
+	if h != *healthy || f != *faulty {
+		var got, want laneVotes
+		gotOp, gotKnown := finishVote(healthy, faulty, &got)
+		wantOp, wantKnown := finishVote(&h, &f, &want)
+		invariant.Checkf(false, "core: node %d round %d: tallied vote disagrees with the full vote (consistent vector %#x/%#x, want %#x/%#x; faulty %#x, want %#x; tied %#x, want %#x)",
+			p.cfg.ID, p.cfg.StartRound+p.steps, gotOp, gotKnown, wantOp, wantKnown, got.faulty, want.faulty, got.tied, want.tied)
 	}
 }
 

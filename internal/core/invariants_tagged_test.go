@@ -166,6 +166,48 @@ func TestFalseHealthyRowsHintPanics(t *testing.T) {
 	}
 }
 
+// TestTallyVoteMismatchPanics corrupts a shared vote tally's counters
+// behind its matrix: the next vote taken from the tally would be wrong, so
+// the invariant layer's recount must catch it.
+func TestTallyVoteMismatchPanics(t *testing.T) {
+	p, err := NewBatchProtocol(Config{
+		N: 4, ID: 1, L: 0, SendCurrRound: true,
+		PR: PRConfig{PenaltyThreshold: 4, RewardThreshold: 8},
+	}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]BitSyndrome, 5)
+	for j := range rows {
+		rows[j] = BitSyndrome{Op: p.allB, Known: p.allB}
+	}
+	rows[3].Op &^= 1 << (4 + 1) // lane 1: row 3 accuses node 2, a loud matrix
+	in := BatchRoundInput{Rows: rows, Present: p.allB, Validity: rows[1], Tally: NewVoteTally(4)}
+	for k := 0; k < 4; k++ {
+		in.Round = k
+		if _, err := p.StepBatch(in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if in.Tally.laneRep != p.laneRep {
+		t.Fatal("no warm step recorded its vote in the tally")
+	}
+	in.Tally.faulty[0] ^= 1 << (4 + 1) // lane 1, column 2: one faulty vote more or less
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("corrupted tally was not caught")
+		}
+		if msg, ok := r.(string); !ok || !strings.Contains(msg, "tallied vote disagrees with the full vote") {
+			t.Fatalf("unexpected panic: %v", r)
+		}
+	}()
+	in.Round = 4
+	if _, err := p.StepBatch(in); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // laneGang is a full-width N=4 gang of node 1 without reintegration, and a
 // closure stepping it one quiet round.
 func laneGang(t *testing.T) (*BatchProtocol, func(round int)) {

@@ -268,6 +268,80 @@ func addPlane(cnt *[countPlanes]uint64, mask uint64) {
 	}
 }
 
+// subPlane ripple-borrow-subtracts the 1-bit-per-column mask from the
+// bit-sliced counters, the inverse of addPlane.
+func subPlane(cnt *[countPlanes]uint64, mask uint64) {
+	for k := 0; mask != 0 && k < countPlanes; k++ {
+		borrowed := mask &^ cnt[k]
+		cnt[k] ^= mask
+		mask = borrowed
+	}
+}
+
+// VoteTally is one gang vote shared by the observers of a cluster: the
+// matrix planes of the last full vote and its bit-sliced healthy and faulty
+// column counters. A later observer whose installed matrix differs from the
+// tallied one in few rows corrects a copy of the counters row by row
+// instead of voting again. Per-column counts are sums of per-row
+// contributions, so the correction is exact for any two matrices in every
+// lane; Theorem 1 (correct observers vote on the same syndromes) only
+// explains why few rows differ. A tally serves one N and, at a time, one
+// lane layout: an observer with another layout votes in full, and its vote
+// becomes the tally. It is not safe for concurrent use.
+type VoteTally struct {
+	n int
+	// laneRep is the lane replicator of the tallied vote, 0 while the tally
+	// is empty.
+	laneRep         uint64
+	op, know        []uint64 // 1-based rows of the tallied matrix
+	healthy, faulty [countPlanes]uint64
+}
+
+// NewVoteTally returns an empty tally for n-node gangs.
+func NewVoteTally(n int) *VoteTally {
+	w := n + 1
+	planes := make([]uint64, 2*w)
+	return &VoteTally{n: n, op: planes[:w:w], know: planes[w:]}
+}
+
+// tallyMaxRows is the most differing rows an observer corrects the tally
+// by before it votes in full. A full vote adds two masks per row into the
+// counters; a corrected row subtracts the tally row's changed columns and
+// adds its own, four counter updates, on top of copying the twelve counter
+// words. A full vote that replaces the tally also copies the matrix into
+// it. So a correction costs about as much as a full vote once half the rows
+// differ; a quarter keeps a clear margin for the correction's fixed cost.
+func tallyMaxRows(n int) int { return n/4 + 1 }
+
+// record makes the observer's installed matrix the tally: it copies the
+// planes and counts them from scratch.
+func (t *VoteTally) record(op, know []uint64, laneRep uint64) {
+	copy(t.op, op[:t.n+1])
+	copy(t.know, know[:t.n+1])
+	t.laneRep = laneRep
+	t.healthy, t.faulty = tallyLanes(t.op, t.know, t.n, laneRep)
+}
+
+// correct returns the tally's counters moved to the matrix op/know, which
+// differs from the tallied one only in the rows of differ (bit j-1 = row
+// j) and shares its lane layout: each differing row gives back the columns
+// only the tallied row held and adds the columns only its own holds.
+func (t *VoteTally) correct(op, know []uint64, differ uint64) (healthy, faulty [countPlanes]uint64) {
+	healthy, faulty = t.healthy, t.faulty
+	for d := differ; d != 0; d &= d - 1 {
+		j := bits.TrailingZeros64(d) + 1
+		self := t.laneRep << uint(j-1)
+		was, is := t.know[j]&^self, know[j]&^self
+		wasH, isH := t.op[j]&was, op[j]&is
+		wasF, isF := was&^t.op[j], is&^op[j]
+		subPlane(&healthy, wasH&^isH)
+		addPlane(&healthy, isH&^wasH)
+		subPlane(&faulty, wasF&^isF)
+		addPlane(&faulty, isF&^wasF)
+	}
+	return healthy, faulty
+}
+
 // String renders the matrix in the layout of Table 1, including the voted
 // consistent health vector.
 func (m *Matrix) String() string {

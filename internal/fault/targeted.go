@@ -54,7 +54,12 @@ func (m *MaliciousSyndrome) Deliver(tx *tdma.Transmission, _ tdma.NodeID, d tdma
 	if !m.cacheSet || m.cacheRound != tx.Round || m.cacheSlot != tx.Slot {
 		// Same length as the genuine payload keeps the frame syntactically
 		// valid (locally undetectable), as the malicious class requires.
-		m.cachePayload = make([]byte, len(d.Payload))
+		// The buffer is reused from the last corrupted transmission: a
+		// delivery's payload is read within its slot (decoded, copied into
+		// the controller or a trace event), never kept past it.
+		if len(m.cachePayload) != len(d.Payload) {
+			m.cachePayload = make([]byte, len(d.Payload))
+		}
 		m.stream.Bytes(m.cachePayload)
 		m.cacheRound, m.cacheSlot, m.cacheSet = tx.Round, tx.Slot, true
 	}

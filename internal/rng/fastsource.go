@@ -128,6 +128,14 @@ func newFastSource(seed int64) *fastSource {
 // seed is normalised into the LCG domain and the lazily materialised state
 // is invalidated.
 func (s *fastSource) Seed(seed int64) {
+	s.x0 = normSeed(seed)
+	s.tap = 0
+	s.feed = fastLen - fastTap
+	s.done = [(fastLen + 63) / 64]uint64{}
+}
+
+// normSeed normalises a seed into the LCG domain, as the stdlib Seed does.
+func normSeed(seed int64) uint64 {
 	seed %= lcgM
 	if seed < 0 {
 		seed += lcgM
@@ -135,23 +143,34 @@ func (s *fastSource) Seed(seed int64) {
 	if seed == 0 {
 		seed = seedZero
 	}
-	s.x0 = uint64(seed)
-	s.tap = 0
-	s.feed = fastLen - fastTap
-	s.done = [(fastLen + 63) / 64]uint64{}
+	return uint64(seed)
+}
+
+// seededWord is state word i of a source seeded at normalised seed x0:
+// three modular multiplications, wherever the slot lies.
+func seededWord(i int, x0 uint64) int64 {
+	a := modmul(fastPow[i], x0)
+	b := modmul(lcgA, a)
+	c := modmul(lcgA, b)
+	return int64(a<<40^b<<20^c) ^ fastCooked[i]
+}
+
+// firstDraw is newFastSource(seed).Uint64(): the first draw adds the
+// seeded words under the feed cursor (slot fastLen-fastTap-1) and the tap
+// cursor (slot fastLen-1).
+func firstDraw(seed int64) uint64 {
+	x0 := normSeed(seed)
+	return uint64(seededWord(fastLen-fastTap-1, x0) + seededWord(fastLen-1, x0))
 }
 
 // ensure materialises state word i if it has not been generated or lazily
-// seeded yet: three modular multiplications, wherever the slot lies.
+// seeded yet.
 func (s *fastSource) ensure(i int) {
 	w, bit := i>>6, uint(i)&63
 	if s.done[w]&(1<<bit) != 0 {
 		return
 	}
-	a := modmul(fastPow[i], s.x0)
-	b := modmul(lcgA, a)
-	c := modmul(lcgA, b)
-	s.vec[i] = int64(a<<40^b<<20^c) ^ fastCooked[i]
+	s.vec[i] = seededWord(i, s.x0)
 	s.done[w] |= 1 << bit
 }
 

@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -98,6 +99,22 @@ func TestStreamUsesFastSource(t *testing.T) {
 	for k := 0; k < 2000; k++ {
 		if w, g := want.Uint64(), st.Uint64(); g != w {
 			t.Fatalf("pooled draw %d: stream %#x, stdlib-seeded %#x", k, g, w)
+		}
+	}
+}
+
+// TestFirstDrawMatchesStdlib pins firstDraw against the first draw of the
+// stdlib source, across the seeds whose normalisation differs: zero and
+// multiples of the modulus (the forbidden zero seed), negatives and the
+// int64 extremes.
+func TestFirstDrawMatchesStdlib(t *testing.T) {
+	seeds := []int64{0, 1, -1, lcgM, -lcgM, 2 * lcgM, seedZero, lcgM - 1, math.MaxInt64, math.MinInt64}
+	for i := int64(0); i < 200; i++ {
+		seeds = append(seeds, int64(uint64(i)*0x9e3779b97f4a7c15))
+	}
+	for _, seed := range seeds {
+		if got, want := firstDraw(seed), rand.NewSource(seed).(rand.Source64).Uint64(); got != want {
+			t.Fatalf("seed %d: firstDraw %#x, stdlib %#x", seed, got, want)
 		}
 	}
 }

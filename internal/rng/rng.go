@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"strconv"
 )
 
 // Source is a factory for named, independent random streams sharing one
@@ -42,13 +43,43 @@ func (s *Source) mix(name string) uint64 { return mixName(s, name) }
 // mixName is mix for a name held in a string or a byte slice: the 64-bit
 // FNV-1a hash of its bytes, mixed with the master seed.
 func mixName[T string | []byte](s *Source, name T) uint64 {
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
+	return s.seedOf(hashBytes(fnvOffset64, name))
+}
+
+// seedOf mixes a name's hash with the master seed.
+func (s *Source) seedOf(h NameHash) uint64 { return uint64(h) ^ (s.seed * 0x9e3779b97f4a7c15) }
+
+// NameHash is the running FNV-1a hash of a stream name, so that names
+// sharing a prefix hash it once: HashName(a).Add(b) is the hash of a+b.
+type NameHash uint64
+
+// HashName starts the hash of a stream name with its first part.
+func HashName(part string) NameHash { return hashBytes(fnvOffset64, part) }
+
+// Add continues the hash with the bytes of part.
+func (h NameHash) Add(part string) NameHash { return hashBytes(h, part) }
+
+// AddInt continues the hash with the decimal digits of v, as
+// strconv.AppendInt writes them.
+func (h NameHash) AddInt(v int64) NameHash {
+	var digits [20]byte
+	return hashBytes(h, strconv.AppendInt(digits[:0], v, 10))
+}
+
+// hashBytes continues an FNV-1a hash with the bytes of b.
+func hashBytes[T string | []byte](h NameHash, b T) NameHash {
+	for i := 0; i < len(b); i++ {
+		h ^= NameHash(b[i])
 		h *= fnvPrime64
 	}
-	return h ^ (s.seed * 0x9e3779b97f4a7c15)
+	return h
 }
+
+// FirstUint64 returns the first Uint64 of the stream whose name hashes to
+// h — Stream(name).Uint64() — computed from the two state words the first
+// draw reads, without seeding a generator. For a stream that serves a
+// single draw, such as a per-trial key.
+func (s *Source) FirstUint64(h NameHash) uint64 { return firstDraw(int64(s.seedOf(h))) }
 
 // The 64-bit FNV-1a parameters (hash/fnv's New64a).
 const (

@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"fmt"
 	"hash/fnv"
 	"math"
 	"testing"
@@ -198,5 +199,25 @@ func TestStreamBytesAllocs(t *testing.T) {
 		pool.StreamBytes(name).Uint64()
 	}); allocs != 0 {
 		t.Fatalf("StreamBytes on a recycled pool allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestFirstUint64MatchesStream pins the single-draw key derivation: a name
+// hashed in parts, digits included, gives the first draw of the stream the
+// whole name names, under several master seeds.
+func TestFirstUint64MatchesStream(t *testing.T) {
+	for _, seed := range []int64{0, 1, 7, 2007, -3, math.MaxInt64} {
+		src := NewSource(seed)
+		pool := src.NewPool()
+		for _, prefix := range []string{"", "rare-event", "splitting/x"} {
+			for _, v := range []int64{0, 1, 9, 10, 12345, -42, math.MaxInt64, math.MinInt64} {
+				h := HashName(prefix).Add("/T").AddInt(v)
+				name := fmt.Sprintf("%s/T%d", prefix, v)
+				pool.Recycle()
+				if got, want := src.FirstUint64(h), pool.StreamBytes([]byte(name)).Uint64(); got != want {
+					t.Fatalf("seed %d, %q: FirstUint64 %#x, stream %#x", seed, name, got, want)
+				}
+			}
+		}
 	}
 }

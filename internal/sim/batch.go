@@ -128,7 +128,10 @@ type BatchDiagCluster struct {
 	loudLanes uint64
 
 	// jobIn and jobOut are runJob's StepBatch input and output, reused
-	// every job instead of copied through the call.
+	// every job instead of copied through the call. jobIn.Tally is the
+	// vote tally every job of the cluster shares: by Theorem 1 the correct
+	// observers of a round vote on the same syndromes, so most jobs
+	// correct the tally in a few rows instead of voting in full.
 	jobIn  core.BatchRoundInput
 	jobOut core.BatchRoundOutput
 
@@ -250,6 +253,7 @@ func NewBatchDiagCluster(cfg ClusterConfig) (*BatchDiagCluster, error) {
 	c.jobs = make([]int, 0, norm.N)
 	c.orderJobs()
 	c.jobIn.Rows = c.rows
+	c.jobIn.Tally = core.NewVoteTally(norm.N)
 	for r := 0; r < maxLanes; r++ {
 		c.cols[r] = NewCollector()
 		c.finalPen[r] = make([]int64, (norm.N+1)*(norm.N+1))

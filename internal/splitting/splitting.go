@@ -65,7 +65,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"strconv"
 
 	"ttdiag/internal/campaign"
 	"ttdiag/internal/rng"
@@ -330,10 +329,8 @@ type session struct {
 // time, each under its own keyed fault process.
 type worker struct {
 	cl     *sim.BatchDiagCluster
-	pool   *rng.Pool
 	faults []*keyedTransient // per lane
 	trial  []int             // per lane: index into the batch, -1 idle
-	name   []byte            // rekey's trial stream name scratch
 	slabs  [2]int            // the worker's output slabs, by level parity
 	recs   [][]uint64        // refill's lane records, in lane order
 }
@@ -401,7 +398,6 @@ func (s *session) newGang(rounds int) (*sim.BatchDiagCluster, error) {
 func (s *session) addWorker(cl *sim.BatchDiagCluster) {
 	w := &worker{
 		cl:     cl,
-		pool:   s.src.NewPool(),
 		faults: make([]*keyedTransient, cl.Lanes()),
 		trial:  make([]int, cl.Lanes()),
 		slabs:  [2]int{len(s.slabs), len(s.slabs) + 1},
@@ -465,20 +461,28 @@ func (s *session) importance(cl *sim.BatchDiagCluster, lane int) int64 {
 	return cl.Proto(s.observer).LanePenalty(lane, s.cfg.Target)
 }
 
+// levelName is the hash of the stream names of a level's trials up to the
+// trial number: "<name>/L<level>/T".
+func (s *session) levelName(level int) rng.NameHash {
+	return rng.HashName(s.cfg.Name).Add("/L").AddInt(int64(level)).Add("/T")
+}
+
+// trialKey is the key of one trial of the level whose names hash to level:
+// the first draw of the stream "<name>/L<level>/T<trial>", the only draw the
+// trial's randomness needs.
+func (s *session) trialKey(level rng.NameHash, trial int) uint64 {
+	return s.src.FirstUint64(level.AddInt(int64(trial)))
+}
+
 // rekey gives lane r's fault process the randomness of trial `trial` of
-// the level, which starts from an entry state at round `round`. It follows
-// the lane's restore and precedes the next Step: a restore makes the lane
-// ask its transient afresh which slots it leaves quiet, so the gang never
-// trusts an answer the previous trial's key gave.
-func (s *session) rekey(w *worker, r, level, trial, round int) {
-	w.pool.Recycle()
+// the level whose trial names hash to `level` (levelName), which starts
+// from an entry state at round `round`. It follows the lane's restore and
+// precedes the next Step: a restore makes the lane ask its transient
+// afresh which slots it leaves quiet, so the gang never trusts an answer
+// the previous trial's key gave.
+func (s *session) rekey(w *worker, r int, level rng.NameHash, trial, round int) {
 	f := w.faults[r]
-	// The trial's stream is "<name>/L<level>/T<trial>", built in reused
-	// scratch rather than formatted per trial.
-	w.name = append(append(w.name[:0], s.cfg.Name...), "/L"...)
-	w.name = append(strconv.AppendInt(w.name, int64(level), 10), "/T"...)
-	w.name = strconv.AppendInt(w.name, int64(trial), 10)
-	f.key = w.pool.StreamBytes(w.name).Uint64()
+	f.key = s.trialKey(level, trial)
 	f.thresh = uint64(s.cfg.FaultProb * (1 << 53))
 	f.off = round - w.cl.Round()
 }
@@ -492,6 +496,7 @@ func (s *session) rekey(w *worker, r, level, trial, round int) {
 func (s *session) runBatch(w *worker, level, base int, entries []entry, out []trialOut[entry]) error {
 	threshold := s.cfg.Levels[level]
 	final := level == len(s.cfg.Levels)-1
+	name := s.levelName(level)
 	next, busy := 0, 0
 	// refill gives the lanes of the mask the batch's next trials, leaving
 	// the lanes it has no trial for idle.
@@ -518,7 +523,7 @@ func (s *session) runBatch(w *worker, level, base int, entries []entry, out []tr
 		for m := loaded; m != 0; m &= m - 1 {
 			r := bits.TrailingZeros64(m)
 			trial := base + w.trial[r]
-			s.rekey(w, r, level, trial, entries[trial%len(entries)].round)
+			s.rekey(w, r, name, trial, entries[trial%len(entries)].round)
 		}
 		return nil
 	}

@@ -309,3 +309,33 @@ func TestSlabReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestTrialKeyMatchesStream pins the trial keys key for key against the
+// stream they were first drawn from: the first Uint64 of the pooled stream
+// "<name>/L<level>/T<trial>".
+func TestTrialKeyMatchesStream(t *testing.T) {
+	for _, name := range []string{"splitting", "rare-event"} {
+		src := rng.NewSource(2007)
+		s := &session{cfg: Config{Name: name}, src: src}
+		pool := src.NewPool()
+		for level := 0; level < 12; level++ {
+			prefix := s.levelName(level)
+			for _, trial := range append(seq(0, 300), 9999, 10000, 139999, 1<<40) {
+				pool.Recycle()
+				want := pool.StreamBytes([]byte(fmt.Sprintf("%s/L%d/T%d", name, level, trial))).Uint64()
+				if got := s.trialKey(prefix, trial); got != want {
+					t.Fatalf("%s level %d trial %d: key %#x, stream %#x", name, level, trial, got, want)
+				}
+			}
+		}
+	}
+}
+
+// seq returns lo, lo+1, …, hi-1.
+func seq(lo, hi int) []int {
+	out := make([]int, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		out = append(out, i)
+	}
+	return out
+}

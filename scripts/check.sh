@@ -93,11 +93,13 @@ step "go test -race -cpu=1,4 (batched campaign determinism)" check_batched_deter
 step "go test -race -cpu=1,4 (fleet determinism)" check_fleet_determinism
 step "go test -race -cpu=1,4 (checkpoint + splitting determinism)" check_checkpoint_determinism
 step "go test (allocation ceilings)" \
-    scripts/gotest.sh ./internal/core/ ./internal/tdma/ ./internal/sim/ ./internal/fleet/ ./internal/splitting/ -run 'Allocs'
+    scripts/gotest.sh ./internal/core/ ./internal/tdma/ ./internal/fault/ ./internal/sim/ ./internal/fleet/ ./internal/splitting/ -run 'Allocs'
 step "go test -fuzz (packed voting kernel, seed corpus + short fuzz)" \
     scripts/gotest.sh ./internal/core/ -run FuzzVoteAll -fuzz 'FuzzVoteAll$' -fuzztime 15s
 step "go test -fuzz (lane-packed voting kernel, seed corpus + short fuzz)" \
     scripts/gotest.sh ./internal/core/ -run FuzzVoteAllBatch -fuzz 'FuzzVoteAllBatch$' -fuzztime 15s
+step "go test -fuzz (shared vote tally vs full vote, seed corpus + short fuzz)" \
+    scripts/gotest.sh ./internal/core/ -run FuzzVoteTally -fuzz 'FuzzVoteTally$' -fuzztime 15s
 step "go test -fuzz (quiet slots, answering vs hidden Quieter chains, seed corpus + short fuzz)" \
     scripts/gotest.sh ./internal/sim/ -run FuzzQuietSlots -fuzz 'FuzzQuietSlots$' -fuzztime 15s
 step "go test -fuzz (splitting keyed transient's quiet answer, seed corpus + short fuzz)" \
