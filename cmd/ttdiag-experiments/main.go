@@ -8,6 +8,10 @@
 //	                   [-fleet n] [-shards n] [-splitting n] [-levels n]
 //	                   [-metrics f] [-trace f] [-progress]
 //	                   [-progress-addr a] [-cpuprofile f] [-memprofile f]
+//
+// -runs takes at least 1; -workers, -fleet, -shards, -splitting and
+// -levels take 0 for their default or a positive value. An invalid command
+// line exits 2, a failed experiment 1.
 package main
 
 import (
@@ -27,8 +31,20 @@ import (
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "ttdiag-experiments:", err)
-		os.Exit(1)
+		os.Exit(exitCode(err))
 	}
+}
+
+// usageError is an invalid command line.
+type usageError struct{ error }
+
+// exitCode is the exit status of a failed run: 2 for an invalid command
+// line, 1 for everything else.
+func exitCode(err error) int {
+	if errors.As(err, new(usageError)) {
+		return 2
+	}
+	return 1
 }
 
 func run(args []string) error {
@@ -52,7 +68,20 @@ func run(args []string) error {
 		memprofile = fs.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return usageError{err}
+	}
+	// No run has fewer than one repetition, and the flags whose 0 selects
+	// the default take no negative value.
+	if *runs < 1 {
+		return usageError{fmt.Errorf("-runs %d: want at least 1", *runs)}
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"workers", *workers}, {"fleet", *fleetN}, {"shards", *shards}, {"splitting", *splitN}, {"levels", *levels}} {
+		if f.v < 0 {
+			return usageError{fmt.Errorf("-%s %d: want 0 (the default) or more", f.name, f.v)}
+		}
 	}
 	if *list {
 		for _, e := range experiments.All() {

@@ -271,3 +271,52 @@ func TestFailedExperimentWritesMetrics(t *testing.T) {
 		t.Fatalf("report of the failed run: %v", err)
 	}
 }
+
+// TestInvalidSizesAreUsageErrors: a campaign size no run can have is an
+// invalid command line, which exits 2 before any experiment runs or any
+// report is written, instead of running the default size under the given
+// one's name. 0 keeps its default meaning where it has one.
+func TestInvalidSizesAreUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-runs", "-3"}, {"-runs", "0"}, {"-splitting", "-5"}, {"-levels", "-2"},
+		{"-fleet", "-5"}, {"-shards", "-2"}, {"-workers", "-1"},
+	} {
+		path := t.TempDir() + "/r.json"
+		err := run(append([]string{"-run", "sec8-pr", "-metrics", path}, args...))
+		if code := exitCode(err); err == nil || code != 2 {
+			t.Errorf("%v: got %v (exit %d), want a usage error (exit 2)", args, err, code)
+		}
+		if _, serr := os.Stat(path); serr == nil {
+			t.Errorf("%v: a report was written for an invalid command line", args)
+		}
+	}
+	if code := exitCode(run([]string{"-definitely-not-a-flag"})); code != 2 {
+		t.Errorf("unknown flag exits %d, want 2", code)
+	}
+	if code := exitCode(run([]string{"-run", "nope"})); code != 1 {
+		t.Errorf("unknown experiment exits %d, want 1", code)
+	}
+	if err := run([]string{"-run", "fig2", "-runs", "1", "-workers", "0", "-splitting", "0", "-levels", "0", "-fleet", "0", "-shards", "0"}); err != nil {
+		t.Errorf("0 as the default: %v", err)
+	}
+}
+
+// TestReportRecordsRunsPerformed: the report's run count is the number of
+// repetitions the campaign performed.
+func TestReportRecordsRunsPerformed(t *testing.T) {
+	path := t.TempDir() + "/r.json"
+	if err := run([]string{"-run", "sec8-pr", "-runs", "3", "-metrics", path}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep metrics.Report
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if lanes := rep.Experiments["sec8-pr"].Counters["batch/lanes"]; rep.Runs != 3 || lanes != 3 {
+		t.Fatalf("report records %d runs, the campaign ran %d lanes; want 3 and 3", rep.Runs, lanes)
+	}
+}

@@ -71,9 +71,26 @@ type BatchRoundInput struct {
 	// Tally is an optional vote tally shared by the observers of one gang:
 	// a warm step that differs from the tallied matrix in few rows corrects
 	// the tally's counters instead of voting in full, and a step that votes
-	// in full records its vote there. The outputs are the same either way;
-	// nil means a plain vote. A tally sized for another N is ignored.
+	// in full records its vote there. The first step of a round to install
+	// a matrix re-bases the tally onto that round. The outputs are the same
+	// either way; nil means a plain vote. A tally sized for another N is
+	// ignored.
 	Tally *VoteTally
+	// Snapshot is an optional borrow of the round's aligned rows, owned by
+	// the caller and read only until the step returns: Snapshot[j] is
+	// sender j's lane-packed wire word of round k-1, the aligned row j of
+	// every observer of round k whatever its job position. With it the
+	// step reads its rows from Snapshot, does not read Rows (which may be
+	// nil), takes HealthyRows as a hint about Snapshot's rows, and does not
+	// copy its input: until FillBorrowedRows, the read-alignment buffer
+	// holds no rows of its own. Observers that share a Tally and pass a
+	// Snapshot must all pass the same one in a round, and a caller that
+	// rewinds them must Reset the tally: a step then installs only the rows
+	// in which its matrix can differ from the tallied one. The zero value
+	// copies Rows, as always. Static schedules only.
+	//
+	//ttdiag:noretain
+	Snapshot []BitSyndrome
 }
 
 // BatchRoundOutput is the result of one gang execution. Every field is a
@@ -143,6 +160,10 @@ type batchAlignBuf struct {
 	healthy uint64
 	ls      BitSyndrome
 	al      BitSyndrome
+	// borrowed marks rows that were not copied: the step that wrote the
+	// buffer read a BatchRoundInput.Snapshot, and FillBorrowedRows must
+	// complete them before anything but a step with a snapshot reads them.
+	borrowed bool
 }
 
 // BatchProtocol runs one node's diagnostic job for G independent repetitions
@@ -304,6 +325,7 @@ func (p *BatchProtocol) Reset(lanes int) {
 		buf.set = p.allB
 		buf.healthy = 0
 		buf.ls, buf.al = hw, hw
+		buf.borrowed = false
 	}
 	p.lastSentB, p.prevSentB = hw, hw
 	p.accuse = [accusationTTL]uint64{}
@@ -351,8 +373,9 @@ func (p *BatchProtocol) ownRowB() BitSyndrome {
 // StepBatch executes the diagnostic job of every lane for one round: each
 // phase of Alg. 1 runs once on lane-packed words and advances all lanes
 // together. Rows stays caller-owned (entries are copied by value) and may be
-// reused immediately. The steady state allocates nothing — the output is all
-// values and the matrix scratch is protocol-owned.
+// reused immediately; a Snapshot is read, never kept. The steady state
+// allocates nothing — the output is all values and the matrix scratch is
+// protocol-owned.
 //
 //ttdiag:noretain params
 func (p *BatchProtocol) StepBatch(in BatchRoundInput) (BatchRoundOutput, error) {
@@ -373,11 +396,45 @@ func (p *BatchProtocol) StepBatchInto(in *BatchRoundInput, out *BatchRoundOutput
 	if want := p.cfg.StartRound + p.steps; in.Round != want {
 		return fmt.Errorf("core: node %d: StepBatch round %d, want %d", p.cfg.ID, in.Round, want)
 	}
-	if len(in.Rows) != p.n+1 {
+	switch {
+	case in.Snapshot != nil && len(in.Snapshot) != p.n+1:
+		return fmt.Errorf("core: node %d: Snapshot has %d entries, want %d", p.cfg.ID, len(in.Snapshot), p.n+1)
+	case in.Snapshot != nil && p.cfg.Dynamic:
+		return fmt.Errorf("core: node %d: a round snapshot needs a static schedule", p.cfg.ID)
+	case in.Snapshot == nil && len(in.Rows) != p.n+1:
 		return fmt.Errorf("core: node %d: Rows has %d entries, want %d", p.cfg.ID, len(in.Rows), p.n+1)
+	case in.Snapshot == nil && p.pbufs[p.steps&1].borrowed:
+		return errBorrowed(p.cfg.ID)
 	}
 	p.step(in, out)
 	return nil
+}
+
+// errBorrowed is the error of every reader of a read-alignment buffer
+// whose rows a step borrowed.
+func errBorrowed(id int) error {
+	return fmt.Errorf("core: node %d: the last step borrowed its rows from a round snapshot; FillBorrowedRows first", id)
+}
+
+// FillBorrowedRows completes the read-alignment buffer after a step that
+// borrowed its rows (BatchRoundInput.Snapshot) instead of copying them,
+// so the protocol holds the rows it would have copied: rows 1..l_i as the
+// job saw them sent in its round k, the rest as round k's snapshot.
+// snaps[k&1] must be round k's snapshot and snaps[(k+1)&1] round k+1's, of
+// which rows 1..l_i must be written. It is a no-op unless the last step
+// borrowed, so a caller may fill before every read.
+//
+//ttdiag:noretain params
+func (p *BatchProtocol) FillBorrowedRows(snaps [2][]BitSyndrome) {
+	rd := &p.pbufs[p.steps&1]
+	if !rd.borrowed {
+		return
+	}
+	k := p.cfg.StartRound + p.steps - 1
+	l := p.cfg.L + 1
+	copy(rd.rows[:l], snaps[(k+1)&1][:l])
+	copy(rd.rows[l:], snaps[k&1][l:p.n+1])
+	rd.borrowed = false
 }
 
 // step is StepBatch on a validated input, writing its result into out and
@@ -428,8 +485,15 @@ func (p *BatchProtocol) step(in *BatchRoundInput, out *BatchRoundOutput) {
 		self := p.selfB
 		rowSet := (alSet &^ self) | self
 		p.rowSet = rowSet
-		l := p.cfg.L
-		if p.cfg.Dynamic {
+		// Aligned row j is held[j] for j ≤ l and rows[j] beyond: entries
+		// 1..l_i come from the previous read, the rest from the current
+		// one, or all from the round's snapshot. Under dynamic scheduling
+		// the read point is pinned to round start (l = 0).
+		rows, held, l := in.Rows, rd.rows, p.cfg.L
+		switch {
+		case in.Snapshot != nil:
+			rows, held, l = in.Snapshot, nil, 0
+		case p.cfg.Dynamic:
 			l = 0
 		}
 		// A quiet matrix — every row present, all-Healthy and fully Known
@@ -449,9 +513,28 @@ func (p *BatchProtocol) step(in *BatchRoundInput, out *BatchRoundOutput) {
 		}
 		var differ uint64
 		if !quiet {
+			// Given the tally of this round's snapshot, only the candidate
+			// rows can differ from the tallied matrix, and the step
+			// installs those alone — unless another reader needs the whole
+			// matrix: telemetry or the membership analysis (the causal
+			// flight recorder reads only the output and the counters). A
+			// sparse install cannot tell a quiet matrix, whose vote the
+			// tally then gives.
+			mask := p.laneAll
+			var sparse bool
+			if tally != nil && in.Snapshot != nil && !p.anyMetrics && p.cfg.Mode != ModeMembership {
+				if c, ok := tally.candidates(in.Round, p.laneRep, rowSet, p.cfg.ID); ok && bits.OnesCount64(c) <= tallyMaxRows(n) {
+					mask, sparse = c, true
+				}
+			}
 			var acc uint64
-			acc, differ = p.install(in.Rows, rd.rows, rowSet, l, tally)
-			quiet = acc&all == all
+			acc, differ = p.install(rows, held, rowSet, l, tally, mask)
+			if sparse && invariant.Enabled {
+				p.checkSparseInstall(in.Round, rows, rowSet, tally, mask)
+			}
+			if !sparse {
+				quiet = acc&all == all
+			}
 			if p.anyMetrics && !quiet {
 				quietLanes = p.laneRep &^ p.laneAny(all&^acc)
 			}
@@ -471,7 +554,7 @@ func (p *BatchProtocol) step(in *BatchRoundInput, out *BatchRoundOutput) {
 			votes.quiet = quietLanes
 		}
 		if invariant.Enabled && quiet {
-			p.checkQuietVote(in, rd, rowSet, l)
+			p.checkQuietVote(in.Round, rows, held, rowSet, l)
 		}
 
 		diagRound = in.Round - lag
@@ -541,8 +624,12 @@ func (p *BatchProtocol) step(in *BatchRoundInput, out *BatchRoundOutput) {
 	// may hold garbage, and every read masks them out (presence bits,
 	// Op ∧ Known, the lane segment).
 	wr.set = present
-	copy(wr.rows, in.Rows)
-	wr.healthy = in.HealthyRows
+	if wr.borrowed = in.Snapshot != nil; wr.borrowed {
+		wr.healthy = 0
+	} else {
+		copy(wr.rows, in.Rows)
+		wr.healthy = in.HealthyRows
+	}
 	wr.ls = validity
 	p.prevSentB = p.lastSentB
 	p.lastSentB = outBits
@@ -566,31 +653,34 @@ func (p *BatchProtocol) step(in *BatchRoundInput, out *BatchRoundOutput) {
 	p.steps++
 }
 
-// install writes a warm round's gang matrix into the scratch planes op/know
-// and returns the AND of its op planes, whose lane segments are all set
-// exactly in the lanes with a quiet matrix, and the rows (bit j-1 = row j)
-// that differ from the tally's, read in the same pass; without a tally the
-// rows are compared with the stale planes they overwrite, and that result
-// means nothing. Row j's lane segment is live iff
-// lane r's rowSet bit for j is set; compressing those bits onto the lane
-// replicator and multiplying by the segment mask expands per-lane row
-// presence into a plane mask (fault outcome as mask AND, not branch).
-// Entries 1..l come from the previous read (held), the rest from the
-// current one, and each lane's own row is its locally buffered copy of the
-// syndrome it physically transmitted in round k-1 — available even when the
-// transmission itself failed (Lemma 3).
-func (p *BatchProtocol) install(rows, held []BitSyndrome, rowSet uint64, l int, t *VoteTally) (acc, differ uint64) {
+// install writes the rows of mask (bit j-1 = row j) of a warm round's gang
+// matrix into the scratch planes op/know and returns the AND of those op
+// planes — with every row installed, its lane segments are all set exactly
+// in the lanes with a quiet matrix — and the rows that differ from the
+// tally's, read in the same pass; without a tally the rows are compared
+// with the stale planes they overwrite, and that result means nothing.
+// Row j's lane segment is live iff lane r's rowSet bit for j is set;
+// compressing those bits onto the lane replicator and multiplying by the
+// segment mask expands per-lane row presence into a plane mask (fault
+// outcome as mask AND, not branch). Entries 1..l come from held, the rest
+// from rows, and each lane's own row is its locally buffered copy of the
+// syndrome it physically transmitted in round k-1 — available even when
+// the transmission itself failed (Lemma 3).
+//
+//ttdiag:noretain params
+func (p *BatchProtocol) install(rows, held []BitSyndrome, rowSet uint64, l int, t *VoteTally, mask uint64) (acc, differ uint64) {
 	n := p.n
 	op, know := p.op[:n+1], p.know[:n+1]
 	baseOp, baseKnow := op, know
 	if t != nil {
 		baseOp, baseKnow = t.op[:n+1], t.know[:n+1]
 	}
-	rows, held = rows[:n+1], held[:n+1]
+	rows = rows[:n+1]
 	laneRep, laneAll := p.laneRep, p.laneAll
 	id, own := p.cfg.ID, p.ownRowB()
 	acc = ^uint64(0)
-	for j := 1; j <= n; j++ {
+	for m := mask & laneAll; m != 0; m &= m - 1 {
+		j := bits.TrailingZeros64(m) + 1
 		row := rows[j]
 		if j <= l {
 			row = held[j]
@@ -610,20 +700,29 @@ func (p *BatchProtocol) install(rows, held []BitSyndrome, rowSet uint64, l int, 
 
 // vote is the warm step's vote over the installed matrix. With a tally of
 // the same lane layout and at most tallyMaxRows differing rows it corrects
-// the tally's counters; otherwise it votes in full and, given a tally,
-// makes this vote the tally. Both end in finishVote.
+// the tally's counters, and a tally of another round then re-bases onto
+// this matrix and the corrected counters; otherwise it votes in full and,
+// given a tally, makes this vote the tally. Both end in finishVote. A
+// matrix that is recorded or re-based was installed in full: a sparse
+// install happens only against a tally of its own round.
 func (p *BatchProtocol) vote(t *VoteTally, differ uint64, votes *laneVotes) (consOp, consKnown uint64) {
 	if t == nil {
 		return voteAllLanes(p.op, p.know, p.n, p.laneRep, votes)
 	}
+	round := p.cfg.StartRound + p.steps
 	if t.laneRep == p.laneRep && bits.OnesCount64(differ) <= tallyMaxRows(p.n) {
 		healthy, faulty := t.correct(p.op, p.know, differ)
 		if invariant.Enabled {
 			p.checkTallyVote(&healthy, &faulty)
 		}
+		if !t.current(round) {
+			t.rebase(p.op, p.know, p.laneRep, &healthy, &faulty)
+			t.stamp(round, p.rowSet, p.cfg.ID)
+		}
 		return finishVote(&healthy, &faulty, votes)
 	}
 	t.record(p.op, p.know, p.laneRep)
+	t.stamp(round, p.rowSet, p.cfg.ID)
 	return finishVote(&t.healthy, &t.faulty, votes)
 }
 
@@ -882,6 +981,9 @@ func (p *BatchProtocol) LanePenalty(lane, j int) int64 {
 func (p *BatchProtocol) SnapshotLane(lane int) ([]byte, error) {
 	if lane < 0 || lane >= p.lanes {
 		return nil, fmt.Errorf("core: node %d: snapshot of lane %d, want 0..%d", p.cfg.ID, lane, p.lanes-1)
+	}
+	if p.pbufs[p.steps&1].borrowed {
+		return nil, errBorrowed(p.cfg.ID)
 	}
 	n := p.n
 	base := lane * (n + 1)

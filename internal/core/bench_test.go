@@ -141,8 +141,10 @@ func BenchmarkStepMetrics(b *testing.B) {
 // one Faulty opinion in every lane, so it times the full vote. The N=64
 // _loud variants carry random opinions in rows 2..32, the 31 malicious
 // senders of the widest scale-resilience case: _loud votes in full, and
-// _loud_tally corrects the vote tally another observer of the gang
-// recorded (one differing row, that observer's own). Tracked in
+// _loud_tally is a later observer of a gang round: it borrows the round's
+// snapshot, installs only the candidate rows (its own and the tally
+// owner's) and corrects the vote tally another observer recorded from the
+// same snapshot (one differing row, that observer's own). Tracked in
 // BENCH_core.json.
 func BenchmarkStepBatch(b *testing.B) {
 	for _, n := range benchSizes {
@@ -186,8 +188,10 @@ const (
 
 // benchStepBatch times steady-state StepBatch calls of a full-width gang of
 // node 1 on the rows of load, with m (when non-nil) on every lane. With
-// tally, node 1 shares a vote tally with a node 2 gang that steps the same
-// rows during the warm-up, so node 1's timed steps correct node 2's vote.
+// tally, the rows are every round's snapshot, and node 1 shares a vote
+// tally with a node 2 gang that steps them during the warm-up; the tally is
+// re-stamped with each timed round, as a round's first observer re-bases
+// it, so node 1's timed steps install sparsely and correct node 2's vote.
 func benchStepBatch(b *testing.B, n int, load stepBatchLoad, m *StepMetrics, tally bool) {
 	lanes := BatchLanes(n)
 	newGang := func(id int) *BatchProtocol {
@@ -224,6 +228,7 @@ func benchStepBatch(b *testing.B, n int, load stepBatchLoad, m *StepMetrics, tal
 	var twin *BatchProtocol
 	if tally {
 		in.Tally = NewVoteTally(n)
+		in.Snapshot = rows
 		twin = newGang(2)
 	}
 	for i := 0; i < 16; i++ {
@@ -241,6 +246,9 @@ func benchStepBatch(b *testing.B, n int, load stepBatchLoad, m *StepMetrics, tal
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		in.Round = 16 + i
+		if twin != nil {
+			in.Tally.stamp(in.Round, twin.rowSet, 2)
+		}
 		if _, err := p.StepBatch(in); err != nil {
 			b.Fatal(err)
 		}

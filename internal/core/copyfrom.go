@@ -49,6 +49,9 @@ func (p *BatchProtocol) CopyFrom(src *BatchProtocol) error {
 	if src.lanes > p.capLanes {
 		return fmt.Errorf("core: CopyFrom of %d lanes into a capacity of %d", src.lanes, p.capLanes)
 	}
+	if src.pbufs[src.steps&1].borrowed {
+		return errBorrowed(src.cfg.ID)
+	}
 	p.cfg = src.cfg
 	p.lanes = src.lanes
 	p.steps = src.steps
@@ -62,6 +65,7 @@ func (p *BatchProtocol) CopyFrom(src *BatchProtocol) error {
 	dst, from := &p.pbufs[p.steps&1], &src.pbufs[src.steps&1]
 	copy(dst.rows, from.rows)
 	dst.set, dst.healthy, dst.ls, dst.al = from.set, from.healthy, from.ls, from.al
+	dst.borrowed = false
 	p.lastSentB = src.lastSentB
 	p.prevSentB = src.prevSentB
 	p.accuse, p.age, p.aging = src.accuse, src.age, src.aging
@@ -132,11 +136,15 @@ func laneRecPacked(n int) int { return recRows + 2*n }
 // system.
 func LaneRecordLen(n int) int { return laneRecPacked(n) + 3*n }
 
-// checkLaneRecords validates that lane records are supported and that the
-// lanes of a capture or restore are live.
+// checkLaneRecords validates that lane records are supported, that the
+// lanes of a capture or restore are live and that the read-alignment
+// buffer holds its rows.
 func (p *BatchProtocol) checkLaneRecords(lanes uint64) error {
 	if p.cfg.Mode == ModeMembership {
 		return fmt.Errorf("core: node %d: lane records cover diagnostic mode only", p.cfg.ID)
+	}
+	if p.pbufs[p.steps&1].borrowed {
+		return errBorrowed(p.cfg.ID)
 	}
 	if live := uint64(1)<<uint(p.lanes) - 1; lanes&^live != 0 {
 		return fmt.Errorf("core: node %d: lanes %#x outside 0..%d", p.cfg.ID, lanes, p.lanes-1)

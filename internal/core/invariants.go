@@ -78,9 +78,13 @@ func (p *BatchProtocol) checkHealthyRows(in *BatchRoundInput) {
 		invariant.Checkf(false, "core: node %d round %d: HealthyRows %#x marks rows beyond N=%d",
 			p.cfg.ID, in.Round, in.HealthyRows, p.n)
 	}
+	rows := in.Rows
+	if in.Snapshot != nil {
+		rows = in.Snapshot
+	}
 	for rem := in.HealthyRows & p.laneAll; rem != 0; rem &= rem - 1 {
 		j := bits.TrailingZeros64(rem) + 1
-		if row := in.Rows[j]; row.Op&row.Known&p.allB != p.allB {
+		if row := rows[j]; row.Op&row.Known&p.allB != p.allB {
 			invariant.Checkf(false, "core: node %d round %d: HealthyRows marks row %d healthy, but it is not all-Healthy in every lane",
 				p.cfg.ID, in.Round, j)
 		}
@@ -91,14 +95,27 @@ func (p *BatchProtocol) checkHealthyRows(in *BatchRoundInput) {
 // the shortcut may have skipped and requires the full vote to return what
 // the shortcut assumed — all-Healthy, fully Known, no Faulty majority and no
 // tie in any column.
-func (p *BatchProtocol) checkQuietVote(in *BatchRoundInput, rd *batchAlignBuf, rowSet uint64, l int) {
+func (p *BatchProtocol) checkQuietVote(round int, rows, held []BitSyndrome, rowSet uint64, l int) {
 	all := p.allB
-	acc, _ := p.install(in.Rows, rd.rows, rowSet, l, nil)
+	acc, _ := p.install(rows, held, rowSet, l, nil, p.laneAll)
 	var v laneVotes
 	consOp, consKnown := voteAllLanes(p.op, p.know, p.n, p.laneRep, &v)
 	if acc&all != all || consOp != all || consKnown != all || v.any != all || v.faulty != 0 || v.tied != 0 {
 		invariant.Checkf(false, "core: node %d round %d: quiet shortcut disagrees with the full vote (matrix AND %#x, consistent vector %#x/%#x, faulty %#x, tied %#x)",
-			p.cfg.ID, in.Round, acc&all, consOp, consKnown, v.faulty, v.tied)
+			p.cfg.ID, round, acc&all, consOp, consKnown, v.faulty, v.tied)
+	}
+}
+
+// checkSparseInstall completes a sparse install: it installs every row of
+// the snapshot's matrix, so the recount of checkTallyVote sees it whole,
+// and requires every row that differs from the tallied matrix to lie in
+// the installed rows of mask.
+//
+//ttdiag:noretain params
+func (p *BatchProtocol) checkSparseInstall(round int, snapshot []BitSyndrome, rowSet uint64, t *VoteTally, mask uint64) {
+	if _, differ := p.install(snapshot, nil, rowSet, 0, t, p.laneAll); differ&^mask != 0 {
+		invariant.Checkf(false, "core: node %d round %d: sparse install of rows %#x missed rows %#x that differ from the tally of node %d",
+			p.cfg.ID, round, mask, differ&^mask, t.owner)
 	}
 }
 

@@ -208,6 +208,44 @@ func TestTallyVoteMismatchPanics(t *testing.T) {
 	}
 }
 
+// TestSparseInstallMismatchPanics hands the second observer of a round
+// another snapshot than the one its tally was recorded from: the row that
+// changed lies outside the rows the tally's stamp leaves as candidates, so
+// the sparse install misses it, and the invariant layer's full install
+// must catch it.
+func TestSparseInstallMismatchPanics(t *testing.T) {
+	snap := make([]BitSyndrome, 5)
+	for j := range snap {
+		snap[j] = BitSyndrome{Op: ^uint64(0), Known: ^uint64(0)}
+	}
+	snap[3].Op &^= 1 << (4 + 1) // lane 1: row 3 accuses node 2, a loud matrix
+	healthy := BitSyndrome{Op: ^uint64(0), Known: ^uint64(0)}
+	a := snapshotObserver(t, 4, 2, 1, 0, ^uint64(0), healthy, snap)
+	b := snapshotObserver(t, 4, 2, 2, 1, ^uint64(0), healthy, snap)
+	in := BatchRoundInput{Round: a.lag, Present: a.allB, Validity: healthy, Tally: NewVoteTally(4), Snapshot: snap}
+	if _, err := a.StepBatch(in); err != nil {
+		t.Fatal(err)
+	}
+	if !in.Tally.current(a.lag) || in.Tally.owner != 1 {
+		t.Fatal("the first observer did not stamp the tally with its round")
+	}
+	other := append([]BitSyndrome(nil), snap...)
+	other[4].Op &^= 1 // lane 0: row 4 accuses node 1 in the second observer's snapshot only
+	in.Snapshot = other
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("a sparse install against another snapshot's tally was not caught")
+		}
+		if msg, ok := r.(string); !ok || !strings.Contains(msg, "sparse install of rows 0x3 missed rows 0x8") {
+			t.Fatalf("unexpected panic: %v", r)
+		}
+	}()
+	if _, err := b.StepBatch(in); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // laneGang is a full-width N=4 gang of node 1 without reintegration, and a
 // closure stepping it one quiet round.
 func laneGang(t *testing.T) (*BatchProtocol, func(round int)) {

@@ -127,3 +127,133 @@ func FuzzVoteTally(f *testing.F) {
 		}
 	})
 }
+
+// fuzzWords hands out the fuzzer's bytes as 64-bit words, zero once they
+// run out.
+type fuzzWords []byte
+
+func (d *fuzzWords) next() uint64 {
+	var w uint64
+	for i := 0; i < 8 && len(*d) > 0; i++ {
+		w |= uint64((*d)[0]) << uint(8*i)
+		*d = (*d)[1:]
+	}
+	return w
+}
+
+// snapshotObserver is a warm gang of node id at job position l whose next
+// step reads the presence bits set held over from its previous read and
+// sends the own syndrome own; its held rows are rows, the snapshot of the
+// round it steps next.
+func snapshotObserver(t *testing.T, n, lanes, id, l int, set uint64, own BitSyndrome, rows []BitSyndrome) *BatchProtocol {
+	t.Helper()
+	p, err := NewBatchProtocol(Config{
+		N: n, ID: id, L: l, SendCurrRound: l < id,
+		PR: PRConfig{PenaltyThreshold: 4, RewardThreshold: 8},
+	}, lanes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.steps = p.lag
+	rd := &p.pbufs[p.steps&1]
+	rd.set = set & p.allB
+	copy(rd.rows, rows)
+	p.lastSentB, p.prevSentB = own, own
+	return p
+}
+
+// FuzzSparseInstall checks the sparse install against the full one: the
+// observers of a gang round borrow one snapshot of the aligned rows, a
+// tallying observer votes first, and a second observer — at its own job
+// position, with its presence bits perturbed as ignored, collided-own and
+// blinded senders do, and with its own corrupted own row — installs only
+// the rows the tally's stamp leaves as candidates and corrects the tally.
+// Both must give exactly the output of a twin that copies its rows, with
+// no tally: a full install and a full vote. A second round with a new
+// snapshot re-bases the tally. Before that round the second observer's
+// filled rows must equal the rows its twin copied. The seeds double as a
+// regular seeded corpus in CI.
+func FuzzSparseInstall(f *testing.F) {
+	f.Add(uint8(0), uint8(16), uint16(0x0312), uint64(0), []byte("four nodes, sixteen lanes, observer three after observer one"))
+	f.Add(uint8(0), uint8(3), uint16(0x0241), uint64(1<<2|1<<9), []byte{0xff, 0x0f, 0x03, 0x0c, 0x00, 0x00, 0x05, 0x0a, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99})
+	f.Add(uint8(1), uint8(4), uint16(0x7a5c), uint64(1<<3|1<<20), []byte("sixteen nodes: one blinded sender in lane one"))
+	f.Add(uint8(1), uint8(1), uint16(0xfedc), uint64(0xf0f0), []byte{0xde, 0xad, 0xbe, 0xef})
+	f.Add(uint8(2), uint8(1), uint16(0x2a05), uint64(1<<40), []byte("a loud round at N=64: malicious senders and one ignored sender"))
+	f.Add(uint8(2), uint8(1), uint16(0x0100), uint64(0), []byte{})
+	f.Fuzz(func(t *testing.T, nSel, lanesRaw uint8, pos uint16, perturb uint64, data []byte) {
+		n := []int{4, 16, 64}[int(nSel)%3]
+		lanes := int(lanesRaw)%BatchLanes(n) + 1
+		d := fuzzWords(data)
+		ida, idb := int(pos&0xf)%n+1, int(pos>>4&0xf)%n+1
+		if idb == ida {
+			idb = ida%n + 1
+		}
+		la, lb := int(pos>>8&0xf)%n, int(pos>>12)%n
+		snaps := make([][]BitSyndrome, 3)
+		for k := range snaps {
+			snaps[k] = make([]BitSyndrome, n+1)
+			for j := 1; j <= n; j++ {
+				snaps[k][j] = BitSyndrome{Op: d.next(), Known: ^d.next()}
+			}
+		}
+		// Both reads of the tallying observer see the same senders; the
+		// second observer misses the senders of perturb's bits, before and
+		// after its read point, as ignored, collided-own and blinded
+		// senders are missed.
+		present := ^d.next()
+		held := present
+		ownA := BitSyndrome{Op: ^d.next(), Known: ^uint64(0)}
+		ownB := BitSyndrome{Op: d.next(), Known: ^d.next()}
+		presentB, heldB := present&^perturb, held&^(perturb>>1)
+
+		a := snapshotObserver(t, n, lanes, ida, la, held, ownA, snaps[0])
+		b := snapshotObserver(t, n, lanes, idb, lb, heldB, ownB, snaps[0])
+		a2 := snapshotObserver(t, n, lanes, ida, la, held, ownA, snaps[0])
+		b2 := snapshotObserver(t, n, lanes, idb, lb, heldB, ownB, snaps[0])
+		tally := NewVoteTally(n)
+		// rowsAt is what a copying job at position l reads in round k: the
+		// senders before it already sent their round-k word.
+		rowsAt := func(k, l int) []BitSyndrome {
+			rows := append([]BitSyndrome(nil), snaps[k]...)
+			copy(rows[:l+1], snaps[k+1][:l+1])
+			return rows
+		}
+		for k := 0; k < 2; k++ {
+			round := a.lag + k
+			for _, o := range []struct {
+				p, twin *BatchProtocol
+				l       int
+				present uint64
+			}{{a, a2, la, present}, {b, b2, lb, presentB}} {
+				in := BatchRoundInput{Round: round, Present: o.present, Validity: BitSyndrome{Op: o.present, Known: ^uint64(0)},
+					Tally: tally, Snapshot: snaps[k]}
+				var got, want BatchRoundOutput
+				if err := o.p.StepBatchInto(&in, &got); err != nil {
+					t.Fatal(err)
+				}
+				in.Tally, in.Snapshot, in.Rows = nil, nil, rowsAt(k, o.l)
+				if err := o.twin.StepBatchInto(&in, &want); err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("n=%d lanes=%d round %d node %d (l=%d) after node %d: snapshot step with the tally\n got %+v\nwant %+v",
+						n, lanes, k, o.p.cfg.ID, o.l, ida, got, want)
+				}
+				if h, f := tallyLanes(tally.op, tally.know, n, tally.laneRep); tally.laneRep != 0 && (h != tally.healthy || f != tally.faulty) {
+					t.Fatalf("n=%d round %d: tally counters no longer count its matrix", n, k)
+				}
+			}
+			if k == 0 {
+				var byRound [2][]BitSyndrome
+				byRound[round&1], byRound[(round+1)&1] = snaps[0], snaps[1]
+				b.FillBorrowedRows(byRound)
+				rd, twin := &b.pbufs[b.steps&1], &b2.pbufs[b2.steps&1]
+				for j := 1; j <= n; j++ {
+					if rd.rows[j] != twin.rows[j] {
+						t.Fatalf("n=%d node %d (l=%d): filled row %d is %+v, the copying twin holds %+v", n, idb, lb, j, rd.rows[j], twin.rows[j])
+					}
+				}
+			}
+		}
+	})
+}

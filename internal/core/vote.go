@@ -288,6 +288,14 @@ func subPlane(cnt *[countPlanes]uint64, mask uint64) {
 // explains why few rows differ. A tally serves one N and, at a time, one
 // lane layout: an observer with another layout votes in full, and its vote
 // becomes the tally. It is not safe for concurrent use.
+//
+// A tally recorded from a round snapshot (BatchRoundInput.Snapshot) is
+// stamped with the round, the recording observer's lane-packed row set and
+// its id, its owner. Every observer of that round reads the same
+// snapshot, so its matrix can differ from the tallied one only in its own
+// row, the owner's row (each holds its own syndrome there) and the rows
+// whose presence bits differ from the tally's row set in some lane: those
+// are the only rows it installs (candidates).
 type VoteTally struct {
 	n int
 	// laneRep is the lane replicator of the tallied vote, 0 while the tally
@@ -295,6 +303,11 @@ type VoteTally struct {
 	laneRep         uint64
 	op, know        []uint64 // 1-based rows of the tallied matrix
 	healthy, faulty [countPlanes]uint64
+	// round, rowSet and owner stamp the tallied matrix; owner is 0 while
+	// the tally belongs to no round.
+	round  int
+	rowSet uint64
+	owner  int
 }
 
 // NewVoteTally returns an empty tally for n-node gangs.
@@ -313,13 +326,54 @@ func NewVoteTally(n int) *VoteTally {
 // differ; a quarter keeps a clear margin for the correction's fixed cost.
 func tallyMaxRows(n int) int { return n/4 + 1 }
 
+// Reset empties the tally. A caller whose observers share it must reset
+// it when it rewinds them, since their round numbers then repeat.
+func (t *VoteTally) Reset() { t.laneRep, t.owner = 0, 0 }
+
 // record makes the observer's installed matrix the tally: it copies the
-// planes and counts them from scratch.
+// planes and counts them from scratch. The tally belongs to no round until
+// stamped.
 func (t *VoteTally) record(op, know []uint64, laneRep uint64) {
+	healthy, faulty := tallyLanes(op, know, t.n, laneRep)
+	t.rebase(op, know, laneRep, &healthy, &faulty)
+}
+
+// rebase makes the matrix op/know with the given counters the tally, as
+// record does without counting again.
+func (t *VoteTally) rebase(op, know []uint64, laneRep uint64, healthy, faulty *[countPlanes]uint64) {
 	copy(t.op, op[:t.n+1])
 	copy(t.know, know[:t.n+1])
 	t.laneRep = laneRep
-	t.healthy, t.faulty = tallyLanes(t.op, t.know, t.n, laneRep)
+	t.healthy, t.faulty = *healthy, *faulty
+	t.owner = 0
+}
+
+// stamp assigns the tallied matrix to a round: observer owner installed
+// it with the lane-packed row set rowSet.
+func (t *VoteTally) stamp(round int, rowSet uint64, owner int) {
+	t.round, t.rowSet, t.owner = round, rowSet, owner
+}
+
+// current reports whether the tally belongs to the round.
+func (t *VoteTally) current(round int) bool { return t.owner != 0 && t.round == round }
+
+// candidates returns the rows (bit j-1 = row j) in which observer id's
+// matrix of the round, installed with the row set rowSet from the round's
+// snapshot in the lane layout laneRep, can differ from the tallied one, and
+// false when the tally belongs to another round or layout. Outside the own
+// and the owner's rows, row j of both matrices is the snapshot's row j
+// restricted to the lanes whose row set holds j, so it can differ only
+// where the two row sets do: folding their difference over the lanes finds
+// those rows.
+func (t *VoteTally) candidates(round int, laneRep, rowSet uint64, id int) (uint64, bool) {
+	if !t.current(round) || t.laneRep != laneRep {
+		return 0, false
+	}
+	var rows uint64
+	for x := rowSet ^ t.rowSet; x != 0; x >>= uint(t.n) {
+		rows |= x
+	}
+	return rows&PlaneMask(t.n) | 1<<uint(id-1) | 1<<uint(t.owner-1), true
 }
 
 // correct returns the tally's counters moved to the matrix op/know, which

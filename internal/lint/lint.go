@@ -174,7 +174,8 @@ type analyzer struct {
 
 // noretainScope records which side of a //ttdiag:noretain contract a
 // function declares: borrowed parameters (the body must not retain them),
-// borrowed results (callers must not retain them), or both.
+// borrowed results (callers must not retain them), or both. An annotated
+// struct field has borrowed results: what is read from it is borrowed.
 type noretainScope struct {
 	params, results bool
 }
@@ -366,39 +367,68 @@ func (a *analyzer) check(dir, path string) *checkedPkg {
 	// directive optionally restricts its scope: "//ttdiag:noretain params"
 	// covers only the parameters, "//ttdiag:noretain results" only the
 	// results; the bare directive covers both.
+	// A struct field's doc comment may carry the bare directive too: the
+	// field holds a borrow, so every value read from it is a borrowed view,
+	// as a result of an annotated function is.
 	for _, f := range cp.files {
 		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Doc == nil {
-				continue
-			}
-			for _, c := range fd.Doc.List {
-				text, ok := strings.CutPrefix(c.Text, "//ttdiag:noretain")
-				if !ok || (text != "" && text[0] != ' ' && text[0] != '\t') {
-					continue
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if obj := cp.info.Defs[d.Name]; obj != nil {
+					a.indexNoRetain(obj, d.Doc)
 				}
-				obj := cp.info.Defs[fd.Name]
-				if obj == nil {
-					continue
-				}
-				scope := a.noretain[obj]
-				args := strings.Fields(text)
-				if len(args) == 0 {
-					scope.params, scope.results = true, true
-				}
-				for _, arg := range args {
-					switch arg {
-					case "params":
-						scope.params = true
-					case "results":
-						scope.results = true
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					ts, ok := spec.(*ast.TypeSpec)
+					if !ok {
+						continue
+					}
+					st, ok := ts.Type.(*ast.StructType)
+					if !ok {
+						continue
+					}
+					for _, field := range st.Fields.List {
+						for _, name := range field.Names {
+							if obj := cp.info.Defs[name]; obj != nil {
+								a.indexNoRetain(obj, field.Doc)
+							}
+						}
 					}
 				}
-				a.noretain[obj] = scope
 			}
 		}
 	}
 	return cp
+}
+
+// indexNoRetain records the //ttdiag:noretain directive of a declaration's
+// doc comment, if any. "//ttdiag:noretain params" covers only a function's
+// parameters, "//ttdiag:noretain results" only its results (or what is read
+// from a field); the bare directive covers both.
+func (a *analyzer) indexNoRetain(obj types.Object, doc *ast.CommentGroup) {
+	if doc == nil {
+		return
+	}
+	for _, c := range doc.List {
+		text, ok := strings.CutPrefix(c.Text, "//ttdiag:noretain")
+		if !ok || (text != "" && text[0] != ' ' && text[0] != '\t') {
+			continue
+		}
+		scope := a.noretain[obj]
+		args := strings.Fields(text)
+		if len(args) == 0 {
+			scope.params, scope.results = true, true
+		}
+		for _, arg := range args {
+			switch arg {
+			case "params":
+				scope.params = true
+			case "results":
+				scope.results = true
+			}
+		}
+		a.noretain[obj] = scope
+	}
 }
 
 // moduleImporter resolves intra-module imports by typechecking the imported

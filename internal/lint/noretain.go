@@ -21,14 +21,17 @@ import (
 // which marks the function's reference-typed results as borrowed views
 // (callers must not retain them) and its reference-typed parameters as
 // borrowed inputs (the body must not retain them). "Reference-typed" covers
-// slices, maps, pointers, channels and structs carrying any of those.
+// slices, maps, pointers, channels and structs carrying any of those. On a
+// struct field's doc comment the directive marks the field as holding a
+// borrow (core.BatchRoundInput.Snapshot): every value read from it is a
+// borrowed view, wherever the struct itself came from.
 //
 // The rule is an intra-procedural alias analysis: within each function body
 // it computes the set of borrowed values — annotated parameters, results of
-// calls to annotated functions, and everything reachable from them through
-// assignment, slicing, indexing, field selection, struct copy and
-// append-to-borrowed — then flags the operations that let a borrowed value
-// outlive the call:
+// calls to annotated functions, reads of annotated fields, and everything
+// reachable from them through assignment, slicing, indexing, field
+// selection, struct copy and append-to-borrowed — then flags the operations
+// that let a borrowed value outlive the call:
 //
 //   - storing it into a struct field or a package-level variable (directly
 //     or via an element of one);
@@ -160,6 +163,9 @@ func (c *retainChecker) borrowedExpr(e ast.Expr) (string, bool) {
 	case *ast.SelectorExpr:
 		if desc, ok := c.borrowedExpr(x.X); ok && c.refTyped(e) {
 			return desc, true
+		}
+		if c.pass.noretain(c.objectOf(x.Sel)).results && c.refTyped(e) {
+			return "borrowed field " + x.Sel.Name, true
 		}
 	case *ast.IndexExpr:
 		if desc, ok := c.borrowedExpr(x.X); ok && c.refTyped(e) {

@@ -121,3 +121,25 @@ func (h *holder) storeViaRange() {
 		h.buf = e
 	}
 }
+
+// input carries a borrow in an annotated field, as a round input does.
+type input struct {
+	// rows is read only until the call that receives the input returns.
+	//
+	//ttdiag:noretain
+	rows []byte
+	n    int
+}
+
+// storeBorrowedField keeps what an annotated field holds, though the input
+// itself is not a borrowed parameter.
+func (h *holder) storeBorrowedField(in *input) {
+	h.buf = in.rows
+}
+
+// copyBorrowedField copies the bytes out and reads the plain field. No
+// findings.
+func (h *holder) copyBorrowedField(in *input) int {
+	h.buf = append(h.buf[:0], in.rows...)
+	return in.n
+}

@@ -107,3 +107,21 @@ func TestBatchClusterRunAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestLoudGangRoundAllocs pins one loud round of a warm N = 64 gang at no
+// allocation: every job borrows the round's snapshot, the first re-bases
+// the shared vote tally and the others install their candidate rows and
+// correct it, with a malicious sender redrawing its payload every round.
+func TestLoudGangRoundAllocs(t *testing.T) {
+	if invariant.Enabled {
+		t.Skip("invariant checking boxes Checkf arguments and inflates the allocation count")
+	}
+	bc := loudWideGang(t)
+	if avg := testing.AllocsPerRun(50, func() {
+		if err := bc.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Fatalf("a loud N=64 gang round allocates %.2f objects, want 0", avg)
+	}
+}

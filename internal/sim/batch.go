@@ -68,14 +68,19 @@ type BatchDiagCluster struct {
 	allB    uint64 // laneRep · laneAll: every live lane's node bits
 
 	// Shared receiver state. Every receiver that a disturbance does not
-	// blind observes the same delivery: rows[j] holds sender j's last
-	// decoded wire word lane-packed, presentB the lanes·senders whose
-	// stored payload is valid and decodable.
-	rows     []core.BitSyndrome // 1-based by interface variable
+	// blind observes the same delivery: rows[k&1][j] holds sender j's
+	// decoded wire word of round k-1 lane-packed, the row every observer of
+	// round k aligns to row j (Alg. 1 lines 1-6), and round k's slot j
+	// writes it into rows[(k+1)&1]. The jobs of round k borrow rows[k&1] as
+	// their core.BatchRoundInput.Snapshot: the two buffers are the round
+	// snapshots every observer shares, and the cluster owns them. presentB
+	// marks the lanes·senders whose last stored payload is valid and
+	// decodable.
+	rows     [2][]core.BitSyndrome // 1-based by interface variable
 	presentB uint64
 	// healthyRows marks (bit s-1) the senders whose last wire word is
-	// all-Healthy in every live lane: the jobs' core.BatchRoundInput
-	// HealthyRows hint, kept in O(1) per slot.
+	// all-Healthy in every live lane, kept in O(1) per slot; at a round's
+	// start it is the jobs' HealthyRows hint about the round's snapshot.
 	healthyRows uint64
 
 	// Per-observer divergence from the shared planes. ign[i] marks the
@@ -130,8 +135,10 @@ type BatchDiagCluster struct {
 	// jobIn and jobOut are runJob's StepBatch input and output, reused
 	// every job instead of copied through the call. jobIn.Tally is the
 	// vote tally every job of the cluster shares: by Theorem 1 the correct
-	// observers of a round vote on the same syndromes, so most jobs
-	// correct the tally in a few rows instead of voting in full.
+	// observers of a round vote on the same syndromes, so the first job of
+	// a round to install a matrix re-bases the tally onto it, and the
+	// others install and correct only the few rows in which they can
+	// differ. jobIn.Snapshot and HealthyRows are set once per round.
 	jobIn  core.BatchRoundInput
 	jobOut core.BatchRoundOutput
 
@@ -206,6 +213,7 @@ func NewBatchDiagCluster(cfg ClusterConfig) (*BatchDiagCluster, error) {
 	// one backing array.
 	w := norm.N + 1
 	masks := make([]uint64, 4*w)
+	rows := make([]core.BitSyndrome, 2*w)
 	c := &BatchDiagCluster{
 		cfg:       norm,
 		sched:     sched,
@@ -215,7 +223,7 @@ func NewBatchDiagCluster(cfg ClusterConfig) (*BatchDiagCluster, error) {
 		lag:       make([]int, norm.N+1),
 		observe:   norm.PR.ReintegrationThreshold > 0,
 		laneAll:   core.PlaneMask(norm.N),
-		rows:      make([]core.BitSyndrome, norm.N+1),
+		rows:      [2][]core.BitSyndrome{rows[:w:w], rows[w:]},
 		ign:       masks[:w:w],
 		ownClear:  masks[w : 2*w : 2*w],
 		blind:     masks[2*w : 3*w : 3*w],
@@ -252,7 +260,6 @@ func NewBatchDiagCluster(cfg ClusterConfig) (*BatchDiagCluster, error) {
 	c.wake, c.wakeMin = wakes[:(norm.N+1)*maxLanes], wakes[(norm.N+1)*maxLanes:]
 	c.jobs = make([]int, 0, norm.N)
 	c.orderJobs()
-	c.jobIn.Rows = c.rows
 	c.jobIn.Tally = core.NewVoteTally(norm.N)
 	for r := 0; r < maxLanes; r++ {
 		c.cols[r] = NewCollector()
@@ -310,7 +317,14 @@ func (c *BatchDiagCluster) Lanes() int { return c.lanes }
 
 // Proto returns node id's lane-packed protocol, e.g. to attach per-lane
 // telemetry via SetLaneMetrics before Run (attachments survive ResetBatch).
-func (c *BatchDiagCluster) Proto(id int) *core.BatchProtocol { return c.protos[id] }
+// Its jobs borrow the cluster's round snapshots, so Proto first completes
+// its read-alignment buffer (core.BatchProtocol.FillBorrowedRows): until
+// the next round, its SnapshotLane, CaptureLane and CopyFrom read the
+// state a per-run protocol would hold.
+func (c *BatchDiagCluster) Proto(id int) *core.BatchProtocol {
+	c.protos[id].FillBorrowedRows(c.rows)
+	return c.protos[id]
+}
 
 // ResetBatch rewinds the cluster for the next gang of `lanes` repetitions
 // (a ragged final gang shrinks the lane count): protocols restart their
@@ -324,6 +338,7 @@ func (c *BatchDiagCluster) ResetBatch(lanes int) error {
 	}
 	c.lanes = lanes
 	c.round = 0
+	c.jobIn.Tally.Reset()
 	c.invRef, c.invTainted = 0, 0
 	c.invFaults = [invWindow][3]uint64{}
 	c.laneRep = 0
@@ -342,7 +357,7 @@ func (c *BatchDiagCluster) ResetBatch(lanes int) error {
 		// The bootstrap outbox is the all-healthy syndrome in every lane,
 		// mirroring bootstrapOutboxes on the per-run path.
 		c.staged[id] = c.allB
-		c.rows[id] = core.BitSyndrome{Op: 0, Known: c.allB}
+		c.rows[0][id] = core.BitSyndrome{Op: 0, Known: c.allB}
 	}
 	c.presentB = 0
 	c.healthyRows = 0
@@ -589,6 +604,8 @@ func (c *BatchDiagCluster) Round() int { return c.round }
 // Engine.RunRound's slot walk: diagnostic jobs at their positions, then the
 // slot transmission, N times.
 func (c *BatchDiagCluster) runRound(k int) error {
+	c.jobIn.Snapshot = c.rows[k&1]
+	c.jobIn.HealthyRows = c.healthyRows
 	next := 0
 	for pos := 0; pos <= c.n; pos++ {
 		for ; next < len(c.jobs) && c.cfg.Ls[c.jobs[next]-1] == pos; next++ {
@@ -627,7 +644,6 @@ func (c *BatchDiagCluster) runJob(k, id int) error {
 	in.Present = present
 	in.Validity = core.BitSyndrome{Op: present, Known: c.allB}
 	in.CollisionFaulty = collF
-	in.HealthyRows = c.healthyRows
 	if err := c.protos[id].StepBatchInto(in, out); err != nil {
 		return fmt.Errorf("sim: node %d round %d: %w", id, k, err)
 	}
@@ -869,7 +885,7 @@ func (c *BatchDiagCluster) transmitSlot(k, s int) {
 		}
 	}
 	c.presentB = c.presentB&^colBits | validCol
-	c.rows[s] = core.BitSyndrome{Op: wireWord, Known: c.allB}
+	c.rows[(k+1)&1][s] = core.BitSyndrome{Op: wireWord, Known: c.allB}
 	c.healthyRows &^= 1 << col
 	if wireWord&c.allB == c.allB {
 		c.healthyRows |= 1 << col

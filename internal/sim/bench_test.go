@@ -7,6 +7,7 @@ import (
 
 	"ttdiag/internal/core"
 	"ttdiag/internal/fault"
+	"ttdiag/internal/rng"
 	"ttdiag/internal/tdma"
 )
 
@@ -16,7 +17,11 @@ import (
 // runs fault-free, so every warm job may take the quiet-round shortcuts;
 // "burst" hits each lane with one two-slot burst at round 10, so the jobs
 // that diagnose it run the full install and vote. Divide ns/op by the lane
-// count for the per-repetition cost. Tracked in BENCH_campaign.json.
+// count for the per-repetition cost. "n64_g1_loud_round" is one round of
+// a warm N = 64 gang whose node 2 sends malicious syndromes every round, as
+// in scale-resilience: every job installs and votes, the first re-bases
+// the shared tally and the others install only their candidate rows.
+// Tracked in BENCH_campaign.json.
 func BenchmarkBatchClusterRun(b *testing.B) {
 	for _, n := range []int{64, 4} {
 		for _, burst := range []bool{false, true} {
@@ -62,6 +67,37 @@ func BenchmarkBatchClusterRun(b *testing.B) {
 			})
 		}
 	}
+	b.Run("n64_g1_loud_round", func(b *testing.B) {
+		bc := loudWideGang(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := bc.Step(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// loudWideGang returns a warm one-lane N = 64 gang at horizon 0 whose
+// node 2 sends a malicious syndrome in every round, so every job of a
+// round installs a loud matrix.
+func loudWideGang(tb testing.TB) *BatchDiagCluster {
+	tb.Helper()
+	bc, err := NewOneLaneCluster(ClusterConfig{
+		N: 64, RoundLen: DefaultRoundLen * 16,
+		PR: core.PRConfig{PenaltyThreshold: 3, RewardThreshold: 5},
+	}, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	bc.AddLaneDisturbance(0, fault.NewMaliciousSyndrome(2, rng.NewStream(64)))
+	for k := 0; k < 8; k++ {
+		if err := bc.Step(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return bc
 }
 
 // BenchmarkLaneCheckpoint times the lane checkpoint of a warmed N = 4

@@ -132,17 +132,18 @@ func (c *BatchDiagCluster) CaptureLaneRecord(lane int, rec []uint64) error {
 	n := c.n
 	size := core.LaneRecordLen(n)
 	for id := 1; id <= n; id++ {
-		if err := c.protos[id].CaptureLane(lane, rec[(id-1)*size:id*size]); err != nil {
+		if err := c.Proto(id).CaptureLane(lane, rec[(id-1)*size:id*size]); err != nil {
 			return err
 		}
 	}
+	rows := c.rows[c.round&1] // the last round's wire words
 	sh := uint(lane * n)
 	seg := func(w uint64) uint64 { return (w >> sh) & c.laneAll }
 	bus := rec[c.recBus():]
 	packed, perLane := bus[:c.busPacked()], bus[c.busPacked():]
 	for id := 1; id <= n; id++ {
 		packed[busStaged*n+id-1] = seg(c.staged[id])
-		packed[busRows*n+id-1] = seg(c.rows[id].Op)
+		packed[busRows*n+id-1] = seg(rows[id].Op)
 		packed[busIgn*n+id-1] = seg(c.ign[id])
 		packed[busOwnClear*n+id-1] = seg(c.ownClear[id])
 		packed[busBlind*n+id-1] = seg(c.blind[id])
@@ -208,7 +209,7 @@ func (c *BatchDiagCluster) RestoreLanes(lanes uint64, recs [][]uint64) error {
 	}
 	size := core.LaneRecordLen(n)
 	for id := 1; id <= n; id++ {
-		if err := c.protos[id].RestoreLanes(lanes, recs, (id-1)*size); err != nil {
+		if err := c.Proto(id).RestoreLanes(lanes, recs, (id-1)*size); err != nil {
 			return err
 		}
 	}
@@ -221,11 +222,12 @@ func (c *BatchDiagCluster) RestoreLanes(lanes uint64, recs [][]uint64) error {
 	segs := expandColumn(lanes, 0, n) * c.laneAll // every restored lane's node bits
 	put := func(w uint64, o int) uint64 { return w&^segs | acc[o] }
 	c.healthyRows = 0
-	var blinded uint64 // the restored lanes' blinded segments
+	rows := c.rows[c.round&1] // the last round's wire words
+	var blinded uint64        // the restored lanes' blinded segments
 	for id := 1; id <= n; id++ {
 		c.staged[id] = put(c.staged[id], busStaged*n+id-1)
-		c.rows[id].Op = put(c.rows[id].Op, busRows*n+id-1)
-		if c.rows[id].Op&c.allB == c.allB {
+		rows[id].Op = put(rows[id].Op, busRows*n+id-1)
+		if rows[id].Op&c.allB == c.allB {
 			c.healthyRows |= 1 << uint(id-1)
 		}
 		c.ign[id] = put(c.ign[id], busIgn*n+id-1)

@@ -86,7 +86,7 @@ step "go test -race -cpu=1,4 (campaign determinism)" \
     scripts/gotest.sh -race -cpu=1,4 ./internal/experiments/ -run TestCampaignWorkerCountInvariance
 step "go test -race -cpu=1,4 (metrics determinism)" check_metrics_determinism
 step "go test -race -cpu=1,4 (cluster reuse equivalence)" \
-    scripts/gotest.sh -race -cpu=1,4 ./internal/sim/ -run 'TestClusterReuseEquivalence|TestBatchClusterReset|TestBatchClusterRunResumes'
+    scripts/gotest.sh -race -cpu=1,4 ./internal/sim/ -run 'TestClusterReuseEquivalence|TestBatchClusterReset|TestBatchClusterRunResumes|TestProtoFillsBorrowedRows|TestSparseInstallMatchesWholeMatrix'
 step "go test -race -cpu=1,4 (protocol vs reference)" \
     scripts/gotest.sh -race -cpu=1,4 ./internal/core/ -run 'TestPackedScalarStepEquivalence|TestPackedScalarTraceEquivalence'
 step "go test -race -cpu=1,4 (batched campaign determinism)" check_batched_determinism
@@ -100,6 +100,8 @@ step "go test -fuzz (lane-packed voting kernel, seed corpus + short fuzz)" \
     scripts/gotest.sh ./internal/core/ -run FuzzVoteAllBatch -fuzz 'FuzzVoteAllBatch$' -fuzztime 15s
 step "go test -fuzz (shared vote tally vs full vote, seed corpus + short fuzz)" \
     scripts/gotest.sh ./internal/core/ -run FuzzVoteTally -fuzz 'FuzzVoteTally$' -fuzztime 15s
+step "go test -fuzz (sparse install vs full install, seed corpus + short fuzz)" \
+    scripts/gotest.sh ./internal/core/ -run FuzzSparseInstall -fuzz 'FuzzSparseInstall$' -fuzztime 15s
 step "go test -fuzz (quiet slots, answering vs hidden Quieter chains, seed corpus + short fuzz)" \
     scripts/gotest.sh ./internal/sim/ -run FuzzQuietSlots -fuzz 'FuzzQuietSlots$' -fuzztime 15s
 step "go test -fuzz (splitting keyed transient's quiet answer, seed corpus + short fuzz)" \
