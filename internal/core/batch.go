@@ -302,10 +302,7 @@ func (p *BatchProtocol) Reset(lanes int) {
 	p.lanes = lanes
 	p.lag = p.cfg.Lag()
 	p.laneAll = PlaneMask(n)
-	p.laneRep = 0
-	for r := 0; r < lanes; r++ {
-		p.laneRep |= 1 << uint(r*n)
-	}
+	p.laneRep = laneReplicator(n, lanes)
 	// Lane segments are disjoint, so replicating an n-bit mask into every
 	// live lane is a single multiply by the lane replicator (no carries).
 	p.allB = p.laneRep * p.laneAll
@@ -868,8 +865,14 @@ func (p *BatchProtocol) SetLaneMetrics(lane int, m *StepMetrics) {
 		}
 		p.metrics = make([]*StepMetrics, p.capLanes)
 	}
+	if p.metrics[lane] == m {
+		return // a campaign re-attaches its instruments with every gang
+	}
 	p.metrics[lane] = m
 	p.regroup = true
+	// The newly attached watermark takes in the lane's current penalties
+	// at the next warm emit.
+	p.pr.raised |= p.laneAll << uint(lane*p.n)
 	p.anyMetrics = false
 	for _, lm := range p.metrics {
 		if lm != nil {
@@ -918,9 +921,14 @@ func (p *BatchProtocol) emitMetrics(out *BatchRoundOutput, warm, quiet bool, dia
 	// Only nodes under attention or isolated can hold a non-zero penalty:
 	// a Faulty verdict on an active node either isolates it or puts it under
 	// attention, and attention is dropped only when the penalty is reset.
-	var penalized uint64
+	// The watermark is a running maximum, so only the penalties that rose
+	// since the last warm emit can move it: every other one is at most
+	// what the group observed then (attaching instruments to a lane counts
+	// as a rise of its penalties).
+	var penalized, raised uint64
 	if warm {
 		penalized = p.pr.attention | p.allB&^p.pr.activeMask
+		raised, p.pr.raised = p.pr.raised, 0
 	}
 	for g := range p.groups {
 		rep := p.groups[g].rep & p.laneRep
@@ -950,7 +958,9 @@ func (p *BatchProtocol) emitMetrics(out *BatchRoundOutput, warm, quiet bool, dia
 			disagreements += bits.OnesCount64(conflict & seg)
 		}
 		m.Disagreements.Add(int64(disagreements))
-		m.PenaltyMax.Observe(p.pr.maxPenalty(penalized & seg))
+		if moved := raised & penalized & seg; moved != 0 {
+			m.PenaltyMax.Observe(p.pr.maxPenalty(moved))
+		}
 	}
 	if !warm {
 		return
@@ -996,10 +1006,15 @@ func (p *BatchProtocol) SnapshotLane(lane int) ([]byte, error) {
 		AccusedAge: make([]int, n+1),
 		PR: prSnapshot{
 			Penalties: p.pr.penalties[base : base+n+1 : base+n+1],
-			Rewards:   p.pr.rewards[base : base+n+1 : base+n+1],
+			Rewards:   make([]int64, n+1),
 			Active:    p.pr.active[base : base+n+1 : base+n+1],
-			Observe:   p.pr.observe[base : base+n+1 : base+n+1],
+			Observe:   make([]int64, n+1),
 		},
+	}
+	// The effective reward and observation counters (entry 0 is unused).
+	snap.PR.Rewards[0], snap.PR.Observe[0] = p.pr.rewards[base], p.pr.observe[base]
+	for j := 1; j <= n; j++ {
+		snap.PR.Rewards[j], snap.PR.Observe[j] = p.pr.counters(base+j, 1<<uint(lane*n+j-1))
 	}
 	snap.AccusedAge[0] = accusationSkew + 1
 	for j := 1; j <= n; j++ {

@@ -144,8 +144,10 @@ func BenchmarkStepMetrics(b *testing.B) {
 // _loud_tally is a later observer of a gang round: it borrows the round's
 // snapshot, installs only the candidate rows (its own and the tally
 // owner's) and corrects the vote tally another observer recorded from the
-// same snapshot (one differing row, that observer's own). Tracked in
-// BENCH_core.json.
+// same snapshot (one differing row, that observer's own). The _penalized
+// variants step quiet matrices with every node under attention (a penalty
+// and an open reward window): Alg. 2 visits no node on a quiet round.
+// Tracked in BENCH_core.json.
 func BenchmarkStepBatch(b *testing.B) {
 	for _, n := range benchSizes {
 		b.Run(fmt.Sprintf("n%d_g%d", n, BatchLanes(n)), func(b *testing.B) {
@@ -155,6 +157,12 @@ func BenchmarkStepBatch(b *testing.B) {
 			benchStepBatch(b, n, faultyLoad, nil, false)
 		})
 	}
+	b.Run(fmt.Sprintf("n4_g%d_penalized", BatchLanes(4)), func(b *testing.B) {
+		benchStepBatch(b, 4, penalizedLoad, nil, false)
+	})
+	b.Run("n64_g1_penalized", func(b *testing.B) {
+		benchStepBatch(b, 64, penalizedLoad, nil, false)
+	})
 	b.Run("n64_g1_loud", func(b *testing.B) {
 		benchStepBatch(b, 64, loudLoad, nil, false)
 	})
@@ -184,6 +192,10 @@ const (
 	faultyLoad
 	// loudLoad: rows 2..N/2 hold random opinions in every lane.
 	loudLoad
+	// penalizedLoad: quietLoad, after two warm-up rounds in which every
+	// row accuses every node, so every node carries a penalty its reward
+	// window (R = 2^50) never forgives: every node is under attention.
+	penalizedLoad
 )
 
 // benchStepBatch times steady-state StepBatch calls of a full-width gang of
@@ -231,8 +243,15 @@ func benchStepBatch(b *testing.B, n int, load stepBatchLoad, m *StepMetrics, tal
 		in.Snapshot = rows
 		twin = newGang(2)
 	}
+	accusing := make([]BitSyndrome, n+1)
+	for j := 1; j <= n; j++ {
+		accusing[j] = BitSyndrome{Op: 0, Known: allB}
+	}
 	for i := 0; i < 16; i++ {
 		in.Round = i
+		if in.Rows = rows; load == penalizedLoad && (i == 8 || i == 9) {
+			in.Rows = accusing
+		}
 		if twin != nil {
 			if _, err := twin.StepBatch(in); err != nil {
 				b.Fatal(err)
@@ -241,6 +260,9 @@ func benchStepBatch(b *testing.B, n int, load stepBatchLoad, m *StepMetrics, tal
 		if _, err := p.StepBatch(in); err != nil {
 			b.Fatal(err)
 		}
+	}
+	if load == penalizedLoad && p.pr.attention != allB {
+		b.Fatalf("attention %#x after the accusing rounds, want every node %#x", p.pr.attention, allB)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

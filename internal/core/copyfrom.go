@@ -79,9 +79,16 @@ func (p *BatchProtocol) CopyFrom(src *BatchProtocol) error {
 	copy(p.pr.penalties[:w], src.pr.penalties)
 	copy(p.pr.rewards[:w], src.pr.rewards)
 	copy(p.pr.observe[:w], src.pr.observe)
+	copy(p.pr.stamp[:w], src.pr.stamp)
 	copy(p.pr.active[:w], src.pr.active)
 	p.pr.activeMask = src.pr.activeMask
 	p.pr.attention = src.pr.attention
+	// The stamps and the filed deadlines are relative to src's tick, so
+	// dst adopts it. Only src's live lanes are copied; dst's positions
+	// beyond them keep what dst's own reset has to undo.
+	p.pr.tick, p.pr.wheel, p.pr.far, p.pr.farNext = src.pr.tick, src.pr.wheel, src.pr.far, src.pr.farNext
+	p.pr.touched |= src.pr.touched & src.allB
+	p.pr.raised |= src.allB
 
 	// The invariant-build activity history is observation state, not run
 	// state; dropping it skips one round of the monotonicity check after a
@@ -191,6 +198,17 @@ func (p *BatchProtocol) CaptureLane(lane int, rec []uint64) error {
 	for j, v := range p.pr.observe[base : base+n] {
 		counters[2*n+j] = uint64(v)
 	}
+	// The implicit counters of the lane's nodes under attention: rewards
+	// of the active ones, observation counters of the isolated ones.
+	active, attention := rec[recActive], rec[recAttention]
+	for rem := attention & active; rem != 0; rem &= rem - 1 {
+		j := bits.TrailingZeros64(rem)
+		counters[n+j] += uint64(p.pr.tick - p.pr.stamp[base+j])
+	}
+	for rem := attention &^ active; rem != 0; rem &= rem - 1 {
+		j := bits.TrailingZeros64(rem)
+		counters[2*n+j] += uint64(p.pr.tick - p.pr.stamp[base+j])
+	}
 	return nil
 }
 
@@ -251,6 +269,7 @@ func (p *BatchProtocol) RestoreLanes(lanes uint64, recs [][]uint64, at int) erro
 	p.prevSentB = BitSyndrome{Op: put(p.prevSentB.Op, recPrevOp), Known: put(p.prevSentB.Known, recPrevKnown)}
 	p.pr.activeMask = put(p.pr.activeMask, recActive)
 	p.pr.attention = put(p.pr.attention, recAttention)
+	p.pr.restamp(lanes)
 	for j := 1; j <= n; j++ {
 		o := recRows + 2*j - 2
 		op, known := acc[o], acc[o+1]

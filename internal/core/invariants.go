@@ -33,7 +33,8 @@ func (p *BatchProtocol) checkStepInvariants(out *BatchRoundOutput) {
 	for r := 0; r < p.lanes; r++ {
 		for j := 1; j <= n; j++ {
 			i := r*(n+1) + j
-			pen, rew, obs := p.pr.penalties[i], p.pr.rewards[i], p.pr.observe[i]
+			pen := p.pr.penalties[i]
+			rew, obs := p.pr.counters(i, 1<<uint(r*n+j-1))
 			if bound := c.PenaltyThreshold + c.criticality(j); pen < 0 || pen > bound {
 				invariant.Checkf(false, "core: node %d lane %d round %d: penalty counter of node %d is %d, outside [0, P+s_%d] = [0, %d]",
 					id, r, out.Round, j, pen, j, bound)

@@ -91,6 +91,53 @@ func TestHealthyRunStaysQuiet(t *testing.T) {
 	}
 }
 
+// TestImplicitRewardBoundPanics checks that the reward bound is asserted
+// on the effective counter of a node under attention (stored value plus
+// the masked updates since its stamp), not on the stored one: a stamp moved
+// back by R updates, behind the deadline the event form schedules, must be
+// caught at the next round boundary.
+func TestImplicitRewardBoundPanics(t *testing.T) {
+	p, err := NewBatchProtocol(Config{
+		N: 4, ID: 1, L: 0, SendCurrRound: true,
+		PR: PRConfig{PenaltyThreshold: 4, RewardThreshold: 8},
+	}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 4; k++ {
+		p.pr.updateMasked(0)
+	}
+	p.pr.updateMasked(1 << (4 + 1)) // lane 1, node 2: penalised, reward window open
+	i := 1*5 + 2
+	if p.pr.attention != 1<<(4+1) || p.pr.rewards[i] != 0 {
+		t.Fatalf("attention %#x reward %d after one fault", p.pr.attention, p.pr.rewards[i])
+	}
+	rows := make([]BitSyndrome, 5)
+	for j := range rows {
+		rows[j] = BitSyndrome{Op: p.allB, Known: p.allB}
+	}
+	step := func(round int) {
+		in := BatchRoundInput{Round: round, Rows: rows, Present: p.allB, Validity: rows[1]}
+		if _, err := p.StepBatch(in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := 0; k < 6; k++ {
+		step(k)
+	}
+	p.pr.stamp[i] -= 8 // the stored reward is still 0
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("an effective reward counter past R in lane 1 was not caught")
+		}
+		if msg, ok := r.(string); !ok || !strings.Contains(msg, "lane 1") || !strings.Contains(msg, "reward counter of node 2") {
+			t.Fatalf("unexpected panic: %v", r)
+		}
+	}()
+	step(6)
+}
+
 // TestGangLaneInvariantsPanic corrupts one lane of a full-width gang and
 // requires the kernel's lane-aware check to name that lane: campaign lanes,
 // fleet shards and gateways run the same invariants as a per-run protocol.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -67,6 +68,15 @@ func (c PRConfig) criticality(j int) int64 {
 // r·n + j-1). The exported accessors and updates address lane 0, which is
 // the whole state of a stand-alone instance (NewPenaltyReward) and of a
 // Protocol's.
+//
+// The masked update works by events: a Healthy verdict on a node under
+// attention only advances its reward (active) or observation (isolated)
+// counter by one, so that counter is kept implicitly as the stored value
+// plus the masked updates applied since it was written (tick − stamp). A
+// masked update visits only the faulty columns and the nodes whose window
+// is filed to close at this tick (a small deadline wheel, plus a far set
+// swept at its earliest deadline); every reader materialises the
+// effective counters.
 type PenaltyReward struct {
 	cfg PRConfig
 	n   int
@@ -87,6 +97,31 @@ type PenaltyReward struct {
 	// faulty columns it bounds the masked update to the nodes whose
 	// counters can actually move — zero in the fault-free steady state.
 	attention uint64
+	// tick counts the masked updates applied. stamp[i] is the tick at
+	// which the reward or observation counter at flat index i was last
+	// written: a node under attention holds rewards[i] (active) or
+	// observe[i] (isolated) plus tick − stamp[i]; every other node holds
+	// its stored counters, and its stamp is never read.
+	tick  int64
+	stamp []int64
+	// wheel[d % wheelLen] marks the nodes under attention whose window
+	// closes at tick d, filed less than wheelLen ticks ahead; far marks
+	// the ones filed further ahead, and farNext is no later than the
+	// earliest of their deadlines (math.MaxInt64 when none can close). A
+	// fault or a close leaves an entry stale; visiting it re-files the
+	// node at its true deadline, so every node under attention stays
+	// filed no later than its deadline.
+	wheel   [wheelLen]uint64
+	far     uint64
+	farNext int64
+	// touched marks the positions whose counters or activity may differ
+	// from a fresh instance's, in any lane since the last reset, so a
+	// reset zeroes only those.
+	touched uint64
+	// raised marks the positions whose penalty may have risen since the
+	// last warm emitMetrics took it, so the telemetry's penalty watermark
+	// is recomputed only where it can move.
+	raised uint64
 }
 
 // NewPenaltyReward builds the algorithm state for an n-node system; all
@@ -109,14 +144,20 @@ func newPenaltyReward(n, lanes int, cfg PRConfig) (*PenaltyReward, error) {
 		return nil, err
 	}
 	w := lanes * (n + 1)
-	counters := make([]int64, 3*w)
+	counters := make([]int64, 4*w)
 	pr := &PenaltyReward{
 		cfg:       cfg,
 		n:         n,
 		penalties: counters[:w:w],
 		rewards:   counters[w : 2*w : 2*w],
-		observe:   counters[2*w:],
+		observe:   counters[2*w : 3*w : 3*w],
+		stamp:     counters[3*w:],
 		active:    make([]bool, w),
+	}
+	// Every node of the capacity starts active, so a reset only has to
+	// restore the positions it touched, whatever the lane count.
+	for i := range pr.active {
+		pr.active[i] = i%(n+1) != 0
 	}
 	pr.reset(lanes)
 	return pr, nil
@@ -126,22 +167,34 @@ func newPenaltyReward(n, lanes int, cfg PRConfig) (*PenaltyReward, error) {
 // freshly constructed state while keeping the allocated counter slices.
 func (pr *PenaltyReward) Reset() { pr.reset(pr.lanes) }
 
-// reset is Reset with a new live lane count (at most the capacity).
+// reset is Reset with a new live lane count (at most the capacity). Only
+// the touched positions differ from the fresh state, in any lane.
 func (pr *PenaltyReward) reset(lanes int) {
-	pr.lanes = lanes
-	pr.activeMask = 0
-	pr.attention = 0
-	for r := 0; r < lanes; r++ {
-		base := r * (pr.n + 1)
-		pr.active[base] = false
-		for j := 1; j <= pr.n; j++ {
-			pr.penalties[base+j] = 0
-			pr.rewards[base+j] = 0
-			pr.observe[base+j] = 0
-			pr.active[base+j] = true
-		}
-		pr.activeMask |= PlaneMask(pr.n) << uint(r*pr.n)
+	for rem := pr.touched; rem != 0; rem &= rem - 1 {
+		pos := bits.TrailingZeros64(rem)
+		i := pos + pos/pr.n + 1 // lane·(n+1) + j
+		pr.penalties[i], pr.rewards[i], pr.observe[i] = 0, 0, 0
+		pr.active[i] = true
 	}
+	for r := 0; r < lanes; r++ {
+		pr.active[r*(pr.n+1)] = false // entry 0 of a lane is unused
+	}
+	pr.lanes = lanes
+	pr.touched, pr.raised = 0, 0
+	pr.activeMask = laneReplicator(pr.n, lanes) * PlaneMask(pr.n)
+	pr.attention = 0
+	pr.wheel, pr.far, pr.farNext = [wheelLen]uint64{}, 0, math.MaxInt64
+}
+
+// laneReplicator returns the lane replicator of a gang of `lanes` n-node
+// lanes (bit r·n for every lane r): multiplying an n-bit mask by it copies
+// the mask into every lane.
+func laneReplicator(n, lanes int) uint64 {
+	var rep uint64
+	for r := 0; r < lanes; r++ {
+		rep |= 1 << uint(r*n)
+	}
+	return rep
 }
 
 // ResetConfig swaps in a new tuning configuration and resets all counters.
@@ -179,108 +232,246 @@ func (pr *PenaltyReward) Update(consHV Syndrome) (isolated, reintegrated []int, 
 // UpdateNode applies one agreed verdict about a single node (used by the
 // low-latency per-slot variant, where verdicts arrive one slot at a time).
 // It reports whether the node transitioned to isolated or, under the
-// extension, back to active.
+// extension, back to active. It is eager and does not advance the tick: a
+// Healthy verdict materialises the node's counter one step on and stores
+// it.
 func (pr *PenaltyReward) UpdateNode(i int, health Opinion) (isolated, reintegrated bool) {
 	if i < 1 || i > pr.n {
 		return false, false
 	}
-	return pr.updateNode(i-1, 0, health)
+	bit := uint64(1) << uint(i-1)
+	if health == Faulty {
+		return pr.fault(i, i, bit), false
+	}
+	if pr.attention&bit == 0 {
+		return false, false // no window open: a Healthy verdict moves nothing
+	}
+	reward, observe := pr.counters(i, bit)
+	if pr.activeMask&bit != 0 {
+		if reward++; reward >= pr.cfg.RewardThreshold {
+			return false, pr.closeWindow(i, bit)
+		}
+	} else if observe++; observe >= pr.cfg.ReintegrationThreshold {
+		return false, pr.closeWindow(i, bit)
+	}
+	pr.rewards[i], pr.observe[i], pr.stamp[i] = reward, observe, pr.tick
+	pr.file(bit, pr.deadline(i, bit))
+	return false, false
 }
 
-// updateMasked is Update on lane-packed health vectors: faultyMask marks the
-// columns the consistent health vectors hold Faulty (every other column is
-// Healthy — the fallback of Alg. 1 line 14 leaves no ⊥ entries). Only the
-// faulty columns and the attention set are visited; for every other node the
-// verdict is Healthy and the update is a no-op by construction (active with
-// a zero penalty, or isolated without the reintegration extension).
-// Ascending bit order is lane-major and, within a lane, ascending node order.
+// updateMasked is Update on lane-packed health vectors, one more tick:
+// faultyMask marks the columns the consistent health vectors hold Faulty
+// (every other column is Healthy — the fallback of Alg. 1 line 14 leaves
+// no ⊥ entries). A Healthy verdict is a no-op for every node outside the
+// attention set (active with a zero penalty, or isolated without the
+// reintegration extension) and only advances the implicit counter of one
+// inside it, so the update visits the faulty columns, plus the nodes
+// filed to close at this tick. Verdicts on distinct nodes commute, so the
+// windows close before the faults apply; a fault re-files its node.
+// Ascending bit order is lane-major and, within a lane, ascending node
+// order.
 func (pr *PenaltyReward) updateMasked(faultyMask uint64) (isolated, reintegrated uint64) {
+	pr.tick++
+	if pr.attention != 0 {
+		// Without a window open every filed entry is stale; leaving them
+		// costs one more visit when a window opens, whose visit files it
+		// again.
+		slot := &pr.wheel[pr.tick%wheelLen]
+		due := *slot
+		*slot = 0
+		if pr.tick >= pr.farNext {
+			due |= pr.far
+			pr.far, pr.farNext = 0, math.MaxInt64
+		}
+		if due &= pr.attention &^ faultyMask; due != 0 {
+			reintegrated = pr.closeWindows(due)
+		}
+	}
 	// The visited positions ascend, so the lane follows them without a
 	// division per node.
 	lane, laneEnd := 0, pr.n
-	for rem := faultyMask | pr.attention; rem != 0; rem &= rem - 1 {
+	for rem := faultyMask; rem != 0; rem &= rem - 1 {
 		pos := bits.TrailingZeros64(rem)
 		for pos >= laneEnd {
 			lane++
 			laneEnd += pr.n
 		}
-		health := Healthy
-		if faultyMask&(rem&-rem) != 0 {
-			health = Faulty
-		}
-		iso, reint := pr.updateNode(pos, lane, health)
-		if iso {
-			isolated |= 1 << uint(pos)
-		}
-		if reint {
-			reintegrated |= 1 << uint(pos)
+		bit := rem & -rem
+		i := pos + lane + 1 // lane·(n+1) + j
+		if pr.fault(i, pos-lane*pr.n+1, bit) {
+			isolated |= bit
 		}
 	}
 	return isolated, reintegrated
 }
 
-// updateNode applies one verdict to the node at lane-packed bit position
-// pos, which lies in lane `lane`, and keeps activeMask and attention in step
-// with the counters.
-func (pr *PenaltyReward) updateNode(pos, lane int, health Opinion) (isolated, reintegrated bool) {
-	i := pos + lane + 1 // lane·(n+1) + j
-	j := pos - lane*pr.n + 1
-	bit := uint64(1) << uint(pos)
-	if !pr.active[i] {
-		// Extension: observation of isolated nodes.
-		if pr.cfg.ReintegrationThreshold > 0 {
-			if health == Faulty {
-				pr.observe[i] = 0
-				return false, false
-			}
-			pr.observe[i]++
-			if pr.observe[i] >= pr.cfg.ReintegrationThreshold {
-				pr.active[i] = true
-				pr.penalties[i] = 0
-				pr.rewards[i] = 0
-				pr.observe[i] = 0
-				pr.activeMask |= bit
-				pr.attention &^= bit
-				return false, true
-			}
+// closeWindows applies this tick's Healthy verdicts to the filed nodes of
+// `due`, all under attention: a window whose counter reaches its threshold
+// at this tick closes (the penalty of an active node is forgiven, an
+// isolated node is reintegrated), and a stale entry is re-filed at its
+// node's deadline. It returns the reintegrated nodes.
+func (pr *PenaltyReward) closeWindows(due uint64) (reintegrated uint64) {
+	lane, laneEnd := 0, pr.n
+	for rem := due; rem != 0; rem &= rem - 1 {
+		pos := bits.TrailingZeros64(rem)
+		for pos >= laneEnd {
+			lane++
+			laneEnd += pr.n
 		}
-		return false, false
+		bit := rem & -rem
+		i := pos + lane + 1 // lane·(n+1) + j
+		if d := pr.deadline(i, bit); d > pr.tick {
+			pr.file(bit, d)
+		} else if pr.closeWindow(i, bit) {
+			reintegrated |= bit
+		}
 	}
-	if health == Faulty {
-		pr.penalties[i] += pr.cfg.criticality(j)
-		pr.rewards[i] = 0
-		if pr.penalties[i] > pr.cfg.PenaltyThreshold {
-			pr.active[i] = false
+	return reintegrated
+}
+
+// counters returns the effective reward and observation counters of the
+// node at flat index i and lane-packed bit `bit`.
+func (pr *PenaltyReward) counters(i int, bit uint64) (reward, observe int64) {
+	reward, observe = pr.rewards[i], pr.observe[i]
+	if pr.attention&bit != 0 {
+		if pr.activeMask&bit != 0 {
+			reward += pr.tick - pr.stamp[i]
+		} else {
+			observe += pr.tick - pr.stamp[i]
+		}
+	}
+	return reward, observe
+}
+
+// deadline returns the tick at which the window of the node at flat index
+// i under attention closes if no Faulty verdict intervenes: its reward
+// (active) or observation (isolated) counter reaches its threshold one
+// tick per Healthy verdict, and a counter already at the threshold closes
+// at the next tick. It depends only on the stored counter and the stamp,
+// not on the tick. Saturates at math.MaxInt64.
+func (pr *PenaltyReward) deadline(i int, bit uint64) int64 {
+	thr, v := pr.cfg.RewardThreshold, pr.rewards[i]
+	if pr.activeMask&bit == 0 {
+		thr, v = pr.cfg.ReintegrationThreshold, pr.observe[i]
+	}
+	if v >= thr {
+		return pr.stamp[i] + 1
+	}
+	// thr − v overflows only for a negative counter; it then wraps to a
+	// negative value and, like a sum past math.MaxInt64, never closes.
+	if left := thr - v; left > 0 && left <= math.MaxInt64-pr.stamp[i] {
+		return pr.stamp[i] + left
+	}
+	return math.MaxInt64
+}
+
+// closeWindow ends the window of the node under attention at flat index i
+// and lane-packed bit `bit` once its counter reached its threshold: an
+// active node's penalty is forgiven, an isolated node returns to service
+// with fresh counters (the Sec. 9 extension). It reports a reintegration.
+func (pr *PenaltyReward) closeWindow(i int, bit uint64) (reintegrated bool) {
+	pr.attention &^= bit
+	pr.penalties[i], pr.rewards[i] = 0, 0
+	if pr.activeMask&bit != 0 {
+		return false
+	}
+	pr.active[i] = true
+	pr.observe[i] = 0
+	pr.activeMask |= bit
+	return true
+}
+
+// fault applies a Faulty verdict to node j at flat index i and lane-packed
+// bit `bit`, at the current tick: an active node's penalty grows by s_j and
+// its reward window restarts, isolating it past P; an observed isolated
+// node's observation window restarts. The restarted window is scheduled.
+// It reports an isolation.
+func (pr *PenaltyReward) fault(i, j int, bit uint64) (isolated bool) {
+	pr.stamp[i] = pr.tick
+	rt := pr.cfg.ReintegrationThreshold
+	if pr.activeMask&bit == 0 {
+		if rt > 0 {
 			pr.observe[i] = 0
-			pr.activeMask &^= bit
-			if pr.cfg.ReintegrationThreshold > 0 {
-				pr.attention |= bit
-			} else {
-				pr.attention &^= bit
-			}
-			return true, false
+			pr.opened(bit, rt)
 		}
+		return false
+	}
+	pr.penalties[i] += pr.cfg.criticality(j)
+	pr.rewards[i] = 0
+	pr.touched |= bit
+	pr.raised |= bit
+	if pr.penalties[i] <= pr.cfg.PenaltyThreshold {
 		pr.attention |= bit
-		return false, false
+		pr.opened(bit, pr.cfg.RewardThreshold)
+		return false
 	}
-	if pr.penalties[i] > 0 {
-		pr.rewards[i]++
-		if pr.rewards[i] >= pr.cfg.RewardThreshold {
-			pr.penalties[i] = 0
-			pr.rewards[i] = 0
-			pr.attention &^= bit
+	pr.active[i] = false
+	pr.observe[i] = 0
+	pr.activeMask &^= bit
+	if rt > 0 {
+		pr.attention |= bit
+		pr.opened(bit, rt)
+	} else {
+		pr.attention &^= bit
+	}
+	return true
+}
+
+// wheelLen is the number of ticks ahead a deadline is filed in the
+// wheel; later ones wait in the far set. It covers the windows that close
+// every few rounds (R = 2 in the rare-event study), where a sweep of the
+// far set would run on almost every tick.
+const wheelLen = 8
+
+// file schedules the window of the node at lane-packed bit `bit` to close
+// at tick d, after the current one.
+func (pr *PenaltyReward) file(bit uint64, d int64) {
+	if d-pr.tick < wheelLen {
+		pr.wheel[d%wheelLen] |= bit
+		return
+	}
+	pr.far |= bit
+	pr.farNext = min(pr.farNext, d)
+}
+
+// opened files a window of `window` ticks that opened at this tick: its
+// counter starts at zero, so it closes at tick + window (never, past
+// math.MaxInt64).
+func (pr *PenaltyReward) opened(bit uint64, window int64) {
+	d := int64(math.MaxInt64)
+	if window <= math.MaxInt64-pr.tick {
+		d = pr.tick + window
+	}
+	pr.file(bit, d)
+}
+
+// restamp takes in the lanes of the mask (bit r = lane r) after a restore
+// replaced their counters and masks: their positions count as touched and
+// their penalties as raised, and their nodes under attention are stamped
+// at the current tick and filed at their deadlines.
+func (pr *PenaltyReward) restamp(lanes uint64) {
+	for m := lanes; m != 0; m &= m - 1 {
+		r := bits.TrailingZeros64(m)
+		seg := PlaneMask(pr.n) << uint(r*pr.n)
+		pr.touched |= seg
+		pr.raised |= seg
+		for rem := pr.attention & seg; rem != 0; rem &= rem - 1 {
+			i, bit := bits.TrailingZeros64(rem)+r+1, rem&-rem // lane·(n+1) + j
+			pr.stamp[i] = pr.tick
+			pr.file(bit, pr.deadline(i, bit))
 		}
 	}
-	return false, false
 }
 
 // rebuildMasks recomputes activeMask and attention from the counter slices
-// (used after a snapshot restore replaces them).
+// and re-stamps the live lanes (used after a snapshot restore replaces
+// them).
 func (pr *PenaltyReward) rebuildMasks() {
 	pr.activeMask, pr.attention = 0, 0
-	for pos := 0; pos < pr.lanes*pr.n; pos++ {
-		i := (pos/pr.n)*(pr.n+1) + pos%pr.n + 1
-		bit := uint64(1) << uint(pos)
+	all := laneReplicator(pr.n, pr.lanes) * PlaneMask(pr.n)
+	for rem := all; rem != 0; rem &= rem - 1 {
+		pos := bits.TrailingZeros64(rem)
+		i, bit := pos+pos/pr.n+1, rem&-rem
 		if pr.active[i] {
 			pr.activeMask |= bit
 		}
@@ -288,6 +479,7 @@ func (pr *PenaltyReward) rebuildMasks() {
 			pr.attention |= bit
 		}
 	}
+	pr.restamp(uint64(1)<<uint(pr.lanes) - 1)
 }
 
 // maxPenalty returns the largest penalty counter at the lane-packed
@@ -340,5 +532,6 @@ func (pr *PenaltyReward) Reward(j int) int64 {
 	if j < 1 || j > pr.n {
 		return 0
 	}
-	return pr.rewards[j]
+	reward, _ := pr.counters(j, 1<<uint(j-1))
+	return reward
 }

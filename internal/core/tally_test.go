@@ -21,16 +21,6 @@ func tallyPlanes(op, know []uint64, allB uint64, data []byte) []byte {
 	return data
 }
 
-// laneReplicator returns the lane replicator of a gang of `lanes` n-node
-// lanes.
-func laneReplicator(n, lanes int) uint64 {
-	var rep uint64
-	for r := 0; r < lanes; r++ {
-		rep |= 1 << uint(r*n)
-	}
-	return rep
-}
-
 // FuzzVoteTally checks the votes taken from a VoteTally against the full
 // vote: a gang base matrix is tallied, and an observer matrix — the base
 // with the rows of a mask replaced, in a gang of the same or another width —

@@ -95,8 +95,11 @@ type BatchDiagCluster struct {
 	// tdma.Blinder made locally detectable at observer i, lane-packed at
 	// the sender's column. Only gangs with a blinder in some lane's chain
 	// (blindLanes, bit r = lane r) refresh it; otherwise it stays zero.
+	// blindCols marks (bit s-1) the senders whose column may hold a blind
+	// bit at some observer, so a slot clears only a column that has one.
 	blind      []uint64 // 1-based by observer
 	blindLanes uint64
+	blindCols  uint64
 
 	// staged[s] is node s's outbox: the lane-packed wire word its next
 	// slot-s transmission carries (Op∧Known of the last StepBatch send).
@@ -361,7 +364,7 @@ func (c *BatchDiagCluster) ResetBatch(lanes int) error {
 	}
 	c.presentB = 0
 	c.healthyRows = 0
-	c.blindLanes = 0
+	c.blindLanes, c.blindCols = 0, 0
 	c.loudLanes = 0
 	clear(c.wake)
 	clear(c.wakeMin)
@@ -657,6 +660,12 @@ func (c *BatchDiagCluster) runJob(k, id int) error {
 		// SetIgnored(j, true) does to the controller.
 		c.ign[id] |= c.allB &^ out.ActiveMask
 	}
+	// Most jobs record the all-Healthy vector in every lane and decide
+	// nothing: the vector then needs no extraction per lane, and the
+	// decisions no visit.
+	allHealthy := out.ConsOp&out.ConsKnown&c.allB == c.allB
+	decided := out.IsolatedMask|out.ReintegratedMask != 0
+	healthy := core.BitSyndrome{Op: c.laneAll, Known: c.laneAll}
 	var live uint64 // lanes still inside their horizon
 	for r := 0; r < c.lanes; r++ {
 		if out.Round >= c.horizon[r] {
@@ -665,9 +674,15 @@ func (c *BatchDiagCluster) runJob(k, id int) error {
 		live |= 1 << uint(r)
 		col := c.cols[r]
 		if out.Warm {
-			col.setHV(out.DiagnosedRound, id, c.n, out.LaneConsHV(r, c.n))
+			hv := healthy
+			if !allHealthy {
+				hv = out.LaneConsHV(r, c.n)
+			}
+			col.setHV(out.DiagnosedRound, id, c.n, hv)
 		}
-		col.addDecisions(id, out.Round, out.LaneIsolated(r, c.n), out.LaneReintegrated(r, c.n))
+		if decided {
+			col.addDecisions(id, out.Round, out.LaneIsolated(r, c.n), out.LaneReintegrated(r, c.n))
+		}
 	}
 	if c.views != nil {
 		c.installViews(id, out, live)
@@ -792,10 +807,11 @@ func (c *BatchDiagCluster) transmitSlot(k, s int) {
 	clean := tdma.Delivery{Valid: true, Payload: c.payload}
 	col := uint(s - 1)
 	colBits := c.laneRep << col // sender s's column in every live lane
-	if c.blindLanes != 0 {
+	if c.blindCols&(1<<col) != 0 {
 		for i := 1; i <= n; i++ {
 			c.blind[i] &^= colBits
 		}
+		c.blindCols &^= 1 << col
 	}
 	quiet, quietSegs := c.quietLanes(k, s)
 	if invariant.Enabled && quiet != 0 {
@@ -830,6 +846,9 @@ func (c *BatchDiagCluster) transmitSlot(k, s int) {
 			d, blinded = c.deliverSelective(r, clean)
 			for m := blinded; m != 0; m &= m - 1 {
 				c.blind[bits.TrailingZeros64(m)+1] |= bit
+			}
+			if blinded != 0 {
+				c.blindCols |= 1 << col
 			}
 		}
 		untouched := false

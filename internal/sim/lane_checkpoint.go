@@ -237,10 +237,13 @@ func (c *BatchDiagCluster) RestoreLanes(lanes uint64, recs [][]uint64) error {
 	}
 	c.presentB = put(c.presentB, busPresent*n)
 	if blinded != 0 {
-		// Only gangs with blinded lanes refresh the blind masks.
+		// Only gangs with blinded lanes refresh the blind masks, and
+		// only the blinded senders' columns are cleared.
 		for m := lanes; m != 0; m &= m - 1 {
-			if r := bits.TrailingZeros64(m); blinded>>uint(r*n)&c.laneAll != 0 {
+			r := bits.TrailingZeros64(m)
+			if seg := blinded >> uint(r*n) & c.laneAll; seg != 0 {
 				c.blindLanes |= 1 << uint(r)
+				c.blindCols |= seg
 			}
 		}
 	}

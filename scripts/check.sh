@@ -100,6 +100,8 @@ step "go test -fuzz (lane-packed voting kernel, seed corpus + short fuzz)" \
     scripts/gotest.sh ./internal/core/ -run FuzzVoteAllBatch -fuzz 'FuzzVoteAllBatch$' -fuzztime 15s
 step "go test -fuzz (shared vote tally vs full vote, seed corpus + short fuzz)" \
     scripts/gotest.sh ./internal/core/ -run FuzzVoteTally -fuzz 'FuzzVoteTally$' -fuzztime 15s
+step "go test -fuzz (Alg. 2 by events vs the eager sweep, seed corpus + short fuzz)" \
+    scripts/gotest.sh ./internal/core/ -run FuzzPenaltyRewardEvents -fuzz 'FuzzPenaltyRewardEvents$' -fuzztime 15s
 step "go test -fuzz (sparse install vs full install, seed corpus + short fuzz)" \
     scripts/gotest.sh ./internal/core/ -run FuzzSparseInstall -fuzz 'FuzzSparseInstall$' -fuzztime 15s
 step "go test -fuzz (quiet slots, answering vs hidden Quieter chains, seed corpus + short fuzz)" \
