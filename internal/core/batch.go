@@ -61,36 +61,14 @@ type BatchRoundInput struct {
 	// input. Lanes with a clear bit resolve ⊥ to Healthy, exactly like a nil
 	// CollisionFn on the per-run path.
 	CollisionFaulty uint64
-	// HealthyRows is an optional hint: bit j-1 set promises that
-	// Rows[j].Op ∧ Rows[j].Known covers every live lane's node bits. A warm
-	// step whose aligned rows are all present and all marked healthy skips
-	// installing its matrix, which it knows to be quiet. The zero value
-	// means "unknown" and is always correct; a set bit the rows do not
-	// honour is a caller bug (checked under ttdiag_invariants).
-	HealthyRows uint64
-	// Tally is an optional vote tally shared by the observers of one gang:
-	// a warm step that differs from the tallied matrix in few rows corrects
-	// the tally's counters instead of voting in full, and a step that votes
-	// in full records its vote there. The first step of a round to install
-	// a matrix re-bases the tally onto that round. The outputs are the same
-	// either way; nil means a plain vote. A tally sized for another N is
-	// ignored.
-	Tally *VoteTally
-	// Snapshot is an optional borrow of the round's aligned rows, owned by
-	// the caller and read only until the step returns: Snapshot[j] is
-	// sender j's lane-packed wire word of round k-1, the aligned row j of
-	// every observer of round k whatever its job position. With it the
-	// step reads its rows from Snapshot, does not read Rows (which may be
-	// nil), takes HealthyRows as a hint about Snapshot's rows, and does not
-	// copy its input: until FillBorrowedRows, the read-alignment buffer
-	// holds no rows of its own. Observers that share a Tally and pass a
-	// Snapshot must all pass the same one in a round, and a caller that
-	// rewinds them must Reset the tally: a step then installs only the rows
-	// in which its matrix can differ from the tallied one. The zero value
-	// copies Rows, as always. Static schedules only.
-	//
-	//ttdiag:noretain
-	Snapshot []BitSyndrome
+	// Shared, when set, is the round the observers of a gang share,
+	// started for this round (see SharedRound): the step reads its aligned
+	// rows and healthy rows from it instead of Rows (which may be nil),
+	// copies nothing (until FillBorrowedRows the read-alignment buffer
+	// holds no rows of its own), shares its vote tally, and emits telemetry
+	// and causal events for its live lanes only. Nil copies Rows and votes
+	// in full, every lane live. Static schedules only.
+	Shared *SharedRound
 }
 
 // BatchRoundOutput is the result of one gang execution. Every field is a
@@ -149,20 +127,19 @@ func (o *BatchRoundOutput) LaneReintegrated(lane, n int) uint64 {
 // batchAlignBuf holds one round's buffered controller observations for read
 // and send alignment (Alg. 1 lines 16-17), lane-packed: rows[j] is the copy
 // of interface variable j, meaningful in the lanes whose set bit for j holds
-// (a clear bit is the ε case); healthy is the HealthyRows hint that came
-// with rows; ls is the validity vector observed in the buffered round and al
-// the aligned local syndrome computed in it (send alignment, Alg. 1 line 9).
+// (a clear bit is the ε case); ls is the validity vector observed in the
+// buffered round and al the aligned local syndrome computed in it (send
+// alignment, Alg. 1 line 9).
 // The kernel keeps two and alternates between them — the buffer written in
 // round k is the one read in round k+1.
 type batchAlignBuf struct {
-	rows    []BitSyndrome
-	set     uint64
-	healthy uint64
-	ls      BitSyndrome
-	al      BitSyndrome
+	rows []BitSyndrome
+	set  uint64
+	ls   BitSyndrome
+	al   BitSyndrome
 	// borrowed marks rows that were not copied: the step that wrote the
-	// buffer read a BatchRoundInput.Snapshot, and FillBorrowedRows must
-	// complete them before anything but a step with a snapshot reads them.
+	// buffer read a shared round's rows, and FillBorrowedRows must complete
+	// them before anything but a step with a shared round reads them.
 	borrowed bool
 }
 
@@ -219,7 +196,7 @@ type BatchProtocol struct {
 	// metrics holds the optional per-lane telemetry attachments
 	// (SetLaneMetrics); anyMetrics is their non-nil disjunction. groups folds
 	// the attachments into sets of lanes attached to the same StepMetrics,
-	// and seriesLanes marks (bit r) the lanes that also record penalty
+	// and seriesLanes marks (bit r·N) the lanes that also record penalty
 	// trajectories; both are rebuilt lazily once an attachment changed
 	// (regroup). votes is the vote classification StepBatch hands
 	// emitMetrics, filled only while metrics are attached.
@@ -320,7 +297,6 @@ func (p *BatchProtocol) Reset(lanes int) {
 			buf.rows[j] = hw
 		}
 		buf.set = p.allB
-		buf.healthy = 0
 		buf.ls, buf.al = hw, hw
 		buf.borrowed = false
 	}
@@ -370,9 +346,9 @@ func (p *BatchProtocol) ownRowB() BitSyndrome {
 // StepBatch executes the diagnostic job of every lane for one round: each
 // phase of Alg. 1 runs once on lane-packed words and advances all lanes
 // together. Rows stays caller-owned (entries are copied by value) and may be
-// reused immediately; a Snapshot is read, never kept. The steady state
-// allocates nothing — the output is all values and the matrix scratch is
-// protocol-owned.
+// reused immediately; a shared round's rows are read, never kept. The
+// steady state allocates nothing — the output is all values and the matrix
+// scratch is protocol-owned.
 //
 //ttdiag:noretain params
 func (p *BatchProtocol) StepBatch(in BatchRoundInput) (BatchRoundOutput, error) {
@@ -393,15 +369,19 @@ func (p *BatchProtocol) StepBatchInto(in *BatchRoundInput, out *BatchRoundOutput
 	if want := p.cfg.StartRound + p.steps; in.Round != want {
 		return fmt.Errorf("core: node %d: StepBatch round %d, want %d", p.cfg.ID, in.Round, want)
 	}
+	sr := in.Shared
 	switch {
-	case in.Snapshot != nil && len(in.Snapshot) != p.n+1:
-		return fmt.Errorf("core: node %d: Snapshot has %d entries, want %d", p.cfg.ID, len(in.Snapshot), p.n+1)
-	case in.Snapshot != nil && p.cfg.Dynamic:
-		return fmt.Errorf("core: node %d: a round snapshot needs a static schedule", p.cfg.ID)
-	case in.Snapshot == nil && len(in.Rows) != p.n+1:
+	case sr == nil && len(in.Rows) != p.n+1:
 		return fmt.Errorf("core: node %d: Rows has %d entries, want %d", p.cfg.ID, len(in.Rows), p.n+1)
-	case in.Snapshot == nil && p.pbufs[p.steps&1].borrowed:
+	case sr == nil && p.pbufs[p.steps&1].borrowed:
 		return errBorrowed(p.cfg.ID)
+	case sr == nil:
+	case sr.n != p.n || len(sr.rows) != p.n+1:
+		return fmt.Errorf("core: node %d: shared round of N=%d with %d rows, want N=%d", p.cfg.ID, sr.n, len(sr.rows), p.n)
+	case sr.round != in.Round:
+		return fmt.Errorf("core: node %d: shared round started for round %d, want %d", p.cfg.ID, sr.round, in.Round)
+	case p.cfg.Dynamic:
+		return fmt.Errorf("core: node %d: a shared round needs a static schedule", p.cfg.ID)
 	}
 	p.step(in, out)
 	return nil
@@ -414,11 +394,11 @@ func errBorrowed(id int) error {
 }
 
 // FillBorrowedRows completes the read-alignment buffer after a step that
-// borrowed its rows (BatchRoundInput.Snapshot) instead of copying them,
-// so the protocol holds the rows it would have copied: rows 1..l_i as the
-// job saw them sent in its round k, the rest as round k's snapshot.
-// snaps[k&1] must be round k's snapshot and snaps[(k+1)&1] round k+1's, of
-// which rows 1..l_i must be written. It is a no-op unless the last step
+// borrowed its rows (BatchRoundInput.Shared) instead of copying them, so
+// the protocol holds the rows it would have copied: rows 1..l_i as the
+// job saw them sent in its round k, the rest as round k's shared rows.
+// snaps[k&1] must be round k's shared rows and snaps[(k+1)&1] round k+1's,
+// of which rows 1..l_i must be written. It is a no-op unless the last step
 // borrowed, so a caller may fill before every read.
 //
 //ttdiag:noretain params
@@ -436,17 +416,22 @@ func (p *BatchProtocol) FillBorrowedRows(snaps [2][]BitSyndrome) {
 
 // step is StepBatch on a validated input, writing its result into out and
 // installing a warm round's diagnostic matrix into the protocol-owned
-// scratch planes op/know (1-based rows) unless the HealthyRows hints show it
-// quiet.
+// scratch planes op/know (1-based rows) unless the shared round's healthy
+// rows show it quiet.
 //
 //ttdiag:noretain params
 func (p *BatchProtocol) step(in *BatchRoundInput, out *BatchRoundOutput) {
-	if invariant.Enabled {
-		p.checkHealthyRows(in)
-	}
+	sr := in.Shared
 	n := p.n
 	op, know := p.op, p.know
 	all := p.allB
+	live := p.laneRep
+	if sr != nil {
+		live &= sr.live
+		if invariant.Enabled {
+			p.checkHealthyRows(in.Round, sr)
+		}
+	}
 	present := in.Present & all
 	validity := in.Validity.normalized(all)
 
@@ -484,50 +469,45 @@ func (p *BatchProtocol) step(in *BatchRoundInput, out *BatchRoundOutput) {
 		p.rowSet = rowSet
 		// Aligned row j is held[j] for j ≤ l and rows[j] beyond: entries
 		// 1..l_i come from the previous read, the rest from the current
-		// one, or all from the round's snapshot. Under dynamic scheduling
-		// the read point is pinned to round start (l = 0).
+		// one, or all from the shared round's rows. Under dynamic
+		// scheduling the read point is pinned to round start (l = 0).
 		rows, held, l := in.Rows, rd.rows, p.cfg.L
+		hinted := uint64(1) << uint(p.cfg.ID-1)
 		switch {
-		case in.Snapshot != nil:
-			rows, held, l = in.Snapshot, nil, 0
+		case sr != nil:
+			rows, held, l = sr.rows, nil, 0
+			hinted |= sr.healthyRows
 		case p.cfg.Dynamic:
 			l = 0
 		}
 		// A quiet matrix — every row present, all-Healthy and fully Known
 		// in every lane — can only vote all-Healthy: Eqn. 1 without a
 		// Faulty opinion, and every column has a voter because N ≥ 2. When
-		// the hints already vouch for every aligned row, and the own row is
-		// checked directly, even the install is skipped: op/know then stay
-		// stale, and no reader of them runs on a quiet round.
+		// the shared round already vouches for every aligned row, and the
+		// own row is checked directly, even the install is skipped: op/know
+		// then stay stale, and no reader of them runs on a quiet round.
 		own := p.ownRowB()
-		lowRows := PlaneMask(l)
-		hinted := (rd.healthy & lowRows) | (in.HealthyRows &^ lowRows) | 1<<uint(p.cfg.ID-1)
 		quiet = rowSet == all && hinted&p.laneAll == p.laneAll && own.Op&own.Known&all == all
 		quietLanes := p.laneRep
-		tally := in.Tally
-		if tally != nil && tally.n != n {
-			tally = nil
-		}
 		var differ uint64
 		if !quiet {
-			// Given the tally of this round's snapshot, only the candidate
-			// rows can differ from the tallied matrix, and the step
-			// installs those alone — unless another reader needs the whole
-			// matrix: telemetry or the membership analysis (the causal
-			// flight recorder reads only the output and the counters). A
-			// sparse install cannot tell a quiet matrix, whose vote the
-			// tally then gives.
+			// Given the round's owner, only the candidate rows can differ
+			// from the tallied matrix, and the step installs those alone —
+			// unless another reader needs the whole matrix: telemetry or
+			// the membership analysis (the causal flight recorder reads
+			// only the output and the counters). A sparse install cannot
+			// tell a quiet matrix, whose vote the tally then gives.
 			mask := p.laneAll
 			var sparse bool
-			if tally != nil && in.Snapshot != nil && !p.anyMetrics && p.cfg.Mode != ModeMembership {
-				if c, ok := tally.candidates(in.Round, p.laneRep, rowSet, p.cfg.ID); ok && bits.OnesCount64(c) <= tallyMaxRows(n) {
+			if sr != nil && !p.anyMetrics && p.cfg.Mode != ModeMembership {
+				if c, ok := sr.candidates(p.laneRep, rowSet, p.cfg.ID); ok && bits.OnesCount64(c) <= tallyMaxRows(n) {
 					mask, sparse = c, true
 				}
 			}
 			var acc uint64
-			acc, differ = p.install(rows, held, rowSet, l, tally, mask)
+			acc, differ = p.install(rows, held, rowSet, l, sr, mask)
 			if sparse && invariant.Enabled {
-				p.checkSparseInstall(in.Round, rows, rowSet, tally, mask)
+				p.checkSparseInstall(in.Round, rows, rowSet, sr, mask)
 			}
 			if !sparse {
 				quiet = acc&all == all
@@ -543,7 +523,7 @@ func (p *BatchProtocol) step(in *BatchRoundInput, out *BatchRoundOutput) {
 		}
 		consOp, consKnown := all, all
 		if !quiet {
-			consOp, consKnown = p.vote(tally, differ, votes)
+			consOp, consKnown = p.vote(sr, differ, votes)
 		} else if votes != nil {
 			*votes = laneVotes{any: all}
 		}
@@ -621,20 +601,17 @@ func (p *BatchProtocol) step(in *BatchRoundInput, out *BatchRoundOutput) {
 	// may hold garbage, and every read masks them out (presence bits,
 	// Op ∧ Known, the lane segment).
 	wr.set = present
-	if wr.borrowed = in.Snapshot != nil; wr.borrowed {
-		wr.healthy = 0
-	} else {
+	if wr.borrowed = sr != nil; !wr.borrowed {
 		copy(wr.rows, in.Rows)
-		wr.healthy = in.HealthyRows
 	}
 	wr.ls = validity
 	p.prevSentB = p.lastSentB
 	p.lastSentB = outBits
 	if p.anyMetrics {
-		p.emitMetrics(out, warm, quiet, diagRound, op, know)
+		p.emitMetrics(out, live, warm, quiet, diagRound, op, know)
 	}
 	if p.tracedLanes != 0 && warm {
-		p.emitTraces(out)
+		p.emitTraces(out, live)
 	}
 	if p.aging != 0 {
 		// Advance the skew-guard ages; the oldest generation leaves the
@@ -654,8 +631,9 @@ func (p *BatchProtocol) step(in *BatchRoundInput, out *BatchRoundOutput) {
 // matrix into the scratch planes op/know and returns the AND of those op
 // planes — with every row installed, its lane segments are all set exactly
 // in the lanes with a quiet matrix — and the rows that differ from the
-// tally's, read in the same pass; without a tally the rows are compared
-// with the stale planes they overwrite, and that result means nothing.
+// shared round's tally, read in the same pass; without one the rows are
+// compared with the stale planes they overwrite, and that result means
+// nothing.
 // Row j's lane segment is live iff lane r's rowSet bit for j is set;
 // compressing those bits onto the lane replicator and multiplying by the
 // segment mask expands per-lane row presence into a plane mask (fault
@@ -665,7 +643,7 @@ func (p *BatchProtocol) step(in *BatchRoundInput, out *BatchRoundOutput) {
 // the transmission itself failed (Lemma 3).
 //
 //ttdiag:noretain params
-func (p *BatchProtocol) install(rows, held []BitSyndrome, rowSet uint64, l int, t *VoteTally, mask uint64) (acc, differ uint64) {
+func (p *BatchProtocol) install(rows, held []BitSyndrome, rowSet uint64, l int, t *SharedRound, mask uint64) (acc, differ uint64) {
 	n := p.n
 	op, know := p.op[:n+1], p.know[:n+1]
 	baseOp, baseKnow := op, know
@@ -695,31 +673,31 @@ func (p *BatchProtocol) install(rows, held []BitSyndrome, rowSet uint64, l int, 
 	return acc, differ
 }
 
-// vote is the warm step's vote over the installed matrix. With a tally of
-// the same lane layout and at most tallyMaxRows differing rows it corrects
-// the tally's counters, and a tally of another round then re-bases onto
-// this matrix and the corrected counters; otherwise it votes in full and,
-// given a tally, makes this vote the tally. Both end in finishVote. A
-// matrix that is recorded or re-based was installed in full: a sparse
-// install happens only against a tally of its own round.
-func (p *BatchProtocol) vote(t *VoteTally, differ uint64, votes *laneVotes) (consOp, consKnown uint64) {
+// vote is the warm step's vote over the installed matrix. With a shared
+// round whose tally has the same lane layout and at most tallyMaxRows
+// differing rows it corrects the tally's counters, and a tally without an
+// owner in the round then re-bases onto this matrix and the corrected
+// counters; otherwise it votes in full and, given a shared round, makes
+// this vote the tally. Both end in finishVote. A matrix that is recorded
+// or re-based was installed in full: a sparse install happens only against
+// a tally owned in its own round.
+func (p *BatchProtocol) vote(t *SharedRound, differ uint64, votes *laneVotes) (consOp, consKnown uint64) {
 	if t == nil {
 		return voteAllLanes(p.op, p.know, p.n, p.laneRep, votes)
 	}
-	round := p.cfg.StartRound + p.steps
 	if t.laneRep == p.laneRep && bits.OnesCount64(differ) <= tallyMaxRows(p.n) {
 		healthy, faulty := t.correct(p.op, p.know, differ)
 		if invariant.Enabled {
 			p.checkTallyVote(&healthy, &faulty)
 		}
-		if !t.current(round) {
+		if !t.current() {
 			t.rebase(p.op, p.know, p.laneRep, &healthy, &faulty)
-			t.stamp(round, p.rowSet, p.cfg.ID)
+			t.stamp(p.rowSet, p.cfg.ID)
 		}
 		return finishVote(&healthy, &faulty, votes)
 	}
 	t.record(p.op, p.know, p.laneRep)
-	t.stamp(round, p.rowSet, p.cfg.ID)
+	t.stamp(p.rowSet, p.cfg.ID)
 	return finishVote(&t.healthy, &t.faulty, votes)
 }
 
@@ -802,9 +780,10 @@ type laneVotes struct {
 // counter planes cover every lane at once. A non-nil votes additionally
 // receives the column classification the telemetry needs, read off the same
 // counter planes. It is tallyLanes then finishVote; a vote taken from a
-// VoteTally runs finishVote on corrected counters instead. FuzzVoteAll pins
-// the one-lane form against the scalar H-maj, FuzzVoteAllBatch the gang form
-// lane by lane against VoteAll, FuzzVoteTally the tallied form against it.
+// shared round's tally runs finishVote on corrected counters instead.
+// FuzzVoteAll pins the one-lane form against the scalar H-maj,
+// FuzzVoteAllBatch the gang form lane by lane against VoteAll,
+// FuzzVoteTally the tallied form against it.
 func voteAllLanes(op, know []uint64, n int, laneRep uint64, votes *laneVotes) (consOp, consKnown uint64) {
 	healthy, faulty := tallyLanes(op, know, n, laneRep)
 	return finishVote(&healthy, &faulty, votes)
@@ -826,8 +805,8 @@ func tallyLanes(op, know []uint64, n int, laneRep uint64) (healthy, faulty [coun
 }
 
 // finishVote is the deciding half of voteAllLanes, shared with the votes
-// taken from a VoteTally: the borrow compare over the counters. A column
-// has an opinion iff one of its counts is non-zero.
+// taken from a shared round's tally: the borrow compare over the counters.
+// A column has an opinion iff one of its counts is non-zero.
 func finishVote(healthy, faulty *[countPlanes]uint64, votes *laneVotes) (consOp, consKnown uint64) {
 	var borrow, any uint64
 	for k := 0; k < countPlanes; k++ {
@@ -891,10 +870,10 @@ func (p *BatchProtocol) regroupMetrics() {
 		if m == nil {
 			continue
 		}
-		if m.PenaltySeries != nil {
-			p.seriesLanes |= 1 << uint(lane)
-		}
 		bit := uint64(1) << uint(lane*p.n)
+		if m.PenaltySeries != nil {
+			p.seriesLanes |= bit
+		}
 		g := 0
 		for g < len(p.groups) && p.groups[g].m != m {
 			g++
@@ -907,13 +886,14 @@ func (p *BatchProtocol) regroupMetrics() {
 	p.regroup = false
 }
 
-// emitMetrics records one gang execution into the attached lanes'
-// instruments, with the totals each lane's run would emit on its own. It
-// works on lane-packed masks: the vote outcomes come
-// from the kernel's classification, disagreements are one masked popcount
-// per matrix row, and every quantity folds into a group's counters with one
-// popcount, so the cost does not grow with the lane count.
-func (p *BatchProtocol) emitMetrics(out *BatchRoundOutput, warm, quiet bool, diagRound int, op, know []uint64) {
+// emitMetrics records one gang execution into the instruments of the
+// attached lanes among live (bit r·N), with the totals each lane's run
+// would emit on its own. It works on lane-packed masks: the vote outcomes
+// come from the kernel's classification, disagreements are one masked
+// popcount per matrix row, and every quantity folds into a group's
+// counters with one popcount, so the cost does not grow with the lane
+// count.
+func (p *BatchProtocol) emitMetrics(out *BatchRoundOutput, live uint64, warm, quiet bool, diagRound int, op, know []uint64) {
 	if p.regroup {
 		p.regroupMetrics()
 	}
@@ -931,7 +911,7 @@ func (p *BatchProtocol) emitMetrics(out *BatchRoundOutput, warm, quiet bool, dia
 		raised, p.pr.raised = p.pr.raised, 0
 	}
 	for g := range p.groups {
-		rep := p.groups[g].rep & p.laneRep
+		rep := p.groups[g].rep & live
 		if rep == 0 {
 			continue
 		}
@@ -966,8 +946,8 @@ func (p *BatchProtocol) emitMetrics(out *BatchRoundOutput, warm, quiet bool, dia
 		return
 	}
 	round := int64(diagRound)
-	for rem := p.seriesLanes & (uint64(1)<<uint(p.lanes) - 1); rem != 0; rem &= rem - 1 {
-		lane := bits.TrailingZeros64(rem)
+	for rem := p.seriesLanes & live; rem != 0; rem &= rem - 1 {
+		lane := bits.TrailingZeros64(rem) / n
 		m := p.metrics[lane]
 		base := lane * (n + 1)
 		for j := 1; j <= n && j < len(m.PenaltySeries); j++ {
@@ -1007,7 +987,7 @@ func (p *BatchProtocol) SnapshotLane(lane int) ([]byte, error) {
 		PR: prSnapshot{
 			Penalties: p.pr.penalties[base : base+n+1 : base+n+1],
 			Rewards:   make([]int64, n+1),
-			Active:    p.pr.active[base : base+n+1 : base+n+1],
+			Active:    p.pr.laneActive(lane),
 			Observe:   make([]int64, n+1),
 		},
 	}

@@ -659,8 +659,9 @@ func FuzzVoteAllBatch(f *testing.F) {
 
 // FuzzStepBatchQuiet differentially checks the quiet-round shortcuts: two
 // twin gangs step through the same rounds, biased towards all-Healthy rows
-// so that both the vote skip and the install skip fire, and only one of them
-// is told which rows are healthy (HealthyRows). Every output, every lane's
+// so that both the vote skip and the install skip fire. One copies its
+// rows; the other, on a static schedule, reads the aligned rows from a
+// shared round that says which rows are healthy. Every output, every lane's
 // final state and the telemetry — matrix/quiet included — must agree.
 func FuzzStepBatchQuiet(f *testing.F) {
 	f.Add(uint8(4), uint8(16), uint8(0), uint8(1), uint8(0), []byte{0x00, 0x03, 0x12, 0x40, 0x00, 0x00, 0x01, 0x77})
@@ -710,8 +711,19 @@ func FuzzStepBatchQuiet(f *testing.F) {
 			pos++
 			return b
 		}
-		rows := make([]BitSyndrome, n+1)
+		// The shared twin reads aligned row j from this round's rows beyond
+		// its read point and from the previous round's rows up to it, which
+		// a fresh gang holds all-Healthy.
+		rows, prev, aligned := make([]BitSyndrome, n+1), make([]BitSyndrome, n+1), make([]BitSyndrome, n+1)
+		for j := range rows {
+			rows[j] = BitSyndrome{Op: allB, Known: allB}
+		}
+		var sr *SharedRound
+		if !cfg.Dynamic {
+			sr = NewSharedRound(n)
+		}
 		for round := 0; round < 16; round++ {
+			copy(prev, rows)
 			// Healthy rows carry garbage beyond the live lanes, which the
 			// kernel must mask out; a disturbed round then flips single
 			// entries to Faulty or ε, drops a row from one lane, or turns
@@ -738,19 +750,24 @@ func FuzzStepBatchQuiet(f *testing.F) {
 					}
 				}
 			}
-			var hint uint64
-			for j := 1; j <= n; j++ {
-				if rows[j].Op&rows[j].Known&allB == allB {
-					hint |= 1 << uint(j-1)
-				}
-			}
 			in := BatchRoundInput{
 				Round: round, Rows: rows, Present: present,
 				Validity:        BitSyndrome{Op: present, Known: allB},
 				CollisionFaulty: uint64(next()),
 			}
 			hinted := in
-			hinted.HealthyRows = hint
+			if sr != nil {
+				copy(aligned[:l+1], prev[:l+1])
+				copy(aligned[l+1:], rows[l+1:])
+				var hint uint64
+				for j := 1; j <= n; j++ {
+					if aligned[j].Op&aligned[j].Known&allB == allB {
+						hint |= 1 << uint(j-1)
+					}
+				}
+				sr.Start(round, aligned, hint, ^uint64(0))
+				hinted.Rows, hinted.Shared = nil, sr
+			}
 			want, err := twins[0].StepBatch(in)
 			if err != nil {
 				t.Fatal(err)
@@ -763,6 +780,9 @@ func FuzzStepBatchQuiet(f *testing.F) {
 				t.Fatalf("round %d: hinted gang %+v, unhinted %+v", round, got, want)
 			}
 		}
+		var byRound [2][]BitSyndrome
+		byRound[15&1], byRound[16&1] = aligned, rows
+		twins[1].FillBorrowedRows(byRound)
 		for r := 0; r < lanes; r++ {
 			want, err := twins[0].SnapshotLane(r)
 			if err != nil {

@@ -200,10 +200,11 @@ const (
 
 // benchStepBatch times steady-state StepBatch calls of a full-width gang of
 // node 1 on the rows of load, with m (when non-nil) on every lane. With
-// tally, the rows are every round's snapshot, and node 1 shares a vote
-// tally with a node 2 gang that steps them during the warm-up; the tally is
-// re-stamped with each timed round, as a round's first observer re-bases
-// it, so node 1's timed steps install sparsely and correct node 2's vote.
+// tally, the rows are every round's shared rows, and node 1 shares the
+// round with a node 2 gang that steps them during the warm-up; each timed
+// round starts with node 2 as its owner, as a round's first observer
+// re-bases the tally, so node 1's timed steps install sparsely and correct
+// node 2's vote.
 func benchStepBatch(b *testing.B, n int, load stepBatchLoad, m *StepMetrics, tally bool) {
 	lanes := BatchLanes(n)
 	newGang := func(id int) *BatchProtocol {
@@ -239,8 +240,7 @@ func benchStepBatch(b *testing.B, n int, load stepBatchLoad, m *StepMetrics, tal
 	in := BatchRoundInput{Rows: rows, Present: allB, Validity: BitSyndrome{Op: allB, Known: allB}}
 	var twin *BatchProtocol
 	if tally {
-		in.Tally = NewVoteTally(n)
-		in.Snapshot = rows
+		in.Shared = NewSharedRound(n)
 		twin = newGang(2)
 	}
 	accusing := make([]BitSyndrome, n+1)
@@ -253,6 +253,7 @@ func benchStepBatch(b *testing.B, n int, load stepBatchLoad, m *StepMetrics, tal
 			in.Rows = accusing
 		}
 		if twin != nil {
+			in.Shared.Start(i, rows, 0, ^uint64(0))
 			if _, err := twin.StepBatch(in); err != nil {
 				b.Fatal(err)
 			}
@@ -269,7 +270,8 @@ func benchStepBatch(b *testing.B, n int, load stepBatchLoad, m *StepMetrics, tal
 	for i := 0; i < b.N; i++ {
 		in.Round = 16 + i
 		if twin != nil {
-			in.Tally.stamp(in.Round, twin.rowSet, 2)
+			in.Shared.Start(in.Round, rows, 0, ^uint64(0))
+			in.Shared.stamp(twin.rowSet, 2)
 		}
 		if _, err := p.StepBatch(in); err != nil {
 			b.Fatal(err)

@@ -91,11 +91,13 @@ func (p *BatchProtocol) resyncTraces() {
 }
 
 // emitTraces records one warm gang execution's causal events into the
-// recorders of the traced live lanes, each from its own lane segment.
-func (p *BatchProtocol) emitTraces(out *BatchRoundOutput) {
-	for rem := p.tracedLanes & (uint64(1)<<uint(p.lanes) - 1); rem != 0; rem &= rem - 1 {
-		lane := bits.TrailingZeros64(rem)
-		p.traces[lane].emit(p, out, lane)
+// recorders of the traced lanes among live (bit r·N), each from its own
+// lane segment.
+func (p *BatchProtocol) emitTraces(out *BatchRoundOutput, live uint64) {
+	for rem := p.tracedLanes; rem != 0; rem &= rem - 1 {
+		if lane := bits.TrailingZeros64(rem); live>>uint(lane*p.n)&1 != 0 {
+			p.traces[lane].emit(p, out, lane)
+		}
 	}
 }
 

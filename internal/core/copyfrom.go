@@ -64,7 +64,7 @@ func (p *BatchProtocol) CopyFrom(src *BatchProtocol) error {
 	// them would be dead work.
 	dst, from := &p.pbufs[p.steps&1], &src.pbufs[src.steps&1]
 	copy(dst.rows, from.rows)
-	dst.set, dst.healthy, dst.ls, dst.al = from.set, from.healthy, from.ls, from.al
+	dst.set, dst.ls, dst.al = from.set, from.ls, from.al
 	dst.borrowed = false
 	p.lastSentB = src.lastSentB
 	p.prevSentB = src.prevSentB
@@ -80,7 +80,6 @@ func (p *BatchProtocol) CopyFrom(src *BatchProtocol) error {
 	copy(p.pr.rewards[:w], src.pr.rewards)
 	copy(p.pr.observe[:w], src.pr.observe)
 	copy(p.pr.stamp[:w], src.pr.stamp)
-	copy(p.pr.active[:w], src.pr.active)
 	p.pr.activeMask = src.pr.activeMask
 	p.pr.attention = src.pr.attention
 	// The stamps and the filed deadlines are relative to src's tick, so
@@ -221,8 +220,7 @@ func (p *BatchProtocol) CaptureLane(lane int, rec []uint64) error {
 // written once. The alignment buffer is written into the half this gang
 // reads next, which follows its own step parity, not the source's. Both
 // gangs must be warm (past the diagnosis lag) or both cold: warm-up is
-// gang-wide. The HealthyRows hint buffered with the rows is cleared for
-// every row a restored segment does not keep all-Healthy. Attached lane recorders re-baseline on the restored
+// gang-wide. Attached lane recorders re-baseline on the restored
 // counters; under ttdiag_invariants the activity history of the restored
 // lanes re-baselines too (a restore may bring an isolated node back), and
 // every restored lane is re-captured and compared with its record.
@@ -248,11 +246,10 @@ func (p *BatchProtocol) RestoreLanes(lanes uint64, recs [][]uint64, at int) erro
 		lane := bits.TrailingZeros64(m)
 		segs |= p.laneAll << uint(lane*n)
 		rec, base := recs[i][at:at+size], lane*(n+1)+1
-		active, counters := rec[recActive], rec[packed:packed+3*n]
-		pen, rew, obs, act := p.pr.penalties[base:base+n], p.pr.rewards[base:base+n], p.pr.observe[base:base+n], p.pr.active[base:base+n]
+		counters := rec[packed : packed+3*n]
+		pen, rew, obs := p.pr.penalties[base:base+n], p.pr.rewards[base:base+n], p.pr.observe[base:base+n]
 		for j := range pen {
 			pen[j], rew[j], obs[j] = int64(counters[j]), int64(counters[n+j]), int64(counters[2*n+j])
-			act[j] = active>>uint(j)&1 != 0
 		}
 	}
 	if p.restoreAcc == nil {
@@ -274,9 +271,6 @@ func (p *BatchProtocol) RestoreLanes(lanes uint64, recs [][]uint64, at int) erro
 		o := recRows + 2*j - 2
 		op, known := acc[o], acc[o+1]
 		rd.rows[j] = BitSyndrome{Op: rd.rows[j].Op&^segs | op, Known: rd.rows[j].Known&^segs | known}
-		if op&known != segs {
-			rd.healthy &^= 1 << uint(j-1)
-		}
 	}
 	for m := p.tracedLanes & lanes; m != 0; m &= m - 1 {
 		lane := bits.TrailingZeros64(m)

@@ -378,10 +378,9 @@ func TestLaneRecordsRejects(t *testing.T) {
 	}
 }
 
-// hintedGang builds node 1 of a 16-lane N=4 gang and steps it four rounds
-// on all-Healthy rows, except that row 3 carries row3's bits; its
-// HealthyRows hint is full when row 3 is all-Healthy too.
-func hintedGang(t *testing.T, row3 uint64) *BatchProtocol {
+// quietGang builds node 1 of a 16-lane N=4 gang and steps it four rounds
+// on all-Healthy rows.
+func quietGang(t *testing.T) *BatchProtocol {
 	t.Helper()
 	p, err := NewBatchProtocol(Config{
 		N: 4, ID: 1, L: 0, SendCurrRound: true,
@@ -394,12 +393,7 @@ func hintedGang(t *testing.T, row3 uint64) *BatchProtocol {
 	for j := range rows {
 		rows[j] = BitSyndrome{Op: p.allB, Known: p.allB}
 	}
-	rows[3].Op = row3 & p.allB
-	healthy := uint64(0b1111)
-	if row3 != ^uint64(0) {
-		healthy = 0
-	}
-	in := BatchRoundInput{Rows: rows, Present: p.allB, Validity: rows[1], HealthyRows: healthy}
+	in := BatchRoundInput{Rows: rows, Present: p.allB, Validity: rows[1]}
 	for k := 0; k < 4; k++ {
 		in.Round = k
 		if _, err := p.StepBatch(in); err != nil {
@@ -409,34 +403,12 @@ func hintedGang(t *testing.T, row3 uint64) *BatchProtocol {
 	return p
 }
 
-// TestRestoreLanesClearsHealthyHint restores a lane whose buffered row 3
-// is not all-Healthy into a gang that buffered its rows under a full
-// HealthyRows hint: the hint must lose row 3, or the next step would take
-// the quiet-round shortcut over a row that accuses node 3.
-func TestRestoreLanesClearsHealthyHint(t *testing.T) {
-	quiet := hintedGang(t, ^uint64(0))
-	if got := quiet.pbufs[quiet.steps&1].healthy; got != 0b1111 {
-		t.Fatalf("quiet gang buffered HealthyRows %#b, want every row", got)
-	}
-	src := hintedGang(t, ^uint64(1<<5)) // row 3 accuses node 2 in lane 1
-	rec := make([]uint64, LaneRecordLen(4))
-	if err := src.CaptureLane(1, rec); err != nil {
-		t.Fatal(err)
-	}
-	if err := quiet.RestoreLanes(1<<6, [][]uint64{rec}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if got := quiet.pbufs[quiet.steps&1].healthy; got != 0b1011 {
-		t.Fatalf("HealthyRows %#b after restoring a lane whose row 3 accuses, want %#b", got, 0b1011)
-	}
-}
-
 // TestRestoreLanesResyncsTrace restores a lane whose observer holds a
 // penalty of 3 for node 2 into a traced lane: the lane's flight recorder
 // re-baselines on the restored counters, so the next step, which leaves
 // them alone, records no penalty change.
 func TestRestoreLanesResyncsTrace(t *testing.T) {
-	dst, src := hintedGang(t, ^uint64(0)), hintedGang(t, ^uint64(0))
+	dst, src := quietGang(t), quietGang(t)
 	var rec trace.Recorder
 	dst.SetLaneTrace(6, NewStepTrace(&rec))
 	src.pr.penalties[1*5+2] = 3 // lane 1, node 2

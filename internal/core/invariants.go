@@ -15,7 +15,7 @@ import (
 
 // checkStepInvariants asserts, for every live lane at the end of a
 // StepBatch, the health-vector lag (Lemma 1), the penalty/reward bounds
-// (Alg. 2), the activity mask mirroring the counters, and activity-bit
+// (Alg. 2), and activity-bit
 // monotonicity (bits only drop with a faulty verdict or an exceeded penalty
 // threshold, and only return to 1 via the reintegration extension). Every
 // path that steps the kernel — per-run protocols, campaign lanes, fleet
@@ -47,10 +47,6 @@ func (p *BatchProtocol) checkStepInvariants(out *BatchRoundOutput) {
 				invariant.Checkf(false, "core: node %d lane %d round %d: observation counter of node %d is %d, outside its reintegration window",
 					id, r, out.Round, j, obs)
 			}
-			if p.pr.active[i] != (out.ActiveMask>>uint(r*n+j-1)&1 != 0) {
-				invariant.Checkf(false, "core: node %d lane %d round %d: activity vector and mask disagree on node %d",
-					id, r, out.Round, j)
-			}
 		}
 	}
 	if p.invHavePrev {
@@ -71,23 +67,19 @@ func (p *BatchProtocol) checkStepInvariants(out *BatchRoundOutput) {
 	p.invPrevActive, p.invHavePrev = out.ActiveMask, true
 }
 
-// checkHealthyRows asserts that every row a step's HealthyRows hint marks
-// is all-Healthy and fully Known in every live lane: a false bit would let
-// the kernel skip the install of a matrix that is not quiet.
-func (p *BatchProtocol) checkHealthyRows(in *BatchRoundInput) {
-	if extra := in.HealthyRows &^ p.laneAll; extra != 0 {
-		invariant.Checkf(false, "core: node %d round %d: HealthyRows %#x marks rows beyond N=%d",
-			p.cfg.ID, in.Round, in.HealthyRows, p.n)
+// checkHealthyRows asserts that every row a shared round marks healthy is
+// all-Healthy and fully Known in every live lane: a false bit would let the
+// kernel skip the install of a matrix that is not quiet.
+func (p *BatchProtocol) checkHealthyRows(round int, sr *SharedRound) {
+	if extra := sr.healthyRows &^ p.laneAll; extra != 0 {
+		invariant.Checkf(false, "core: node %d round %d: the shared round's healthy rows %#x mark rows beyond N=%d",
+			p.cfg.ID, round, sr.healthyRows, p.n)
 	}
-	rows := in.Rows
-	if in.Snapshot != nil {
-		rows = in.Snapshot
-	}
-	for rem := in.HealthyRows & p.laneAll; rem != 0; rem &= rem - 1 {
+	for rem := sr.healthyRows & p.laneAll; rem != 0; rem &= rem - 1 {
 		j := bits.TrailingZeros64(rem) + 1
-		if row := rows[j]; row.Op&row.Known&p.allB != p.allB {
-			invariant.Checkf(false, "core: node %d round %d: HealthyRows marks row %d healthy, but it is not all-Healthy in every lane",
-				p.cfg.ID, in.Round, j)
+		if row := sr.rows[j]; row.Op&row.Known&p.allB != p.allB {
+			invariant.Checkf(false, "core: node %d round %d: the shared round marks row %d healthy, but it is not all-Healthy in every lane",
+				p.cfg.ID, round, j)
 		}
 	}
 }
@@ -108,22 +100,22 @@ func (p *BatchProtocol) checkQuietVote(round int, rows, held []BitSyndrome, rowS
 }
 
 // checkSparseInstall completes a sparse install: it installs every row of
-// the snapshot's matrix, so the recount of checkTallyVote sees it whole,
+// the shared rows' matrix, so the recount of checkTallyVote sees it whole,
 // and requires every row that differs from the tallied matrix to lie in
 // the installed rows of mask.
 //
 //ttdiag:noretain params
-func (p *BatchProtocol) checkSparseInstall(round int, snapshot []BitSyndrome, rowSet uint64, t *VoteTally, mask uint64) {
-	if _, differ := p.install(snapshot, nil, rowSet, 0, t, p.laneAll); differ&^mask != 0 {
+func (p *BatchProtocol) checkSparseInstall(round int, rows []BitSyndrome, rowSet uint64, t *SharedRound, mask uint64) {
+	if _, differ := p.install(rows, nil, rowSet, 0, t, p.laneAll); differ&^mask != 0 {
 		invariant.Checkf(false, "core: node %d round %d: sparse install of rows %#x missed rows %#x that differ from the tally of node %d",
 			p.cfg.ID, round, mask, differ&^mask, t.owner)
 	}
 }
 
-// checkTallyVote re-counts a matrix whose vote was taken from a VoteTally
-// and requires the corrected counters to equal the counts from scratch, so
-// the full vote and every telemetry class read off them agree with the
-// tallied ones.
+// checkTallyVote re-counts a matrix whose vote was taken from a shared
+// round's tally and requires the corrected counters to equal the counts
+// from scratch, so the full vote and every telemetry class read off them
+// agree with the tallied ones.
 func (p *BatchProtocol) checkTallyVote(healthy, faulty *[countPlanes]uint64) {
 	h, f := tallyLanes(p.op, p.know, p.n, p.laneRep)
 	if h != *healthy || f != *faulty {

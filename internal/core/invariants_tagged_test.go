@@ -59,9 +59,8 @@ func TestCorruptedActivityBitPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	stepOnce(t, p, 0) // seed invPrevActive
-	// Drop node 3 from both the activity vector and its mask, so the
-	// corruption is self-consistent and only monotonicity can catch it.
-	p.b.pr.active[3] = false
+	// Drop node 3 from the activity mask, so only monotonicity can catch
+	// it.
 	p.b.pr.activeMask &^= 1 << 2
 	p.b.pr.penalties[3] = 3 // below threshold: isolation is unjustified
 	defer func() {
@@ -175,9 +174,10 @@ func TestGangLaneInvariantsPanic(t *testing.T) {
 	step(6)
 }
 
-// TestFalseHealthyRowsHintPanics marks a row healthy that is Faulty in one
-// lane: the kernel would skip installing a matrix that is not quiet, so the
-// invariant layer must reject the hint before it is used.
+// TestFalseHealthyRowsHintPanics starts a shared round that marks a row
+// healthy that is Faulty in one lane: the kernel would skip installing a
+// matrix that is not quiet, so the invariant layer must reject the hint
+// before it is used.
 func TestFalseHealthyRowsHintPanics(t *testing.T) {
 	p, err := NewBatchProtocol(Config{
 		N: 4, ID: 1, L: 0, SendCurrRound: true,
@@ -191,8 +191,11 @@ func TestFalseHealthyRowsHintPanics(t *testing.T) {
 		rows[j] = BitSyndrome{Op: p.allB, Known: p.allB}
 	}
 	hint := uint64(0b1111)
+	sr := NewSharedRound(4)
+	in := BatchRoundInput{Present: p.allB, Validity: rows[1], Shared: sr}
 	for k := 0; k < 4; k++ {
-		in := BatchRoundInput{Round: k, Rows: rows, Present: p.allB, Validity: rows[1], HealthyRows: hint}
+		in.Round = k
+		sr.Start(k, rows, hint, ^uint64(0))
 		if _, err := p.StepBatch(in); err != nil {
 			t.Fatal(err)
 		}
@@ -201,21 +204,22 @@ func TestFalseHealthyRowsHintPanics(t *testing.T) {
 	defer func() {
 		r := recover()
 		if r == nil {
-			t.Fatal("false HealthyRows bit was not caught")
+			t.Fatal("false healthy-row bit was not caught")
 		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, "HealthyRows marks row 3") {
+		if msg, ok := r.(string); !ok || !strings.Contains(msg, "marks row 3 healthy") {
 			t.Fatalf("unexpected panic: %v", r)
 		}
 	}()
-	in := BatchRoundInput{Round: 4, Rows: rows, Present: p.allB, Validity: rows[1], HealthyRows: hint}
+	in.Round = 4
+	sr.Start(4, rows, hint, ^uint64(0))
 	if _, err := p.StepBatch(in); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestTallyVoteMismatchPanics corrupts a shared vote tally's counters
-// behind its matrix: the next vote taken from the tally would be wrong, so
-// the invariant layer's recount must catch it.
+// TestTallyVoteMismatchPanics corrupts a shared round's tally counters
+// behind its matrix: the next round's vote taken from the tally would be
+// wrong, so the invariant layer's recount must catch it.
 func TestTallyVoteMismatchPanics(t *testing.T) {
 	p, err := NewBatchProtocol(Config{
 		N: 4, ID: 1, L: 0, SendCurrRound: true,
@@ -229,17 +233,19 @@ func TestTallyVoteMismatchPanics(t *testing.T) {
 		rows[j] = BitSyndrome{Op: p.allB, Known: p.allB}
 	}
 	rows[3].Op &^= 1 << (4 + 1) // lane 1: row 3 accuses node 2, a loud matrix
-	in := BatchRoundInput{Rows: rows, Present: p.allB, Validity: rows[1], Tally: NewVoteTally(4)}
+	sr := NewSharedRound(4)
+	in := BatchRoundInput{Present: p.allB, Validity: rows[1], Shared: sr}
 	for k := 0; k < 4; k++ {
 		in.Round = k
+		sr.Start(k, rows, 0, ^uint64(0))
 		if _, err := p.StepBatch(in); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if in.Tally.laneRep != p.laneRep {
+	if sr.laneRep != p.laneRep {
 		t.Fatal("no warm step recorded its vote in the tally")
 	}
-	in.Tally.faulty[0] ^= 1 << (4 + 1) // lane 1, column 2: one faulty vote more or less
+	sr.faulty[0] ^= 1 << (4 + 1) // lane 1, column 2: one faulty vote more or less
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -250,13 +256,14 @@ func TestTallyVoteMismatchPanics(t *testing.T) {
 		}
 	}()
 	in.Round = 4
+	sr.Start(4, rows, 0, ^uint64(0))
 	if _, err := p.StepBatch(in); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestSparseInstallMismatchPanics hands the second observer of a round
-// another snapshot than the one its tally was recorded from: the row that
+// other rows than the ones its tally was recorded from: the row that
 // changed lies outside the rows the tally's stamp leaves as candidates, so
 // the sparse install misses it, and the invariant layer's full install
 // must catch it.
@@ -269,16 +276,18 @@ func TestSparseInstallMismatchPanics(t *testing.T) {
 	healthy := BitSyndrome{Op: ^uint64(0), Known: ^uint64(0)}
 	a := snapshotObserver(t, 4, 2, 1, 0, ^uint64(0), healthy, snap)
 	b := snapshotObserver(t, 4, 2, 2, 1, ^uint64(0), healthy, snap)
-	in := BatchRoundInput{Round: a.lag, Present: a.allB, Validity: healthy, Tally: NewVoteTally(4), Snapshot: snap}
+	sr := NewSharedRound(4)
+	sr.Start(a.lag, snap, 0, ^uint64(0))
+	in := BatchRoundInput{Round: a.lag, Present: a.allB, Validity: healthy, Shared: sr}
 	if _, err := a.StepBatch(in); err != nil {
 		t.Fatal(err)
 	}
-	if !in.Tally.current(a.lag) || in.Tally.owner != 1 {
-		t.Fatal("the first observer did not stamp the tally with its round")
+	if !sr.current() || sr.owner != 1 {
+		t.Fatal("the first observer did not become the round's owner")
 	}
 	other := append([]BitSyndrome(nil), snap...)
-	other[4].Op &^= 1 // lane 0: row 4 accuses node 1 in the second observer's snapshot only
-	in.Snapshot = other
+	other[4].Op &^= 1 // lane 0: row 4 accuses node 1 in the second observer's rows only
+	sr.rows = other
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -332,10 +341,8 @@ func TestRestoreLaneRebaselinesActivity(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Lane 7, node 3: a legitimate isolation (penalty past the threshold).
-	i := 7*5 + 3
-	p.pr.active[i] = false
 	p.pr.activeMask &^= 1 << (7*4 + 2)
-	p.pr.penalties[i] = 5
+	p.pr.penalties[7*5+3] = 5
 	step(4)
 	if err := p.RestoreLanes(1<<7, [][]uint64{st}, 0); err != nil {
 		t.Fatal(err)
@@ -343,7 +350,6 @@ func TestRestoreLaneRebaselinesActivity(t *testing.T) {
 	step(5) // node 3 is active again in lane 7: no monotonicity failure
 
 	// Lane 2, node 4: dropped without a penalty past the threshold.
-	p.pr.active[2*5+4] = false
 	p.pr.activeMask &^= 1 << (2*4 + 3)
 	defer func() {
 		r := recover()

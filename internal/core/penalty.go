@@ -85,11 +85,11 @@ type PenaltyReward struct {
 	lanes     int
 	penalties []int64
 	rewards   []int64
-	active    []bool
 	// observe counts consecutive fault-free rounds of isolated nodes for
 	// the optional reintegration extension.
 	observe []int64
-	// activeMask mirrors active[] as a lane-packed bit mask.
+	// activeMask is the activity vector, lane-packed: bit r·n + j-1 is set
+	// iff node j is active in lane r.
 	activeMask uint64
 	// attention marks the nodes for which a Healthy verdict is not a no-op:
 	// active nodes paying off a penalty (rewards must advance) and isolated
@@ -152,12 +152,6 @@ func newPenaltyReward(n, lanes int, cfg PRConfig) (*PenaltyReward, error) {
 		rewards:   counters[w : 2*w : 2*w],
 		observe:   counters[2*w : 3*w : 3*w],
 		stamp:     counters[3*w:],
-		active:    make([]bool, w),
-	}
-	// Every node of the capacity starts active, so a reset only has to
-	// restore the positions it touched, whatever the lane count.
-	for i := range pr.active {
-		pr.active[i] = i%(n+1) != 0
 	}
 	pr.reset(lanes)
 	return pr, nil
@@ -174,10 +168,6 @@ func (pr *PenaltyReward) reset(lanes int) {
 		pos := bits.TrailingZeros64(rem)
 		i := pos + pos/pr.n + 1 // lane·(n+1) + j
 		pr.penalties[i], pr.rewards[i], pr.observe[i] = 0, 0, 0
-		pr.active[i] = true
-	}
-	for r := 0; r < lanes; r++ {
-		pr.active[r*(pr.n+1)] = false // entry 0 of a lane is unused
 	}
 	pr.lanes = lanes
 	pr.touched, pr.raised = 0, 0
@@ -375,7 +365,6 @@ func (pr *PenaltyReward) closeWindow(i int, bit uint64) (reintegrated bool) {
 	if pr.activeMask&bit != 0 {
 		return false
 	}
-	pr.active[i] = true
 	pr.observe[i] = 0
 	pr.activeMask |= bit
 	return true
@@ -405,7 +394,6 @@ func (pr *PenaltyReward) fault(i, j int, bit uint64) (isolated bool) {
 		pr.opened(bit, pr.cfg.RewardThreshold)
 		return false
 	}
-	pr.active[i] = false
 	pr.observe[i] = 0
 	pr.activeMask &^= bit
 	if rt > 0 {
@@ -463,19 +451,16 @@ func (pr *PenaltyReward) restamp(lanes uint64) {
 	}
 }
 
-// rebuildMasks recomputes activeMask and attention from the counter slices
-// and re-stamps the live lanes (used after a snapshot restore replaces
-// them).
-func (pr *PenaltyReward) rebuildMasks() {
-	pr.activeMask, pr.attention = 0, 0
+// rebuildMasks takes in the activity mask `active` and recomputes the
+// attention mask from it and the counter slices, then re-stamps the live
+// lanes (used after a snapshot restore replaces them).
+func (pr *PenaltyReward) rebuildMasks(active uint64) {
 	all := laneReplicator(pr.n, pr.lanes) * PlaneMask(pr.n)
+	pr.activeMask, pr.attention = active&all, 0
 	for rem := all; rem != 0; rem &= rem - 1 {
 		pos := bits.TrailingZeros64(rem)
 		i, bit := pos+pos/pr.n+1, rem&-rem
-		if pr.active[i] {
-			pr.activeMask |= bit
-		}
-		if !pr.active[i] && pr.cfg.ReintegrationThreshold > 0 || pr.active[i] && pr.penalties[i] > 0 {
+		if on := active&bit != 0; !on && pr.cfg.ReintegrationThreshold > 0 || on && pr.penalties[i] > 0 {
 			pr.attention |= bit
 		}
 	}
@@ -501,8 +486,16 @@ func (pr *PenaltyReward) maxPenalty(mask uint64) int64 {
 }
 
 // Active returns a copy of the activity vector (1-based).
-func (pr *PenaltyReward) Active() []bool {
-	return append([]bool(nil), pr.active[:pr.n+1]...)
+func (pr *PenaltyReward) Active() []bool { return pr.laneActive(0) }
+
+// laneActive returns lane `lane`'s activity vector (1-based; entry 0 is
+// unused and false).
+func (pr *PenaltyReward) laneActive(lane int) []bool {
+	active := make([]bool, pr.n+1)
+	for j := 1; j <= pr.n; j++ {
+		active[j] = pr.activeMask>>uint(lane*pr.n+j-1)&1 != 0
+	}
+	return active
 }
 
 // ActiveMask returns the activity vector as a bit mask (bit j-1 = node j
@@ -516,7 +509,7 @@ func (pr *PenaltyReward) IsActive(j int) bool {
 	if j < 1 || j > pr.n {
 		return false
 	}
-	return pr.active[j]
+	return pr.activeMask>>uint(j-1)&1 != 0
 }
 
 // Penalty returns node j's penalty counter.

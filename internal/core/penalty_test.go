@@ -445,9 +445,9 @@ func comparePR(t *testing.T, what string, pr *PenaltyReward, lane int, e *eagerP
 	for j := 1; j <= n; j++ {
 		i, ei := lane*(n+1)+j, want*(n+1)+j
 		rew, obs := pr.counters(i, 1<<uint(lane*n+j-1))
-		if pr.penalties[i] != e.pen[ei] || rew != e.rew[ei] || obs != e.obs[ei] || pr.active[i] != e.active[ei] {
-			t.Fatalf("%s: lane %d node %d holds penalty %d reward %d observe %d active %v, eager lane %d %d %d %d %v",
-				what, lane, j, pr.penalties[i], rew, obs, pr.active[i], want, e.pen[ei], e.rew[ei], e.obs[ei], e.active[ei])
+		if pr.penalties[i] != e.pen[ei] || rew != e.rew[ei] || obs != e.obs[ei] {
+			t.Fatalf("%s: lane %d node %d holds penalty %d reward %d observe %d, eager lane %d %d %d %d",
+				what, lane, j, pr.penalties[i], rew, obs, want, e.pen[ei], e.rew[ei], e.obs[ei])
 		}
 	}
 }

@@ -146,10 +146,18 @@ func RestoreProtocol(data []byte) (*Protocol, error) {
 			b.aging |= bit
 		}
 	}
+	if snap.PR.Active[0] {
+		return nil, fmt.Errorf("core: restore: activity entry 0 is not the unused default")
+	}
+	var active uint64
+	for j := 1; j <= n; j++ {
+		if snap.PR.Active[j] {
+			active |= 1 << uint(j-1)
+		}
+	}
 	copy(b.pr.penalties, snap.PR.Penalties)
 	copy(b.pr.rewards, snap.PR.Rewards)
-	copy(b.pr.active, snap.PR.Active)
 	copy(b.pr.observe, snap.PR.Observe)
-	b.pr.rebuildMasks()
+	b.pr.rebuildMasks(active)
 	return p, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"strings"
 	"testing"
 )
 
@@ -21,10 +22,10 @@ func tallyPlanes(op, know []uint64, allB uint64, data []byte) []byte {
 	return data
 }
 
-// FuzzVoteTally checks the votes taken from a VoteTally against the full
-// vote: a gang base matrix is tallied, and an observer matrix — the base
-// with the rows of a mask replaced, in a gang of the same or another width —
-// is voted once through the forced correction (same width only) and once
+// FuzzVoteTally checks the votes taken from a shared round's tally against
+// the full vote: a gang base matrix is tallied, and an observer matrix —
+// the base with the rows of a mask replaced, in a gang of the same or
+// another width — is voted once through the forced correction (same width only) and once
 // through the protocol's vote, which picks correction or full vote by the
 // number of differing rows. Every path must give voteAllLanes' consistent
 // vector and vote classification, and leave the tally's counters equal to
@@ -80,7 +81,7 @@ func FuzzVoteTally(f *testing.F) {
 			}
 		}
 
-		tally := NewVoteTally(n)
+		tally := NewSharedRound(n)
 		tally.record(baseOp, baseKnow, baseRep)
 		if baseRep == obsRep {
 			h, f := tally.correct(obsOp, obsKnow, differ)
@@ -153,8 +154,8 @@ func snapshotObserver(t *testing.T, n, lanes, id, l int, set uint64, own BitSynd
 }
 
 // FuzzSparseInstall checks the sparse install against the full one: the
-// observers of a gang round borrow one snapshot of the aligned rows, a
-// tallying observer votes first, and a second observer — at its own job
+// observers of a gang round share one round of aligned rows, a tallying
+// observer votes first, and a second observer — at its own job
 // position, with its presence bits perturbed as ignored, collided-own and
 // blinded senders do, and with its own corrupted own row — installs only
 // the rows the tally's stamp leaves as candidates and corrects the tally.
@@ -200,7 +201,7 @@ func FuzzSparseInstall(f *testing.F) {
 		b := snapshotObserver(t, n, lanes, idb, lb, heldB, ownB, snaps[0])
 		a2 := snapshotObserver(t, n, lanes, ida, la, held, ownA, snaps[0])
 		b2 := snapshotObserver(t, n, lanes, idb, lb, heldB, ownB, snaps[0])
-		tally := NewVoteTally(n)
+		sr := NewSharedRound(n)
 		// rowsAt is what a copying job at position l reads in round k: the
 		// senders before it already sent their round-k word.
 		rowsAt := func(k, l int) []BitSyndrome {
@@ -210,26 +211,26 @@ func FuzzSparseInstall(f *testing.F) {
 		}
 		for k := 0; k < 2; k++ {
 			round := a.lag + k
+			sr.Start(round, snaps[k], 0, ^uint64(0))
 			for _, o := range []struct {
 				p, twin *BatchProtocol
 				l       int
 				present uint64
 			}{{a, a2, la, present}, {b, b2, lb, presentB}} {
-				in := BatchRoundInput{Round: round, Present: o.present, Validity: BitSyndrome{Op: o.present, Known: ^uint64(0)},
-					Tally: tally, Snapshot: snaps[k]}
+				in := BatchRoundInput{Round: round, Present: o.present, Validity: BitSyndrome{Op: o.present, Known: ^uint64(0)}, Shared: sr}
 				var got, want BatchRoundOutput
 				if err := o.p.StepBatchInto(&in, &got); err != nil {
 					t.Fatal(err)
 				}
-				in.Tally, in.Snapshot, in.Rows = nil, nil, rowsAt(k, o.l)
+				in.Shared, in.Rows = nil, rowsAt(k, o.l)
 				if err := o.twin.StepBatchInto(&in, &want); err != nil {
 					t.Fatal(err)
 				}
 				if got != want {
-					t.Fatalf("n=%d lanes=%d round %d node %d (l=%d) after node %d: snapshot step with the tally\n got %+v\nwant %+v",
+					t.Fatalf("n=%d lanes=%d round %d node %d (l=%d) after node %d: step with the shared round\n got %+v\nwant %+v",
 						n, lanes, k, o.p.cfg.ID, o.l, ida, got, want)
 				}
-				if h, f := tallyLanes(tally.op, tally.know, n, tally.laneRep); tally.laneRep != 0 && (h != tally.healthy || f != tally.faulty) {
+				if h, f := tallyLanes(sr.op, sr.know, n, sr.laneRep); sr.laneRep != 0 && (h != sr.healthy || f != sr.faulty) {
 					t.Fatalf("n=%d round %d: tally counters no longer count its matrix", n, k)
 				}
 			}
@@ -246,4 +247,52 @@ func FuzzSparseInstall(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestSharedRoundMismatchErrors hands a gang shared rounds it cannot read:
+// one for another N, one without the N+1 rows, one started for another
+// round and one on a dynamic schedule. Each is an error from StepBatchInto
+// that leaves the gang where it was, so the correct round then steps.
+func TestSharedRoundMismatchErrors(t *testing.T) {
+	p, err := NewBatchProtocol(Config{N: 4, ID: 1, SendCurrRound: true, PR: PRConfig{PenaltyThreshold: 4, RewardThreshold: 8}}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]BitSyndrome, 5)
+	for j := range rows {
+		rows[j] = BitSyndrome{Op: p.allB, Known: p.allB}
+	}
+	wide := NewSharedRound(5)
+	wide.Start(0, make([]BitSyndrome, 6), 0, ^uint64(0))
+	short := NewSharedRound(4)
+	short.Start(0, rows[:4], 0, ^uint64(0))
+	late := NewSharedRound(4)
+	late.Start(1, rows, 0, ^uint64(0))
+	var out BatchRoundOutput
+	for _, tc := range []struct {
+		name string
+		sr   *SharedRound
+		want string
+	}{
+		{"another N", wide, "shared round of N=5 with 6 rows, want N=4"},
+		{"too few rows", short, "shared round of N=4 with 4 rows, want N=4"},
+		{"another round", late, "shared round started for round 1, want 0"},
+	} {
+		err := p.StepBatchInto(&BatchRoundInput{Round: 0, Present: p.allB, Validity: rows[1], Shared: tc.sr}, &out)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: StepBatchInto error %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	ok := NewSharedRound(4)
+	ok.Start(0, rows, 0, ^uint64(0))
+	if err := p.StepBatchInto(&BatchRoundInput{Round: 0, Present: p.allB, Validity: rows[1], Shared: ok}, &out); err != nil {
+		t.Fatalf("the round's own shared round: %v", err)
+	}
+	dyn, err := NewBatchProtocol(Config{N: 4, ID: 1, Dynamic: true, SendCurrRound: true, PR: PRConfig{PenaltyThreshold: 4, RewardThreshold: 8}}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dyn.StepBatchInto(&BatchRoundInput{Round: 0, Present: dyn.allB, Validity: rows[1], Shared: ok}, &out); err == nil || !strings.Contains(err.Error(), "static schedule") {
+		t.Errorf("dynamic schedule: StepBatchInto error %v, want a static-schedule error", err)
+	}
 }

@@ -278,43 +278,63 @@ func subPlane(cnt *[countPlanes]uint64, mask uint64) {
 	}
 }
 
-// VoteTally is one gang vote shared by the observers of a cluster: the
-// matrix planes of the last full vote and its bit-sliced healthy and faulty
-// column counters. A later observer whose installed matrix differs from the
-// tallied one in few rows corrects a copy of the counters row by row
-// instead of voting again. Per-column counts are sums of per-row
-// contributions, so the correction is exact for any two matrices in every
-// lane; Theorem 1 (correct observers vote on the same syndromes) only
-// explains why few rows differ. A tally serves one N and, at a time, one
-// lane layout: an observer with another layout votes in full, and its vote
-// becomes the tally. It is not safe for concurrent use.
+// SharedRound is one round of a gang as its observers share it: the
+// round's aligned rows, its healthy rows, its live lanes and one vote
+// tally. Read alignment (Alg. 1 lines 1-6) makes aligned row j sender j's
+// wire word of round k-1 for every observer of round k, whatever its job
+// position, and Theorem 1 (correct observers vote on the same syndromes)
+// lets them share one vote. The caller starts it once per round and hands
+// it to every job through BatchRoundInput.Shared. It is not safe for
+// concurrent use.
 //
-// A tally recorded from a round snapshot (BatchRoundInput.Snapshot) is
-// stamped with the round, the recording observer's lane-packed row set and
-// its id, its owner. Every observer of that round reads the same
-// snapshot, so its matrix can differ from the tallied one only in its own
-// row, the owner's row (each holds its own syndrome there) and the rows
-// whose presence bits differ from the tally's row set in some lane: those
-// are the only rows it installs (candidates).
-type VoteTally struct {
-	n int
+// The tally holds the matrix planes of the last full vote and its
+// bit-sliced healthy and faulty column counters. A later observer whose
+// installed matrix differs from the tallied one in few rows corrects a copy
+// of the counters row by row instead of voting again; per-column counts are
+// sums of per-row contributions, so the correction is exact for any two
+// matrices of one lane layout. An observer with another layout votes in
+// full, and its vote becomes the tally. The first observer of a round to
+// install a matrix becomes the round's owner: another observer's matrix
+// can differ from the owner's only in its own row, the owner's row (each
+// holds its own syndrome there) and the rows whose presence bits differ
+// from the owner's row set in some lane, the only rows it installs
+// (candidates).
+type SharedRound struct {
+	n, round int
+	// rows is borrowed from the caller until the round's last step returns.
+	//
+	//ttdiag:noretain
+	rows              []BitSyndrome
+	healthyRows, live uint64 // as passed to Start
 	// laneRep is the lane replicator of the tallied vote, 0 while the tally
 	// is empty.
 	laneRep         uint64
 	op, know        []uint64 // 1-based rows of the tallied matrix
 	healthy, faulty [countPlanes]uint64
-	// round, rowSet and owner stamp the tallied matrix; owner is 0 while
-	// the tally belongs to no round.
-	round  int
+	// rowSet and owner stamp the tallied matrix with the round's owner;
+	// owner is 0 while the round has none.
 	rowSet uint64
 	owner  int
 }
 
-// NewVoteTally returns an empty tally for n-node gangs.
-func NewVoteTally(n int) *VoteTally {
+// NewSharedRound returns an empty shared round for n-node gangs.
+func NewSharedRound(n int) *SharedRound {
 	w := n + 1
 	planes := make([]uint64, 2*w)
-	return &VoteTally{n: n, op: planes[:w:w], know: planes[w:]}
+	return &SharedRound{n: n, op: planes[:w:w], know: planes[w:]}
+}
+
+// Start begins round `round`. rows[j] (1-based) is sender j's lane-packed
+// wire word of round k-1, the aligned row j of every observer; healthyRows
+// marks (bit j-1) the rows all-Healthy and fully Known in every live lane,
+// so a step whose aligned rows are all marked and present skips its
+// install (0 is always correct; a false bit is a caller bug, checked under
+// ttdiag_invariants); live marks (bit r·N) the lanes whose telemetry and
+// causal events record the round. The tally's matrix is kept, its owner
+// dropped.
+func (t *SharedRound) Start(round int, rows []BitSyndrome, healthyRows, live uint64) {
+	t.round, t.rows, t.healthyRows, t.live = round, rows, healthyRows, live
+	t.owner = 0
 }
 
 // tallyMaxRows is the most differing rows an observer corrects the tally
@@ -326,21 +346,17 @@ func NewVoteTally(n int) *VoteTally {
 // differ; a quarter keeps a clear margin for the correction's fixed cost.
 func tallyMaxRows(n int) int { return n/4 + 1 }
 
-// Reset empties the tally. A caller whose observers share it must reset
-// it when it rewinds them, since their round numbers then repeat.
-func (t *VoteTally) Reset() { t.laneRep, t.owner = 0, 0 }
-
 // record makes the observer's installed matrix the tally: it copies the
-// planes and counts them from scratch. The tally belongs to no round until
+// planes and counts them from scratch. The tally has no owner until
 // stamped.
-func (t *VoteTally) record(op, know []uint64, laneRep uint64) {
+func (t *SharedRound) record(op, know []uint64, laneRep uint64) {
 	healthy, faulty := tallyLanes(op, know, t.n, laneRep)
 	t.rebase(op, know, laneRep, &healthy, &faulty)
 }
 
 // rebase makes the matrix op/know with the given counters the tally, as
 // record does without counting again.
-func (t *VoteTally) rebase(op, know []uint64, laneRep uint64, healthy, faulty *[countPlanes]uint64) {
+func (t *SharedRound) rebase(op, know []uint64, laneRep uint64, healthy, faulty *[countPlanes]uint64) {
 	copy(t.op, op[:t.n+1])
 	copy(t.know, know[:t.n+1])
 	t.laneRep = laneRep
@@ -348,25 +364,25 @@ func (t *VoteTally) rebase(op, know []uint64, laneRep uint64, healthy, faulty *[
 	t.owner = 0
 }
 
-// stamp assigns the tallied matrix to a round: observer owner installed
-// it with the lane-packed row set rowSet.
-func (t *VoteTally) stamp(round int, rowSet uint64, owner int) {
-	t.round, t.rowSet, t.owner = round, rowSet, owner
+// stamp makes observer owner, which installed the tallied matrix with the
+// lane-packed row set rowSet, the round's owner.
+func (t *SharedRound) stamp(rowSet uint64, owner int) {
+	t.rowSet, t.owner = rowSet, owner
 }
 
-// current reports whether the tally belongs to the round.
-func (t *VoteTally) current(round int) bool { return t.owner != 0 && t.round == round }
+// current reports whether the round has an owner.
+func (t *SharedRound) current() bool { return t.owner != 0 }
 
 // candidates returns the rows (bit j-1 = row j) in which observer id's
 // matrix of the round, installed with the row set rowSet from the round's
-// snapshot in the lane layout laneRep, can differ from the tallied one, and
-// false when the tally belongs to another round or layout. Outside the own
-// and the owner's rows, row j of both matrices is the snapshot's row j
-// restricted to the lanes whose row set holds j, so it can differ only
-// where the two row sets do: folding their difference over the lanes finds
-// those rows.
-func (t *VoteTally) candidates(round int, laneRep, rowSet uint64, id int) (uint64, bool) {
-	if !t.current(round) || t.laneRep != laneRep {
+// rows in the lane layout laneRep, can differ from the tallied one, and
+// false when the tally has no owner in the round or another layout.
+// Outside the own and the owner's rows, row j of both matrices is the
+// round's row j restricted to the lanes whose row set holds j, so it can
+// differ only where the two row sets do: folding their difference over the
+// lanes finds those rows.
+func (t *SharedRound) candidates(laneRep, rowSet uint64, id int) (uint64, bool) {
+	if !t.current() || t.laneRep != laneRep {
 		return 0, false
 	}
 	var rows uint64
@@ -380,7 +396,7 @@ func (t *VoteTally) candidates(round int, laneRep, rowSet uint64, id int) (uint6
 // differs from the tallied one only in the rows of differ (bit j-1 = row
 // j) and shares its lane layout: each differing row gives back the columns
 // only the tallied row held and adds the columns only its own holds.
-func (t *VoteTally) correct(op, know []uint64, differ uint64) (healthy, faulty [countPlanes]uint64) {
+func (t *SharedRound) correct(op, know []uint64, differ uint64) (healthy, faulty [countPlanes]uint64) {
 	healthy, faulty = t.healthy, t.faulty
 	for d := differ; d != 0; d &= d - 1 {
 		j := bits.TrailingZeros64(d) + 1

@@ -23,7 +23,7 @@ import (
 // borrowed inputs (the body must not retain them). "Reference-typed" covers
 // slices, maps, pointers, channels and structs carrying any of those. On a
 // struct field's doc comment the directive marks the field as holding a
-// borrow (core.BatchRoundInput.Snapshot): every value read from it is a
+// borrow (the rows of a core.SharedRound): every value read from it is a
 // borrowed view, wherever the struct itself came from.
 //
 // The rule is an intra-procedural alias analysis: within each function body

@@ -122,24 +122,36 @@ func (h *holder) storeViaRange() {
 	}
 }
 
-// input carries a borrow in an annotated field, as a round input does.
+// round carries a borrow in an annotated field, as a shared round does.
+type round struct {
+	// rows is read only until the round's last call returns.
+	//
+	//ttdiag:noretain
+	rows []byte
+}
+
+// input carries a borrow in an annotated field and reaches another through
+// a pointer, as a round input does.
 type input struct {
 	// rows is read only until the call that receives the input returns.
 	//
 	//ttdiag:noretain
-	rows []byte
-	n    int
+	rows   []byte
+	n      int
+	shared *round
 }
 
-// storeBorrowedField keeps what an annotated field holds, though the input
-// itself is not a borrowed parameter.
+// storeBorrowedField keeps what annotated fields hold, though the input
+// itself is not a borrowed parameter, directly and through the pointer.
 func (h *holder) storeBorrowedField(in *input) {
 	h.buf = in.rows
+	h.buf = in.shared.rows
 }
 
-// copyBorrowedField copies the bytes out and reads the plain field. No
-// findings.
+// copyBorrowedField copies the bytes out, directly and through the
+// pointer, and reads the plain field. No findings.
 func (h *holder) copyBorrowedField(in *input) int {
 	h.buf = append(h.buf[:0], in.rows...)
+	h.buf = append(h.buf, in.shared.rows...)
 	return in.n
 }

@@ -12,6 +12,7 @@ import (
 	"ttdiag/internal/core"
 	"ttdiag/internal/fault"
 	"ttdiag/internal/invariant"
+	"ttdiag/internal/metrics"
 	"ttdiag/internal/tdma"
 )
 
@@ -123,5 +124,61 @@ func TestLoudGangRoundAllocs(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Fatalf("a loud N=64 gang round allocates %.2f objects, want 0", avg)
+	}
+}
+
+// TestStaggeredHorizonMetricsAllocs pins whole gangs with telemetry on
+// every lane and staggered lane horizons at no allocation. The instruments
+// are attached once, before the first gang: a lane whose horizon passes
+// keeps them (the round's live lanes gate what it emits), so no gang
+// detaches, re-attaches or regroups anything, and every gang still counts
+// exactly each lane's own horizon of steps on every node.
+func TestStaggeredHorizonMetricsAllocs(t *testing.T) {
+	if invariant.Enabled {
+		t.Skip("invariant checking boxes Checkf arguments and inflates the allocation count")
+	}
+	bc, err := NewBatchDiagCluster(ClusterConfig{
+		Ls: []int{2, 0, 3, 1},
+		PR: core.PRConfig{PenaltyThreshold: 3, RewardThreshold: 5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, lanes := bc.Config().N, core.BatchLanes(bc.Config().N)
+	sm := core.NewStepMetrics(metrics.New())
+	for id := 1; id <= n; id++ {
+		for lane := 0; lane < lanes; lane++ {
+			bc.Proto(id).SetLaneMetrics(lane, sm)
+		}
+	}
+	dist := make([]tdma.Disturbance, lanes)
+	steps := int64(0) // per gang: every node steps once per round of each lane's horizon
+	for lane := range dist {
+		dist[lane] = fault.NewTrain(fault.SlotBurst(bc.Schedule(), 5+lane%6, 1+lane%4, 1))
+		steps += int64(n * (12 + 2*lane))
+	}
+	gang := func() {
+		if err := bc.ResetBatch(lanes); err != nil {
+			t.Fatal(err)
+		}
+		for lane, d := range dist {
+			bc.AddLaneDisturbance(lane, d)
+			bc.SetLaneHorizon(lane, 12+2*lane)
+		}
+		if err := bc.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		gang()
+	}
+	before := sm.Steps.Value()
+	const runs = 20
+	if avg := testing.AllocsPerRun(runs, gang); avg != 0 {
+		t.Fatalf("a warm %d-lane gang with staggered horizons and telemetry allocates %.2f objects, want 0", lanes, avg)
+	}
+	// AllocsPerRun runs the gang once more to warm up.
+	if got, want := sm.Steps.Value()-before, (runs+1)*steps; got != want {
+		t.Fatalf("%d gangs counted %d steps, want %d: a lane emitted past its horizon or stopped emitting", runs+1, got, want)
 	}
 }

@@ -14,6 +14,7 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/bits"
@@ -71,8 +72,8 @@ type BatchDiagCluster struct {
 	// blind observes the same delivery: rows[k&1][j] holds sender j's
 	// decoded wire word of round k-1 lane-packed, the row every observer of
 	// round k aligns to row j (Alg. 1 lines 1-6), and round k's slot j
-	// writes it into rows[(k+1)&1]. The jobs of round k borrow rows[k&1] as
-	// their core.BatchRoundInput.Snapshot: the two buffers are the round
+	// writes it into rows[(k+1)&1]. The jobs of round k borrow rows[k&1]
+	// through the round's core.SharedRound: the two buffers are the round
 	// snapshots every observer shares, and the cluster owns them. presentB
 	// marks the lanes·senders whose last stored payload is valid and
 	// decodable.
@@ -80,7 +81,7 @@ type BatchDiagCluster struct {
 	presentB uint64
 	// healthyRows marks (bit s-1) the senders whose last wire word is
 	// all-Healthy in every live lane, kept in O(1) per slot; at a round's
-	// start it is the jobs' HealthyRows hint about the round's snapshot.
+	// start it is the shared round's healthy rows.
 	healthyRows uint64
 
 	// Per-observer divergence from the shared planes. ign[i] marks the
@@ -136,12 +137,13 @@ type BatchDiagCluster struct {
 	loudLanes uint64
 
 	// jobIn and jobOut are runJob's StepBatch input and output, reused
-	// every job instead of copied through the call. jobIn.Tally is the
-	// vote tally every job of the cluster shares: by Theorem 1 the correct
-	// observers of a round vote on the same syndromes, so the first job of
-	// a round to install a matrix re-bases the tally onto it, and the
-	// others install and correct only the few rows in which they can
-	// differ. jobIn.Snapshot and HealthyRows are set once per round.
+	// every job instead of copied through the call. jobIn.Shared is the
+	// round every job of the cluster shares, started once per round with
+	// the round's snapshot, healthy rows and live lanes: by Theorem 1 the
+	// correct observers of a round vote on the same syndromes, so the first
+	// job of a round to install a matrix re-bases its tally onto it, and
+	// the others install and correct only the few rows in which they can
+	// differ.
 	jobIn  core.BatchRoundInput
 	jobOut core.BatchRoundOutput
 
@@ -263,7 +265,7 @@ func NewBatchDiagCluster(cfg ClusterConfig) (*BatchDiagCluster, error) {
 	c.wake, c.wakeMin = wakes[:(norm.N+1)*maxLanes], wakes[(norm.N+1)*maxLanes:]
 	c.jobs = make([]int, 0, norm.N)
 	c.orderJobs()
-	c.jobIn.Tally = core.NewVoteTally(norm.N)
+	c.jobIn.Shared = core.NewSharedRound(norm.N)
 	for r := 0; r < maxLanes; r++ {
 		c.cols[r] = NewCollector()
 		c.finalPen[r] = make([]int64, (norm.N+1)*(norm.N+1))
@@ -341,7 +343,6 @@ func (c *BatchDiagCluster) ResetBatch(lanes int) error {
 	}
 	c.lanes = lanes
 	c.round = 0
-	c.jobIn.Tally.Reset()
 	c.invRef, c.invTainted = 0, 0
 	c.invFaults = [invWindow][3]uint64{}
 	c.laneRep = 0
@@ -561,20 +562,12 @@ func (c *BatchDiagCluster) Run() error {
 func (c *BatchDiagCluster) Step() error {
 	w := c.n + 1
 	k := c.round
+	// Past its horizon a lane's telemetry and flight recorder emit nothing,
+	// exactly like a per-run repetition that has stopped.
+	var live uint64 // bit r: lane r records the round
 	for r := 0; r < c.lanes; r++ {
-		if c.horizon[r] == k {
-			// The lane's repetition ended last round: detach its
-			// telemetry and flight recorder so rounds past the horizon
-			// emit nothing, exactly like a per-run repetition that has
-			// stopped.
-			for id := 1; id <= c.n; id++ {
-				c.protos[id].SetLaneMetrics(r, nil)
-			}
-			if c.traces != nil {
-				c.protos[1].SetLaneTrace(r, nil)
-			}
-		}
 		if k < c.horizon[r] {
+			live |= 1 << uint(r)
 			// A slot's truth starts as what a quiet transmission
 			// records; transmitSlot overwrites the other slots.
 			c.truth[r] = append(c.truth[r], 0)
@@ -583,7 +576,7 @@ func (c *BatchDiagCluster) Step() error {
 			}
 		}
 	}
-	if err := c.runRound(k); err != nil {
+	if err := c.runRound(k, live); err != nil {
 		for r := 0; r < c.lanes; r++ {
 			if k < c.horizon[r] {
 				c.truth[r] = c.truth[r][:k*w]
@@ -605,14 +598,14 @@ func (c *BatchDiagCluster) Round() int { return c.round }
 
 // runRound advances every lane by one TDMA round, mirroring
 // Engine.RunRound's slot walk: diagnostic jobs at their positions, then the
-// slot transmission, N times.
-func (c *BatchDiagCluster) runRound(k int) error {
-	c.jobIn.Snapshot = c.rows[k&1]
-	c.jobIn.HealthyRows = c.healthyRows
+// slot transmission, N times. live marks (bit r) the lanes that record the
+// round.
+func (c *BatchDiagCluster) runRound(k int, live uint64) error {
+	c.jobIn.Shared.Start(k, c.rows[k&1], c.healthyRows, expandColumn(live, 0, c.n))
 	next := 0
 	for pos := 0; pos <= c.n; pos++ {
 		for ; next < len(c.jobs) && c.cfg.Ls[c.jobs[next]-1] == pos; next++ {
-			if err := c.runJob(k, c.jobs[next]); err != nil {
+			if err := c.runJob(k, c.jobs[next], live); err != nil {
 				return err
 			}
 		}
@@ -624,14 +617,13 @@ func (c *BatchDiagCluster) runRound(k int) error {
 	return nil
 }
 
-// runJob executes node id's diagnostic job for every lane at once.
-func (c *BatchDiagCluster) runJob(k, id int) error {
+// runJob executes node id's diagnostic job for every lane at once; the
+// lanes of live (bit r) record it.
+func (c *BatchDiagCluster) runJob(k, id int, live uint64) error {
 	if c.events != nil {
 		at := c.sched.JobTime(k, c.cfg.Ls[id-1])
-		for r := 0; r < c.lanes; r++ {
-			if k < c.horizon[r] {
-				c.events[r].Record(trace.Event{At: at, Round: k, Kind: trace.KindJobRun, Node: id})
-			}
+		for m := live; m != 0; m &= m - 1 {
+			c.events[bits.TrailingZeros64(m)].Record(trace.Event{At: at, Round: k, Kind: trace.KindJobRun, Node: id})
 		}
 	}
 	present := c.presentB &^ (c.ign[id] | c.ownClear[id] | c.blind[id])
@@ -666,12 +658,8 @@ func (c *BatchDiagCluster) runJob(k, id int) error {
 	allHealthy := out.ConsOp&out.ConsKnown&c.allB == c.allB
 	decided := out.IsolatedMask|out.ReintegratedMask != 0
 	healthy := core.BitSyndrome{Op: c.laneAll, Known: c.laneAll}
-	var live uint64 // lanes still inside their horizon
-	for r := 0; r < c.lanes; r++ {
-		if out.Round >= c.horizon[r] {
-			continue
-		}
-		live |= 1 << uint(r)
+	for m := live; m != 0; m &= m - 1 {
+		r := bits.TrailingZeros64(m)
 		col := c.cols[r]
 		if out.Warm {
 			hv := healthy
@@ -853,7 +841,7 @@ func (c *BatchDiagCluster) transmitSlot(k, s int) {
 		}
 		untouched := false
 		if d.Valid && len(d.Payload) == encLen {
-			if untouched = payloadEqual(d.Payload, c.payload); untouched {
+			if untouched = bytes.Equal(d.Payload, c.payload); untouched {
 				// The chain passed the encoding through unaltered, so it
 				// decodes back to exactly the word we encoded — skip the
 				// wire-format parse on this clean-delivery fast path.
@@ -1019,7 +1007,7 @@ func (c *BatchDiagCluster) checkQuiet(k, s int, quiet uint64) {
 			d, blinded = c.deliverSelective(r, clean)
 		}
 		collided := c.dist[r].SenderCollision(&c.tx, false)
-		if !d.Valid || !payloadEqual(d.Payload, c.payload) || blinded != 0 || collided {
+		if !d.Valid || !bytes.Equal(d.Payload, c.payload) || blinded != 0 || collided {
 			invariant.Checkf(false, "sim: round %d slot %d lane %d: the disturbance chain claimed the transmission quiet but touched it (valid %v, blinded %#x, collision %v)",
 				k, s, r, d.Valid, blinded, collided)
 		}
@@ -1067,16 +1055,4 @@ func expandColumn(laneBits uint64, col uint, n int) uint64 {
 		out |= 1 << (uint(r*n) + col)
 	}
 	return out
-}
-
-func payloadEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -186,9 +186,10 @@ func (c *BatchDiagCluster) CaptureLaneRecord(lane int, rec []uint64) error {
 // left stale, as no job reads them. The lanes' disturbances and horizons
 // are left as they are, and each restored lane asks its chain afresh
 // which slots it leaves quiet (see AddLaneDisturbance); the other lanes
-// keep their answers. The HealthyRows hint is recomputed from the shared
-// rows. Under ttdiag_invariants every restored lane is re-captured and must
-// equal its record. Zero allocations after the first restore.
+// keep their answers. The healthy rows the next shared round starts with
+// are recomputed from the shared rows. Under ttdiag_invariants every
+// restored lane is re-captured and must equal its record. Zero allocations
+// after the first restore.
 func (c *BatchDiagCluster) RestoreLanes(lanes uint64, recs [][]uint64) error {
 	if err := c.checkLanes(lanes); err != nil {
 		return err

@@ -286,3 +286,53 @@ func TestRestoreLanesRoundTrip(t *testing.T) {
 		t.Fatal("no isolation after the refill; the fault pattern exercises too little")
 	}
 }
+
+// TestRestoreLanesClearsHealthyHint restores a lane of a faulted gang, in
+// which some senders' last wire words accuse, into a gang whose rows are
+// all-Healthy: the healthy rows the next shared round starts with must
+// lose exactly those senders, or its jobs would take the quiet-round
+// shortcut over rows that accuse.
+func TestRestoreLanesClearsHealthyHint(t *testing.T) {
+	const rounds = 9
+	quiet, err := NewBatchDiagCluster(ClusterConfig{N: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < rounds; k++ {
+		if err := quiet.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if quiet.healthyRows != 0b1111 {
+		t.Fatalf("fault-free gang has healthy rows %#b, want every sender", quiet.healthyRows)
+	}
+	src, _ := faultedGang(t, ClusterConfig{N: 4}, 0xace, rounds)
+	rows := src.rows[src.round&1]
+	lane, accusing := -1, uint64(0)
+	for r := 0; r < src.Lanes() && accusing == 0; r++ {
+		lane = r
+		for j := 1; j <= 4; j++ {
+			if core.LaneView(rows[j].Op, r, 4) != 0b1111 {
+				accusing |= 1 << uint(j-1)
+			}
+		}
+	}
+	if accusing == 0 {
+		t.Fatal("no lane of the faulted gang holds an accusing wire word")
+	}
+	rec := make([]uint64, src.LaneRecordLen())
+	if err := src.CaptureLaneRecord(lane, rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := quiet.RestoreLanes(1<<6, [][]uint64{rec}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := quiet.healthyRows, 0b1111&^accusing; got != want {
+		t.Fatalf("healthy rows %#b after restoring a lane whose senders %#b accuse, want %#b", got, accusing, want)
+	}
+	// Under ttdiag_invariants every job of the next round checks the rows
+	// its shared round marks healthy.
+	if err := quiet.Step(); err != nil {
+		t.Fatal(err)
+	}
+}
