@@ -52,7 +52,7 @@ func runProfile(prof ttdiag.Platform) error {
 	}
 	faulty := 0
 	for d := 4; d < rounds-4; d++ {
-		faulty += col.ConsHV[d][1].CountFaulty(prof.N)
+		faulty += col.HV(d, 1).CountFaulty(prof.N)
 	}
 	fmt.Printf("%-12s N=%-3d round=%-6v dm=%d byte(s): %d rounds, %d faulty slots diagnosed, audit clean\n",
 		prof.Name, prof.N, prof.RoundLen, (prof.N+7)/8, rounds, faulty)

@@ -237,7 +237,7 @@ func maliciousCampaignPerRun(p Params) ([]CampaignRow, error) {
 				err := sim.AuditTheorem1(eng, col, obedient, 4, 20)
 				if err == nil {
 					for d := 4; d < 20 && err == nil; d++ {
-						if hv := col.ConsHV[d][obedient[0]]; hv.CountFaulty(4) != 0 {
+						if hv := col.HV(d, obedient[0]); hv.CountFaulty(4) != 0 {
 							err = fmt.Errorf("round %d: conviction %s", d, hv.String(4))
 						}
 					}

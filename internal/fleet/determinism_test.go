@@ -152,10 +152,14 @@ func equivScenario(pool *rng.Pool, shard, size int, sched *tdma.Schedule, add fu
 
 // collectorDump renders everything a collector recorded, so a lane's
 // record can be compared after its cluster moved on to the next gang.
-func collectorDump(col *sim.Collector, rounds int) string {
+func collectorDump(col *sim.Collector, size, rounds int) string {
 	var b strings.Builder
 	for d := 0; d < rounds; d++ {
-		fmt.Fprintf(&b, "d%d %v\n", d, col.RoundHVs(d))
+		fmt.Fprintf(&b, "d%d", d)
+		for obs := 1; obs <= size; obs++ {
+			fmt.Fprintf(&b, " %v", col.HV(d, obs))
+		}
+		b.WriteByte('\n')
 	}
 	fmt.Fprintf(&b, "iso %+v\nre %+v\n", col.Isolations, col.Reintegrations)
 	return b.String()
@@ -202,7 +206,7 @@ func perRunShard(t *testing.T, cfg Config, seed int64, shard, size int, reg *met
 	}
 	sys.ObserveTruth(cl.Eng)
 	sys.ObserveIsolationLatency(cl.Eng, col)
-	rec.col = collectorDump(col, cfg.Rounds)
+	rec.col = collectorDump(col, size, cfg.Rounds)
 	for obs := 0; obs <= size; obs++ {
 		for j := 0; j <= size; j++ {
 			var pen int64
@@ -269,7 +273,7 @@ func TestFleetLanePackedMatchesPerRun(t *testing.T) {
 				// The audit runs right after the gang, before the cluster
 				// is reset for another one: snapshot the lane there.
 				return func() string {
-					rec := shardRecord{col: collectorDump(cl.LaneCollector(lane), c.Config().Rounds)}
+					rec := shardRecord{col: collectorDump(cl.LaneCollector(lane), sr.Size, c.Config().Rounds)}
 					for obs := 0; obs <= sr.Size; obs++ {
 						for j := 0; j <= sr.Size; j++ {
 							var pen int64

@@ -33,73 +33,66 @@ type Isolation struct {
 }
 
 // Collector gathers per-round protocol outputs from a cluster for auditing
-// and metric extraction. Install its hooks before running the engine.
+// and metric extraction. Install its hooks before running the engine. A
+// collector is one lane of a record: a per-run collector owns a one-lane
+// record, and a BatchDiagCluster's lane collectors share the gang's.
 type Collector struct {
-	// ConsHV[diagnosedRound][observer] is the consistent health vector the
-	// observer computed for that round. The outer slice covers rounds up to
-	// the last diagnosed one; the inner slice is 1-based by observer and is
-	// nil for rounds nobody has diagnosed, and an observer that recorded
-	// nothing holds the zero vector (Known == 0). Use RoundHVs for
-	// bounds-safe reads.
-	ConsHV [][]core.BitSyndrome
 	// Isolations and Reintegrations in decision order.
 	Isolations     []Isolation
 	Reintegrations []Isolation
+
+	rec  *gangRecord
+	lane int
 }
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
-	return &Collector{}
+	return &Collector{rec: new(gangRecord)}
 }
 
 // Reset empties the collector for reuse in the next campaign repetition,
-// keeping the recorded-round storage allocated (setHV clears it on reuse).
-// A reset collector is observationally identical to a fresh one.
+// keeping its storage allocated. A reset collector is observationally
+// identical to a fresh one. A gang lane's collector shares the gang's
+// record, which BatchDiagCluster.ResetBatch empties: reset the gang, not
+// its lanes' collectors.
 func (c *Collector) Reset() {
-	c.ConsHV = c.ConsHV[:0]
+	c.rec.words = c.rec.words[:0]
 	c.Isolations = c.Isolations[:0]
 	c.Reintegrations = c.Reintegrations[:0]
 }
 
-// RoundHVs returns the health vectors recorded for a diagnosed round,
-// indexed by observer (zero vectors for observers that recorded nothing), or
-// nil when no observer diagnosed the round.
-func (c *Collector) RoundHVs(round int) []core.BitSyndrome {
-	if round < 0 || round >= len(c.ConsHV) {
-		return nil
+// HV returns the consistent health vector observer computed for a
+// diagnosed round, or the zero vector (Known == 0) when it recorded none.
+func (c *Collector) HV(round, observer int) core.BitSyndrome {
+	g := c.rec
+	if observer < 1 || observer > g.n || round < 0 || round >= g.rounds() {
+		return core.BitSyndrome{}
 	}
-	return c.ConsHV[round]
+	w := g.words[round*g.stride()+classPlanes+2*(observer-1):]
+	return core.BitSyndrome{Op: core.LaneView(w[0], c.lane, g.n), Known: core.LaneView(w[1], c.lane, g.n)}
+}
+
+// recorded reports whether any observer recorded a health vector for a
+// diagnosed round (a warm vector is fully Known).
+func (c *Collector) recorded(round int) bool {
+	for obs := 1; obs <= c.rec.n; obs++ {
+		if c.HV(round, obs).Known != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // HookDiag installs the collector on a DiagRunner.
 func (c *Collector) HookDiag(observer int, r *DiagRunner) {
-	n := r.proto.Config().N
-	r.OnOutput = func(out core.RoundOutput) { c.record(observer, n, out) }
+	c.rec.n = r.proto.Config().N
+	r.OnOutput = func(out core.RoundOutput) { c.record(observer, out) }
 }
 
 // HookMembership installs the collector on a MembershipRunner.
 func (c *Collector) HookMembership(observer int, r *MembershipRunner) {
-	n := r.svc.Protocol().Config().N
-	r.OnOutput = func(out membership.Output) { c.record(observer, n, out.Diag) }
-}
-
-// setHV stores one observer's consistent health vector for a diagnosed
-// round of an n-node system, growing the recorded-round storage as needed.
-func (c *Collector) setHV(d, observer, n int, hv core.BitSyndrome) {
-	for len(c.ConsHV) <= d {
-		if len(c.ConsHV) < cap(c.ConsHV) {
-			// Re-extend over storage kept by Reset: the inner slice is
-			// already allocated, so clear and reuse it.
-			c.ConsHV = c.ConsHV[:len(c.ConsHV)+1]
-			clear(c.ConsHV[len(c.ConsHV)-1])
-		} else {
-			c.ConsHV = append(c.ConsHV, nil)
-		}
-	}
-	if len(c.ConsHV[d]) != n+1 {
-		c.ConsHV[d] = make([]core.BitSyndrome, n+1)
-	}
-	c.ConsHV[d][observer] = hv
+	c.rec.n = r.svc.Protocol().Config().N
+	r.OnOutput = func(out membership.Output) { c.record(observer, out.Diag) }
 }
 
 // addDecisions appends one observer's isolations and reintegrations of a
@@ -113,13 +106,54 @@ func (c *Collector) addDecisions(observer, round int, isolated, reintegrated uin
 	}
 }
 
-// record is the shared body of the per-run hooks (the lane-packed batch
-// cluster calls setHV and addDecisions per lane).
-func (c *Collector) record(observer, n int, out core.RoundOutput) {
+// record is the shared body of the per-run hooks: a one-lane record holds
+// the vector as it is.
+func (c *Collector) record(observer int, out core.RoundOutput) {
 	if out.ConsHV.Known != 0 {
-		c.setHV(out.DiagnosedRound, observer, n, out.ConsHV)
+		c.rec.grow(out.DiagnosedRound + 1)
+		c.rec.setHV(out.DiagnosedRound, observer, out.ConsHV)
 	}
 	c.addDecisions(observer, out.Round, out.Isolated, out.Reintegrated)
+}
+
+// classPlanes is the number of ground-truth class planes leading a round
+// of a gangRecord: the benign, asymmetric and malicious senders.
+const classPlanes = 3
+
+// gangRecord is what a gang keeps of its rounds, in the lane-packed layout
+// the kernel computes (bit r·N+j-1 is lane r's node j): per round k, the
+// senders whose round-k delivery was benign, asymmetric or malicious, then
+// every observer's consistent health vector of diagnosed round k (Op, then
+// Known), 2N+3 words in all. A round is recorded when some lane lies
+// inside its horizon, and only those lanes set health vector bits; a
+// lane's views read the class planes of the rounds it recorded only.
+type gangRecord struct {
+	n     int
+	words []uint64
+}
+
+func (g *gangRecord) stride() int { return classPlanes + 2*g.n }
+
+func (g *gangRecord) rounds() int { return len(g.words) / g.stride() }
+
+// grow extends the record to at least `rounds` rounds, the new ones empty.
+func (g *gangRecord) grow(rounds int) {
+	end := rounds * g.stride()
+	if end <= len(g.words) {
+		return
+	}
+	old := len(g.words)
+	for cap(g.words) < end {
+		g.words = append(g.words[:cap(g.words)], 0)
+	}
+	g.words = g.words[:end]
+	clear(g.words[old:])
+}
+
+// setHV stores observer's health vector words for diagnosed round d.
+func (g *gangRecord) setHV(d, observer int, hv core.BitSyndrome) {
+	i := d*g.stride() + classPlanes + 2*(observer-1)
+	g.words[i], g.words[i+1] = hv.Op, hv.Known
 }
 
 // FirstIsolation returns the earliest round in which any observer isolated
@@ -156,8 +190,8 @@ type TruthSource interface {
 	// Round returns the number of executed rounds.
 	Round() int
 	// Truth returns the executed round's outcome classes (1-based by slot),
-	// or nil for rounds not executed. The row may alias run-owned storage —
-	// callers must not retain it across runs.
+	// or nil for rounds not executed. The row may alias storage of the
+	// source: it is valid until the next Truth call on the same source.
 	Truth(round int) []tdma.OutcomeClass
 }
 
@@ -182,16 +216,15 @@ func AuditTheorem1(src TruthSource, col *Collector, obedient []int, fromRound, t
 			return fmt.Errorf("sim: no ground truth for round %d", d)
 		}
 		n := len(truth) - 1
-		byObs := col.RoundHVs(d)
-		if byObs == nil {
+		if !col.recorded(d) {
 			return fmt.Errorf("sim: no health vectors recorded for round %d", d)
 		}
 		ref, refObs := core.BitSyndrome{}, obedient[0]
 		for _, obs := range obedient {
-			if obs < 1 || obs > n || obs >= len(byObs) {
+			if obs < 1 || obs > n {
 				return fmt.Errorf("sim: observer %d out of range 1..%d", obs, n)
 			}
-			hv := byObs[obs]
+			hv := col.HV(d, obs)
 			if hv.Known == 0 {
 				return fmt.Errorf("sim: observer %d produced no health vector for round %d", obs, d)
 			}

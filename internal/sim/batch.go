@@ -147,9 +147,13 @@ type BatchDiagCluster struct {
 	jobIn  core.BatchRoundInput
 	jobOut core.BatchRoundOutput
 
-	truth    [][]tdma.OutcomeClass // per lane, flat rows of N+1
-	cols     []*Collector          // per lane
-	finalPen [][]int64             // per lane, flat observer·(N+1)+j
+	// rec is the gang's record of its rounds, ground truth and health
+	// vectors; cols and truths are each lane's views of it (with the lane's
+	// decisions, and its recorded-round count and truth row scratch).
+	rec      gangRecord
+	cols     []Collector // per lane
+	truths   []laneTruth // per lane
+	finalPen [][]int64   // per lane, flat observer·(N+1)+j
 
 	payload []byte // EncodedLen(N) transmission scratch
 	tx      tdma.Transmission
@@ -240,8 +244,9 @@ func NewBatchDiagCluster(cfg ClusterConfig) (*BatchDiagCluster, error) {
 		dist:      make([]tdma.Disturbances, maxLanes),
 		sole:      make([]tdma.Quieter, maxLanes),
 		horizon:   make([]int, maxLanes),
-		truth:     make([][]tdma.OutcomeClass, maxLanes),
-		cols:      make([]*Collector, maxLanes),
+		rec:       gangRecord{n: norm.N},
+		cols:      make([]Collector, maxLanes),
+		truths:    make([]laneTruth, maxLanes),
 		finalPen:  make([][]int64, maxLanes),
 		payload:   make([]byte, core.EncodedLen(norm.N)),
 	}
@@ -266,8 +271,10 @@ func NewBatchDiagCluster(cfg ClusterConfig) (*BatchDiagCluster, error) {
 	c.jobs = make([]int, 0, norm.N)
 	c.orderJobs()
 	c.jobIn.Shared = core.NewSharedRound(norm.N)
+	truthRows := make([]tdma.OutcomeClass, maxLanes*w)
 	for r := 0; r < maxLanes; r++ {
-		c.cols[r] = NewCollector()
+		c.cols[r] = Collector{rec: &c.rec, lane: r}
+		c.truths[r] = laneTruth{rec: &c.rec, lane: r, row: truthRows[r*w : (r+1)*w : (r+1)*w]}
 		c.finalPen[r] = make([]int64, (norm.N+1)*(norm.N+1))
 	}
 	if norm.Sink != nil {
@@ -334,9 +341,10 @@ func (c *BatchDiagCluster) Proto(id int) *core.BatchProtocol {
 // ResetBatch rewinds the cluster for the next gang of `lanes` repetitions
 // (a ragged final gang shrinks the lane count): protocols restart their
 // warm-up, views return to the initial full view, disturbances and
-// horizons are dropped, collectors, ground truth and trace buffers are
-// emptied, the live lanes' flight recorders are re-attached to node 1, and
-// the bootstrap all-healthy outboxes are re-staged.
+// horizons are dropped, the gang's record (collectors, ground truth) and
+// trace buffers are emptied, the live lanes' flight recorders are
+// re-attached to node 1, and the bootstrap all-healthy outboxes are
+// re-staged.
 func (c *BatchDiagCluster) ResetBatch(lanes int) error {
 	if lanes < 1 || lanes > c.max {
 		return fmt.Errorf("sim: gang of %d lanes outside 1..%d", lanes, c.max)
@@ -377,8 +385,8 @@ func (c *BatchDiagCluster) ResetBatch(lanes int) error {
 		c.dist[r] = c.dist[r][:0]
 		c.sole[r] = nil
 		c.horizon[r] = 0
-		c.truth[r] = c.truth[r][:0]
 		c.cols[r].Reset()
+		c.truths[r].rounds = 0
 	}
 	if c.traces != nil {
 		// Node 1 carries the causal flight recorder, as on the per-run
@@ -469,22 +477,21 @@ func (c *BatchDiagCluster) resetWake(lanes uint64) {
 // and its final penalty counters are captured when that round completes.
 // Run executes to the maximum horizon over the gang; lanes keep stepping
 // past their own horizon (the segments are independent) but record nothing.
-// Between two Run calls a horizon may be raised past the rounds already
-// run: the lane then records on from where the gang stopped, as though the
-// higher horizon had been set before the first Run.
+// Between two Run calls the horizon of a lane the gang stopped at may be
+// raised: the lane then records on from where the gang stopped, as though
+// the higher horizon had been set before the first Run.
 func (c *BatchDiagCluster) SetLaneHorizon(lane, rounds int) {
 	c.horizon[lane] = rounds
 }
 
-// LaneCollector returns the cluster-owned collector of one lane.
-func (c *BatchDiagCluster) LaneCollector(lane int) *Collector { return c.cols[lane] }
+// LaneCollector returns the cluster-owned collector of one lane: its
+// decisions, and a view of its segment of the gang's health vectors.
+func (c *BatchDiagCluster) LaneCollector(lane int) *Collector { return &c.cols[lane] }
 
 // LaneTruth returns a TruthSource view over one lane's recorded ground
 // truth, interchangeable with the per-run Engine for the audits and the
 // system-level metrics observers.
-func (c *BatchDiagCluster) LaneTruth(lane int) TruthSource {
-	return laneTruth{c: c, lane: lane}
-}
+func (c *BatchDiagCluster) LaneTruth(lane int) TruthSource { return &c.truths[lane] }
 
 // LaneFinalPenalty returns observer's penalty counter for node j in one
 // lane, captured at the lane's horizon (the value a per-run repetition
@@ -513,21 +520,40 @@ func (c *BatchDiagCluster) FlushLaneTrace(lane int) {
 	c.events[lane].Reset()
 }
 
-// laneTruth adapts one lane's recorded rows to the TruthSource interface.
+// laneTruth is one lane's TruthSource over the gang record: the number of
+// rounds the lane recorded, and the row Truth fills from the lane's segment
+// of a round's class planes.
 type laneTruth struct {
-	c    *BatchDiagCluster
-	lane int
+	rec    *gangRecord
+	lane   int
+	rounds int
+	row    []tdma.OutcomeClass
 }
 
-func (t laneTruth) Round() int { return len(t.c.truth[t.lane]) / (t.c.n + 1) }
+func (t *laneTruth) Round() int { return t.rounds }
 
-func (t laneTruth) Truth(round int) []tdma.OutcomeClass {
-	w := t.c.n + 1
-	rows := t.c.truth[t.lane]
-	if round < 0 || (round+1)*w > len(rows) {
+func (t *laneTruth) Truth(round int) []tdma.OutcomeClass {
+	if round < 0 || round >= t.rounds {
 		return nil
 	}
-	return rows[round*w : (round+1)*w : (round+1)*w]
+	g, row := t.rec, t.row
+	w := g.words[round*g.stride():]
+	b, a := core.LaneView(w[0], t.lane, g.n), core.LaneView(w[1], t.lane, g.n)
+	for j := 1; j < len(row); j++ {
+		row[j] = tdma.OutcomeCorrect
+	}
+	for f := b | a | core.LaneView(w[2], t.lane, g.n); f != 0; f &= f - 1 {
+		j := bits.TrailingZeros64(f)
+		switch {
+		case b>>uint(j)&1 != 0:
+			row[j+1] = tdma.OutcomeBenign
+		case a>>uint(j)&1 != 0:
+			row[j+1] = tdma.OutcomeAsymmetric
+		default:
+			row[j+1] = tdma.OutcomeMalicious
+		}
+	}
+	return row
 }
 
 // Run executes the gang to the maximum lane horizon. It is the batched
@@ -555,12 +581,12 @@ func (c *BatchDiagCluster) Run() error {
 // Step advances every lane by one round, the gang's Engine.RunRound. A lane
 // records (ground truth, collector, final penalties, telemetry, trace)
 // only while the round lies inside its horizon; past it the lane keeps
-// stepping and records nothing. Callers that read the lane state between
-// rounds themselves, such as the splitting estimator, step with horizon 0.
-// On error the round's ground-truth rows are dropped and the round is not
-// counted.
+// stepping and records nothing. The gang record grows by a round only when
+// some lane records it, so callers that read the lane state between rounds
+// themselves, such as the splitting estimator, step with horizon 0 and
+// keep an empty record. On error the round is not counted, and no lane's
+// truth covers it.
 func (c *BatchDiagCluster) Step() error {
-	w := c.n + 1
 	k := c.round
 	// Past its horizon a lane's telemetry and flight recorder emit nothing,
 	// exactly like a per-run repetition that has stopped.
@@ -568,24 +594,18 @@ func (c *BatchDiagCluster) Step() error {
 	for r := 0; r < c.lanes; r++ {
 		if k < c.horizon[r] {
 			live |= 1 << uint(r)
-			// A slot's truth starts as what a quiet transmission
-			// records; transmitSlot overwrites the other slots.
-			c.truth[r] = append(c.truth[r], 0)
-			for i := 1; i < w; i++ {
-				c.truth[r] = append(c.truth[r], tdma.OutcomeCorrect)
-			}
 		}
 	}
+	if live != 0 {
+		c.rec.grow(k + 1)
+	}
 	if err := c.runRound(k, live); err != nil {
-		for r := 0; r < c.lanes; r++ {
-			if k < c.horizon[r] {
-				c.truth[r] = c.truth[r][:k*w]
-			}
-		}
 		return err
 	}
 	c.round++
-	for r := 0; r < c.lanes; r++ {
+	for m := live; m != 0; m &= m - 1 {
+		r := bits.TrailingZeros64(m)
+		c.truths[r].rounds++
 		if c.horizon[r] == c.round {
 			c.captureFinal(r)
 		}
@@ -599,27 +619,29 @@ func (c *BatchDiagCluster) Round() int { return c.round }
 // runRound advances every lane by one TDMA round, mirroring
 // Engine.RunRound's slot walk: diagnostic jobs at their positions, then the
 // slot transmission, N times. live marks (bit r) the lanes that record the
-// round.
+// round, liveB their node bits.
 func (c *BatchDiagCluster) runRound(k int, live uint64) error {
-	c.jobIn.Shared.Start(k, c.rows[k&1], c.healthyRows, expandColumn(live, 0, c.n))
+	liveRep := expandColumn(live, 0, c.n)
+	liveB := liveRep * c.laneAll
+	c.jobIn.Shared.Start(k, c.rows[k&1], c.healthyRows, liveRep)
 	next := 0
 	for pos := 0; pos <= c.n; pos++ {
 		for ; next < len(c.jobs) && c.cfg.Ls[c.jobs[next]-1] == pos; next++ {
-			if err := c.runJob(k, c.jobs[next], live); err != nil {
+			if err := c.runJob(k, c.jobs[next], live, liveB); err != nil {
 				return err
 			}
 		}
 		if pos == c.n {
 			break
 		}
-		c.transmitSlot(k, pos+1)
+		c.transmitSlot(k, pos+1, live)
 	}
 	return nil
 }
 
 // runJob executes node id's diagnostic job for every lane at once; the
-// lanes of live (bit r) record it.
-func (c *BatchDiagCluster) runJob(k, id int, live uint64) error {
+// lanes of live (bit r, node bits liveB) record it.
+func (c *BatchDiagCluster) runJob(k, id int, live, liveB uint64) error {
 	if c.events != nil {
 		at := c.sched.JobTime(k, c.cfg.Ls[id-1])
 		for m := live; m != 0; m &= m - 1 {
@@ -652,24 +674,15 @@ func (c *BatchDiagCluster) runJob(k, id int, live uint64) error {
 		// SetIgnored(j, true) does to the controller.
 		c.ign[id] |= c.allB &^ out.ActiveMask
 	}
-	// Most jobs record the all-Healthy vector in every lane and decide
-	// nothing: the vector then needs no extraction per lane, and the
-	// decisions no visit.
-	allHealthy := out.ConsOp&out.ConsKnown&c.allB == c.allB
-	decided := out.IsolatedMask|out.ReintegratedMask != 0
-	healthy := core.BitSyndrome{Op: c.laneAll, Known: c.laneAll}
-	for m := live; m != 0; m &= m - 1 {
-		r := bits.TrailingZeros64(m)
-		col := c.cols[r]
-		if out.Warm {
-			hv := healthy
-			if !allHealthy {
-				hv = out.LaneConsHV(r, c.n)
-			}
-			col.setHV(out.DiagnosedRound, id, c.n, hv)
-		}
-		if decided {
-			col.addDecisions(id, out.Round, out.LaneIsolated(r, c.n), out.LaneReintegrated(r, c.n))
+	// The recording lanes' health vectors are one word pair in the gang
+	// record; decisions, rare, are visited per lane.
+	if out.Warm && live != 0 {
+		c.rec.setHV(out.DiagnosedRound, id, core.BitSyndrome{Op: out.ConsOp & liveB, Known: out.ConsKnown & liveB})
+	}
+	if (out.IsolatedMask|out.ReintegratedMask)&liveB != 0 {
+		for m := live; m != 0; m &= m - 1 {
+			r := bits.TrailingZeros64(m)
+			c.cols[r].addDecisions(id, out.Round, out.LaneIsolated(r, c.n), out.LaneReintegrated(r, c.n))
 		}
 	}
 	if c.views != nil {
@@ -739,27 +752,6 @@ func (c *BatchDiagCluster) outsideHypothesis() uint64 {
 	return out
 }
 
-// noteFault records the outcome class of lane r's slot-col delivery in
-// round k for the agreement check's scope: benign when invalid at every
-// receiver other than the sender, asymmetric when invalid at some of
-// them, malicious when valid with altered payload bytes.
-func (c *BatchDiagCluster) noteFault(k, r int, col uint, valid, untouched bool, blinded uint64) {
-	bit := uint64(1) << (uint(r*c.n) + col)
-	f := &c.invFaults[k%invWindow]
-	for i := range f {
-		f[i] &^= bit
-	}
-	others := c.laneAll &^ (1 << col)
-	switch bo := blinded & others; {
-	case !valid || bo == others:
-		f[0] |= bit
-	case bo != 0:
-		f[1] |= bit
-	case !untouched:
-		f[2] |= bit
-	}
-}
-
 // installViews folds node id's gang output into its lane views, for the
 // lanes still inside their horizon, and records each changed lane's view
 // change after node 1's causal events of the round, as a per-run
@@ -780,10 +772,12 @@ func (c *BatchDiagCluster) installViews(id int, out *core.BatchRoundOutput, live
 // word operations: every receiver stores the staged word, valid, and the
 // sender reads it back. Every other lane encodes its wire word, runs its
 // disturbance chain once (uniform disturbances at representative
-// receiver 1, blinders as receiver masks) and folds the delivery into the
-// shared planes, the blind masks and the sender's collision ring. Each
-// lane records its ground truth.
-func (c *BatchDiagCluster) transmitSlot(k, s int) {
+// receiver 1, blinders as receiver masks), folds the delivery into the
+// shared planes, the blind masks and the sender's collision ring, and
+// classifies it once: the class planes feed the gang record when some lane
+// records the round (live, bit r) and, in ttdiag_invariants builds, the
+// fault history of the agreement check.
+func (c *BatchDiagCluster) transmitSlot(k, s int, live uint64) {
 	start, end := c.sched.SlotWindow(k, s)
 	n := c.n
 	encLen := len(c.payload)
@@ -805,22 +799,22 @@ func (c *BatchDiagCluster) transmitSlot(k, s int) {
 	if invariant.Enabled && quiet != 0 {
 		c.checkQuiet(k, s, quiet)
 	}
-	// A quiet lane's truth is the OutcomeCorrect its row starts with (see
-	// Step); only a flight recording needs each lane visited.
+	// A quiet lane's delivery is correct, in no class plane; only a flight
+	// recording needs each lane visited.
 	if c.events != nil {
-		for q := quiet; q != 0; q &= q - 1 {
-			if r := bits.TrailingZeros64(q); k < c.horizon[r] {
-				c.events[r].Record(trace.Event{
-					At: start, Round: k, Kind: trace.KindTransmit, Node: s,
-					Detail: tdma.OutcomeCorrect.String(),
-				})
-			}
+		for q := quiet & live; q != 0; q &= q - 1 {
+			c.events[bits.TrailingZeros64(q)].Record(trace.Event{
+				At: start, Round: k, Kind: trace.KindTransmit, Node: s,
+				Detail: tdma.OutcomeCorrect.String(),
+			})
 		}
 	}
 	// wireWord, validCol and collCol are lane-packed: the delivered words,
-	// and the valid and collided lanes at sender s's column.
+	// and the valid and collided lanes at sender s's column; benign, asym
+	// and malic the lanes whose delivery falls in that class.
 	wireWord, validCol := c.staged[s]&quietSegs, colBits&quietSegs
-	var collLanes, collCol uint64
+	var collLanes, collCol, benign, asym, malic uint64
+	others := c.laneAll &^ (1 << col)
 	for loud := (uint64(1)<<uint(c.lanes) - 1) &^ quiet; loud != 0; loud &= loud - 1 {
 		r := bits.TrailingZeros64(loud)
 		bit := uint64(1) << (uint(r*n) + col)
@@ -852,44 +846,44 @@ func (c *BatchDiagCluster) transmitSlot(k, s int) {
 				wireWord |= row.Op << uint(r*n)
 			}
 		}
-		if invariant.Enabled {
-			c.noteFault(k, r, col, d.Valid, untouched, blinded)
-		}
 		collided := c.dist[r].SenderCollision(&c.tx, false)
 		if collided {
 			collLanes |= 1 << uint(r)
 			collCol |= bit
 		}
-		if k < c.horizon[r] {
-			// Ground-truth classification over the non-sender receivers,
-			// as TxReport.Classify does: detectable at some but not all of
-			// them is asymmetric, at all of them benign; otherwise they
-			// all observe the same delivery, and altered payload bytes
-			// are malicious.
-			others := c.laneAll &^ (1 << col)
-			class := tdma.OutcomeCorrect
-			switch blindOthers := blinded & others; {
-			case !d.Valid || blindOthers == others:
-				class = tdma.OutcomeBenign
-			case blindOthers != 0:
-				class = tdma.OutcomeAsymmetric
-			case !untouched:
-				class = tdma.OutcomeMalicious
-			}
-			c.truth[r][k*(n+1)+s] = class
-			if c.events != nil {
-				e := trace.Event{
-					At: start, Round: k, Kind: trace.KindTransmit, Node: s,
-					Detail: class.String(), Invalid: blinded, Collision: collided,
-				}
-				if !d.Valid {
-					e.Invalid = c.laneAll
-				} else if !untouched {
-					e.Payload = string(d.Payload)
-				}
-				c.events[r].Record(e)
-			}
+		// Ground-truth classification over the non-sender receivers, as
+		// TxReport.Classify does: detectable at some but not all of them
+		// is asymmetric, at all of them benign; otherwise they all observe
+		// the same delivery, and altered payload bytes are malicious.
+		class := tdma.OutcomeCorrect
+		switch blindOthers := blinded & others; {
+		case !d.Valid || blindOthers == others:
+			class, benign = tdma.OutcomeBenign, benign|bit
+		case blindOthers != 0:
+			class, asym = tdma.OutcomeAsymmetric, asym|bit
+		case !untouched:
+			class, malic = tdma.OutcomeMalicious, malic|bit
 		}
+		if c.events != nil && live>>uint(r)&1 != 0 {
+			e := trace.Event{
+				At: start, Round: k, Kind: trace.KindTransmit, Node: s,
+				Detail: class.String(), Invalid: blinded, Collision: collided,
+			}
+			if !d.Valid {
+				e.Invalid = c.laneAll
+			} else if !untouched {
+				e.Payload = string(d.Payload)
+			}
+			c.events[r].Record(e)
+		}
+	}
+	if live != 0 {
+		t := c.rec.words[k*c.rec.stride():]
+		t[0], t[1], t[2] = t[0]|benign, t[1]|asym, t[2]|malic
+	}
+	if invariant.Enabled {
+		f := &c.invFaults[k%invWindow]
+		f[0], f[1], f[2] = f[0]&^colBits|benign, f[1]&^colBits|asym, f[2]&^colBits|malic
 	}
 	c.presentB = c.presentB&^colBits | validCol
 	c.rows[(k+1)&1][s] = core.BitSyndrome{Op: wireWord, Known: c.allB}
@@ -985,16 +979,9 @@ func (c *BatchDiagCluster) wakeRound(w tdma.Wake, s int) int {
 // checkQuiet runs the chain of every lane whose slot-s transmission of
 // round k quietLanes folded in (ttdiag_invariants builds only): the chain
 // must leave it untouched — valid with the encoded bytes, blinded at no
-// receiver, no sender collision. It also clears the lanes' fault history
-// for the slot, as noteFault does for a clean delivery.
+// receiver, no sender collision.
 func (c *BatchDiagCluster) checkQuiet(k, s int, quiet uint64) {
 	n := c.n
-	col := uint(s - 1)
-	colBits := expandColumn(quiet, col, n)
-	f := &c.invFaults[k%invWindow]
-	for i := range f {
-		f[i] &^= colBits
-	}
 	clean := tdma.Delivery{Valid: true, Payload: c.payload}
 	for q := quiet; q != 0; q &= q - 1 {
 		r := bits.TrailingZeros64(q)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ttdiag/internal/core"
@@ -364,8 +365,8 @@ func TestBatchClusterEquivalence(t *testing.T) {
 								t.Fatalf("lane %d round %d truth:\n got %v\nwant %v", lane, r, got, ref.truth[r])
 							}
 						}
-						if got := bc.LaneCollector(lane); !reflect.DeepEqual(got, ref.col) {
-							t.Fatalf("lane %d collector diverges:\n got %+v\nwant %+v", lane, got, ref.col)
+						if diff := collectorDiff(bc.LaneCollector(lane), ref.col, n, len(ref.truth)); diff != "" {
+							t.Fatalf("lane %d collector diverges: %s", lane, diff)
 						}
 						for id := 1; id <= n; id++ {
 							for j := 1; j <= n; j++ {
@@ -397,6 +398,23 @@ func TestBatchClusterEquivalence(t *testing.T) {
 			}
 		})
 	}
+}
+
+// collectorDiff describes the first difference between two collectors: a
+// health vector of a diagnosed round below rounds, or the decisions; ""
+// when they agree.
+func collectorDiff(got, want *Collector, n, rounds int) string {
+	for d := 0; d < rounds; d++ {
+		for obs := 1; obs <= n; obs++ {
+			if g, w := got.HV(d, obs), want.HV(d, obs); g != w {
+				return fmt.Sprintf("round %d observer %d health vector %+v, want %+v", d, obs, g, w)
+			}
+		}
+	}
+	if !slices.Equal(got.Isolations, want.Isolations) || !slices.Equal(got.Reintegrations, want.Reintegrations) {
+		return fmt.Sprintf("decisions %+v/%+v, want %+v/%+v", got.Isolations, got.Reintegrations, want.Isolations, want.Reintegrations)
+	}
+	return ""
 }
 
 // gangWidths returns the full, ragged and single-lane gang widths of a
@@ -501,11 +519,17 @@ func sameLanes(t *testing.T, label string, got, want *BatchDiagCluster, width in
 	t.Helper()
 	n := want.Config().N
 	for lane := 0; lane < width; lane++ {
-		if !reflect.DeepEqual(got.LaneCollector(lane), want.LaneCollector(lane)) {
-			t.Fatalf("%s lane %d: collector diverges from a fresh cluster", label, lane)
+		gt, wt := got.LaneTruth(lane), want.LaneTruth(lane)
+		if diff := collectorDiff(got.LaneCollector(lane), want.LaneCollector(lane), n, wt.Round()); diff != "" {
+			t.Fatalf("%s lane %d: collector diverges from a fresh cluster: %s", label, lane, diff)
 		}
-		if !reflect.DeepEqual(got.truth[lane], want.truth[lane]) {
-			t.Fatalf("%s lane %d: truth diverges from a fresh cluster", label, lane)
+		if gt.Round() != wt.Round() {
+			t.Fatalf("%s lane %d: %d recorded rounds, fresh cluster %d", label, lane, gt.Round(), wt.Round())
+		}
+		for r := 0; r < wt.Round(); r++ {
+			if !slices.Equal(gt.Truth(r), wt.Truth(r)) {
+				t.Fatalf("%s lane %d: round %d truth diverges from a fresh cluster", label, lane, r)
+			}
 		}
 		for id := 1; id <= n; id++ {
 			for j := 1; j <= n; j++ {

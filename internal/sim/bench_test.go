@@ -101,7 +101,7 @@ func loudWideGang(tb testing.TB) *BatchDiagCluster {
 }
 
 // BenchmarkLaneCheckpoint times the lane checkpoint of a warmed N = 4
-// gang: "capture" records lane 5 into a reused checkpoint, "restore"
+// gang: "capture" records lane 5 into a reused lane record, "restore"
 // writes it into lane 11, the two halves of a splitting level crossing and
 // trial start, and "restore8" refills the eight even lanes with one
 // RestoreLanes call from eight records, as a splitting round boundary
@@ -116,14 +116,14 @@ func BenchmarkLaneCheckpoint(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	ck := bc.NewLaneCheckpoint()
-	if err := bc.CaptureLane(5, ck); err != nil {
+	ck := make([]uint64, bc.LaneRecordLen())
+	if err := bc.CaptureLaneRecord(5, ck); err != nil {
 		b.Fatal(err)
 	}
 	b.Run("n4_capture", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := bc.CaptureLane(5, ck); err != nil {
+			if err := bc.CaptureLaneRecord(5, ck); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -131,7 +131,7 @@ func BenchmarkLaneCheckpoint(b *testing.B) {
 	b.Run("n4_restore", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := bc.RestoreLane(11, ck); err != nil {
+			if err := bc.RestoreLanes(1<<11, [][]uint64{ck}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -88,13 +88,13 @@ func TestBatchRestoreRecaptureMismatchPanics(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ck := bc.NewLaneCheckpoint()
-	if err := bc.CaptureLane(2, ck); err != nil {
+	ck := make([]uint64, bc.LaneRecordLen())
+	if err := bc.CaptureLaneRecord(2, ck); err != nil {
 		t.Fatal(err)
 	}
-	ck.rec[bc.recBus()+busStaged*4+2] |= 1 << 4 // node 3's outbox, node 5 of a 4-node lane
+	ck[bc.recBus()+busStaged*4+2] |= 1 << 4 // node 3's outbox, node 5 of a 4-node lane
 	expectPanic(t, "restored lane 9 does not re-capture", func() {
-		_ = bc.RestoreLane(9, ck)
+		_ = bc.RestoreLanes(1<<9, [][]uint64{ck})
 	})
 }
 

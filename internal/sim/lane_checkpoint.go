@@ -68,34 +68,6 @@ func (c *BatchDiagCluster) LaneRecordLen() int {
 	return c.recBus() + c.busPacked() + c.n
 }
 
-// LaneCheckpoint is one lane record in a buffer of its own: the
-// single-lane form of CaptureLaneRecord and RestoreLanes. It is the
-// lane-packed counterpart of ClusterCheckpoint.
-type LaneCheckpoint struct {
-	rec []uint64
-}
-
-// NewLaneCheckpoint allocates an empty lane checkpoint shaped for c.
-func (c *BatchDiagCluster) NewLaneCheckpoint() *LaneCheckpoint {
-	return &LaneCheckpoint{rec: make([]uint64, c.LaneRecordLen())}
-}
-
-// CaptureLane records lane `lane`'s state at the current round boundary
-// into ck, overwriting any previous capture. Zero allocations.
-func (c *BatchDiagCluster) CaptureLane(lane int, ck *LaneCheckpoint) error {
-	return c.CaptureLaneRecord(lane, ck.rec)
-}
-
-// RestoreLane overwrites lane `lane` with the state ck captured; see
-// RestoreLanes.
-func (c *BatchDiagCluster) RestoreLane(lane int, ck *LaneCheckpoint) error {
-	if lane < 0 || lane >= c.lanes {
-		return fmt.Errorf("sim: lane %d outside 0..%d", lane, c.lanes-1)
-	}
-	recs := [1][]uint64{ck.rec}
-	return c.RestoreLanes(1<<uint(lane), recs[:])
-}
-
 // checkLanes validates that lane records are supported and that the
 // lanes of a capture or restore are live.
 func (c *BatchDiagCluster) checkLanes(lanes uint64) error {

@@ -13,10 +13,10 @@ import (
 	"ttdiag/internal/invariant"
 )
 
-// TestLaneCheckpointAllocs pins CaptureLane into a reused checkpoint and
-// RestoreLane at zero allocations: both are flat copies of lane segments
-// into pre-sized buffers, which is what lets the splitting estimator
-// refill a gang lane every few rounds.
+// TestLaneCheckpointAllocs pins CaptureLaneRecord into a reused record and
+// a one-lane RestoreLanes at zero allocations: both are flat copies of
+// lane segments into pre-sized buffers, which is what lets the splitting
+// estimator refill a gang lane every few rounds.
 func TestLaneCheckpointAllocs(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("invariant checking boxes Checkf arguments and inflates the allocation count")
@@ -30,19 +30,19 @@ func TestLaneCheckpointAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ck := bc.NewLaneCheckpoint()
+	ck := make([]uint64, bc.LaneRecordLen())
 	if avg := testing.AllocsPerRun(100, func() {
-		if err := bc.CaptureLane(3, ck); err != nil {
+		if err := bc.CaptureLaneRecord(3, ck); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {
-		t.Fatalf("CaptureLane allocates %.2f objects/op, want 0", avg)
+		t.Fatalf("CaptureLaneRecord allocates %.2f objects/op, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(100, func() {
-		if err := bc.RestoreLane(7, ck); err != nil {
+		if err := bc.RestoreLanes(1<<7, [][]uint64{ck}); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {
-		t.Fatalf("RestoreLane allocates %.2f objects/op, want 0", avg)
+		t.Fatalf("RestoreLanes allocates %.2f objects/op, want 0", avg)
 	}
 }

@@ -98,8 +98,8 @@ func TestLaneCheckpointRoundTrip(t *testing.T) {
 		t.Run(fmt.Sprintf("reintegration=%d", pr.ReintegrationThreshold), func(t *testing.T) {
 			cfg := ClusterConfig{N: 4, PR: pr}
 			a, _ := faultedGang(t, cfg, before-src, captureAt)
-			ck := a.NewLaneCheckpoint()
-			if err := a.CaptureLane(src, ck); err != nil {
+			ck := make([]uint64, a.LaneRecordLen())
+			if err := a.CaptureLaneRecord(src, ck); err != nil {
 				t.Fatal(err)
 			}
 
@@ -122,7 +122,7 @@ func TestLaneCheckpointRoundTrip(t *testing.T) {
 			}
 
 			b, faults := faultedGang(t, cfg, 0xb0b, restoreAt)
-			if err := b.RestoreLane(dst, ck); err != nil {
+			if err := b.RestoreLanes(1<<uint(dst), [][]uint64{ck}); err != nil {
 				t.Fatal(err)
 			}
 			*faults[dst] = laneFaults{seed: after, off: captureAt - restoreAt}
@@ -184,25 +184,25 @@ func bitsSet(m uint64) int {
 // a gang past the diagnosis lag.
 func TestLaneCheckpointRejects(t *testing.T) {
 	bc, _ := faultedGang(t, ClusterConfig{N: 4}, 1, 2)
-	ck := bc.NewLaneCheckpoint()
-	if err := bc.CaptureLane(16, ck); err == nil {
+	ck := make([]uint64, bc.LaneRecordLen())
+	if err := bc.CaptureLaneRecord(16, ck); err == nil {
 		t.Error("capture of lane 16 of a 16-lane gang accepted")
 	}
-	if err := bc.CaptureLane(0, ck); err != nil {
+	if err := bc.CaptureLaneRecord(0, ck); err != nil {
 		t.Fatal(err)
 	}
-	if err := bc.RestoreLane(0, ck); err == nil {
+	if err := bc.RestoreLanes(1, [][]uint64{ck}); err == nil {
 		t.Error("restore into a gang at round 2, before the lag of 3, accepted")
 	}
 	wide, _ := faultedGang(t, ClusterConfig{N: 5}, 1, 4)
-	if err := wide.RestoreLane(0, ck); err == nil {
+	if err := wide.RestoreLanes(1, [][]uint64{ck}); err == nil {
 		t.Error("N=4 checkpoint restored into an N=5 gang")
 	}
 	mem, err := NewBatchDiagCluster(ClusterConfig{Mode: core.ModeMembership})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mem.CaptureLane(0, mem.NewLaneCheckpoint()); err == nil {
+	if err := mem.CaptureLaneRecord(0, make([]uint64, mem.LaneRecordLen())); err == nil {
 		t.Error("lane capture in a membership cluster accepted")
 	}
 }
@@ -210,7 +210,7 @@ func TestLaneCheckpointRejects(t *testing.T) {
 // TestRestoreLanesRoundTrip refills five lanes of a faulted gang with one
 // RestoreLanes call from records captured in five other lanes of another
 // gang, handed out in a different order, and its twin one lane at a time
-// with RestoreLane. Right after the refill every refilled lane re-captures
+// with one-lane RestoreLanes calls. Right after the refill every refilled lane re-captures
 // to its record; stepped on under the same faults, the two gangs must hold
 // the same state in every lane every round: a refill restores exactly the
 // lanes of its mask, each from its own record, and leaves the others be.
@@ -239,7 +239,7 @@ func TestRestoreLanesRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, r := range dest {
-		if err := one.RestoreLane(r, &LaneCheckpoint{rec: recs[i]}); err != nil {
+		if err := one.RestoreLanes(1<<uint(r), [][]uint64{recs[i]}); err != nil {
 			t.Fatal(err)
 		}
 		*allFaults[r] = laneFaults{seed: 0xfeed + uint64(i), off: captureAt - restoreAt}

@@ -55,21 +55,17 @@ func (m *RunMetrics) ObserveTruth(src TruthSource) {
 	if m == nil {
 		return
 	}
+	var count [tdma.OutcomeAsymmetric + 1]int64 // by class
 	for round := 0; round < src.Round(); round++ {
 		truth := src.Truth(round)
 		for slot := 1; slot < len(truth); slot++ {
-			switch truth[slot] {
-			case tdma.OutcomeCorrect:
-				m.TxCorrect.Inc()
-			case tdma.OutcomeBenign:
-				m.TxBenign.Inc()
-			case tdma.OutcomeMalicious:
-				m.TxMalicious.Inc()
-			case tdma.OutcomeAsymmetric:
-				m.TxAsymmetric.Inc()
-			}
+			count[truth[slot]]++
 		}
 	}
+	m.TxCorrect.Add(count[tdma.OutcomeCorrect])
+	m.TxBenign.Add(count[tdma.OutcomeBenign])
+	m.TxMalicious.Add(count[tdma.OutcomeMalicious])
+	m.TxAsymmetric.Add(count[tdma.OutcomeAsymmetric])
 }
 
 // ObserveIsolationLatency observes, for every node the collector saw

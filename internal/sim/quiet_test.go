@@ -187,7 +187,7 @@ func FuzzQuietSlots(f *testing.F) {
 // TestQuietSlotWakes pins the wake bookkeeping: a lane with a burst train
 // is quiet up to the burst and asks again at it, a lane with a predicate
 // is loud and never asks, an empty lane is quiet for good, and
-// AddLaneDisturbance, RestoreLane and ResetBatch make a lane ask afresh;
+// AddLaneDisturbance, RestoreLanes and ResetBatch make a lane ask afresh;
 // a restore leaves every other lane's wake and the slots' fast path alone.
 func TestQuietSlotWakes(t *testing.T) {
 	bc, err := NewBatchDiagCluster(ClusterConfig{})
@@ -224,12 +224,12 @@ func TestQuietSlotWakes(t *testing.T) {
 	// Restoring lane 2 marks it stale in every slot and touches nothing
 	// else: every other lane keeps its wake, and every slot its least wake,
 	// so the next transmission asks lane 2 alone.
-	ck := bc.NewLaneCheckpoint()
-	if err := bc.CaptureLane(2, ck); err != nil {
+	ck := make([]uint64, bc.LaneRecordLen())
+	if err := bc.CaptureLaneRecord(2, ck); err != nil {
 		t.Fatal(err)
 	}
 	wakes, mins := slices.Clone(bc.wake), slices.Clone(bc.wakeMin)
-	if err := bc.RestoreLane(2, ck); err != nil {
+	if err := bc.RestoreLanes(1<<2, [][]uint64{ck}); err != nil {
 		t.Fatal(err)
 	}
 	for s := 1; s <= bc.n; s++ {
@@ -257,8 +257,8 @@ func TestQuietSlotWakes(t *testing.T) {
 	if got := wake(4, 3); got != 9 {
 		t.Fatalf("SOS lane's slot-4 wake %d, want its FromRound 9", got)
 	}
-	if got := bc.truth[0]; len(got) != 0 {
-		t.Fatalf("lane 0 recorded %d truth entries at horizon 0", len(got))
+	if got := bc.LaneTruth(0).Round(); got != 0 || len(bc.rec.words) != 0 {
+		t.Fatalf("lane 0 recorded %d rounds at horizon 0, gang record of %d words", got, len(bc.rec.words))
 	}
 	if err := bc.ResetBatch(bc.max); err != nil {
 		t.Fatal(err)
@@ -290,10 +290,10 @@ func TestQuietSlotWakes(t *testing.T) {
 	if asked.n != bc.n || bc.wakeMin[2] != burstRound {
 		t.Fatalf("before the restore: lane 2 asked %d times, slot 2 least wake %d; want %d and %d", asked.n, bc.wakeMin[2], bc.n, burstRound)
 	}
-	if err := bc.CaptureLane(2, ck); err != nil {
+	if err := bc.CaptureLaneRecord(2, ck); err != nil {
 		t.Fatal(err)
 	}
-	if err := bc.RestoreLane(2, ck); err != nil {
+	if err := bc.RestoreLanes(1<<2, [][]uint64{ck}); err != nil {
 		t.Fatal(err)
 	}
 	if bc.wakeMin[2] != burstRound || bc.stale[2] != 1<<2 {

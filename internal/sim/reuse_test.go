@@ -20,10 +20,9 @@ func renderDiagState(eng *Engine, runners []*DiagRunner, col *Collector, rounds 
 		if tr := eng.Truth(d); tr != nil {
 			fmt.Fprintf(&b, "truth %d: %v\n", d, tr)
 		}
-		byObs := col.RoundHVs(d)
 		for obs := 1; obs <= n; obs++ {
-			if byObs != nil && byObs[obs].Known != 0 {
-				fmt.Fprintf(&b, "hv %d/%d: %s\n", d, obs, byObs[obs].String(n))
+			if hv := col.HV(d, obs); hv.Known != 0 {
+				fmt.Fprintf(&b, "hv %d/%d: %s\n", d, obs, hv.String(n))
 			}
 		}
 	}

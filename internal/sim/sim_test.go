@@ -112,7 +112,7 @@ func TestCommunicationBlackout(t *testing.T) {
 	if err := AuditTheorem1(eng, col, obedientAll(4), 4, 16); err != nil {
 		t.Fatal(err)
 	}
-	hv := col.ConsHV[6][2]
+	hv := col.HV(6, 2)
 	if hv.String(4) != "0000" {
 		t.Fatalf("blackout round diagnosed as %s, want 0000", hv.String(4))
 	}
@@ -146,7 +146,7 @@ func TestMaliciousNodeClasses(t *testing.T) {
 			// undetectable, so ground truth stays "malicious", and Theorem 1
 			// guarantees agreement; additionally no conviction may happen.
 			for d := 4; d < 26; d++ {
-				hv := col.ConsHV[d][obedient[0]]
+				hv := col.HV(d, obedient[0])
 				if hv.CountFaulty(4) != 0 {
 					t.Fatalf("round %d: malicious node induced conviction: %s", d, hv.String(4))
 				}
@@ -439,7 +439,7 @@ func TestHeterogeneousSlotCluster(t *testing.T) {
 	if err := AuditTheorem1(eng, col, obedientAll(4), 4, 16); err != nil {
 		t.Fatal(err)
 	}
-	hv := col.ConsHV[6][1]
+	hv := col.HV(6, 1)
 	if hv.String(4) != "1011" {
 		t.Fatalf("cons_hv(6) = %s, want 1011", hv.String(4))
 	}
@@ -493,7 +493,7 @@ func TestAdversarialMaliciousAtTheBoundEdge(t *testing.T) {
 			t.Fatalf("n=%d adversaries=%v: %v", tc.n, tc.adversaries, err)
 		}
 		for d := 4; d < 20; d++ {
-			if hv := col.ConsHV[d][obedient[0]]; hv.CountFaulty(tc.n) != 0 {
+			if hv := col.HV(d, obedient[0]); hv.CountFaulty(tc.n) != 0 {
 				t.Fatalf("n=%d: adversaries convicted someone: %s", tc.n, hv.String(tc.n))
 			}
 		}
@@ -556,7 +556,7 @@ func TestCollectorHookMembership(t *testing.T) {
 	if runners[2].Last().View.ID != 1 {
 		t.Fatalf("membership Last() view = %+v", runners[2].Last().View)
 	}
-	if got := col.ConsHV[6][3]; got.String(4) != "1011" {
+	if got := col.HV(6, 3); got.String(4) != "1011" {
 		t.Fatalf("membership collector hv = %s", got.String(4))
 	}
 }

@@ -29,15 +29,14 @@ func TestStressRandomNoiseConsistency(t *testing.T) {
 			t.Fatal(err)
 		}
 		for d := 3; d < rounds-4; d++ {
-			byObs := col.ConsHV[d]
-			if byObs == nil {
+			ref := col.HV(d, 1)
+			if ref.Known == 0 {
 				t.Fatalf("noise %v: no vectors for round %d", noiseProb, d)
 			}
-			ref := byObs[1]
 			for obs := 2; obs <= 4; obs++ {
-				if byObs[obs] != ref {
+				if hv := col.HV(d, obs); hv != ref {
 					t.Fatalf("noise %v round %d: consistency violated: %s vs %s",
-						noiseProb, d, ref.String(4), byObs[obs].String(4))
+						noiseProb, d, ref.String(4), hv.String(4))
 				}
 			}
 		}

@@ -54,6 +54,7 @@ check_batched_determinism() {
     scripts/gotest.sh -race -cpu=1,4 ./internal/experiments/ \
         -run 'TestBatchedWorkerCountInvariance|TestBatchedCampaignEquivalence|TestTracedCampaignEquivalence|TestScaleResilienceBatchedEquivalence|TestScaleResilienceProgress|TestTable4Progress|TestScoreboardProgress'
     scripts/gotest.sh -race -cpu=1,4 ./internal/tuning/ -run TestTimeToIncorrectIsolationMatchesPerRun
+    scripts/gotest.sh -race -cpu=1,4 ./internal/sim/ -run 'TestGangRecordStaggeredHorizons|TestGangRecordStaysEmptyAtHorizonZero'
 }
 
 check_fleet_determinism() {

@@ -40,11 +40,11 @@ func TestFacadeQuickstart(t *testing.T) {
 	if err := ttdiag.AuditTheorem1(eng2, col, []int{1, 2, 3, 4}, 3, 9); err != nil {
 		t.Fatal(err)
 	}
-	if hv := col.ConsHV[6][1]; hv.String(4) == "1101" {
+	if hv := col.HV(6, 1); hv.String(4) == "1101" {
 		found = true
 	}
 	if !found {
-		t.Fatalf("faulty round 6 diagnosed as %s, want 1101", col.ConsHV[6][1].String(4))
+		t.Fatalf("faulty round 6 diagnosed as %s, want 1101", col.HV(6, 1).String(4))
 	}
 }
 
